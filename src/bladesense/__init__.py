@@ -18,6 +18,6 @@ from .synthetic import (GroundTruth, SyntheticCaseSpec, TorsionTwin,
                         blade_demo_modes, demo_grid, demo_spec, generate_case,
                         orthonormal_polynomial_modes)
 from .torsion import (TorsionModel, fit_torsion_map, infer_torsion,
-                      load_torsion_model, save_torsion_model, torsion_pod)
+                      load_torsion_model, save_torsion_model)
 
 __version__ = "0.1.0"

@@ -7,11 +7,10 @@ the mean and of the (unique upper-triangular) covariance entries is then
 regressed onto a truncated Fourier series in azimuth, giving a smooth
 periodic Gaussian prior conditioned on wind speed and turbulence intensity.
 
-Covariances are the *centered* per-bin second moment with population
-normalization; the non-centered variant (the raw second moment) is kept
-behind ``centered=False`` for comparison. Evaluated covariances are
-symmetrized and eigenvalue-clipped at zero, because fitting entries
-independently does not preserve positive semi-definiteness between bins.
+Covariances are the centered per-bin second moment with population
+normalization. Evaluated covariances are symmetrized and eigenvalue-clipped
+at zero, because fitting entries independently does not preserve positive
+semi-definiteness between bins.
 """
 
 from __future__ import annotations
@@ -65,14 +64,11 @@ class BinStatistics:
 
 
 def bin_statistics(a_series, theta_series, n_theta: int,
-                   condition: ConditionKey | None = None,
-                   centered: bool = True) -> BinStatistics:
+                   condition: ConditionKey | None = None) -> BinStatistics:
     """Bin reduced coordinates by azimuth sector and summarize each bin.
 
     ``a_series`` is (N, n_t); ``theta_series`` the matching wrapped
-    azimuths. Covariances use population normalization 1/n; with
-    ``centered=False`` the raw (non-centered) second moment is stored
-    instead.
+    azimuths. Covariances use population normalization 1/n.
     """
     a = np.atleast_2d(np.asarray(a_series, dtype=float))
     theta = np.asarray(theta_series, dtype=float)
@@ -89,8 +85,8 @@ def bin_statistics(a_series, theta_series, n_theta: int,
         samples = a[:, idx == b]
         mu = samples.mean(axis=1)
         means[b] = mu
-        centered_samples = samples - mu[:, None] if centered else samples
-        covs[b] = (centered_samples @ centered_samples.T) / samples.shape[1]
+        centered = samples - mu[:, None]
+        covs[b] = (centered @ centered.T) / samples.shape[1]
     if condition is None:
         condition = ConditionKey(u_mean=1.0, ti=0.5, seed=MERGED_SEED)
     return BinStatistics(condition=condition, n_theta=n_theta,
@@ -151,10 +147,6 @@ def fit_fourier(centers, values, n_fourier: int) -> tuple[np.ndarray, float]:
     return coeffs, residual
 
 
-def _triu_index(n_modes: int):
-    return np.triu_indices(n_modes)
-
-
 @dataclass
 class RomCondition:
     """Fourier coefficient tables of one (wind speed, TI) operating point."""
@@ -192,40 +184,36 @@ class AzimuthalRomModel:
 def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel:
     """Fit Fourier tables for every condition's binned statistics.
 
-    One regression per mean entry and per unique covariance entry; empty
-    bins are excluded. Errors from the underlying fits are re-raised with
-    the condition and entry that produced them.
+    All mean entries and unique covariance entries of a condition share the
+    occupied bins, so they are regressed together in one multi-right-hand-side
+    least-squares solve; empty bins are excluded. Too few occupied bins is
+    reported with the condition that has them.
     """
     stats_list = list(stats_list)
     if not stats_list:
         raise ValidationError("no binned statistics supplied")
     n_theta = stats_list[0].n_theta
+    n_coeff = 1 + 2 * n_fourier
     conditions = []
     for st in stats_list:
         if st.n_theta != n_theta:
             raise ValidationError("all statistics must share the sector count")
         occ = st.occupied
-        centers = bin_centers(n_theta)[occ]
+        if occ.sum() < n_coeff:
+            raise ValidationError(
+                f"(u={st.condition.u_mean}, ti={st.condition.ti}): need at "
+                f"least {n_coeff} non-empty bins for n_F={n_fourier}, "
+                f"got {occ.sum()}"
+            )
         n_modes = st.n_modes
-        label = f"(u={st.condition.u_mean}, ti={st.condition.ti})"
-        mean_coeffs = np.zeros((n_modes, 1 + 2 * n_fourier))
-        for n in range(n_modes):
-            try:
-                mean_coeffs[n], _ = fit_fourier(centers, st.means[occ, n], n_fourier)
-            except ValidationError as err:
-                raise ValidationError(f"{label} mean entry {n}: {err}") from err
-        iu, ju = _triu_index(n_modes)
-        cov_coeffs = np.zeros((iu.size, 1 + 2 * n_fourier))
-        for r, (i, j) in enumerate(zip(iu, ju)):
-            try:
-                cov_coeffs[r], _ = fit_fourier(
-                    centers, st.covariances[occ, i, j], n_fourier)
-            except ValidationError as err:
-                raise ValidationError(
-                    f"{label} covariance entry ({i},{j}): {err}") from err
+        iu, ju = np.triu_indices(n_modes)
+        values = np.hstack([st.means[occ], st.covariances[occ][:, iu, ju]])
+        design = fourier_design(bin_centers(n_theta)[occ], n_fourier)
+        coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
+        table = np.ascontiguousarray(coeffs.T)
         conditions.append(RomCondition(
             u_mean=st.condition.u_mean, ti=st.condition.ti,
-            mean_coeffs=mean_coeffs, cov_coeffs=cov_coeffs,
+            mean_coeffs=table[:n_modes], cov_coeffs=table[n_modes:],
         ))
     conditions.sort(key=lambda c: (c.ti, c.u_mean))
     return AzimuthalRomModel(n_fourier=n_fourier, n_theta=n_theta,
@@ -264,7 +252,7 @@ def evaluate_rom(model: AzimuthalRomModel, theta: float, u_filt: float,
 
     mean = fourier_eval(mean_tab, theta)
     n_modes = mean_tab.shape[0]
-    iu, ju = _triu_index(n_modes)
+    iu, ju = np.triu_indices(n_modes)
     cov = np.zeros((n_modes, n_modes))
     vals = fourier_eval(cov_tab, theta)
     cov[iu, ju] = vals

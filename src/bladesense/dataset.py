@@ -114,10 +114,24 @@ class SnapshotEnsemble:
                 f"D must have {self.grid.n_dof} rows, got shape {self.D.shape}"
             )
         n_t = self.D.shape[1]
+        finite = np.isfinite(self.D)
+        if not finite.all():
+            k, dof = np.argwhere(~finite.T)[0]
+            comp, station = divmod(int(dof), self.grid.n_z)
+            raise ValidationError(
+                f"non-finite value in column D (component {'xyz'[comp]}, "
+                f"station {station:03d}) at row {k}: {self.D[dof, k]!r}"
+            )
         for name in ("t", "theta", "omega", "u_raw", "u_filt"):
             arr = getattr(self, name)
             if arr.shape != (n_t,):
                 raise ValidationError(f"{name} must have length n_t={n_t}")
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValidationError(
+                    f"non-finite value in column {name} at row {bad[0]}: "
+                    f"{arr[bad[0]]!r}"
+                )
         bad = np.flatnonzero((self.theta < 0.0) | (self.theta >= TWO_PI))
         if bad.size:
             raise ValidationError(
@@ -215,19 +229,19 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def _write_csv(path: Path, names: list[str], data: np.ndarray) -> None:
+    """The one writer of numeric tables: header row, 17-digit values."""
     np.savetxt(
         path, data, fmt=_FLOAT_FMT, delimiter=",",
         header=",".join(names), comments="",
     )
 
 
-def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
-    """Load and validate one case from its manifest.
+def _open_case(manifest_path: Path) -> tuple[dict, BladeGrid, ConditionKey, float]:
+    """Parse and check a manifest and read its grid.
 
-    Returns the grid and the snapshot ensemble; the filtered wind channel is
-    computed with :func:`smooth_wind` when the file does not provide it.
+    Returns the manifest, the grid, the condition and the sampling
+    frequency; every manifest read of the package goes through here.
     """
-    manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing manifest: {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -241,16 +255,26 @@ def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
         if key not in manifest:
             raise SchemaError(f"{manifest_path}: manifest missing key '{key}'")
 
-    base = manifest_path.parent
-    grid = _load_grid(base / manifest["grid_file"], float(manifest["L_b"]))
+    grid = _load_grid(manifest_path.parent / manifest["grid_file"],
+                      float(manifest["L_b"]))
     condition = ConditionKey(
         u_mean=float(manifest["u_mean"]),
         ti=float(manifest["ti"]),
         seed=int(manifest["seed"]),
     )
-    ensemble = _load_snapshots(
-        base / manifest["snapshot_file"], grid, condition, float(manifest["f_s"])
-    )
+    return manifest, grid, condition, float(manifest["f_s"])
+
+
+def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
+    """Load and validate one case from its manifest.
+
+    Returns the grid and the snapshot ensemble; the filtered wind channel is
+    computed with :func:`smooth_wind` when the file does not provide it.
+    """
+    manifest_path = Path(manifest_path)
+    manifest, grid, condition, f_s = _open_case(manifest_path)
+    ensemble = _load_snapshots(manifest_path.parent / manifest["snapshot_file"],
+                               grid, condition, f_s)
     return grid, ensemble
 
 
@@ -286,18 +310,20 @@ def _load_snapshots(path: Path, grid: BladeGrid, condition: ConditionKey,
     )
 
 
-def load_torsion(manifest_path) -> SnapshotEnsemble:
-    """Load the optional torsion file of a case as an ensemble of tau fields."""
+def load_torsion(manifest_path) -> SnapshotEnsemble | None:
+    """Load the optional torsion file of a case as an ensemble of tau fields.
+
+    Reads the manifest, the grid and the torsion file only (not the
+    snapshot file); returns ``None`` when the manifest names no
+    ``torsion_file``.
+    """
     manifest_path = Path(manifest_path)
-    grid, ensemble = load_case(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest, grid, condition, f_s = _open_case(manifest_path)
     if "torsion_file" not in manifest:
-        raise SchemaError(f"{manifest_path}: manifest has no 'torsion_file'")
-    return _load_snapshots(
-        manifest_path.parent / manifest["torsion_file"], grid,
-        ensemble.condition, ensemble.f_s, prefixes=("taux", "tauy", "tauz"),
-    )
+        return None
+    return _load_snapshots(manifest_path.parent / manifest["torsion_file"],
+                           grid, condition, f_s,
+                           prefixes=("taux", "tauy", "tauz"))
 
 
 def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import BladeGrid, SnapshotEnsemble
+from .dataset import BladeGrid, SnapshotEnsemble, _write_csv
 from .errors import NumericalError, ValidationError
 
 _ORTHO_TOL = 1e-8
@@ -277,8 +277,7 @@ def write_modes_csv(basis: ModalBasis, path) -> None:
     """Export mean field and modes, one column per mode after the mean."""
     names = ["mean"] + [f"mode_{n + 1}" for n in range(basis.n_modes)]
     table = np.column_stack([basis.mean_field, basis.modes])
-    np.savetxt(path, table, fmt="%.17e", delimiter=",",
-               header=",".join(names), comments="")
+    _write_csv(path, names, table)
 
 
 def write_energies_csv(basis: ModalBasis, path) -> None:

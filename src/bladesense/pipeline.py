@@ -24,7 +24,8 @@ from . import svgplot
 from .azimuthal_rom import (AzimuthalRomModel, bin_statistics, bin_centers,
                             evaluate_rom, fit_rom, merge_condition_samples,
                             save_rom)
-from .dataset import ConditionKey, SnapshotEnsemble, load_case, load_torsion
+from .dataset import (ConditionKey, SnapshotEnsemble, _write_csv, load_case,
+                      load_torsion)
 from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
                             write_energies_csv, write_modes_csv)
 from .errors import StageError, ValidationError
@@ -32,8 +33,8 @@ from .fusion import FusionStats, fuse
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
                       sparse_estimate, write_sensors_csv)
 from .spectral import DEFAULT_SMOOTH, psd
-from .torsion import TorsionModel, fit_torsion_map, infer_torsion, \
-    save_torsion_model, torsion_pod
+from .torsion import (TorsionModel, fit_torsion_map, infer_torsion,
+                      save_torsion_model)
 
 _COMPONENTS = ("ux", "uy", "uz")
 _SOURCES = ("sparse", "rom", "fused")
@@ -53,7 +54,6 @@ class PipelineConfig:
     noise: object = 0.1
     estimation_mode: str = "gram_corrected"
     pivot: str = "station"
-    centered_covariance: bool = True
     observation_fractions: tuple = (0.44, 0.68, 0.88)
     lnm_frequencies: tuple = ()
     torsion_rank: int | None = None
@@ -102,7 +102,6 @@ class PipelineConfig:
             noise=doc.get("noise", 0.1),
             estimation_mode=doc.get("estimation_mode", "gram_corrected"),
             pivot=pivot or doc.get("pivot", "station"),
-            centered_covariance=bool(doc.get("centered_covariance", True)),
             observation_fractions=tuple(doc.get("observation_fractions",
                                                 (0.44, 0.68, 0.88))),
             lnm_frequencies=tuple(doc.get("lnm_frequencies", ())),
@@ -174,8 +173,7 @@ def _stage_decompose(ctx: _Context) -> None:
             for n, (w, s) in enumerate(zip(res.frequencies, res.amplitudes), 1):
                 fh.write(f"{n},{float(w)!r},{float(s)!r}\n")
         names = [f"shape_{n + 1}" for n in range(res.frequencies.size)]
-        np.savetxt(ctx.emit("lnm_shapes.csv"), res.shapes, fmt="%.17e",
-                   delimiter=",", header=",".join(names), comments="")
+        _write_csv(ctx.emit("lnm_shapes.csv"), names, res.shapes)
 
 
 def _stage_sensors(ctx: _Context) -> None:
@@ -199,7 +197,6 @@ def _stage_fit_rom(ctx: _Context) -> None:
             a_all, theta_all, ctx.config.n_theta,
             condition=ConditionKey(u_mean=u_mean, ti=ti,
                                    seed=rom_mod.MERGED_SEED),
-            centered=ctx.config.centered_covariance,
         ))
     ctx.rom = fit_rom(ctx.stats_list, ctx.config.n_fourier)
     save_rom(ctx.rom, ctx.emit("rom.json"))
@@ -251,9 +248,8 @@ def _stage_estimate(ctx: _Context) -> None:
                 for src in _SOURCES:
                     names.append(f"{comp}_s{station:03d}_{src}")
                     cols.append(fields[src][row])
-        np.savetxt(ctx.emit(f"recon_{case_id}.csv"), np.column_stack(cols),
-                   fmt="%.17e", delimiter=",", header=",".join(names),
-                   comments="")
+        _write_csv(ctx.emit(f"recon_{case_id}.csv"), names,
+                   np.column_stack(cols))
 
         stations_out = []
         for s_i, station in enumerate(obs_stations):
@@ -304,21 +300,19 @@ def _stage_estimate(ctx: _Context) -> None:
 
 
 def _stage_torsion(ctx: _Context) -> None:
-    def _manifest_has_torsion(path) -> bool:
-        with open(path, "r", encoding="utf-8") as fh:
-            return "torsion_file" in json.load(fh)
-
-    train_tau = [(Path(p).stem, load_torsion(p)) for p in ctx.config.training
-                 if _manifest_has_torsion(p)]
+    train_tau = []  # (deflection ensemble, torsion ensemble)
+    for p, (_, e) in zip(ctx.config.training, ctx.train):
+        tau_e = load_torsion(p)
+        if tau_e is not None:
+            train_tau.append((e, tau_e))
     if not train_tau:
         return
     rank = ctx.config.torsion_rank or ctx.config.n_modes + 1
-    tau_basis = torsion_pod(_pooled(train_tau), rank)
+    tau_basis = pod_fit(_pooled(train_tau), rank)
 
     groups: dict = {}
-    by_id = dict(ctx.train)
-    for case_id, tau_e in train_tau:
-        a = project(by_id[case_id].D, ctx.basis)
+    for e, tau_e in train_tau:
+        a = project(e.D, ctx.basis)
         b = project(tau_e.D, tau_basis)
         key = (tau_e.condition.u_mean, tau_e.condition.ti)
         groups.setdefault(key, []).append((a, b))
@@ -339,12 +333,10 @@ def _stage_torsion(ctx: _Context) -> None:
     eval_summary = {}
     obs_stations = _observation_stations(ctx)
     obs_rows = sensor_dof_rows(obs_stations, ctx.basis.grid.n_z)
-    for case_id, e in ctx.evaluation:
-        manifest = next(p for p in ctx.config.evaluation
-                        if Path(p).stem == case_id)
-        if not _manifest_has_torsion(manifest):
+    for p, (case_id, e) in zip(ctx.config.evaluation, ctx.evaluation):
+        tau_e = load_torsion(p)
+        if tau_e is None:
             continue
-        tau_e = load_torsion(manifest)
         a_series = ctx.traces[case_id]["A"]["fused"] if case_id in ctx.traces \
             else project(e.D, ctx.basis)
         cond = (e.condition.u_mean, e.condition.ti)
@@ -373,9 +365,8 @@ def _stage_torsion(ctx: _Context) -> None:
                 }
             per_station.append({"station_index": int(station),
                                 "components": comp_stats})
-        np.savetxt(ctx.emit(f"torsion_recon_{case_id}.csv"),
-                   np.column_stack(cols), fmt="%.17e", delimiter=",",
-                   header=",".join(names), comments="")
+        _write_csv(ctx.emit(f"torsion_recon_{case_id}.csv"), names,
+                   np.column_stack(cols))
         eval_summary[case_id] = per_station
 
     with open(ctx.emit("torsion_summary.json"), "w", encoding="utf-8") as fh:
@@ -400,11 +391,6 @@ def _fd_edges(x: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, n_bins + 1)
 
 
-def _write_table(path, names, cols) -> None:
-    np.savetxt(path, np.column_stack(cols), fmt="%.17e", delimiter=",",
-               header=",".join(names), comments="")
-
-
 def _stage_report(ctx: _Context) -> None:
     case_id, e = ctx.evaluation[0]
     trace = ctx.traces[case_id]
@@ -421,9 +407,9 @@ def _stage_report(ctx: _Context) -> None:
         else:
             smoothed = raw
         base = f"psd_{case_id}_{comp}"
-        _write_table(ctx.emit(base + ".csv"),
-                     ["f_hat", "power_raw", "power_smoothed"],
-                     [f_hat, raw, smoothed])
+        _write_csv(ctx.emit(base + ".csv"),
+                   ["f_hat", "power_raw", "power_smoothed"],
+                   np.column_stack([f_hat, raw, smoothed]))
         svgplot.line_plot(
             ctx.emit(base + ".svg"),
             [("raw", f_hat, raw), ("smoothed", f_hat, smoothed)],
@@ -439,9 +425,9 @@ def _stage_report(ctx: _Context) -> None:
         h_true, _ = np.histogram(true_sig, bins=edges)
         h_fused, _ = np.histogram(fused_sig, bins=edges)
         base = f"hist_{case_id}_{comp}"
-        _write_table(ctx.emit(base + ".csv"),
-                     ["bin_left", "bin_right", "count_true", "count_fused"],
-                     [edges[:-1], edges[1:], h_true, h_fused])
+        _write_csv(ctx.emit(base + ".csv"),
+                   ["bin_left", "bin_right", "count_true", "count_fused"],
+                   np.column_stack([edges[:-1], edges[1:], h_true, h_fused]))
         svgplot.histogram_plot(
             ctx.emit(base + ".svg"), edges,
             [("true", h_true), ("fused", h_fused)],
@@ -461,11 +447,11 @@ def _stage_report(ctx: _Context) -> None:
         rom_std = np.array([np.sqrt(max(g.covariance[n, n], 0.0))
                             for g in rom_eval])
         base = f"azimuthal_mode{n + 1}"
-        _write_table(ctx.emit(base + ".csv"),
-                     ["theta_center", "data_mean", "data_std",
-                      "rom_mean", "rom_std"],
-                     [centers[occ], data_mean, data_std,
-                      rom_mean[occ], rom_std[occ]])
+        _write_csv(ctx.emit(base + ".csv"),
+                   ["theta_center", "data_mean", "data_std",
+                    "rom_mean", "rom_std"],
+                   np.column_stack([centers[occ], data_mean, data_std,
+                                    rom_mean[occ], rom_std[occ]]))
         svgplot.line_plot(
             ctx.emit(base + ".svg"),
             [("data mean", centers[occ], data_mean),
@@ -486,8 +472,8 @@ def _stage_report(ctx: _Context) -> None:
     for i, j in pairs:
         xi, yj = a_proj[i, ::stride], a_proj[j, ::stride]
         base = f"coupling_{case_id}_a{i + 1}_a{j + 1}"
-        _write_table(ctx.emit(base + ".csv"),
-                     [f"a{i + 1}", f"a{j + 1}"], [xi, yj])
+        _write_csv(ctx.emit(base + ".csv"),
+                   [f"a{i + 1}", f"a{j + 1}"], np.column_stack([xi, yj]))
         svgplot.scatter_plot(ctx.emit(base + ".svg"), xi, yj,
                              title=f"a{i + 1} vs a{j + 1} ({case_id})",
                              xlabel=f"a{i + 1}", ylabel=f"a{j + 1}")
@@ -496,10 +482,12 @@ def _stage_report(ctx: _Context) -> None:
     base = f"trace_{case_id}_ux"
     series = [("true", e.t, trace["true_obs"][0])]
     series += [(src, e.t, trace["fields"][src][0]) for src in _SOURCES]
-    _write_table(ctx.emit(base + ".csv"),
-                 ["t", "true", "sparse", "rom", "fused"],
-                 [e.t, trace["true_obs"][0], trace["fields"]["sparse"][0],
-                  trace["fields"]["rom"][0], trace["fields"]["fused"][0]])
+    _write_csv(ctx.emit(base + ".csv"),
+               ["t", "true", "sparse", "rom", "fused"],
+               np.column_stack([e.t, trace["true_obs"][0],
+                                trace["fields"]["sparse"][0],
+                                trace["fields"]["rom"][0],
+                                trace["fields"]["fused"][0]]))
     svgplot.line_plot(ctx.emit(base + ".svg"), series,
                       title=f"ux at station {int(trace['obs_stations'][0])} "
                             f"({case_id})",

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .azimuthal_rom import fourier_eval
-from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, save_case,
-                      smooth_wind, wrap_angle)
+from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, _write_csv,
+                      save_case, smooth_wind, wrap_angle)
 from .decomposition import dof_weights
 from .errors import ValidationError
 
@@ -240,15 +240,11 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
 
     modes_file = f"{spec.name}_true_modes.csv"
     a_file = f"{spec.name}_a_true.csv"
-    np.savetxt(out_dir / modes_file,
-               np.column_stack([spec.mean_field, spec.true_modes]),
-               fmt="%.17e", delimiter=",",
-               header=",".join(["mean"] + [f"mode_{n+1}" for n in range(spec.n_true)]),
-               comments="")
-    np.savetxt(out_dir / a_file, np.column_stack([t, a_true.T]),
-               fmt="%.17e", delimiter=",",
-               header=",".join(["t"] + [f"a_{n+1}" for n in range(spec.n_true)]),
-               comments="")
+    _write_csv(out_dir / modes_file,
+               ["mean"] + [f"mode_{n+1}" for n in range(spec.n_true)],
+               np.column_stack([spec.mean_field, spec.true_modes]))
+    _write_csv(out_dir / a_file, ["t"] + [f"a_{n+1}" for n in range(spec.n_true)],
+               np.column_stack([t, a_true.T]))
     sidecar = {
         "true_modes_file": modes_file,
         "a_true_file": a_file,

@@ -15,17 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import BladeGrid, SnapshotEnsemble
-from .decomposition import ModalBasis, pod_fit, write_modes_csv
+from .dataset import BladeGrid
+from .decomposition import ModalBasis, write_modes_csv
 from .errors import ValidationError
 
 #: Torsional truncation: one more mode than the deflection basis.
 DEFAULT_EXTRA_RANK = 1
-
-
-def torsion_pod(tau_ensemble: SnapshotEnsemble, n_modes: int) -> ModalBasis:
-    """POD basis of the sectional-rotation ensemble (delegates to pod_fit)."""
-    return pod_fit(tau_ensemble, n_modes)
 
 
 def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ import numpy as np
 from bladesense import (GaussianReduced, NoiseModel, fit_torsion_map, fuse,
                         inner, lnm_amplitudes, load_case, load_torsion,
                         observe, place_sensors, pod_fit, project, psd,
-                        reconstruct, sparse_estimate, torsion_pod)
+                        reconstruct, sparse_estimate)
 from bladesense.azimuthal_rom import bin_statistics, evaluate_rom, fit_rom
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI, ConditionKey
@@ -316,7 +316,7 @@ def test_criterion_08_torsion_inference(tmp_path):
             grid=grid, D=D_a, t=defl_a.t, theta=defl_a.theta,
             omega=defl_a.omega, u_raw=defl_a.u_raw, u_filt=defl_a.u_filt,
             condition=defl_a.condition, f_s=defl_a.f_s), 4)
-        tau_basis = torsion_pod(type(tau_a)(
+        tau_basis = pod_fit(type(tau_a)(
             grid=grid, D=T_a, t=tau_a.t, theta=tau_a.theta,
             omega=tau_a.omega, u_raw=tau_a.u_raw, u_filt=tau_a.u_filt,
             condition=tau_a.condition, f_s=tau_a.f_s), 5)

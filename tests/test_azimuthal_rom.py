@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bladesense import (ConditionKey, bin_statistics, evaluate_rom,
-                        fit_fourier, fit_rom, load_rom, save_rom, wrap_angle)
+from bladesense import (ConditionKey, azimuth_bin, bin_statistics,
+                        evaluate_rom, fit_fourier, fit_rom, load_rom, save_rom,
+                        wrap_angle)
 from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
                                       bin_centers, fourier_eval,
                                       merge_condition_samples)
@@ -36,15 +37,6 @@ class TestBinStatistics:
         st = bin_statistics(a, theta, 4, condition=_cond())
         assert st.means[0, 0] == pytest.approx(0.0)
         assert st.covariances[0, 0, 0] == pytest.approx(1.0)  # 1/n, not 1/(n-1)
-
-    def test_non_centered_variant(self):
-        theta = np.array([0.1, 0.1])
-        a = np.array([[1.0, 1.0]])
-        st = bin_statistics(a, theta, 4, condition=_cond(), centered=False)
-        # raw second moment keeps the mean energy
-        assert st.covariances[0, 0, 0] == pytest.approx(1.0)
-        st_c = bin_statistics(a, theta, 4, condition=_cond(), centered=True)
-        assert st_c.covariances[0, 0, 0] == pytest.approx(0.0)
 
     def test_empty_bins_flagged_not_zero(self):
         theta = np.array([0.05, 0.05])
@@ -182,6 +174,27 @@ class TestFitRom:
                            model1.conditions[0].mean_coeffs, atol=1e-10)
         assert np.allclose(model2.conditions[0].cov_coeffs,
                            model1.conditions[0].cov_coeffs, atol=1e-10)
+
+    def test_joint_solve_matches_per_entry_fits(self):
+        rng = np.random.default_rng(3)
+        n_theta, n_fourier = 72, 6
+        theta = rng.uniform(0, TWO_PI, 3000) % TWO_PI
+        a = rng.standard_normal((3, 3000)) + np.cos(theta)
+        keep = azimuth_bin(theta, n_theta) % 9 != 0  # leave some bins empty
+        st = bin_statistics(a[:, keep], theta[keep], n_theta,
+                            condition=_cond())
+        model = fit_rom([st], n_fourier)
+        occ = st.occupied
+        centers = bin_centers(n_theta)[occ]
+        iu, ju = np.triu_indices(3)
+        ref_mean = [fit_fourier(centers, st.means[occ, n], n_fourier)[0]
+                    for n in range(3)]
+        ref_cov = [fit_fourier(centers, st.covariances[occ, i, j], n_fourier)[0]
+                   for i, j in zip(iu, ju)]
+        for got, ref in ((model.conditions[0].mean_coeffs, ref_mean),
+                         (model.conditions[0].cov_coeffs, ref_cov)):
+            ref = np.array(ref)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_error_carries_condition_context(self):
         st = bin_statistics(np.zeros((1, 3)), np.full(3, 0.1), 72,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
-                        load_case, save_case, smooth_wind, wrap_angle)
+                        load_case, load_torsion, save_case, smooth_wind,
+                        wrap_angle)
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
@@ -65,6 +66,23 @@ class TestLoadCase:
         with pytest.raises(ValidationError, match="row 1"):
             load_case(path)
 
+    def test_nan_theta_reports_column_and_row(self, tmp_path):
+        path = _write_minimal_case(tmp_path, bad_theta="nan")
+        with pytest.raises(ValidationError, match="column theta at row 1"):
+            load_case(path)
+
+    def test_nan_displacement_reports_column_and_row(self, tmp_path):
+        path = _write_minimal_case(tmp_path)
+        snap = tmp_path / "snap.csv"
+        lines = snap.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[7] = "nan"  # uy_001 of the third time step
+        lines[3] = ",".join(cells)
+        snap.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError,
+                           match=r"component y, station 001\) at row 2"):
+            load_case(path)
+
     def test_manifest_missing_key(self, tmp_path):
         path = _write_minimal_case(tmp_path)
         doc = json.loads(path.read_text())
@@ -117,6 +135,31 @@ class TestRoundTrip:
         assert (tmp_path / "a/case_snapshots.csv").read_bytes() == \
             (tmp_path / "b/case_snapshots.csv").read_bytes()
         assert m2.read_bytes() == m1.read_bytes()
+
+
+class TestLoadTorsion:
+    def test_none_without_torsion_file(self, tmp_path):
+        assert load_torsion(_write_minimal_case(tmp_path)) is None
+
+    def test_reads_torsion_bit_exact_without_snapshot_file(self, tmp_path):
+        rng = np.random.default_rng(4)
+        grid = BladeGrid(z_norm=np.linspace(0, 1, 4), length_m=60.0)
+        n_t = 9
+        ens = SnapshotEnsemble(
+            grid=grid, D=rng.standard_normal((12, n_t)),
+            t=np.arange(n_t) / 20.0,
+            theta=wrap_angle(rng.uniform(0, TWO_PI, n_t)),
+            omega=np.ones(n_t), u_raw=np.full(n_t, 9.0),
+            u_filt=np.full(n_t, 9.0), condition=ConditionKey(9.0, 0.1, 2),
+            f_s=20.0,
+        )
+        tau = rng.standard_normal((12, n_t)) * 1e-3
+        manifest = save_case(ens, tmp_path, "tc", tau=tau)
+        (tmp_path / "tc_snapshots.csv").unlink()  # must not be needed
+        back = load_torsion(manifest)
+        assert np.array_equal(back.D, tau)
+        assert np.array_equal(back.theta, ens.theta)
+        assert back.condition == ens.condition and back.f_s == ens.f_s
 
 
 class TestSmoothWind:

@@ -1,8 +1,12 @@
 import json
+import shutil
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bladesense import dataset
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import StageError, ValidationError
@@ -168,6 +172,58 @@ class TestFailureModes:
         with pytest.raises(StageError, match="sensors"):
             run_pipeline(config, plan="pipeline")
         assert (tmp_path / "o" / "FAILED").exists()
+
+
+    def test_non_finite_input_fails_at_load(self, quickstart, tmp_path):
+        pipeline_cfg, _ = quickstart
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        snap = cases / "ev_s5_snapshots.csv"
+        lines = snap.read_text().splitlines()
+        cells = lines[11].split(",")
+        cells[10] = "nan"
+        lines[11] = ",".join(cells)
+        snap.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert "stage: load" in marker and "at row 10" in marker
+        assert not (out / "error_summary.json").exists()
+
+
+class TestCaseReads:
+    @staticmethod
+    def _parses(monkeypatch, config, plan):
+        seen = Counter()
+        read_csv = dataset._read_csv
+
+        def counting(path):
+            seen[Path(path).name] += 1
+            return read_csv(path)
+
+        monkeypatch.setattr(dataset, "_read_csv", counting)
+        run_pipeline(config, plan=plan)
+        return seen
+
+    def test_pipeline_parses_each_case_file_once(self, quickstart, tmp_path,
+                                                 monkeypatch):
+        pipeline_cfg, _ = quickstart
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        seen = self._parses(monkeypatch, config, "pipeline")
+        names = [Path(p).stem for p in config.training + config.evaluation]
+        for kind in ("snapshots", "torsion"):
+            assert {n: seen[f"{n}_{kind}.csv"] for n in names} == \
+                dict.fromkeys(names, 1)
+
+    def test_fit_rom_parses_no_torsion_file(self, quickstart, tmp_path,
+                                            monkeypatch):
+        pipeline_cfg, _ = quickstart
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        seen = self._parses(monkeypatch, config, "fit-rom")
+        assert not [n for n in seen if n.endswith("_torsion.csv")]
+        assert sum(n.endswith("_snapshots.csv") for n in seen) == \
+            len(config.training) + len(config.evaluation)
 
 
 class TestConfigValidation:

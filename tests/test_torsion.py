@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bladesense import (fit_torsion_map, infer_torsion, load_torsion_model,
-                        save_torsion_model, torsion_pod)
+                        pod_fit, save_torsion_model)
 from bladesense.errors import ValidationError
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel, nearest_condition
@@ -126,7 +126,7 @@ class TestTorsionPod:
             theta=np.zeros(n_t), omega=np.ones(n_t),
             u_raw=np.full(n_t, 9.0), u_filt=np.full(n_t, 9.0),
             condition=bladesense.ConditionKey(9.0, 0.1, 0), f_s=10.0)
-        basis = torsion_pod(ens, 5)
+        basis = pod_fit(ens, 5)
         eigs, modes = dense_pod_oracle(D, uniform_grid)
         assert np.allclose(basis.energies, eigs[:5], rtol=1e-10, atol=1e-14)
         aligned = align_sign(modes[:, :5], basis.modes)
