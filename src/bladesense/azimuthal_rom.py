@@ -103,11 +103,12 @@ def merge_condition_samples(parts) -> tuple[np.ndarray, np.ndarray]:
 def fourier_design(theta, n_fourier: int) -> np.ndarray:
     """Regression matrix with columns (1, cos k*theta, sin k*theta)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    cols = [np.ones_like(theta)]
-    for k in range(1, n_fourier + 1):
-        cols.append(np.cos(k * theta))
-        cols.append(np.sin(k * theta))
-    return np.column_stack(cols)
+    k_theta = np.multiply.outer(theta, np.arange(1, n_fourier + 1))
+    design = np.empty(theta.shape + (1 + 2 * n_fourier,))
+    design[..., 0] = 1.0
+    design[..., 1::2] = np.cos(k_theta)
+    design[..., 2::2] = np.sin(k_theta)
+    return design
 
 
 def fourier_eval(coeffs, theta):
@@ -177,8 +178,9 @@ class AzimuthalRomModel:
     def n_modes(self) -> int:
         return self.conditions[0].mean_coeffs.shape[0]
 
-    def ti_labels(self) -> np.ndarray:
-        return np.unique([c.ti for c in self.conditions])
+    def ti_labels(self) -> list:
+        """Distinct trained TI labels, ascending."""
+        return sorted({c.ti for c in self.conditions})
 
 
 def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel:
@@ -220,44 +222,64 @@ def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel
                              conditions=conditions)
 
 
-def evaluate_rom(model: AzimuthalRomModel, theta: float, u_filt: float,
-                 ti: float) -> GaussianReduced:
-    """Evaluate the prior Gaussian at an azimuth and operating point.
+@dataclass
+class RomStats:
+    """Running counters of prior evaluations surfaced by the pipeline: steps,
+    and steps whose filtered wind speed lies below or above the trained
+    speeds of the chosen TI label (the end table is then used as is)."""
 
-    The TI label is resolved to the nearest trained label; wind speed
-    linearly interpolates the coefficient tables between the bracketing
-    trained speeds (clamped at the range ends). The returned covariance is
-    eigenvalue-clipped at zero.
+    steps: int = 0
+    clamped_low: int = 0
+    clamped_high: int = 0
+
+
+def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
+                 stats: RomStats | None = None) -> GaussianReduced:
+    """Evaluate the prior Gaussian at azimuths and operating points.
+
+    ``theta`` and ``u_filt`` are scalars or 1-D arrays, one entry per time
+    step, broadcast against each other; a scalar pair gives one Gaussian,
+    arrays give a stack (see :class:`GaussianReduced`). The TI label is
+    resolved once to the nearest trained label; wind speed linearly
+    interpolates between the bracketing trained speeds, and outside the
+    trained range the end table is used as is (counted in ``stats``). The
+    returned covariances are eigenvalue-clipped at zero.
     """
     if not model.conditions:
         raise ValidationError("ROM model has no trained conditions")
-    theta = wrap_angle(float(theta))
+    theta, u = np.broadcast_arrays(wrap_angle(np.asarray(theta, dtype=float)),
+                                   np.asarray(u_filt, dtype=float))
+    if theta.ndim > 1:
+        raise ValidationError("theta and u_filt must be scalars or 1-D arrays")
+    single = theta.ndim == 0
+    theta, u = np.atleast_1d(theta), np.atleast_1d(u)
 
-    labels = model.ti_labels()
-    ti_near = labels[int(np.argmin(np.abs(labels - ti)))]
+    ti_near = min(model.ti_labels(), key=lambda label: abs(label - ti))
     group = sorted((c for c in model.conditions if c.ti == ti_near),
                    key=lambda c: c.u_mean)
     speeds = np.array([c.u_mean for c in group])
+    if stats is not None:
+        stats.steps += u.size
+        stats.clamped_low += int(np.count_nonzero(u < speeds[0]))
+        stats.clamped_high += int(np.count_nonzero(u > speeds[-1]))
+    # linear-interpolation weight of each trained speed per step (the hat
+    # functions); np.interp holds the end values, so beyond the trained
+    # range the end table is used as is
+    weights = np.column_stack([np.interp(u, speeds, unit)
+                               for unit in np.eye(len(group))])
 
-    if u_filt <= speeds[0] or len(group) == 1:
-        mean_tab, cov_tab = group[0].mean_coeffs, group[0].cov_coeffs
-    elif u_filt >= speeds[-1]:
-        mean_tab, cov_tab = group[-1].mean_coeffs, group[-1].cov_coeffs
-    else:
-        hi = int(np.searchsorted(speeds, u_filt))
-        lo = hi - 1
-        w = (u_filt - speeds[lo]) / (speeds[hi] - speeds[lo])
-        mean_tab = (1 - w) * group[lo].mean_coeffs + w * group[hi].mean_coeffs
-        cov_tab = (1 - w) * group[lo].cov_coeffs + w * group[hi].cov_coeffs
-
-    mean = fourier_eval(mean_tab, theta)
-    n_modes = mean_tab.shape[0]
+    # one product: (step, speed x Fourier term) against the stacked tables
+    design = fourier_design(theta, model.n_fourier)
+    tables = np.concatenate([np.vstack([c.mean_coeffs, c.cov_coeffs]).T
+                             for c in group])
+    vals = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ tables
+    n_modes = group[0].mean_coeffs.shape[0]
     iu, ju = np.triu_indices(n_modes)
-    cov = np.zeros((n_modes, n_modes))
-    vals = fourier_eval(cov_tab, theta)
-    cov[iu, ju] = vals
-    cov[ju, iu] = vals
-    return GaussianReduced(np.atleast_1d(mean), clip_psd(cov))
+    cov = np.zeros((u.size, n_modes, n_modes))
+    cov[:, iu, ju] = vals[:, n_modes:]
+    cov[:, ju, iu] = vals[:, n_modes:]
+    mean, cov = vals[:, :n_modes], clip_psd(cov)
+    return GaussianReduced(mean[0], cov[0]) if single else GaussianReduced(mean, cov)
 
 
 def save_rom(model: AzimuthalRomModel, path) -> None:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import SchemaError, ValidationError
 
@@ -173,6 +172,10 @@ def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValidationError("wind series must be 1-D and non-empty")
+    # imported on use: scipy.signal takes about a second to import, and
+    # most commands never reach this line
+    from scipy.signal import lfilter
+
     # IIR form of the recurrence; zi encodes the out[0]=raw[0] seed.
     zi = np.array([(1.0 - alpha) * raw[0]])
     out, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], raw, zi=zi)

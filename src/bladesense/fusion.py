@@ -6,9 +6,12 @@ The fused estimate weights prior and measurement by their covariances:
     a_fused = a_prior + K (a_meas - a_prior)
     S_fused = (I - K) S_prior
 
-which minimizes the trace of the fused covariance. The gain is recomputed
-per call; with N ~ 4 the inversion cost is negligible and the prior
-covariance varies with azimuth anyway.
+which minimizes the trace of the fused covariance. Everything here works
+on one Gaussian or on a stack of them, one per time step: means of shape
+(..., N) and covariances of shape (..., N, N). The prior covariance varies
+with azimuth, so each row gets its own gain, all from one stacked solve;
+the per-row special cases (a degenerate or a regularized innovation
+covariance) are applied by mask.
 """
 
 from __future__ import annotations
@@ -20,27 +23,46 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _sym(cov: np.ndarray) -> np.ndarray:
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
+def _trace(cov: np.ndarray) -> np.ndarray:
+    return cov.trace(axis1=-2, axis2=-1)
+
+
+def _any(mask) -> bool:
+    # bool() of a single flag is ~30x cheaper than a reduction, which the
+    # per-step calls would otherwise pay several times per step
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
 def clip_psd(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and clip negative eigenvalues so eigvalsh reports >= 0.
 
+    ``cov`` is one (N, N) matrix or a stack (..., N, N); each matrix is
+    treated on its own, and one that needs no change is returned as is.
     Reconstruction after clipping can itself leave an eigenvalue a few ulp
-    below zero, so the result is nudged by a diagonal shift until the
+    below zero, so such a matrix is nudged by a diagonal shift until its
     reported spectrum is clean.
     """
-    cov = 0.5 * (cov + cov.T)
+    cov = _sym(np.asarray(cov, dtype=float))
     eigs, vecs = np.linalg.eigh(cov)
-    if eigs.min() < 0.0:
-        cov = (vecs * np.clip(eigs, 0.0, None)) @ vecs.T
-        cov = 0.5 * (cov + cov.T)
+    neg = eigs.min(axis=-1) < 0.0
+    if _any(neg):
+        clipped = (vecs * eigs.clip(0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
+        cov = np.where(neg[..., None, None], _sym(clipped), cov)
     # eigvalsh (no vectors) is the arbiter: different LAPACK drivers can
     # disagree by a few ulp around zero. The shift must be at least one ulp
     # of the diagonal scale or the addition would not change the matrix.
     for _ in range(8):
-        low = np.linalg.eigvalsh(cov).min()
-        if low >= 0.0:
+        low = np.linalg.eigvalsh(cov).min(axis=-1)
+        bad = low < 0.0
+        if not _any(bad):
             break
-        delta = max(-2.0 * low, np.spacing(np.abs(np.diag(cov)).max()))
-        cov = cov + delta * np.eye(cov.shape[0])
+        scale = np.abs(cov.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+        delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
+        cov = cov + delta[..., None, None] * np.eye(cov.shape[-1])
     return cov
 
 
@@ -48,35 +70,45 @@ def clip_psd(cov: np.ndarray) -> np.ndarray:
 class GaussianReduced:
     """Mean/covariance pair in reduced modal coordinates.
 
-    The covariance is symmetrized on construction; eigenvalues below
-    -1e-10 * trace are rejected, small negative ones are clipped to zero.
+    Holds one Gaussian, mean (N,) and covariance (N, N), or a stack of them,
+    one per time step: mean (n_t, N) with covariances (n_t, N, N) or one
+    (N, N) covariance shared by every row. Non-finite values are rejected
+    (LAPACK reports NaN matrices as PSD). Each covariance is symmetrized on
+    construction; eigenvalues below -1e-10 * trace are rejected, small
+    negative ones are clipped to zero, matrix by matrix.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.ndim == 0:
+            mean = mean.reshape(1)
         cov = np.asarray(self.covariance, dtype=float)
-        n = self.mean.size
-        if cov.shape != (n, n):
+        n = mean.shape[-1]
+        if cov.shape[-2:] != (n, n) or cov.shape[:-2] not in ((), mean.shape[:-1]):
             raise ValidationError(
-                f"covariance must be {n}x{n}, got {cov.shape}"
+                f"covariance must be {n}x{n} (one, or one per row of the mean), "
+                f"got {cov.shape} for a mean of shape {mean.shape}"
             )
-        cov = 0.5 * (cov + cov.T)
-        eigs = np.linalg.eigvalsh(cov)
-        scale = max(np.trace(cov), 1e-300)
-        if eigs.min() < -1e-10 * scale:
-            raise ValidationError(
-                f"covariance not PSD: min eigenvalue {eigs.min():.3e}"
-            )
-        if eigs.min() < 0.0:
-            cov = clip_psd(cov)
-        self.covariance = cov
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError("Gaussian mean and covariance must be finite")
+        cov = _sym(cov)
+        low = np.linalg.eigvalsh(cov).min(axis=-1)
+        neg = low < 0.0
+        if _any(neg):
+            bad = low < -1e-10 * np.maximum(_trace(cov), 1e-300)
+            if _any(bad):
+                raise ValidationError(
+                    f"covariance not PSD: min eigenvalue {np.min(low[bad]):.3e}"
+                )
+            cov[neg] = clip_psd(cov[neg])  # a 0-d mask indexes a stack of one
+        self.mean, self.covariance = mean, cov
 
     @property
     def n(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 @dataclass
@@ -91,31 +123,42 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
          stats: FusionStats | None = None) -> tuple[GaussianReduced, np.ndarray]:
     """Fuse a prior and a measurement Gaussian; returns (fused, gain).
 
-    A nearly singular innovation covariance (min eigenvalue below
+    Either argument may be a stack (see :class:`GaussianReduced`); the rows
+    are fused independently and the gain is (N, N) or (..., N, N). Per
+    row, a nearly singular innovation covariance (min eigenvalue below
     1e-14 * trace) is regularized with 1e-12 * trace on the diagonal and
     counted in ``stats.regularized``; this occurs when both sources claim
-    near-zero variance, e.g. from sparsely populated training bins.
+    near-zero variance, e.g. from sparsely populated training bins. A row
+    whose innovation covariance has trace <= 0 (both sources fully certain)
+    keeps the prior mean with zero covariance and zero gain.
     """
     if prior.n != measurement.n:
         raise ValidationError(
             f"dimension mismatch: prior has {prior.n}, measurement {measurement.n}"
         )
-    n = prior.n
-    s_sum = prior.covariance + measurement.covariance
-    tr = float(np.trace(s_sum))
-    if stats is not None:
-        stats.steps += 1
-    if tr <= 0.0:
-        # both sources fully certain: keep the prior, zero covariance
-        gain = np.zeros((n, n))
-        return GaussianReduced(prior.mean.copy(), np.zeros((n, n))), gain
-    if np.linalg.eigvalsh(s_sum).min() <= 1e-14 * tr:
-        s_sum = s_sum + (1e-12 * tr) * np.eye(n)
-        if stats is not None:
-            stats.regularized += 1
+    eye = np.eye(prior.n)
+    p_cov = prior.covariance
+    s_sum = p_cov + measurement.covariance
+    tr = _trace(s_sum)
+    certain = tr <= 0.0
+    regularize = ~certain & (np.linalg.eigvalsh(s_sum).min(axis=-1) <= 1e-14 * tr)
+    if _any(regularize):
+        s_sum = s_sum + np.where(regularize, 1e-12 * tr, 0.0)[..., None, None] * eye
+    any_certain = _any(certain)
+    if any_certain:
+        # the identity only makes the solve defined; these rows get zero gain
+        certain_rows = certain[..., None, None]
+        s_sum = np.where(certain_rows, eye, s_sum)
     # K = S_prior (S_prior + S_meas)^-1, via a solve on the symmetric sum
-    gain = np.linalg.solve(s_sum, prior.covariance).T
-    mean = prior.mean + gain @ (measurement.mean - prior.mean)
-    cov = (np.eye(n) - gain) @ prior.covariance
-    cov = 0.5 * (cov + cov.T)
+    gain = np.linalg.solve(s_sum, p_cov).swapaxes(-1, -2)
+    if any_certain:
+        gain = np.where(certain_rows, 0.0, gain)
+    mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
+    cov = _sym((eye - gain) @ p_cov)
+    if any_certain:
+        cov = np.where(certain_rows, 0.0, cov)
+    if stats is not None:
+        rows = mean.shape[:-1]
+        stats.steps += int(np.prod(rows))
+        stats.regularized += int(np.count_nonzero(np.broadcast_to(regularize, rows)))
     return GaussianReduced(mean, cov), gain

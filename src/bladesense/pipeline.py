@@ -1,9 +1,11 @@
-"""End-to-end orchestration: decompose, place, fit, stream-estimate, report.
+"""End-to-end orchestration: decompose, place, fit, estimate, report.
 
-The estimation loop is streaming: at every time step the sensors are
-sampled (with noise), the reduced coordinates are inferred, the azimuthal
-prior is evaluated at the current angle and filtered wind speed, and the
-two Gaussians are fused. Batch reporting (spectra, histograms, azimuthal
+Estimation runs once per evaluation case on whole arrays: the sensors are
+sampled (with noise) at every time step in one call, the reduced
+coordinates of all steps come from one linear map, the azimuthal prior is
+evaluated at every step's angle and filtered wind speed, and the two
+Gaussians are fused row by row. Each row equals what the per-step library
+calls give for that step. Batch reporting (spectra, histograms, azimuthal
 curves, coupling scatter) runs afterwards on the recorded traces.
 
 Every figure-type artifact is emitted as an SVG plus a CSV twin holding the
@@ -21,9 +23,9 @@ import numpy as np
 
 from . import azimuthal_rom as rom_mod
 from . import svgplot
-from .azimuthal_rom import (AzimuthalRomModel, bin_statistics, bin_centers,
-                            evaluate_rom, fit_rom, merge_condition_samples,
-                            save_rom)
+from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
+                            bin_centers, evaluate_rom, fit_rom,
+                            merge_condition_samples, save_rom)
 from .dataset import (ConditionKey, SnapshotEnsemble, _write_csv, load_case,
                       load_torsion)
 from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
@@ -123,6 +125,7 @@ class _Context:
     stats_list: list = field(default_factory=list)
     rom: AzimuthalRomModel | None = None
     fusion_stats: FusionStats = field(default_factory=FusionStats)
+    rom_stats: RomStats = field(default_factory=RomStats)
     traces: dict = field(default_factory=dict)      # case_id -> per-case arrays
     summary: dict = field(default_factory=dict)
     torsion_model: TorsionModel | None = None
@@ -210,27 +213,20 @@ def _observation_stations(ctx: _Context) -> np.ndarray:
 
 def _stage_estimate(ctx: _Context) -> None:
     cfg = ctx.config
-    n_modes = cfg.n_modes
     obs_stations = _observation_stations(ctx)
     n_z = ctx.basis.grid.n_z
     obs_rows = sensor_dof_rows(obs_stations, n_z)
     cases_summary = {}
     for idx, (case_id, e) in enumerate(ctx.evaluation):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
-        n_t = e.n_t
-        A = {src: np.empty((n_modes, n_t)) for src in _SOURCES}
-        trace_fused = np.empty(n_t)
-        for k in range(n_t):
-            y = observe(e.D[:, k], ctx.sensors, ctx.noise_model, rng)
-            meas = sparse_estimate(y, ctx.sensors, ctx.noise_model,
-                                   cfg.estimation_mode)
-            prior = evaluate_rom(ctx.rom, e.theta[k], e.u_filt[k],
-                                 e.condition.ti)
-            fused, _ = fuse(prior, meas, ctx.fusion_stats)
-            A["sparse"][:, k] = meas.mean
-            A["rom"][:, k] = prior.mean
-            A["fused"][:, k] = fused.mean
-            trace_fused[k] = np.trace(fused.covariance)
+        y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
+        meas = sparse_estimate(y, ctx.sensors, ctx.noise_model,
+                               cfg.estimation_mode)
+        prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti,
+                             ctx.rom_stats)
+        fused, _ = fuse(prior, meas, ctx.fusion_stats)
+        A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
+        trace_fused = np.trace(fused.covariance, axis1=1, axis2=2)
 
         a_proj = project(e.D, ctx.basis)
         mean_obs = ctx.basis.mean_field[obs_rows][:, None]
@@ -272,7 +268,7 @@ def _stage_estimate(ctx: _Context) -> None:
         reduced_total = {src: float(np.sqrt(np.mean((A[src] - a_proj) ** 2)))
                          for src in _SOURCES}
         cases_summary[case_id] = {
-            "n_steps": int(n_t),
+            "n_steps": int(e.n_t),
             "stations": stations_out,
             "reduced_rmse": reduced,
             "reduced_rmse_total": reduced_total,
@@ -287,6 +283,9 @@ def _stage_estimate(ctx: _Context) -> None:
         "cases": cases_summary,
         "fusion": {"steps": ctx.fusion_stats.steps,
                    "regularized": ctx.fusion_stats.regularized},
+        "rom": {"steps": ctx.rom_stats.steps,
+                "clamped_low": ctx.rom_stats.clamped_low,
+                "clamped_high": ctx.rom_stats.clamped_high},
         "settings": {
             "n_modes": cfg.n_modes, "n_sensors": cfg.n_sensors,
             "n_theta": cfg.n_theta, "n_fourier": cfg.n_fourier,
@@ -340,10 +339,7 @@ def _stage_torsion(ctx: _Context) -> None:
         a_series = ctx.traces[case_id]["A"]["fused"] if case_id in ctx.traces \
             else project(e.D, ctx.basis)
         cond = (e.condition.u_mean, e.condition.ti)
-        tau_hat = np.column_stack([
-            infer_torsion(a_series[:, k], ctx.torsion_model, cond)
-            for k in range(a_series.shape[1])
-        ])
+        tau_hat = infer_torsion(a_series, ctx.torsion_model, cond)
         true_obs = tau_e.D[obs_rows, :]
         est_obs = tau_hat[obs_rows, :]
         names, cols = ["t", "theta"], [e.t, e.theta]
@@ -438,14 +434,13 @@ def _stage_report(ctx: _Context) -> None:
     st = ctx.stats_list[0]
     centers = bin_centers(st.n_theta)
     occ = st.occupied
-    rom_eval = [evaluate_rom(ctx.rom, th, st.condition.u_mean,
-                             st.condition.ti) for th in centers]
+    rom_eval = evaluate_rom(ctx.rom, centers, st.condition.u_mean,
+                            st.condition.ti)
     for n in range(ctx.config.n_modes):
         data_mean = st.means[occ, n]
         data_std = np.sqrt(np.maximum(st.covariances[occ, n, n], 0.0))
-        rom_mean = np.array([g.mean[n] for g in rom_eval])
-        rom_std = np.array([np.sqrt(max(g.covariance[n, n], 0.0))
-                            for g in rom_eval])
+        rom_mean = rom_eval.mean[:, n]
+        rom_std = np.sqrt(np.maximum(rom_eval.covariance[:, n, n], 0.0))
         base = f"azimuthal_mode{n + 1}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["theta_center", "data_mean", "data_std",

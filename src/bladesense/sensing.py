@@ -14,6 +14,7 @@ matching the block-diagonal assembly of per-sensor noise covariances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,16 @@ class SensorSet:
     @property
     def n_sensors(self) -> int:
         return self.station_indices.size
+
+    @cached_property
+    def gram_gain(self) -> np.ndarray | None:
+        """The least-squares map (S^T S)^-1 S^T from the thin SVD of the
+        sampled basis S, computed once per sensor set; None when S is rank
+        deficient (condition number above 1e12)."""
+        u, s, vt = np.linalg.svd(self.sampled_basis, full_matrices=False)
+        if s.min() <= 0 or s.max() / s.min() > _COND_LIMIT:
+            return None
+        return (vt.T / s) @ u.T
 
 
 @dataclass(frozen=True)
@@ -193,28 +204,38 @@ def place_sensors(basis: ModalBasis, n_sensors: int,
 
 def observe(field, sensors: SensorSet, noise: NoiseModel | None = None,
             rng_seed=None) -> np.ndarray:
-    """Sample a full field at the sensor stations, optionally adding noise.
+    """Sample full fields at the sensor stations, optionally adding noise.
 
-    ``rng_seed`` may be an int or a numpy Generator (useful for streaming
-    loops); the draw is deterministic for a fixed seed.
+    ``field`` is one stacked 3-component field (3*n_z,) or a stack of them,
+    one row per time step (n_t, 3*n_z), e.g. ``ensemble.D.T``; the result
+    is (3*n_P,) or (n_t, 3*n_P). ``rng_seed`` may be an int or a numpy
+    Generator; the draw is deterministic for a fixed seed, and a stack
+    draws its noise as one (n_t, 3*n_P) block, the same stream as one draw
+    per step.
     """
     field = np.asarray(field, dtype=float)
-    if field.ndim != 1 or field.shape[0] % 3 != 0:
-        raise ValidationError("field must be a stacked 3-component vector")
-    n_z = field.shape[0] // 3
-    y = field[sensor_dof_rows(sensors.station_indices, n_z)].copy()
+    if field.ndim not in (1, 2) or field.shape[-1] % 3 != 0:
+        raise ValidationError("field must be a stacked 3-component vector "
+                              "or a stack of them, one per row")
+    n_z = field.shape[-1] // 3
+    y = field[..., sensor_dof_rows(sensors.station_indices, n_z)]
     if noise is not None:
         if len(noise.per_sensor) != sensors.n_sensors:
             raise ValidationError("noise model size differs from sensor count")
         rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
                else np.random.default_rng(rng_seed))
-        y += noise._factor @ rng.standard_normal(y.size)
+        y += rng.standard_normal(y.shape) @ noise._factor.T
     return y
 
 
 def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
                     mode: str = "gram_corrected") -> GaussianReduced:
-    """Reduced coordinates (with covariance) from one measurement vector.
+    """Reduced coordinates (with covariance) from measurement vectors.
+
+    ``y`` is one measurement (3*n_P,) or a stack (n_t, 3*n_P). The linear
+    map and its rank check are computed once per sensor set and the
+    covariance once per call, so a stack gets a (n_t, N) mean with one
+    shared (N, N) covariance.
 
     gram_corrected solves the least-squares problem (S^T S)^-1 S^T, exact
     for noise-free data at full column rank; direct_projection applies the
@@ -225,21 +246,20 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
     """
     y = np.asarray(y, dtype=float)
     S = sensors.sampled_basis
-    if y.shape != (S.shape[0],):
+    if y.ndim not in (1, 2) or y.shape[-1] != S.shape[0]:
         raise ValidationError(f"measurement must have length {S.shape[0]}")
     y_c = y - sensors.sampled_mean
     if mode == "gram_corrected":
-        u, s, vt = np.linalg.svd(S, full_matrices=False)
-        if s.min() <= 0 or s.max() / s.min() > _COND_LIMIT:
+        G = sensors.gram_gain
+        if G is None:
             raise NumericalError(
                 "sampled basis is rank deficient; choose a different sensor set"
             )
-        G = (vt.T / s) @ u.T
     elif mode == "direct_projection":
         G = S.T / sensors.n_sensors
     else:
         raise ValidationError(f"unknown estimation mode: {mode!r}")
-    a = G @ y_c
+    a = y_c @ G.T
     cov = G @ noise.assembled @ G.T
     return GaussianReduced(a, cov)
 

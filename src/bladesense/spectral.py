@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import savgol_filter, welch
 
 from .errors import ValidationError
 
@@ -42,6 +41,10 @@ def psd(signal, f_s: float, f_1p: float, smooth=None,
             )
         if x.size < window:
             raise ValidationError("signal shorter than the smoothing window")
+    # imported on use: scipy.signal takes about a second to import, and
+    # most commands never reach this line
+    from scipy.signal import savgol_filter, welch
+
     seg = x.size if nperseg is None else min(int(nperseg), x.size)
     freq, power = welch(x, fs=f_s, nperseg=seg)
     if smooth is not None:

@@ -78,11 +78,16 @@ def nearest_condition(maps: dict, u_mean: float, ti: float):
 
 
 def infer_torsion(a, model: TorsionModel, condition) -> np.ndarray:
-    """Torsion field tau = mean + Xi (M a) using the nearest trained map."""
+    """Torsion field tau = mean + Xi (M a) using the nearest trained map.
+
+    Accepts one coordinate vector (N,) or a matrix of column vectors
+    (N, n_t); the result has matching shape (3*n_z,) or (3*n_z, n_t).
+    """
     a = np.asarray(a, dtype=float)
     key = nearest_condition(model.maps, condition[0], condition[1])
-    b = model.maps[key] @ a
-    return model.basis.mean_field + model.basis.modes @ b
+    tau = model.basis.modes @ (model.maps[key] @ a)
+    mean = model.basis.mean_field
+    return tau + (mean if a.ndim == 1 else mean[:, None])
 
 
 def save_torsion_model(model: TorsionModel, path, basis_filename=None) -> None:

@@ -1,0 +1,299 @@
+"""Batched estimator against the per-step reference.
+
+Every per-step function also takes a stack of steps; the pipeline calls
+each once per evaluation case. These tests run the same steps one at a
+time and as one stack and require agreement within 1e-10 of each output's
+largest magnitude: the stacked products sum in another order, so the
+results are not bit-identical. ``_reference_evaluate_rom`` and
+``_reference_fuse`` are the per-step loop bodies the batched kernels
+replaced, kept here as an independent oracle.
+"""
+
+import numpy as np
+import pytest
+
+from bladesense import (FusionStats, GaussianReduced, NoiseModel, RomStats,
+                        evaluate_rom, fit_rom, fuse, infer_torsion, observe,
+                        place_sensors, sparse_estimate)
+from bladesense.azimuthal_rom import BinStatistics, bin_centers, fourier_eval
+from bladesense.dataset import ConditionKey, wrap_angle
+from bladesense.errors import ValidationError
+from bladesense.fusion import clip_psd
+from bladesense.sensing import sensor_dof_rows
+from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
+from bladesense.torsion import TorsionModel
+
+from conftest import basis_from_modes, random_spd
+
+RTOL = 1e-10
+N_MODES = 3
+
+
+def assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    scale = max(np.abs(ref).max(), np.finfo(float).tiny)
+    assert np.abs(got - ref).max() <= RTOL * scale
+
+
+def _model(seed=0):
+    """TI 0.10 trained at 8 and 12 m/s, TI 0.20 at 10 m/s only (a
+    single-speed group). Random rank-one bin covariances make the fitted
+    covariance indefinite at some of the test azimuths, so clipping runs."""
+    rng = np.random.default_rng(seed)
+    stats = []
+    for u, ti in ((8.0, 0.10), (12.0, 0.10), (10.0, 0.20)):
+        means = rng.standard_normal((72, N_MODES)) + u / 10.0
+        v = rng.standard_normal((72, N_MODES))
+        covs = 0.1 * v[:, :, None] * v[:, None, :]
+        stats.append(BinStatistics(
+            condition=ConditionKey(u_mean=u, ti=ti, seed=0), n_theta=72,
+            counts=np.full(72, 3), means=means, covariances=covs))
+    return fit_rom(stats, 6)
+
+
+def _reference_evaluate_rom(model, theta, u_filt, ti):
+    labels = np.unique([c.ti for c in model.conditions])
+    ti_near = labels[int(np.argmin(np.abs(labels - ti)))]
+    group = sorted((c for c in model.conditions if c.ti == ti_near),
+                   key=lambda c: c.u_mean)
+    speeds = np.array([c.u_mean for c in group])
+    if u_filt <= speeds[0] or len(group) == 1:
+        mean_tab, cov_tab = group[0].mean_coeffs, group[0].cov_coeffs
+    elif u_filt >= speeds[-1]:
+        mean_tab, cov_tab = group[-1].mean_coeffs, group[-1].cov_coeffs
+    else:
+        hi = int(np.searchsorted(speeds, u_filt))
+        lo = hi - 1
+        w = (u_filt - speeds[lo]) / (speeds[hi] - speeds[lo])
+        mean_tab = (1 - w) * group[lo].mean_coeffs + w * group[hi].mean_coeffs
+        cov_tab = (1 - w) * group[lo].cov_coeffs + w * group[hi].cov_coeffs
+    theta = wrap_angle(float(theta))
+    iu, ju = np.triu_indices(mean_tab.shape[0])
+    cov = np.zeros((mean_tab.shape[0],) * 2)
+    cov[iu, ju] = cov[ju, iu] = fourier_eval(cov_tab, theta)
+    return fourier_eval(mean_tab, theta), clip_psd(cov)
+
+
+def _reference_fuse(prior, measurement):
+    """(mean, covariance, gain, regularized) of one step."""
+    n = prior.n
+    s_sum = prior.covariance + measurement.covariance
+    tr = float(np.trace(s_sum))
+    if tr <= 0.0:
+        return prior.mean.copy(), np.zeros((n, n)), np.zeros((n, n)), False
+    regularized = bool(np.linalg.eigvalsh(s_sum).min() <= 1e-14 * tr)
+    if regularized:
+        s_sum = s_sum + (1e-12 * tr) * np.eye(n)
+    gain = np.linalg.solve(s_sum, prior.covariance).T
+    mean = prior.mean + gain @ (measurement.mean - prior.mean)
+    cov = (np.eye(n) - gain) @ prior.covariance
+    return mean, 0.5 * (cov + cov.T), gain, regularized
+
+
+# wind below, inside, exactly at and above the trained speeds (8, 12);
+# azimuths outside [0, 2*pi) on both sides
+_U = np.array([5.0, 8.0, 9.1, 10.0, 11.99, 12.0, 15.0, 7.9, 12.5, 10.7])
+_THETA = np.array([-0.3, 0.0, 1.2, 6.5, 2 * np.pi, 3.1, -7.0, 13.0, 4.4, 5.9])
+
+
+class TestEvaluateRomBatch:
+    @pytest.mark.parametrize("ti", [0.10, 0.13, 0.17, 0.20, 0.5])
+    def test_stack_matches_per_step(self, ti):
+        # 0.13 resolves to the 0.10 group, 0.17 and 0.5 to the single-speed
+        # 0.20 group: the TI label is picked once for the whole stack
+        model = _model()
+        batch = evaluate_rom(model, _THETA, _U, ti)
+        assert batch.mean.shape == (_U.size, N_MODES)
+        assert batch.covariance.shape == (_U.size, N_MODES, N_MODES)
+        for k in range(_U.size):
+            step = evaluate_rom(model, _THETA[k], _U[k], ti)
+            assert_close(batch.mean[k], step.mean)
+            assert_close(batch.covariance[k], step.covariance)
+            ref_mean, ref_cov = _reference_evaluate_rom(model, _THETA[k], _U[k], ti)
+            assert_close(batch.mean[k], ref_mean)
+            assert_close(batch.covariance[k], ref_cov)
+        assert np.linalg.eigvalsh(batch.covariance).min() >= 0.0
+
+    def test_scalar_wind_broadcasts_over_azimuths(self):
+        model = _model()
+        centers = bin_centers(72)
+        batch = evaluate_rom(model, centers, 9.0, 0.10)
+        for k in (0, 17, 71):
+            assert_close(batch.mean[k], evaluate_rom(model, centers[k], 9.0, 0.10).mean)
+
+    def test_clamped_steps_counted(self):
+        model = _model()
+        stats = RomStats()
+        evaluate_rom(model, _THETA, _U, 0.10, stats)
+        # the range ends themselves (8.0, 12.0) are trained, not clamped
+        assert (stats.steps, stats.clamped_low, stats.clamped_high) == (10, 2, 2)
+        evaluate_rom(model, _THETA, _U, 0.20, stats)  # one speed: 10.0
+        assert (stats.steps, stats.clamped_low, stats.clamped_high) == (20, 6, 7)
+        evaluate_rom(model, 0.5, 20.0, 0.10, stats)
+        assert (stats.steps, stats.clamped_high) == (21, 8)
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            evaluate_rom(_model(), np.zeros((2, 2)), 9.0, 0.10)
+
+
+class TestFuseBatch:
+    def _stack(self, n_t=40, seed=1):
+        rng = np.random.default_rng(seed)
+        p_mean = rng.standard_normal((n_t, N_MODES))
+        m_mean = rng.standard_normal((n_t, N_MODES))
+        p_cov = np.stack([random_spd(rng, N_MODES) for _ in range(n_t)])
+        m_cov = np.stack([random_spd(rng, N_MODES) for _ in range(n_t)])
+        # row 3: near-singular innovation covariance (regularized);
+        # row 7: both sources fully certain (trace 0)
+        p_cov[3] = m_cov[3] = np.diag([1.0, 0.0, 2.0])
+        p_cov[7] = m_cov[7] = 0.0
+        return p_mean, p_cov, m_mean, m_cov
+
+    def test_stack_matches_per_step(self):
+        p_mean, p_cov, m_mean, m_cov = self._stack()
+        stats = FusionStats()
+        fused, gain = fuse(GaussianReduced(p_mean, p_cov),
+                           GaussianReduced(m_mean, m_cov), stats)
+        step_stats, ref_regularized = FusionStats(), 0
+        for k in range(p_mean.shape[0]):
+            prior = GaussianReduced(p_mean[k], p_cov[k])
+            meas = GaussianReduced(m_mean[k], m_cov[k])
+            step, step_gain = fuse(prior, meas, step_stats)
+            assert_close(fused.mean[k], step.mean)
+            assert_close(fused.covariance[k], step.covariance)
+            assert_close(gain[k], step_gain)
+            ref_mean, ref_cov, ref_gain, regularized = _reference_fuse(prior, meas)
+            ref_regularized += regularized
+            assert_close(fused.mean[k], ref_mean)
+            assert_close(fused.covariance[k], ref_cov)
+            assert_close(gain[k], ref_gain)
+            assert_close(np.trace(fused.covariance[k]), np.trace(ref_cov))
+        assert (stats.steps, stats.regularized) == (40, ref_regularized) == (40, 1)
+        assert (step_stats.steps, step_stats.regularized) == (40, 1)
+        assert np.array_equal(fused.mean[7], p_mean[7])
+        assert np.all(fused.covariance[7] == 0.0) and np.all(gain[7] == 0.0)
+
+    def test_shared_measurement_covariance(self):
+        p_mean, p_cov, m_mean, _ = self._stack()
+        shared = random_spd(np.random.default_rng(5), N_MODES)
+        stats = FusionStats()
+        fused, _ = fuse(GaussianReduced(p_mean, p_cov),
+                        GaussianReduced(m_mean, shared), stats)
+        for k in range(p_mean.shape[0]):
+            step, _ = fuse(GaussianReduced(p_mean[k], p_cov[k]),
+                           GaussianReduced(m_mean[k], shared))
+            assert_close(fused.mean[k], step.mean)
+            assert_close(fused.covariance[k], step.covariance)
+        assert stats.steps == p_mean.shape[0]
+
+
+class TestEstimatorBatch:
+    """observe -> sparse_estimate -> evaluate_rom -> fuse on one case."""
+
+    @pytest.mark.parametrize("mode", ["gram_corrected", "direct_projection"])
+    def test_case_matches_per_step_loop(self, mode):
+        grid = demo_grid(n_z=10)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
+        sensors = place_sensors(basis, 4)
+        rng = np.random.default_rng(11)
+        # anisotropic per-sensor noise: its factor is not symmetric
+        noise = NoiseModel.from_matrices([random_spd(rng, 3, 0.01) for _ in range(4)])
+        model = _model()
+        n_t = _U.size
+        D = basis.modes @ rng.standard_normal((N_MODES, n_t))
+
+        step_rom, step_fusion = RomStats(), FusionStats()
+        step_rng = np.random.default_rng(3)
+        ref = {"y": [], "sparse": [], "rom": [], "fused": [], "trace": []}
+        for k in range(n_t):
+            y = observe(D[:, k], sensors, noise, step_rng)
+            meas = sparse_estimate(y, sensors, noise, mode)
+            prior = evaluate_rom(model, _THETA[k], _U[k], 0.10, step_rom)
+            fused, _ = fuse(prior, meas, step_fusion)
+            for key, val in zip(ref, (y, meas.mean, prior.mean, fused.mean,
+                                      np.trace(fused.covariance))):
+                ref[key].append(val)
+            sparse_cov = meas.covariance
+
+        rom_stats, fusion_stats = RomStats(), FusionStats()
+        y = observe(D.T, sensors, noise, np.random.default_rng(3))
+        meas = sparse_estimate(y, sensors, noise, mode)
+        prior = evaluate_rom(model, _THETA, _U, 0.10, rom_stats)
+        fused, _ = fuse(prior, meas, fusion_stats)
+
+        # one (n_t, 3 n_P) noise block is the same stream as n_t draws
+        assert_close(y, np.array(ref["y"]))
+        draws = np.random.default_rng(3)
+        rows = sensor_dof_rows(sensors.station_indices, grid.n_z)
+        assert_close(y, np.array([D[rows, k] + noise._factor @ draws.standard_normal(12)
+                                  for k in range(n_t)]))
+        assert_close(meas.mean, np.array(ref["sparse"]))
+        assert np.array_equal(meas.covariance, sparse_cov)
+        assert_close(prior.mean, np.array(ref["rom"]))
+        assert_close(fused.mean, np.array(ref["fused"]))
+        assert_close(np.trace(fused.covariance, axis1=1, axis2=2),
+                     np.array(ref["trace"]))
+        assert vars(rom_stats) == vars(step_rom)
+        assert vars(fusion_stats) == vars(step_fusion)
+
+    def test_observe_rejects_bad_stack(self):
+        grid = demo_grid(n_z=10)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
+        sensors = place_sensors(basis, 4)
+        with pytest.raises(ValidationError):
+            observe(np.zeros((2, 3, 30)), sensors)
+        with pytest.raises(ValidationError, match="length"):
+            sparse_estimate(np.zeros((5, 11)), sensors, NoiseModel.isotropic(0.1, 4))
+
+
+class TestInferTorsionBatch:
+    def test_columns_match_single_vectors(self):
+        grid = demo_grid(n_z=6)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, 3),
+                                 mean_field=np.linspace(0, 0.2, grid.n_dof))
+        rng = np.random.default_rng(2)
+        maps = {(8.0, 0.1): rng.standard_normal((3, 2)),
+                (12.0, 0.1): rng.standard_normal((3, 2))}
+        model = TorsionModel(basis=basis, maps=maps, n_torsion=3)
+        a = rng.standard_normal((2, 25))
+        batch = infer_torsion(a, model, (11.0, 0.1))
+        assert batch.shape == (grid.n_dof, 25)
+        for k in range(a.shape[1]):
+            assert_close(batch[:, k], infer_torsion(a[:, k], model, (11.0, 0.1)))
+
+
+class TestNonFiniteGaussians:
+    @pytest.mark.parametrize("mean, cov", [
+        ([np.nan, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+        ([0.0, np.inf], np.eye(2)),
+        ([0.0, 0.0], [[1.0, -np.inf], [-np.inf, 1.0]]),
+    ])
+    def test_single_rejected(self, mean, cov):
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianReduced(mean, cov)
+
+    def test_one_bad_row_rejects_the_stack(self):
+        means = np.zeros((5, 2))
+        covs = np.tile(np.eye(2), (5, 1, 1))
+        GaussianReduced(means, covs)
+        covs[3, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianReduced(means, covs)
+        means[1, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianReduced(means, np.eye(2))
+
+    def test_stack_checked_row_by_row(self):
+        covs = np.stack([np.eye(2), np.diag([1.0, -1e-12]), np.diag([1.0, -0.5])])
+        with pytest.raises(ValidationError, match="PSD"):
+            GaussianReduced(np.zeros((3, 2)), covs)
+        g = GaussianReduced(np.zeros((2, 2)), covs[:2])
+        assert np.array_equal(g.covariance[0], np.eye(2))
+        assert np.linalg.eigvalsh(g.covariance[1]).min() >= 0.0
+
+    def test_covariance_stack_must_match_the_mean(self):
+        with pytest.raises(ValidationError):
+            GaussianReduced(np.zeros((4, 2)), np.tile(np.eye(2), (3, 1, 1)))

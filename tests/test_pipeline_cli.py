@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bladesense import dataset
+import bladesense
+from bladesense import dataset, load_case
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import StageError, ValidationError
@@ -99,6 +103,22 @@ class TestPipelineRun:
         col = header.index("trace_fused_cov")
         data = np.loadtxt(recon, delimiter=",", skiprows=1)
         assert np.all(data[:, col] >= 0.0)
+
+    def test_wind_speed_clamps_counted(self, quickstart):
+        pipeline_cfg, out = quickstart
+        summary = json.loads((out / "error_summary.json").read_text())
+        rom = json.loads((out / "rom.json").read_text())
+        speeds = [c["u_mean"] for c in rom["conditions"]]  # one TI label
+        config = PipelineConfig.from_json(pipeline_cfg)
+        u = np.concatenate([load_case(p)[1].u_filt for p in config.evaluation])
+        assert summary["rom"] == {
+            "steps": u.size,
+            "clamped_low": int(np.sum(u < min(speeds))),
+            "clamped_high": int(np.sum(u > max(speeds))),
+        }
+        # the evaluation case runs at the top trained speed
+        assert summary["rom"]["clamped_high"] > 0
+        assert summary["rom"]["steps"] == summary["fusion"]["steps"]
 
     def test_determinism_byte_identical(self, quickstart, tmp_path):
         pipeline_cfg, out = quickstart
@@ -224,6 +244,27 @@ class TestCaseReads:
         assert not [n for n in seen if n.endswith("_torsion.csv")]
         assert sum(n.endswith("_snapshots.csv") for n in seen) == \
             len(config.training) + len(config.evaluation)
+
+
+class TestImportCost:
+    def test_fit_rom_never_imports_scipy_signal(self, quickstart, tmp_path):
+        # scipy.signal takes about a second to import; only spectra and
+        # wind smoothing of files without u_filt need it
+        pipeline_cfg, _ = quickstart
+        args = ["fit-rom", "--config", str(pipeline_cfg), "--out", str(tmp_path)]
+        code = (
+            "import sys\n"
+            "import bladesense.cli\n"
+            "assert 'scipy.signal' not in sys.modules, 'import'\n"
+            f"assert bladesense.cli.main({args!r}) == 0\n"
+            "assert 'scipy.signal' not in sys.modules, 'fit-rom'\n"
+        )
+        src = str(Path(bladesense.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "rom.json").exists()
 
 
 class TestConfigValidation:
