@@ -172,14 +172,18 @@ def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValidationError("wind series must be 1-D and non-empty")
-    # imported on use: scipy.signal takes about a second to import, and
-    # most commands never reach this line
-    from scipy.signal import lfilter
-
-    # IIR form of the recurrence; zi encodes the out[0]=raw[0] seed.
-    zi = np.array([(1.0 - alpha) * raw[0]])
-    out, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], raw, zi=zi)
-    return out
+    # direct-form recurrence of the first-order IIR filter, with the state
+    # z seeded so that out[0] = raw[0]; the recurrence is sequential, so it
+    # runs as a scalar loop over Python floats
+    a = float(alpha)
+    b = 1.0 - a
+    z = b * float(raw[0])
+    out = []
+    for x in raw.tolist():
+        y = a * x + z
+        out.append(y)
+        z = b * y
+    return np.array(out)
 
 
 def azimuth_bin(theta, n_theta: int):

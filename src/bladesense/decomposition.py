@@ -134,7 +134,12 @@ def pod_fit(ensemble: SnapshotEnsemble, n_modes: int) -> ModalBasis:
     mean_field = D.mean(axis=1)
     X = D - mean_field[:, None]
     sqrt_w = np.sqrt(dof_weights(ensemble.grid))
-    U, s, _ = np.linalg.svd(X * sqrt_w[:, None], full_matrices=False)
+    # QR of the transposed snapshots first: the SVD then runs on the small
+    # triangular factor R (R^T has the left singular vectors and values of
+    # the weighted snapshots), without squaring the condition number as
+    # the Gram matrix would
+    R = np.linalg.qr((X * sqrt_w[:, None]).T, mode="r")
+    U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     energies_all = s**2 / n_t
     modes = _fix_signs(U[:, :n_modes] / sqrt_w[:, None])
     return ModalBasis(

@@ -398,7 +398,7 @@ def _stage_report(ctx: _Context) -> None:
     for c_i, comp in enumerate(_COMPONENTS):
         signal = e.D[c_i * n_z + tip, :]
         f_hat, raw = psd(signal, e.f_s, f_1p, smooth=None)
-        if signal.size >= DEFAULT_SMOOTH[0]:
+        if raw.size >= DEFAULT_SMOOTH[0]:
             _, smoothed = psd(signal, e.f_s, f_1p, smooth=DEFAULT_SMOOTH)
         else:
             smoothed = raw

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -24,14 +25,17 @@ def psd(signal, f_s: float, f_1p: float, smooth=None,
         Optional Savitzky-Golay smoothing of the raw spectrum; the window
         must be odd and at least polyorder + 2. Smoothed power is clipped
         at zero to keep the non-negativity contract.
-    nperseg : segment length for Welch averaging; defaults to the full
-        record (a single-segment periodogram).
+    nperseg : segment length (>= 2) for Welch averaging; defaults to the
+        full record (a single-segment periodogram). Smoothing needs at
+        least `window` bins, i.e. nperseg >= 2 * (window - 1).
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("signal must be a 1-D series")
     if not (f_s > 0 and f_1p > 0):
         raise ValidationError("f_s and f_1p must be positive")
+    if nperseg is not None and int(nperseg) < 2:
+        raise ValidationError(f"nperseg must be >= 2, got {nperseg!r}")
     if smooth is not None:
         window, polyorder = int(smooth[0]), int(smooth[1])
         if window % 2 == 0 or window < polyorder + 2:
@@ -41,12 +45,45 @@ def psd(signal, f_s: float, f_1p: float, smooth=None,
             )
         if x.size < window:
             raise ValidationError("signal shorter than the smoothing window")
-    # imported on use: scipy.signal takes about a second to import, and
-    # most commands never reach this line
-    from scipy.signal import savgol_filter, welch
 
     seg = x.size if nperseg is None else min(int(nperseg), x.size)
-    freq, power = welch(x, fs=f_s, nperseg=seg)
+    freq, power = _welch(x, f_s, seg)
     if smooth is not None:
-        power = np.clip(savgol_filter(power, window, polyorder), 0.0, None)
+        if power.size < window:
+            raise ValidationError(
+                f"spectrum ({power.size} bins) shorter than the smoothing "
+                f"window ({window})"
+            )
+        power = np.clip(_savgol(power, window, polyorder), 0.0, None)
     return freq / f_1p, power
+
+
+def _welch(x: np.ndarray, f_s: float, seg: int):
+    """One-sided Welch density: periodic Hann window, half-overlapping
+    segments, per-segment mean removal, mean over segments (Welch 1967)."""
+    # periodic Hann: the first seg points of a symmetric window of seg+1
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, seg + 1)))[:-1]
+    segments = sliding_window_view(x, seg)[::seg - seg // 2]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(win * segments, axis=1)
+    power = (spec.conj() * spec).real / (f_s * (win * win).sum())
+    # fold the negative frequencies in; DC and an even-length Nyquist bin
+    # have no mirror
+    power[:, 1:None if seg % 2 else -1] *= 2
+    return np.fft.rfftfreq(seg, 1.0 / f_s), power.mean(axis=0)
+
+
+def _savgol(y: np.ndarray, window: int, polyorder: int) -> np.ndarray:
+    """Savitzky-Golay smoothing; each half-window at the edges takes the
+    value of a polynomial fitted to the first or last full window."""
+    half = window // 2
+    offsets = np.arange(-half, half + 1, dtype=float)
+    # least-squares weights of the centre value: row 0 of the pseudoinverse
+    # of the Vandermonde matrix (symmetric, so convolution = correlation)
+    coeffs = np.linalg.pinv(offsets[:, None] ** np.arange(polyorder + 1))[0]
+    out = np.convolve(y, coeffs, mode="same")
+    idx = np.arange(window, dtype=float)
+    out[:half] = np.polyval(np.polyfit(idx, y[:window], polyorder), idx[:half])
+    out[-half:] = np.polyval(np.polyfit(idx, y[-window:], polyorder),
+                             idx[-half:])
+    return out

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                         load_case, load_torsion, save_case, smooth_wind,
@@ -199,6 +200,15 @@ class TestSmoothWind:
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
             smooth_wind(np.array([]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3200])
+    @pytest.mark.parametrize("alpha", [0.02, 0.2, 1.0])
+    def test_bit_identical_to_lfilter(self, n, alpha):
+        x = np.random.default_rng(n).normal(10.0, 2.0, n)
+        # the IIR form; zi encodes the out[0] = raw[0] seed
+        zi = np.array([(1.0 - alpha) * x[0]])
+        ref, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x, zi=zi)
+        assert np.array_equal(smooth_wind(x, alpha=alpha), ref)
 
 
 class TestAzimuthBin:

@@ -97,6 +97,25 @@ class TestPodFit:
         aligned = align_sign(modes[:, :6], basis.modes)
         assert np.allclose(aligned, basis.modes, atol=1e-10)
 
+    @pytest.mark.parametrize("n_t", [7, 200])  # wide and tall (3n_z = 18)
+    def test_qr_first_matches_thin_svd(self, uniform_grid, n_t):
+        rng = np.random.default_rng(n_t)
+        k = min(uniform_grid.n_dof, n_t)
+        left = np.linalg.qr(rng.standard_normal((uniform_grid.n_dof, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((n_t, k)))[0]
+        D = left @ np.diag(2.0 ** -np.arange(k)) @ right.T
+        n_modes = k - 1
+        basis = pod_fit(_ensemble(uniform_grid, D), n_modes)
+        sqrt_w = np.sqrt(dof_weights(uniform_grid))
+        X = (D - D.mean(axis=1, keepdims=True)) * sqrt_w[:, None]
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        assert np.allclose(np.sqrt(basis.energies * n_t), s[:n_modes],
+                           rtol=1e-12, atol=0.0)
+        assert basis.total_energy == pytest.approx(np.sum(s**2) / n_t,
+                                                   rel=1e-12)
+        modes = align_sign(U[:, :n_modes] / sqrt_w[:, None], basis.modes)
+        assert np.allclose(modes, basis.modes, rtol=0.0, atol=1e-10)
+
     def test_mean_field_is_row_mean(self, uniform_grid):
         rng = np.random.default_rng(1)
         D = rng.standard_normal((uniform_grid.n_dof, 12))

@@ -152,6 +152,23 @@ class TestPipelineRun:
                      "--out", str(out), "--pivot-scalar"]) == 0
         assert (out / "sensors.csv").exists()
 
+    def test_record_too_short_to_smooth_its_spectrum(self, tmp_path):
+        # 40 samples give a 21-bin spectrum, fewer than the smoothing
+        # window: the report keeps the raw spectrum instead of failing
+        cfg = json.loads(json.dumps(SYNTH_CONFIG))
+        cfg["evaluation"][0]["duration_s"] = 1.0
+        (tmp_path / "synth.json").write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--out", str(tmp_path / "cases")]) == 0
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config",
+                     str(tmp_path / "cases" / "pipeline_config.json"),
+                     "--out", str(out)]) == 0
+        table = np.loadtxt(out / "psd_ev_s5_ux.csv", delimiter=",",
+                           skiprows=1)
+        assert table.shape == (21, 3)
+        assert np.array_equal(table[:, 1], table[:, 2])
+
 
 class TestFailureModes:
     def test_missing_manifest_fails_before_compute(self, tmp_path):
@@ -247,23 +264,36 @@ class TestCaseReads:
 
 
 class TestImportCost:
-    def test_fit_rom_never_imports_scipy_signal(self, quickstart, tmp_path):
-        # scipy.signal takes about a second to import; only spectra and
-        # wind smoothing of files without u_filt need it
-        pipeline_cfg, _ = quickstart
-        args = ["fit-rom", "--config", str(pipeline_cfg), "--out", str(tmp_path)]
+    def test_no_command_imports_scipy(self, tmp_path):
+        # a cold scipy.signal import takes about a second, more than a small
+        # pipeline run; the package needs numpy only, so no command may
+        # import any part of scipy
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(SYNTH_CONFIG))
+        cases, out = tmp_path / "cases", tmp_path / "out"
+        pipeline_cfg = str(cases / "pipeline_config.json")
+        commands = [
+            ["synth", "--config", str(cfg), "--out", str(cases)],
+            ["pipeline", "--config", pipeline_cfg, "--out", str(out)],
+            ["fit-rom", "--config", pipeline_cfg, "--out", str(tmp_path)],
+        ]
         code = (
             "import sys\n"
             "import bladesense.cli\n"
-            "assert 'scipy.signal' not in sys.modules, 'import'\n"
-            f"assert bladesense.cli.main({args!r}) == 0\n"
-            "assert 'scipy.signal' not in sys.modules, 'fit-rom'\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('scipy'))[:3]\n"
+            "assert not scipy_modules(), ('import', scipy_modules())\n"
+            f"for args in {commands!r}:\n"
+            "    assert bladesense.cli.main(args) == 0, args[0]\n"
+            "    assert not scipy_modules(), (args[0], scipy_modules())\n"
         )
         src = str(Path(bladesense.__file__).resolve().parents[1])
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, timeout=120,
                              env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0, res.stderr
+        assert (out / "artifacts.json").exists()
         assert (tmp_path / "rom.json").exists()
 
 

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy.signal import savgol_filter, welch
 
 from bladesense import psd
 from bladesense.errors import ValidationError
 from bladesense.spectral import DEFAULT_SMOOTH
+
+
+def _trapezoid(y, x):
+    # explicit sum: np.trapezoid needs NumPy >= 2.0
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
 class TestPsd:
@@ -37,8 +43,8 @@ class TestPsd:
         x = rng.standard_normal(8192)  # broadband
         f_hat, raw = psd(x, 20.0, 0.2)
         _, smoothed = psd(x, 20.0, 0.2, smooth=DEFAULT_SMOOTH)
-        assert np.trapezoid(smoothed, f_hat) == pytest.approx(
-            np.trapezoid(raw, f_hat), rel=0.05)
+        assert _trapezoid(smoothed, f_hat) == pytest.approx(
+            _trapezoid(raw, f_hat), rel=0.05)
 
     def test_even_window_rejected(self):
         with pytest.raises(ValidationError, match="odd"):
@@ -56,3 +62,36 @@ class TestPsd:
         rng = np.random.default_rng(3)
         f_hat, power = psd(rng.standard_normal(4096), 20.0, 0.2, nperseg=512)
         assert power.size == 257
+
+    def test_nperseg_below_two_rejected(self):
+        with pytest.raises(ValidationError, match="nperseg"):
+            psd(np.zeros(100), 10.0, 1.0, nperseg=1)
+
+    def test_spectrum_shorter_than_window_rejected(self):
+        # 40 samples give 21 bins, fewer than the 33-point window
+        with pytest.raises(ValidationError, match="spectrum"):
+            psd(np.zeros(40), 10.0, 1.0, smooth=DEFAULT_SMOOTH)
+
+
+class TestPsdOracle:
+    """The numpy Welch and Savitzky-Golay against scipy.signal."""
+
+    @pytest.mark.parametrize("n, nperseg", [
+        (4000, None), (4001, None),  # full record, even and odd length
+        (4000, 512), (4001, 257),    # segmented, even and odd nperseg
+        (3200, 100000),              # nperseg beyond the record
+    ])
+    def test_matches_scipy(self, n, nperseg):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + np.sin(0.3 * np.arange(n)) + 2.0
+        f_s, f_1p = 160.0, 0.2
+        seg = n if nperseg is None else min(nperseg, n)
+        f_ref, p_ref = welch(x, fs=f_s, nperseg=seg)
+        f_hat, power = psd(x, f_s, f_1p, nperseg=nperseg)
+        assert np.allclose(f_hat, f_ref / f_1p, rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(power - p_ref)) <= 1e-12 * np.max(p_ref)
+
+        s_ref = np.clip(savgol_filter(p_ref, *DEFAULT_SMOOTH), 0.0, None)
+        _, smoothed = psd(x, f_s, f_1p, smooth=DEFAULT_SMOOTH,
+                          nperseg=nperseg)
+        assert np.max(np.abs(smoothed - s_ref)) <= 1e-12 * np.max(s_ref)
