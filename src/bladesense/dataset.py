@@ -1,22 +1,30 @@
 """Case files on disk: loading, validation, wind filtering, azimuth binning.
 
-A *case* is a JSON manifest pointing at a grid file and a snapshot file
-(optionally a torsion file with the same layout):
+A *case* is a JSON manifest pointing at a grid file, a table of per-step
+channels and the field matrices (paths relative to the manifest):
 
-    manifest:  {name, L_b, f_s, u_mean, ti, seed, grid_file, snapshot_file,
-                torsion_file?}            (paths relative to the manifest)
-    grid:      CSV, header ``z_norm``, one spanwise station per row
-    snapshots: CSV, header ``t,theta,omega,u_raw[,u_filt],ux_000..,uy_000..,
-               uz_000..``, one row per time step
-    torsion:   same layout with ``taux_*, tauy_*, tauz_*`` columns
+    manifest:      {name, L_b, f_s, u_mean, ti, seed, grid_file,
+                    snapshot_file, displacement_file, torsion_file?}
+    grid:          CSV, header ``z_norm``, one spanwise station per row
+    snapshots:     CSV, header ``t,theta,omega,u_raw[,u_filt]``, one row per
+                   time step
+    displacement:  ``.npy`` float64 matrix of shape (3*n_z, n_t)
+    torsion:       ``.npy`` float64 matrix of the same shape
 
-Displacement columns are stacked into a single matrix with fixed row order
-(all x stations, all y stations, all z stations); every module downstream
-assumes that order. Azimuth is stored already wrapped to [0, 2*pi) and the
-time axis must be uniform at the declared sampling frequency.
+This binary layout is what :func:`save_case` writes. The loaders also read
+the full-width CSV layout that outside solver output arrives in: no
+``displacement_file``, and a snapshot file with header
+``t,theta,omega,u_raw[,u_filt],ux_000..,uy_000..,uz_000..``; its torsion
+file has the same columns with ``taux_*, tauy_*, tauz_*`` fields.
 
-Numeric values are written as decimal text with 17 significant digits so a
-save/load round trip is bit-exact.
+Field rows have a fixed order (all x stations, all y stations, all z
+stations); every module downstream assumes that order, and a ``.npy``
+matrix is stored in it, so loading needs no transpose or stacking. Azimuth
+is stored already wrapped to [0, 2*pi) and the time axis must be uniform at
+the declared sampling frequency.
+
+CSV values are written as decimal text with 17 significant digits, so a
+save/load round trip is bit-exact in either layout.
 """
 
 from __future__ import annotations
@@ -39,6 +47,14 @@ DEFAULT_SMOOTHING_ALPHA = 0.2
 DEFAULT_SAMPLING_HZ = 160.0
 
 _FLOAT_FMT = "%.17e"
+
+_NPY_MAGIC = b"\x93NUMPY"
+
+#: Per-step channels of a case, in their column order.
+_CHANNELS = ("t", "theta", "omega", "u_raw", "u_filt")
+
+_DISPLACEMENT = ("ux", "uy", "uz")
+_TORSION = ("taux", "tauy", "tauz")
 
 
 @dataclass(frozen=True)
@@ -203,15 +219,9 @@ def azimuth_bin(theta, n_theta: int):
     return int(idx) if np.isscalar(theta) else idx
 
 
-def _component_columns(prefix: str, n_z: int) -> list[str]:
-    return [f"{prefix}_{i:03d}" for i in range(n_z)]
-
-
-def _field_columns(n_z: int, prefixes=("ux", "uy", "uz")) -> list[str]:
-    cols = []
-    for p in prefixes:
-        cols.extend(_component_columns(p, n_z))
-    return cols
+def _field_columns(n_z: int, prefixes) -> list[str]:
+    """CSV column names of a full-width field table, in ``D``'s row order."""
+    return [f"{p}_{i:03d}" for p in prefixes for i in range(n_z)]
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -243,11 +253,36 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray) -> None:
     )
 
 
-def _open_case(manifest_path: Path) -> tuple[dict, BladeGrid, ConditionKey, float]:
-    """Parse and check a manifest and read its grid.
+def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """Read a float64 field matrix of the given shape from a ``.npy`` file."""
+    if not path.exists():
+        raise FileNotFoundError(f"missing file: {path}")
+    with open(path, "rb") as fh:
+        if fh.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
+            raise SchemaError(f"{path}: not a .npy file")
+        fh.seek(0)
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except ValueError as err:
+            raise SchemaError(f"{path}: unreadable .npy data ({err})") from err
+    if data.dtype != np.float64:
+        raise SchemaError(f"{path}: dtype {data.dtype}, expected float64")
+    if data.shape != shape:
+        raise SchemaError(
+            f"{path}: shape {data.shape}, expected {shape} (3*n_z, n_t)"
+        )
+    return data
 
-    Returns the manifest, the grid, the condition and the sampling
-    frequency; every manifest read of the package goes through here.
+
+def _write_npy(path: Path, matrix: np.ndarray) -> None:
+    np.save(path, np.ascontiguousarray(matrix, dtype=np.float64))
+
+
+def _open_case(manifest_path: Path) -> tuple[dict, ConditionKey, float]:
+    """Parse and check a manifest.
+
+    Returns the manifest, the condition and the sampling frequency; every
+    manifest read of the package goes through here.
     """
     if not manifest_path.exists():
         raise FileNotFoundError(f"missing manifest: {manifest_path}")
@@ -262,97 +297,131 @@ def _open_case(manifest_path: Path) -> tuple[dict, BladeGrid, ConditionKey, floa
         if key not in manifest:
             raise SchemaError(f"{manifest_path}: manifest missing key '{key}'")
 
-    grid = _load_grid(manifest_path.parent / manifest["grid_file"],
-                      float(manifest["L_b"]))
     condition = ConditionKey(
         u_mean=float(manifest["u_mean"]),
         ti=float(manifest["ti"]),
         seed=int(manifest["seed"]),
     )
-    return manifest, grid, condition, float(manifest["f_s"])
+    return manifest, condition, float(manifest["f_s"])
+
+
+def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
+    path = manifest_path.parent / manifest["grid_file"]
+    names, data = _read_csv(path)
+    if names != ["z_norm"]:
+        raise SchemaError(f"{path}: expected single column 'z_norm', got {names}")
+    return BladeGrid(z_norm=data[:, 0], length_m=float(manifest["L_b"]))
+
+
+def _read_channels(path: Path, n_z: int,
+                   prefixes=None) -> tuple[dict, np.ndarray | None]:
+    """Parse a per-step channel table.
+
+    Returns the channels ``t, theta, omega, u_raw, u_filt`` (``u_filt``
+    computed with :func:`smooth_wind` when the file lacks it) and, for a
+    full-width table whose field column ``prefixes`` are given, the stacked
+    field matrix; without ``prefixes`` the table must hold channels only.
+    """
+    names, data = _read_csv(path)
+    meta = list(_CHANNELS[:4]) + (["u_filt"] if "u_filt" in names else [])
+    expected = list(meta)
+    if prefixes is not None:
+        field_cols = _field_columns(n_z, prefixes)
+        if field_cols[0] not in names:
+            raise SchemaError(f"{path}: no field columns, and the manifest "
+                              "names no displacement_file")
+        expected += field_cols
+    if names != expected:
+        missing = [c for c in expected if c not in names]
+        extra = [c for c in names if c not in expected]
+        offender = (missing or extra or ["<column order>"])[0]
+        if prefixes is None:
+            layout = "the channels only; the fields are in displacement_file"
+        else:
+            layout = f"{len(expected)} columns for n_z={n_z}"
+        raise SchemaError(f"{path}: column mismatch at '{offender}' "
+                          f"(expected {layout})")
+    channels = {name: data[:, j] for j, name in enumerate(meta)}
+    if "u_filt" not in channels:
+        channels["u_filt"] = smooth_wind(channels["u_raw"])
+    if prefixes is None:
+        return channels, None
+    return channels, np.ascontiguousarray(data[:, len(meta):].T)
 
 
 def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
-    """Load and validate one case from its manifest.
+    """Load and validate one case from its manifest, in either layout.
 
     Returns the grid and the snapshot ensemble; the filtered wind channel is
     computed with :func:`smooth_wind` when the file does not provide it.
     """
     manifest_path = Path(manifest_path)
-    manifest, grid, condition, f_s = _open_case(manifest_path)
-    ensemble = _load_snapshots(manifest_path.parent / manifest["snapshot_file"],
-                               grid, condition, f_s)
+    manifest, condition, f_s = _open_case(manifest_path)
+    grid = _load_grid(manifest_path, manifest)
+    binary = "displacement_file" in manifest
+    channels, D = _read_channels(manifest_path.parent / manifest["snapshot_file"],
+                                 grid.n_z, None if binary else _DISPLACEMENT)
+    if binary:
+        D = _read_npy(manifest_path.parent / manifest["displacement_file"],
+                      (grid.n_dof, channels["t"].size))
+    ensemble = SnapshotEnsemble(grid=grid, D=D, condition=condition, f_s=f_s,
+                                **channels)
     return grid, ensemble
 
 
-def _load_grid(path: Path, length_m: float) -> BladeGrid:
-    names, data = _read_csv(path)
-    if names != ["z_norm"]:
-        raise SchemaError(f"{path}: expected single column 'z_norm', got {names}")
-    return BladeGrid(z_norm=data[:, 0], length_m=length_m)
-
-
-def _load_snapshots(path: Path, grid: BladeGrid, condition: ConditionKey,
-                    f_s: float, prefixes=("ux", "uy", "uz")) -> SnapshotEnsemble:
-    names, data = _read_csv(path)
-    field_cols = _field_columns(grid.n_z, prefixes)
-    has_filt = "u_filt" in names
-    meta_cols = ["t", "theta", "omega", "u_raw"] + (["u_filt"] if has_filt else [])
-    expected = meta_cols + field_cols
-    if names != expected:
-        missing = [c for c in expected if c not in names]
-        extra = [c for c in names if c not in expected]
-        offender = (missing or extra or ["<column order>"])[0]
-        raise SchemaError(
-            f"{path}: column mismatch at '{offender}' "
-            f"(expected {len(expected)} columns for n_z={grid.n_z})"
-        )
-    col = {name: data[:, j] for j, name in enumerate(names)}
-    u_raw = col["u_raw"]
-    u_filt = col["u_filt"] if has_filt else smooth_wind(u_raw)
-    D = np.vstack([col[c] for c in field_cols])
-    return SnapshotEnsemble(
-        grid=grid, D=D, t=col["t"], theta=col["theta"], omega=col["omega"],
-        u_raw=u_raw, u_filt=u_filt, condition=condition, f_s=f_s,
-    )
-
-
-def load_torsion(manifest_path) -> SnapshotEnsemble | None:
+def load_torsion(manifest_path,
+                 deflection: SnapshotEnsemble | None = None
+                 ) -> SnapshotEnsemble | None:
     """Load the optional torsion file of a case as an ensemble of tau fields.
 
-    Reads the manifest, the grid and the torsion file only (not the
-    snapshot file); returns ``None`` when the manifest names no
-    ``torsion_file``.
+    ``deflection`` is the case's ensemble from :func:`load_case`, when the
+    caller has it: its grid and channels are reused, so only the torsion
+    file is read. Without it, the grid and the channels are read too, but
+    never the displacement matrix. Returns ``None`` when the manifest names
+    no ``torsion_file``.
     """
     manifest_path = Path(manifest_path)
-    manifest, grid, condition, f_s = _open_case(manifest_path)
+    manifest, condition, f_s = _open_case(manifest_path)
     if "torsion_file" not in manifest:
         return None
-    return _load_snapshots(manifest_path.parent / manifest["torsion_file"],
-                           grid, condition, f_s,
-                           prefixes=("taux", "tauy", "tauz"))
+    base = manifest_path.parent
+    grid = deflection.grid if deflection is not None \
+        else _load_grid(manifest_path, manifest)
+    if "displacement_file" not in manifest:
+        # full-width layout: the torsion table carries its own channels
+        channels, tau = _read_channels(base / manifest["torsion_file"],
+                                       grid.n_z, _TORSION)
+    else:
+        if deflection is not None:
+            channels = {name: getattr(deflection, name) for name in _CHANNELS}
+        else:
+            channels, _ = _read_channels(base / manifest["snapshot_file"],
+                                         grid.n_z)
+        tau = _read_npy(base / manifest["torsion_file"],
+                        (grid.n_dof, channels["t"].size))
+    return SnapshotEnsemble(grid=grid, D=tau, condition=condition, f_s=f_s,
+                            **channels)
 
 
 def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,
               tau: np.ndarray | None = None) -> Path:
-    """Write one case (manifest + grid + snapshots [+ torsion]) to out_dir.
+    """Write one case in the binary layout to out_dir.
 
-    Returns the manifest path. Values round-trip bit-exactly through
-    :func:`load_case` for finite inputs.
+    Writes the manifest, the grid and channel CSVs, and the displacement
+    (and torsion) ``.npy`` matrices. Returns the manifest path. Values
+    round-trip bit-exactly through :func:`load_case` for finite inputs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = ensemble.grid
 
     grid_file = f"{name}_grid.csv"
-    snap_file = f"{name}_snapshots.csv"
+    snap_file = f"{name}_channels.csv"
+    disp_file = f"{name}_displacement.npy"
     _write_csv(out_dir / grid_file, ["z_norm"], grid.z_norm[:, None])
-
-    meta = np.column_stack([ensemble.t, ensemble.theta, ensemble.omega,
-                            ensemble.u_raw, ensemble.u_filt])
-    table = np.hstack([meta, ensemble.D.T])
-    names = ["t", "theta", "omega", "u_raw", "u_filt"] + _field_columns(grid.n_z)
-    _write_csv(out_dir / snap_file, names, table)
+    _write_csv(out_dir / snap_file, list(_CHANNELS),
+               np.column_stack([getattr(ensemble, c) for c in _CHANNELS]))
+    _write_npy(out_dir / disp_file, ensemble.D)
 
     manifest = {
         "name": name,
@@ -363,16 +432,14 @@ def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,
         "seed": ensemble.condition.seed,
         "grid_file": grid_file,
         "snapshot_file": snap_file,
+        "displacement_file": disp_file,
     }
     if tau is not None:
         tau = np.asarray(tau, dtype=float)
         if tau.shape != ensemble.D.shape:
             raise ValidationError("torsion matrix must match the snapshot shape")
-        tau_file = f"{name}_torsion.csv"
-        tau_table = np.hstack([meta, tau.T])
-        tau_names = (["t", "theta", "omega", "u_raw", "u_filt"]
-                     + _field_columns(grid.n_z, ("taux", "tauy", "tauz")))
-        _write_csv(out_dir / tau_file, tau_names, tau_table)
+        tau_file = f"{name}_torsion.npy"
+        _write_npy(out_dir / tau_file, tau)
         manifest["torsion_file"] = tau_file
 
     manifest_path = out_dir / f"{name}.json"

@@ -301,7 +301,7 @@ def _stage_estimate(ctx: _Context) -> None:
 def _stage_torsion(ctx: _Context) -> None:
     train_tau = []  # (deflection ensemble, torsion ensemble)
     for p, (_, e) in zip(ctx.config.training, ctx.train):
-        tau_e = load_torsion(p)
+        tau_e = load_torsion(p, e)
         if tau_e is not None:
             train_tau.append((e, tau_e))
     if not train_tau:
@@ -333,7 +333,7 @@ def _stage_torsion(ctx: _Context) -> None:
     obs_stations = _observation_stations(ctx)
     obs_rows = sensor_dof_rows(obs_stations, ctx.basis.grid.n_z)
     for p, (case_id, e) in zip(ctx.config.evaluation, ctx.evaluation):
-        tau_e = load_torsion(p)
+        tau_e = load_torsion(p, e)
         if tau_e is None:
             continue
         a_series = ctx.traces[case_id]["A"]["fused"] if case_id in ctx.traces \

@@ -1,10 +1,15 @@
 """Shared helpers: independent oracles and small builders used across tests."""
 
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bladesense import BladeGrid, ModalBasis
+from bladesense import BladeGrid, ModalBasis, dataset, load_case, load_torsion
 from bladesense.decomposition import dof_weights
+from bladesense.errors import SchemaError
 
 
 def dense_pod_oracle(D, grid):
@@ -54,3 +59,94 @@ def random_spd(rng, n, scale=1.0):
 @pytest.fixture
 def uniform_grid():
     return BladeGrid(z_norm=np.linspace(0.0, 1.0, 6), length_m=100.0)
+
+
+CHANNELS = ["t", "theta", "omega", "u_raw", "u_filt"]
+
+
+def write_legacy_case(manifest_path, out_dir):
+    """Rewrite a case in the full-width CSV layout, with no
+    ``displacement_file``: the snapshot and torsion tables carry the
+    channels and one column per field value. Returns the new manifest."""
+    manifest_path, out_dir = Path(manifest_path), Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    doc = json.loads(manifest_path.read_text())
+    grid, ens = load_case(manifest_path)
+    tau = load_torsion(manifest_path, ens)
+    meta = np.column_stack([getattr(ens, c) for c in CHANNELS])
+    name = doc["name"]
+    dataset._write_csv(out_dir / f"{name}_grid.csv", ["z_norm"],
+                       grid.z_norm[:, None])
+    dataset._write_csv(
+        out_dir / f"{name}_snapshots.csv",
+        CHANNELS + dataset._field_columns(grid.n_z, ("ux", "uy", "uz")),
+        np.hstack([meta, ens.D.T]))
+    doc.update(grid_file=f"{name}_grid.csv",
+               snapshot_file=f"{name}_snapshots.csv")
+    del doc["displacement_file"]
+    if tau is not None:
+        dataset._write_csv(
+            out_dir / f"{name}_torsion.csv",
+            CHANNELS + dataset._field_columns(grid.n_z,
+                                              ("taux", "tauy", "tauz")),
+            np.hstack([meta, tau.D.T]))
+        doc["torsion_file"] = f"{name}_torsion.csv"
+    out = out_dir / manifest_path.name
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return out
+
+
+#: Ways a binary-layout case can be damaged on disk; each must be rejected
+#: when the case is loaded (see :func:`damage_case`).
+DAMAGE = ("missing", "not_npy", "truncated", "truncated_header", "object",
+          "pickled", "float32", "short_rows", "short_steps", "transposed",
+          "fields_in_snapshots", "no_fields")
+
+
+def damage_case(manifest_path, kind):
+    """Damage the displacement matrix (or the snapshot table) of a
+    binary-layout case in the way ``kind`` names.
+
+    Returns the expected exception type and the file name its message must
+    contain.
+    """
+    manifest_path = Path(manifest_path)
+    doc = json.loads(manifest_path.read_text())
+    npy = manifest_path.parent / doc["displacement_file"]
+    snap = manifest_path.parent / doc["snapshot_file"]
+    D = np.load(npy)
+    if kind == "missing":
+        npy.unlink()
+        return FileNotFoundError, npy.name
+    if kind in ("fields_in_snapshots", "no_fields"):
+        if kind == "no_fields":
+            del doc["displacement_file"]
+            manifest_path.write_text(json.dumps(doc))
+        else:
+            meta = np.loadtxt(snap, delimiter=",", skiprows=1, ndmin=2)
+            n_z = D.shape[0] // 3
+            dataset._write_csv(
+                snap, CHANNELS + dataset._field_columns(n_z, ("ux", "uy", "uz")),
+                np.hstack([meta, D.T]))
+        return SchemaError, snap.name
+    if kind == "not_npy":
+        npy.write_text("ux_000,ux_001\n0.0,1.0\n")
+    elif kind == "truncated":
+        npy.write_bytes(npy.read_bytes()[:-8])
+    elif kind == "truncated_header":
+        npy.write_bytes(npy.read_bytes()[:20])
+    elif kind == "object":
+        np.save(npy, D.astype(object), allow_pickle=True)
+    elif kind == "pickled":
+        npy.write_bytes(pickle.dumps(D))
+    elif kind == "float32":
+        np.save(npy, D.astype(np.float32))
+    elif kind == "short_rows":
+        np.save(npy, D[:-1])
+    elif kind == "short_steps":
+        np.save(npy, D[:, :-1])
+    elif kind == "transposed":
+        np.save(npy, np.ascontiguousarray(D.T))
+    else:
+        raise ValueError(kind)
+    return SchemaError, npy.name

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                         wrap_angle)
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
+
+from conftest import CHANNELS, DAMAGE, damage_case, write_legacy_case
 
 
 def _write_minimal_case(tmp_path, *, drop_theta=False, f_s=160.0,
@@ -130,12 +133,34 @@ class TestRoundTrip:
             omega=np.ones(4), u_raw=np.full(4, 9.0), u_filt=np.full(4, 9.0),
             condition=ConditionKey(9.0, 0.05, 1), f_s=10.0,
         )
-        m1 = save_case(ens, tmp_path / "a", "case")
+        tau = rng.standard_normal((9, 4))
+        m1 = save_case(ens, tmp_path / "a", "case", tau=tau)
         _, loaded = load_case(m1)
-        m2 = save_case(loaded, tmp_path / "b", "case")
-        assert (tmp_path / "a/case_snapshots.csv").read_bytes() == \
-            (tmp_path / "b/case_snapshots.csv").read_bytes()
-        assert m2.read_bytes() == m1.read_bytes()
+        save_case(loaded, tmp_path / "b", "case", tau=load_torsion(m1).D)
+        written = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert written == ["case.json", "case_channels.csv",
+                           "case_displacement.npy", "case_grid.csv",
+                           "case_torsion.npy"]
+        assert sorted(f.name for f in (tmp_path / "b").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
+
+def _random_case(tmp_path, seed=4, n_z=4, n_t=9):
+    """A saved binary-layout case with torsion; returns (manifest, ens, tau)."""
+    rng = np.random.default_rng(seed)
+    grid = BladeGrid(z_norm=np.linspace(0, 1, n_z), length_m=60.0)
+    ens = SnapshotEnsemble(
+        grid=grid, D=rng.standard_normal((3 * n_z, n_t)),
+        t=np.arange(n_t) / 20.0,
+        theta=wrap_angle(rng.uniform(0, TWO_PI, n_t)),
+        omega=rng.uniform(0.5, 1.5, n_t), u_raw=rng.uniform(5, 15, n_t),
+        u_filt=rng.uniform(5, 15, n_t), condition=ConditionKey(9.0, 0.1, 2),
+        f_s=20.0,
+    )
+    tau = rng.standard_normal((3 * n_z, n_t)) * 1e-3
+    return save_case(ens, tmp_path, "tc", tau=tau), ens, tau
 
 
 class TestLoadTorsion:
@@ -143,24 +168,88 @@ class TestLoadTorsion:
         assert load_torsion(_write_minimal_case(tmp_path)) is None
 
     def test_reads_torsion_bit_exact_without_snapshot_file(self, tmp_path):
-        rng = np.random.default_rng(4)
-        grid = BladeGrid(z_norm=np.linspace(0, 1, 4), length_m=60.0)
-        n_t = 9
-        ens = SnapshotEnsemble(
-            grid=grid, D=rng.standard_normal((12, n_t)),
-            t=np.arange(n_t) / 20.0,
-            theta=wrap_angle(rng.uniform(0, TWO_PI, n_t)),
-            omega=np.ones(n_t), u_raw=np.full(n_t, 9.0),
-            u_filt=np.full(n_t, 9.0), condition=ConditionKey(9.0, 0.1, 2),
-            f_s=20.0,
-        )
-        tau = rng.standard_normal((12, n_t)) * 1e-3
-        manifest = save_case(ens, tmp_path, "tc", tau=tau)
-        (tmp_path / "tc_snapshots.csv").unlink()  # must not be needed
+        manifest, ens, tau = _random_case(tmp_path)
+        (tmp_path / "tc_displacement.npy").unlink()  # must not be needed
         back = load_torsion(manifest)
         assert np.array_equal(back.D, tau)
         assert np.array_equal(back.theta, ens.theta)
         assert back.condition == ens.condition and back.f_s == ens.f_s
+
+    def test_legacy_reads_torsion_bit_exact_without_snapshot_file(self,
+                                                                  tmp_path):
+        manifest, ens, tau = _random_case(tmp_path)
+        legacy = write_legacy_case(manifest, tmp_path / "legacy")
+        (tmp_path / "legacy" / "tc_snapshots.csv").unlink()  # must not be needed
+        back = load_torsion(legacy)
+        assert np.array_equal(back.D, tau)
+        assert np.array_equal(back.theta, ens.theta)
+        assert back.condition == ens.condition and back.f_s == ens.f_s
+
+    def test_reads_only_the_torsion_file_given_the_deflection(self, tmp_path):
+        manifest, _, tau = _random_case(tmp_path)
+        _, ens = load_case(manifest)
+        for f in ("tc_grid.csv", "tc_channels.csv", "tc_displacement.npy"):
+            (tmp_path / f).unlink()
+        back = load_torsion(manifest, ens)
+        assert np.array_equal(back.D, tau)
+        assert back.grid is ens.grid and back.theta is ens.theta
+
+    def test_rejects_a_torsion_matrix_of_the_wrong_shape(self, tmp_path):
+        manifest, _, tau = _random_case(tmp_path)
+        np.save(tmp_path / "tc_torsion.npy", tau[:, :-1])
+        _, ens = load_case(manifest)
+        with pytest.raises(SchemaError, match="tc_torsion.npy"):
+            load_torsion(manifest, ens)
+
+
+class TestLayouts:
+    def test_both_layouts_load_identical_arrays(self, tmp_path):
+        manifest, _, _ = _random_case(tmp_path)
+        legacy = write_legacy_case(manifest, tmp_path / "legacy")
+        grid, ens = load_case(manifest)
+        grid_l, ens_l = load_case(legacy)
+        assert np.array_equal(grid.z_norm, grid_l.z_norm)
+        for name in ["D"] + CHANNELS:
+            assert np.array_equal(getattr(ens, name), getattr(ens_l, name)), name
+        for deflection in (None, ens_l):
+            tau, tau_l = load_torsion(manifest), load_torsion(legacy, deflection)
+            for name in ["D"] + CHANNELS:
+                assert np.array_equal(getattr(tau, name),
+                                      getattr(tau_l, name)), name
+
+    def test_saved_matrices_are_float64_in_row_order(self, tmp_path):
+        _, ens, tau = _random_case(tmp_path)
+        for name, expected in (("tc_displacement.npy", ens.D),
+                               ("tc_torsion.npy", tau)):
+            stored = np.load(tmp_path / name, allow_pickle=False)
+            assert stored.dtype == np.float64 and stored.flags.c_contiguous
+            assert np.array_equal(stored, expected)
+
+    def test_channels_table_is_plain_csv(self, tmp_path):
+        manifest, ens, _ = _random_case(tmp_path)
+        path = tmp_path / json.loads(manifest.read_text())["snapshot_file"]
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CHANNELS
+        assert [float(r[4]) for r in rows[1:]] == ens.u_filt.tolist()
+
+
+class TestBadBinaryInput:
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_rejected_at_load_naming_the_file(self, tmp_path, kind):
+        manifest, _, _ = _random_case(tmp_path)
+        error, name = damage_case(manifest, kind)
+        with pytest.raises(error, match=name):
+            load_case(manifest)
+
+    def test_non_finite_matrix_value_reports_column_and_row(self, tmp_path):
+        manifest, ens, _ = _random_case(tmp_path)
+        D = ens.D.copy()
+        D[5, 3] = np.inf  # uy_001 at the fourth time step
+        np.save(tmp_path / "tc_displacement.npy", D)
+        with pytest.raises(ValidationError,
+                           match=r"component y, station 001\) at row 3"):
+            load_case(manifest)
 
 
 class TestSmoothWind:

@@ -15,6 +15,8 @@ from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import StageError, ValidationError
 
+from conftest import DAMAGE, damage_case, write_legacy_case
+
 SYNTH_CONFIG = {
     "grid": {"n_z": 8, "L_b": 100.0},
     "training": [
@@ -211,35 +213,86 @@ class TestFailureModes:
         assert (tmp_path / "o" / "FAILED").exists()
 
 
-    def test_non_finite_input_fails_at_load(self, quickstart, tmp_path):
+    @staticmethod
+    def _failed_load(quickstart, tmp_path, damage):
+        """Run ``pipeline`` on a copy of the quickstart cases after
+        ``damage(cases_dir)``; returns the exit code and the FAILED marker."""
         pipeline_cfg, _ = quickstart
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
-        snap = cases / "ev_s5_snapshots.csv"
-        lines = snap.read_text().splitlines()
-        cells = lines[11].split(",")
-        cells[10] = "nan"
-        lines[11] = ",".join(cells)
-        snap.write_text("\n".join(lines) + "\n")
+        damage(cases)
         out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
-                     "--out", str(out)]) == 2
-        marker = (out / "FAILED").read_text()
-        assert "stage: load" in marker and "at row 10" in marker
+        code = main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)])
         assert not (out / "error_summary.json").exists()
+        return code, (out / "FAILED").read_text()
+
+    def test_non_finite_input_fails_at_load(self, quickstart, tmp_path):
+        def damage(cases):
+            path = cases / "ev_s5_displacement.npy"
+            D = np.load(path)
+            D[5, 10] = np.nan
+            np.save(path, D)
+
+        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        assert code == 2
+        assert "stage: load" in marker and "at row 10" in marker
+
+    def test_non_finite_channel_fails_at_load(self, quickstart, tmp_path):
+        def damage(cases):
+            path = cases / "ev_s5_channels.csv"
+            lines = path.read_text().splitlines()
+            cells = lines[11].split(",")
+            cells[2] = "nan"
+            lines[11] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+
+        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        assert code == 2
+        assert "stage: load" in marker and "column omega at row 10" in marker
+
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_bad_binary_input_fails_at_load(self, quickstart, tmp_path, kind):
+        names = []
+
+        def damage(cases):
+            names.append(damage_case(cases / "ev_s5.json", kind)[1])
+
+        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        assert code == 2
+        assert "stage: load" in marker and names[0] in marker
+
+
+class TestLayouts:
+    def test_legacy_csv_copy_gives_identical_artifacts(self, quickstart,
+                                                       tmp_path):
+        pipeline_cfg, out = quickstart
+        doc = json.loads(pipeline_cfg.read_text())
+        cases = tmp_path / "cases"
+        for name in doc["training"] + doc["evaluation"]:
+            write_legacy_case(pipeline_cfg.parent / name, cases)
+        shutil.copy(pipeline_cfg, cases / pipeline_cfg.name)
+        assert not list(cases.glob("*.npy"))
+        out2 = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out2)]) == 0
+        listing = json.loads((out / "artifacts.json").read_text())["files"]
+        assert json.loads((out2 / "artifacts.json").read_text())["files"] == \
+            listing
+        for name in listing:
+            assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestCaseReads:
     @staticmethod
-    def _parses(monkeypatch, config, plan):
+    def _reads(monkeypatch, config, plan):
         seen = Counter()
-        read_csv = dataset._read_csv
+        for reader in ("_read_csv", "_read_npy"):
+            def counting(path, *args, _read=getattr(dataset, reader)):
+                seen[Path(path).name] += 1
+                return _read(path, *args)
 
-        def counting(path):
-            seen[Path(path).name] += 1
-            return read_csv(path)
-
-        monkeypatch.setattr(dataset, "_read_csv", counting)
+            monkeypatch.setattr(dataset, reader, counting)
         run_pipeline(config, plan=plan)
         return seen
 
@@ -247,19 +300,21 @@ class TestCaseReads:
                                                  monkeypatch):
         pipeline_cfg, _ = quickstart
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
-        seen = self._parses(monkeypatch, config, "pipeline")
+        seen = self._reads(monkeypatch, config, "pipeline")
         names = [Path(p).stem for p in config.training + config.evaluation]
-        for kind in ("snapshots", "torsion"):
-            assert {n: seen[f"{n}_{kind}.csv"] for n in names} == \
-                dict.fromkeys(names, 1)
+        files = [f"{n}_{kind}" for n in names
+                 for kind in ("grid.csv", "channels.csv", "displacement.npy",
+                              "torsion.npy")]
+        assert seen == dict.fromkeys(files, 1)
 
     def test_fit_rom_parses_no_torsion_file(self, quickstart, tmp_path,
                                             monkeypatch):
         pipeline_cfg, _ = quickstart
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
-        seen = self._parses(monkeypatch, config, "fit-rom")
-        assert not [n for n in seen if n.endswith("_torsion.csv")]
-        assert sum(n.endswith("_snapshots.csv") for n in seen) == \
+        seen = self._reads(monkeypatch, config, "fit-rom")
+        assert not [n for n in seen if n.endswith("_torsion.npy")]
+        assert sum(n.endswith("_channels.csv") for n in seen) == \
+            sum(n.endswith("_displacement.npy") for n in seen) == \
             len(config.training) + len(config.evaluation)
 
 
