@@ -160,7 +160,16 @@ class RomCondition:
 
 @dataclass
 class AzimuthalRomModel:
-    """Collection of per-condition Fourier tables plus evaluation metadata."""
+    """Collection of per-condition Fourier tables plus evaluation metadata.
+
+    The evaluation tables are built once, on construction: per TI label the
+    ascending trained speeds, their identity matrix (the interpolation
+    nodes' unit vectors) and one stacked ``(n_speeds*(1 + 2*n_F),
+    N + N(N+1)/2)`` table of the label's mean and covariance coefficients,
+    plus the upper-triangle index pair. They are plain attributes, not
+    fields, so ``==`` and ``repr`` are unchanged; ``conditions`` is not to
+    be changed after construction.
+    """
 
     n_fourier: int
     n_theta: int
@@ -173,6 +182,28 @@ class AzimuthalRomModel:
                 raise ValidationError(
                     f"non-finite ROM coefficients for (u={c.u_mean}, ti={c.ti})"
                 )
+        if self.conditions:
+            n_terms = 1 + 2 * self.n_fourier
+            shape = (self.n_modes, n_terms)
+            cov_shape = (self.n_modes * (self.n_modes + 1) // 2, n_terms)
+            for c in self.conditions:
+                if c.mean_coeffs.shape != shape or c.cov_coeffs.shape != cov_shape:
+                    raise ValidationError(
+                        f"ROM tables of (u={c.u_mean}, ti={c.ti}) must be "
+                        f"{shape} and {cov_shape}, got {c.mean_coeffs.shape} "
+                        f"and {c.cov_coeffs.shape}"
+                    )
+            self._triu = np.triu_indices(self.n_modes)
+        groups: dict = {}
+        # stable sort: conditions with equal (ti, u) keep their given order
+        for c in sorted(self.conditions, key=lambda c: (c.ti, c.u_mean)):
+            groups.setdefault(c.ti, []).append(c)
+        self._groups = {
+            ti: (np.array([c.u_mean for c in group]), np.eye(len(group)),
+                 np.concatenate([np.vstack([c.mean_coeffs, c.cov_coeffs]).T
+                                 for c in group]))
+            for ti, group in groups.items()
+        }
 
     @property
     def n_modes(self) -> int:
@@ -180,7 +211,7 @@ class AzimuthalRomModel:
 
     def ti_labels(self) -> list:
         """Distinct trained TI labels, ascending."""
-        return sorted({c.ti for c in self.conditions})
+        return list(self._groups)
 
 
 def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel:
@@ -254,10 +285,8 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     single = theta.ndim == 0
     theta, u = np.atleast_1d(theta), np.atleast_1d(u)
 
-    ti_near = min(model.ti_labels(), key=lambda label: abs(label - ti))
-    group = sorted((c for c in model.conditions if c.ti == ti_near),
-                   key=lambda c: c.u_mean)
-    speeds = np.array([c.u_mean for c in group])
+    ti_near = min(model._groups, key=lambda label: abs(label - ti))
+    speeds, units, tables = model._groups[ti_near]
     if stats is not None:
         stats.steps += u.size
         stats.clamped_low += int(np.count_nonzero(u < speeds[0]))
@@ -265,16 +294,13 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     # linear-interpolation weight of each trained speed per step (the hat
     # functions); np.interp holds the end values, so beyond the trained
     # range the end table is used as is
-    weights = np.column_stack([np.interp(u, speeds, unit)
-                               for unit in np.eye(len(group))])
+    weights = np.column_stack([np.interp(u, speeds, unit) for unit in units])
 
     # one product: (step, speed x Fourier term) against the stacked tables
     design = fourier_design(theta, model.n_fourier)
-    tables = np.concatenate([np.vstack([c.mean_coeffs, c.cov_coeffs]).T
-                             for c in group])
     vals = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ tables
-    n_modes = group[0].mean_coeffs.shape[0]
-    iu, ju = np.triu_indices(n_modes)
+    n_modes = model.n_modes
+    iu, ju = model._triu
     cov = np.zeros((u.size, n_modes, n_modes))
     cov[:, iu, ju] = vals[:, n_modes:]
     cov[:, ju, iu] = vals[:, n_modes:]

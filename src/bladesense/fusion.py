@@ -41,28 +41,35 @@ def clip_psd(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and clip negative eigenvalues so eigvalsh reports >= 0.
 
     ``cov`` is one (N, N) matrix or a stack (..., N, N); each matrix is
-    treated on its own, and one that needs no change is returned as is.
-    Reconstruction after clipping can itself leave an eigenvalue a few ulp
-    below zero, so such a matrix is nudged by a diagonal shift until its
-    reported spectrum is clean.
+    treated on its own, and one whose eigvalsh spectrum has no negative
+    value is returned as is (symmetrized). Only the other matrices are
+    eigendecomposed, clipped and reconstructed. Reconstruction can itself
+    leave an eigenvalue a few ulp below zero, so such a matrix is nudged by
+    a diagonal shift until its reported spectrum is clean.
     """
     cov = _sym(np.asarray(cov, dtype=float))
-    eigs, vecs = np.linalg.eigh(cov)
-    neg = eigs.min(axis=-1) < 0.0
-    if _any(neg):
-        clipped = (vecs * eigs.clip(0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
-        cov = np.where(neg[..., None, None], _sym(clipped), cov)
     # eigvalsh (no vectors) is the arbiter: different LAPACK drivers can
-    # disagree by a few ulp around zero. The shift must be at least one ulp
-    # of the diagonal scale or the addition would not change the matrix.
+    # disagree by a few ulp around zero
+    flagged = np.flatnonzero(np.linalg.eigvalsh(cov).min(axis=-1) < 0.0)
+    if flagged.size == 0:
+        return cov
+    stack = cov.reshape((-1,) + cov.shape[-2:])  # a view: rows written back
+    sub = stack[flagged]
+    eigs, vecs = np.linalg.eigh(sub)
+    neg = eigs.min(axis=-1) < 0.0
+    clipped = (vecs * eigs.clip(0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    sub = np.where(neg[:, None, None], _sym(clipped), sub)
+    # the shift must be at least one ulp of the diagonal scale or the
+    # addition would not change the matrix
     for _ in range(8):
-        low = np.linalg.eigvalsh(cov).min(axis=-1)
+        low = np.linalg.eigvalsh(sub).min(axis=-1)
         bad = low < 0.0
-        if not _any(bad):
+        if not bad.any():
             break
-        scale = np.abs(cov.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+        scale = np.abs(sub.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
         delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
-        cov = cov + delta[..., None, None] * np.eye(cov.shape[-1])
+        sub = sub + delta[:, None, None] * np.eye(sub.shape[-1])
+    stack[flagged] = sub
     return cov
 
 

@@ -306,7 +306,7 @@ def _stage_torsion(ctx: _Context) -> None:
             train_tau.append((e, tau_e))
     if not train_tau:
         return
-    rank = ctx.config.torsion_rank or ctx.config.n_modes + 1
+    rank = ctx.config.torsion_rank or ctx.config.n_modes
     tau_basis = pod_fit(_pooled(train_tau), rank)
 
     groups: dict = {}

@@ -65,6 +65,20 @@ class SensorSet:
             return None
         return (vt.T / s) @ u.T
 
+    @cached_property
+    def _dof_rows(self) -> dict:
+        return {}
+
+    def dof_rows(self, n_z: int) -> np.ndarray:
+        """:func:`sensor_dof_rows` of these stations in an ``n_z``-station
+        field, built once per ``n_z`` (read-only)."""
+        rows = self._dof_rows.get(n_z)
+        if rows is None:
+            rows = sensor_dof_rows(self.station_indices, n_z)
+            rows.setflags(write=False)
+            self._dof_rows[n_z] = rows
+        return rows
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -218,7 +232,7 @@ def observe(field, sensors: SensorSet, noise: NoiseModel | None = None,
         raise ValidationError("field must be a stacked 3-component vector "
                               "or a stack of them, one per row")
     n_z = field.shape[-1] // 3
-    y = field[..., sensor_dof_rows(sensors.station_indices, n_z)]
+    y = field[..., sensors.dof_rows(n_z)]
     if noise is not None:
         if len(noise.per_sensor) != sensors.n_sensors:
             raise ValidationError("noise model size differs from sensor count")

@@ -7,6 +7,11 @@ largest magnitude: the stacked products sum in another order, so the
 results are not bit-identical. ``_reference_evaluate_rom`` and
 ``_reference_fuse`` are the per-step loop bodies the batched kernels
 replaced, kept here as an independent oracle.
+
+``_former_evaluate_rom`` and ``_former_clip_psd`` are the batched kernels
+as they were before the model built its evaluation tables once and
+``clip_psd`` eigendecomposed only the matrices eigvalsh flags: the same
+arithmetic, so they are compared bit for bit.
 """
 
 import numpy as np
@@ -15,7 +20,9 @@ import pytest
 from bladesense import (FusionStats, GaussianReduced, NoiseModel, RomStats,
                         evaluate_rom, fit_rom, fuse, infer_torsion, observe,
                         place_sensors, sparse_estimate)
-from bladesense.azimuthal_rom import BinStatistics, bin_centers, fourier_eval
+from bladesense import sensing
+from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
+                                      bin_centers, fourier_design, fourier_eval)
 from bladesense.dataset import ConditionKey, wrap_angle
 from bladesense.errors import ValidationError
 from bladesense.fusion import clip_psd
@@ -91,6 +98,50 @@ def _reference_fuse(prior, measurement):
     return mean, 0.5 * (cov + cov.T), gain, regularized
 
 
+def _former_clip_psd(cov):
+    cov = 0.5 * (np.asarray(cov, dtype=float) + np.swapaxes(cov, -1, -2))
+    eigs, vecs = np.linalg.eigh(cov)
+    neg = eigs.min(axis=-1) < 0.0
+    if neg.any():
+        clipped = (vecs * eigs.clip(0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
+        clipped = 0.5 * (clipped + clipped.swapaxes(-1, -2))
+        cov = np.where(neg[..., None, None], clipped, cov)
+    for _ in range(8):
+        low = np.linalg.eigvalsh(cov).min(axis=-1)
+        bad = low < 0.0
+        if not bad.any():
+            break
+        scale = np.abs(cov.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+        delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
+        cov = cov + delta[..., None, None] * np.eye(cov.shape[-1])
+    return cov
+
+
+def _former_evaluate_rom(model, theta, u_filt, ti):
+    theta, u = np.broadcast_arrays(wrap_angle(np.asarray(theta, dtype=float)),
+                                   np.asarray(u_filt, dtype=float))
+    single = theta.ndim == 0
+    theta, u = np.atleast_1d(theta), np.atleast_1d(u)
+    labels = sorted({c.ti for c in model.conditions})
+    ti_near = min(labels, key=lambda label: abs(label - ti))
+    group = sorted((c for c in model.conditions if c.ti == ti_near),
+                   key=lambda c: c.u_mean)
+    speeds = np.array([c.u_mean for c in group])
+    weights = np.column_stack([np.interp(u, speeds, unit)
+                               for unit in np.eye(len(group))])
+    design = fourier_design(theta, model.n_fourier)
+    tables = np.concatenate([np.vstack([c.mean_coeffs, c.cov_coeffs]).T
+                             for c in group])
+    vals = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ tables
+    n_modes = group[0].mean_coeffs.shape[0]
+    iu, ju = np.triu_indices(n_modes)
+    cov = np.zeros((u.size, n_modes, n_modes))
+    cov[:, iu, ju] = vals[:, n_modes:]
+    cov[:, ju, iu] = vals[:, n_modes:]
+    mean, cov = vals[:, :n_modes], _former_clip_psd(cov)
+    return (mean[0], cov[0]) if single else (mean, cov)
+
+
 # wind below, inside, exactly at and above the trained speeds (8, 12);
 # azimuths outside [0, 2*pi) on both sides
 _U = np.array([5.0, 8.0, 9.1, 10.0, 11.99, 12.0, 15.0, 7.9, 12.5, 10.7])
@@ -136,6 +187,142 @@ class TestEvaluateRomBatch:
     def test_rejects_two_dimensional_input(self):
         with pytest.raises(ValidationError, match="1-D"):
             evaluate_rom(_model(), np.zeros((2, 2)), 9.0, 0.10)
+
+
+def _rows_of(sensors, n_z):
+    stations = sensors.station_indices
+    return np.concatenate([[s, s + n_z, s + 2 * n_z] for s in stations])
+
+
+class TestBuiltOnce:
+    """The per-label tables, sensor rows and clipping set built once
+    equal the per-call construction they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("ti", [0.10, 0.13, 0.20, 0.5])
+    def test_evaluate_rom_equals_former_kernel(self, ti):
+        fitted = _model()
+        # conditions in unsorted order: the tables must sort them per label
+        model = AzimuthalRomModel(
+            n_fourier=fitted.n_fourier, n_theta=fitted.n_theta,
+            conditions=[fitted.conditions[k] for k in (2, 1, 0)])
+        assert "_groups" not in repr(model)
+        assert model.ti_labels() == [0.10, 0.20]
+        for theta, u in ((_THETA, _U), (_THETA[2], _U[2]), (_THETA[6], _U[6])):
+            got = evaluate_rom(model, theta, u, ti)
+            ref_mean, ref_cov = _former_evaluate_rom(model, theta, u, ti)
+            assert np.array_equal(got.mean, ref_mean)
+            assert np.array_equal(got.covariance, ref_cov)
+
+    def test_rejects_tables_of_the_wrong_shape(self):
+        model = _model()
+        bad = model.conditions[0]
+        short = type(bad)(u_mean=bad.u_mean, ti=bad.ti,
+                          mean_coeffs=bad.mean_coeffs[:, :-2],
+                          cov_coeffs=bad.cov_coeffs[:, :-2])
+        with pytest.raises(ValidationError, match="must be"):
+            AzimuthalRomModel(model.n_fourier, model.n_theta,
+                              [short] + model.conditions[1:])
+
+    @staticmethod
+    def _mixed_stack(seed=3, n=12):
+        rng = np.random.default_rng(seed)
+        covs = np.stack([random_spd(rng, N_MODES) for _ in range(n)])
+        flagged = np.zeros(n, dtype=bool)
+        flagged[[1, 4, 5, 10]] = True
+        for k in np.flatnonzero(flagged):
+            v = rng.standard_normal((N_MODES, 2))
+            covs[k] = v @ np.diag([1.0, -0.3]) @ v.T  # indefinite
+        # a rank-one matrix: its clipped reconstruction is what the
+        # diagonal nudge exists for
+        v = rng.standard_normal(N_MODES)
+        covs[4] = np.outer(v, v) - 1e-3 * np.outer(v[::-1], v[::-1])
+        return covs, flagged
+
+    def test_clip_psd_returns_psd_stack_unchanged(self):
+        covs, flagged = self._mixed_stack()
+        psd = covs[~flagged]
+        assert np.array_equal(clip_psd(psd), psd)
+        assert np.array_equal(clip_psd(psd[0]), psd[0])
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 4)])
+    def test_clip_psd_changes_only_flagged_rows(self, shape):
+        covs, flagged = self._mixed_stack()
+        covs = covs.reshape(shape + covs.shape[-2:])
+        flagged = flagged.reshape(shape)
+        got = clip_psd(covs)
+        assert np.array_equal(got, _former_clip_psd(covs))
+        assert np.array_equal(got[~flagged], covs[~flagged])
+        assert not np.any([np.array_equal(g, c)
+                           for g, c in zip(got[flagged], covs[flagged])])
+        assert np.linalg.eigvalsh(got).min() >= 0.0
+        # a single matrix takes the same path as a stack of one
+        k = np.argwhere(flagged)[0]
+        assert np.array_equal(clip_psd(covs[tuple(k)]), got[tuple(k)])
+
+    def test_observe_reuses_the_sensor_rows(self, monkeypatch):
+        grid = demo_grid(n_z=10)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
+        sensors = place_sensors(basis, 4)
+        calls = []
+
+        def counting(stations, n_z, _rows=sensing.sensor_dof_rows):
+            calls.append(n_z)
+            return _rows(stations, n_z)
+
+        monkeypatch.setattr(sensing, "sensor_dof_rows", counting)
+        D = np.random.default_rng(0).standard_normal((grid.n_dof, 5))
+        for k in range(5):
+            assert np.array_equal(observe(D[:, k], sensors),
+                                  D[_rows_of(sensors, grid.n_z), k])
+        observe(D.T, sensors)
+        assert calls == [grid.n_z]
+        rows = sensors.dof_rows(grid.n_z)
+        assert not rows.flags.writeable
+        observe(np.zeros(3 * 12), sensors)  # another grid, its own rows
+        assert calls == [grid.n_z, 12]
+
+
+class TestDecompositionCalls:
+    """Call counts, not timings: a PSD step must not eigendecompose."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(np.linalg, name), **kw):
+                calls[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    @staticmethod
+    def _psd_model():
+        rng = np.random.default_rng(4)
+        stats = []
+        for u in (8.0, 12.0):
+            covs = np.stack([random_spd(rng, N_MODES) for _ in range(72)])
+            stats.append(BinStatistics(
+                condition=ConditionKey(u_mean=u, ti=0.1, seed=0), n_theta=72,
+                counts=np.full(72, 3), means=rng.standard_normal((72, N_MODES)),
+                covariances=covs))
+        return fit_rom(stats, 2)
+
+    def test_psd_batch_of_one_makes_no_eigh_call(self, monkeypatch):
+        model = self._psd_model()
+        prior = evaluate_rom(model, 1.0, 9.5, 0.1)
+        assert np.linalg.eigvalsh(prior.covariance).min() > 0.0
+        calls = self._count(monkeypatch)
+        evaluate_rom(model, 1.0, 9.5, 0.1)
+        # one eigvalsh in clip_psd, one in the GaussianReduced check
+        assert calls == {"eigh": 0, "eigvalsh": 2}
+
+    def test_psd_stack_makes_no_eigh_call(self, monkeypatch):
+        covs, flagged = TestBuiltOnce._mixed_stack()
+        calls = self._count(monkeypatch)
+        clip_psd(covs[~flagged])
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        clip_psd(covs)  # one stacked eigh for the flagged matrices
+        assert calls["eigh"] == 1
 
 
 class TestFuseBatch:

@@ -8,6 +8,7 @@ from scipy.signal import lfilter
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                         load_case, load_torsion, save_case, smooth_wind,
                         wrap_angle)
+from bladesense import dataset
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
@@ -146,6 +147,44 @@ class TestRoundTrip:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
+
+
+class TestWriteCsv:
+    """``_write_csv`` formats blocks of rows; its bytes are np.savetxt's."""
+
+    @pytest.mark.parametrize("shape, kind", [
+        ((40, 1), "random"),           # one column
+        ((60, 39), "random"),          # as wide as a reconstruction table
+        ((1, 7), "random"),            # a single row
+        ((30, 3), "integers"),         # integer-valued floats, incl. -0.0
+        ((600, 5), "random"),          # more than one 256-row block
+        ((512, 2), "random"),          # exactly two blocks
+        ((9, 2), "special"),           # nan, inf, subnormal, extremes
+    ])
+    def test_bytes_equal_savetxt(self, tmp_path, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        if kind == "integers":
+            data = np.round(data / np.abs(data).max() * 1e6)
+            data[0, 0] = -0.0
+        elif kind == "special":
+            data.flat[:6] = [np.nan, np.inf, -np.inf, 5e-324,
+                             np.finfo(float).max, -np.finfo(float).tiny]
+        names = [f"c{k}" for k in range(shape[1])]
+        dataset._write_csv(tmp_path / "got.csv", names, data)
+        np.savetxt(tmp_path / "ref.csv", data, fmt="%.17e", delimiter=",",
+                   header=",".join(names), comments="")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\n") == shape[0] + 1
+
+    def test_one_dimensional_data_is_one_column(self, tmp_path):
+        data = np.linspace(0.0, 1.0, 300)
+        dataset._write_csv(tmp_path / "got.csv", ["z_norm"], data)
+        np.savetxt(tmp_path / "ref.csv", data, fmt="%.17e", delimiter=",",
+                   header="z_norm", comments="")
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
 def _random_case(tmp_path, seed=4, n_z=4, n_t=9):
     """A saved binary-layout case with torsion; returns (manifest, ens, tau)."""

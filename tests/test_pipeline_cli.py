@@ -122,6 +122,22 @@ class TestPipelineRun:
         assert summary["rom"]["clamped_high"] > 0
         assert summary["rom"]["steps"] == summary["fusion"]["steps"]
 
+    def test_torsion_rank_defaults_to_n_modes(self, quickstart):
+        # the twin's torsion field has rank N; a mode N+1 would be rounding
+        # noise with an arbitrary, often negative, fit R^2
+        pipeline_cfg, out = quickstart
+        n_modes = PipelineConfig.from_json(pipeline_cfg).n_modes
+        model = json.loads((out / "torsion_model.json").read_text())
+        assert model["J"] == n_modes
+        basis = np.loadtxt(out / "torsion_basis.csv", delimiter=",",
+                           skiprows=1, ndmin=2)
+        assert basis.shape[1] == 1 + n_modes  # mean column + N modes
+        fits = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
+        assert fits
+        for r2 in fits.values():
+            assert len(r2) == n_modes
+            assert min(r2) >= 0.99
+
     def test_determinism_byte_identical(self, quickstart, tmp_path):
         pipeline_cfg, out = quickstart
         out2 = tmp_path / "again"
