@@ -126,28 +126,6 @@ def fourier_eval(coeffs, theta):
     return out
 
 
-def fit_fourier(centers, values, n_fourier: int) -> tuple[np.ndarray, float]:
-    """Ordinary least squares of per-bin scalars onto the Fourier regressors.
-
-    Returns the coefficient vector (1 + 2*n_fourier,) and the residual norm.
-    Requires at least as many bins as coefficients.
-    """
-    centers = np.asarray(centers, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if centers.shape != values.shape or centers.ndim != 1:
-        raise ValidationError("centers and values must be matching 1-D arrays")
-    n_coeff = 1 + 2 * n_fourier
-    if centers.size < n_coeff:
-        raise ValidationError(
-            f"need at least {n_coeff} non-empty bins for n_F={n_fourier}, "
-            f"got {centers.size}"
-        )
-    design = fourier_design(centers, n_fourier)
-    coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
-    residual = float(np.linalg.norm(design @ coeffs - values))
-    return coeffs, residual
-
-
 @dataclass
 class RomCondition:
     """Fourier coefficient tables of one (wind speed, TI) operating point."""

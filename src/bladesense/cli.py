@@ -87,9 +87,8 @@ def _make_stage_cmd(plan: str):
     def cmd(args) -> int:
         if not args.config:
             raise ValidationError(f"'{plan}' requires --config")
-        pivot = "scalar" if getattr(args, "pivot_scalar", False) else None
         config = PipelineConfig.from_json(args.config, seed=args.seed,
-                                          out_dir=args.out, pivot=pivot)
+                                          out_dir=args.out)
         result = run_pipeline(config, plan=plan)
         print(f"{plan}: wrote {len(result['artifacts'])} artifacts "
               f"to {result['out_dir']}")
@@ -113,11 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     for plan in COMMAND_PLANS:
         q = sub.add_parser(plan, help=f"run up to the '{plan}' stage")
         _common(q)
-        if plan in ("sensors", "estimate", "report", "pipeline"):
-            q.add_argument("--pivot-scalar", action="store_true",
-                           dest="pivot_scalar",
-                           help="pivot single degrees of freedom instead of "
-                                "whole stations")
         q.set_defaults(func=_make_stage_cmd(plan))
     return parser
 

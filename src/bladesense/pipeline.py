@@ -16,7 +16,7 @@ written. A stage failure leaves a ``FAILED`` marker naming the stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +54,8 @@ class PipelineConfig:
     n_theta: int = rom_mod.DEFAULT_N_THETA
     n_fourier: int = rom_mod.DEFAULT_N_FOURIER
     noise: object = 0.1
-    estimation_mode: str = "gram_corrected"
-    pivot: str = "station"
     observation_fractions: tuple = (0.44, 0.68, 0.88)
     lnm_frequencies: tuple = ()
-    torsion_rank: int | None = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -71,15 +68,13 @@ class PipelineConfig:
                 raise ValidationError(f"referenced manifest does not exist: {p}")
         if self.n_modes < 1:
             raise ValidationError("n_modes must be >= 1")
-        if self.n_modes > self.n_sensors:
-            raise ValidationError("n_modes must not exceed n_sensors")
-        if self.estimation_mode not in ("gram_corrected", "direct_projection"):
-            raise ValidationError(f"unknown estimation mode {self.estimation_mode!r}")
-        if self.pivot not in ("station", "scalar"):
-            raise ValidationError(f"unknown pivot mode {self.pivot!r}")
+        # each sensor reports three rows; SensorSet.gram_gain checks the
+        # sampled basis actually has rank n_modes
+        if self.n_modes > 3 * self.n_sensors:
+            raise ValidationError("n_modes must not exceed 3 * n_sensors")
 
     @classmethod
-    def from_json(cls, path, seed=None, out_dir=None, pivot=None) -> "PipelineConfig":
+    def from_json(cls, path, seed=None, out_dir=None) -> "PipelineConfig":
         path = Path(path)
         if not path.exists():
             raise ValidationError(f"config file does not exist: {path}")
@@ -88,6 +83,11 @@ class PipelineConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ValidationError(f"{path}: invalid JSON ({err})") from err
+        # the JSON keys are the field names; an unknown one is rejected, not
+        # ignored, so a misspelt or retired setting cannot silently default
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"{path}: unknown config keys {unknown}")
         base = path.parent
 
         def _paths(key):
@@ -102,12 +102,9 @@ class PipelineConfig:
             n_theta=int(doc.get("n_theta", rom_mod.DEFAULT_N_THETA)),
             n_fourier=int(doc.get("n_fourier", rom_mod.DEFAULT_N_FOURIER)),
             noise=doc.get("noise", 0.1),
-            estimation_mode=doc.get("estimation_mode", "gram_corrected"),
-            pivot=pivot or doc.get("pivot", "station"),
             observation_fractions=tuple(doc.get("observation_fractions",
                                                 (0.44, 0.68, 0.88))),
             lnm_frequencies=tuple(doc.get("lnm_frequencies", ())),
-            torsion_rank=doc.get("torsion_rank"),
             seed=int(doc.get("seed", 0)) if seed is None else int(seed),
         )
         cfg.validate()
@@ -180,8 +177,7 @@ def _stage_decompose(ctx: _Context) -> None:
 
 
 def _stage_sensors(ctx: _Context) -> None:
-    ctx.sensors = place_sensors(ctx.basis, ctx.config.n_sensors,
-                                pivot=ctx.config.pivot)
+    ctx.sensors = place_sensors(ctx.basis, ctx.config.n_sensors)
     ctx.noise_model = NoiseModel.from_config(ctx.config.noise,
                                              ctx.config.n_sensors)
     write_sensors_csv(ctx.sensors, ctx.emit("sensors.csv"))
@@ -220,8 +216,7 @@ def _stage_estimate(ctx: _Context) -> None:
     for idx, (case_id, e) in enumerate(ctx.evaluation):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
-        meas = sparse_estimate(y, ctx.sensors, ctx.noise_model,
-                               cfg.estimation_mode)
+        meas = sparse_estimate(y, ctx.sensors, ctx.noise_model)
         prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti,
                              ctx.rom_stats)
         fused, _ = fuse(prior, meas, ctx.fusion_stats)
@@ -289,7 +284,6 @@ def _stage_estimate(ctx: _Context) -> None:
         "settings": {
             "n_modes": cfg.n_modes, "n_sensors": cfg.n_sensors,
             "n_theta": cfg.n_theta, "n_fourier": cfg.n_fourier,
-            "estimation_mode": cfg.estimation_mode, "pivot": cfg.pivot,
             "seed": cfg.seed,
         },
     }
@@ -306,8 +300,17 @@ def _stage_torsion(ctx: _Context) -> None:
             train_tau.append((e, tau_e))
     if not train_tau:
         return
-    rank = ctx.config.torsion_rank or ctx.config.n_modes
-    tau_basis = pod_fit(_pooled(train_tau), rank)
+    tau_basis = pod_fit(_pooled(train_tau), ctx.config.n_modes)
+    # numerical rank of the pooled torsion snapshots (numpy's matrix_rank
+    # rule; energies are s^2 / n_t, so their roots keep the singular values'
+    # ratios), at most n_modes: a mode past it is rounding noise, and a map
+    # fitted to it has an arbitrary R^2
+    n_dof, n_t = tau_basis.grid.n_dof, sum(t.n_t for _, t in train_tau)
+    s = np.sqrt(tau_basis.energies)
+    rank = max(1, int(np.count_nonzero(
+        s > s[0] * max(n_dof, n_t) * np.finfo(float).eps)))
+    tau_basis = replace(tau_basis, modes=tau_basis.modes[:, :rank],
+                        energies=tau_basis.energies[:rank], n_modes=rank)
 
     groups: dict = {}
     for e, tau_e in train_tau:

@@ -1,10 +1,10 @@
 """Sensor placement by greedy pivoted QR and estimation from sparse readings.
 
 A physical sensor at one station reports all three displacement components,
-so the default pivoting candidate is the station: one candidate column per
-station, stacking that station's three modal rows. Pivoting over single
-scalar degrees of freedom instead is available as ``pivot="scalar"`` for
-experimentation.
+so the pivoting candidate is the station: one candidate column per station,
+stacking that station's three modal rows. The sparse estimate is the
+least-squares solution on the sampled basis, so three stations (nine rows)
+can carry up to nine modes when the sampled basis keeps full column rank.
 
 Measurement vectors group components per sensor: for placed stations
 (s_1, s_2, ...) the layout is (ux(s_1), uy(s_1), uz(s_1), ux(s_2), ...),
@@ -120,12 +120,11 @@ class NoiseModel:
 
     @classmethod
     def from_config(cls, spec, n_sensors: int) -> "NoiseModel":
-        """Build from a JSON-style spec: scalar sigma or per-sensor matrices."""
+        """Build from a JSON-style spec: a scalar sigma or
+        ``{"per_sensor": [3x3, ...]}``."""
         if isinstance(spec, (int, float)):
             return cls.isotropic(float(spec), n_sensors)
         if isinstance(spec, dict):
-            if "sigma" in spec:
-                return cls.isotropic(float(spec["sigma"]), n_sensors)
             if "per_sensor" in spec:
                 mats = spec["per_sensor"]
                 if len(mats) != n_sensors:
@@ -170,43 +169,28 @@ def place_sensors(basis: ModalBasis, n_sensors: int,
     n_sensors : int
         Number of sensors n_P, between 1 and n_z. The working default is
         n_P = N.
-    pivot : {"station", "scalar"}
-        "station" pivots whole stations (each candidate column stacks the
-        three component rows of one station). "scalar" pivots single
-        degrees of freedom and maps each pivot back to its station,
-        skipping stations already selected.
+    pivot : {"station"}
+        Whole stations are pivoted: each candidate column stacks the three
+        component rows of one station. ``"station"`` is the only value;
+        the parameter stays because callers outside the package pass it.
 
     Returns
     -------
     SensorSet
         Stations in decreasing order of importance.
     """
+    if pivot != "station":
+        raise ValidationError(f"unknown pivot mode: {pivot!r}")
     n_z = basis.grid.n_z
     if not 1 <= n_sensors <= n_z:
         raise ValidationError(f"n_sensors must be in [1, {n_z}]")
     phi = basis.modes
-    if pivot == "station":
-        # candidate column i = modal rows of station i, all three components
-        cands = np.concatenate(
-            [phi[0 * n_z:1 * n_z].T, phi[1 * n_z:2 * n_z].T, phi[2 * n_z:3 * n_z].T],
-            axis=0,
-        )
-        stations = _greedy_pivots(cands, n_sensors)
-    elif pivot == "scalar":
-        order = _greedy_pivots(phi.T, min(3 * n_z, 3 * n_sensors + 2 * n_z))
-        stations = []
-        for dof in order:
-            s = dof % n_z
-            if s not in stations:
-                stations.append(s)
-            if len(stations) == n_sensors:
-                break
-        if len(stations) < n_sensors:
-            raise ValidationError("scalar pivoting could not fill the sensor count")
-    else:
-        raise ValidationError(f"unknown pivot mode: {pivot!r}")
-
-    stations = np.asarray(stations, dtype=int)
+    # candidate column i = modal rows of station i, all three components
+    cands = np.concatenate(
+        [phi[0 * n_z:1 * n_z].T, phi[1 * n_z:2 * n_z].T, phi[2 * n_z:3 * n_z].T],
+        axis=0,
+    )
+    stations = np.asarray(_greedy_pivots(cands, n_sensors), dtype=int)
     rows = sensor_dof_rows(stations, n_z)
     return SensorSet(
         station_indices=stations,
@@ -251,28 +235,24 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
     covariance once per call, so a stack gets a (n_t, N) mean with one
     shared (N, N) covariance.
 
-    gram_corrected solves the least-squares problem (S^T S)^-1 S^T, exact
-    for noise-free data at full column rank; direct_projection applies the
-    plain sampled projection (1/n_P) S^T, the literal discrete analogue of
-    projecting observed fields on observed bases. In both modes the noise
-    covariance propagates through the linear map actually applied:
-    Sigma = G Gamma G^T.
+    The map is the least-squares solution G = (S^T S)^-1 S^T on the
+    sampled basis S, exact for noise-free data at full column rank; the
+    noise covariance propagates through it: Sigma = G Gamma G^T.
+    ``mode="gram_corrected"`` is the only value; the parameter stays
+    because callers outside the package pass it.
     """
+    if mode != "gram_corrected":
+        raise ValidationError(f"unknown estimation mode: {mode!r}")
     y = np.asarray(y, dtype=float)
     S = sensors.sampled_basis
     if y.ndim not in (1, 2) or y.shape[-1] != S.shape[0]:
         raise ValidationError(f"measurement must have length {S.shape[0]}")
     y_c = y - sensors.sampled_mean
-    if mode == "gram_corrected":
-        G = sensors.gram_gain
-        if G is None:
-            raise NumericalError(
-                "sampled basis is rank deficient; choose a different sensor set"
-            )
-    elif mode == "direct_projection":
-        G = S.T / sensors.n_sensors
-    else:
-        raise ValidationError(f"unknown estimation mode: {mode!r}")
+    G = sensors.gram_gain
+    if G is None:
+        raise NumericalError(
+            "sampled basis is rank deficient; choose a different sensor set"
+        )
     a = y_c @ G.T
     cov = G @ noise.assembled @ G.T
     return GaussianReduced(a, cov)

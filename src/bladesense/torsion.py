@@ -19,9 +19,6 @@ from .dataset import BladeGrid
 from .decomposition import ModalBasis, write_modes_csv
 from .errors import ValidationError
 
-#: Torsional truncation: one more mode than the deflection basis.
-DEFAULT_EXTRA_RANK = 1
-
 
 def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares linear map M with b ~ M a; returns (M, per-row R^2).

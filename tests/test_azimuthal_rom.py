@@ -2,17 +2,37 @@ import numpy as np
 import pytest
 
 from bladesense import (ConditionKey, azimuth_bin, bin_statistics,
-                        evaluate_rom, fit_fourier, fit_rom, load_rom, save_rom,
-                        wrap_angle)
+                        evaluate_rom, fit_rom, load_rom, save_rom, wrap_angle)
 from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
-                                      bin_centers, fourier_eval,
-                                      merge_condition_samples)
+                                      bin_centers, fourier_design,
+                                      fourier_eval, merge_condition_samples)
 from bladesense.dataset import TWO_PI
 from bladesense.errors import ValidationError
 
 
 def _cond(u=10.0, ti=0.10, seed=0):
     return ConditionKey(u_mean=u, ti=ti, seed=seed)
+
+
+def fit_fourier(centers, values, n_fourier):
+    """Oracle: one ordinary least-squares fit of per-bin scalars onto the
+    Fourier regressors, a separate solve per table entry."""
+    design = fourier_design(centers, n_fourier)
+    return np.linalg.lstsq(design, values, rcond=None)[0]
+
+
+def _fit_rom_series(values, n_fourier):
+    """fit_rom on one mode whose binned means are ``values`` (one per bin,
+    every bin occupied); returns the mean coefficients and the residual
+    norm of the fitted series at the bin centers."""
+    n_theta = values.size
+    st = BinStatistics(condition=_cond(), n_theta=n_theta,
+                       counts=np.ones(n_theta, dtype=int),
+                       means=values[:, None],
+                       covariances=np.zeros((n_theta, 1, 1)))
+    coeffs = fit_rom([st], n_fourier).conditions[0].mean_coeffs[0]
+    resid = np.linalg.norm(fourier_eval(coeffs, bin_centers(n_theta)) - values)
+    return coeffs, resid
 
 
 class TestBinStatistics:
@@ -59,8 +79,7 @@ class TestBinStatistics:
 
 class TestFitFourier:
     def test_constant_function(self):
-        centers = bin_centers(72)
-        coeffs, resid = fit_fourier(centers, np.full(72, 2.0), 6)
+        coeffs, resid = _fit_rom_series(np.full(72, 2.0), 6)
         assert coeffs[0] == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
         assert resid <= 1e-12
@@ -68,7 +87,7 @@ class TestFitFourier:
     def test_in_class_signal_exact(self):
         centers = bin_centers(72)
         values = 3.0 * np.cos(centers) + np.sin(2 * centers)
-        coeffs, resid = fit_fourier(centers, values, 6)
+        coeffs, resid = _fit_rom_series(values, 6)
         expected = np.zeros(13)
         expected[1] = 3.0   # c_1
         expected[4] = 1.0   # s_2
@@ -78,7 +97,7 @@ class TestFitFourier:
     def test_aliased_harmonic_leaves_residual(self):
         centers = bin_centers(72)
         values = np.cos(7 * centers)  # outside the n_F=6 model class
-        coeffs, resid = fit_fourier(centers, values, 6)
+        coeffs, resid = _fit_rom_series(values, 6)
         assert resid > 0.5 * np.linalg.norm(values)
         # on the uniform 72-point grid cos(7 theta) is orthogonal to every
         # retained regressor, so the coefficients collapse to zero
@@ -86,7 +105,7 @@ class TestFitFourier:
 
     def test_too_few_bins(self):
         with pytest.raises(ValidationError, match="non-empty bins"):
-            fit_fourier(bin_centers(8), np.zeros(8), 6)
+            _fit_rom_series(np.zeros(8), 6)
 
 
 def _truth_tables(rng, n_modes, n_fourier_true, n_fourier_model):
@@ -187,9 +206,9 @@ class TestFitRom:
         occ = st.occupied
         centers = bin_centers(n_theta)[occ]
         iu, ju = np.triu_indices(3)
-        ref_mean = [fit_fourier(centers, st.means[occ, n], n_fourier)[0]
+        ref_mean = [fit_fourier(centers, st.means[occ, n], n_fourier)
                     for n in range(3)]
-        ref_cov = [fit_fourier(centers, st.covariances[occ, i, j], n_fourier)[0]
+        ref_cov = [fit_fourier(centers, st.covariances[occ, i, j], n_fourier)
                    for i, j in zip(iu, ju)]
         for got, ref in ((model.conditions[0].mean_coeffs, ref_mean),
                          (model.conditions[0].cov_coeffs, ref_cov)):

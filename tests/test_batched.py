@@ -379,8 +379,7 @@ class TestFuseBatch:
 class TestEstimatorBatch:
     """observe -> sparse_estimate -> evaluate_rom -> fuse on one case."""
 
-    @pytest.mark.parametrize("mode", ["gram_corrected", "direct_projection"])
-    def test_case_matches_per_step_loop(self, mode):
+    def test_case_matches_per_step_loop(self):
         grid = demo_grid(n_z=10)
         basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
         sensors = place_sensors(basis, 4)
@@ -396,7 +395,7 @@ class TestEstimatorBatch:
         ref = {"y": [], "sparse": [], "rom": [], "fused": [], "trace": []}
         for k in range(n_t):
             y = observe(D[:, k], sensors, noise, step_rng)
-            meas = sparse_estimate(y, sensors, noise, mode)
+            meas = sparse_estimate(y, sensors, noise)
             prior = evaluate_rom(model, _THETA[k], _U[k], 0.10, step_rom)
             fused, _ = fuse(prior, meas, step_fusion)
             for key, val in zip(ref, (y, meas.mean, prior.mean, fused.mean,
@@ -406,7 +405,7 @@ class TestEstimatorBatch:
 
         rom_stats, fusion_stats = RomStats(), FusionStats()
         y = observe(D.T, sensors, noise, np.random.default_rng(3))
-        meas = sparse_estimate(y, sensors, noise, mode)
+        meas = sparse_estimate(y, sensors, noise)
         prior = evaluate_rom(model, _THETA, _U, 0.10, rom_stats)
         fused, _ = fuse(prior, meas, fusion_stats)
 
