@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import TWO_PI, ConditionKey, azimuth_bin, wrap_angle
 from .errors import ValidationError
-from .fusion import GaussianReduced, clip_psd
+from .fusion import GaussianReduced, clip_psd_counted
 
 #: Sector count giving 5-degree azimuthal resolution.
 DEFAULT_N_THETA = 72
@@ -234,12 +234,15 @@ def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel
 @dataclass
 class RomStats:
     """Running counters of prior evaluations surfaced by the pipeline: steps,
-    and steps whose filtered wind speed lies below or above the trained
-    speeds of the chosen TI label (the end table is then used as is)."""
+    steps whose filtered wind speed lies below or above the trained speeds
+    of the chosen TI label (the end table is then used as is), and steps
+    whose evaluated covariance was indefinite and so changed by
+    :func:`~bladesense.fusion.clip_psd`."""
 
     steps: int = 0
     clamped_low: int = 0
     clamped_high: int = 0
+    clipped: int = 0
 
 
 def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
@@ -252,7 +255,8 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     resolved once to the nearest trained label; wind speed linearly
     interpolates between the bracketing trained speeds, and outside the
     trained range the end table is used as is (counted in ``stats``). The
-    returned covariances are eigenvalue-clipped at zero.
+    returned covariances are eigenvalue-clipped at zero (counted in
+    ``stats`` too); non-finite input is rejected before the clipping.
     """
     if not model.conditions:
         raise ValidationError("ROM model has no trained conditions")
@@ -277,13 +281,22 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     # one product: (step, speed x Fourier term) against the stacked tables
     design = fourier_design(theta, model.n_fourier)
     vals = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ tables
+    # LAPACK reports a NaN matrix as PSD, so the check comes before clipping
+    if not np.isfinite(vals).all():
+        raise ValidationError("Gaussian mean and covariance must be finite")
     n_modes = model.n_modes
     iu, ju = model._triu
     cov = np.zeros((u.size, n_modes, n_modes))
     cov[:, iu, ju] = vals[:, n_modes:]
     cov[:, ju, iu] = vals[:, n_modes:]
-    mean, cov = vals[:, :n_modes], clip_psd(cov)
-    return GaussianReduced(mean[0], cov[0]) if single else GaussianReduced(mean, cov)
+    cov, clipped = clip_psd_counted(cov)
+    if stats is not None:
+        stats.clipped += clipped
+    mean = vals[:, :n_modes]
+    if single:
+        mean, cov = mean[0], cov[0]
+    # clip_psd leaves every covariance symmetric and clean under eigvalsh
+    return GaussianReduced.from_checked(mean, cov)
 
 
 def save_rom(model: AzimuthalRomModel, path) -> None:

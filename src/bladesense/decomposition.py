@@ -8,6 +8,10 @@ weight 1/n_z; non-uniform grids fall back to trapezoidal weights on z/L_b
 POD is computed through an SVD of the mean-centered, weight-scaled snapshot
 matrix rather than by assembling the autocorrelation operator; the dense
 eigendecomposition of that operator serves as the independent test oracle.
+Several cases are pooled in time without stacking them: each case's
+triangular QR factor is folded into a running one (a streaming TSQR), and
+the SVD runs on the final factor, so memory grows with one case, not with
+the training set.
 """
 
 from __future__ import annotations
@@ -107,43 +111,62 @@ class ModalBasis:
             self.total_energy = float(np.sum(self.energies))
 
 
-def pod_fit(ensemble: SnapshotEnsemble, n_modes: int) -> ModalBasis:
-    """Fit a POD basis to a snapshot ensemble.
+def pod_fit(ensembles, n_modes: int) -> ModalBasis:
+    """Fit a POD basis to one snapshot ensemble or several, pooled in time.
 
     Parameters
     ----------
-    ensemble : SnapshotEnsemble
-        Snapshot matrix D of shape (3*n_z, n_t); the row-mean is removed
-        before the decomposition.
+    ensembles : SnapshotEnsemble or sequence of SnapshotEnsemble
+        Snapshot matrices D_i of shape (3*n_z, n_t_i) on one grid; the
+        pooled row-mean is removed before the decomposition. The cases are
+        never stacked: each is folded in turn into one triangular factor,
+        so the working memory is that of one case.
     n_modes : int
-        Truncation order N, with 1 <= N <= min(3*n_z, n_t).
+        Truncation order N, with 1 <= N <= min(3*n_z, sum of n_t_i).
 
     Returns
     -------
     ModalBasis
         Modes orthonormal under the discrete inner product, energies
-        lambda_n = s_n^2 / n_t sorted non-increasing, and a deterministic
-        sign convention (largest-magnitude entry positive).
+        lambda_n = s_n^2 / n_t (n_t pooled) sorted non-increasing, and a
+        deterministic sign convention (largest-magnitude entry positive).
     """
-    D = ensemble.D
-    n_dof, n_t = D.shape
+    cases = ([ensembles] if isinstance(ensembles, SnapshotEnsemble)
+             else list(ensembles))
+    if not cases:
+        raise ValidationError("pod_fit needs at least one ensemble")
+    grid = cases[0].grid
+    for e in cases[1:]:
+        if (e.grid.z_norm.shape != grid.z_norm.shape
+                or np.any(e.grid.z_norm != grid.z_norm)):
+            raise ValidationError("all ensembles must share one grid")
+    n_dof, n_t = grid.n_dof, sum(e.n_t for e in cases)
     if not 1 <= n_modes <= min(n_dof, n_t):
         raise ValidationError(
             f"n_modes must be in [1, {min(n_dof, n_t)}], got {n_modes}"
         )
-    mean_field = D.mean(axis=1)
-    X = D - mean_field[:, None]
-    sqrt_w = np.sqrt(dof_weights(ensemble.grid))
+    mean_field = cases[0].D.sum(axis=1)
+    for e in cases[1:]:
+        mean_field += e.D.sum(axis=1)
+    mean_field /= n_t
+    sqrt_w = np.sqrt(dof_weights(grid))
     # QR of the transposed snapshots first: the SVD then runs on the small
     # triangular factor R (R^T has the left singular vectors and values of
     # the weighted snapshots), without squaring the condition number as
-    # the Gram matrix would
-    R = np.linalg.qr((X * sqrt_w[:, None]).T, mode="r")
+    # the Gram matrix would. Stacking two cases' factors and taking the R
+    # of that gives the R of the stacked cases (a streaming TSQR)
+    R = None
+    for e in cases:
+        X = e.D - mean_field[:, None]
+        X *= sqrt_w[:, None]
+        R_i = np.linalg.qr(X.T, mode="r")
+        del X
+        R = R_i if R is None else np.linalg.qr(np.vstack([R, R_i]), mode="r")
     U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     energies_all = s**2 / n_t
     modes = _fix_signs(U[:, :n_modes] / sqrt_w[:, None])
     return ModalBasis(
-        grid=ensemble.grid,
+        grid=grid,
         mean_field=mean_field,
         modes=modes,
         energies=energies_all[:n_modes],

@@ -26,8 +26,7 @@ from . import svgplot
 from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
                             bin_centers, evaluate_rom, fit_rom,
                             merge_condition_samples, save_rom)
-from .dataset import (ConditionKey, SnapshotEnsemble, _write_csv, load_case,
-                      load_torsion)
+from .dataset import ConditionKey, _write_csv, load_case, load_torsion
 from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
                             write_energies_csv, write_modes_csv)
 from .errors import StageError, ValidationError
@@ -117,6 +116,7 @@ class _Context:
     train: list = field(default_factory=list)       # (case_id, ensemble)
     evaluation: list = field(default_factory=list)  # (case_id, ensemble)
     basis: ModalBasis | None = None
+    train_coords: list = field(default_factory=list)  # project(D) per case
     sensors: object = None
     noise_model: NoiseModel | None = None
     stats_list: list = field(default_factory=list)
@@ -133,19 +133,11 @@ class _Context:
         return self.config.out_dir / name
 
 
-def _pooled(cases) -> SnapshotEnsemble:
-    """Concatenate training ensembles into one matrix with a rebuilt clock."""
-    first = cases[0][1]
-    D = np.hstack([e.D for _, e in cases])
-    n = D.shape[1]
-    return SnapshotEnsemble(
-        grid=first.grid, D=D, t=np.arange(n) / first.f_s,
-        theta=np.concatenate([e.theta for _, e in cases]),
-        omega=np.concatenate([e.omega for _, e in cases]),
-        u_raw=np.concatenate([e.u_raw for _, e in cases]),
-        u_filt=np.concatenate([e.u_filt for _, e in cases]),
-        condition=first.condition, f_s=first.f_s,
-    )
+def _train_coords(ctx: _Context) -> list:
+    """Reduced coordinates of each training case, projected on first use."""
+    if not ctx.train_coords:
+        ctx.train_coords = [project(e.D, ctx.basis) for _, e in ctx.train]
+    return ctx.train_coords
 
 
 def _stage_load(ctx: _Context) -> None:
@@ -161,7 +153,7 @@ def _stage_load(ctx: _Context) -> None:
 
 
 def _stage_decompose(ctx: _Context) -> None:
-    ctx.basis = pod_fit(_pooled(ctx.train), ctx.config.n_modes)
+    ctx.basis = pod_fit([e for _, e in ctx.train], ctx.config.n_modes)
     write_modes_csv(ctx.basis, ctx.emit("modes.csv"))
     write_energies_csv(ctx.basis, ctx.emit("energies.csv"))
     if ctx.config.lnm_frequencies:
@@ -185,8 +177,7 @@ def _stage_sensors(ctx: _Context) -> None:
 
 def _stage_fit_rom(ctx: _Context) -> None:
     groups: dict = {}
-    for _, e in ctx.train:
-        a = project(e.D, ctx.basis)
+    for (_, e), a in zip(ctx.train, _train_coords(ctx)):
         key = (e.condition.u_mean, e.condition.ti)
         groups.setdefault(key, []).append((a, e.theta))
     ctx.stats_list = []
@@ -280,7 +271,8 @@ def _stage_estimate(ctx: _Context) -> None:
                    "regularized": ctx.fusion_stats.regularized},
         "rom": {"steps": ctx.rom_stats.steps,
                 "clamped_low": ctx.rom_stats.clamped_low,
-                "clamped_high": ctx.rom_stats.clamped_high},
+                "clamped_high": ctx.rom_stats.clamped_high,
+                "clipped": ctx.rom_stats.clipped},
         "settings": {
             "n_modes": cfg.n_modes, "n_sensors": cfg.n_sensors,
             "n_theta": cfg.n_theta, "n_fourier": cfg.n_fourier,
@@ -293,14 +285,14 @@ def _stage_estimate(ctx: _Context) -> None:
 
 
 def _stage_torsion(ctx: _Context) -> None:
-    train_tau = []  # (deflection ensemble, torsion ensemble)
-    for p, (_, e) in zip(ctx.config.training, ctx.train):
+    train_tau = []  # (training case index, torsion ensemble)
+    for i, (p, (_, e)) in enumerate(zip(ctx.config.training, ctx.train)):
         tau_e = load_torsion(p, e)
         if tau_e is not None:
-            train_tau.append((e, tau_e))
+            train_tau.append((i, tau_e))
     if not train_tau:
         return
-    tau_basis = pod_fit(_pooled(train_tau), ctx.config.n_modes)
+    tau_basis = pod_fit([tau_e for _, tau_e in train_tau], ctx.config.n_modes)
     # numerical rank of the pooled torsion snapshots (numpy's matrix_rank
     # rule; energies are s^2 / n_t, so their roots keep the singular values'
     # ratios), at most n_modes: a mode past it is rounding noise, and a map
@@ -312,9 +304,10 @@ def _stage_torsion(ctx: _Context) -> None:
     tau_basis = replace(tau_basis, modes=tau_basis.modes[:, :rank],
                         energies=tau_basis.energies[:rank], n_modes=rank)
 
+    coords = _train_coords(ctx)
     groups: dict = {}
-    for e, tau_e in train_tau:
-        a = project(e.D, ctx.basis)
+    for i, tau_e in train_tau:
+        a = coords[i]
         b = project(tau_e.D, tau_basis)
         key = (tau_e.condition.u_mean, tau_e.condition.ti)
         groups.setdefault(key, []).append((a, b))

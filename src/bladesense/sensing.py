@@ -79,10 +79,30 @@ class SensorSet:
             self._dof_rows[n_z] = rows
         return rows
 
+    @cached_property
+    def _noise_covs(self) -> dict:
+        return {}
+
+    def noise_covariance(self, noise: "NoiseModel") -> np.ndarray:
+        """The estimate covariance G Gamma G^T of ``noise`` through
+        :attr:`gram_gain` (which must not be None), symmetrized and checked
+        PSD once per noise model (read-only). Each entry keeps its noise
+        model alive, so the model's id cannot pass to another model while
+        the entry exists."""
+        entry = self._noise_covs.get(id(noise))
+        if entry is None:
+            G = self.gram_gain
+            cov = GaussianReduced(np.zeros(G.shape[0]),
+                                  G @ noise.assembled @ G.T).covariance
+            cov.setflags(write=False)
+            entry = self._noise_covs[id(noise)] = (noise, cov)
+        return entry[1]
+
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-sensor 3x3 noise covariances and their block-diagonal assembly."""
+    """Per-sensor 3x3 noise covariances and their block-diagonal assembly
+    (read-only: estimate covariances derived from it are cached)."""
 
     per_sensor: tuple
     assembled: np.ndarray
@@ -109,6 +129,7 @@ class NoiseModel:
             assembled[sl, sl] = m
             eigs, vecs = np.linalg.eigh(m)
             factor[sl, sl] = vecs * np.sqrt(np.clip(eigs, 0.0, None))
+        assembled.setflags(write=False)
         return cls(per_sensor=tuple(mats), assembled=assembled, _factor=factor)
 
     @classmethod
@@ -232,8 +253,8 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
 
     ``y`` is one measurement (3*n_P,) or a stack (n_t, 3*n_P). The linear
     map and its rank check are computed once per sensor set and the
-    covariance once per call, so a stack gets a (n_t, N) mean with one
-    shared (N, N) covariance.
+    covariance once per (sensor set, noise model) pair, so a stack gets a
+    (n_t, N) mean with one shared, read-only (N, N) covariance.
 
     The map is the least-squares solution G = (S^T S)^-1 S^T on the
     sampled basis S, exact for noise-free data at full column rank; the
@@ -254,8 +275,9 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
             "sampled basis is rank deficient; choose a different sensor set"
         )
     a = y_c @ G.T
-    cov = G @ noise.assembled @ G.T
-    return GaussianReduced(a, cov)
+    if not np.isfinite(a).all():
+        raise ValidationError("Gaussian mean and covariance must be finite")
+    return GaussianReduced.from_checked(a, sensors.noise_covariance(noise))
 
 
 def write_sensors_csv(sensors: SensorSet, path) -> None:

@@ -17,6 +17,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _pairs(template: str, sep: str, px, py) -> str:
+    """``template`` (two ``%.6g`` fields) filled with each (x, y) point and
+    joined by ``sep``: one ``%`` over Python floats, the same text as
+    :func:`_fmt` per coordinate."""
+    xy = np.column_stack([px, py]).ravel().tolist()
+    return sep.join([template] * (len(xy) // 2)) % tuple(xy)
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
         lo, hi = lo - 0.5, lo + 0.5
@@ -122,8 +130,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", log_y=False):
     ylim = _finite_range([s[2] for s in series])
     cv = _Canvas(title, xlabel, ylabel, xlim, ylim, log_y=log_y)
     for i, (_, x, y) in enumerate(series):
-        px, py = cv.px(x), cv.py(y)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        pts = _pairs("%.6g,%.6g", " ", cv.px(x), cv.py(y))
         color = _PALETTE[i % len(_PALETTE)]
         cv.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -144,8 +151,7 @@ def histogram_plot(path, edges, counts_by_label, title="", xlabel=""):
             ys.extend([c, c])
         xs.append(edges[-1])
         ys.append(0.0)
-        px, py = cv.px(xs), cv.py(ys)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        pts = _pairs("%.6g,%.6g", " ", cv.px(xs), cv.py(ys))
         cv.parts.append(
             f'<polyline points="{pts}" fill="none" '
             f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.2"/>')
@@ -155,9 +161,9 @@ def histogram_plot(path, edges, counts_by_label, title="", xlabel=""):
 
 def scatter_plot(path, x, y, title="", xlabel="", ylabel=""):
     cv = _Canvas(title, xlabel, ylabel, _finite_range([x]), _finite_range([y]))
-    px, py = cv.px(x), cv.py(y)
-    for a, b in zip(px, py):
-        cv.parts.append(
-            f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="1.5" '
-            f'fill="{_PALETTE[0]}" fill-opacity="0.5"/>')
+    circles = _pairs(f'<circle cx="%.6g" cy="%.6g" r="1.5" '
+                     f'fill="{_PALETTE[0]}" fill-opacity="0.5"/>',
+                     "\n", cv.px(x), cv.py(y))
+    if circles:
+        cv.parts.append(circles)
     cv.save(path)

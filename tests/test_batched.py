@@ -20,7 +20,7 @@ import pytest
 from bladesense import (FusionStats, GaussianReduced, NoiseModel, RomStats,
                         evaluate_rom, fit_rom, fuse, infer_torsion, observe,
                         place_sensors, sparse_estimate)
-from bladesense import sensing
+from bladesense import azimuthal_rom, sensing
 from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
                                       bin_centers, fourier_design, fourier_eval)
 from bladesense.dataset import ConditionKey, wrap_angle
@@ -313,8 +313,8 @@ class TestDecompositionCalls:
         assert np.linalg.eigvalsh(prior.covariance).min() > 0.0
         calls = self._count(monkeypatch)
         evaluate_rom(model, 1.0, 9.5, 0.1)
-        # one eigvalsh in clip_psd, one in the GaussianReduced check
-        assert calls == {"eigh": 0, "eigvalsh": 2}
+        # one eigvalsh in clip_psd; its output needs no second check
+        assert calls == {"eigh": 0, "eigvalsh": 1}
 
     def test_psd_stack_makes_no_eigh_call(self, monkeypatch):
         covs, flagged = TestBuiltOnce._mixed_stack()
@@ -323,6 +323,91 @@ class TestDecompositionCalls:
         assert calls == {"eigh": 0, "eigvalsh": 1}
         clip_psd(covs)  # one stacked eigh for the flagged matrices
         assert calls["eigh"] == 1
+
+
+class TestPerStepInvariants:
+    """The sparse-estimate covariance is built and checked once per (sensor
+    set, noise model) pair; the ROM prior counts what clip_psd changed."""
+
+    @staticmethod
+    def _sensors(n_z=10):
+        grid = demo_grid(n_z=n_z)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
+        return place_sensors(basis, 4)
+
+    def test_noise_covariance_built_once_per_pair(self, monkeypatch):
+        sensors = self._sensors()
+        noise = NoiseModel.isotropic(0.1, 4)
+        y = np.random.default_rng(0).standard_normal((6, 12))
+        first = sparse_estimate(y, sensors, noise)
+        G = sensors.gram_gain
+        ref = GaussianReduced(np.zeros(N_MODES), G @ noise.assembled @ G.T)
+        assert np.array_equal(first.covariance, ref.covariance)
+        calls = TestDecompositionCalls._count(monkeypatch)
+        for k in range(3):
+            again = sparse_estimate(y[k], sensors, noise)
+            assert again.covariance is first.covariance
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        assert not first.covariance.flags.writeable
+        assert not noise.assembled.flags.writeable
+        with pytest.raises(ValueError):
+            noise.assembled[0, 0] = 1.0
+
+    def test_another_noise_model_or_sensor_set_gets_its_own(self):
+        sensors, other_sensors = self._sensors(), self._sensors(n_z=12)
+        y = np.random.default_rng(1).standard_normal(12)
+        small = sparse_estimate(y, sensors, NoiseModel.isotropic(0.1, 4))
+        # each model object has its own entry, an equal one included
+        for sigma in (0.1, 0.3):
+            noise = NoiseModel.isotropic(sigma, 4)
+            got = sparse_estimate(y, sensors, noise).covariance
+            G = sensors.gram_gain
+            ref = G @ noise.assembled @ G.T
+            assert np.array_equal(got, 0.5 * (ref + ref.T))
+        assert np.allclose(got, 9.0 * small.covariance, rtol=1e-14, atol=0.0)
+        G = other_sensors.gram_gain
+        got = sparse_estimate(np.zeros(12), other_sensors, noise).covariance
+        ref = G @ noise.assembled @ G.T
+        assert np.array_equal(got, 0.5 * (ref + ref.T))
+        assert not np.array_equal(got, sparse_estimate(y, sensors, noise).covariance)
+
+    def test_non_finite_inputs_still_rejected(self):
+        sensors = self._sensors()
+        noise = NoiseModel.isotropic(0.1, 4)
+        y = np.zeros((3, 12))
+        y[1, 4] = np.nan
+        model = _model()
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidationError, match="finite"):
+                sparse_estimate(y, sensors, noise)
+            with pytest.raises(ValidationError, match="finite"):
+                sparse_estimate(np.full(12, np.inf), sensors, noise)
+            for theta, u in ((_THETA, np.where(_U > 11.0, np.nan, _U)),
+                             (np.nan, 9.0), (np.inf, 9.0)):
+                with pytest.raises(ValidationError, match="finite"):
+                    evaluate_rom(model, theta, u, 0.10)
+
+    @pytest.mark.parametrize("ti", [0.10, 0.20])
+    def test_clipped_counts_the_indefinite_covariances(self, ti, monkeypatch):
+        seen = []
+
+        def recording(cov, _clip=azimuthal_rom.clip_psd_counted):
+            seen.append(0.5 * (cov + cov.swapaxes(-1, -2)))
+            return _clip(cov)
+
+        monkeypatch.setattr(azimuthal_rom, "clip_psd_counted", recording)
+        model = _model()
+        stats = RomStats()
+        got = evaluate_rom(model, _THETA, _U, ti, stats)
+        raw = seen[-1]
+        indefinite = np.linalg.eigvalsh(raw).min(axis=-1) < 0.0
+        assert 0 < stats.clipped == np.count_nonzero(indefinite) < _U.size
+        changed = [not np.array_equal(g, r) for g, r in zip(got.covariance, raw)]
+        assert np.array_equal(changed, indefinite)
+        for k in range(_U.size):  # per step: adds 0 or 1
+            evaluate_rom(model, _THETA[k], _U[k], ti, stats)
+        assert stats.clipped == 2 * np.count_nonzero(indefinite)
+        assert stats.steps == 2 * _U.size
 
 
 class TestFuseBatch:

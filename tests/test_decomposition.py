@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, inner,
                         lnm_amplitudes, pod_fit, project, reconstruct)
-from bladesense.decomposition import dof_weights
+from bladesense.decomposition import _fix_signs, dof_weights
 from bladesense.errors import NumericalError, ValidationError
 from bladesense.synthetic import orthonormal_polynomial_modes
 
@@ -172,6 +174,107 @@ class TestPodFit:
             q, _ = np.linalg.qr(rng.standard_normal((uniform_grid.n_dof, 3)))
             rand_modes = q / sqrt_w[:, None]
             assert pod_resid < residual_energy(rand_modes)
+
+
+def _former_pod_fit(ensemble, n_modes):
+    """The body of pod_fit before it took a list of ensembles, kept as the
+    oracle of the one-ensemble case: (mean, modes, energies, total)."""
+    D = ensemble.D
+    n_t = D.shape[1]
+    mean_field = D.mean(axis=1)
+    X = D - mean_field[:, None]
+    sqrt_w = np.sqrt(dof_weights(ensemble.grid))
+    R = np.linalg.qr((X * sqrt_w[:, None]).T, mode="r")
+    U, s, _ = np.linalg.svd(R.T, full_matrices=False)
+    energies_all = s**2 / n_t
+    modes = _fix_signs(U[:, :n_modes] / sqrt_w[:, None])
+    return mean_field, modes, energies_all[:n_modes], float(energies_all.sum())
+
+
+def _cases(grid, lengths, seed=0):
+    """Cases with a common low-rank structure and per-case offsets, so the
+    pooled mean differs from every case mean."""
+    rng = np.random.default_rng(seed)
+    modes = orthonormal_polynomial_modes(grid, 4)
+    out = []
+    for k, n_t in enumerate(lengths):
+        a = np.diag([4.0, 2.0, 1.0, 0.5]) @ rng.standard_normal((4, n_t))
+        D = (modes @ a + 0.3 * k
+             + 0.05 * rng.standard_normal((grid.n_dof, n_t)))
+        out.append(_ensemble(grid, D))
+    return out
+
+
+class TestStreamingPod:
+    """pod_fit over a list folds each case into one triangular factor;
+    the result equals the POD of the time-stacked cases."""
+
+    def _assert_matches_stacked(self, cases, n_modes):
+        grid = cases[0].grid
+        got = pod_fit(cases, n_modes)
+        ref = pod_fit(_ensemble(grid, np.hstack([e.D for e in cases])),
+                      n_modes)
+        scale = np.abs(ref.mean_field).max()
+        assert np.abs(got.mean_field - ref.mean_field).max() <= 1e-12 * scale
+        assert np.abs(got.energies - ref.energies).max() <= \
+            1e-12 * ref.energies[0]
+        assert got.total_energy == pytest.approx(ref.total_energy, rel=1e-12)
+        # both bases are sign-fixed, so the columns compare directly
+        assert np.abs(got.modes - ref.modes).max() <= \
+            1e-12 * np.abs(ref.modes).max()
+        return got
+
+    def test_three_cases_match_the_stacked_matrix(self, uniform_grid):
+        self._assert_matches_stacked(_cases(uniform_grid, (40, 25, 60)), 4)
+
+    def test_cases_shorter_than_the_field(self, uniform_grid):
+        # n_dof = 18: every case is wide, their factors are trapezoidal,
+        # and N may exceed any one case's length
+        cases = _cases(uniform_grid, (5, 7, 4), seed=1)
+        basis = self._assert_matches_stacked(cases, 4)
+        assert basis.n_modes == 4
+        self._assert_matches_stacked(cases, 15)  # sum of n_t = 16 > 15
+        with pytest.raises(ValidationError, match=r"\[1, 16\]"):
+            pod_fit(cases, 17)
+
+    def test_one_ensemble_is_bit_identical_to_the_former_body(self,
+                                                             uniform_grid):
+        for n_t, n_modes in ((60, 4), (9, 9), (5, 3)):
+            ens = _cases(uniform_grid, (n_t,), seed=n_t)[0]
+            mean, modes, energies, total = _former_pod_fit(ens, n_modes)
+            for arg in (ens, [ens], (ens,)):
+                basis = pod_fit(arg, n_modes)
+                assert basis.mean_field.tobytes() == mean.tobytes()
+                assert basis.modes.tobytes() == modes.tobytes()
+                assert basis.energies.tobytes() == energies.tobytes()
+                assert basis.total_energy == total
+
+    def test_rejects_an_empty_list_and_mixed_grids(self, uniform_grid):
+        with pytest.raises(ValidationError, match="at least one"):
+            pod_fit([], 1)
+        other = BladeGrid(z_norm=np.array([0.0, 0.1, 0.3, 0.6, 0.8, 1.0]),
+                          length_m=100.0)
+        D = np.random.default_rng(3).standard_normal((other.n_dof, 20))
+        case = _cases(uniform_grid, (20,))[0]
+        with pytest.raises(ValidationError, match="one grid"):
+            pod_fit([case, _ensemble(other, D)], 2)
+        coarse = BladeGrid(z_norm=np.linspace(0.0, 1.0, 4), length_m=100.0)
+        D = np.random.default_rng(4).standard_normal((coarse.n_dof, 20))
+        with pytest.raises(ValidationError, match="one grid"):
+            pod_fit([case, _ensemble(coarse, D)], 2)
+
+    def test_working_memory_is_one_case(self):
+        grid = BladeGrid(z_norm=np.linspace(0.0, 1.0, 40), length_m=100.0)
+        cases = _cases(grid, (400,) * 8, seed=5)
+        pooled_bytes = sum(e.D.nbytes for e in cases)
+        pod_fit(cases[:1], 4)  # warm up first-call allocations
+        tracemalloc.start()
+        try:
+            pod_fit(cases, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pooled_bytes
 
 
 class TestProjectReconstruct:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bladesense
-from bladesense import dataset, load_case
+from bladesense import RomStats, dataset, evaluate_rom, load_case, load_rom
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import StageError, ValidationError
@@ -112,11 +112,18 @@ class TestPipelineRun:
         rom = json.loads((out / "rom.json").read_text())
         speeds = [c["u_mean"] for c in rom["conditions"]]  # one TI label
         config = PipelineConfig.from_json(pipeline_cfg)
-        u = np.concatenate([load_case(p)[1].u_filt for p in config.evaluation])
+        cases = [load_case(p)[1] for p in config.evaluation]
+        u = np.concatenate([e.u_filt for e in cases])
+        # the clipped covariances, counted again on the saved model
+        stats = RomStats()
+        model = load_rom(out / "rom.json")
+        for e in cases:
+            evaluate_rom(model, e.theta, e.u_filt, e.condition.ti, stats)
         assert summary["rom"] == {
             "steps": u.size,
             "clamped_low": int(np.sum(u < min(speeds))),
             "clamped_high": int(np.sum(u > max(speeds))),
+            "clipped": stats.clipped,
         }
         # the evaluation case runs at the top trained speed
         assert summary["rom"]["clamped_high"] > 0
@@ -380,6 +387,33 @@ class TestCaseReads:
         assert sum(n.endswith("_channels.csv") for n in seen) == \
             sum(n.endswith("_displacement.npy") for n in seen) == \
             len(config.training) + len(config.evaluation)
+
+
+class TestProjections:
+    @pytest.mark.parametrize("plan", ["pipeline", "torsion", "fit-rom"])
+    def test_each_case_projected_once(self, quickstart, tmp_path, monkeypatch,
+                                      plan):
+        # fit-rom and torsion share the training coordinates; the torsion
+        # plan has no fit-rom stage and projects them itself
+        pipeline_cfg, _ = quickstart
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        calls = []  # (basis, n_t); the deflection basis is projected on first
+
+        def counting(fields, basis, _project=bladesense.pipeline.project):
+            calls.append((basis, fields.shape[1]))
+            return _project(fields, basis)
+
+        monkeypatch.setattr(bladesense.pipeline, "project", counting)
+        run_pipeline(config, plan=plan)
+        n_t = {p: load_case(p)[1].n_t for p in config.training + config.evaluation}
+        deflection = calls[0][0]
+        cases = config.training + ([] if plan == "fit-rom" else config.evaluation)
+        assert Counter(n for b, n in calls if b is deflection) == \
+            Counter(n_t[p] for p in cases)
+        # and each training case's torsion once, on the torsion basis
+        torsion = Counter(n for b, n in calls if b is not deflection)
+        assert torsion == (Counter() if plan == "fit-rom" else
+                           Counter(n_t[p] for p in config.training))
 
 
 class TestImportCost:

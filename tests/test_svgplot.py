@@ -1,0 +1,104 @@
+"""SVG coordinates formatted per element list against the former per-point
+formatting: ``_former_*`` are the plot bodies as they were, one ``_fmt``
+call per coordinate, kept as the byte-for-byte oracle."""
+
+import numpy as np
+import pytest
+
+from bladesense import svgplot
+from bladesense.svgplot import _Canvas, _finite_range, _fmt, _PALETTE
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-30, -1e-30, 5e-324,
+           123456789.0, 0.1 + 0.2, 1.0, -2.5e17]
+
+
+def _former_line_plot(path, series, title="", xlabel="", ylabel="",
+                      log_y=False):
+    xlim = _finite_range([s[1] for s in series])
+    ylim = _finite_range([s[2] for s in series])
+    cv = _Canvas(title, xlabel, ylabel, xlim, ylim, log_y=log_y)
+    for i, (_, x, y) in enumerate(series):
+        px, py = cv.px(x), cv.py(y)
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        color = _PALETTE[i % len(_PALETTE)]
+        cv.parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.2"/>')
+    cv.legend([s[0] for s in series])
+    cv.save(path)
+
+
+def _former_histogram_plot(path, edges, counts_by_label, title="", xlabel=""):
+    edges = np.asarray(edges, dtype=float)
+    ymax = max(float(np.max(c)) for _, c in counts_by_label) or 1.0
+    cv = _Canvas(title, xlabel, "count", (edges[0], edges[-1]), (0.0, ymax))
+    for i, (_, counts) in enumerate(counts_by_label):
+        xs, ys = [edges[0]], [0.0]
+        for j, c in enumerate(counts):
+            xs.extend([edges[j], edges[j + 1]])
+            ys.extend([c, c])
+        xs.append(edges[-1])
+        ys.append(0.0)
+        px, py = cv.px(xs), cv.py(ys)
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        cv.parts.append(
+            f'<polyline points="{pts}" fill="none" '
+            f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.2"/>')
+    cv.legend([lbl for lbl, _ in counts_by_label])
+    cv.save(path)
+
+
+def _former_scatter_plot(path, x, y, title="", xlabel="", ylabel=""):
+    cv = _Canvas(title, xlabel, ylabel, _finite_range([x]), _finite_range([y]))
+    px, py = cv.px(x), cv.py(y)
+    for a, b in zip(px, py):
+        cv.parts.append(
+            f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="1.5" '
+            f'fill="{_PALETTE[0]}" fill-opacity="0.5"/>')
+    cv.save(path)
+
+
+def _same_bytes(tmp_path, new, former, *args, **kw):
+    new(tmp_path / "new.svg", *args, **kw)
+    former(tmp_path / "former.svg", *args, **kw)
+    assert (tmp_path / "new.svg").read_bytes() == \
+        (tmp_path / "former.svg").read_bytes()
+
+
+def test_pairs_match_per_value_formatting():
+    v = np.array(SPECIAL)
+    w = v[::-1].copy()
+    expected = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(v, w))
+    assert svgplot._pairs("%.6g,%.6g", " ", v, w) == expected
+    assert "nan" in expected and "-inf" in expected and "-0," in expected
+    assert svgplot._pairs("%.6g,%.6g", " ", v[:0], w[:0]) == ""
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_line_plot_bytes(tmp_path, log_y):
+    rng = np.random.default_rng(0)
+    x = np.linspace(-0.0, 3.0, 3200)
+    y = np.exp(rng.standard_normal(3200))
+    y[[5, 70, 900]] = [np.nan, np.inf, 1e-30]
+    _same_bytes(tmp_path, svgplot.line_plot, _former_line_plot,
+                [("a", x, y), ("b", x, -y if not log_y else 2 * y),
+                 ("special", np.arange(len(SPECIAL)), np.array(SPECIAL))],
+                title="t", xlabel="x", ylabel="y", log_y=log_y)
+
+
+def test_histogram_plot_bytes(tmp_path):
+    rng = np.random.default_rng(1)
+    edges = np.linspace(-1e-30, 2.0, 41)
+    counts = [("true", rng.integers(0, 50, 40)), ("fused", np.zeros(40))]
+    _same_bytes(tmp_path, svgplot.histogram_plot, _former_histogram_plot,
+                edges, counts, title="h", xlabel="x")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+def test_scatter_plot_bytes(tmp_path, n):
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal(n), rng.standard_normal(n) * 1e-30
+    if n > 1:
+        x[0], y[1] = np.nan, -np.inf
+    _same_bytes(tmp_path, svgplot.scatter_plot, _former_scatter_plot,
+                x, y, title="s", xlabel="a", ylabel="b")
