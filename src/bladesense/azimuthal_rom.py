@@ -2,15 +2,13 @@
 
 The rotor plane is split into uniform sectors; within each sector the
 reduced coordinates collected over a whole operating condition (all seeds)
-are summarized by their mean vector and covariance matrix. Every entry of
-the mean and of the (unique upper-triangular) covariance entries is then
-regressed onto a truncated Fourier series in azimuth, giving a smooth
-periodic Gaussian prior conditioned on wind speed and turbulence intensity.
-
-Covariances are the centered per-bin second moment with population
-normalization. Evaluated covariances are symmetrized and eigenvalue-clipped
-at zero, because fitting entries independently does not preserve positive
-semi-definiteness between bins.
+are summarized by their mean vector and covariance matrix. The bin means
+are regressed onto a truncated Fourier series in azimuth, and the prior
+covariance is one matrix per condition: that of the samples about the
+fitted mean, pooled over all azimuths (a bin's own covariance, from few
+independent samples of a slowly decorrelating record, is rank deficient).
+Both are interpolated in wind speed with the same weights, so every prior
+covariance is a convex combination of PSD matrices.
 """
 
 from __future__ import annotations
@@ -23,11 +21,11 @@ import numpy as np
 
 from .dataset import TWO_PI, ConditionKey, azimuth_bin, wrap_angle
 from .errors import ValidationError
-from .fusion import GaussianReduced, clip_psd_counted
+from .fusion import GaussianReduced
 
 #: Sector count giving 5-degree azimuthal resolution.
 DEFAULT_N_THETA = 72
-#: Fourier truncation order for mean and covariance entries.
+#: Fourier truncation order of the mean tables.
 DEFAULT_N_FOURIER = 6
 
 #: Sentinel seed marking statistics aggregated over several realizations.
@@ -128,25 +126,39 @@ def fourier_eval(coeffs, theta):
 
 @dataclass
 class RomCondition:
-    """Fourier coefficient tables of one (wind speed, TI) operating point."""
+    """Fourier mean table and pooled covariance of one (u, TI) condition."""
 
     u_mean: float
     ti: float
     mean_coeffs: np.ndarray  # (N, 1 + 2*n_F)
-    cov_coeffs: np.ndarray   # (N*(N+1)/2, 1 + 2*n_F), row-major upper triangle
+    covariance: np.ndarray   # (N, N)
+
+
+def _checked_covariance(c: RomCondition, shape: tuple) -> np.ndarray:
+    """The covariance symmetrized and checked PSD and matching the mean
+    table, itself checked finite and of ``shape`` (N, 1 + 2*n_F)."""
+    try:
+        if c.mean_coeffs.shape != shape:
+            raise ValidationError(f"mean table must be {shape}, got "
+                                  f"{c.mean_coeffs.shape}")
+        return GaussianReduced(c.mean_coeffs.T, c.covariance).covariance
+    except ValidationError as err:
+        raise ValidationError(
+            f"ROM condition (u={c.u_mean}, ti={c.ti}): {err}") from err
 
 
 @dataclass
 class AzimuthalRomModel:
-    """Collection of per-condition Fourier tables plus evaluation metadata.
+    """Collection of per-condition tables plus evaluation metadata.
 
     The evaluation tables are built once, on construction: per TI label the
     ascending trained speeds, their identity matrix (the interpolation
-    nodes' unit vectors) and one stacked ``(n_speeds*(1 + 2*n_F),
-    N + N(N+1)/2)`` table of the label's mean and covariance coefficients,
-    plus the upper-triangle index pair. They are plain attributes, not
-    fields, so ``==`` and ``repr`` are unchanged; ``conditions`` is not to
-    be changed after construction.
+    nodes' unit vectors), one stacked ``(n_speeds*(1 + 2*n_F), N)`` table of
+    the label's mean coefficients and one ``(n_speeds, N(N+1)/2)`` stack of
+    the upper triangles of its covariances, each checked PSD here, plus the
+    upper-triangle index pair. They are plain attributes, not fields, so
+    ``==`` and ``repr`` are unchanged; ``conditions`` is not to be changed
+    after construction.
     """
 
     n_fourier: int
@@ -154,32 +166,18 @@ class AzimuthalRomModel:
     conditions: list
 
     def __post_init__(self):
-        for c in self.conditions:
-            if not (np.all(np.isfinite(c.mean_coeffs))
-                    and np.all(np.isfinite(c.cov_coeffs))):
-                raise ValidationError(
-                    f"non-finite ROM coefficients for (u={c.u_mean}, ti={c.ti})"
-                )
         if self.conditions:
-            n_terms = 1 + 2 * self.n_fourier
-            shape = (self.n_modes, n_terms)
-            cov_shape = (self.n_modes * (self.n_modes + 1) // 2, n_terms)
-            for c in self.conditions:
-                if c.mean_coeffs.shape != shape or c.cov_coeffs.shape != cov_shape:
-                    raise ValidationError(
-                        f"ROM tables of (u={c.u_mean}, ti={c.ti}) must be "
-                        f"{shape} and {cov_shape}, got {c.mean_coeffs.shape} "
-                        f"and {c.cov_coeffs.shape}"
-                    )
             self._triu = np.triu_indices(self.n_modes)
+            shape = (self.n_modes, 1 + 2 * self.n_fourier)
         groups: dict = {}
         # stable sort: conditions with equal (ti, u) keep their given order
         for c in sorted(self.conditions, key=lambda c: (c.ti, c.u_mean)):
             groups.setdefault(c.ti, []).append(c)
         self._groups = {
             ti: (np.array([c.u_mean for c in group]), np.eye(len(group)),
-                 np.concatenate([np.vstack([c.mean_coeffs, c.cov_coeffs]).T
-                                 for c in group]))
+                 np.concatenate([c.mean_coeffs.T for c in group]),
+                 np.stack([_checked_covariance(c, shape)[self._triu]
+                           for c in group]))
             for ti, group in groups.items()
         }
 
@@ -193,12 +191,15 @@ class AzimuthalRomModel:
 
 
 def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel:
-    """Fit Fourier tables for every condition's binned statistics.
+    """Fit each condition's Fourier mean table and pooled covariance.
 
-    All mean entries and unique covariance entries of a condition share the
-    occupied bins, so they are regressed together in one multi-right-hand-side
-    least-squares solve; empty bins are excluded. Too few occupied bins is
-    reported with the condition that has them.
+    The mean entries share the occupied bins, so they are regressed together
+    in one multi-right-hand-side least-squares solve; empty bins are
+    excluded. The covariance is that of the condition's samples about the
+    fitted mean at their bin centres, from the bin statistics alone:
+    ``sum_b n_b (C_b + d_b d_b^T) / sum_b n_b`` with ``d_b`` the bin mean
+    minus the fitted mean. Too few occupied bins is reported with the
+    condition that has them.
     """
     stats_list = list(stats_list)
     if not stats_list:
@@ -216,15 +217,16 @@ def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel
                 f"least {n_coeff} non-empty bins for n_F={n_fourier}, "
                 f"got {occ.sum()}"
             )
-        n_modes = st.n_modes
-        iu, ju = np.triu_indices(n_modes)
-        values = np.hstack([st.means[occ], st.covariances[occ][:, iu, ju]])
         design = fourier_design(bin_centers(n_theta)[occ], n_fourier)
-        coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
-        table = np.ascontiguousarray(coeffs.T)
+        coeffs, _, _, _ = np.linalg.lstsq(design, st.means[occ], rcond=None)
+        counts = st.counts[occ]
+        offsets = st.means[occ] - design @ coeffs
+        pooled = (np.tensordot(counts, st.covariances[occ], axes=1)
+                  + (counts * offsets.T) @ offsets) / counts.sum()
         conditions.append(RomCondition(
             u_mean=st.condition.u_mean, ti=st.condition.ti,
-            mean_coeffs=table[:n_modes], cov_coeffs=table[n_modes:],
+            mean_coeffs=np.ascontiguousarray(coeffs.T),
+            covariance=0.5 * (pooled + pooled.T),
         ))
     conditions.sort(key=lambda c: (c.ti, c.u_mean))
     return AzimuthalRomModel(n_fourier=n_fourier, n_theta=n_theta,
@@ -234,15 +236,12 @@ def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel
 @dataclass
 class RomStats:
     """Running counters of prior evaluations surfaced by the pipeline: steps,
-    steps whose filtered wind speed lies below or above the trained speeds
-    of the chosen TI label (the end table is then used as is), and steps
-    whose evaluated covariance was indefinite and so changed by
-    :func:`~bladesense.fusion.clip_psd`."""
+    and steps whose filtered wind speed lies below or above the trained
+    speeds of the chosen TI label (the end condition is then used as is)."""
 
     steps: int = 0
     clamped_low: int = 0
     clamped_high: int = 0
-    clipped: int = 0
 
 
 def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
@@ -253,10 +252,9 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     step, broadcast against each other; a scalar pair gives one Gaussian,
     arrays give a stack (see :class:`GaussianReduced`). The TI label is
     resolved once to the nearest trained label; wind speed linearly
-    interpolates between the bracketing trained speeds, and outside the
-    trained range the end table is used as is (counted in ``stats``). The
-    returned covariances are eigenvalue-clipped at zero (counted in
-    ``stats`` too); non-finite input is rejected before the clipping.
+    interpolates the mean tables and the covariances between the bracketing
+    trained speeds, and outside the trained range the end condition is used
+    as is (counted in ``stats``). Non-finite input is rejected.
     """
     if not model.conditions:
         raise ValidationError("ROM model has no trained conditions")
@@ -268,34 +266,32 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     theta, u = np.atleast_1d(theta), np.atleast_1d(u)
 
     ti_near = min(model._groups, key=lambda label: abs(label - ti))
-    speeds, units, tables = model._groups[ti_near]
+    speeds, units, mean_tables, cov_tables = model._groups[ti_near]
     if stats is not None:
         stats.steps += u.size
         stats.clamped_low += int(np.count_nonzero(u < speeds[0]))
         stats.clamped_high += int(np.count_nonzero(u > speeds[-1]))
     # linear-interpolation weight of each trained speed per step (the hat
     # functions); np.interp holds the end values, so beyond the trained
-    # range the end table is used as is
+    # range the end condition is used as is
     weights = np.column_stack([np.interp(u, speeds, unit) for unit in units])
 
     # one product: (step, speed x Fourier term) against the stacked tables
     design = fourier_design(theta, model.n_fourier)
-    vals = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ tables
-    # LAPACK reports a NaN matrix as PSD, so the check comes before clipping
-    if not np.isfinite(vals).all():
+    mean = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ mean_tables
+    # every design row holds a constant 1, so a non-finite azimuth or wind
+    # speed (hence weight) makes its mean row non-finite
+    if not np.isfinite(mean).all():
         raise ValidationError("Gaussian mean and covariance must be finite")
+    packed = weights @ cov_tables
     n_modes = model.n_modes
     iu, ju = model._triu
-    cov = np.zeros((u.size, n_modes, n_modes))
-    cov[:, iu, ju] = vals[:, n_modes:]
-    cov[:, ju, iu] = vals[:, n_modes:]
-    cov, clipped = clip_psd_counted(cov)
-    if stats is not None:
-        stats.clipped += clipped
-    mean = vals[:, :n_modes]
+    cov = np.empty((u.size, n_modes, n_modes))
+    cov[:, iu, ju] = packed
+    cov[:, ju, iu] = packed
     if single:
         mean, cov = mean[0], cov[0]
-    # clip_psd leaves every covariance symmetric and clean under eigvalsh
+    # a convex combination of covariances checked PSD when the model was built
     return GaussianReduced.from_checked(mean, cov)
 
 
@@ -309,7 +305,7 @@ def save_rom(model: AzimuthalRomModel, path) -> None:
                 "u_mean": c.u_mean,
                 "ti": c.ti,
                 "mean_coeffs": c.mean_coeffs.tolist(),
-                "cov_coeffs": c.cov_coeffs.tolist(),
+                "covariance": c.covariance.tolist(),
             }
             for c in model.conditions
         ],
@@ -325,14 +321,17 @@ def load_rom(path) -> AzimuthalRomModel:
         raise FileNotFoundError(f"missing ROM file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    conditions = [
-        RomCondition(
+    conditions = []
+    for c in doc["conditions"]:
+        if "covariance" not in c:
+            raise ValidationError(f"{path}: a condition has no 'covariance'; "
+                                  "'cov_coeffs' tables are the former format, "
+                                  "refit the model")
+        conditions.append(RomCondition(
             u_mean=float(c["u_mean"]), ti=float(c["ti"]),
             mean_coeffs=np.asarray(c["mean_coeffs"], dtype=float),
-            cov_coeffs=np.asarray(c["cov_coeffs"], dtype=float),
-        )
-        for c in doc["conditions"]
-    ]
+            covariance=np.asarray(c["covariance"], dtype=float),
+        ))
     return AzimuthalRomModel(n_fourier=int(doc["n_F"]),
                              n_theta=int(doc["n_theta"]),
                              conditions=conditions)

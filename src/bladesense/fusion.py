@@ -47,18 +47,12 @@ def clip_psd(cov: np.ndarray) -> np.ndarray:
     leave an eigenvalue a few ulp below zero, so such a matrix is nudged by
     a diagonal shift until its reported spectrum is clean.
     """
-    return clip_psd_counted(cov)[0]
-
-
-def clip_psd_counted(cov: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`clip_psd` and the number of matrices it changed (those with
-    a negative eigvalsh value), counted from the one spectrum it computes."""
     cov = _sym(np.asarray(cov, dtype=float))
     # eigvalsh (no vectors) is the arbiter: different LAPACK drivers can
     # disagree by a few ulp around zero
     flagged = np.flatnonzero(np.linalg.eigvalsh(cov).min(axis=-1) < 0.0)
     if flagged.size == 0:
-        return cov, 0
+        return cov
     stack = cov.reshape((-1,) + cov.shape[-2:])  # a view: rows written back
     sub = stack[flagged]
     eigs, vecs = np.linalg.eigh(sub)
@@ -76,7 +70,7 @@ def clip_psd_counted(cov: np.ndarray) -> tuple[np.ndarray, int]:
         delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
         sub = sub + delta[:, None, None] * np.eye(sub.shape[-1])
     stack[flagged] = sub
-    return cov, int(flagged.size)
+    return cov
 
 
 @dataclass
@@ -122,9 +116,9 @@ class GaussianReduced:
     @classmethod
     def from_checked(cls, mean: np.ndarray, covariance: np.ndarray) -> "GaussianReduced":
         """Wrap a finite mean and a covariance the caller has already made
-        finite, exactly symmetric and PSD under eigvalsh (as
-        :func:`clip_psd` returns it, or a covariance taken from a checked
-        Gaussian), without repeating the checks of the constructor."""
+        finite, exactly symmetric and PSD (a covariance taken from a checked
+        Gaussian, or a convex combination of such), without repeating the
+        checks of the constructor."""
         g = cls.__new__(cls)
         g.mean, g.covariance = mean, covariance
         return g

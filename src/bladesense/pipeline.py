@@ -211,6 +211,11 @@ def _stage_estimate(ctx: _Context) -> None:
         prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti,
                              ctx.rom_stats)
         fused, _ = fuse(prior, meas, ctx.fusion_stats)
+        # normalized innovation squared per step, nu^T (P_prior + P_meas)^-1 nu
+        # with nu = sparse - prior: N on average for calibrated covariances
+        innovation = meas.mean - prior.mean
+        nis = np.einsum("ti,ti->t", innovation, np.linalg.solve(
+            prior.covariance + meas.covariance, innovation[..., None])[..., 0])
         A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
         trace_fused = np.trace(fused.covariance, axis1=1, axis2=2)
 
@@ -258,6 +263,7 @@ def _stage_estimate(ctx: _Context) -> None:
             "stations": stations_out,
             "reduced_rmse": reduced,
             "reduced_rmse_total": reduced_total,
+            "nis_mean": float(nis.mean()),
         }
         ctx.traces[case_id] = {
             "A": A, "a_proj": a_proj, "trace_fused": trace_fused,
@@ -271,8 +277,7 @@ def _stage_estimate(ctx: _Context) -> None:
                    "regularized": ctx.fusion_stats.regularized},
         "rom": {"steps": ctx.rom_stats.steps,
                 "clamped_low": ctx.rom_stats.clamped_low,
-                "clamped_high": ctx.rom_stats.clamped_high,
-                "clipped": ctx.rom_stats.clipped},
+                "clamped_high": ctx.rom_stats.clamped_high},
         "settings": {
             "n_modes": cfg.n_modes, "n_sensors": cfg.n_sensors,
             "n_theta": cfg.n_theta, "n_fourier": cfg.n_fourier,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -148,28 +150,22 @@ class TestFitRom:
         rng = np.random.default_rng(5)
         n_modes, n_theta, n_fourier = 3, 72, 6
         mean_tab = _truth_tables(rng, n_modes, 4, n_fourier)
-        # diagonal covariance tables: positive constant + small 2P ripple
-        n_unique = n_modes * (n_modes + 1) // 2
-        cov_tab = np.zeros((n_unique, 1 + 2 * n_fourier))
-        iu, ju = np.triu_indices(n_modes)
-        for r, (i, j) in enumerate(zip(iu, ju)):
-            if i == j:
-                cov_tab[r, 0] = 1.0 + 0.1 * i
-                cov_tab[r, 3] = 0.05
+        # bin covariances: a positive diagonal with a small 2P ripple, and
+        # unequal bin counts; the means lie in the model class, so the
+        # pooled covariance is the count-weighted mean of the bin covariances
         centers = bin_centers(n_theta)
         means = fourier_eval(mean_tab, centers).T
-        covs = np.zeros((n_theta, n_modes, n_modes))
-        vals = fourier_eval(cov_tab, centers)
-        for r, (i, j) in enumerate(zip(iu, ju)):
-            covs[:, i, j] = vals[r]
-            covs[:, j, i] = vals[r]
+        diag = (1.0 + 0.1 * np.arange(n_modes))[None, :] \
+            + 0.05 * np.cos(2 * centers)[:, None]
+        covs = np.stack([np.diag(d) for d in diag])
+        counts = rng.integers(5, 15, n_theta)
         st = BinStatistics(condition=_cond(), n_theta=n_theta,
-                           counts=np.full(n_theta, 10, dtype=int),
-                           means=means, covariances=covs)
+                           counts=counts, means=means, covariances=covs)
         model = fit_rom([st], n_fourier)
         assert np.allclose(model.conditions[0].mean_coeffs, mean_tab,
                            atol=1e-8)
-        assert np.allclose(model.conditions[0].cov_coeffs, cov_tab, atol=1e-8)
+        pooled = np.tensordot(counts, covs, axes=1) / counts.sum()
+        assert np.allclose(model.conditions[0].covariance, pooled, atol=1e-8)
 
     def test_refit_fixed_point(self):
         rng = np.random.default_rng(8)
@@ -179,41 +175,38 @@ class TestFitRom:
         model1 = fit_rom([st], 6)
         centers = bin_centers(72)
         means = fourier_eval(model1.conditions[0].mean_coeffs, centers).T
-        vals = fourier_eval(model1.conditions[0].cov_coeffs, centers)
-        iu, ju = np.triu_indices(2)
-        covs = np.zeros((72, 2, 2))
-        for r, (i, j) in enumerate(zip(iu, ju)):
-            covs[:, i, j] = vals[r]
-            covs[:, j, i] = vals[r]
+        covs = np.tile(model1.conditions[0].covariance, (72, 1, 1))
         st2 = BinStatistics(condition=_cond(), n_theta=72,
                             counts=np.ones(72, dtype=int),
                             means=means, covariances=covs)
         model2 = fit_rom([st2], 6)
         assert np.allclose(model2.conditions[0].mean_coeffs,
                            model1.conditions[0].mean_coeffs, atol=1e-10)
-        assert np.allclose(model2.conditions[0].cov_coeffs,
-                           model1.conditions[0].cov_coeffs, atol=1e-10)
+        assert np.allclose(model2.conditions[0].covariance,
+                           model1.conditions[0].covariance, atol=1e-10)
 
-    def test_joint_solve_matches_per_entry_fits(self):
+    def test_pooled_covariance_about_the_fitted_mean(self):
         rng = np.random.default_rng(3)
         n_theta, n_fourier = 72, 6
         theta = rng.uniform(0, TWO_PI, 3000) % TWO_PI
-        a = rng.standard_normal((3, 3000)) + np.cos(theta)
-        keep = azimuth_bin(theta, n_theta) % 9 != 0  # leave some bins empty
-        st = bin_statistics(a[:, keep], theta[keep], n_theta,
-                            condition=_cond())
-        model = fit_rom([st], n_fourier)
+        a = rng.standard_normal((3, 3000)) + np.cos(theta) + np.sin(5 * theta)
+        idx = azimuth_bin(theta, n_theta)
+        keep = idx % 9 != 0  # leave some bins empty
+        a, theta, idx = a[:, keep], theta[keep], idx[keep]
+        st = bin_statistics(a, theta, n_theta, condition=_cond())
+        cond = fit_rom([st], n_fourier).conditions[0]
         occ = st.occupied
-        centers = bin_centers(n_theta)[occ]
-        iu, ju = np.triu_indices(3)
-        ref_mean = [fit_fourier(centers, st.means[occ, n], n_fourier)
-                    for n in range(3)]
-        ref_cov = [fit_fourier(centers, st.covariances[occ, i, j], n_fourier)
-                   for i, j in zip(iu, ju)]
-        for got, ref in ((model.conditions[0].mean_coeffs, ref_mean),
-                         (model.conditions[0].cov_coeffs, ref_cov)):
-            ref = np.array(ref)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref_mean = np.array([
+            fit_fourier(bin_centers(n_theta)[occ], st.means[occ, n], n_fourier)
+            for n in range(3)])
+        assert np.abs(cond.mean_coeffs - ref_mean).max() \
+            <= 1e-12 * np.abs(ref_mean).max()
+        # every sample about the fitted mean at its bin's centre
+        resid = a - fourier_eval(cond.mean_coeffs, bin_centers(n_theta)[idx])
+        ref_cov = resid @ resid.T / a.shape[1]
+        assert np.abs(cond.covariance - ref_cov).max() \
+            <= 1e-12 * np.abs(ref_cov).max()
+        assert np.array_equal(cond.covariance, cond.covariance.T)
 
     def test_error_carries_condition_context(self):
         st = bin_statistics(np.zeros((1, 3)), np.full(3, 0.1), 72,
@@ -229,7 +222,7 @@ def _two_condition_model(seed=0):
         centers = bin_centers(72)
         means = np.column_stack([u / 10.0 + np.cos(centers),
                                  0.5 * np.sin(centers)])
-        covs = np.tile(np.eye(2) * 0.2, (72, 1, 1))
+        covs = np.tile(np.diag([0.02 * u, 0.1]), (72, 1, 1))
         stats.append(BinStatistics(
             condition=_cond(u=u), n_theta=72,
             counts=np.full(72, 5, dtype=int), means=means, covariances=covs))
@@ -252,6 +245,9 @@ class TestEvaluateRom:
         g_mid = evaluate_rom(model, theta, 10.0, 0.10)
         assert np.allclose(g_mid.mean, 0.5 * (g_lo.mean + g_hi.mean),
                            atol=1e-12)
+        assert not np.allclose(g_lo.covariance, g_hi.covariance)
+        assert np.allclose(g_mid.covariance,
+                           0.5 * (g_lo.covariance + g_hi.covariance), atol=1e-12)
 
     def test_wind_clamped_at_range_ends(self):
         model = _two_condition_model()
@@ -267,6 +263,22 @@ class TestEvaluateRom:
         for theta in rng.uniform(0, TWO_PI, 200):
             g = evaluate_rom(model, theta, rng.uniform(6, 14), 0.10)
             assert np.linalg.eigvalsh(g.covariance).min() >= 0.0
+
+    def test_rank_deficient_bins_give_a_definite_covariance(self):
+        # one revolution of a slowly decorrelating AR(1), two samples per
+        # bin: every bin covariance has rank one, the pooled one full rank
+        rng = np.random.default_rng(4)
+        n_theta, n_t = 72, 144
+        a = np.zeros((3, n_t))
+        for k in range(1, n_t):
+            a[:, k] = 0.995 * a[:, k - 1] + rng.standard_normal(3)
+        theta = (np.arange(n_t) + 0.5) * TWO_PI / n_t
+        st = bin_statistics(a, theta, n_theta, condition=_cond())
+        assert np.all(st.counts == 2)
+        model = fit_rom([st], 6)
+        g = evaluate_rom(model, bin_centers(n_theta), 10.0, 0.10)
+        eigs = np.linalg.eigvalsh(g.covariance)
+        assert eigs.min() > 1e-3 * eigs.max()
 
     def test_nearest_ti_resolution(self):
         centers = bin_centers(72)
@@ -309,7 +321,31 @@ class TestPersistence:
         for c1, c2 in zip(model.conditions, back.conditions):
             assert c1.u_mean == c2.u_mean and c1.ti == c2.ti
             assert np.allclose(c1.mean_coeffs, c2.mean_coeffs, atol=0)
-            assert np.allclose(c1.cov_coeffs, c2.cov_coeffs, atol=0)
+            assert np.allclose(c1.covariance, c2.covariance, atol=0)
+
+    def test_former_format_rejected(self, tmp_path):
+        path = tmp_path / "rom.json"
+        save_rom(_two_condition_model(), path)
+        doc = json.loads(path.read_text())
+        for c in doc["conditions"]:
+            c["cov_coeffs"] = [[0.2] + [0.0] * 12] * 3
+            del c["covariance"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="cov_coeffs"):
+            load_rom(path)
+
+    def test_indefinite_covariance_rejected(self, tmp_path):
+        path = tmp_path / "rom.json"
+        save_rom(_two_condition_model(), path)
+        doc = json.loads(path.read_text())
+        doc["conditions"][1]["covariance"] = [[1.0, 0.0], [0.0, -0.5]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"u=12.0.*not PSD"):
+            load_rom(path)
+        model = _two_condition_model()
+        model.conditions[0].mean_coeffs[1, 3] = np.nan
+        with pytest.raises(ValidationError, match=r"u=8.0.*finite"):
+            AzimuthalRomModel(6, 72, model.conditions)
 
 
 class TestDataSufficiency:

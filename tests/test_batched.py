@@ -8,10 +8,9 @@ results are not bit-identical. ``_reference_evaluate_rom`` and
 ``_reference_fuse`` are the per-step loop bodies the batched kernels
 replaced, kept here as an independent oracle.
 
-``_former_evaluate_rom`` and ``_former_clip_psd`` are the batched kernels
-as they were before the model built its evaluation tables once and
-``clip_psd`` eigendecomposed only the matrices eigvalsh flags: the same
-arithmetic, so they are compared bit for bit.
+``_former_clip_psd`` is the batched kernel as it was before ``clip_psd``
+eigendecomposed only the matrices eigvalsh flags: the same arithmetic, so
+the two are compared bit for bit.
 """
 
 import numpy as np
@@ -20,9 +19,9 @@ import pytest
 from bladesense import (FusionStats, GaussianReduced, NoiseModel, RomStats,
                         evaluate_rom, fit_rom, fuse, infer_torsion, observe,
                         place_sensors, sparse_estimate)
-from bladesense import azimuthal_rom, sensing
+from bladesense import sensing
 from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
-                                      bin_centers, fourier_design, fourier_eval)
+                                      bin_centers, fourier_eval)
 from bladesense.dataset import ConditionKey, wrap_angle
 from bladesense.errors import ValidationError
 from bladesense.fusion import clip_psd
@@ -45,8 +44,8 @@ def assert_close(got, ref):
 
 def _model(seed=0):
     """TI 0.10 trained at 8 and 12 m/s, TI 0.20 at 10 m/s only (a
-    single-speed group). Random rank-one bin covariances make the fitted
-    covariance indefinite at some of the test azimuths, so clipping runs."""
+    single-speed group). Random rank-one bin covariances and scattered bin
+    means give each condition its own pooled covariance."""
     rng = np.random.default_rng(seed)
     stats = []
     for u, ti in ((8.0, 0.10), (12.0, 0.10), (10.0, 0.20)):
@@ -66,20 +65,16 @@ def _reference_evaluate_rom(model, theta, u_filt, ti):
                    key=lambda c: c.u_mean)
     speeds = np.array([c.u_mean for c in group])
     if u_filt <= speeds[0] or len(group) == 1:
-        mean_tab, cov_tab = group[0].mean_coeffs, group[0].cov_coeffs
+        mean_tab, cov = group[0].mean_coeffs, group[0].covariance
     elif u_filt >= speeds[-1]:
-        mean_tab, cov_tab = group[-1].mean_coeffs, group[-1].cov_coeffs
+        mean_tab, cov = group[-1].mean_coeffs, group[-1].covariance
     else:
         hi = int(np.searchsorted(speeds, u_filt))
         lo = hi - 1
         w = (u_filt - speeds[lo]) / (speeds[hi] - speeds[lo])
         mean_tab = (1 - w) * group[lo].mean_coeffs + w * group[hi].mean_coeffs
-        cov_tab = (1 - w) * group[lo].cov_coeffs + w * group[hi].cov_coeffs
-    theta = wrap_angle(float(theta))
-    iu, ju = np.triu_indices(mean_tab.shape[0])
-    cov = np.zeros((mean_tab.shape[0],) * 2)
-    cov[iu, ju] = cov[ju, iu] = fourier_eval(cov_tab, theta)
-    return fourier_eval(mean_tab, theta), clip_psd(cov)
+        cov = (1 - w) * group[lo].covariance + w * group[hi].covariance
+    return fourier_eval(mean_tab, wrap_angle(float(theta))), cov
 
 
 def _reference_fuse(prior, measurement):
@@ -115,31 +110,6 @@ def _former_clip_psd(cov):
         delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
         cov = cov + delta[..., None, None] * np.eye(cov.shape[-1])
     return cov
-
-
-def _former_evaluate_rom(model, theta, u_filt, ti):
-    theta, u = np.broadcast_arrays(wrap_angle(np.asarray(theta, dtype=float)),
-                                   np.asarray(u_filt, dtype=float))
-    single = theta.ndim == 0
-    theta, u = np.atleast_1d(theta), np.atleast_1d(u)
-    labels = sorted({c.ti for c in model.conditions})
-    ti_near = min(labels, key=lambda label: abs(label - ti))
-    group = sorted((c for c in model.conditions if c.ti == ti_near),
-                   key=lambda c: c.u_mean)
-    speeds = np.array([c.u_mean for c in group])
-    weights = np.column_stack([np.interp(u, speeds, unit)
-                               for unit in np.eye(len(group))])
-    design = fourier_design(theta, model.n_fourier)
-    tables = np.concatenate([np.vstack([c.mean_coeffs, c.cov_coeffs]).T
-                             for c in group])
-    vals = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ tables
-    n_modes = group[0].mean_coeffs.shape[0]
-    iu, ju = np.triu_indices(n_modes)
-    cov = np.zeros((u.size, n_modes, n_modes))
-    cov[:, iu, ju] = vals[:, n_modes:]
-    cov[:, ju, iu] = vals[:, n_modes:]
-    mean, cov = vals[:, :n_modes], _former_clip_psd(cov)
-    return (mean[0], cov[0]) if single else (mean, cov)
 
 
 # wind below, inside, exactly at and above the trained speeds (8, 12);
@@ -195,11 +165,11 @@ def _rows_of(sensors, n_z):
 
 
 class TestBuiltOnce:
-    """The per-label tables, sensor rows and clipping set built once
-    equal the per-call construction they replaced, bit for bit."""
+    """Built once: the per-label tables sort their conditions, the sensor
+    rows are cached, and ``clip_psd`` changes only the matrices eigvalsh
+    flags, bit for bit as the former kernel did."""
 
-    @pytest.mark.parametrize("ti", [0.10, 0.13, 0.20, 0.5])
-    def test_evaluate_rom_equals_former_kernel(self, ti):
+    def test_tables_sorted_per_label(self):
         fitted = _model()
         # conditions in unsorted order: the tables must sort them per label
         model = AzimuthalRomModel(
@@ -207,21 +177,23 @@ class TestBuiltOnce:
             conditions=[fitted.conditions[k] for k in (2, 1, 0)])
         assert "_groups" not in repr(model)
         assert model.ti_labels() == [0.10, 0.20]
-        for theta, u in ((_THETA, _U), (_THETA[2], _U[2]), (_THETA[6], _U[6])):
-            got = evaluate_rom(model, theta, u, ti)
-            ref_mean, ref_cov = _former_evaluate_rom(model, theta, u, ti)
-            assert np.array_equal(got.mean, ref_mean)
-            assert np.array_equal(got.covariance, ref_cov)
+        for ti in (0.10, 0.13, 0.20, 0.5):
+            for theta, u in ((_THETA, _U), (_THETA[2], _U[2]), (_THETA[6], _U[6])):
+                got = evaluate_rom(model, theta, u, ti)
+                ref = evaluate_rom(fitted, theta, u, ti)
+                assert np.array_equal(got.mean, ref.mean)
+                assert np.array_equal(got.covariance, ref.covariance)
 
     def test_rejects_tables_of_the_wrong_shape(self):
         model = _model()
         bad = model.conditions[0]
-        short = type(bad)(u_mean=bad.u_mean, ti=bad.ti,
-                          mean_coeffs=bad.mean_coeffs[:, :-2],
-                          cov_coeffs=bad.cov_coeffs[:, :-2])
-        with pytest.raises(ValidationError, match="must be"):
-            AzimuthalRomModel(model.n_fourier, model.n_theta,
-                              [short] + model.conditions[1:])
+        for mean_coeffs, cov in ((bad.mean_coeffs[:, :-2], bad.covariance),
+                                 (bad.mean_coeffs, bad.covariance[:-1, :-1])):
+            short = type(bad)(u_mean=bad.u_mean, ti=bad.ti,
+                              mean_coeffs=mean_coeffs, covariance=cov)
+            with pytest.raises(ValidationError, match="must be"):
+                AzimuthalRomModel(model.n_fourier, model.n_theta,
+                                  [short] + model.conditions[1:])
 
     @staticmethod
     def _mixed_stack(seed=3, n=12):
@@ -313,8 +285,9 @@ class TestDecompositionCalls:
         assert np.linalg.eigvalsh(prior.covariance).min() > 0.0
         calls = self._count(monkeypatch)
         evaluate_rom(model, 1.0, 9.5, 0.1)
-        # one eigvalsh in clip_psd; its output needs no second check
-        assert calls == {"eigh": 0, "eigvalsh": 1}
+        evaluate_rom(model, _THETA, _U, 0.1)
+        # the covariances were checked when the model was built
+        assert calls == {"eigh": 0, "eigvalsh": 0}
 
     def test_psd_stack_makes_no_eigh_call(self, monkeypatch):
         covs, flagged = TestBuiltOnce._mixed_stack()
@@ -327,7 +300,7 @@ class TestDecompositionCalls:
 
 class TestPerStepInvariants:
     """The sparse-estimate covariance is built and checked once per (sensor
-    set, noise model) pair; the ROM prior counts what clip_psd changed."""
+    set, noise model) pair."""
 
     @staticmethod
     def _sensors(n_z=10):
@@ -386,28 +359,6 @@ class TestPerStepInvariants:
                              (np.nan, 9.0), (np.inf, 9.0)):
                 with pytest.raises(ValidationError, match="finite"):
                     evaluate_rom(model, theta, u, 0.10)
-
-    @pytest.mark.parametrize("ti", [0.10, 0.20])
-    def test_clipped_counts_the_indefinite_covariances(self, ti, monkeypatch):
-        seen = []
-
-        def recording(cov, _clip=azimuthal_rom.clip_psd_counted):
-            seen.append(0.5 * (cov + cov.swapaxes(-1, -2)))
-            return _clip(cov)
-
-        monkeypatch.setattr(azimuthal_rom, "clip_psd_counted", recording)
-        model = _model()
-        stats = RomStats()
-        got = evaluate_rom(model, _THETA, _U, ti, stats)
-        raw = seen[-1]
-        indefinite = np.linalg.eigvalsh(raw).min(axis=-1) < 0.0
-        assert 0 < stats.clipped == np.count_nonzero(indefinite) < _U.size
-        changed = [not np.array_equal(g, r) for g, r in zip(got.covariance, raw)]
-        assert np.array_equal(changed, indefinite)
-        for k in range(_U.size):  # per step: adds 0 or 1
-            evaluate_rom(model, _THETA[k], _U[k], ti, stats)
-        assert stats.clipped == 2 * np.count_nonzero(indefinite)
-        assert stats.steps == 2 * _U.size
 
 
 class TestFuseBatch:
