@@ -91,13 +91,6 @@ def bin_statistics(a_series, theta_series, n_theta: int,
                          counts=counts, means=means, covariances=covs)
 
 
-def merge_condition_samples(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate (a_series, theta_series) pairs from several seeds."""
-    a = np.concatenate([np.atleast_2d(p[0]) for p in parts], axis=1)
-    theta = np.concatenate([np.asarray(p[1], dtype=float) for p in parts])
-    return a, theta
-
-
 def fourier_design(theta, n_fourier: int) -> np.ndarray:
     """Regression matrix with columns (1, cos k*theta, sin k*theta)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))

@@ -24,8 +24,24 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output directory")
 
 
+_SYNTH_KEYS = {"config": {"grid", "training", "evaluation", "pipeline"},
+               "grid": {"n_z", "L_b"},
+               "case": {"name", "u_mean", "ti", "seeds", "duration_s", "f_s",
+                        "noise_sigma"}}
+
+
+def _check_keys(path, where: str, entry: dict) -> None:
+    unknown = sorted(set(entry) - _SYNTH_KEYS[where])
+    if unknown:
+        raise ValidationError(f"{path}: unknown {where} keys {unknown}")
+
+
 def cmd_synth(args) -> int:
-    """Generate synthetic cases plus a ready-to-run pipeline config."""
+    """Generate synthetic cases plus a ready-to-run pipeline config.
+
+    Settings a config leaves out take the defaults of ``demo_grid`` and
+    ``demo_spec``; an unknown key is rejected, not ignored.
+    """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
     if args.config:
@@ -33,12 +49,9 @@ def cmd_synth(args) -> int:
             doc = json.load(fh)
     else:
         doc = {
-            "grid": {"n_z": 12, "L_b": 117.0},
             "training": [
-                {"name": "train_u084", "u_mean": 8.4, "ti": 0.10,
-                 "seeds": [0, 1], "duration_s": 25.0},
-                {"name": "train_u106", "u_mean": 10.6, "ti": 0.10,
-                 "seeds": [0, 1], "duration_s": 25.0},
+                {"name": "train_u084", "u_mean": 8.4, "ti": 0.10, "seeds": [0, 1]},
+                {"name": "train_u106", "u_mean": 10.6, "ti": 0.10, "seeds": [0, 1]},
             ],
             "evaluation": [
                 {"name": "eval_u106", "u_mean": 10.6, "ti": 0.10,
@@ -49,20 +62,23 @@ def cmd_synth(args) -> int:
             "pipeline": {"noise": 0.1, "seed": 0},
         }
     grid_cfg = doc.get("grid", {})
-    grid = demo_grid(n_z=int(grid_cfg.get("n_z", 12)),
-                     length_m=float(grid_cfg.get("L_b", 117.0)))
+    _check_keys(args.config, "config", doc)
+    _check_keys(args.config, "grid", grid_cfg)
+    for entry in doc.get("training", []) + doc.get("evaluation", []):
+        _check_keys(args.config, "case", entry)
+    grid = demo_grid(**{arg: cast(grid_cfg[key]) for key, arg, cast in
+                        (("n_z", "n_z", int), ("L_b", "length_m", float))
+                        if key in grid_cfg})
     manifests = {"training": [], "evaluation": []}
     for group in ("training", "evaluation"):
         for entry in doc.get(group, []):
+            options = {key: float(entry[key]) for key in
+                       ("duration_s", "f_s", "noise_sigma") if key in entry}
             for case_seed in entry.get("seeds", [0]):
                 spec = demo_spec(
                     name=f"{entry['name']}_s{case_seed}",
                     u_mean=float(entry["u_mean"]), ti=float(entry["ti"]),
-                    grid=grid,
-                    duration_s=float(entry.get("duration_s", 25.0)),
-                    f_s=float(entry.get("f_s", 160.0)),
-                    noise_sigma=float(entry.get("noise_sigma", 0.0)),
-                )
+                    grid=grid, **options)
                 truth = generate_case(spec, seed + case_seed, out)
                 manifests[group].append(truth.manifest_path.name)
     pipe_cfg = {

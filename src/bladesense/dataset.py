@@ -43,9 +43,6 @@ TWO_PI = 2.0 * np.pi
 #: snapshot file does not already carry a filtered column.
 DEFAULT_SMOOTHING_ALPHA = 0.2
 
-#: Default sampling frequency of displacement sensors, Hz.
-DEFAULT_SAMPLING_HZ = 160.0
-
 _FLOAT_FMT = "%.17e"
 
 #: Rows formatted per ``%`` call by ``_write_csv``; small blocks keep the

@@ -37,42 +37,6 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
-def clip_psd(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip negative eigenvalues so eigvalsh reports >= 0.
-
-    ``cov`` is one (N, N) matrix or a stack (..., N, N); each matrix is
-    treated on its own, and one whose eigvalsh spectrum has no negative
-    value is returned as is (symmetrized). Only the other matrices are
-    eigendecomposed, clipped and reconstructed. Reconstruction can itself
-    leave an eigenvalue a few ulp below zero, so such a matrix is nudged by
-    a diagonal shift until its reported spectrum is clean.
-    """
-    cov = _sym(np.asarray(cov, dtype=float))
-    # eigvalsh (no vectors) is the arbiter: different LAPACK drivers can
-    # disagree by a few ulp around zero
-    flagged = np.flatnonzero(np.linalg.eigvalsh(cov).min(axis=-1) < 0.0)
-    if flagged.size == 0:
-        return cov
-    stack = cov.reshape((-1,) + cov.shape[-2:])  # a view: rows written back
-    sub = stack[flagged]
-    eigs, vecs = np.linalg.eigh(sub)
-    neg = eigs.min(axis=-1) < 0.0
-    clipped = (vecs * eigs.clip(0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
-    sub = np.where(neg[:, None, None], _sym(clipped), sub)
-    # the shift must be at least one ulp of the diagonal scale or the
-    # addition would not change the matrix
-    for _ in range(8):
-        low = np.linalg.eigvalsh(sub).min(axis=-1)
-        bad = low < 0.0
-        if not bad.any():
-            break
-        scale = np.abs(sub.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-        delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
-        sub = sub + delta[:, None, None] * np.eye(sub.shape[-1])
-    stack[flagged] = sub
-    return cov
-
-
 @dataclass
 class GaussianReduced:
     """Mean/covariance pair in reduced modal coordinates.
@@ -81,8 +45,9 @@ class GaussianReduced:
     one per time step: mean (n_t, N) with covariances (n_t, N, N) or one
     (N, N) covariance shared by every row. Non-finite values are rejected
     (LAPACK reports NaN matrices as PSD). Each covariance is symmetrized on
-    construction; eigenvalues below -1e-10 * trace are rejected, small
-    negative ones are clipped to zero, matrix by matrix.
+    construction; eigenvalues below -1e-10 * trace are rejected, and a
+    matrix with a smaller negative one is lifted by a diagonal shift until
+    eigvalsh reports none; the other matrices are left as they are.
     """
 
     mean: np.ndarray
@@ -110,7 +75,16 @@ class GaussianReduced:
                 raise ValidationError(
                     f"covariance not PSD: min eigenvalue {np.min(low[bad]):.3e}"
                 )
-            cov[neg] = clip_psd(cov[neg])  # a 0-d mask indexes a stack of one
+            # the shift is at least one ulp of the diagonal, or adding it
+            # would not change the matrix; eigvalsh is the arbiter, as
+            # LAPACK drivers can disagree by a few ulp around zero
+            eye = np.eye(n)
+            while _any(neg):
+                scale = np.abs(cov.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+                shift = np.maximum(-2.0 * low, np.spacing(scale))
+                cov = cov + np.where(neg, shift, 0.0)[..., None, None] * eye
+                low = np.linalg.eigvalsh(cov).min(axis=-1)
+                neg = low < 0.0
         self.mean, self.covariance = mean, cov
 
     @classmethod

@@ -16,7 +16,7 @@ written. A stage failure leaves a ``FAILED`` marker naming the stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,7 @@ import numpy as np
 from . import azimuthal_rom as rom_mod
 from . import svgplot
 from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
-                            bin_centers, evaluate_rom, fit_rom,
-                            merge_condition_samples, save_rom)
+                            bin_centers, evaluate_rom, fit_rom, save_rom)
 from .dataset import ConditionKey, _write_csv, load_case, load_torsion
 from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
                             write_energies_csv, write_modes_csv)
@@ -38,6 +37,7 @@ from .torsion import (TorsionModel, fit_torsion_map, infer_torsion,
                       save_torsion_model)
 
 _COMPONENTS = ("ux", "uy", "uz")
+_TORSION_COMPONENTS = ("taux", "tauy", "tauz")
 _SOURCES = ("sparse", "rom", "fused")
 
 
@@ -87,25 +87,20 @@ class PipelineConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {unknown}")
+        # a setting the file leaves out keeps its field default; a given one
+        # takes the default's type, except the noise spec (sigma or dict)
+        settings = {f.name: (type(f.default)(doc[f.name])
+                             if isinstance(f.default, (int, tuple)) else doc[f.name])
+                    for f in fields(cls)
+                    if f.default is not MISSING and f.name in doc}
+        if seed is not None:
+            settings["seed"] = int(seed)
         base = path.parent
-
-        def _paths(key):
-            return [base / p for p in doc.get(key, [])]
-
         cfg = cls(
-            training=_paths("training"),
-            evaluation=_paths("evaluation"),
+            training=[base / p for p in doc.get("training", [])],
+            evaluation=[base / p for p in doc.get("evaluation", [])],
             out_dir=Path(out_dir) if out_dir else base / doc.get("out_dir", "results"),
-            n_modes=int(doc.get("n_modes", 4)),
-            n_sensors=int(doc.get("n_sensors", 4)),
-            n_theta=int(doc.get("n_theta", rom_mod.DEFAULT_N_THETA)),
-            n_fourier=int(doc.get("n_fourier", rom_mod.DEFAULT_N_FOURIER)),
-            noise=doc.get("noise", 0.1),
-            observation_fractions=tuple(doc.get("observation_fractions",
-                                                (0.44, 0.68, 0.88))),
-            lnm_frequencies=tuple(doc.get("lnm_frequencies", ())),
-            seed=int(doc.get("seed", 0)) if seed is None else int(seed),
-        )
+            **settings)
         cfg.validate()
         return cfg
 
@@ -116,28 +111,22 @@ class _Context:
     train: list = field(default_factory=list)       # (case_id, ensemble)
     evaluation: list = field(default_factory=list)  # (case_id, ensemble)
     basis: ModalBasis | None = None
-    train_coords: list = field(default_factory=list)  # project(D) per case
+    train_coords: list = field(default_factory=list)  # set by fit-rom
     sensors: object = None
     noise_model: NoiseModel | None = None
+    obs_stations: np.ndarray | None = None  # set by estimate, with
+    obs_rows: np.ndarray | None = None      # their rows in a field
     stats_list: list = field(default_factory=list)
     rom: AzimuthalRomModel | None = None
     fusion_stats: FusionStats = field(default_factory=FusionStats)
     rom_stats: RomStats = field(default_factory=RomStats)
     traces: dict = field(default_factory=dict)      # case_id -> per-case arrays
     summary: dict = field(default_factory=dict)
-    torsion_model: TorsionModel | None = None
     artifacts: list = field(default_factory=list)
 
     def emit(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.config.out_dir / name
-
-
-def _train_coords(ctx: _Context) -> list:
-    """Reduced coordinates of each training case, projected on first use."""
-    if not ctx.train_coords:
-        ctx.train_coords = [project(e.D, ctx.basis) for _, e in ctx.train]
-    return ctx.train_coords
 
 
 def _stage_load(ctx: _Context) -> None:
@@ -176,15 +165,16 @@ def _stage_sensors(ctx: _Context) -> None:
 
 
 def _stage_fit_rom(ctx: _Context) -> None:
+    ctx.train_coords = [project(e.D, ctx.basis) for _, e in ctx.train]
     groups: dict = {}
-    for (_, e), a in zip(ctx.train, _train_coords(ctx)):
+    for (_, e), a in zip(ctx.train, ctx.train_coords):
         key = (e.condition.u_mean, e.condition.ti)
         groups.setdefault(key, []).append((a, e.theta))
     ctx.stats_list = []
     for (u_mean, ti), parts in sorted(groups.items()):
-        a_all, theta_all = merge_condition_samples(parts)
         ctx.stats_list.append(bin_statistics(
-            a_all, theta_all, ctx.config.n_theta,
+            np.concatenate([a for a, _ in parts], axis=1),
+            np.concatenate([theta for _, theta in parts]), ctx.config.n_theta,
             condition=ConditionKey(u_mean=u_mean, ti=ti,
                                    seed=rom_mod.MERGED_SEED),
         ))
@@ -192,17 +182,33 @@ def _stage_fit_rom(ctx: _Context) -> None:
     save_rom(ctx.rom, ctx.emit("rom.json"))
 
 
-def _observation_stations(ctx: _Context) -> np.ndarray:
-    z = ctx.basis.grid.z_norm
-    return np.array([int(np.argmin(np.abs(z - f)))
-                     for f in ctx.config.observation_fractions], dtype=int)
+def _station_table(path, head: dict, stations, comps, true_obs,
+                   estimates: dict) -> dict:
+    """Write the ``head`` columns, then per station and component the true
+    series and each estimate's; return each estimate's RMSE per row."""
+    names, cols = list(head), list(head.values())
+    for s_i, station in enumerate(stations):
+        for c_i, comp in enumerate(comps):
+            row = 3 * s_i + c_i
+            names.append(f"{comp}_s{station:03d}_true")
+            cols.append(true_obs[row])
+            for src, est in estimates.items():
+                names.append(f"{comp}_s{station:03d}_{src}")
+                cols.append(est[row])
+    _write_csv(path, names, np.column_stack(cols))
+    return {src: [float(np.sqrt(np.mean((est[row] - true_obs[row]) ** 2)))
+                  for row in range(len(true_obs))]
+            for src, est in estimates.items()}
 
 
 def _stage_estimate(ctx: _Context) -> None:
     cfg = ctx.config
-    obs_stations = _observation_stations(ctx)
-    n_z = ctx.basis.grid.n_z
-    obs_rows = sensor_dof_rows(obs_stations, n_z)
+    z = ctx.basis.grid.z_norm
+    ctx.obs_stations = np.array([int(np.argmin(np.abs(z - f)))
+                                 for f in cfg.observation_fractions], dtype=int)
+    ctx.obs_rows = sensor_dof_rows(ctx.obs_stations, ctx.basis.grid.n_z)
+    mean_obs = ctx.basis.mean_field[ctx.obs_rows][:, None]
+    phi_obs = ctx.basis.modes[ctx.obs_rows, :]
     cases_summary = {}
     for idx, (case_id, e) in enumerate(ctx.evaluation):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
@@ -217,42 +223,19 @@ def _stage_estimate(ctx: _Context) -> None:
         nis = np.einsum("ti,ti->t", innovation, np.linalg.solve(
             prior.covariance + meas.covariance, innovation[..., None])[..., 0])
         A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
-        trace_fused = np.trace(fused.covariance, axis1=1, axis2=2)
-
         a_proj = project(e.D, ctx.basis)
-        mean_obs = ctx.basis.mean_field[obs_rows][:, None]
-        phi_obs = ctx.basis.modes[obs_rows, :]
         fields = {src: mean_obs + phi_obs @ A[src] for src in _SOURCES}
-        true_obs = e.D[obs_rows, :]
-
-        names = ["t", "theta", "trace_fused_cov"]
-        cols = [e.t, e.theta, trace_fused]
-        for s_i, station in enumerate(obs_stations):
-            for c_i, comp in enumerate(_COMPONENTS):
-                row = 3 * s_i + c_i
-                names.append(f"{comp}_s{station:03d}_true")
-                cols.append(true_obs[row])
-                for src in _SOURCES:
-                    names.append(f"{comp}_s{station:03d}_{src}")
-                    cols.append(fields[src][row])
-        _write_csv(ctx.emit(f"recon_{case_id}.csv"), names,
-                   np.column_stack(cols))
-
-        stations_out = []
-        for s_i, station in enumerate(obs_stations):
-            rmse = {}
-            for c_i, comp in enumerate(_COMPONENTS):
-                row = 3 * s_i + c_i
-                rmse[comp] = {
-                    src: float(np.sqrt(np.mean(
-                        (fields[src][row] - true_obs[row]) ** 2)))
-                    for src in _SOURCES
-                }
-            stations_out.append({
-                "station_index": int(station),
-                "z_norm": float(ctx.basis.grid.z_norm[station]),
-                "rmse": rmse,
-            })
+        true_obs = e.D[ctx.obs_rows, :]
+        rmse = _station_table(
+            ctx.emit(f"recon_{case_id}.csv"),
+            {"t": e.t, "theta": e.theta, "trace_fused_cov":
+             np.trace(fused.covariance, axis1=1, axis2=2)},
+            ctx.obs_stations, _COMPONENTS, true_obs, fields)
+        stations_out = [
+            {"station_index": int(station), "z_norm": float(z[station]),
+             "rmse": {comp: {src: rmse[src][3 * s_i + c_i] for src in _SOURCES}
+                      for c_i, comp in enumerate(_COMPONENTS)}}
+            for s_i, station in enumerate(ctx.obs_stations)]
         reduced = {src: [float(r) for r in
                          np.sqrt(np.mean((A[src] - a_proj) ** 2, axis=1))]
                    for src in _SOURCES}
@@ -265,11 +248,8 @@ def _stage_estimate(ctx: _Context) -> None:
             "reduced_rmse_total": reduced_total,
             "nis_mean": float(nis.mean()),
         }
-        ctx.traces[case_id] = {
-            "A": A, "a_proj": a_proj, "trace_fused": trace_fused,
-            "true_obs": true_obs, "fields": fields,
-            "obs_stations": obs_stations, "ensemble": e,
-        }
+        ctx.traces[case_id] = {"A": A, "a_proj": a_proj, "true_obs": true_obs,
+                               "fields": fields}
 
     ctx.summary = {
         "cases": cases_summary,
@@ -309,13 +289,11 @@ def _stage_torsion(ctx: _Context) -> None:
     tau_basis = replace(tau_basis, modes=tau_basis.modes[:, :rank],
                         energies=tau_basis.energies[:rank], n_modes=rank)
 
-    coords = _train_coords(ctx)
     groups: dict = {}
     for i, tau_e in train_tau:
-        a = coords[i]
-        b = project(tau_e.D, tau_basis)
         key = (tau_e.condition.u_mean, tau_e.condition.ti)
-        groups.setdefault(key, []).append((a, b))
+        groups.setdefault(key, []).append(
+            (ctx.train_coords[i], project(tau_e.D, tau_basis)))
     maps = {}
     fit_quality = {}
     for key, parts in sorted(groups.items()):
@@ -324,46 +302,38 @@ def _stage_torsion(ctx: _Context) -> None:
         M, r2 = fit_torsion_map(a_all, b_all)
         maps[key] = M
         fit_quality[f"u={key[0]},ti={key[1]}"] = [float(v) for v in r2]
-    ctx.torsion_model = TorsionModel(basis=tau_basis, maps=maps,
-                                     n_torsion=rank)
-    save_torsion_model(ctx.torsion_model, ctx.emit("torsion_model.json"),
+    model = TorsionModel(basis=tau_basis, maps=maps, n_torsion=rank)
+    save_torsion_model(model, ctx.emit("torsion_model.json"),
                        basis_filename="torsion_basis.csv")
     ctx.artifacts.append("torsion_basis.csv")
 
+    # torsion inferred from the fused estimate, scored against the truth
     eval_summary = {}
-    obs_stations = _observation_stations(ctx)
-    obs_rows = sensor_dof_rows(obs_stations, ctx.basis.grid.n_z)
     for p, (case_id, e) in zip(ctx.config.evaluation, ctx.evaluation):
         tau_e = load_torsion(p, e)
         if tau_e is None:
             continue
-        a_series = ctx.traces[case_id]["A"]["fused"] if case_id in ctx.traces \
-            else project(e.D, ctx.basis)
-        cond = (e.condition.u_mean, e.condition.ti)
-        tau_hat = infer_torsion(a_series, ctx.torsion_model, cond)
-        true_obs = tau_e.D[obs_rows, :]
-        est_obs = tau_hat[obs_rows, :]
-        names, cols = ["t", "theta"], [e.t, e.theta]
+        tau_hat = infer_torsion(ctx.traces[case_id]["A"]["fused"], model,
+                                (e.condition.u_mean, e.condition.ti))
+        true_obs = tau_e.D[ctx.obs_rows, :]
+        est_obs = tau_hat[ctx.obs_rows, :]
+        rmse = _station_table(
+            ctx.emit(f"torsion_recon_{case_id}.csv"),
+            {"t": e.t, "theta": e.theta}, ctx.obs_stations,
+            _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
         per_station = []
-        for s_i, station in enumerate(obs_stations):
+        for s_i, station in enumerate(ctx.obs_stations):
             comp_stats = {}
-            for c_i, comp in enumerate(("taux", "tauy", "tauz")):
+            for c_i, comp in enumerate(_TORSION_COMPONENTS):
                 row = 3 * s_i + c_i
-                names.append(f"{comp}_s{station:03d}_true")
-                cols.append(true_obs[row])
-                names.append(f"{comp}_s{station:03d}_fused")
-                cols.append(est_obs[row])
-                resid = est_obs[row] - true_obs[row]
+                ss_res = float(np.sum((est_obs[row] - true_obs[row]) ** 2))
                 ss_tot = float(np.sum((true_obs[row] - true_obs[row].mean()) ** 2))
-                r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
                 comp_stats[comp] = {
-                    "rmse": float(np.sqrt(np.mean(resid ** 2))),
-                    "r_squared": r2,
+                    "rmse": rmse[row],
+                    "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
                 }
             per_station.append({"station_index": int(station),
                                 "components": comp_stats})
-        _write_csv(ctx.emit(f"torsion_recon_{case_id}.csv"), names,
-                   np.column_stack(cols))
         eval_summary[case_id] = per_station
 
     with open(ctx.emit("torsion_summary.json"), "w", encoding="utf-8") as fh:
@@ -391,6 +361,7 @@ def _fd_edges(x: np.ndarray) -> np.ndarray:
 def _stage_report(ctx: _Context) -> None:
     case_id, e = ctx.evaluation[0]
     trace = ctx.traces[case_id]
+    station = int(ctx.obs_stations[0])
     n_z = e.grid.n_z
     f_1p = float(np.mean(e.omega)) / (2.0 * np.pi)
 
@@ -414,7 +385,6 @@ def _stage_report(ctx: _Context) -> None:
             xlabel="f / f1P", ylabel="power", log_y=True)
 
     # histograms of true vs fused at the first observation station
-    station = int(trace["obs_stations"][0])
     for c_i, comp in enumerate(_COMPONENTS):
         true_sig = trace["true_obs"][c_i]
         fused_sig = trace["fields"]["fused"][c_i]
@@ -485,8 +455,7 @@ def _stage_report(ctx: _Context) -> None:
                                 trace["fields"]["rom"][0],
                                 trace["fields"]["fused"][0]]))
     svgplot.line_plot(ctx.emit(base + ".svg"), series,
-                      title=f"ux at station {int(trace['obs_stations'][0])} "
-                            f"({case_id})",
+                      title=f"ux at station {station} ({case_id})",
                       xlabel="t (s)", ylabel="ux (m)")
 
 
@@ -515,7 +484,8 @@ COMMAND_PLANS = {
     "fit-rom": ("load", "decompose", "fit-rom", "index"),
     "estimate": ("load", "decompose", "sensors", "fit-rom", "estimate",
                  "index"),
-    "torsion": ("load", "decompose", "torsion", "index"),
+    "torsion": ("load", "decompose", "sensors", "fit-rom", "estimate",
+                "torsion", "index"),
     "report": ("load", "decompose", "sensors", "fit-rom", "estimate",
                "report", "index"),
     "pipeline": ("load", "decompose", "sensors", "fit-rom", "estimate",

@@ -35,15 +35,16 @@ def sensor_dof_rows(station_indices, n_z: int) -> np.ndarray:
 class SensorSet:
     """Ordered optimal sensor stations plus the basis sampled at them.
 
-    ``station_indices`` are sorted most-important-first (pivot order);
-    ``sampled_basis`` holds the exact modal rows at those stations,
-    3 rows per sensor.
+    ``station_indices`` are sorted most-important-first (pivot order) on a
+    grid of ``n_z`` stations; ``sampled_basis`` holds the exact modal rows
+    at those stations, 3 rows per sensor.
     """
 
     station_indices: np.ndarray
     locations_norm: np.ndarray
     sampled_basis: np.ndarray
     sampled_mean: np.ndarray
+    n_z: int
 
     def __post_init__(self):
         object.__setattr__(self, "station_indices",
@@ -66,17 +67,11 @@ class SensorSet:
         return (vt.T / s) @ u.T
 
     @cached_property
-    def _dof_rows(self) -> dict:
-        return {}
-
-    def dof_rows(self, n_z: int) -> np.ndarray:
-        """:func:`sensor_dof_rows` of these stations in an ``n_z``-station
-        field, built once per ``n_z`` (read-only)."""
-        rows = self._dof_rows.get(n_z)
-        if rows is None:
-            rows = sensor_dof_rows(self.station_indices, n_z)
-            rows.setflags(write=False)
-            self._dof_rows[n_z] = rows
+    def rows(self) -> np.ndarray:
+        """:func:`sensor_dof_rows` of these stations in the ``n_z``-station
+        field they were placed on, built once (read-only)."""
+        rows = sensor_dof_rows(self.station_indices, self.n_z)
+        rows.setflags(write=False)
         return rows
 
     @cached_property
@@ -218,6 +213,7 @@ def place_sensors(basis: ModalBasis, n_sensors: int,
         locations_norm=basis.grid.z_norm[stations],
         sampled_basis=phi[rows, :],
         sampled_mean=basis.mean_field[rows],
+        n_z=n_z,
     )
 
 
@@ -226,18 +222,19 @@ def observe(field, sensors: SensorSet, noise: NoiseModel | None = None,
     """Sample full fields at the sensor stations, optionally adding noise.
 
     ``field`` is one stacked 3-component field (3*n_z,) or a stack of them,
-    one row per time step (n_t, 3*n_z), e.g. ``ensemble.D.T``; the result
-    is (3*n_P,) or (n_t, 3*n_P). ``rng_seed`` may be an int or a numpy
-    Generator; the draw is deterministic for a fixed seed, and a stack
-    draws its noise as one (n_t, 3*n_P) block, the same stream as one draw
-    per step.
+    one row per time step (n_t, 3*n_z), e.g. ``ensemble.D.T``, on the grid
+    the sensors were placed on; the result is (3*n_P,) or (n_t, 3*n_P).
+    ``rng_seed`` may be an int or a numpy Generator; the draw is
+    deterministic for a fixed seed, and a stack draws its noise as one
+    (n_t, 3*n_P) block, the same stream as one draw per step.
     """
     field = np.asarray(field, dtype=float)
-    if field.ndim not in (1, 2) or field.shape[-1] % 3 != 0:
-        raise ValidationError("field must be a stacked 3-component vector "
-                              "or a stack of them, one per row")
-    n_z = field.shape[-1] // 3
-    y = field[..., sensors.dof_rows(n_z)]
+    if field.ndim not in (1, 2) or field.shape[-1] != 3 * sensors.n_z:
+        raise ValidationError(
+            f"field must be a stacked 3-component vector of the sensors' "
+            f"{sensors.n_z}-station grid (length {3 * sensors.n_z}) or a "
+            f"stack of them, one per row")
+    y = field[..., sensors.rows]
     if noise is not None:
         if len(noise.per_sensor) != sensors.n_sensors:
             raise ValidationError("noise model size differs from sensor count")

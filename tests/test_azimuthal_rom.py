@@ -7,7 +7,7 @@ from bladesense import (ConditionKey, azimuth_bin, bin_statistics,
                         evaluate_rom, fit_rom, load_rom, save_rom, wrap_angle)
 from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
                                       bin_centers, fourier_design,
-                                      fourier_eval, merge_condition_samples)
+                                      fourier_eval)
 from bladesense.dataset import TWO_PI
 from bladesense.errors import ValidationError
 
@@ -71,12 +71,6 @@ class TestBinStatistics:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             bin_statistics(np.zeros((2, 5)), np.zeros(4), 8)
-
-    def test_merge_condition_samples(self):
-        a1, th1 = np.ones((2, 3)), np.zeros(3)
-        a2, th2 = 2 * np.ones((2, 2)), np.full(2, 1.0)
-        a, th = merge_condition_samples([(a1, th1), (a2, th2)])
-        assert a.shape == (2, 5) and th.shape == (5,)
 
 
 class TestFitFourier:

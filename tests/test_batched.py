@@ -7,10 +7,6 @@ largest magnitude: the stacked products sum in another order, so the
 results are not bit-identical. ``_reference_evaluate_rom`` and
 ``_reference_fuse`` are the per-step loop bodies the batched kernels
 replaced, kept here as an independent oracle.
-
-``_former_clip_psd`` is the batched kernel as it was before ``clip_psd``
-eigendecomposed only the matrices eigvalsh flags: the same arithmetic, so
-the two are compared bit for bit.
 """
 
 import numpy as np
@@ -24,7 +20,6 @@ from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
                                       bin_centers, fourier_eval)
 from bladesense.dataset import ConditionKey, wrap_angle
 from bladesense.errors import ValidationError
-from bladesense.fusion import clip_psd
 from bladesense.sensing import sensor_dof_rows
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel
@@ -93,25 +88,6 @@ def _reference_fuse(prior, measurement):
     return mean, 0.5 * (cov + cov.T), gain, regularized
 
 
-def _former_clip_psd(cov):
-    cov = 0.5 * (np.asarray(cov, dtype=float) + np.swapaxes(cov, -1, -2))
-    eigs, vecs = np.linalg.eigh(cov)
-    neg = eigs.min(axis=-1) < 0.0
-    if neg.any():
-        clipped = (vecs * eigs.clip(0.0)[..., None, :]) @ vecs.swapaxes(-1, -2)
-        clipped = 0.5 * (clipped + clipped.swapaxes(-1, -2))
-        cov = np.where(neg[..., None, None], clipped, cov)
-    for _ in range(8):
-        low = np.linalg.eigvalsh(cov).min(axis=-1)
-        bad = low < 0.0
-        if not bad.any():
-            break
-        scale = np.abs(cov.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-        delta = np.where(bad, np.maximum(-2.0 * low, np.spacing(scale)), 0.0)
-        cov = cov + delta[..., None, None] * np.eye(cov.shape[-1])
-    return cov
-
-
 # wind below, inside, exactly at and above the trained speeds (8, 12);
 # azimuths outside [0, 2*pi) on both sides
 _U = np.array([5.0, 8.0, 9.1, 10.0, 11.99, 12.0, 15.0, 7.9, 12.5, 10.7])
@@ -166,8 +142,8 @@ def _rows_of(sensors, n_z):
 
 class TestBuiltOnce:
     """Built once: the per-label tables sort their conditions, the sensor
-    rows are cached, and ``clip_psd`` changes only the matrices eigvalsh
-    flags, bit for bit as the former kernel did."""
+    rows are cached, and a Gaussian's diagonal lift changes only the
+    matrices eigvalsh flags."""
 
     def test_tables_sorted_per_label(self):
         fitted = _model()
@@ -196,40 +172,48 @@ class TestBuiltOnce:
                                   [short] + model.conditions[1:])
 
     @staticmethod
-    def _mixed_stack(seed=3, n=12):
+    def _tiny_negative_stack(seed=3, n=12):
+        """PSD matrices, four of them with their least eigenvalue a hair
+        below zero, within the tolerance of ``GaussianReduced``."""
         rng = np.random.default_rng(seed)
         covs = np.stack([random_spd(rng, N_MODES) for _ in range(n)])
         flagged = np.zeros(n, dtype=bool)
         flagged[[1, 4, 5, 10]] = True
         for k in np.flatnonzero(flagged):
-            v = rng.standard_normal((N_MODES, 2))
-            covs[k] = v @ np.diag([1.0, -0.3]) @ v.T  # indefinite
-        # a rank-one matrix: its clipped reconstruction is what the
-        # diagonal nudge exists for
+            w, v = np.linalg.eigh(covs[k])
+            w[0] = -1e-12 * w.sum()
+            covs[k] = (v * w) @ v.T
+        # a rank-one matrix with a tiny negative direction
         v = rng.standard_normal(N_MODES)
-        covs[4] = np.outer(v, v) - 1e-3 * np.outer(v[::-1], v[::-1])
-        return covs, flagged
+        covs[4] = np.outer(v, v) - 1e-13 * np.outer(v[::-1], v[::-1])
+        return 0.5 * (covs + covs.swapaxes(-1, -2)), flagged
 
-    def test_clip_psd_returns_psd_stack_unchanged(self):
-        covs, flagged = self._mixed_stack()
+    def test_psd_stack_comes_back_unchanged(self):
+        covs, flagged = self._tiny_negative_stack()
         psd = covs[~flagged]
-        assert np.array_equal(clip_psd(psd), psd)
-        assert np.array_equal(clip_psd(psd[0]), psd[0])
+        for cov in (psd, psd[0]):
+            got = GaussianReduced(np.zeros(cov.shape[:-1]), cov).covariance
+            assert np.array_equal(got, cov)
 
     @pytest.mark.parametrize("shape", [(12,), (3, 4)])
-    def test_clip_psd_changes_only_flagged_rows(self, shape):
-        covs, flagged = self._mixed_stack()
+    def test_lifts_only_the_tiny_negative_rows(self, shape):
+        covs, flagged = self._tiny_negative_stack()
+        assert np.array_equal(np.linalg.eigvalsh(covs).min(axis=-1) < 0.0,
+                              flagged)
         covs = covs.reshape(shape + covs.shape[-2:])
         flagged = flagged.reshape(shape)
-        got = clip_psd(covs)
-        assert np.array_equal(got, _former_clip_psd(covs))
+        got = GaussianReduced(np.zeros(covs.shape[:-1]), covs).covariance
         assert np.array_equal(got[~flagged], covs[~flagged])
-        assert not np.any([np.array_equal(g, c)
-                           for g, c in zip(got[flagged], covs[flagged])])
         assert np.linalg.eigvalsh(got).min() >= 0.0
+        # the lift is a positive shift of the diagonal and nothing else
+        lift = got[flagged] - covs[flagged]
+        diagonal = lift.diagonal(axis1=-2, axis2=-1)
+        assert np.all(diagonal > 0.0)
+        assert np.array_equal(lift, diagonal[:, :, None] * np.eye(N_MODES))
         # a single matrix takes the same path as a stack of one
-        k = np.argwhere(flagged)[0]
-        assert np.array_equal(clip_psd(covs[tuple(k)]), got[tuple(k)])
+        k = tuple(np.argwhere(flagged)[0])
+        single = GaussianReduced(np.zeros(N_MODES), covs[k]).covariance
+        assert np.array_equal(single, got[k])
 
     def test_observe_reuses_the_sensor_rows(self, monkeypatch):
         grid = demo_grid(n_z=10)
@@ -248,10 +232,9 @@ class TestBuiltOnce:
                                   D[_rows_of(sensors, grid.n_z), k])
         observe(D.T, sensors)
         assert calls == [grid.n_z]
-        rows = sensors.dof_rows(grid.n_z)
-        assert not rows.flags.writeable
-        observe(np.zeros(3 * 12), sensors)  # another grid, its own rows
-        assert calls == [grid.n_z, 12]
+        assert not sensors.rows.flags.writeable
+        with pytest.raises(ValidationError, match="10-station grid"):
+            observe(np.zeros(3 * 12), sensors)  # a field on another grid
 
 
 class TestDecompositionCalls:
@@ -288,14 +271,6 @@ class TestDecompositionCalls:
         evaluate_rom(model, _THETA, _U, 0.1)
         # the covariances were checked when the model was built
         assert calls == {"eigh": 0, "eigvalsh": 0}
-
-    def test_psd_stack_makes_no_eigh_call(self, monkeypatch):
-        covs, flagged = TestBuiltOnce._mixed_stack()
-        calls = self._count(monkeypatch)
-        clip_psd(covs[~flagged])
-        assert calls == {"eigh": 0, "eigvalsh": 1}
-        clip_psd(covs)  # one stacked eigh for the flagged matrices
-        assert calls["eigh"] == 1
 
 
 class TestPerStepInvariants:

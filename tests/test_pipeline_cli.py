@@ -192,6 +192,19 @@ class TestPipelineRun:
         for name in json.loads((out / "artifacts.json").read_text())["files"]:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_torsion_command_matches_pipeline(self, quickstart, tmp_path):
+        # the torsion command infers torsion from the fused estimate, as
+        # the pipeline does, not from the true deflection
+        pipeline_cfg, out = quickstart
+        alone = tmp_path / "torsion"
+        assert main(["torsion", "--config", str(pipeline_cfg),
+                     "--out", str(alone)]) == 0
+        names = sorted(p.name for p in alone.glob("torsion_*"))
+        assert names == sorted(["torsion_model.json", "torsion_basis.csv",
+                                "torsion_summary.json", "torsion_recon_ev_s5.csv"])
+        for name in names:
+            assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_stage_subcommands(self, quickstart, tmp_path):
         pipeline_cfg, _ = quickstart
         expectations = {
@@ -387,8 +400,8 @@ class TestProjections:
     @pytest.mark.parametrize("plan", ["pipeline", "torsion", "fit-rom"])
     def test_each_case_projected_once(self, quickstart, tmp_path, monkeypatch,
                                       plan):
-        # fit-rom and torsion share the training coordinates; the torsion
-        # plan has no fit-rom stage and projects them itself
+        # fit-rom projects the training cases once and torsion reuses
+        # those coordinates; every plan with torsion runs fit-rom first
         pipeline_cfg, _ = quickstart
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         calls = []  # (basis, n_t); the deflection basis is projected on first
@@ -537,6 +550,22 @@ class TestBenchmarkStepChild:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("where, key", [
+        ("config", "gird"),  # misspelt grid
+        ("grid", "nz"),
+        ("case", "duraton_s"),
+    ])
+    def test_synth_rejects_unknown_keys(self, tmp_path, where, key):
+        doc = json.loads(json.dumps(SYNTH_CONFIG))
+        entry = {"config": doc, "grid": doc["grid"],
+                 "case": doc["evaluation"][0]}[where]
+        entry[key] = 1.0
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(doc))
+        cases = tmp_path / "cases"
+        assert main(["synth", "--config", str(cfg), "--out", str(cases)]) == 2
+        assert not cases.exists()
+
     def test_n_modes_bounded_by_sensors(self, quickstart):
         pipeline_cfg, _ = quickstart
         doc = json.loads(pipeline_cfg.read_text())

@@ -137,6 +137,7 @@ class TestSparseEstimate:
             locations_norm=np.array([0.0]),
             sampled_basis=np.eye(3),
             sampled_mean=np.zeros(3),
+            n_z=2,
         )
         noise = NoiseModel.isotropic(0.4, 1)
         est = sparse_estimate(np.array([1.0, 2.0, 3.0]), sensors, noise)
@@ -149,6 +150,7 @@ class TestSparseEstimate:
             locations_norm=np.array([0.0, 0.5]),
             sampled_basis=np.column_stack([np.ones(6), np.zeros(6)]),
             sampled_mean=np.zeros(6),
+            n_z=2,
         )
         noise = NoiseModel.isotropic(0.1, 2)
         with pytest.raises(NumericalError, match="sensor set"):
