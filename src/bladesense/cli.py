@@ -28,12 +28,19 @@ _SYNTH_KEYS = {"config": {"grid", "training", "evaluation", "pipeline"},
                "grid": {"n_z", "L_b"},
                "case": {"name", "u_mean", "ti", "seeds", "duration_s", "f_s",
                         "noise_sigma"}}
+_SYNTH_REQUIRED = {"case": ("name", "u_mean", "ti")}
 
 
-def _check_keys(path, where: str, entry: dict) -> None:
+def _check_keys(path, where: str, entry) -> None:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{path}: {where} must be a JSON object, "
+                              f"got {type(entry).__name__}")
     unknown = sorted(set(entry) - _SYNTH_KEYS[where])
     if unknown:
         raise ValidationError(f"{path}: unknown {where} keys {unknown}")
+    for key in _SYNTH_REQUIRED.get(where, ()):
+        if key not in entry:
+            raise ValidationError(f"{path}: {where} entry missing key '{key}'")
 
 
 def cmd_synth(args) -> int:
@@ -61,8 +68,8 @@ def cmd_synth(args) -> int:
             ],
             "pipeline": {"noise": 0.1, "seed": 0},
         }
-    grid_cfg = doc.get("grid", {})
     _check_keys(args.config, "config", doc)
+    grid_cfg = doc.get("grid", {})
     _check_keys(args.config, "grid", grid_cfg)
     for entry in doc.get("training", []) + doc.get("evaluation", []):
         _check_keys(args.config, "case", entry)

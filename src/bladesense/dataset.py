@@ -23,8 +23,12 @@ matrix is stored in it, so loading needs no transpose or stacking. Azimuth
 is stored already wrapped to [0, 2*pi) and the time axis must be uniform at
 the declared sampling frequency.
 
-CSV values are written as decimal text with 18 significant digits
+Every table a program reads back (case grids and channels, POD modes and
+torsion bases) is written as decimal text with 18 significant digits
 (``%.17e``), so a save/load round trip is bit-exact in either layout.
+Tables that only people and plots read (reconstructions, figure twins,
+ground-truth sidecars) carry 10 significant digits (``%.9e``), which
+format faster.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ TWO_PI = 2.0 * np.pi
 #: snapshot file does not already carry a filtered column.
 DEFAULT_SMOOTHING_ALPHA = 0.2
 
+#: Lossless: 18 significant digits round-trip every float64 bit-exactly.
+#: Use it for any table the program, or a later run, reads back.
 _FLOAT_FMT = "%.17e"
+
+#: Report precision, for tables nothing reads back: 10 significant digits
+#: (relative rounding <= 5e-10) format in one half to two thirds of the
+#: time of 18, whose text CPython's dtoa builds on its slow bignum path.
+_REPORT_FMT = "%.9e"
 
 #: Rows formatted per ``%`` call by ``_write_csv``; small blocks keep the
 #: formatted text, and so peak memory, small (4 096-row blocks were slower).
@@ -169,6 +180,10 @@ class SnapshotEnsemble:
     def n_z(self) -> int:
         return self.grid.n_z
 
+    def channels(self) -> dict:
+        """The per-step channels ``t, theta, omega, u_raw, u_filt`` by name."""
+        return {name: getattr(self, name) for name in _CHANNELS}
+
 
 def wrap_angle(theta):
     """Wrap angles to [0, 2*pi); scalar in, scalar out."""
@@ -246,10 +261,12 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def _write_csv(path: Path, names: list[str], data: np.ndarray) -> None:
-    """The one writer of numeric tables: header row, 18-significant-digit
-    values, byte for byte what ``np.savetxt(path, data, fmt="%.17e",
-    delimiter=",", header=",".join(names), comments="")`` writes.
+def _write_csv(path: Path, names: list[str], data: np.ndarray,
+               fmt: str = _FLOAT_FMT) -> None:
+    """The one writer of numeric tables: a header row, then each value in
+    ``fmt`` (lossless ``_FLOAT_FMT`` or ``_REPORT_FMT``), byte for byte what
+    ``np.savetxt(path, data, fmt=fmt, delimiter=",",
+    header=",".join(names), comments="")`` writes.
 
     ``savetxt`` applies one ``%`` per row to numpy scalars; here one ``%``
     formats a block of up to ``_WRITE_BLOCK_ROWS`` rows of Python floats.
@@ -257,7 +274,7 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray) -> None:
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
-    row = ",".join([_FLOAT_FMT] * data.shape[1]) + "\n"
+    row = ",".join([fmt] * data.shape[1]) + "\n"
     header = ",".join(names)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
@@ -383,32 +400,29 @@ def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
     return grid, ensemble
 
 
-def load_torsion(manifest_path,
-                 deflection: SnapshotEnsemble | None = None
-                 ) -> SnapshotEnsemble | None:
+def load_torsion(manifest_path, grid: BladeGrid | None = None,
+                 channels: dict | None = None) -> SnapshotEnsemble | None:
     """Load the optional torsion file of a case as an ensemble of tau fields.
 
-    ``deflection`` is the case's ensemble from :func:`load_case`, when the
-    caller has it: its grid and channels are reused, so only the torsion
-    file is read. Without it, the grid and the channels are read too, but
-    never the displacement matrix. Returns ``None`` when the manifest names
-    no ``torsion_file``.
+    ``grid`` and ``channels`` are the case's, from :func:`load_case` (see
+    :meth:`SnapshotEnsemble.channels`), when the caller has them: they are
+    reused, so only the torsion file is read. Without them, the grid and the
+    channels are read too, but never the displacement matrix. Returns
+    ``None`` when the manifest names no ``torsion_file``.
     """
     manifest_path = Path(manifest_path)
     manifest, condition, f_s = _open_case(manifest_path)
     if "torsion_file" not in manifest:
         return None
     base = manifest_path.parent
-    grid = deflection.grid if deflection is not None \
-        else _load_grid(manifest_path, manifest)
+    if grid is None:
+        grid = _load_grid(manifest_path, manifest)
     if "displacement_file" not in manifest:
         # full-width layout: the torsion table carries its own channels
         channels, tau = _read_channels(base / manifest["torsion_file"],
                                        grid.n_z, _TORSION)
     else:
-        if deflection is not None:
-            channels = {name: getattr(deflection, name) for name in _CHANNELS}
-        else:
+        if channels is None:
             channels, _ = _read_channels(base / manifest["snapshot_file"],
                                          grid.n_z)
         tau = _read_npy(base / manifest["torsion_file"],

@@ -25,7 +25,8 @@ from . import azimuthal_rom as rom_mod
 from . import svgplot
 from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
                             bin_centers, evaluate_rom, fit_rom, save_rom)
-from .dataset import ConditionKey, _write_csv, load_case, load_torsion
+from .dataset import (_REPORT_FMT, ConditionKey, _write_csv, load_case,
+                      load_torsion)
 from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
                             write_energies_csv, write_modes_csv)
 from .errors import StageError, ValidationError
@@ -71,6 +72,11 @@ class PipelineConfig:
         # sampled basis actually has rank n_modes
         if self.n_modes > 3 * self.n_sensors:
             raise ValidationError("n_modes must not exceed 3 * n_sensors")
+        # a fraction outside the blade would snap to its end station
+        for f in self.observation_fractions:
+            if not 0.0 <= f <= 1.0:
+                raise ValidationError(
+                    f"observation_fractions must lie in [0, 1], got {f!r}")
 
     @classmethod
     def from_json(cls, path, seed=None, out_dir=None) -> "PipelineConfig":
@@ -82,15 +88,15 @@ class PipelineConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ValidationError(f"{path}: invalid JSON ({err})") from err
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: config must be a JSON object")
         # the JSON keys are the field names; an unknown one is rejected, not
         # ignored, so a misspelt or retired setting cannot silently default
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"{path}: unknown config keys {unknown}")
-        # a setting the file leaves out keeps its field default; a given one
-        # takes the default's type, except the noise spec (sigma or dict)
-        settings = {f.name: (type(f.default)(doc[f.name])
-                             if isinstance(f.default, (int, tuple)) else doc[f.name])
+        # a setting the file leaves out keeps its field default
+        settings = {f.name: _setting(path, f.name, f.default, doc[f.name])
                     for f in fields(cls)
                     if f.default is not MISSING and f.name in doc}
         if seed is not None:
@@ -105,10 +111,35 @@ class PipelineConfig:
         return cfg
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _setting(path, name: str, default, value):
+    """A config value in its field default's type: a whole number for an
+    int, a list of numbers for a tuple. Any other value would be truncated
+    or fail later, so it is rejected, naming the key; the noise spec (sigma
+    or dict) passes as given, for :meth:`NoiseModel.from_config`."""
+    if isinstance(default, int):
+        if not _is_number(value) or (isinstance(value, float)
+                                     and not value.is_integer()):
+            raise ValidationError(
+                f"{path}: '{name}' must be a whole number, got {value!r}")
+        return int(value)
+    if isinstance(default, tuple):
+        if not (isinstance(value, list) and all(map(_is_number, value))):
+            raise ValidationError(
+                f"{path}: '{name}' must be a list of numbers, got {value!r}")
+        return tuple(value)
+    return value
+
+
 @dataclass
 class _Context:
     config: PipelineConfig
-    train: list = field(default_factory=list)       # (case_id, ensemble)
+    train: list = field(default_factory=list)       # (case_id, ensemble);
+    # fit-rom empties it, keeping each case's (grid, channels) for torsion
+    train_channels: list = field(default_factory=list)
     evaluation: list = field(default_factory=list)  # (case_id, ensemble)
     basis: ModalBasis | None = None
     train_coords: list = field(default_factory=list)  # set by fit-rom
@@ -180,6 +211,10 @@ def _stage_fit_rom(ctx: _Context) -> None:
         ))
     ctx.rom = fit_rom(ctx.stats_list, ctx.config.n_fourier)
     save_rom(ctx.rom, ctx.emit("rom.json"))
+    # the last reader of the training deflections: torsion needs only each
+    # case's grid and channels, so the matrices are released here
+    ctx.train_channels = [(e.grid, e.channels()) for _, e in ctx.train]
+    ctx.train = []
 
 
 def _station_table(path, head: dict, stations, comps, true_obs,
@@ -195,7 +230,7 @@ def _station_table(path, head: dict, stations, comps, true_obs,
             for src, est in estimates.items():
                 names.append(f"{comp}_s{station:03d}_{src}")
                 cols.append(est[row])
-    _write_csv(path, names, np.column_stack(cols))
+    _write_csv(path, names, np.column_stack(cols), _REPORT_FMT)
     return {src: [float(np.sqrt(np.mean((est[row] - true_obs[row]) ** 2)))
                   for row in range(len(true_obs))]
             for src, est in estimates.items()}
@@ -271,8 +306,9 @@ def _stage_estimate(ctx: _Context) -> None:
 
 def _stage_torsion(ctx: _Context) -> None:
     train_tau = []  # (training case index, torsion ensemble)
-    for i, (p, (_, e)) in enumerate(zip(ctx.config.training, ctx.train)):
-        tau_e = load_torsion(p, e)
+    for i, (p, (grid, channels)) in enumerate(zip(ctx.config.training,
+                                                  ctx.train_channels)):
+        tau_e = load_torsion(p, grid, channels)
         if tau_e is not None:
             train_tau.append((i, tau_e))
     if not train_tau:
@@ -310,7 +346,7 @@ def _stage_torsion(ctx: _Context) -> None:
     # torsion inferred from the fused estimate, scored against the truth
     eval_summary = {}
     for p, (case_id, e) in zip(ctx.config.evaluation, ctx.evaluation):
-        tau_e = load_torsion(p, e)
+        tau_e = load_torsion(p, e.grid, e.channels())
         if tau_e is None:
             continue
         tau_hat = infer_torsion(ctx.traces[case_id]["A"]["fused"], model,
@@ -377,7 +413,7 @@ def _stage_report(ctx: _Context) -> None:
         base = f"psd_{case_id}_{comp}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["f_hat", "power_raw", "power_smoothed"],
-                   np.column_stack([f_hat, raw, smoothed]))
+                   np.column_stack([f_hat, raw, smoothed]), _REPORT_FMT)
         svgplot.line_plot(
             ctx.emit(base + ".svg"),
             [("raw", f_hat, raw), ("smoothed", f_hat, smoothed)],
@@ -394,7 +430,8 @@ def _stage_report(ctx: _Context) -> None:
         base = f"hist_{case_id}_{comp}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["bin_left", "bin_right", "count_true", "count_fused"],
-                   np.column_stack([edges[:-1], edges[1:], h_true, h_fused]))
+                   np.column_stack([edges[:-1], edges[1:], h_true, h_fused]),
+                   _REPORT_FMT)
         svgplot.histogram_plot(
             ctx.emit(base + ".svg"), edges,
             [("true", h_true), ("fused", h_fused)],
@@ -417,7 +454,8 @@ def _stage_report(ctx: _Context) -> None:
                    ["theta_center", "data_mean", "data_std",
                     "rom_mean", "rom_std"],
                    np.column_stack([centers[occ], data_mean, data_std,
-                                    rom_mean[occ], rom_std[occ]]))
+                                    rom_mean[occ], rom_std[occ]]),
+                   _REPORT_FMT)
         svgplot.line_plot(
             ctx.emit(base + ".svg"),
             [("data mean", centers[occ], data_mean),
@@ -439,7 +477,8 @@ def _stage_report(ctx: _Context) -> None:
         xi, yj = a_proj[i, ::stride], a_proj[j, ::stride]
         base = f"coupling_{case_id}_a{i + 1}_a{j + 1}"
         _write_csv(ctx.emit(base + ".csv"),
-                   [f"a{i + 1}", f"a{j + 1}"], np.column_stack([xi, yj]))
+                   [f"a{i + 1}", f"a{j + 1}"], np.column_stack([xi, yj]),
+                   _REPORT_FMT)
         svgplot.scatter_plot(ctx.emit(base + ".svg"), xi, yj,
                              title=f"a{i + 1} vs a{j + 1} ({case_id})",
                              xlabel=f"a{i + 1}", ylabel=f"a{j + 1}")
@@ -453,7 +492,7 @@ def _stage_report(ctx: _Context) -> None:
                np.column_stack([e.t, trace["true_obs"][0],
                                 trace["fields"]["sparse"][0],
                                 trace["fields"]["rom"][0],
-                                trace["fields"]["fused"][0]]))
+                                trace["fields"]["fused"][0]]), _REPORT_FMT)
     svgplot.line_plot(ctx.emit(base + ".svg"), series,
                       title=f"ux at station {station} ({case_id})",
                       xlabel="t (s)", ylabel="ux (m)")

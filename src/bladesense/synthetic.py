@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .azimuthal_rom import fourier_eval
-from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, _write_csv,
-                      save_case, smooth_wind, wrap_angle)
+from .dataset import (_REPORT_FMT, BladeGrid, ConditionKey, SnapshotEnsemble,
+                      _write_csv, save_case, smooth_wind, wrap_angle)
 from .decomposition import dof_weights
 from .errors import ValidationError
 
@@ -238,13 +238,14 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
 
     manifest_path = save_case(ensemble, out_dir, spec.name, tau=tau_true)
 
+    # nothing reads the sidecar tables back, so they are at report precision
     modes_file = f"{spec.name}_true_modes.csv"
     a_file = f"{spec.name}_a_true.csv"
     _write_csv(out_dir / modes_file,
                ["mean"] + [f"mode_{n+1}" for n in range(spec.n_true)],
-               np.column_stack([spec.mean_field, spec.true_modes]))
+               np.column_stack([spec.mean_field, spec.true_modes]), _REPORT_FMT)
     _write_csv(out_dir / a_file, ["t"] + [f"a_{n+1}" for n in range(spec.n_true)],
-               np.column_stack([t, a_true.T]))
+               np.column_stack([t, a_true.T]), _REPORT_FMT)
     sidecar = {
         "true_modes_file": modes_file,
         "a_true_file": a_file,

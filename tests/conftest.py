@@ -72,7 +72,7 @@ def write_legacy_case(manifest_path, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(manifest_path.read_text())
     grid, ens = load_case(manifest_path)
-    tau = load_torsion(manifest_path, ens)
+    tau = load_torsion(manifest_path, grid, ens.channels())
     meta = np.column_stack([getattr(ens, c) for c in CHANNELS])
     name = doc["name"]
     dataset._write_csv(out_dir / f"{name}_grid.csv", ["z_norm"],

@@ -150,7 +150,10 @@ class TestRoundTrip:
 
 
 class TestWriteCsv:
-    """``_write_csv`` formats blocks of rows; its bytes are np.savetxt's."""
+    """``_write_csv`` formats blocks of rows; its bytes are np.savetxt's,
+    at the lossless and at the report precision."""
+
+    FORMATS = (dataset._FLOAT_FMT, dataset._REPORT_FMT)
 
     @pytest.mark.parametrize("shape, kind", [
         ((40, 1), "random"),           # one column
@@ -171,20 +174,23 @@ class TestWriteCsv:
             data.flat[:6] = [np.nan, np.inf, -np.inf, 5e-324,
                              np.finfo(float).max, -np.finfo(float).tiny]
         names = [f"c{k}" for k in range(shape[1])]
-        dataset._write_csv(tmp_path / "got.csv", names, data)
-        np.savetxt(tmp_path / "ref.csv", data, fmt="%.17e", delimiter=",",
-                   header=",".join(names), comments="")
-        got = (tmp_path / "got.csv").read_bytes()
-        assert got == (tmp_path / "ref.csv").read_bytes()
-        assert got.count(b"\n") == shape[0] + 1
+        for fmt in self.FORMATS:
+            dataset._write_csv(tmp_path / "got.csv", names, data, fmt)
+            np.savetxt(tmp_path / "ref.csv", data, fmt=fmt, delimiter=",",
+                       header=",".join(names), comments="")
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "ref.csv").read_bytes(), fmt
+            assert got.count(b"\n") == shape[0] + 1
 
     def test_one_dimensional_data_is_one_column(self, tmp_path):
         data = np.linspace(0.0, 1.0, 300)
-        dataset._write_csv(tmp_path / "got.csv", ["z_norm"], data)
-        np.savetxt(tmp_path / "ref.csv", data, fmt="%.17e", delimiter=",",
-                   header="z_norm", comments="")
-        assert (tmp_path / "got.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        for fmt in self.FORMATS:
+            dataset._write_csv(tmp_path / "got.csv", ["z_norm"], data, fmt)
+            np.savetxt(tmp_path / "ref.csv", data, fmt=fmt, delimiter=",",
+                       header="z_norm", comments="")
+            assert (tmp_path / "got.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes(), fmt
+
 
 def _random_case(tmp_path, seed=4, n_z=4, n_t=9):
     """A saved binary-layout case with torsion; returns (manifest, ens, tau)."""
@@ -229,7 +235,7 @@ class TestLoadTorsion:
         _, ens = load_case(manifest)
         for f in ("tc_grid.csv", "tc_channels.csv", "tc_displacement.npy"):
             (tmp_path / f).unlink()
-        back = load_torsion(manifest, ens)
+        back = load_torsion(manifest, ens.grid, ens.channels())
         assert np.array_equal(back.D, tau)
         assert back.grid is ens.grid and back.theta is ens.theta
 
@@ -238,7 +244,7 @@ class TestLoadTorsion:
         np.save(tmp_path / "tc_torsion.npy", tau[:, :-1])
         _, ens = load_case(manifest)
         with pytest.raises(SchemaError, match="tc_torsion.npy"):
-            load_torsion(manifest, ens)
+            load_torsion(manifest, ens.grid, ens.channels())
 
 
 class TestLayouts:
@@ -250,8 +256,8 @@ class TestLayouts:
         assert np.array_equal(grid.z_norm, grid_l.z_norm)
         for name in ["D"] + CHANNELS:
             assert np.array_equal(getattr(ens, name), getattr(ens_l, name)), name
-        for deflection in (None, ens_l):
-            tau, tau_l = load_torsion(manifest), load_torsion(legacy, deflection)
+        for known in ({}, {"grid": grid_l, "channels": ens_l.channels()}):
+            tau, tau_l = load_torsion(manifest), load_torsion(legacy, **known)
             for name in ["D"] + CHANNELS:
                 assert np.array_equal(getattr(tau, name),
                                       getattr(tau_l, name)), name

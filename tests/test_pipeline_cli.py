@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -105,6 +106,41 @@ class TestPipelineRun:
         col = header.index("trace_fused_cov")
         data = np.loadtxt(recon, delimiter=",", skiprows=1)
         assert np.all(data[:, col] >= 0.0)
+
+    def test_station_rmse_recomputed_from_the_report_tables(self, quickstart):
+        # the reconstruction tables hold 10 significant digits; every RMSE
+        # the summaries give must still follow from them
+        _, out = quickstart
+
+        def columns(name):
+            names = (out / name).read_text().splitlines()[0].split(",")
+            data = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+            return dict(zip(names, data.T))
+
+        def rmse(cols, comp, station, src):
+            true = cols[f"{comp}_s{station:03d}_true"]
+            est = cols[f"{comp}_s{station:03d}_{src}"]
+            return float(np.sqrt(np.mean((est - true) ** 2)))
+
+        pairs = []  # (summary, recomputed)
+        errors = json.loads((out / "error_summary.json").read_text())
+        for case_id, case in errors["cases"].items():
+            cols = columns(f"recon_{case_id}.csv")
+            for st in case["stations"]:
+                for comp, by_src in st["rmse"].items():
+                    pairs += [(v, rmse(cols, comp, st["station_index"], src))
+                              for src, v in by_src.items()]
+        torsion = json.loads((out / "torsion_summary.json").read_text())
+        for case_id, stations in torsion["evaluation"].items():
+            cols = columns(f"torsion_recon_{case_id}.csv")
+            for st in stations:
+                pairs += [(v["rmse"],
+                           rmse(cols, comp, st["station_index"], "fused"))
+                          for comp, v in st["components"].items()]
+        # one case: 3 stations x 3 components x 3 sources, plus 3 x 3 torsion
+        assert len(pairs) == 36
+        for want, got in pairs:
+            assert got == pytest.approx(want, rel=1e-8)
 
     def test_wind_speed_clamps_counted(self, quickstart):
         pipeline_cfg, out = quickstart
@@ -396,6 +432,33 @@ class TestCaseReads:
             len(config.training) + len(config.evaluation)
 
 
+class TestTrainingRelease:
+    def test_training_deflections_released_after_fit_rom(self, quickstart,
+                                                         tmp_path, monkeypatch):
+        # fit-rom is the last reader of each training D; torsion keeps only
+        # the grid and channels, so the torsion stage never holds both
+        pipeline_cfg, _ = quickstart
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        training = {Path(p) for p in config.training}
+        refs, alive = [], []
+
+        def recording(path, _load=bladesense.pipeline.load_case):
+            grid, e = _load(path)
+            if Path(path) in training:
+                refs.append(weakref.ref(e.D))
+            return grid, e
+
+        def fit_rom(ctx, _stage=bladesense.pipeline._STAGES["fit-rom"]):
+            _stage(ctx)
+            alive.extend(r for r in refs if r() is not None)
+
+        monkeypatch.setattr(bladesense.pipeline, "load_case", recording)
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
+        run_pipeline(config, plan="pipeline")
+        assert len(refs) == len(config.training)
+        assert not alive
+
+
 class TestProjections:
     @pytest.mark.parametrize("plan", ["pipeline", "torsion", "fit-rom"])
     def test_each_case_projected_once(self, quickstart, tmp_path, monkeypatch,
@@ -565,6 +628,47 @@ class TestConfigValidation:
         cases = tmp_path / "cases"
         assert main(["synth", "--config", str(cfg), "--out", str(cases)]) == 2
         assert not cases.exists()
+
+    @staticmethod
+    def _drop(group, key):
+        def edit(doc):
+            del doc[group][0][key]
+            return doc
+        return edit
+
+    @pytest.mark.parametrize("command, edit, key", [
+        ("synth", _drop.__func__("training", "name"), "'name'"),
+        ("synth", _drop.__func__("evaluation", "u_mean"), "'u_mean'"),
+        ("synth", _drop.__func__("training", "ti"), "'ti'"),
+        ("synth", lambda doc: [doc], "JSON object"),
+        ("pipeline", lambda doc: [doc], "JSON object"),
+        ("pipeline", lambda doc: {**doc, "n_modes": "abc"}, "'n_modes'"),
+        ("pipeline", lambda doc: {**doc, "n_modes": 4.7}, "'n_modes'"),
+        ("pipeline", lambda doc: {**doc, "observation_fractions": 0.5},
+         "'observation_fractions'"),
+        ("pipeline", lambda doc: {**doc, "observation_fractions": [0.4, 1.2]},
+         "observation_fractions"),
+        ("pipeline", lambda doc: {**doc, "observation_fractions": [-0.1]},
+         "observation_fractions"),
+    ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
+            "synth-not-object", "pipeline-not-object", "n_modes-text",
+            "n_modes-fraction", "fractions-scalar", "fraction-above-1",
+            "fraction-below-0"])
+    def test_malformed_config_exits_2_naming_the_key(
+            self, quickstart, tmp_path, capsys, command, edit, key):
+        pipeline_cfg, _ = quickstart
+        base = SYNTH_CONFIG if command == "synth" else \
+            json.loads(pipeline_cfg.read_text())
+        doc = edit(json.loads(json.dumps(base)))
+        # a pipeline config names its cases relative to itself
+        cfg = (tmp_path if command == "synth" else pipeline_cfg.parent) / \
+            f"bad_{tmp_path.name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_n_modes_bounded_by_sensors(self, quickstart):
         pipeline_cfg, _ = quickstart
