@@ -13,13 +13,12 @@ covariance is a convex combination of PSD matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import TWO_PI, ConditionKey, azimuth_bin, wrap_angle
+from .dataset import (TWO_PI, ConditionKey, azimuth_bin, read_json,
+                      wrap_angle, write_json)
 from .errors import ValidationError
 from .fusion import GaussianReduced
 
@@ -303,17 +302,19 @@ def save_rom(model: AzimuthalRomModel, path) -> None:
             for c in model.conditions
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
+
+
+#: ``rom.json`` keys and their types (see :func:`read_json`); a condition of
+#: the former format has ``cov_coeffs`` tables in place of ``covariance``.
+_ROM_CONDITION = ({"u_mean": float, "ti": float, "mean_coeffs": [[float]],
+                   "covariance": [[float]], "cov_coeffs": object},
+                  ("u_mean", "ti", "mean_coeffs"))
+_ROM = {"n_F": int, "n_theta": int, "conditions": [_ROM_CONDITION]}
 
 
 def load_rom(path) -> AzimuthalRomModel:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"missing ROM file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, _ROM, tuple(_ROM), "ROM file")
     conditions = []
     for c in doc["conditions"]:
         if "covariance" not in c:
@@ -321,10 +322,9 @@ def load_rom(path) -> AzimuthalRomModel:
                                   "'cov_coeffs' tables are the former format, "
                                   "refit the model")
         conditions.append(RomCondition(
-            u_mean=float(c["u_mean"]), ti=float(c["ti"]),
+            u_mean=c["u_mean"], ti=c["ti"],
             mean_coeffs=np.asarray(c["mean_coeffs"], dtype=float),
             covariance=np.asarray(c["covariance"], dtype=float),
         ))
-    return AzimuthalRomModel(n_fourier=int(doc["n_F"]),
-                             n_theta=int(doc["n_theta"]),
+    return AzimuthalRomModel(n_fourier=doc["n_F"], n_theta=doc["n_theta"],
                              conditions=conditions)

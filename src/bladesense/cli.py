@@ -7,12 +7,12 @@ pipeline. Exit codes: 0 success, 2 validation error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import read_json, write_json
 from .errors import NumericalError, StageError, ValidationError
 from .pipeline import COMMAND_PLANS, PipelineConfig, run_pipeline
 from .synthetic import demo_grid, demo_spec, generate_case
@@ -24,82 +24,44 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output directory")
 
 
-_SYNTH_KEYS = {"config": {"grid", "training", "evaluation", "pipeline"},
-               "grid": {"n_z", "L_b"},
-               "case": {"name", "u_mean", "ti", "seeds", "duration_s", "f_s",
-                        "noise_sigma"}}
-_SYNTH_REQUIRED = {"case": ("name", "u_mean", "ti")}
-
-
-def _check_keys(path, where: str, entry) -> None:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{path}: {where} must be a JSON object, "
-                              f"got {type(entry).__name__}")
-    unknown = sorted(set(entry) - _SYNTH_KEYS[where])
-    if unknown:
-        raise ValidationError(f"{path}: unknown {where} keys {unknown}")
-    for key in _SYNTH_REQUIRED.get(where, ()):
-        if key not in entry:
-            raise ValidationError(f"{path}: {where} entry missing key '{key}'")
+#: ``synth --config`` keys and their types (see :func:`read_json`).
+_SYNTH_CASE = ({"name": str, "u_mean": float, "ti": float, "seeds": [int],
+                "duration_s": float, "f_s": float, "noise_sigma": float},
+               ("name", "u_mean", "ti"))
+_SYNTH = {"grid": ({"n_z": int, "L_b": float}, ()), "training": [_SYNTH_CASE],
+          "evaluation": [_SYNTH_CASE], "pipeline": dict}
 
 
 def cmd_synth(args) -> int:
     """Generate synthetic cases plus a ready-to-run pipeline config.
 
-    Settings a config leaves out take the defaults of ``demo_grid`` and
-    ``demo_spec``; an unknown key is rejected, not ignored.
+    Without ``--config`` the package's ``quickstart.json`` is used. Settings
+    a config leaves out take the defaults of ``demo_grid`` and
+    ``demo_spec``. The whole document, every case included, is checked
+    before the first case is written.
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = {
-            "training": [
-                {"name": "train_u084", "u_mean": 8.4, "ti": 0.10, "seeds": [0, 1]},
-                {"name": "train_u106", "u_mean": 10.6, "ti": 0.10, "seeds": [0, 1]},
-            ],
-            "evaluation": [
-                {"name": "eval_u106", "u_mean": 10.6, "ti": 0.10,
-                 "seeds": [7], "duration_s": 12.0},
-                {"name": "eval_u095", "u_mean": 9.5, "ti": 0.10,
-                 "seeds": [3], "duration_s": 8.0},
-            ],
-            "pipeline": {"noise": 0.1, "seed": 0},
-        }
-    _check_keys(args.config, "config", doc)
-    grid_cfg = doc.get("grid", {})
-    _check_keys(args.config, "grid", grid_cfg)
-    for entry in doc.get("training", []) + doc.get("evaluation", []):
-        _check_keys(args.config, "case", entry)
-    grid = demo_grid(**{arg: cast(grid_cfg[key]) for key, arg, cast in
-                        (("n_z", "n_z", int), ("L_b", "length_m", float))
-                        if key in grid_cfg})
-    manifests = {"training": [], "evaluation": []}
-    for group in ("training", "evaluation"):
+    doc = read_json(args.config or Path(__file__).with_name("quickstart.json"),
+                    _SYNTH, what="synth config")
+    grid = demo_grid(**{"length_m" if key == "L_b" else key: value
+                        for key, value in doc.get("grid", {}).items()})
+    specs = {"training": [], "evaluation": []}  # (case seed, spec) pairs
+    for group, pairs in specs.items():
         for entry in doc.get(group, []):
-            options = {key: float(entry[key]) for key in
-                       ("duration_s", "f_s", "noise_sigma") if key in entry}
-            for case_seed in entry.get("seeds", [0]):
-                spec = demo_spec(
-                    name=f"{entry['name']}_s{case_seed}",
-                    u_mean=float(entry["u_mean"]), ti=float(entry["ti"]),
-                    grid=grid, **options)
-                truth = generate_case(spec, seed + case_seed, out)
-                manifests[group].append(truth.manifest_path.name)
-    pipe_cfg = {
-        "training": manifests["training"],
-        "evaluation": manifests["evaluation"],
-        "out_dir": "results",
-    }
-    pipe_cfg.update(doc.get("pipeline", {}))
+            # every case key but name and seeds is a demo_spec argument
+            options = {k: v for k, v in entry.items() if k not in ("name", "seeds")}
+            pairs += [(s, demo_spec(name=f"{entry['name']}_s{s}", grid=grid,
+                                    **options))
+                      for s in entry.get("seeds", [0])]
+    manifests = {group: [generate_case(spec, seed + case_seed, out)
+                         .manifest_path.name for case_seed, spec in pairs]
+                 for group, pairs in specs.items()}
+    pipe_cfg = {**manifests, "out_dir": "results", **doc.get("pipeline", {})}
     if args.seed is not None:
         pipe_cfg["seed"] = args.seed
     cfg_path = Path(out) / "pipeline_config.json"
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump(pipe_cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg_path, pipe_cfg)
     print(f"wrote {len(manifests['training'])} training and "
           f"{len(manifests['evaluation'])} evaluation cases under {out}")
     print(f"pipeline config: {cfg_path}")
@@ -139,21 +101,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMERICAL = (NumericalError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
-        cause = err.cause
-        if isinstance(cause, (NumericalError, np.linalg.LinAlgError,
-                              FloatingPointError)):
-            return 3
-        return 2
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
+        return 3 if isinstance(err.cause, _NUMERICAL) else 2
+    except _NUMERICAL as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ValidationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

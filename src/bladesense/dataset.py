@@ -29,17 +29,28 @@ torsion bases) is written as decimal text with 18 significant digits
 Tables that only people and plots read (reconstructions, figure twins,
 ground-truth sidecars) carry 10 significant digits (``%.9e``), which
 format faster.
+
+Every JSON document (manifests, configs, models, summaries) is read with
+:func:`read_json` and written with :func:`write_json`. A document is a JSON
+object whose keys each have a type: a whole number (``4.0`` but not
+``4.7``), a finite number (not ``true``/``false``), text, an object, a
+value as given, or a list of one of these. Invalid JSON, an unknown key, a
+missing required key or a wrong type is a :class:`SchemaError` naming the
+file and the key (exit code 2), a missing file a ``FileNotFoundError``
+(exit code 2), and writing a non-finite number a :class:`NumericalError`
+naming the file (exit code 3).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import NumericalError, SchemaError, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,6 +78,78 @@ _CHANNELS = ("t", "theta", "omega", "u_raw", "u_filt")
 
 _DISPLACEMENT = ("ux", "uy", "uz")
 _TORSION = ("taux", "tauy", "tauz")
+
+#: Manifest keys, their types (see :func:`read_json`) and the required ones.
+_MANIFEST = {"name": str, "L_b": float, "f_s": float, "u_mean": float,
+             "ti": float, "seed": int, "grid_file": str, "snapshot_file": str,
+             "displacement_file": str, "torsion_file": str}
+_MANIFEST_REQUIRED = ("name", "L_b", "f_s", "u_mean", "ti", "seed",
+                      "grid_file", "snapshot_file")
+
+#: What a type error message says a value of each scalar type must be.
+_EXPECTED = {int: "a whole number", float: "a finite number", str: "text",
+             dict: "a JSON object"}
+
+
+def _checked(value, kind, path, where: str):
+    """``value`` checked against its schema ``kind`` (see :func:`read_json`),
+    with whole numbers as ``int`` and numbers as ``float``; ``where`` is its
+    key, located in the document (empty for the document itself)."""
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_checked(v, kind[0], path, f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    if isinstance(kind, tuple) and isinstance(value, dict):
+        schema, required = kind
+        at = f" in '{where}'" if where else ""
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise SchemaError(f"{path}: unknown keys {unknown}{at}")
+        for key in required:
+            if key not in value:
+                raise SchemaError(f"{path}: missing key '{key}'{at}")
+        prefix = f"{where}." if where else ""
+        return {k: _checked(v, schema[k], path, prefix + k)
+                for k, v in value.items()}
+    if kind is int or kind is float:
+        if isinstance(value, int) and not isinstance(value, bool) or (
+                isinstance(value, float) and math.isfinite(value)
+                and (kind is float or value.is_integer())):
+            return kind(value)
+    elif kind is object or kind in (str, dict) and isinstance(value, kind):
+        return value
+    expected = ("a list" if isinstance(kind, list) else "a JSON object"
+                if isinstance(kind, tuple) else _EXPECTED[kind])
+    raise SchemaError(f"{path}: {repr(where) if where else 'the document'} "
+                      f"must be {expected}, got {value!r:.60}")
+
+
+def read_json(path, schema: dict, required=(), what: str = "document") -> dict:
+    """The JSON object in ``path`` (a ``what``), checked against ``schema``.
+
+    ``schema`` maps each allowed key to its type: ``int`` (a whole number),
+    ``float`` (a finite number), ``str``, ``dict`` (any object), ``object``
+    (as given), ``[kind]`` (a list of that kind) or ``(schema, required)``
+    (an object checked in the same way); ``required`` lists the keys that
+    must be present.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"missing {what}: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(f"{path}: invalid JSON ({err})") from err
+    return _checked(doc, (schema, required), path, "")
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` with sorted keys, a two-space indent and a final
+    newline; a non-finite number is a :class:`NumericalError` instead."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NumericalError(f"{path}: non-finite number ({err})") from err
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -134,8 +217,6 @@ class SnapshotEnsemble:
 
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float)
-        for name in ("t", "theta", "omega", "u_raw", "u_filt"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.D.ndim != 2 or self.D.shape[0] != self.grid.n_dof:
             raise ValidationError(
                 f"D must have {self.grid.n_dof} rows, got shape {self.D.shape}"
@@ -149,8 +230,9 @@ class SnapshotEnsemble:
                 f"non-finite value in column D (component {'xyz'[comp]}, "
                 f"station {station:03d}) at row {k}: {self.D[dof, k]!r}"
             )
-        for name in ("t", "theta", "omega", "u_raw", "u_filt"):
-            arr = getattr(self, name)
+        for name in _CHANNELS:
+            arr = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, arr)
             if arr.shape != (n_t,):
                 raise ValidationError(f"{name} must have length n_t={n_t}")
             bad = np.flatnonzero(~np.isfinite(arr))
@@ -310,30 +392,10 @@ def _write_npy(path: Path, matrix: np.ndarray) -> None:
 
 
 def _open_case(manifest_path: Path) -> tuple[dict, ConditionKey, float]:
-    """Parse and check a manifest.
-
-    Returns the manifest, the condition and the sampling frequency; every
-    manifest read of the package goes through here.
-    """
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"missing manifest: {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{manifest_path}: invalid JSON ({err})") from err
-
-    for key in ("name", "L_b", "f_s", "u_mean", "ti", "seed",
-                "grid_file", "snapshot_file"):
-        if key not in manifest:
-            raise SchemaError(f"{manifest_path}: manifest missing key '{key}'")
-
-    condition = ConditionKey(
-        u_mean=float(manifest["u_mean"]),
-        ti=float(manifest["ti"]),
-        seed=int(manifest["seed"]),
-    )
-    return manifest, condition, float(manifest["f_s"])
+    """The checked manifest, its condition and its sampling frequency;
+    every manifest read of the package goes through here."""
+    m = read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
+    return m, ConditionKey(m["u_mean"], m["ti"], m["seed"]), m["f_s"]
 
 
 def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
@@ -341,7 +403,7 @@ def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
     names, data = _read_csv(path)
     if names != ["z_norm"]:
         raise SchemaError(f"{path}: expected single column 'z_norm', got {names}")
-    return BladeGrid(z_norm=data[:, 0], length_m=float(manifest["L_b"]))
+    return BladeGrid(z_norm=data[:, 0], length_m=manifest["L_b"])
 
 
 def _read_channels(path: Path, n_z: int,
@@ -415,18 +477,25 @@ def load_torsion(manifest_path, grid: BladeGrid | None = None,
     if "torsion_file" not in manifest:
         return None
     base = manifest_path.parent
+    path = base / manifest["torsion_file"]
     if grid is None:
         grid = _load_grid(manifest_path, manifest)
     if "displacement_file" not in manifest:
-        # full-width layout: the torsion table carries its own channels
-        channels, tau = _read_channels(base / manifest["torsion_file"],
-                                       grid.n_z, _TORSION)
+        # full-width layout: the torsion table carries its own channels,
+        # which must be the case's
+        own, tau = _read_channels(path, grid.n_z, _TORSION)
+        if channels is None:
+            channels = own
+        mismatch = [n for n in _CHANNELS
+                    if not np.array_equal(own[n], channels[n])]
+        if mismatch:
+            raise SchemaError(f"{path}: channel '{mismatch[0]}' differs "
+                              "from the case's snapshot file")
     else:
         if channels is None:
             channels, _ = _read_channels(base / manifest["snapshot_file"],
                                          grid.n_z)
-        tau = _read_npy(base / manifest["torsion_file"],
-                        (grid.n_dof, channels["t"].size))
+        tau = _read_npy(path, (grid.n_dof, channels["t"].size))
     return SnapshotEnsemble(grid=grid, D=tau, condition=condition, f_s=f_s,
                             **channels)
 
@@ -471,7 +540,5 @@ def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,
         manifest["torsion_file"] = tau_file
 
     manifest_path = out_dir / f"{name}.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path

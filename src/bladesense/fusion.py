@@ -4,14 +4,16 @@ The fused estimate weights prior and measurement by their covariances:
 
     K       = S_prior (S_prior + S_meas)^-1
     a_fused = a_prior + K (a_meas - a_prior)
-    S_fused = (I - K) S_prior
+    S_fused = (I - K) S_prior = S_meas K^T
 
-which minimizes the trace of the fused covariance. Everything here works
-on one Gaussian or on a stack of them, one per time step: means of shape
-(..., N) and covariances of shape (..., N, N). The prior covariance varies
-with azimuth, so each row gets its own gain, all from one stacked solve;
-the per-row special cases (a degenerate or a regularized innovation
-covariance) are applied by mask.
+which minimizes the trace of the fused covariance; it is formed as
+S_meas K^T, as with a near-exact measurement (K close to I) the form
+(I - K) S_prior is rounding noise that need not be PSD. Everything here
+works on one Gaussian or on a stack of them, one per time step: means of
+shape (..., N) and covariances of shape (..., N, N). The prior covariance
+varies with azimuth, so each row gets its own gain, all from one stacked
+solve; the per-row special cases (a degenerate or a regularized
+innovation covariance) are applied by mask.
 """
 
 from __future__ import annotations
@@ -145,7 +147,10 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
     if any_certain:
         gain = np.where(certain_rows, 0.0, gain)
     mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
-    cov = _sym((eye - gain) @ p_cov)
+    # symmetrized in place, so the result keeps the product's allocation
+    cov = measurement.covariance @ gain.swapaxes(-1, -2)
+    cov += cov.swapaxes(-1, -2)
+    cov *= 0.5
     if any_certain:
         cov = np.where(certain_rows, 0.0, cov)
     if stats is not None:

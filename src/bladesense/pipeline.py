@@ -15,8 +15,7 @@ written. A stage failure leaves a ``FAILED`` marker naming the stage.
 
 from __future__ import annotations
 
-import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import svgplot
 from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
                             bin_centers, evaluate_rom, fit_rom, save_rom)
 from .dataset import (_REPORT_FMT, ConditionKey, _write_csv, load_case,
-                      load_torsion)
+                      load_torsion, read_json, write_json)
 from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
                             write_energies_csv, write_modes_csv)
 from .errors import StageError, ValidationError
@@ -40,6 +39,11 @@ from .torsion import (TorsionModel, fit_torsion_map, infer_torsion,
 _COMPONENTS = ("ux", "uy", "uz")
 _TORSION_COMPONENTS = ("taux", "tauy", "tauz")
 _SOURCES = ("sparse", "rom", "fused")
+
+#: Config value type (see :func:`read_json`) of each PipelineConfig field
+#: type; the noise spec passes as given, for :meth:`NoiseModel.from_config`.
+_FIELD_KINDS = {"list": [str], "Path": str, "int": int, "tuple": [float],
+                "object": object}
 
 
 @dataclass
@@ -59,79 +63,50 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.training:
-            raise ValidationError("config lists no training cases")
-        if not self.evaluation:
-            raise ValidationError("config lists no evaluation cases")
+        for group in ("training", "evaluation"):
+            if not getattr(self, group):
+                raise ValidationError(f"'{group}' lists no cases")
         for p in list(self.training) + list(self.evaluation):
             if not Path(p).exists():
                 raise ValidationError(f"referenced manifest does not exist: {p}")
-        if self.n_modes < 1:
-            raise ValidationError("n_modes must be >= 1")
+        for name, low in (("n_modes", 1), ("n_sensors", 1), ("n_theta", 1),
+                          ("n_fourier", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"'{name}' must be >= {low}")
         # each sensor reports three rows; SensorSet.gram_gain checks the
         # sampled basis actually has rank n_modes
         if self.n_modes > 3 * self.n_sensors:
-            raise ValidationError("n_modes must not exceed 3 * n_sensors")
+            raise ValidationError("'n_modes' must not exceed 3 * 'n_sensors'")
+        if not self.observation_fractions:
+            raise ValidationError("'observation_fractions' lists no station")
         # a fraction outside the blade would snap to its end station
         for f in self.observation_fractions:
             if not 0.0 <= f <= 1.0:
                 raise ValidationError(
-                    f"observation_fractions must lie in [0, 1], got {f!r}")
+                    f"'observation_fractions' must lie in [0, 1], got {f!r}")
+        NoiseModel.from_config(self.noise, self.n_sensors)
 
     @classmethod
     def from_json(cls, path, seed=None, out_dir=None) -> "PipelineConfig":
+        """Read a config whose keys are the field names, each of its field's
+        type (see ``_FIELD_KINDS``); a setting the file leaves out keeps its
+        field default. Any fault is rejected naming the file and the key."""
         path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"config file does not exist: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValidationError(f"{path}: invalid JSON ({err})") from err
-        if not isinstance(doc, dict):
-            raise ValidationError(f"{path}: config must be a JSON object")
-        # the JSON keys are the field names; an unknown one is rejected, not
-        # ignored, so a misspelt or retired setting cannot silently default
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"{path}: unknown config keys {unknown}")
-        # a setting the file leaves out keeps its field default
-        settings = {f.name: _setting(path, f.name, f.default, doc[f.name])
-                    for f in fields(cls)
-                    if f.default is not MISSING and f.name in doc}
+        settings = read_json(path, {f.name: _FIELD_KINDS[f.type]
+                                    for f in fields(cls)}, what="config")
         if seed is not None:
             settings["seed"] = int(seed)
         base = path.parent
-        cfg = cls(
-            training=[base / p for p in doc.get("training", [])],
-            evaluation=[base / p for p in doc.get("evaluation", [])],
-            out_dir=Path(out_dir) if out_dir else base / doc.get("out_dir", "results"),
-            **settings)
-        cfg.validate()
+        for group in ("training", "evaluation"):
+            settings[group] = [base / p for p in settings.get(group, [])]
+        settings["out_dir"] = (Path(out_dir) if out_dir else
+                               base / settings.get("out_dir", "results"))
+        cfg = cls(**settings)
+        try:
+            cfg.validate()
+        except ValidationError as err:
+            raise ValidationError(f"{path}: {err}") from None
         return cfg
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _setting(path, name: str, default, value):
-    """A config value in its field default's type: a whole number for an
-    int, a list of numbers for a tuple. Any other value would be truncated
-    or fail later, so it is rejected, naming the key; the noise spec (sigma
-    or dict) passes as given, for :meth:`NoiseModel.from_config`."""
-    if isinstance(default, int):
-        if not _is_number(value) or (isinstance(value, float)
-                                     and not value.is_integer()):
-            raise ValidationError(
-                f"{path}: '{name}' must be a whole number, got {value!r}")
-        return int(value)
-    if isinstance(default, tuple):
-        if not (isinstance(value, list) and all(map(_is_number, value))):
-            raise ValidationError(
-                f"{path}: '{name}' must be a list of numbers, got {value!r}")
-        return tuple(value)
-    return value
 
 
 @dataclass
@@ -164,8 +139,7 @@ def _stage_load(ctx: _Context) -> None:
     for group, paths in (("train", ctx.config.training),
                          ("evaluation", ctx.config.evaluation)):
         for p in paths:
-            grid, ensemble = load_case(p)
-            getattr(ctx, group).append((Path(p).stem, ensemble))
+            getattr(ctx, group).append((Path(p).stem, load_case(p)[1]))
     z0 = ctx.train[0][1].grid.z_norm
     for _, e in ctx.train + ctx.evaluation:
         if e.grid.z_norm.shape != z0.shape or np.any(e.grid.z_norm != z0):
@@ -288,20 +262,12 @@ def _stage_estimate(ctx: _Context) -> None:
 
     ctx.summary = {
         "cases": cases_summary,
-        "fusion": {"steps": ctx.fusion_stats.steps,
-                   "regularized": ctx.fusion_stats.regularized},
-        "rom": {"steps": ctx.rom_stats.steps,
-                "clamped_low": ctx.rom_stats.clamped_low,
-                "clamped_high": ctx.rom_stats.clamped_high},
-        "settings": {
-            "n_modes": cfg.n_modes, "n_sensors": cfg.n_sensors,
-            "n_theta": cfg.n_theta, "n_fourier": cfg.n_fourier,
-            "seed": cfg.seed,
-        },
+        "fusion": asdict(ctx.fusion_stats),
+        "rom": asdict(ctx.rom_stats),
+        "settings": {key: getattr(cfg, key) for key in
+                     ("n_modes", "n_sensors", "n_theta", "n_fourier", "seed")},
     }
-    with open(ctx.emit("error_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(ctx.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ctx.emit("error_summary.json"), ctx.summary)
 
 
 def _stage_torsion(ctx: _Context) -> None:
@@ -372,10 +338,8 @@ def _stage_torsion(ctx: _Context) -> None:
                                 "components": comp_stats})
         eval_summary[case_id] = per_station
 
-    with open(ctx.emit("torsion_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"fit_r_squared": fit_quality, "evaluation": eval_summary},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ctx.emit("torsion_summary.json"),
+               {"fit_r_squared": fit_quality, "evaluation": eval_summary})
 
 
 def _fd_edges(x: np.ndarray) -> np.ndarray:
@@ -499,11 +463,8 @@ def _stage_report(ctx: _Context) -> None:
 
 
 def _stage_index(ctx: _Context) -> None:
-    listing = sorted(set(ctx.artifacts))
-    with open(ctx.config.out_dir / "artifacts.json", "w",
-              encoding="utf-8") as fh:
-        json.dump({"files": listing}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ctx.config.out_dir / "artifacts.json",
+               {"files": sorted(set(ctx.artifacts))})
 
 
 _STAGES = {

@@ -107,8 +107,11 @@ class NoiseModel:
     def from_matrices(cls, matrices) -> "NoiseModel":
         mats = []
         for p, m in enumerate(matrices):
-            m = np.asarray(m, dtype=float)
-            if m.shape != (3, 3):
+            try:
+                m = np.asarray(m, dtype=float)
+            except (TypeError, ValueError):  # text, objects, ragged rows
+                m = None
+            if m is None or m.shape != (3, 3):
                 raise ValidationError(f"sensor {p}: covariance must be 3x3")
             if not np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max())):
                 raise ValidationError(f"sensor {p}: covariance must be symmetric")
@@ -130,25 +133,26 @@ class NoiseModel:
     @classmethod
     def isotropic(cls, sigma: float, n_sensors: int) -> "NoiseModel":
         """Same scalar standard deviation on every component of every sensor."""
-        if sigma < 0:
-            raise ValidationError("sigma must be non-negative")
+        if not 0.0 <= sigma < np.inf:
+            raise ValidationError(f"noise sigma must be finite and "
+                                  f"non-negative, got {sigma!r}")
         return cls.from_matrices([np.eye(3) * sigma**2] * n_sensors)
 
     @classmethod
     def from_config(cls, spec, n_sensors: int) -> "NoiseModel":
         """Build from a JSON-style spec: a scalar sigma or
         ``{"per_sensor": [3x3, ...]}``."""
-        if isinstance(spec, (int, float)):
+        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
             return cls.isotropic(float(spec), n_sensors)
-        if isinstance(spec, dict):
-            if "per_sensor" in spec:
-                mats = spec["per_sensor"]
-                if len(mats) != n_sensors:
-                    raise ValidationError(
-                        f"noise config lists {len(mats)} sensors, expected {n_sensors}"
-                    )
-                return cls.from_matrices(mats)
-        raise ValidationError("noise config must be a sigma or per-sensor matrices")
+        mats = spec.get("per_sensor") if isinstance(spec, dict) else None
+        if not isinstance(mats, list) or len(spec) != 1:
+            raise ValidationError("noise config must be a sigma or per-sensor "
+                                  f"matrices, got {spec!r:.60}")
+        if len(mats) != n_sensors:
+            raise ValidationError(
+                f"noise config lists {len(mats)} sensors, expected {n_sensors}"
+            )
+        return cls.from_matrices(mats)
 
 
 def _greedy_pivots(candidates: np.ndarray, count: int) -> list[int]:

@@ -15,7 +15,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +22,8 @@ import numpy as np
 
 from .azimuthal_rom import fourier_eval
 from .dataset import (_REPORT_FMT, BladeGrid, ConditionKey, SnapshotEnsemble,
-                      _write_csv, save_case, smooth_wind, wrap_angle)
+                      _write_csv, save_case, smooth_wind, wrap_angle,
+                      write_json)
 from .decomposition import dof_weights
 from .errors import ValidationError
 
@@ -257,9 +257,7 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
     if spec.torsion is not None:
         sidecar["torsion_coupling"] = spec.torsion.coupling.tolist()
     sidecar_path = out_dir / f"{spec.name}_ground_truth.json"
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, sidecar)
 
     return GroundTruth(
         a_true=a_true, theta=theta, true_modes=spec.true_modes,

@@ -8,16 +8,15 @@ condition (no interpolation between maps).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import BladeGrid
+from .dataset import BladeGrid, _read_csv, read_json, write_json
 from .decomposition import ModalBasis, write_modes_csv
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 
 
 def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:
@@ -100,24 +99,27 @@ def save_torsion_model(model: TorsionModel, path, basis_filename=None) -> None:
             for k, M in sorted(model.maps.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
+
+
+#: ``torsion_model.json`` keys and their types (see :func:`read_json`).
+_TORSION_MODEL = {"basis_file": str, "J": int, "conditions": [
+    ({"u_mean": float, "ti": float, "M": [[float]]}, ("u_mean", "ti", "M"))]}
 
 
 def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    table = np.loadtxt(path.parent / doc["basis_file"], delimiter=",",
-                       skiprows=1, ndmin=2)
-    mean_field = table[:, 0]
-    modes = table[:, 1:]
-    n_torsion = int(doc["J"])
+    doc = read_json(path, _TORSION_MODEL, tuple(_TORSION_MODEL),
+                    "torsion model")
+    basis_path = path.parent / doc["basis_file"]
+    names, table = _read_csv(basis_path)
+    if names != ["mean"] + [f"mode_{n}" for n in range(1, len(names))]:
+        raise SchemaError(f"{basis_path}: header must be mean,mode_1,...")
+    mean_field, modes = table[:, 0], table[:, 1:]
     # energies are not persisted; store placeholder non-increasing values
     basis = ModalBasis(grid=grid, mean_field=mean_field, modes=modes,
                        energies=np.zeros(modes.shape[1]),
                        n_modes=modes.shape[1], total_energy=1.0)
-    maps = {(float(c["u_mean"]), float(c["ti"])): np.asarray(c["M"], dtype=float)
+    maps = {(c["u_mean"], c["ti"]): np.asarray(c["M"], dtype=float)
             for c in doc["conditions"]}
-    return TorsionModel(basis=basis, maps=maps, n_torsion=n_torsion)
+    return TorsionModel(basis=basis, maps=maps, n_torsion=doc["J"])

@@ -246,6 +246,24 @@ class TestLoadTorsion:
         with pytest.raises(SchemaError, match="tc_torsion.npy"):
             load_torsion(manifest, ens.grid, ens.channels())
 
+    def test_rejects_a_legacy_torsion_table_with_other_channels(self,
+                                                                tmp_path):
+        manifest, _, _ = _random_case(tmp_path)
+        legacy = write_legacy_case(manifest, tmp_path / "legacy")
+        grid, ens = load_case(legacy)
+        table = tmp_path / "legacy" / "tc_torsion.csv"
+        names = table.read_text().splitlines()[0].split(",")
+        data = np.loadtxt(table, delimiter=",", skiprows=1)
+        for column, shift in (("theta", lambda v: wrap_angle(v + 1.0)),
+                              ("u_filt", lambda v: v + 3.0)):
+            shifted = data.copy()
+            j = names.index(column)
+            shifted[:, j] = shift(shifted[:, j])
+            dataset._write_csv(table, names, shifted)
+            with pytest.raises(SchemaError,
+                               match=f"tc_torsion.csv: channel '{column}'"):
+                load_torsion(legacy, grid, ens.channels())
+
 
 class TestLayouts:
     def test_both_layouts_load_identical_arrays(self, tmp_path):

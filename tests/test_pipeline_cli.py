@@ -320,8 +320,7 @@ class TestFailureModes:
         pipeline_cfg, _ = quickstart
         config = PipelineConfig.from_json(pipeline_cfg,
                                           out_dir=tmp_path / "o")
-        config.n_sensors = 4
-        config.noise = {"per_sensor": [np.eye(3).tolist()] * 3}  # wrong count
+        config.n_sensors = 9  # more sensors than the 8 stations of the grid
         with pytest.raises(StageError, match="sensors"):
             run_pipeline(config, plan="pipeline")
         assert (tmp_path / "o" / "FAILED").exists()
@@ -340,6 +339,22 @@ class TestFailureModes:
                      "--out", str(out)])
         assert not (out / "error_summary.json").exists()
         return code, (out / "FAILED").read_text()
+
+    def test_non_finite_summary_value_is_a_numerical_error(
+            self, quickstart, tmp_path, monkeypatch):
+        pipeline_cfg, _ = quickstart
+
+        def nan_r2(a, b, _fit=bladesense.pipeline.fit_torsion_map):
+            M, r2 = _fit(a, b)
+            return M, np.full_like(r2, np.nan)
+
+        monkeypatch.setattr(bladesense.pipeline, "fit_torsion_map", nan_r2)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(pipeline_cfg),
+                     "--out", str(out)]) == 3
+        assert "torsion_summary.json" in (out / "FAILED").read_text()
+        assert "stage: torsion" in (out / "FAILED").read_text()
+        assert not (out / "torsion_summary.json").exists()
 
     def test_non_finite_input_fails_at_load(self, quickstart, tmp_path):
         def damage(cases):
@@ -528,6 +543,19 @@ class TestEstimateHealth:
             # criterion 3's tolerance
             assert rmse["fused"] <= 1.05 * rmse["sparse"], (case_id, rmse)
 
+    def test_noise_free_sensors_give_the_sparse_estimate(self, quickstart,
+                                                         tmp_path):
+        pipeline_cfg, _ = quickstart
+        cfg = pipeline_cfg.parent / f"noise0_{tmp_path.name}.json"
+        cfg.write_text(json.dumps({**json.loads(pipeline_cfg.read_text()),
+                                   "noise": 0}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "error_summary.json").read_text())
+        for case in summary["cases"].values():
+            rmse = case["reduced_rmse"]
+            assert np.allclose(rmse["fused"], rmse["sparse"], rtol=1e-9)
+
     def test_nis_mean_matches_per_step_computation(self, quickstart, tmp_path,
                                                    monkeypatch):
         pipeline_cfg, out = quickstart
@@ -636,6 +664,13 @@ class TestConfigValidation:
             return doc
         return edit
 
+    @staticmethod
+    def _set(group, key, value):
+        def edit(doc):
+            doc[group][0][key] = value
+            return doc
+        return edit
+
     @pytest.mark.parametrize("command, edit, key", [
         ("synth", _drop.__func__("training", "name"), "'name'"),
         ("synth", _drop.__func__("evaluation", "u_mean"), "'u_mean'"),
@@ -650,10 +685,33 @@ class TestConfigValidation:
          "observation_fractions"),
         ("pipeline", lambda doc: {**doc, "observation_fractions": [-0.1]},
          "observation_fractions"),
+        ("synth", _set.__func__("training", "u_mean", "abc"),
+         "'training[0].u_mean'"),
+        ("synth", lambda doc: {**doc, "training": [doc["training"][0], {
+            **doc["training"][1], "u_mean": "abc"}]}, "'training[1].u_mean'"),
+        ("synth", _set.__func__("evaluation", "seeds", 5),
+         "'evaluation[0].seeds'"),
+        ("synth", lambda doc: {**doc, "grid": {"n_z": "x"}}, "'grid.n_z'"),
+        ("synth", lambda doc: {**doc, "training": {}}, "'training'"),
+        ("pipeline", lambda doc: {**doc, "training": 5}, "'training'"),
+        ("pipeline", lambda doc: {**doc, "observation_fractions": []},
+         "'observation_fractions'"),
+        ("pipeline", lambda doc: {**doc, "seed": -1}, "'seed'"),
+        ("pipeline", lambda doc: {**doc, "n_fourier": -1}, "'n_fourier'"),
+        ("pipeline", lambda doc: {**doc, "n_theta": 0}, "'n_theta'"),
+        ("pipeline", lambda doc: {**doc, "n_sensors": 0}, "'n_sensors'"),
+        ("pipeline", lambda doc: {**doc, "noise": True}, "noise config"),
+        ("pipeline", lambda doc: {**doc, "noise": {"per_sensor": 5}},
+         "noise config"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
-            "fraction-below-0"])
+            "fraction-below-0", "synth-u_mean-text",
+            "synth-second-case-u_mean-text", "synth-seeds-scalar",
+            "synth-n_z-text", "synth-training-object", "training-scalar",
+            "fractions-empty", "seed-negative", "n_fourier-negative",
+            "n_theta-zero", "n_sensors-zero", "noise-bool",
+            "noise-per_sensor-scalar"])
     def test_malformed_config_exits_2_naming_the_key(
             self, quickstart, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = quickstart
@@ -667,8 +725,30 @@ class TestConfigValidation:
         out = tmp_path / "out"
         capsys.readouterr()
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and cfg.name in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 1.5), ("seed", True), ("u_mean", "9.5"), ("f_s", "abc"),
+        ("L_b", None), ("grid_file", 5), ("torsoin_file", "x.npy"),
+    ], ids=["seed-fraction", "seed-bool", "u_mean-text", "f_s-text",
+            "L_b-null", "grid_file-number", "misspelt-torsion_file"])
+    def test_malformed_manifest_exits_2_naming_the_key(
+            self, quickstart, tmp_path, capsys, key, value):
+        pipeline_cfg, _ = quickstart
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        manifest = cases / json.loads(pipeline_cfg.read_text())["training"][1]
+        doc = json.loads(manifest.read_text())
+        doc[key] = value
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and manifest.name in err
+        assert "load" in (tmp_path / "out" / "FAILED").read_text()
 
     def test_n_modes_bounded_by_sensors(self, quickstart):
         pipeline_cfg, _ = quickstart
