@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import read_json, write_json
-from .errors import NumericalError, StageError, ValidationError
+from .errors import NumericalError, SchemaError, StageError, ValidationError
 from .pipeline import COMMAND_PLANS, PipelineConfig, run_pipeline
 from .synthetic import demo_grid, demo_spec, generate_case
 
@@ -42,19 +42,27 @@ def cmd_synth(args) -> int:
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
-    doc = read_json(args.config or Path(__file__).with_name("quickstart.json"),
-                    _SYNTH, what="synth config")
+    path = args.config or Path(__file__).with_name("quickstart.json")
+    doc = read_json(path, _SYNTH, what="synth config")
     grid = demo_grid(**{"length_m" if key == "L_b" else key: value
                         for key, value in doc.get("grid", {}).items()})
     specs = {"training": [], "evaluation": []}  # (case seed, spec) pairs
     for group, pairs in specs.items():
-        for entry in doc.get(group, []):
+        for i, entry in enumerate(doc.get(group, [])):
+            key = f"{group}[{i}]"
             # every case key but name and seeds is a demo_spec argument
             options = {k: v for k, v in entry.items() if k not in ("name", "seeds")}
-            pairs += [(s, demo_spec(name=f"{entry['name']}_s{s}", grid=grid,
-                                    **options))
-                      for s in entry.get("seeds", [0])]
-    manifests = {group: [generate_case(spec, seed + case_seed, out)
+            for s in entry.get("seeds", [0]):
+                if seed + s < 0:
+                    raise SchemaError(f"{path}: '{key}.seeds': --seed "
+                                      f"{seed} plus seed {s} is negative")
+                try:
+                    spec = demo_spec(name=f"{entry['name']}_s{s}", grid=grid,
+                                     **options)
+                except ValidationError as err:
+                    raise SchemaError(f"{path}: '{key}': {err}") from err
+                pairs.append((seed + s, spec))
+    manifests = {group: [generate_case(spec, case_seed, out)
                          .manifest_path.name for case_seed, spec in pairs]
                  for group, pairs in specs.items()}
     pipe_cfg = {**manifests, "out_dir": "results", **doc.get("pipeline", {})}

@@ -6,16 +6,14 @@ channels and the field matrices (paths relative to the manifest):
     manifest:      {name, L_b, f_s, u_mean, ti, seed, grid_file,
                     snapshot_file, displacement_file, torsion_file?}
     grid:          CSV, header ``z_norm``, one spanwise station per row
-    snapshots:     CSV, header ``t,theta,omega,u_raw[,u_filt]``, one row per
+    snapshots:     CSV, header ``t,theta,omega,u_raw,u_filt``, one row per
                    time step
     displacement:  ``.npy`` float64 matrix of shape (3*n_z, n_t)
     torsion:       ``.npy`` float64 matrix of the same shape
 
-This binary layout is what :func:`save_case` writes. The loaders also read
-the full-width CSV layout that outside solver output arrives in: no
-``displacement_file``, and a snapshot file with header
-``t,theta,omega,u_raw[,u_filt],ux_000..,uy_000..,uz_000..``; its torsion
-file has the same columns with ``taux_*, tauy_*, tauz_*`` fields.
+This is the one layout: :func:`save_case` writes it and the loaders read
+only it. Outside solver output becomes a case by building a
+:class:`SnapshotEnsemble` and calling :func:`save_case`.
 
 Field rows have a fixed order (all x stations, all y stations, all z
 stations); every module downstream assumes that order, and a ``.npy``
@@ -25,7 +23,7 @@ the declared sampling frequency.
 
 Every table a program reads back (case grids and channels, POD modes and
 torsion bases) is written as decimal text with 18 significant digits
-(``%.17e``), so a save/load round trip is bit-exact in either layout.
+(``%.17e``), so a save/load round trip is bit-exact.
 Tables that only people and plots read (reconstructions, figure twins,
 ground-truth sidecars) carry 10 significant digits (``%.9e``), which
 format faster.
@@ -54,8 +52,8 @@ from .errors import NumericalError, SchemaError, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
-#: Exponential smoothing factor applied to the raw hub wind speed when the
-#: snapshot file does not already carry a filtered column.
+#: Exponential smoothing factor of :func:`smooth_wind`, which gives the
+#: synthetic twin its filtered hub wind speed ``u_filt``.
 DEFAULT_SMOOTHING_ALPHA = 0.2
 
 #: Lossless: 18 significant digits round-trip every float64 bit-exactly.
@@ -76,15 +74,11 @@ _NPY_MAGIC = b"\x93NUMPY"
 #: Per-step channels of a case, in their column order.
 _CHANNELS = ("t", "theta", "omega", "u_raw", "u_filt")
 
-_DISPLACEMENT = ("ux", "uy", "uz")
-_TORSION = ("taux", "tauy", "tauz")
-
 #: Manifest keys, their types (see :func:`read_json`) and the required ones.
 _MANIFEST = {"name": str, "L_b": float, "f_s": float, "u_mean": float,
              "ti": float, "seed": int, "grid_file": str, "snapshot_file": str,
              "displacement_file": str, "torsion_file": str}
-_MANIFEST_REQUIRED = ("name", "L_b", "f_s", "u_mean", "ti", "seed",
-                      "grid_file", "snapshot_file")
+_MANIFEST_REQUIRED = tuple(k for k in _MANIFEST if k != "torsion_file")
 
 #: What a type error message says a value of each scalar type must be.
 _EXPECTED = {int: "a whole number", float: "a finite number", str: "text",
@@ -191,9 +185,9 @@ class ConditionKey:
 
     def __post_init__(self):
         if not self.u_mean > 0:
-            raise ValidationError("u_mean must be positive")
+            raise ValidationError(f"u_mean must be > 0, got {self.u_mean!r}")
         if not 0.0 < self.ti < 1.0:
-            raise ValidationError("ti must lie in (0, 1)")
+            raise ValidationError(f"ti must lie in (0, 1), got {self.ti!r}")
 
 
 @dataclass
@@ -317,11 +311,6 @@ def azimuth_bin(theta, n_theta: int):
     return int(idx) if np.isscalar(theta) else idx
 
 
-def _field_columns(n_z: int, prefixes) -> list[str]:
-    """CSV column names of a full-width field table, in ``D``'s row order."""
-    return [f"{p}_{i:03d}" for p in prefixes for i in range(n_z)]
-
-
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
@@ -387,17 +376,6 @@ def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
     return data
 
 
-def _write_npy(path: Path, matrix: np.ndarray) -> None:
-    np.save(path, np.ascontiguousarray(matrix, dtype=np.float64))
-
-
-def _open_case(manifest_path: Path) -> tuple[dict, ConditionKey, float]:
-    """The checked manifest, its condition and its sampling frequency;
-    every manifest read of the package goes through here."""
-    m = read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
-    return m, ConditionKey(m["u_mean"], m["ti"], m["seed"]), m["f_s"]
-
-
 def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
     path = manifest_path.parent / manifest["grid_file"]
     names, data = _read_csv(path)
@@ -406,60 +384,44 @@ def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
     return BladeGrid(z_norm=data[:, 0], length_m=manifest["L_b"])
 
 
-def _read_channels(path: Path, n_z: int,
-                   prefixes=None) -> tuple[dict, np.ndarray | None]:
-    """Parse a per-step channel table.
-
-    Returns the channels ``t, theta, omega, u_raw, u_filt`` (``u_filt``
-    computed with :func:`smooth_wind` when the file lacks it) and, for a
-    full-width table whose field column ``prefixes`` are given, the stacked
-    field matrix; without ``prefixes`` the table must hold channels only.
-    """
+def _read_channels(path: Path) -> dict:
+    """The channels ``t, theta, omega, u_raw, u_filt`` of a channel table,
+    which must have exactly that header."""
     names, data = _read_csv(path)
-    meta = list(_CHANNELS[:4]) + (["u_filt"] if "u_filt" in names else [])
-    expected = list(meta)
-    if prefixes is not None:
-        field_cols = _field_columns(n_z, prefixes)
-        if field_cols[0] not in names:
-            raise SchemaError(f"{path}: no field columns, and the manifest "
-                              "names no displacement_file")
-        expected += field_cols
-    if names != expected:
-        missing = [c for c in expected if c not in names]
-        extra = [c for c in names if c not in expected]
+    if names != list(_CHANNELS):
+        missing = [c for c in _CHANNELS if c not in names]
+        extra = [c for c in names if c not in _CHANNELS]
         offender = (missing or extra or ["<column order>"])[0]
-        if prefixes is None:
-            layout = "the channels only; the fields are in displacement_file"
-        else:
-            layout = f"{len(expected)} columns for n_z={n_z}"
         raise SchemaError(f"{path}: column mismatch at '{offender}' "
-                          f"(expected {layout})")
-    channels = {name: data[:, j] for j, name in enumerate(meta)}
-    if "u_filt" not in channels:
-        channels["u_filt"] = smooth_wind(channels["u_raw"])
-    if prefixes is None:
-        return channels, None
-    return channels, np.ascontiguousarray(data[:, len(meta):].T)
+                          f"(expected {','.join(_CHANNELS)})")
+    return {name: data[:, j] for j, name in enumerate(_CHANNELS)}
+
+
+def _load_fields(manifest_path, key: str, grid: BladeGrid | None,
+                 channels: dict | None) -> SnapshotEnsemble | None:
+    """The ensemble of the field matrix a case's manifest names under
+    ``key`` (``None`` when it names none), reading the grid and the channels
+    only when they are not given; every manifest read goes through here."""
+    manifest_path = Path(manifest_path)
+    m = read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
+    condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
+    if key not in m:
+        return None
+    if grid is None:
+        grid = _load_grid(manifest_path, m)
+    if channels is None:
+        channels = _read_channels(manifest_path.parent / m["snapshot_file"])
+    D = _read_npy(manifest_path.parent / m[key],
+                  (grid.n_dof, channels["t"].size))
+    return SnapshotEnsemble(grid=grid, D=D, condition=condition, f_s=m["f_s"],
+                            **channels)
 
 
 def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
-    """Load and validate one case from its manifest, in either layout.
-
-    Returns the grid and the snapshot ensemble; the filtered wind channel is
-    computed with :func:`smooth_wind` when the file does not provide it.
-    """
-    manifest_path = Path(manifest_path)
-    manifest, condition, f_s = _open_case(manifest_path)
-    grid = _load_grid(manifest_path, manifest)
-    binary = "displacement_file" in manifest
-    channels, D = _read_channels(manifest_path.parent / manifest["snapshot_file"],
-                                 grid.n_z, None if binary else _DISPLACEMENT)
-    if binary:
-        D = _read_npy(manifest_path.parent / manifest["displacement_file"],
-                      (grid.n_dof, channels["t"].size))
-    ensemble = SnapshotEnsemble(grid=grid, D=D, condition=condition, f_s=f_s,
-                                **channels)
-    return grid, ensemble
+    """Load and validate one case from its manifest; returns the grid and
+    the snapshot ensemble."""
+    ensemble = _load_fields(manifest_path, "displacement_file", None, None)
+    return ensemble.grid, ensemble
 
 
 def load_torsion(manifest_path, grid: BladeGrid | None = None,
@@ -472,37 +434,12 @@ def load_torsion(manifest_path, grid: BladeGrid | None = None,
     channels are read too, but never the displacement matrix. Returns
     ``None`` when the manifest names no ``torsion_file``.
     """
-    manifest_path = Path(manifest_path)
-    manifest, condition, f_s = _open_case(manifest_path)
-    if "torsion_file" not in manifest:
-        return None
-    base = manifest_path.parent
-    path = base / manifest["torsion_file"]
-    if grid is None:
-        grid = _load_grid(manifest_path, manifest)
-    if "displacement_file" not in manifest:
-        # full-width layout: the torsion table carries its own channels,
-        # which must be the case's
-        own, tau = _read_channels(path, grid.n_z, _TORSION)
-        if channels is None:
-            channels = own
-        mismatch = [n for n in _CHANNELS
-                    if not np.array_equal(own[n], channels[n])]
-        if mismatch:
-            raise SchemaError(f"{path}: channel '{mismatch[0]}' differs "
-                              "from the case's snapshot file")
-    else:
-        if channels is None:
-            channels, _ = _read_channels(base / manifest["snapshot_file"],
-                                         grid.n_z)
-        tau = _read_npy(path, (grid.n_dof, channels["t"].size))
-    return SnapshotEnsemble(grid=grid, D=tau, condition=condition, f_s=f_s,
-                            **channels)
+    return _load_fields(manifest_path, "torsion_file", grid, channels)
 
 
 def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,
               tau: np.ndarray | None = None) -> Path:
-    """Write one case in the binary layout to out_dir.
+    """Write one case to out_dir.
 
     Writes the manifest, the grid and channel CSVs, and the displacement
     (and torsion) ``.npy`` matrices. Returns the manifest path. Values
@@ -518,7 +455,7 @@ def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,
     _write_csv(out_dir / grid_file, ["z_norm"], grid.z_norm[:, None])
     _write_csv(out_dir / snap_file, list(_CHANNELS),
                np.column_stack([getattr(ensemble, c) for c in _CHANNELS]))
-    _write_npy(out_dir / disp_file, ensemble.D)
+    np.save(out_dir / disp_file, np.ascontiguousarray(ensemble.D, np.float64))
 
     manifest = {
         "name": name,
@@ -532,11 +469,11 @@ def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,
         "displacement_file": disp_file,
     }
     if tau is not None:
-        tau = np.asarray(tau, dtype=float)
+        tau = np.ascontiguousarray(tau, dtype=np.float64)
         if tau.shape != ensemble.D.shape:
             raise ValidationError("torsion matrix must match the snapshot shape")
         tau_file = f"{name}_torsion.npy"
-        _write_npy(out_dir / tau_file, tau)
+        np.save(out_dir / tau_file, tau)
         manifest["torsion_file"] = tau_file
 
     manifest_path = out_dir / f"{name}.json"

@@ -304,7 +304,7 @@ def _stage_torsion(ctx: _Context) -> None:
         M, r2 = fit_torsion_map(a_all, b_all)
         maps[key] = M
         fit_quality[f"u={key[0]},ti={key[1]}"] = [float(v) for v in r2]
-    model = TorsionModel(basis=tau_basis, maps=maps, n_torsion=rank)
+    model = TorsionModel(basis=tau_basis, maps=maps)
     save_torsion_model(model, ctx.emit("torsion_model.json"),
                        basis_filename="torsion_basis.csv")
     ctx.artifacts.append("torsion_basis.csv")

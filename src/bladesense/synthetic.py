@@ -71,6 +71,7 @@ class SyntheticCaseSpec:
         self.harmonic_amplitudes = np.atleast_2d(
             np.asarray(self.harmonic_amplitudes, dtype=float))
 
+        ConditionKey(self.u_mean, self.ti, 0)  # its rule for u_mean and ti
         n_dof = self.grid.n_dof
         n_z = self.grid.n_z
         if self.true_modes.shape[0] != n_dof:
@@ -94,10 +95,17 @@ class SyntheticCaseSpec:
             raise ValidationError("harmonic amplitudes must be (N_true, 3)")
         if not (self.omega > 0 and self.duration_s > 0 and self.f_s > 0):
             raise ValidationError("omega, duration_s and f_s must be positive")
+        if self.n_t < 2:
+            raise ValidationError(f"duration_s * f_s gives {self.n_t} "
+                                  "samples, fewer than 2")
 
     @property
     def n_true(self) -> int:
         return self.true_modes.shape[1]
+
+    @property
+    def n_t(self) -> int:
+        return int(round(self.duration_s * self.f_s))
 
 
 @dataclass
@@ -204,9 +212,7 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
     """
     out_dir = Path(out_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_t = int(round(spec.duration_s * spec.f_s))
-    if n_t < 2:
-        raise ValidationError("duration too short for the sampling frequency")
+    n_t = spec.n_t
     t = np.arange(n_t) / spec.f_s
     theta = wrap_angle(spec.omega * t)
 

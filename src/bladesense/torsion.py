@@ -53,7 +53,10 @@ class TorsionModel:
 
     basis: ModalBasis
     maps: dict
-    n_torsion: int
+
+    @property
+    def n_torsion(self) -> int:  # the rows of every coupling map
+        return self.basis.n_modes
 
     def __post_init__(self):
         for key, M in self.maps.items():
@@ -120,6 +123,10 @@ def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
     basis = ModalBasis(grid=grid, mean_field=mean_field, modes=modes,
                        energies=np.zeros(modes.shape[1]),
                        n_modes=modes.shape[1], total_energy=1.0)
+    rows = {doc["J"]} | {len(c["M"]) for c in doc["conditions"]}
+    if rows != {basis.n_modes}:
+        raise SchemaError(f"{path}: 'J' and the rows of each 'M' must equal "
+                          f"the {basis.n_modes} modes of {basis_path.name}")
     maps = {(c["u_mean"], c["ti"]): np.asarray(c["M"], dtype=float)
             for c in doc["conditions"]}
-    return TorsionModel(basis=basis, maps=maps, n_torsion=doc["J"])
+    return TorsionModel(basis=basis, maps=maps)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bladesense import BladeGrid, ModalBasis, dataset, load_case, load_torsion
+from bladesense import BladeGrid, ModalBasis, dataset
 from bladesense.decomposition import dof_weights
 from bladesense.errors import SchemaError
 
@@ -64,39 +64,7 @@ def uniform_grid():
 CHANNELS = ["t", "theta", "omega", "u_raw", "u_filt"]
 
 
-def write_legacy_case(manifest_path, out_dir):
-    """Rewrite a case in the full-width CSV layout, with no
-    ``displacement_file``: the snapshot and torsion tables carry the
-    channels and one column per field value. Returns the new manifest."""
-    manifest_path, out_dir = Path(manifest_path), Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(manifest_path.read_text())
-    grid, ens = load_case(manifest_path)
-    tau = load_torsion(manifest_path, grid, ens.channels())
-    meta = np.column_stack([getattr(ens, c) for c in CHANNELS])
-    name = doc["name"]
-    dataset._write_csv(out_dir / f"{name}_grid.csv", ["z_norm"],
-                       grid.z_norm[:, None])
-    dataset._write_csv(
-        out_dir / f"{name}_snapshots.csv",
-        CHANNELS + dataset._field_columns(grid.n_z, ("ux", "uy", "uz")),
-        np.hstack([meta, ens.D.T]))
-    doc.update(grid_file=f"{name}_grid.csv",
-               snapshot_file=f"{name}_snapshots.csv")
-    del doc["displacement_file"]
-    if tau is not None:
-        dataset._write_csv(
-            out_dir / f"{name}_torsion.csv",
-            CHANNELS + dataset._field_columns(grid.n_z,
-                                              ("taux", "tauy", "tauz")),
-            np.hstack([meta, tau.D.T]))
-        doc["torsion_file"] = f"{name}_torsion.csv"
-    out = out_dir / manifest_path.name
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-#: Ways a binary-layout case can be damaged on disk; each must be rejected
+#: Ways a case can be damaged on disk; each must be rejected
 #: when the case is loaded (see :func:`damage_case`).
 DAMAGE = ("missing", "not_npy", "truncated", "truncated_header", "object",
           "pickled", "float32", "short_rows", "short_steps", "transposed",
@@ -104,8 +72,8 @@ DAMAGE = ("missing", "not_npy", "truncated", "truncated_header", "object",
 
 
 def damage_case(manifest_path, kind):
-    """Damage the displacement matrix (or the snapshot table) of a
-    binary-layout case in the way ``kind`` names.
+    """Damage the displacement matrix (or the snapshot table, or the
+    manifest) of a case in the way ``kind`` names.
 
     Returns the expected exception type and the file name its message must
     contain.
@@ -118,16 +86,15 @@ def damage_case(manifest_path, kind):
     if kind == "missing":
         npy.unlink()
         return FileNotFoundError, npy.name
-    if kind in ("fields_in_snapshots", "no_fields"):
-        if kind == "no_fields":
-            del doc["displacement_file"]
-            manifest_path.write_text(json.dumps(doc))
-        else:
-            meta = np.loadtxt(snap, delimiter=",", skiprows=1, ndmin=2)
-            n_z = D.shape[0] // 3
-            dataset._write_csv(
-                snap, CHANNELS + dataset._field_columns(n_z, ("ux", "uy", "uz")),
-                np.hstack([meta, D.T]))
+    if kind == "no_fields":
+        del doc["displacement_file"]
+        manifest_path.write_text(json.dumps(doc))
+        return SchemaError, manifest_path.name
+    if kind == "fields_in_snapshots":
+        meta = np.loadtxt(snap, delimiter=",", skiprows=1, ndmin=2)
+        n_z = D.shape[0] // 3
+        fields = [f"{c}_{i:03d}" for c in ("ux", "uy", "uz") for i in range(n_z)]
+        dataset._write_csv(snap, CHANNELS + fields, np.hstack([meta, D.T]))
         return SchemaError, snap.name
     if kind == "not_npy":
         npy.write_text("ux_000,ux_001\n0.0,1.0\n")

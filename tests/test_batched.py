@@ -453,7 +453,7 @@ class TestInferTorsionBatch:
         rng = np.random.default_rng(2)
         maps = {(8.0, 0.1): rng.standard_normal((3, 2)),
                 (12.0, 0.1): rng.standard_normal((3, 2))}
-        model = TorsionModel(basis=basis, maps=maps, n_torsion=3)
+        model = TorsionModel(basis=basis, maps=maps)
         a = rng.standard_normal((2, 25))
         batch = infer_torsion(a, model, (11.0, 0.1))
         assert batch.shape == (grid.n_dof, 25)

@@ -12,26 +12,30 @@ from bladesense import dataset
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
-from conftest import CHANNELS, DAMAGE, damage_case, write_legacy_case
+from conftest import CHANNELS, DAMAGE, damage_case
 
 
-def _write_minimal_case(tmp_path, *, drop_theta=False, f_s=160.0,
-                        bad_theta=None):
+def _write_minimal_case(tmp_path, *, drop=None, f_s=160.0, bad_theta=None):
+    """A two-station, three-step case; ``drop`` names a channel column to
+    leave out of its table."""
     (tmp_path / "grid.csv").write_text("z_norm\n0.0\n1.0\n")
-    header = "t,theta,omega,u_raw,ux_000,ux_001,uy_000,uy_001,uz_000,uz_001"
-    rows = []
-    for k in range(3):
-        theta = 0.1 * k if bad_theta is None or k != 1 else bad_theta
-        rows.append(
-            f"{k / f_s},{theta},1.0,10.0,0.0,1.0,0.0,2.0,0.0,3.0"
-        )
-    if drop_theta:
-        header = header.replace("theta,", "")
-        rows = [",".join(r.split(",")[:1] + r.split(",")[2:]) for r in rows]
-    (tmp_path / "snap.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+    names = list(CHANNELS)
+    rows = [[k / f_s, 0.1 * k if bad_theta is None or k != 1 else bad_theta,
+             1.0, 10.0, 10.0] for k in range(3)]
+    if drop is not None:
+        j = names.index(drop)
+        del names[j]
+        for row in rows:
+            del row[j]
+    (tmp_path / "snap.csv").write_text("\n".join(
+        [",".join(names)] + [",".join(map(str, r)) for r in rows]) + "\n")
+    # stations 0 and 1 of x, y and z in D's row order
+    np.save(tmp_path / "disp.npy", np.repeat(
+        np.array([[0.0], [1.0], [0.0], [2.0], [0.0], [3.0]]), 3, axis=1))
     manifest = {
         "name": "mini", "L_b": 100.0, "f_s": f_s, "u_mean": 10.0, "ti": 0.1,
         "seed": 0, "grid_file": "grid.csv", "snapshot_file": "snap.csv",
+        "displacement_file": "disp.npy",
     }
     path = tmp_path / "mini.json"
     path.write_text(json.dumps(manifest))
@@ -52,7 +56,7 @@ class TestLoadCase:
         assert ens.f_s == 160.0
 
     def test_missing_theta_column_is_schema_error(self, tmp_path):
-        path = _write_minimal_case(tmp_path, drop_theta=True)
+        path = _write_minimal_case(tmp_path, drop="theta")
         with pytest.raises(SchemaError, match="theta"):
             load_case(path)
 
@@ -78,12 +82,9 @@ class TestLoadCase:
 
     def test_nan_displacement_reports_column_and_row(self, tmp_path):
         path = _write_minimal_case(tmp_path)
-        snap = tmp_path / "snap.csv"
-        lines = snap.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[7] = "nan"  # uy_001 of the third time step
-        lines[3] = ",".join(cells)
-        snap.write_text("\n".join(lines) + "\n")
+        D = np.load(tmp_path / "disp.npy")
+        D[3, 2] = np.nan  # uy_001 of the third time step
+        np.save(tmp_path / "disp.npy", D)
         with pytest.raises(ValidationError,
                            match=r"component y, station 001\) at row 2"):
             load_case(path)
@@ -96,9 +97,10 @@ class TestLoadCase:
         with pytest.raises(SchemaError, match="grid_file"):
             load_case(path)
 
-    def test_u_filt_computed_when_absent(self, tmp_path):
-        _, ens = load_case(_write_minimal_case(tmp_path))
-        assert np.allclose(ens.u_filt, smooth_wind(ens.u_raw))
+    def test_table_without_u_filt_is_rejected(self, tmp_path):
+        path = _write_minimal_case(tmp_path, drop="u_filt")
+        with pytest.raises(SchemaError, match="snap.csv: .*'u_filt'"):
+            load_case(path)
 
 
 class TestRoundTrip:
@@ -220,16 +222,6 @@ class TestLoadTorsion:
         assert np.array_equal(back.theta, ens.theta)
         assert back.condition == ens.condition and back.f_s == ens.f_s
 
-    def test_legacy_reads_torsion_bit_exact_without_snapshot_file(self,
-                                                                  tmp_path):
-        manifest, ens, tau = _random_case(tmp_path)
-        legacy = write_legacy_case(manifest, tmp_path / "legacy")
-        (tmp_path / "legacy" / "tc_snapshots.csv").unlink()  # must not be needed
-        back = load_torsion(legacy)
-        assert np.array_equal(back.D, tau)
-        assert np.array_equal(back.theta, ens.theta)
-        assert back.condition == ens.condition and back.f_s == ens.f_s
-
     def test_reads_only_the_torsion_file_given_the_deflection(self, tmp_path):
         manifest, _, tau = _random_case(tmp_path)
         _, ens = load_case(manifest)
@@ -246,40 +238,8 @@ class TestLoadTorsion:
         with pytest.raises(SchemaError, match="tc_torsion.npy"):
             load_torsion(manifest, ens.grid, ens.channels())
 
-    def test_rejects_a_legacy_torsion_table_with_other_channels(self,
-                                                                tmp_path):
-        manifest, _, _ = _random_case(tmp_path)
-        legacy = write_legacy_case(manifest, tmp_path / "legacy")
-        grid, ens = load_case(legacy)
-        table = tmp_path / "legacy" / "tc_torsion.csv"
-        names = table.read_text().splitlines()[0].split(",")
-        data = np.loadtxt(table, delimiter=",", skiprows=1)
-        for column, shift in (("theta", lambda v: wrap_angle(v + 1.0)),
-                              ("u_filt", lambda v: v + 3.0)):
-            shifted = data.copy()
-            j = names.index(column)
-            shifted[:, j] = shift(shifted[:, j])
-            dataset._write_csv(table, names, shifted)
-            with pytest.raises(SchemaError,
-                               match=f"tc_torsion.csv: channel '{column}'"):
-                load_torsion(legacy, grid, ens.channels())
-
 
 class TestLayouts:
-    def test_both_layouts_load_identical_arrays(self, tmp_path):
-        manifest, _, _ = _random_case(tmp_path)
-        legacy = write_legacy_case(manifest, tmp_path / "legacy")
-        grid, ens = load_case(manifest)
-        grid_l, ens_l = load_case(legacy)
-        assert np.array_equal(grid.z_norm, grid_l.z_norm)
-        for name in ["D"] + CHANNELS:
-            assert np.array_equal(getattr(ens, name), getattr(ens_l, name)), name
-        for known in ({}, {"grid": grid_l, "channels": ens_l.channels()}):
-            tau, tau_l = load_torsion(manifest), load_torsion(legacy, **known)
-            for name in ["D"] + CHANNELS:
-                assert np.array_equal(getattr(tau, name),
-                                      getattr(tau_l, name)), name
-
     def test_saved_matrices_are_float64_in_row_order(self, tmp_path):
         _, ens, tau = _random_case(tmp_path)
         for name, expected in (("tc_displacement.npy", ens.D),

@@ -16,7 +16,7 @@ from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import StageError, ValidationError
 
-from conftest import DAMAGE, damage_case, write_legacy_case
+from conftest import DAMAGE, damage_case
 
 SYNTH_CONFIG = {
     "grid": {"n_z": 8, "L_b": 100.0},
@@ -242,7 +242,9 @@ class TestPipelineRun:
             assert (alone / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_stage_subcommands(self, quickstart, tmp_path):
-        pipeline_cfg, _ = quickstart
+        # each stage command writes the pipeline's bytes for every file it
+        # writes; only the artifact index lists a different set
+        pipeline_cfg, full = quickstart
         expectations = {
             "decompose": ["modes.csv", "energies.csv"],
             "sensors": ["sensors.csv"],
@@ -257,6 +259,10 @@ class TestPipelineRun:
                          "--out", str(out)]) == 0, cmd
             for name in files:
                 assert (out / name).exists(), f"{cmd}: {name}"
+            for path in out.iterdir():
+                if path.name != "artifacts.json":
+                    assert path.read_bytes() == \
+                        (full / path.name).read_bytes(), f"{cmd}: {path.name}"
 
     def test_pivot_scalar_flag(self, quickstart, tmp_path):
         # station pivoting is the only placement; the old flag is an error
@@ -393,23 +399,23 @@ class TestFailureModes:
 
 
 class TestLayouts:
-    def test_legacy_csv_copy_gives_identical_artifacts(self, quickstart,
-                                                       tmp_path):
-        pipeline_cfg, out = quickstart
-        doc = json.loads(pipeline_cfg.read_text())
-        cases = tmp_path / "cases"
-        for name in doc["training"] + doc["evaluation"]:
-            write_legacy_case(pipeline_cfg.parent / name, cases)
-        shutil.copy(pipeline_cfg, cases / pipeline_cfg.name)
-        assert not list(cases.glob("*.npy"))
-        out2 = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
-                     "--out", str(out2)]) == 0
-        listing = json.loads((out / "artifacts.json").read_text())["files"]
-        assert json.loads((out2 / "artifacts.json").read_text())["files"] == \
-            listing
-        for name in listing:
-            assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+    def test_full_width_case_fails_at_load(self, quickstart, tmp_path):
+        # the fields as columns of the snapshot table, and no
+        # displacement_file: not a case layout, so the load stage rejects it
+        first = []
+
+        def to_full_width(cases):
+            doc = json.loads((cases / "pipeline_config.json").read_text())
+            for name in doc["training"] + doc["evaluation"]:
+                for kind in ("fields_in_snapshots", "no_fields"):
+                    damage_case(cases / name, kind)
+            first.append(doc["training"][0])
+
+        code, marker = TestFailureModes._failed_load(quickstart, tmp_path,
+                                                     to_full_width)
+        assert code == 2
+        assert "stage: load" in marker and first[0] in marker
+        assert "'displacement_file'" in marker
 
 
 class TestCaseReads:
@@ -703,6 +709,19 @@ class TestConfigValidation:
         ("pipeline", lambda doc: {**doc, "noise": True}, "noise config"),
         ("pipeline", lambda doc: {**doc, "noise": {"per_sensor": 5}},
          "noise config"),
+        # values the types allow but a case does not: nothing is written,
+        # not even the valid cases before the bad one
+        ("synth", _set.__func__("training", "ti", 1.5), "'training[0]': ti"),
+        ("synth", _set.__func__("evaluation", "u_mean", 0),
+         "'evaluation[0]': u_mean"),
+        ("synth", lambda doc: {**doc, "training": [doc["training"][0], {
+            **doc["training"][1], "ti": 1.5}]}, "'training[1]': ti"),
+        ("synth", lambda doc: {**doc, "training": [doc["training"][0], {
+            **doc["training"][1], "duration_s": 0.001}]},
+         "'training[1]': duration_s"),
+        ("synth", _set.__func__("evaluation", "seeds", [-1]),
+         "'evaluation[0].seeds'"),
+        ("synth --seed -3", lambda doc: doc, "'training[0].seeds'"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
@@ -711,20 +730,23 @@ class TestConfigValidation:
             "synth-n_z-text", "synth-training-object", "training-scalar",
             "fractions-empty", "seed-negative", "n_fourier-negative",
             "n_theta-zero", "n_sensors-zero", "noise-bool",
-            "noise-per_sensor-scalar"])
+            "noise-per_sensor-scalar", "synth-ti-above-1", "synth-u_mean-zero",
+            "synth-second-case-ti-above-1", "synth-second-case-too-short",
+            "synth-seed-negative", "synth-seed-flag-negative"])
     def test_malformed_config_exits_2_naming_the_key(
             self, quickstart, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = quickstart
-        base = SYNTH_CONFIG if command == "synth" else \
-            json.loads(pipeline_cfg.read_text())
+        argv = command.split()  # the command and its extra flags
+        synth = argv[0] == "synth"
+        base = SYNTH_CONFIG if synth else json.loads(pipeline_cfg.read_text())
         doc = edit(json.loads(json.dumps(base)))
         # a pipeline config names its cases relative to itself
-        cfg = (tmp_path if command == "synth" else pipeline_cfg.parent) / \
+        cfg = (tmp_path if synth else pipeline_cfg.parent) / \
             f"bad_{tmp_path.name}.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert key in err and cfg.name in err
         assert not out.exists()

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from bladesense import (fit_torsion_map, infer_torsion, load_torsion_model,
                         pod_fit, save_torsion_model)
-from bladesense.errors import ValidationError
+from bladesense.errors import SchemaError, ValidationError
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel, nearest_condition
 
@@ -73,7 +75,7 @@ class TestInferTorsion:
             (12.0, 0.05): np.ones((3, 2)),
             (12.0, 0.15): 2 * np.ones((3, 2)),
         }
-        return TorsionModel(basis=basis, maps=maps, n_torsion=3)
+        return TorsionModel(basis=basis, maps=maps)
 
     def test_zero_map_returns_mean(self):
         model = self._model()
@@ -109,7 +111,7 @@ class TestInferTorsion:
         tau = xi @ (M0 @ a_series)  # zero-mean torsion field
         b_series = xi.T @ (tau * np.tile(np.full(grid.n_z, 1 / grid.n_z), 3)[:, None])
         M, _ = fit_torsion_map(a_series, b_series)
-        model = TorsionModel(basis=basis, maps={(10.0, 0.1): M}, n_torsion=3)
+        model = TorsionModel(basis=basis, maps={(10.0, 0.1): M})
         for k in range(0, 300, 50):
             field = infer_torsion(a_series[:, k], model, (10.0, 0.1))
             assert np.allclose(field, tau[:, k], atol=1e-8)
@@ -139,10 +141,28 @@ class TestPersistence:
         modes = orthonormal_polynomial_modes(grid, 3)
         basis = basis_from_modes(grid, modes)
         maps = {(10.0, 0.1): np.arange(6, dtype=float).reshape(3, 2)}
-        model = TorsionModel(basis=basis, maps=maps, n_torsion=3)
+        model = TorsionModel(basis=basis, maps=maps)
         path = tmp_path / "torsion.json"
         save_torsion_model(model, path)
         back = load_torsion_model(path, grid)
         assert back.n_torsion == 3
         assert np.allclose(back.maps[(10.0, 0.1)], maps[(10.0, 0.1)])
         assert np.allclose(back.basis.modes, basis.modes, atol=1e-15)
+
+    @pytest.mark.parametrize("J, rows", [(3, (3, 3)), (4, (4, 3)),
+                                         (3, (4, 4))])
+    def test_rejects_a_model_that_disagrees_with_its_basis(self, tmp_path,
+                                                           J, rows):
+        # a four-mode basis; J and each map's row count must both be 4
+        grid = demo_grid(n_z=6)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, 4))
+        maps = {(8.0, 0.1): np.ones((4, 2)), (10.0, 0.1): np.ones((4, 2))}
+        path = tmp_path / "torsion_model.json"
+        save_torsion_model(TorsionModel(basis=basis, maps=maps), path)
+        doc = json.loads(path.read_text())
+        doc["J"] = J
+        for entry, n in zip(doc["conditions"], rows):
+            entry["M"] = entry["M"][:n]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="torsion_model.json"):
+            load_torsion_model(path, grid)
