@@ -305,26 +305,19 @@ def save_rom(model: AzimuthalRomModel, path) -> None:
     write_json(path, doc)
 
 
-#: ``rom.json`` keys and their types (see :func:`read_json`); a condition of
-#: the former format has ``cov_coeffs`` tables in place of ``covariance``.
+#: ``rom.json`` keys and their types (see :func:`read_json`).
 _ROM_CONDITION = ({"u_mean": float, "ti": float, "mean_coeffs": [[float]],
-                   "covariance": [[float]], "cov_coeffs": object},
-                  ("u_mean", "ti", "mean_coeffs"))
+                   "covariance": [[float]]},
+                  ("u_mean", "ti", "mean_coeffs", "covariance"))
 _ROM = {"n_F": int, "n_theta": int, "conditions": [_ROM_CONDITION]}
 
 
 def load_rom(path) -> AzimuthalRomModel:
     doc = read_json(path, _ROM, tuple(_ROM), "ROM file")
-    conditions = []
-    for c in doc["conditions"]:
-        if "covariance" not in c:
-            raise ValidationError(f"{path}: a condition has no 'covariance'; "
-                                  "'cov_coeffs' tables are the former format, "
-                                  "refit the model")
-        conditions.append(RomCondition(
-            u_mean=c["u_mean"], ti=c["ti"],
-            mean_coeffs=np.asarray(c["mean_coeffs"], dtype=float),
-            covariance=np.asarray(c["covariance"], dtype=float),
-        ))
+    conditions = [RomCondition(
+        u_mean=c["u_mean"], ti=c["ti"],
+        mean_coeffs=np.asarray(c["mean_coeffs"], dtype=float),
+        covariance=np.asarray(c["covariance"], dtype=float),
+    ) for c in doc["conditions"]]
     return AzimuthalRomModel(n_fourier=doc["n_F"], n_theta=doc["n_theta"],
                              conditions=conditions)

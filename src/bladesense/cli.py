@@ -42,6 +42,8 @@ def cmd_synth(args) -> int:
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
+    if seed < 0:  # it is also the written config's seed, which must be >= 0
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
     path = args.config or Path(__file__).with_name("quickstart.json")
     doc = read_json(path, _SYNTH, what="synth config")
     grid = demo_grid(**{"length_m" if key == "L_b" else key: value

@@ -291,20 +291,11 @@ def _stage_torsion(ctx: _Context) -> None:
     tau_basis = replace(tau_basis, modes=tau_basis.modes[:, :rank],
                         energies=tau_basis.energies[:rank], n_modes=rank)
 
-    groups: dict = {}
-    for i, tau_e in train_tau:
-        key = (tau_e.condition.u_mean, tau_e.condition.ti)
-        groups.setdefault(key, []).append(
-            (ctx.train_coords[i], project(tau_e.D, tau_basis)))
-    maps = {}
-    fit_quality = {}
-    for key, parts in sorted(groups.items()):
-        a_all = np.hstack([p[0] for p in parts])
-        b_all = np.hstack([p[1] for p in parts])
-        M, r2 = fit_torsion_map(a_all, b_all)
-        maps[key] = M
-        fit_quality[f"u={key[0]},ti={key[1]}"] = [float(v) for v in r2]
-    model = TorsionModel(basis=tau_basis, maps=maps)
+    # one map over every torsion case: inference reads only the estimate
+    M, r2 = fit_torsion_map(
+        np.hstack([ctx.train_coords[i] for i, _ in train_tau]),
+        np.hstack([project(tau_e.D, tau_basis) for _, tau_e in train_tau]))
+    model = TorsionModel(basis=tau_basis, M=M)
     save_torsion_model(model, ctx.emit("torsion_model.json"),
                        basis_filename="torsion_basis.csv")
     ctx.artifacts.append("torsion_basis.csv")
@@ -315,8 +306,7 @@ def _stage_torsion(ctx: _Context) -> None:
         tau_e = load_torsion(p, e.grid, e.channels())
         if tau_e is None:
             continue
-        tau_hat = infer_torsion(ctx.traces[case_id]["A"]["fused"], model,
-                                (e.condition.u_mean, e.condition.ti))
+        tau_hat = infer_torsion(ctx.traces[case_id]["A"]["fused"], model)
         true_obs = tau_e.D[ctx.obs_rows, :]
         est_obs = tau_hat[ctx.obs_rows, :]
         rmse = _station_table(
@@ -339,7 +329,8 @@ def _stage_torsion(ctx: _Context) -> None:
         eval_summary[case_id] = per_station
 
     write_json(ctx.emit("torsion_summary.json"),
-               {"fit_r_squared": fit_quality, "evaluation": eval_summary})
+               {"fit_r_squared": [float(v) for v in r2],
+                "evaluation": eval_summary})
 
 
 def _fd_edges(x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Inference of sectional rotations from deflection coordinates.
 
-Sectional rotation fields get their own POD basis; a per-condition linear
-map sends deflection coordinates a(t) to torsional coordinates b(t). The
-map depends on the operating point, so inference picks the nearest trained
-condition (no interpolation between maps).
+Sectional rotation fields get their own POD basis; one linear map, fitted
+over every training case that carries torsion, sends deflection
+coordinates a(t) to torsional coordinates b(t). Inference reads nothing
+but the estimated coordinates: no operating-point label picks the map.
 """
 
 from __future__ import annotations
@@ -49,42 +49,36 @@ def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TorsionModel:
-    """Torsional POD basis plus per-condition coupling maps keyed (u, ti)."""
+    """Torsional POD basis plus the coupling map ``M`` (b = M a)."""
 
     basis: ModalBasis
-    maps: dict
+    M: np.ndarray
 
     @property
-    def n_torsion(self) -> int:  # the rows of every coupling map
+    def n_torsion(self) -> int:  # the rows of the coupling map
         return self.basis.n_modes
 
     def __post_init__(self):
-        for key, M in self.maps.items():
-            M = np.asarray(M, dtype=float)
-            if M.shape[0] != self.n_torsion or not np.all(np.isfinite(M)):
-                raise ValidationError(f"bad coupling map for condition {key}")
-            self.maps[key] = M
+        self.M = np.asarray(self.M, dtype=float)
+        if (self.M.ndim != 2 or self.M.shape[0] != self.n_torsion
+                or not np.all(np.isfinite(self.M))):
+            raise ValidationError(
+                f"coupling map must be a finite ({self.n_torsion}, N) matrix, "
+                f"got shape {self.M.shape}")
 
 
-def nearest_condition(maps: dict, u_mean: float, ti: float):
-    """Nearest trained key: closest u_mean first, then closest ti."""
-    if not maps:
-        raise ValidationError("torsion model has no trained conditions")
-    keys = list(maps.keys())
-    du = np.array([abs(k[0] - u_mean) for k in keys])
-    candidates = [k for k, d in zip(keys, du) if d == du.min()]
-    return min(candidates, key=lambda k: (abs(k[1] - ti), k))
-
-
-def infer_torsion(a, model: TorsionModel, condition) -> np.ndarray:
-    """Torsion field tau = mean + Xi (M a) using the nearest trained map.
+def infer_torsion(a, model: TorsionModel) -> np.ndarray:
+    """Torsion field tau = mean + Xi (M a).
 
     Accepts one coordinate vector (N,) or a matrix of column vectors
     (N, n_t); the result has matching shape (3*n_z,) or (3*n_z, n_t).
     """
     a = np.asarray(a, dtype=float)
-    key = nearest_condition(model.maps, condition[0], condition[1])
-    tau = model.basis.modes @ (model.maps[key] @ a)
+    if a.shape[0] != model.M.shape[1]:
+        raise ValidationError(
+            f"{a.shape[0]} deflection coordinates given, but the coupling "
+            f"map takes {model.M.shape[1]}")
+    tau = model.basis.modes @ (model.M @ a)
     mean = model.basis.mean_field
     return tau + (mean if a.ndim == 1 else mean[:, None])
 
@@ -94,20 +88,12 @@ def save_torsion_model(model: TorsionModel, path, basis_filename=None) -> None:
     path = Path(path)
     basis_filename = basis_filename or (path.stem + "_basis.csv")
     write_modes_csv(model.basis, path.parent / basis_filename)
-    doc = {
-        "basis_file": basis_filename,
-        "J": model.n_torsion,
-        "conditions": [
-            {"u_mean": k[0], "ti": k[1], "M": np.asarray(M).tolist()}
-            for k, M in sorted(model.maps.items())
-        ],
-    }
-    write_json(path, doc)
+    write_json(path, {"basis_file": basis_filename, "J": model.n_torsion,
+                      "M": model.M.tolist()})
 
 
 #: ``torsion_model.json`` keys and their types (see :func:`read_json`).
-_TORSION_MODEL = {"basis_file": str, "J": int, "conditions": [
-    ({"u_mean": float, "ti": float, "M": [[float]]}, ("u_mean", "ti", "M"))]}
+_TORSION_MODEL = {"basis_file": str, "J": int, "M": [[float]]}
 
 
 def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
@@ -123,10 +109,9 @@ def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
     basis = ModalBasis(grid=grid, mean_field=mean_field, modes=modes,
                        energies=np.zeros(modes.shape[1]),
                        n_modes=modes.shape[1], total_energy=1.0)
-    rows = {doc["J"]} | {len(c["M"]) for c in doc["conditions"]}
-    if rows != {basis.n_modes}:
-        raise SchemaError(f"{path}: 'J' and the rows of each 'M' must equal "
+    if {doc["J"], len(doc["M"])} != {basis.n_modes}:
+        raise SchemaError(f"{path}: 'J' and the rows of 'M' must equal "
                           f"the {basis.n_modes} modes of {basis_path.name}")
-    maps = {(c["u_mean"], c["ti"]): np.asarray(c["M"], dtype=float)
-            for c in doc["conditions"]}
-    return TorsionModel(basis=basis, maps=maps)
+    if len({len(row) for row in doc["M"]}) != 1:
+        raise SchemaError(f"{path}: the rows of 'M' differ in length")
+    return TorsionModel(basis=basis, M=np.asarray(doc["M"], dtype=float))

@@ -321,10 +321,10 @@ def test_criterion_08_torsion_inference(tmp_path):
             omega=tau_a.omega, u_raw=tau_a.u_raw, u_filt=tau_a.u_filt,
             condition=tau_a.condition, f_s=tau_a.f_s), 5)
         M, _ = fit_torsion_map(project(D_a, basis), project(T_a, tau_basis))
-        model = TorsionModel(basis=tau_basis, maps={(10.0, 0.10): M})
+        model = TorsionModel(basis=tau_basis, M=M)
         a_b = project(D_b, basis)
         tau_hat = model.basis.mean_field[:, None] + model.basis.modes @ (
-            model.maps[(10.0, 0.10)] @ a_b)
+            model.M @ a_b)
         truth_tau = tau_b.D
         r2 = []
         for row in range(truth_tau.shape[0]):

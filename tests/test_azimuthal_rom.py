@@ -9,7 +9,7 @@ from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
                                       bin_centers, fourier_design,
                                       fourier_eval)
 from bladesense.dataset import TWO_PI
-from bladesense.errors import ValidationError
+from bladesense.errors import SchemaError, ValidationError
 
 
 def _cond(u=10.0, ti=0.10, seed=0):
@@ -325,7 +325,7 @@ class TestPersistence:
             c["cov_coeffs"] = [[0.2] + [0.0] * 12] * 3
             del c["covariance"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="cov_coeffs"):
+        with pytest.raises(SchemaError, match="cov_coeffs"):
             load_rom(path)
 
     def test_indefinite_covariance_rejected(self, tmp_path):

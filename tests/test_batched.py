@@ -451,14 +451,12 @@ class TestInferTorsionBatch:
         basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, 3),
                                  mean_field=np.linspace(0, 0.2, grid.n_dof))
         rng = np.random.default_rng(2)
-        maps = {(8.0, 0.1): rng.standard_normal((3, 2)),
-                (12.0, 0.1): rng.standard_normal((3, 2))}
-        model = TorsionModel(basis=basis, maps=maps)
+        model = TorsionModel(basis=basis, M=rng.standard_normal((3, 2)))
         a = rng.standard_normal((2, 25))
-        batch = infer_torsion(a, model, (11.0, 0.1))
+        batch = infer_torsion(a, model)
         assert batch.shape == (grid.n_dof, 25)
         for k in range(a.shape[1]):
-            assert_close(batch[:, k], infer_torsion(a[:, k], model, (11.0, 0.1)))
+            assert_close(batch[:, k], infer_torsion(a[:, k], model))
 
 
 class TestNonFiniteGaussians:

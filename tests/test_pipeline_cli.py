@@ -169,11 +169,9 @@ class TestPipelineRun:
         basis = np.loadtxt(out / "torsion_basis.csv", delimiter=",",
                            skiprows=1, ndmin=2)
         assert basis.shape[1] == 1 + n_modes  # mean column + N modes
-        fits = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
-        assert fits
-        for r2 in fits.values():
-            assert len(r2) == n_modes
-            assert min(r2) >= 0.99
+        r2 = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
+        assert len(r2) == n_modes
+        assert min(r2) >= 0.99
 
     def test_torsion_rank_taken_from_the_data(self, tmp_path):
         # deflection noise lets the deflection POD keep six real modes, but
@@ -193,11 +191,9 @@ class TestPipelineRun:
         basis = np.loadtxt(out / "torsion_basis.csv", delimiter=",",
                            skiprows=1, ndmin=2)
         assert basis.shape[1] == 1 + 4
-        fits = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
-        assert fits
-        for r2 in fits.values():
-            assert len(r2) == 4
-            assert min(r2) >= 0.99
+        r2 = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
+        assert len(r2) == 4
+        assert min(r2) >= 0.99
 
     def test_three_stations(self, tmp_path):
         # the paper's setting: four modes from three stations (nine rows),
@@ -240,6 +236,29 @@ class TestPipelineRun:
                                 "torsion_summary.json", "torsion_recon_ev_s5.csv"])
         for name in names:
             assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_torsion_ignores_the_nominal_wind_speed(self, quickstart,
+                                                    tmp_path):
+        # torsion is inferred from the estimate alone: relabelling the
+        # evaluation case's nominal u_mean (10.6, a trained speed) to the
+        # other trained speed changes no torsion artifact
+        pipeline_cfg, out = quickstart
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        manifest = cases / json.loads(pipeline_cfg.read_text())["evaluation"][0]
+        doc = json.loads(manifest.read_text())
+        assert doc["u_mean"] == 10.6
+        doc["u_mean"] = 8.4
+        manifest.write_text(json.dumps(doc))
+        relabelled = tmp_path / "relabelled"
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(relabelled)]) == 0
+        names = sorted(p.name for p in out.glob("torsion_*"))
+        assert "torsion_recon_ev_s5.csv" in names
+        assert "torsion_summary.json" in names
+        for name in names:
+            assert ((relabelled / name).read_bytes()
+                    == (out / name).read_bytes()), name
 
     def test_stage_subcommands(self, quickstart, tmp_path):
         # each stage command writes the pipeline's bytes for every file it
@@ -721,7 +740,6 @@ class TestConfigValidation:
          "'training[1]': duration_s"),
         ("synth", _set.__func__("evaluation", "seeds", [-1]),
          "'evaluation[0].seeds'"),
-        ("synth --seed -3", lambda doc: doc, "'training[0].seeds'"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
@@ -732,7 +750,7 @@ class TestConfigValidation:
             "n_theta-zero", "n_sensors-zero", "noise-bool",
             "noise-per_sensor-scalar", "synth-ti-above-1", "synth-u_mean-zero",
             "synth-second-case-ti-above-1", "synth-second-case-too-short",
-            "synth-seed-negative", "synth-seed-flag-negative"])
+            "synth-seed-negative"])
     def test_malformed_config_exits_2_naming_the_key(
             self, quickstart, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = quickstart
@@ -749,6 +767,24 @@ class TestConfigValidation:
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert key in err and cfg.name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raise_seeds", [0, 5],
+                             ids=["case-seeds-small", "case-seeds-at-least-5"])
+    def test_synth_rejects_a_negative_seed_flag(self, tmp_path, capsys,
+                                                raise_seeds):
+        # --seed is also the written config's seed, so it is rejected even
+        # when every case seed plus it stays non-negative
+        doc = json.loads(json.dumps(SYNTH_CONFIG))
+        for entry in doc["training"] + doc["evaluation"]:
+            entry["seeds"] = [s + raise_seeds for s in entry["seeds"]]
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--seed", "-3",
+                     "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [

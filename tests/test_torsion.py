@@ -7,7 +7,7 @@ from bladesense import (fit_torsion_map, infer_torsion, load_torsion_model,
                         pod_fit, save_torsion_model)
 from bladesense.errors import SchemaError, ValidationError
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
-from bladesense.torsion import TorsionModel, nearest_condition
+from bladesense.torsion import TorsionModel
 
 from conftest import align_sign, basis_from_modes, dense_pod_oracle
 
@@ -65,41 +65,24 @@ class TestFitTorsionMap:
 
 
 class TestInferTorsion:
-    def _model(self):
+    def _model(self, M):
         grid = demo_grid(n_z=6)
         modes = orthonormal_polynomial_modes(grid, 3)
         basis = basis_from_modes(grid, modes,
                                  mean_field=np.linspace(0, 0.2, grid.n_dof))
-        maps = {
-            (8.0, 0.05): np.zeros((3, 2)),
-            (12.0, 0.05): np.ones((3, 2)),
-            (12.0, 0.15): 2 * np.ones((3, 2)),
-        }
-        return TorsionModel(basis=basis, maps=maps)
+        return TorsionModel(basis=basis, M=M)
 
     def test_zero_map_returns_mean(self):
-        model = self._model()
-        out = infer_torsion(np.array([1.0, 2.0]), model, (8.0, 0.05))
+        model = self._model(np.zeros((3, 2)))
+        out = infer_torsion(np.array([1.0, 2.0]), model)
         assert np.allclose(out, model.basis.mean_field)
 
-    def test_nearest_condition_selection(self):
-        model = self._model()
-        assert nearest_condition(model.maps, 8.5, 0.10) == (8.0, 0.05)
-        assert nearest_condition(model.maps, 11.0, 0.14) == (12.0, 0.15)
-        assert nearest_condition(model.maps, 12.0, 0.05) == (12.0, 0.05)
-
-    def test_untrained_wind_speed_uses_nearest(self):
-        model = self._model()
-        a = np.array([0.5, -0.5])
-        out_near = infer_torsion(a, model, (9.2, 0.05))
-        out_lo = infer_torsion(a, model, (8.0, 0.05))
-        assert np.array_equal(out_near, out_lo)
-
-    def test_empty_model_rejected(self):
-        model = self._model()
-        model.maps.clear()
-        with pytest.raises(ValidationError, match="no trained conditions"):
-            infer_torsion(np.zeros(2), model, (10.0, 0.1))
+    @pytest.mark.parametrize("M", [np.ones((2, 2)), np.ones(3),
+                                   [[1.0, np.nan]] * 3],
+                             ids=["rows", "vector", "non-finite"])
+    def test_bad_map_rejected(self, M):
+        with pytest.raises(ValidationError, match="coupling map"):
+            self._model(M)
 
     def test_construct_and_recover_roundtrip(self):
         rng = np.random.default_rng(9)
@@ -111,9 +94,9 @@ class TestInferTorsion:
         tau = xi @ (M0 @ a_series)  # zero-mean torsion field
         b_series = xi.T @ (tau * np.tile(np.full(grid.n_z, 1 / grid.n_z), 3)[:, None])
         M, _ = fit_torsion_map(a_series, b_series)
-        model = TorsionModel(basis=basis, maps={(10.0, 0.1): M})
+        model = TorsionModel(basis=basis, M=M)
         for k in range(0, 300, 50):
-            field = infer_torsion(a_series[:, k], model, (10.0, 0.1))
+            field = infer_torsion(a_series[:, k], model)
             assert np.allclose(field, tau[:, k], atol=1e-8)
 
 
@@ -140,29 +123,57 @@ class TestPersistence:
         grid = demo_grid(n_z=6)
         modes = orthonormal_polynomial_modes(grid, 3)
         basis = basis_from_modes(grid, modes)
-        maps = {(10.0, 0.1): np.arange(6, dtype=float).reshape(3, 2)}
-        model = TorsionModel(basis=basis, maps=maps)
+        M = np.arange(6, dtype=float).reshape(3, 2)
         path = tmp_path / "torsion.json"
-        save_torsion_model(model, path)
+        save_torsion_model(TorsionModel(basis=basis, M=M), path)
+        assert set(json.loads(path.read_text())) == {"basis_file", "J", "M"}
         back = load_torsion_model(path, grid)
         assert back.n_torsion == 3
-        assert np.allclose(back.maps[(10.0, 0.1)], maps[(10.0, 0.1)])
+        assert np.array_equal(back.M, M)
         assert np.allclose(back.basis.modes, basis.modes, atol=1e-15)
 
-    @pytest.mark.parametrize("J, rows", [(3, (3, 3)), (4, (4, 3)),
-                                         (3, (4, 4))])
-    def test_rejects_a_model_that_disagrees_with_its_basis(self, tmp_path,
-                                                           J, rows):
-        # a four-mode basis; J and each map's row count must both be 4
+    def _saved(self, tmp_path, edit):
+        # a four-mode basis with a (4, 2) map, then ``edit`` on its document
         grid = demo_grid(n_z=6)
         basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, 4))
-        maps = {(8.0, 0.1): np.ones((4, 2)), (10.0, 0.1): np.ones((4, 2))}
         path = tmp_path / "torsion_model.json"
-        save_torsion_model(TorsionModel(basis=basis, maps=maps), path)
+        save_torsion_model(TorsionModel(basis=basis, M=np.ones((4, 2))), path)
         doc = json.loads(path.read_text())
-        doc["J"] = J
-        for entry, n in zip(doc["conditions"], rows):
-            entry["M"] = entry["M"][:n]
+        edit(doc)
         path.write_text(json.dumps(doc))
+        return path, grid
+
+    @pytest.mark.parametrize("J, rows", [(3, 3), (4, 3), (3, 4), (4, 5)])
+    def test_rejects_a_model_that_disagrees_with_its_basis(self, tmp_path,
+                                                           J, rows):
+        # J and the map's row count must both equal the basis' 4 modes
+        def edit(doc):
+            doc["J"] = J
+            doc["M"] = [[1.0, 1.0]] * rows
+        path, grid = self._saved(tmp_path, edit)
         with pytest.raises(SchemaError, match="torsion_model.json"):
             load_torsion_model(path, grid)
+
+    def test_rejects_a_ragged_map(self, tmp_path):
+        def edit(doc):
+            doc["M"][2] = doc["M"][2][:1]
+        path, grid = self._saved(tmp_path, edit)
+        with pytest.raises(SchemaError, match="torsion_model.json"):
+            load_torsion_model(path, grid)
+
+    def test_rejects_the_former_per_condition_layout(self, tmp_path):
+        def edit(doc):
+            doc["conditions"] = [{"u_mean": 10.0, "ti": 0.1, "M": doc.pop("M")}]
+        path, grid = self._saved(tmp_path, edit)
+        with pytest.raises(SchemaError, match="conditions"):
+            load_torsion_model(path, grid)
+
+    def test_loaded_map_checks_the_coordinate_count(self, tmp_path):
+        # a map of 3 columns loads against any basis, but takes only 3
+        # deflection coordinates
+        def edit(doc):
+            doc["M"] = [[1.0, 1.0, 1.0]] * 4
+        path, grid = self._saved(tmp_path, edit)
+        model = load_torsion_model(path, grid)
+        with pytest.raises(ValidationError, match=r"\b4\b.*\b3\b"):
+            infer_torsion(np.zeros(4), model)
