@@ -61,11 +61,12 @@ class BinStatistics:
 
 
 def bin_statistics(a_series, theta_series, n_theta: int,
-                   condition: ConditionKey | None = None) -> BinStatistics:
+                   condition: ConditionKey) -> BinStatistics:
     """Bin reduced coordinates by azimuth sector and summarize each bin.
 
     ``a_series`` is (N, n_t); ``theta_series`` the matching wrapped
-    azimuths. Covariances use population normalization 1/n.
+    azimuths; ``condition`` labels the operating point they were taken at.
+    Covariances use population normalization 1/n.
     """
     a = np.atleast_2d(np.asarray(a_series, dtype=float))
     theta = np.asarray(theta_series, dtype=float)
@@ -84,8 +85,6 @@ def bin_statistics(a_series, theta_series, n_theta: int,
         means[b] = mu
         centered = samples - mu[:, None]
         covs[b] = (centered @ centered.T) / samples.shape[1]
-    if condition is None:
-        condition = ConditionKey(u_mean=1.0, ti=0.5, seed=MERGED_SEED)
     return BinStatistics(condition=condition, n_theta=n_theta,
                          counts=counts, means=means, covariances=covs)
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: synth, decompose, sensors, fit-rom, estimate, torsion, report,
-pipeline. Exit codes: 0 success, 2 validation error, 3 numerical error.
+Subcommands: ``synth`` writes synthetic cases and a pipeline config,
+``fit-rom`` fits the basis and the azimuthal ROM from the training cases
+(the set-up), and ``pipeline`` runs every stage and writes every artifact.
+Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ import numpy as np
 
 from .dataset import read_json, write_json
 from .errors import NumericalError, SchemaError, StageError, ValidationError
-from .pipeline import COMMAND_PLANS, PipelineConfig, run_pipeline
+from .pipeline import CONFIG_SCHEMA, PipelineConfig, run_pipeline
 from .synthetic import demo_grid, demo_spec, generate_case
-
-
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="config JSON path")
-    parser.add_argument("--seed", type=int, default=None, help="rng seed override")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
 
 
 #: ``synth --config`` keys and their types (see :func:`read_json`).
@@ -29,7 +25,7 @@ _SYNTH_CASE = ({"name": str, "u_mean": float, "ti": float, "seeds": [int],
                 "duration_s": float, "f_s": float, "noise_sigma": float},
                ("name", "u_mean", "ti"))
 _SYNTH = {"grid": ({"n_z": int, "L_b": float}, ()), "training": [_SYNTH_CASE],
-          "evaluation": [_SYNTH_CASE], "pipeline": dict}
+          "evaluation": [_SYNTH_CASE], "pipeline": (CONFIG_SCHEMA, ())}
 
 
 def cmd_synth(args) -> int:
@@ -64,12 +60,19 @@ def cmd_synth(args) -> int:
                 except ValidationError as err:
                     raise SchemaError(f"{path}: '{key}': {err}") from err
                 pairs.append((seed + s, spec))
+    settings = {"out_dir": "results", **doc.get("pipeline", {})}
+    if args.seed is not None:
+        settings["seed"] = args.seed
+    try:  # the config to be written, each case named by its spec
+        PipelineConfig(**{**{group: [spec.name for _, spec in pairs]
+                             for group, pairs in specs.items()},
+                          **settings}).validate_settings()
+    except ValidationError as err:
+        raise SchemaError(f"{path}: 'pipeline': {err}") from err
     manifests = {group: [generate_case(spec, case_seed, out)
                          .manifest_path.name for case_seed, spec in pairs]
                  for group, pairs in specs.items()}
-    pipe_cfg = {**manifests, "out_dir": "results", **doc.get("pipeline", {})}
-    if args.seed is not None:
-        pipe_cfg["seed"] = args.seed
+    pipe_cfg = {**manifests, **settings}
     cfg_path = Path(out) / "pipeline_config.json"
     write_json(cfg_path, pipe_cfg)
     print(f"wrote {len(manifests['training'])} training and "
@@ -78,18 +81,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _make_stage_cmd(plan: str):
-    def cmd(args) -> int:
-        if not args.config:
-            raise ValidationError(f"'{plan}' requires --config")
-        config = PipelineConfig.from_json(args.config, seed=args.seed,
-                                          out_dir=args.out)
-        result = run_pipeline(config, plan=plan)
-        print(f"{plan}: wrote {len(result['artifacts'])} artifacts "
-              f"to {result['out_dir']}")
-        return 0
-
-    return cmd
+def cmd_plan(args) -> int:
+    """Run the stages of the command's plan (see ``COMMAND_PLANS``)."""
+    if not args.config:
+        raise ValidationError(f"'{args.command}' requires --config")
+    config = PipelineConfig.from_json(args.config, seed=args.seed,
+                                      out_dir=args.out)
+    result = run_pipeline(config, plan=args.command)
+    print(f"{args.command}: wrote {len(result['artifacts'])} artifacts "
+          f"to {result['out_dir']}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,14 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic cases and a config")
-    _common(p)
-    p.set_defaults(func=cmd_synth)
-
-    for plan in COMMAND_PLANS:
-        q = sub.add_parser(plan, help=f"run up to the '{plan}' stage")
-        _common(q)
-        q.set_defaults(func=_make_stage_cmd(plan))
+    for name, text, func in (
+            ("synth", "generate synthetic cases and a config", cmd_synth),
+            ("fit-rom", "fit the basis and the azimuthal ROM", cmd_plan),
+            ("pipeline", "run every stage, write every artifact", cmd_plan)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", type=Path, help="config JSON path")
+        p.add_argument("--seed", type=int, default=None,
+                       help="rng seed override")
+        p.add_argument("--out", type=Path, default=None,
+                       help="output directory")
+        p.set_defaults(func=func)
     return parser
 
 

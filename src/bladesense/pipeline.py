@@ -62,13 +62,11 @@ class PipelineConfig:
     lnm_frequencies: tuple = ()
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate_settings(self) -> None:
+        """Check every rule that needs no file."""
         for group in ("training", "evaluation"):
             if not getattr(self, group):
                 raise ValidationError(f"'{group}' lists no cases")
-        for p in list(self.training) + list(self.evaluation):
-            if not Path(p).exists():
-                raise ValidationError(f"referenced manifest does not exist: {p}")
         for name, low in (("n_modes", 1), ("n_sensors", 1), ("n_theta", 1),
                           ("n_fourier", 0), ("seed", 0)):
             if getattr(self, name) < low:
@@ -86,14 +84,20 @@ class PipelineConfig:
                     f"'observation_fractions' must lie in [0, 1], got {f!r}")
         NoiseModel.from_config(self.noise, self.n_sensors)
 
+    def validate(self) -> None:
+        """The settings' rules, and every referenced manifest exists."""
+        self.validate_settings()
+        for p in list(self.training) + list(self.evaluation):
+            if not Path(p).exists():
+                raise ValidationError(f"referenced manifest does not exist: {p}")
+
     @classmethod
     def from_json(cls, path, seed=None, out_dir=None) -> "PipelineConfig":
         """Read a config whose keys are the field names, each of its field's
-        type (see ``_FIELD_KINDS``); a setting the file leaves out keeps its
+        type (see ``CONFIG_SCHEMA``); a setting the file leaves out keeps its
         field default. Any fault is rejected naming the file and the key."""
         path = Path(path)
-        settings = read_json(path, {f.name: _FIELD_KINDS[f.type]
-                                    for f in fields(cls)}, what="config")
+        settings = read_json(path, CONFIG_SCHEMA, what="config")
         if seed is not None:
             settings["seed"] = int(seed)
         base = path.parent
@@ -109,6 +113,10 @@ class PipelineConfig:
         return cfg
 
 
+#: Each config key and its value type (see :func:`read_json`).
+CONFIG_SCHEMA = {f.name: _FIELD_KINDS[f.type] for f in fields(PipelineConfig)}
+
+
 @dataclass
 class _Context:
     config: PipelineConfig
@@ -120,7 +128,7 @@ class _Context:
     train_coords: list = field(default_factory=list)  # set by fit-rom
     sensors: object = None
     noise_model: NoiseModel | None = None
-    obs_stations: np.ndarray | None = None  # set by estimate, with
+    obs_stations: np.ndarray | None = None  # set by load, with
     obs_rows: np.ndarray | None = None      # their rows in a field
     stats_list: list = field(default_factory=list)
     rom: AzimuthalRomModel | None = None
@@ -144,6 +152,16 @@ def _stage_load(ctx: _Context) -> None:
     for _, e in ctx.train + ctx.evaluation:
         if e.grid.z_norm.shape != z0.shape or np.any(e.grid.z_norm != z0):
             raise ValidationError("all cases must share the same grid")
+    fractions = ctx.config.observation_fractions
+    stations = [int(np.argmin(np.abs(z0 - f))) for f in fractions]
+    for i, station in enumerate(stations):
+        if station in stations[:i]:
+            first = fractions[stations.index(station)]
+            raise ValidationError(
+                f"'observation_fractions' {first!r} and {fractions[i]!r} "
+                f"both snap to station {station}")
+    ctx.obs_stations = np.array(stations, dtype=int)
+    ctx.obs_rows = sensor_dof_rows(ctx.obs_stations, z0.size)
 
 
 def _stage_decompose(ctx: _Context) -> None:
@@ -213,9 +231,6 @@ def _station_table(path, head: dict, stations, comps, true_obs,
 def _stage_estimate(ctx: _Context) -> None:
     cfg = ctx.config
     z = ctx.basis.grid.z_norm
-    ctx.obs_stations = np.array([int(np.argmin(np.abs(z - f)))
-                                 for f in cfg.observation_fractions], dtype=int)
-    ctx.obs_rows = sensor_dof_rows(ctx.obs_stations, ctx.basis.grid.n_z)
     mean_obs = ctx.basis.mean_field[ctx.obs_rows][:, None]
     phi_obs = ctx.basis.modes[ctx.obs_rows, :]
     cases_summary = {}
@@ -469,16 +484,10 @@ _STAGES = {
     "index": _stage_index,
 }
 
+#: The stages each command runs: ``fit-rom`` is the set-up (basis and
+#: ROM from the training cases), ``pipeline`` every stage.
 COMMAND_PLANS = {
-    "decompose": ("load", "decompose", "index"),
-    "sensors": ("load", "decompose", "sensors", "index"),
     "fit-rom": ("load", "decompose", "fit-rom", "index"),
-    "estimate": ("load", "decompose", "sensors", "fit-rom", "estimate",
-                 "index"),
-    "torsion": ("load", "decompose", "sensors", "fit-rom", "estimate",
-                "torsion", "index"),
-    "report": ("load", "decompose", "sensors", "fit-rom", "estimate",
-               "report", "index"),
     "pipeline": ("load", "decompose", "sensors", "fit-rom", "estimate",
                  "torsion", "report", "index"),
 }
@@ -497,8 +506,7 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "FAILED"
-    if marker.exists():
-        marker.unlink()
+    marker.unlink(missing_ok=True)
     ctx = _Context(config=config)
     for name in COMMAND_PLANS[plan]:
         try:

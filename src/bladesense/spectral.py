@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -11,9 +10,10 @@ from .errors import ValidationError
 DEFAULT_SMOOTH = (33, 3)
 
 
-def psd(signal, f_s: float, f_1p: float, smooth=None,
-        nperseg: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Welch periodogram on a rotor-normalized frequency axis.
+def psd(signal, f_s: float, f_1p: float,
+        smooth=None) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided periodogram of the whole record on a rotor-normalized
+    frequency axis: periodic Hann window, mean removed, one segment.
 
     Parameters
     ----------
@@ -23,19 +23,15 @@ def psd(signal, f_s: float, f_1p: float, smooth=None,
         and spans [0, f_s / (2 f_1p)]
     smooth : None or (window, polyorder)
         Optional Savitzky-Golay smoothing of the raw spectrum; the window
-        must be odd and at least polyorder + 2. Smoothed power is clipped
+        must be odd, at least polyorder + 2 and at most the spectrum's
+        length (n // 2 + 1 bins for n samples). Smoothed power is clipped
         at zero to keep the non-negativity contract.
-    nperseg : segment length (>= 2) for Welch averaging; defaults to the
-        full record (a single-segment periodogram). Smoothing needs at
-        least `window` bins, i.e. nperseg >= 2 * (window - 1).
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("signal must be a 1-D series")
     if not (f_s > 0 and f_1p > 0):
         raise ValidationError("f_s and f_1p must be positive")
-    if nperseg is not None and int(nperseg) < 2:
-        raise ValidationError(f"nperseg must be >= 2, got {nperseg!r}")
     if smooth is not None:
         window, polyorder = int(smooth[0]), int(smooth[1])
         if window % 2 == 0 or window < polyorder + 2:
@@ -43,11 +39,15 @@ def psd(signal, f_s: float, f_1p: float, smooth=None,
                 f"smoothing window must be odd and >= polyorder+2, "
                 f"got window={window}, polyorder={polyorder}"
             )
-        if x.size < window:
-            raise ValidationError("signal shorter than the smoothing window")
 
-    seg = x.size if nperseg is None else min(int(nperseg), x.size)
-    freq, power = _welch(x, f_s, seg)
+    n = x.size
+    # periodic Hann: the first n points of a symmetric window of n + 1
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    spec = np.fft.rfft(win * (x - x.mean()))
+    power = (spec.conj() * spec).real / (f_s * (win * win).sum())
+    # fold the negative frequencies in; DC and an even-length Nyquist bin
+    # have no mirror
+    power[1:None if n % 2 else -1] *= 2
     if smooth is not None:
         if power.size < window:
             raise ValidationError(
@@ -55,22 +55,7 @@ def psd(signal, f_s: float, f_1p: float, smooth=None,
                 f"window ({window})"
             )
         power = np.clip(_savgol(power, window, polyorder), 0.0, None)
-    return freq / f_1p, power
-
-
-def _welch(x: np.ndarray, f_s: float, seg: int):
-    """One-sided Welch density: periodic Hann window, half-overlapping
-    segments, per-segment mean removal, mean over segments (Welch 1967)."""
-    # periodic Hann: the first seg points of a symmetric window of seg+1
-    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, seg + 1)))[:-1]
-    segments = sliding_window_view(x, seg)[::seg - seg // 2]
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    spec = np.fft.rfft(win * segments, axis=1)
-    power = (spec.conj() * spec).real / (f_s * (win * win).sum())
-    # fold the negative frequencies in; DC and an even-length Nyquist bin
-    # have no mirror
-    power[:, 1:None if seg % 2 else -1] *= 2
-    return np.fft.rfftfreq(seg, 1.0 / f_s), power.mean(axis=0)
+    return np.fft.rfftfreq(n, 1.0 / f_s) / f_1p, power
 
 
 def _savgol(y: np.ndarray, window: int, polyorder: int) -> np.ndarray:

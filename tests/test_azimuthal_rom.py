@@ -70,7 +70,8 @@ class TestBinStatistics:
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            bin_statistics(np.zeros((2, 5)), np.zeros(4), 8)
+            bin_statistics(np.zeros((2, 5)), np.zeros(4), 8,
+                           condition=_cond())
 
 
 class TestFitFourier:

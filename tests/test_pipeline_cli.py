@@ -184,7 +184,7 @@ class TestPipelineRun:
         assert main(["synth", "--config", str(tmp_path / "synth.json"),
                      "--out", str(tmp_path / "cases")]) == 0
         out = tmp_path / "out"
-        assert main(["torsion", "--config",
+        assert main(["pipeline", "--config",
                      str(tmp_path / "cases" / "pipeline_config.json"),
                      "--out", str(out)]) == 0
         assert json.loads((out / "torsion_model.json").read_text())["J"] == 4
@@ -205,7 +205,7 @@ class TestPipelineRun:
         cfg = cases / "three_stations.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "three"
-        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         sensors = np.loadtxt(out / "sensors.csv", delimiter=",", skiprows=1,
                              ndmin=2)
         assert sensors.shape == (3, 3)
@@ -223,19 +223,6 @@ class TestPipelineRun:
                      "--out", str(out2)]) == 0
         for name in json.loads((out / "artifacts.json").read_text())["files"]:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
-
-    def test_torsion_command_matches_pipeline(self, quickstart, tmp_path):
-        # the torsion command infers torsion from the fused estimate, as
-        # the pipeline does, not from the true deflection
-        pipeline_cfg, out = quickstart
-        alone = tmp_path / "torsion"
-        assert main(["torsion", "--config", str(pipeline_cfg),
-                     "--out", str(alone)]) == 0
-        names = sorted(p.name for p in alone.glob("torsion_*"))
-        assert names == sorted(["torsion_model.json", "torsion_basis.csv",
-                                "torsion_summary.json", "torsion_recon_ev_s5.csv"])
-        for name in names:
-            assert (alone / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_torsion_ignores_the_nominal_wind_speed(self, quickstart,
                                                     tmp_path):
@@ -261,34 +248,40 @@ class TestPipelineRun:
                     == (out / name).read_bytes()), name
 
     def test_stage_subcommands(self, quickstart, tmp_path):
-        # each stage command writes the pipeline's bytes for every file it
-        # writes; only the artifact index lists a different set
+        # fit-rom is the pipeline's set-up: it writes the pipeline's bytes
+        # for every file it writes; only the artifact index lists fewer
         pipeline_cfg, full = quickstart
-        expectations = {
-            "decompose": ["modes.csv", "energies.csv"],
-            "sensors": ["sensors.csv"],
-            "fit-rom": ["rom.json"],
-            "estimate": ["error_summary.json"],
-            "torsion": ["torsion_model.json", "torsion_summary.json"],
-            "report": ["error_summary.json", "artifacts.json"],
-        }
-        for cmd, files in expectations.items():
-            out = tmp_path / cmd
-            assert main([cmd, "--config", str(pipeline_cfg),
-                         "--out", str(out)]) == 0, cmd
-            for name in files:
-                assert (out / name).exists(), f"{cmd}: {name}"
-            for path in out.iterdir():
-                if path.name != "artifacts.json":
-                    assert path.read_bytes() == \
-                        (full / path.name).read_bytes(), f"{cmd}: {path.name}"
+        out = tmp_path / "fit-rom"
+        assert main(["fit-rom", "--config", str(pipeline_cfg),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "artifacts.json", "energies.csv", "modes.csv", "rom.json"]
+        for path in out.iterdir():
+            if path.name != "artifacts.json":
+                assert path.read_bytes() == (full / path.name).read_bytes(), \
+                    path.name
+
+    @pytest.mark.parametrize("command", ["decompose", "sensors", "estimate",
+                                         "torsion", "report"])
+    def test_prefix_commands_are_gone(self, quickstart, tmp_path, command):
+        # every artifact comes from pipeline, the set-up alone from fit-rom
+        pipeline_cfg, _ = quickstart
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(pipeline_cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=out)
+        with pytest.raises(ValidationError, match="unknown plan"):
+            run_pipeline(config, plan=command)
+        assert not out.exists()
 
     def test_pivot_scalar_flag(self, quickstart, tmp_path):
         # station pivoting is the only placement; the old flag is an error
         pipeline_cfg, _ = quickstart
         out = tmp_path / "scalar"
         with pytest.raises(SystemExit) as exc:
-            main(["sensors", "--config", str(pipeline_cfg),
+            main(["pipeline", "--config", str(pipeline_cfg),
                   "--out", str(out), "--pivot-scalar"])
         assert exc.value.code == 2
         assert not out.exists()
@@ -336,10 +329,10 @@ class TestFailureModes:
         bad_cfg = pipeline_cfg.parent / "bad_lnm.json"
         bad_cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["decompose", "--config", str(bad_cfg),
+        assert main(["pipeline", "--config", str(bad_cfg),
                      "--out", str(out)]) == 3
         marker = (out / "FAILED").read_text()
-        assert "decompose" in marker
+        assert "stage: decompose" in marker
 
     def test_stage_error_carries_stage_name(self, quickstart, tmp_path):
         pipeline_cfg, _ = quickstart
@@ -350,6 +343,23 @@ class TestFailureModes:
             run_pipeline(config, plan="pipeline")
         assert (tmp_path / "o" / "FAILED").exists()
 
+    def test_fractions_on_one_station_fail_at_load(self, quickstart, tmp_path,
+                                                   capsys):
+        # on the 8-station grid 0.44 and 0.45 both snap to station 3, whose
+        # columns the tables would then carry twice
+        pipeline_cfg, _ = quickstart
+        doc = json.loads(pipeline_cfg.read_text())
+        doc["observation_fractions"] = [0.44, 0.45, 0.88]
+        cfg = pipeline_cfg.parent / f"snap_{tmp_path.name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        err, marker = capsys.readouterr().err, (out / "FAILED").read_text()
+        assert "stage: load" in marker
+        for part in ("0.44", "0.45", "station 3"):
+            assert part in marker and part in err, part
+        assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
 
     @staticmethod
     def _failed_load(quickstart, tmp_path, damage):
@@ -500,11 +510,11 @@ class TestTrainingRelease:
 
 
 class TestProjections:
-    @pytest.mark.parametrize("plan", ["pipeline", "torsion", "fit-rom"])
+    @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
     def test_each_case_projected_once(self, quickstart, tmp_path, monkeypatch,
                                       plan):
         # fit-rom projects the training cases once and torsion reuses
-        # those coordinates; every plan with torsion runs fit-rom first
+        # those coordinates
         pipeline_cfg, _ = quickstart
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         calls = []  # (basis, n_t); the deflection basis is projected on first
@@ -560,7 +570,7 @@ class TestEstimateHealth:
         for p in config.training:
             _, e = load_case(p)
             assert np.sum(e.omega) / e.f_s >= 3 * 2 * np.pi  # revolutions
-        run_pipeline(config, plan="estimate")
+        run_pipeline(config, plan="pipeline")
         summary = json.loads((out / "error_summary.json").read_text())
         assert len(summary["cases"]) == 2
         for case_id, case in summary["cases"].items():
@@ -593,7 +603,7 @@ class TestEstimateHealth:
 
         monkeypatch.setattr(bladesense.pipeline, "fuse", recording)
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
-        run_pipeline(config, plan="estimate")
+        run_pipeline(config, plan="pipeline")
         summary = json.loads((tmp_path / "o" / "error_summary.json").read_text())
         full_run = json.loads((out / "error_summary.json").read_text())
         case_ids = [Path(p).stem for p in config.evaluation]
@@ -670,10 +680,11 @@ class TestConfigValidation:
         ("config", "gird"),  # misspelt grid
         ("grid", "nz"),
         ("case", "duraton_s"),
+        ("pipeline", "n_mode"),  # misspelt n_modes
     ])
     def test_synth_rejects_unknown_keys(self, tmp_path, where, key):
         doc = json.loads(json.dumps(SYNTH_CONFIG))
-        entry = {"config": doc, "grid": doc["grid"],
+        entry = {"config": doc, "grid": doc["grid"], "pipeline": doc["pipeline"],
                  "case": doc["evaluation"][0]}[where]
         entry[key] = 1.0
         cfg = tmp_path / "synth.json"
@@ -693,6 +704,13 @@ class TestConfigValidation:
     def _set(group, key, value):
         def edit(doc):
             doc[group][0][key] = value
+            return doc
+        return edit
+
+    @staticmethod
+    def _block(**settings):
+        def edit(doc):
+            doc["pipeline"].update(settings)
             return doc
         return edit
 
@@ -740,6 +758,15 @@ class TestConfigValidation:
          "'training[1]': duration_s"),
         ("synth", _set.__func__("evaluation", "seeds", [-1]),
          "'evaluation[0].seeds'"),
+        # the pipeline block is checked as the config it becomes
+        ("synth", _block.__func__(noise="abc"), "noise config"),
+        ("synth", _block.__func__(n_modes="abc"), "'pipeline.n_modes'"),
+        ("synth", _block.__func__(n_modes=0), "'n_modes'"),
+        ("synth", _block.__func__(n_modes=13), "'n_modes'"),
+        ("synth", _block.__func__(seed=-1), "'seed'"),
+        ("synth", _block.__func__(observation_fractions=[0.4, 1.2]),
+         "'observation_fractions'"),
+        ("synth", _block.__func__(evaluation=[]), "'evaluation'"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
@@ -750,7 +777,10 @@ class TestConfigValidation:
             "n_theta-zero", "n_sensors-zero", "noise-bool",
             "noise-per_sensor-scalar", "synth-ti-above-1", "synth-u_mean-zero",
             "synth-second-case-ti-above-1", "synth-second-case-too-short",
-            "synth-seed-negative"])
+            "synth-seed-negative", "synth-noise-text", "synth-n_modes-text",
+            "synth-n_modes-zero", "synth-n_modes-above-3-sensors",
+            "synth-pipeline-seed-negative", "synth-fraction-above-1",
+            "synth-pipeline-evaluation-empty"])
     def test_malformed_config_exits_2_naming_the_key(
             self, quickstart, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = quickstart
