@@ -176,10 +176,6 @@ class AzimuthalRomModel:
     def n_modes(self) -> int:
         return self.conditions[0].mean_coeffs.shape[0]
 
-    def ti_labels(self) -> list:
-        """Distinct trained TI labels, ascending."""
-        return list(self._groups)
-
 
 def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel:
     """Fit each condition's Fourier mean table and pooled covariance.

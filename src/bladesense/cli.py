@@ -34,7 +34,8 @@ def cmd_synth(args) -> int:
     Without ``--config`` the package's ``quickstart.json`` is used. Settings
     a config leaves out take the defaults of ``demo_grid`` and
     ``demo_spec``. The whole document, every case included, is checked
-    before the first case is written.
+    before the first case is written; two entries that would write the same
+    case file are rejected.
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
@@ -45,6 +46,7 @@ def cmd_synth(args) -> int:
     grid = demo_grid(**{"length_m" if key == "L_b" else key: value
                         for key, value in doc.get("grid", {}).items()})
     specs = {"training": [], "evaluation": []}  # (case seed, spec) pairs
+    writers = {}  # case name -> the entry that writes it
     for group, pairs in specs.items():
         for i, entry in enumerate(doc.get(group, [])):
             key = f"{group}[{i}]"
@@ -59,6 +61,10 @@ def cmd_synth(args) -> int:
                                      **options)
                 except ValidationError as err:
                     raise SchemaError(f"{path}: '{key}': {err}") from err
+                if spec.name in writers:  # the later case would overwrite it
+                    raise SchemaError(f"{path}: '{writers[spec.name]}' and "
+                                      f"'{key}' both write {spec.name}.json")
+                writers[spec.name] = key
                 pairs.append((seed + s, spec))
     settings = {"out_dir": "results", **doc.get("pipeline", {})}
     if args.seed is not None:

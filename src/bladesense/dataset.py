@@ -24,9 +24,8 @@ the declared sampling frequency.
 Every table a program reads back (case grids and channels, POD modes and
 torsion bases) is written as decimal text with 18 significant digits
 (``%.17e``), so a save/load round trip is bit-exact.
-Tables that only people and plots read (reconstructions, figure twins,
-ground-truth sidecars) carry 10 significant digits (``%.9e``), which
-format faster.
+Tables that only people and plots read (reconstructions, figure twins)
+carry 10 significant digits (``%.9e``), which format faster.
 
 Every JSON document (manifests, configs, models, summaries) is read with
 :func:`read_json` and written with :func:`write_json`. A document is a JSON

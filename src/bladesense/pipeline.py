@@ -26,8 +26,8 @@ from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
                             bin_centers, evaluate_rom, fit_rom, save_rom)
 from .dataset import (_REPORT_FMT, ConditionKey, _write_csv, load_case,
                       load_torsion, read_json, write_json)
-from .decomposition import (ModalBasis, lnm_amplitudes, pod_fit, project,
-                            write_energies_csv, write_modes_csv)
+from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
+                            write_modes_csv)
 from .errors import StageError, ValidationError
 from .fusion import FusionStats, fuse
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
@@ -59,7 +59,6 @@ class PipelineConfig:
     n_fourier: int = rom_mod.DEFAULT_N_FOURIER
     noise: object = 0.1
     observation_fractions: tuple = (0.44, 0.68, 0.88)
-    lnm_frequencies: tuple = ()
     seed: int = 0
 
     def validate_settings(self) -> None:
@@ -168,16 +167,6 @@ def _stage_decompose(ctx: _Context) -> None:
     ctx.basis = pod_fit([e for _, e in ctx.train], ctx.config.n_modes)
     write_modes_csv(ctx.basis, ctx.emit("modes.csv"))
     write_energies_csv(ctx.basis, ctx.emit("energies.csv"))
-    if ctx.config.lnm_frequencies:
-        _, e = ctx.train[0]
-        centered = replace(e, D=e.D - e.D.mean(axis=1, keepdims=True))
-        res = lnm_amplitudes(centered, ctx.config.lnm_frequencies)
-        with open(ctx.emit("lnm_amplitudes.csv"), "w", encoding="utf-8") as fh:
-            fh.write("n,omega_rad_s,amplitude\n")
-            for n, (w, s) in enumerate(zip(res.frequencies, res.amplitudes), 1):
-                fh.write(f"{n},{float(w)!r},{float(s)!r}\n")
-        names = [f"shape_{n + 1}" for n in range(res.frequencies.size)]
-        _write_csv(ctx.emit("lnm_shapes.csv"), names, res.shapes)
 
 
 def _stage_sensors(ctx: _Context) -> None:
@@ -439,9 +428,8 @@ def _stage_report(ctx: _Context) -> None:
 
     # modal coupling scatter (out-of-phase pairs), subsampled for the SVG
     a_proj = trace["a_proj"]
-    pairs = [(0, 1)]
-    if ctx.config.n_modes >= 4:
-        pairs += [(0, 3), (1, 3)]
+    n_modes = ctx.config.n_modes
+    pairs = [(i, j) for i, j in ((0, 1), (0, 3), (1, 3)) if j < n_modes]
     stride = max(1, a_proj.shape[1] // 2000)
     for i, j in pairs:
         xi, yj = a_proj[i, ::stride], a_proj[j, ::stride]

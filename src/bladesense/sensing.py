@@ -81,11 +81,15 @@ class SensorSet:
     def noise_covariance(self, noise: "NoiseModel") -> np.ndarray:
         """The estimate covariance G Gamma G^T of ``noise`` through
         :attr:`gram_gain` (which must not be None), symmetrized and checked
-        PSD once per noise model (read-only). Each entry keeps its noise
+        PSD once per noise model (read-only); a model of another sensor
+        count is a :class:`ValidationError`. Each entry keeps its noise
         model alive, so the model's id cannot pass to another model while
         the entry exists."""
         entry = self._noise_covs.get(id(noise))
         if entry is None:
+            if len(noise.per_sensor) != self.n_sensors:
+                raise ValidationError(
+                    "noise model size differs from sensor count")
             G = self.gram_gain
             cov = GaussianReduced(np.zeros(G.shape[0]),
                                   G @ noise.assembled @ G.T).covariance

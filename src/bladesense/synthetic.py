@@ -9,8 +9,10 @@ features). Rotor speed is frozen per case so the ground truth stays
 closed-form, and the wind channel is synthesized as u_mean * (1 + TI *
 AR(1)) to exercise condition resolution downstream.
 
-Everything is deterministic in (spec, seed): generating a case twice yields
-byte-identical files.
+A case is written as the dataset schema's files and nothing else;
+:func:`generate_case` returns the true reduced coordinates for callers that
+score against them. Everything is deterministic in (spec, seed):
+generating a case twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .azimuthal_rom import fourier_eval
-from .dataset import (_REPORT_FMT, BladeGrid, ConditionKey, SnapshotEnsemble,
-                      _write_csv, save_case, smooth_wind, wrap_angle,
-                      write_json)
+from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, save_case,
+                      smooth_wind, wrap_angle)
 from .decomposition import dof_weights
 from .errors import ValidationError
 
@@ -110,16 +111,11 @@ class SyntheticCaseSpec:
 
 @dataclass
 class GroundTruth:
-    """What the generator knows and an estimator should recover."""
+    """A written case's manifest and the coordinates an estimator should
+    recover."""
 
     a_true: np.ndarray           # (N_true, n_t)
-    theta: np.ndarray
-    true_modes: np.ndarray
-    mean_field: np.ndarray
-    azimuthal_mean: np.ndarray
     manifest_path: Path
-    sidecar_path: Path
-    tau_true: np.ndarray | None = None
 
 
 def _ar1(rho: float, sigma: float, n: int, rng) -> np.ndarray:
@@ -177,8 +173,7 @@ def blade_demo_modes(grid: BladeGrid) -> np.ndarray:
     return _gram_schmidt(raw, dof_weights(grid))
 
 
-def orthonormal_polynomial_modes(grid: BladeGrid, n_modes: int,
-                                 component_mix=None) -> np.ndarray:
+def orthonormal_polynomial_modes(grid: BladeGrid, n_modes: int) -> np.ndarray:
     """Root-clamped mode shapes from z^p monomials, orthonormalized.
 
     Mode n starts from exponent n+1 with a deterministic spread over the
@@ -188,11 +183,10 @@ def orthonormal_polynomial_modes(grid: BladeGrid, n_modes: int,
     """
     z = grid.z_norm
     n_z = grid.n_z
-    if component_mix is None:
-        # deterministic full-rank mixing of the three components per mode
-        component_mix = np.array(
-            [[1.0, 0.3, 0.1], [0.2, 1.0, 0.2], [0.5, -0.6, 1.0],
-             [-0.3, 0.4, 1.0], [1.0, -1.0, 0.5], [0.2, 0.7, -1.0]])
+    # deterministic full-rank mixing of the three components per mode
+    component_mix = np.array(
+        [[1.0, 0.3, 0.1], [0.2, 1.0, 0.2], [0.5, -0.6, 1.0],
+         [-0.3, 0.4, 1.0], [1.0, -1.0, 0.5], [0.2, 0.7, -1.0]])
     raw = np.zeros((3 * n_z, n_modes))
     for n in range(n_modes):
         mix = component_mix[n % len(component_mix)]
@@ -205,12 +199,10 @@ def orthonormal_polynomial_modes(grid: BladeGrid, n_modes: int,
 def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
     """Write one synthetic case to disk and return its ground truth.
 
-    Files follow the dataset schema (manifest + grid + snapshots, torsion
-    when the spec has a torsional side), plus a ``*_ground_truth.json``
-    sidecar pointing at the true modes and coordinates; the sidecar is for
-    verification only and is not read by the estimation pipeline.
+    The files are exactly what :func:`save_case` writes: the manifest, the
+    grid, the channels and the displacement matrix, plus the torsion matrix
+    when the spec has a torsional side.
     """
-    out_dir = Path(out_dir)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_t = spec.n_t
     t = np.arange(n_t) / spec.f_s
@@ -243,34 +235,7 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
                     + spec.torsion.modes @ (spec.torsion.coupling @ a_true))
 
     manifest_path = save_case(ensemble, out_dir, spec.name, tau=tau_true)
-
-    # nothing reads the sidecar tables back, so they are at report precision
-    modes_file = f"{spec.name}_true_modes.csv"
-    a_file = f"{spec.name}_a_true.csv"
-    _write_csv(out_dir / modes_file,
-               ["mean"] + [f"mode_{n+1}" for n in range(spec.n_true)],
-               np.column_stack([spec.mean_field, spec.true_modes]), _REPORT_FMT)
-    _write_csv(out_dir / a_file, ["t"] + [f"a_{n+1}" for n in range(spec.n_true)],
-               np.column_stack([t, a_true.T]), _REPORT_FMT)
-    sidecar = {
-        "true_modes_file": modes_file,
-        "a_true_file": a_file,
-        "azimuthal_mean_coeffs": spec.azimuthal_mean.tolist(),
-        "harmonic_amplitudes": spec.harmonic_amplitudes.tolist(),
-        "omega": spec.omega,
-        "seed": seed,
-    }
-    if spec.torsion is not None:
-        sidecar["torsion_coupling"] = spec.torsion.coupling.tolist()
-    sidecar_path = out_dir / f"{spec.name}_ground_truth.json"
-    write_json(sidecar_path, sidecar)
-
-    return GroundTruth(
-        a_true=a_true, theta=theta, true_modes=spec.true_modes,
-        mean_field=spec.mean_field, azimuthal_mean=spec.azimuthal_mean,
-        manifest_path=manifest_path, sidecar_path=sidecar_path,
-        tau_true=tau_true,
-    )
+    return GroundTruth(a_true=a_true, manifest_path=manifest_path)
 
 
 def demo_grid(n_z: int = 12, length_m: float = 117.0) -> BladeGrid:
@@ -279,7 +244,7 @@ def demo_grid(n_z: int = 12, length_m: float = 117.0) -> BladeGrid:
 
 def demo_spec(name: str, u_mean: float, ti: float, grid: BladeGrid | None = None,
               duration_s: float = 25.0, f_s: float = 160.0,
-              ar_scale: float = 1.0, noise_sigma: float = 0.0,
+              noise_sigma: float = 0.0,
               with_torsion: bool = True) -> SyntheticCaseSpec:
     """A four-mode blade-like case whose loading scales with wind speed.
 
@@ -298,7 +263,7 @@ def demo_spec(name: str, u_mean: float, ti: float, grid: BladeGrid | None = None
         [0.6 * load, -0.25, 0.05, 0.20 * load, 0.0, 0.10, 0.05],
         [0.15, 0.0, 0.05, 0.08 * load, 0.04, 0.0, 0.0],
     ])
-    ar_sigma = ar_scale * np.array([0.12, 0.08, 0.05, 0.03])
+    ar_sigma = np.array([0.12, 0.08, 0.05, 0.03])
     mean_field = np.zeros(grid.n_dof)
     mean_field[grid.n_z:2 * grid.n_z] = -0.2 * grid.z_norm  # steady droop
     torsion = None

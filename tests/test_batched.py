@@ -152,7 +152,7 @@ class TestBuiltOnce:
             n_fourier=fitted.n_fourier, n_theta=fitted.n_theta,
             conditions=[fitted.conditions[k] for k in (2, 1, 0)])
         assert "_groups" not in repr(model)
-        assert model.ti_labels() == [0.10, 0.20]
+        assert list(model._groups) == [0.10, 0.20]
         for ti in (0.10, 0.13, 0.20, 0.5):
             for theta, u in ((_THETA, _U), (_THETA[2], _U[2]), (_THETA[6], _U[6])):
                 got = evaluate_rom(model, theta, u, ti)

@@ -14,7 +14,7 @@ import bladesense
 from bladesense import dataset, load_case
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
-from bladesense.errors import StageError, ValidationError
+from bladesense.errors import NumericalError, StageError, ValidationError
 
 from conftest import DAMAGE, damage_case
 
@@ -216,6 +216,21 @@ class TestPipelineRun:
             # stations); the bound leaves about 10 % headroom
             assert case["reduced_rmse_total"]["fused"] < 0.045
 
+    @pytest.mark.parametrize("n_modes, pairs", [
+        (1, []), (2, ["a1_a2"]), (4, ["a1_a2", "a1_a4", "a2_a4"])])
+    def test_coupling_scatter_draws_the_pairs_that_exist(
+            self, quickstart, tmp_path, n_modes, pairs):
+        pipeline_cfg, _ = quickstart
+        doc = json.loads(pipeline_cfg.read_text())
+        doc["n_modes"] = n_modes
+        cfg = pipeline_cfg.parent / f"modes_{tmp_path.name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("coupling_*")) == sorted(
+            f"coupling_ev_s5_{pair}.{ext}" for pair in pairs
+            for ext in ("csv", "svg"))
+
     def test_determinism_byte_identical(self, quickstart, tmp_path):
         pipeline_cfg, out = quickstart
         out2 = tmp_path / "again"
@@ -322,17 +337,20 @@ class TestFailureModes:
     def test_nonexistent_config_path(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "none.json")]) == 2
 
-    def test_numerical_error_exit_code(self, quickstart, tmp_path):
+    def test_numerical_error_exit_code(self, quickstart, tmp_path,
+                                       monkeypatch):
         pipeline_cfg, _ = quickstart
-        doc = json.loads(pipeline_cfg.read_text())
-        doc["lnm_frequencies"] = [1.0, 1.0 + 1e-9]  # collinear regressors
-        bad_cfg = pipeline_cfg.parent / "bad_lnm.json"
-        bad_cfg.write_text(json.dumps(doc))
+
+        def singular(*args, **kwargs):
+            raise NumericalError("snapshot matrix is singular")
+
+        monkeypatch.setattr(bladesense.pipeline, "pod_fit", singular)
         out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(bad_cfg),
+        assert main(["pipeline", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 3
         marker = (out / "FAILED").read_text()
         assert "stage: decompose" in marker
+        assert "singular" in marker
 
     def test_stage_error_carries_stage_name(self, quickstart, tmp_path):
         pipeline_cfg, _ = quickstart
@@ -767,6 +785,20 @@ class TestConfigValidation:
         ("synth", _block.__func__(observation_fractions=[0.4, 1.2]),
          "'observation_fractions'"),
         ("synth", _block.__func__(evaluation=[]), "'evaluation'"),
+        # options that are gone are unknown keys
+        ("pipeline", lambda doc: {**doc, "lnm_frequencies": [1.0, 2.0]},
+         "'lnm_frequencies'"),
+        ("synth", _block.__func__(lnm_frequencies=[1.0, 2.0]),
+         "['lnm_frequencies'] in 'pipeline'"),
+        # two entries that write one case file: the later would overwrite it
+        ("synth", lambda doc: {**doc, "evaluation": [{
+            **doc["evaluation"][0], "name": "tr_b", "seeds": [0]}]},
+         "'training[1]' and 'evaluation[0]' both write tr_b_s0.json"),
+        ("synth", lambda doc: {**doc, "training": [doc["training"][0], {
+            **doc["training"][1], "name": "tr_a"}]},
+         "'training[0]' and 'training[1]' both write tr_a_s0.json"),
+        ("synth", _set.__func__("training", "seeds", [0, 0]),
+         "'training[0]' and 'training[0]' both write tr_a_s0.json"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
@@ -780,7 +812,9 @@ class TestConfigValidation:
             "synth-seed-negative", "synth-noise-text", "synth-n_modes-text",
             "synth-n_modes-zero", "synth-n_modes-above-3-sensors",
             "synth-pipeline-seed-negative", "synth-fraction-above-1",
-            "synth-pipeline-evaluation-empty"])
+            "synth-pipeline-evaluation-empty", "lnm_frequencies",
+            "synth-lnm_frequencies", "synth-case-in-both-groups",
+            "synth-case-twice-in-training", "synth-seed-listed-twice"])
     def test_malformed_config_exits_2_naming_the_key(
             self, quickstart, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = quickstart

@@ -156,6 +156,17 @@ class TestSparseEstimate:
         with pytest.raises(NumericalError, match="sensor set"):
             sparse_estimate(np.ones(6), sensors, noise)
 
+    @pytest.mark.parametrize("n_noise", [3, 5])
+    def test_noise_model_of_another_sensor_count_rejected(self, n_noise):
+        # four sensors, one noise block per sensor: a model of another count
+        # is a ValidationError, as in observe, not numpy's matmul error
+        grid, basis, sensors = _demo_sensors()
+        noise = NoiseModel.isotropic(0.1, n_noise)
+        with pytest.raises(ValidationError, match="sensor count"):
+            sparse_estimate(np.zeros((2, 12)), sensors, noise)
+        with pytest.raises(ValidationError, match="sensor count"):
+            sensors.noise_covariance(noise)
+
     def test_unknown_mode_rejected(self):
         grid, basis, sensors = _demo_sensors()
         noise = NoiseModel.isotropic(0.1, 4)

@@ -62,14 +62,20 @@ class TestGenerateCase:
         expected = np.mod(spec.omega * ens.t, TWO_PI)
         assert np.allclose(ens.theta, expected, atol=1e-12)
 
-    def test_written_files_conform_to_schema(self, tmp_path):
+    @pytest.mark.parametrize("with_torsion", [True, False])
+    def test_written_files_conform_to_schema(self, tmp_path, with_torsion):
         spec = demo_spec("schema", 10.0, 0.1, grid=demo_grid(n_z=6),
-                         duration_s=2.0, f_s=40.0)
+                         duration_s=2.0, f_s=40.0, with_torsion=with_torsion)
         truth = generate_case(spec, 0, tmp_path)
         grid, ens = load_case(truth.manifest_path)
         assert grid.n_z == 6
         assert ens.n_t == 80
-        assert truth.sidecar_path.exists()
+        # exactly the case files save_case writes, nothing beside them
+        expected = {"schema.json", "schema_grid.csv", "schema_channels.csv",
+                    "schema_displacement.npy"}
+        if with_torsion:
+            expected.add("schema_torsion.npy")
+        assert {p.name for p in tmp_path.iterdir()} == expected
 
     def test_mode_recoverability(self, tmp_path):
         # well-separated mode variances: POD recovers each true mode
