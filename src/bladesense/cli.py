@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -35,7 +36,8 @@ def cmd_synth(args) -> int:
     a config leaves out take the defaults of ``demo_grid`` and
     ``demo_spec``. The whole document, every case included, is checked
     before the first case is written; two entries that would write the same
-    case file are rejected.
+    case file, and a case ``name`` that is not a plain file name, are
+    rejected.
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
@@ -50,6 +52,11 @@ def cmd_synth(args) -> int:
     for group, pairs in specs.items():
         for i, entry in enumerate(doc.get(group, [])):
             key = f"{group}[{i}]"
+            name = entry["name"]  # each case file is named after it
+            if name in ("", ".", "..") or any(
+                    sep and sep in name for sep in ("/", os.sep, os.altsep)):
+                raise SchemaError(f"{path}: '{key}.name' must be a plain "
+                                  f"file name, got {name!r}")
             # every case key but name and seeds is a demo_spec argument
             options = {k: v for k, v in entry.items() if k not in ("name", "seeds")}
             for s in entry.get("seeds", [0]):
@@ -57,7 +64,7 @@ def cmd_synth(args) -> int:
                     raise SchemaError(f"{path}: '{key}.seeds': --seed "
                                       f"{seed} plus seed {s} is negative")
                 try:
-                    spec = demo_spec(name=f"{entry['name']}_s{s}", grid=grid,
+                    spec = demo_spec(name=f"{name}_s{s}", grid=grid,
                                      **options)
                 except ValidationError as err:
                     raise SchemaError(f"{path}: '{key}': {err}") from err

@@ -25,7 +25,8 @@ Every table a program reads back (case grids and channels, POD modes and
 torsion bases) is written as decimal text with 18 significant digits
 (``%.17e``), so a save/load round trip is bit-exact.
 Tables that only people and plots read (reconstructions, figure twins)
-carry 10 significant digits (``%.9e``), which format faster.
+carry 10 significant digits (``%.9e``), formatted in numpy blocks,
+byte-equal to ``%``; the lossless tables are formatted by ``%``.
 
 Every JSON document (manifests, configs, models, summaries) is read with
 :func:`read_json` and written with :func:`write_json`. A document is a JSON
@@ -67,6 +68,46 @@ _REPORT_FMT = "%.9e"
 #: Rows formatted per ``%`` call by ``_write_csv``; small blocks keep the
 #: formatted text, and so peak memory, small (4 096-row blocks were slower).
 _WRITE_BLOCK_ROWS = 256
+
+#: Values formatted, and written, per block of a ``_REPORT_FMT`` table.
+_REPORT_BLOCK = 4096
+
+#: Decimal exponents ``e`` the numpy formatter handles itself: scaling to
+#: ten integer digits multiplies or divides by 10**|9 - e| <= 10**22, which
+#: is exact in float64, so the scaled value is rounded only once.
+_REPORT_E = np.arange(-13, 32)
+
+#: A value whose scaled fraction lies this close to one half goes through
+#: ``%`` instead: below 1e10 the scaled value is off by at most half an ulp
+#: (< 1e-6), so outside this margin ``rint`` rounds as exact decimal
+#: rounding does.
+_NEAR_HALF = 1e-4
+
+
+def _ascii_words(codes) -> np.ndarray:
+    """Rows of four ASCII codes as little-endian 32-bit words (0 = no byte)."""
+    return np.ascontiguousarray(codes, dtype=np.uint8).view("<u4").ravel()
+
+
+# The formatter's tables, built once. A formatted value is five words:
+# [sign, d0, '.', d1] [d2..d5] [d6..d9] [e, sign, x, x] [separator].
+#: ASCII codes of the two digits of 00 .. 99, one row each.
+_TWO_DIGITS = np.column_stack(np.divmod(np.arange(100), 10)) + ord("0")
+#: ``[sign, d0, '.', d1]`` at ``100 * negative + d0d1``.
+_LEAD_WORDS = _ascii_words(np.column_stack([
+    np.repeat([0, ord("-")], 100), np.tile(_TWO_DIGITS[:, 0], 2),
+    np.full(200, ord(".")), np.tile(_TWO_DIGITS[:, 1], 2)]))
+#: Four digits ``0000`` .. ``9999``.
+_DIGIT_WORDS = _ascii_words(np.column_stack([
+    np.repeat(_TWO_DIGITS, 100, axis=0), np.tile(_TWO_DIGITS, (100, 1))]))
+#: ``e-13`` .. ``e+31`` at ``e + 13``.
+_EXP_WORDS = _ascii_words(np.column_stack([
+    np.full(_REPORT_E.size, ord("e")),
+    np.where(_REPORT_E < 0, ord("-"), ord("+")),
+    _TWO_DIGITS[np.abs(_REPORT_E)]]))
+#: ``|x| * _SCALE_MUL[e + 13] / _SCALE_DIV[e + 13]`` has ten integer digits.
+_SCALE_MUL = np.array([float(10 ** max(9 - e, 0)) for e in _REPORT_E.tolist()])
+_SCALE_DIV = np.array([float(10 ** max(e - 9, 0)) for e in _REPORT_E.tolist()])
 
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -331,6 +372,53 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
+def _format_report(x: np.ndarray, seps: np.ndarray) -> str:
+    """``x`` in ``_REPORT_FMT``, each value followed by its separator word
+    in ``seps``: byte for byte what ``%`` writes.
+
+    A value ``x = +-m * 10**(e - 9)`` with ten integer digits ``m`` is
+    emitted from the word tables above. Values the tables cannot format
+    exactly (zero, non-finite, subnormal, an exponent outside ``_REPORT_E``,
+    a rounding carry, a near-half) are formatted by ``%`` and spliced in.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+        ok = (e >= _REPORT_E[0]) & (e <= _REPORT_E[-1])
+        e[~ok] = 9
+        ei = e.astype(np.intp) - _REPORT_E[0]
+        scaled = a * _SCALE_MUL[ei] / _SCALE_DIV[ei]
+        m = np.rint(scaled)
+        # a wrong floor(log10) lands outside [1e9, 1e10) and is caught here
+        ok &= (scaled >= 1e9) & (m < 1e10) & (
+            np.abs(scaled - np.floor(scaled) - 0.5) > _NEAR_HALF)
+    m[~ok] = 1e9  # in range of the tables; the words are zeroed below
+    lead, lo = np.divmod(m.astype(np.int64), 10000)
+    lead, mid = np.divmod(lead, 10000)
+    negative = np.signbit(x)
+    words = np.empty((x.size, 5), "<u4")
+    words[:, 0] = _LEAD_WORDS[lead + 100 * negative]
+    words[:, 1] = _DIGIT_WORDS[mid]
+    words[:, 2] = _DIGIT_WORDS[lo]
+    words[:, 3] = _EXP_WORDS[ei]
+    words[:, 4] = seps
+    slow = np.flatnonzero(~ok)
+    words[slow] = 0  # zero bytes are squeezed out below
+    codes = words.view(np.uint8)
+    text = codes[codes != 0].tobytes().decode("ascii")
+    if not slow.size:
+        return text
+    # where each slow value goes: after the 15 characters, the sign and the
+    # separator of each value formatted before it
+    ends = np.cumsum(np.where(ok, 16 + negative, 0))[slow].tolist()
+    pieces, done = [], 0
+    for i, end in zip(slow.tolist(), ends):
+        pieces += [text[done:end], _REPORT_FMT % float(x[i]), chr(seps[i])]
+        done = end
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def _write_csv(path: Path, names: list[str], data: np.ndarray,
                fmt: str = _FLOAT_FMT) -> None:
     """The one writer of numeric tables: a header row, then each value in
@@ -338,20 +426,37 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray,
     ``np.savetxt(path, data, fmt=fmt, delimiter=",",
     header=",".join(names), comments="")`` writes.
 
-    ``savetxt`` applies one ``%`` per row to numpy scalars; here one ``%``
-    formats a block of up to ``_WRITE_BLOCK_ROWS`` rows of Python floats.
+    Report tables are formatted in numpy blocks of ``_REPORT_BLOCK`` values
+    (see :func:`_format_report`), each written as soon as it is formatted.
+    Lossless tables stay on ``%``: at 18 digits the scaled value exceeds
+    2**53, so one float product cannot decide the rounding. ``savetxt``
+    applies one ``%`` per row to numpy scalars; here one ``%`` formats a
+    block of up to ``_WRITE_BLOCK_ROWS`` rows of Python floats.
     """
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
-    row = ",".join([fmt] * data.shape[1]) + "\n"
     header = ",".join(names)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
-        for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
-            block = data[start:start + _WRITE_BLOCK_ROWS]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        if fmt == _REPORT_FMT and data.size:
+            values = np.ascontiguousarray(data, dtype=np.float64).ravel()
+            n_cols = data.shape[1]
+            # the separator after each value of a block that starts in
+            # column 0; a block starting in column c reads from offset c
+            seps = np.full(_REPORT_BLOCK + n_cols, ord(","), "<u4")
+            seps[n_cols - 1::n_cols] = ord("\n")
+            for start in range(0, values.size, _REPORT_BLOCK):
+                block = values[start:start + _REPORT_BLOCK]
+                col = start % n_cols
+                fh.write(_format_report(block, seps[col:col + block.size]))
+        else:
+            row = ",".join([fmt] * data.shape[1]) + "\n"
+            for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
+                block = data[start:start + _WRITE_BLOCK_ROWS]
+                fh.write((row * block.shape[0])
+                         % tuple(block.ravel().tolist()))
 
 
 def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:

@@ -51,6 +51,13 @@ def basis_from_modes(grid, modes, mean_field=None, energies=None):
     )
 
 
+def savetxt_writer(path, names, data, fmt=dataset._FLOAT_FMT):
+    """Reference for ``dataset._write_csv``: ``np.savetxt``, which applies
+    ``%`` to each row."""
+    np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(names),
+               comments="")
+
+
 def random_spd(rng, n, scale=1.0):
     m = rng.standard_normal((n, n))
     return scale * (m @ m.T + n * np.eye(n) * 0.05)

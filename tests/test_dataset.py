@@ -12,7 +12,7 @@ from bladesense import dataset
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
-from conftest import CHANNELS, DAMAGE, damage_case
+from conftest import CHANNELS, DAMAGE, damage_case, savetxt_writer
 
 
 def _write_minimal_case(tmp_path, *, drop=None, f_s=160.0, bad_theta=None):
@@ -151,9 +151,47 @@ class TestRoundTrip:
 
 
 
+def _table(kind, shape, rng):
+    """A test table of ``shape`` whose values are of the given ``kind``."""
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    flat = data.reshape(-1)
+    if kind == "integers":
+        data = np.round(data / np.abs(data).max() * 1e6)
+        data[0, 0] = -0.0
+    elif kind == "special":
+        big, tiny = np.finfo(float).max, np.finfo(float).tiny
+        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                  -5e-324, tiny, -tiny, tiny / 3, big, -big]
+        flat[:len(values)] = values
+    elif kind == "near-halves":
+        # ten digits and a half, at both ends of the digit range, and the
+        # floats next to them on either side
+        n = np.concatenate([[1e9, 1e10 - 1, 5e9], rng.integers(1e9, 1e10, 97)])
+        halves = (n + 0.5) * 10.0 ** rng.integers(-22, 23, n.size)
+        values = np.concatenate([halves, np.nextafter(halves, 0.0),
+                                 np.nextafter(halves, np.inf)])
+        flat[:values.size] = values * np.where(np.arange(values.size) % 2, -1, 1)
+    elif kind == "powers-of-ten":
+        powers = 10.0 ** np.arange(-25, 36)
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf), -powers])
+        flat[:values.size] = values
+    elif kind == "exponent-edges":
+        # the last exponents the numpy blocks format and the first ones
+        # they leave to %, with 3-digit exponents beyond
+        edges = np.array([1e-13, 9.87654321e-13, 1e-14, 9.87654321e-14,
+                          1e31, 9.87654321e31, 9.9999999999e31, 1e32,
+                          9.87654321e32, 1.5e-99, 1e-100, 1.5e100, 1e300,
+                          2.5e-308])
+        flat[:2 * edges.size] = np.concatenate([edges, -edges])
+    return data
+
+
 class TestWriteCsv:
-    """``_write_csv`` formats blocks of rows; its bytes are np.savetxt's,
-    at the lossless and at the report precision."""
+    """``_write_csv``'s bytes are np.savetxt's, at the lossless and at the
+    report precision; report tables go through numpy blocks of
+    ``_REPORT_BLOCK`` values, with the values they cannot format exactly
+    spliced in from ``%``."""
 
     FORMATS = (dataset._FLOAT_FMT, dataset._REPORT_FMT)
 
@@ -165,31 +203,49 @@ class TestWriteCsv:
         ((600, 5), "random"),          # more than one 256-row block
         ((512, 2), "random"),          # exactly two blocks
         ((9, 2), "special"),           # nan, inf, subnormal, extremes
+        ((0, 3), "random"),            # no rows: the header alone
+        ((2048, 4), "random"),         # exactly two 4 096-value blocks
+        ((700, 7), "random"),          # a 4 096-value block ends mid-row
+        ((50, 7), "near-halves"),      # and their neighbours, either sign
+        ((61, 4), "powers-of-ten"),    # and their neighbours
+        ((7, 4), "exponent-edges"),    # e = -13/-14, 31/32, three digits
     ])
     def test_bytes_equal_savetxt(self, tmp_path, shape, kind):
-        rng = np.random.default_rng(sum(shape))
-        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
-        if kind == "integers":
-            data = np.round(data / np.abs(data).max() * 1e6)
-            data[0, 0] = -0.0
-        elif kind == "special":
-            data.flat[:6] = [np.nan, np.inf, -np.inf, 5e-324,
-                             np.finfo(float).max, -np.finfo(float).tiny]
+        data = _table(kind, shape, np.random.default_rng(sum(shape)))
         names = [f"c{k}" for k in range(shape[1])]
         for fmt in self.FORMATS:
             dataset._write_csv(tmp_path / "got.csv", names, data, fmt)
-            np.savetxt(tmp_path / "ref.csv", data, fmt=fmt, delimiter=",",
-                       header=",".join(names), comments="")
+            savetxt_writer(tmp_path / "ref.csv", names, data, fmt)
             got = (tmp_path / "got.csv").read_bytes()
             assert got == (tmp_path / "ref.csv").read_bytes(), fmt
             assert got.count(b"\n") == shape[0] + 1
+
+    def test_a_million_report_values_equal_savetxt(self, tmp_path):
+        # random bit patterns (every class of float, with 3-digit exponents),
+        # values across the exponents the blocks handle, and near-halves
+        # moved by up to 4 ulps
+        rng = np.random.default_rng(19)
+        n = 400_000
+        bits = np.frombuffer(rng.bytes(8 * n // 2), np.float64)
+        spread = rng.standard_normal(n) * 10.0 ** rng.uniform(-16, 35, n)
+        halves = (rng.integers(1e9, 1e10, n) + 0.5) * \
+            10.0 ** rng.integers(-22, 23, n)
+        halves = halves.view(np.int64) + rng.integers(-4, 5, n)
+        data = np.concatenate([bits, spread, halves.view(np.float64)])
+        data = rng.permutation(data).reshape(-1, 40)
+        assert data.size == 1_000_000
+        names = [f"c{k}" for k in range(40)]
+        dataset._write_csv(tmp_path / "got.csv", names, data,
+                           dataset._REPORT_FMT)
+        savetxt_writer(tmp_path / "ref.csv", names, data, dataset._REPORT_FMT)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
     def test_one_dimensional_data_is_one_column(self, tmp_path):
         data = np.linspace(0.0, 1.0, 300)
         for fmt in self.FORMATS:
             dataset._write_csv(tmp_path / "got.csv", ["z_norm"], data, fmt)
-            np.savetxt(tmp_path / "ref.csv", data, fmt=fmt, delimiter=",",
-                       header="z_norm", comments="")
+            savetxt_writer(tmp_path / "ref.csv", ["z_norm"], data, fmt)
             assert (tmp_path / "got.csv").read_bytes() == \
                 (tmp_path / "ref.csv").read_bytes(), fmt
 

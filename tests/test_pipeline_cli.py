@@ -16,7 +16,7 @@ from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import NumericalError, StageError, ValidationError
 
-from conftest import DAMAGE, damage_case
+from conftest import DAMAGE, damage_case, savetxt_writer
 
 SYNTH_CONFIG = {
     "grid": {"n_z": 8, "L_b": 100.0},
@@ -238,6 +238,30 @@ class TestPipelineRun:
                      "--out", str(out2)]) == 0
         for name in json.loads((out / "artifacts.json").read_text())["files"]:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_artifacts_equal_those_of_a_savetxt_writer(self, quickstart,
+                                                       tmp_path, monkeypatch):
+        # every table of a run, report tables from numpy blocks included,
+        # holds np.savetxt's bytes; each module that binds the writer is
+        # patched, and both precisions must have gone through the patch
+        pipeline_cfg, out = quickstart
+        formats = Counter()
+
+        def reference(path, names, data, fmt=dataset._FLOAT_FMT):
+            formats[fmt] += 1
+            savetxt_writer(path, names, data, fmt)
+
+        for module in (bladesense.pipeline, bladesense.decomposition, dataset):
+            monkeypatch.setattr(module, "_write_csv", reference)
+        ref = tmp_path / "reference"
+        assert main(["pipeline", "--config", str(pipeline_cfg),
+                     "--out", str(ref)]) == 0
+        assert set(formats) == {dataset._FLOAT_FMT, dataset._REPORT_FMT}
+        names = json.loads((out / "artifacts.json").read_text())["files"]
+        names.append("artifacts.json")
+        assert sorted(p.name for p in ref.iterdir()) == sorted(names)
+        for name in names:
+            assert (ref / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_torsion_ignores_the_nominal_wind_speed(self, quickstart,
                                                     tmp_path):
@@ -799,6 +823,17 @@ class TestConfigValidation:
          "'training[0]' and 'training[1]' both write tr_a_s0.json"),
         ("synth", _set.__func__("training", "seeds", [0, 0]),
          "'training[0]' and 'training[0]' both write tr_a_s0.json"),
+        # a case name is a file name: the valid case before it is not
+        # written, and nothing is written outside --out
+        ("synth", lambda doc: {**doc, "training": [doc["training"][0], {
+            **doc["training"][1], "name": "sub/b"}]}, "'training[1].name'"),
+        ("synth", _set.__func__("evaluation", "name", "../x"),
+         "'evaluation[0].name'"),
+        ("synth", _set.__func__("evaluation", "name", ""),
+         "'evaluation[0].name'"),
+        ("synth", _set.__func__("training", "name", "."), "'training[0].name'"),
+        ("synth", _set.__func__("training", "name", ".."),
+         "'training[0].name'"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
@@ -814,7 +849,9 @@ class TestConfigValidation:
             "synth-pipeline-seed-negative", "synth-fraction-above-1",
             "synth-pipeline-evaluation-empty", "lnm_frequencies",
             "synth-lnm_frequencies", "synth-case-in-both-groups",
-            "synth-case-twice-in-training", "synth-seed-listed-twice"])
+            "synth-case-twice-in-training", "synth-seed-listed-twice",
+            "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
+            "synth-name-empty", "synth-name-dot", "synth-name-dot-dot"])
     def test_malformed_config_exits_2_naming_the_key(
             self, quickstart, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = quickstart
@@ -832,6 +869,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert key in err and cfg.name in err
         assert not out.exists()
+        assert [f for f in tmp_path.iterdir() if f != cfg] == []
 
     @pytest.mark.parametrize("raise_seeds", [0, 5],
                              ids=["case-seeds-small", "case-seeds-at-least-5"])
