@@ -17,7 +17,7 @@ from .spectral import psd
 from .synthetic import (GroundTruth, SyntheticCaseSpec, TorsionTwin,
                         blade_demo_modes, demo_grid, demo_spec, generate_case,
                         orthonormal_polynomial_modes)
-from .torsion import (TorsionModel, fit_torsion_map, infer_torsion,
-                      load_torsion_model, save_torsion_model)
+from .torsion import (TorsionModel, fit_torsion_map, fit_torsion_model,
+                      infer_torsion, load_torsion_model, save_torsion_model)
 
 __version__ = "0.1.0"

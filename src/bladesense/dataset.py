@@ -501,13 +501,25 @@ def _read_channels(path: Path) -> dict:
     return {name: data[:, j] for j, name in enumerate(_CHANNELS)}
 
 
+def read_manifest(manifest_path) -> dict:
+    """A case's manifest, checked against the manifest schema; every
+    manifest read goes through here."""
+    return read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
+
+
+def load_grid(manifest_path) -> BladeGrid:
+    """The grid of a case; reads its manifest and grid file, nothing else."""
+    manifest_path = Path(manifest_path)
+    return _load_grid(manifest_path, read_manifest(manifest_path))
+
+
 def _load_fields(manifest_path, key: str, grid: BladeGrid | None,
                  channels: dict | None) -> SnapshotEnsemble | None:
     """The ensemble of the field matrix a case's manifest names under
     ``key`` (``None`` when it names none), reading the grid and the channels
-    only when they are not given; every manifest read goes through here."""
+    only when they are not given."""
     manifest_path = Path(manifest_path)
-    m = read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
+    m = read_manifest(manifest_path)
     condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
     if key not in m:
         return None

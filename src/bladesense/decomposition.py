@@ -8,10 +8,12 @@ weight 1/n_z; non-uniform grids fall back to trapezoidal weights on z/L_b
 POD is computed through an SVD of the mean-centered, weight-scaled snapshot
 matrix rather than by assembling the autocorrelation operator; the dense
 eigendecomposition of that operator serves as the independent test oracle.
-Several cases are pooled in time without stacking them: each case's
-triangular QR factor is folded into a running one (a streaming TSQR), and
-the SVD runs on the final factor, so memory grows with one case, not with
-the training set.
+Several cases are pooled in time in one pass, without stacking them: each
+case is centered on its own mean and folded into a running triangular QR
+factor in time blocks of a few times the field's width (a streaming
+tall-skinny QR), then one row per case folds in the difference between
+its mean and the pooled one. The SVD runs on the final factor, so the
+working memory grows with the grid, not with a case or the training set.
 """
 
 from __future__ import annotations
@@ -116,11 +118,15 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
 
     Parameters
     ----------
-    ensembles : SnapshotEnsemble or sequence of SnapshotEnsemble
+    ensembles : SnapshotEnsemble or iterable of SnapshotEnsemble
         Snapshot matrices D_i of shape (3*n_z, n_t_i) on one grid; the
-        pooled row-mean is removed before the decomposition. The cases are
-        never stacked: each is folded in turn into one triangular factor,
-        so the working memory is that of one case.
+        pooled row-mean is removed before the decomposition. The iterable
+        is read once, so a generator may load each case as it is needed
+        and drop it after. Each case, centered on its own mean, is folded
+        in blocks of 4*3*n_z snapshots; with two cases or more, one row
+        per case then adds its mean's offset from the pooled mean. No case
+        is stacked or copied whole: the working memory is a few blocks of
+        the grid's size, not a case.
     n_modes : int
         Truncation order N, with 1 <= N <= min(3*n_z, sum of n_t_i).
 
@@ -131,37 +137,59 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
         lambda_n = s_n^2 / n_t (n_t pooled) sorted non-increasing, and a
         deterministic sign convention (largest-magnitude entry positive).
     """
-    cases = ([ensembles] if isinstance(ensembles, SnapshotEnsemble)
-             else list(ensembles))
-    if not cases:
-        raise ValidationError("pod_fit needs at least one ensemble")
-    grid = cases[0].grid
-    for e in cases[1:]:
-        if (e.grid.z_norm.shape != grid.z_norm.shape
+    if isinstance(ensembles, SnapshotEnsemble):
+        ensembles = (ensembles,)
+    grid = None
+    sums, counts = [], []
+    for e in ensembles:
+        if grid is None:
+            grid = e.grid
+            n_dof = grid.n_dof
+            sqrt_w = np.sqrt(dof_weights(grid))
+            # rows of the weighted, centered snapshots folded per QR; the
+            # buffer is in Fortran order, which qr copies without strides
+            block = 4 * n_dof
+            buf = np.empty((n_dof, n_dof + block)).T
+            R = buf[:0]
+        elif (e.grid.z_norm.shape != grid.z_norm.shape
                 or np.any(e.grid.z_norm != grid.z_norm)):
             raise ValidationError("all ensembles must share one grid")
-    n_dof, n_t = grid.n_dof, sum(e.n_t for e in cases)
+        if e.n_t == 0:
+            continue
+        sums.append(e.D.sum(axis=1))
+        counts.append(e.n_t)
+        mean_i = sums[-1] / e.n_t
+        # QR of the transposed snapshots first: the SVD then runs on the
+        # small triangular factor R (R^T has the left singular vectors and
+        # values of the weighted snapshots), without squaring the condition
+        # number as the Gram matrix would. The R of R stacked on more rows
+        # is the R of all rows so far (a streaming TSQR)
+        for start in range(0, e.n_t, block):
+            cols = e.D[:, start:start + block]
+            r = R.shape[0]
+            rows = buf[:r + cols.shape[1]]
+            rows[:r] = R
+            np.subtract(cols.T, mean_i, out=rows[r:])
+            rows[r:] *= sqrt_w
+            R = np.linalg.qr(rows, mode="r")
+    if grid is None:
+        raise ValidationError("pod_fit needs at least one ensemble")
+    n_t = sum(counts)
     if not 1 <= n_modes <= min(n_dof, n_t):
         raise ValidationError(
             f"n_modes must be in [1, {min(n_dof, n_t)}], got {n_modes}"
         )
-    mean_field = cases[0].D.sum(axis=1)
-    for e in cases[1:]:
-        mean_field += e.D.sum(axis=1)
+    mean_field = sums[0].copy()
+    for case_sum in sums[1:]:
+        mean_field += case_sum
     mean_field /= n_t
-    sqrt_w = np.sqrt(dof_weights(grid))
-    # QR of the transposed snapshots first: the SVD then runs on the small
-    # triangular factor R (R^T has the left singular vectors and values of
-    # the weighted snapshots), without squaring the condition number as
-    # the Gram matrix would. Stacking two cases' factors and taking the R
-    # of that gives the R of the stacked cases (a streaming TSQR)
-    R = None
-    for e in cases:
-        X = e.D - mean_field[:, None]
-        X *= sqrt_w[:, None]
-        R_i = np.linalg.qr(X.T, mode="r")
-        del X
-        R = R_i if R is None else np.linalg.qr(np.vstack([R, R_i]), mode="r")
+    if len(counts) > 1:
+        # each case was centered on its own mean m_i; the pooled scatter
+        # adds n_i (m_i - m)(m_i - m)^T per case, one row each. A single
+        # case gets none: even a zero row reshapes a trapezoidal R
+        shift = np.sqrt(counts)[:, None] * sqrt_w * (
+            np.array(sums) / np.array(counts)[:, None] - mean_field)
+        R = np.linalg.qr(np.vstack([R, shift]), mode="r")
     U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     energies_all = s**2 / n_t
     modes = _fix_signs(U[:, :n_modes] / sqrt_w[:, None])

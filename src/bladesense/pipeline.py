@@ -15,7 +15,7 @@ written. A stage failure leaves a ``FAILED`` marker naming the stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ from . import svgplot
 from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
                             bin_centers, evaluate_rom, fit_rom, save_rom)
 from .dataset import (_REPORT_FMT, ConditionKey, _write_csv, load_case,
-                      load_torsion, read_json, write_json)
+                      load_grid, load_torsion, read_json, read_manifest,
+                      write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -33,8 +34,7 @@ from .fusion import FusionStats, fuse
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
                       sparse_estimate, write_sensors_csv)
 from .spectral import DEFAULT_SMOOTH, psd
-from .torsion import (TorsionModel, fit_torsion_map, infer_torsion,
-                      save_torsion_model)
+from .torsion import fit_torsion_model, infer_torsion, save_torsion_model
 
 _COMPONENTS = ("ux", "uy", "uz")
 _TORSION_COMPONENTS = ("taux", "tauy", "tauz")
@@ -119,6 +119,7 @@ CONFIG_SCHEMA = {f.name: _FIELD_KINDS[f.type] for f in fields(PipelineConfig)}
 @dataclass
 class _Context:
     config: PipelineConfig
+    plan: str = "pipeline"
     train: list = field(default_factory=list)       # (case_id, ensemble);
     # fit-rom empties it, keeping each case's (grid, channels) for torsion
     train_channels: list = field(default_factory=list)
@@ -143,13 +144,20 @@ class _Context:
 
 
 def _stage_load(ctx: _Context) -> None:
-    for group, paths in (("train", ctx.config.training),
-                         ("evaluation", ctx.config.evaluation)):
-        for p in paths:
-            getattr(ctx, group).append((Path(p).stem, load_case(p)[1]))
-    z0 = ctx.train[0][1].grid.z_norm
-    for _, e in ctx.train + ctx.evaluation:
-        if e.grid.z_norm.shape != z0.shape or np.any(e.grid.z_norm != z0):
+    cfg = ctx.config
+    ctx.train = [(Path(p).stem, load_case(p)[1]) for p in cfg.training]
+    grids = [e.grid for _, e in ctx.train]
+    for p in cfg.evaluation:
+        # a plan that estimates nothing uses an evaluation case only for
+        # its grid, and reads no more of it
+        if "estimate" in COMMAND_PLANS[ctx.plan]:
+            ctx.evaluation.append((Path(p).stem, load_case(p)[1]))
+            grids.append(ctx.evaluation[-1][1].grid)
+        else:
+            grids.append(load_grid(p))
+    z0 = grids[0].z_norm
+    for grid in grids:
+        if grid.z_norm.shape != z0.shape or np.any(grid.z_norm != z0):
             raise ValidationError("all cases must share the same grid")
     fractions = ctx.config.observation_fractions
     stations = [int(np.argmin(np.abs(z0 - f))) for f in fractions]
@@ -275,31 +283,16 @@ def _stage_estimate(ctx: _Context) -> None:
 
 
 def _stage_torsion(ctx: _Context) -> None:
-    train_tau = []  # (training case index, torsion ensemble)
-    for i, (p, (grid, channels)) in enumerate(zip(ctx.config.training,
-                                                  ctx.train_channels)):
-        tau_e = load_torsion(p, grid, channels)
-        if tau_e is not None:
-            train_tau.append((i, tau_e))
-    if not train_tau:
+    # one map over every training case that carries torsion; each torsion
+    # matrix is loaded, folded and dropped in turn
+    carriers = [i for i, p in enumerate(ctx.config.training)
+                if "torsion_file" in read_manifest(p)]
+    if not carriers:
         return
-    tau_basis = pod_fit([tau_e for _, tau_e in train_tau], ctx.config.n_modes)
-    # numerical rank of the pooled torsion snapshots (numpy's matrix_rank
-    # rule; energies are s^2 / n_t, so their roots keep the singular values'
-    # ratios), at most n_modes: a mode past it is rounding noise, and a map
-    # fitted to it has an arbitrary R^2
-    n_dof, n_t = tau_basis.grid.n_dof, sum(t.n_t for _, t in train_tau)
-    s = np.sqrt(tau_basis.energies)
-    rank = max(1, int(np.count_nonzero(
-        s > s[0] * max(n_dof, n_t) * np.finfo(float).eps)))
-    tau_basis = replace(tau_basis, modes=tau_basis.modes[:, :rank],
-                        energies=tau_basis.energies[:rank], n_modes=rank)
-
-    # one map over every torsion case: inference reads only the estimate
-    M, r2 = fit_torsion_map(
-        np.hstack([ctx.train_coords[i] for i, _ in train_tau]),
-        np.hstack([project(tau_e.D, tau_basis) for _, tau_e in train_tau]))
-    model = TorsionModel(basis=tau_basis, M=M)
+    model, r2 = fit_torsion_model(
+        [ctx.train_coords[i] for i in carriers],
+        (load_torsion(ctx.config.training[i], *ctx.train_channels[i])
+         for i in carriers), ctx.config.n_modes)
     save_torsion_model(model, ctx.emit("torsion_model.json"),
                        basis_filename="torsion_basis.csv")
     ctx.artifacts.append("torsion_basis.csv")
@@ -495,7 +488,7 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "FAILED"
     marker.unlink(missing_ok=True)
-    ctx = _Context(config=config)
+    ctx = _Context(config=config, plan=plan)
     for name in COMMAND_PLANS[plan]:
         try:
             _STAGES[name](ctx)

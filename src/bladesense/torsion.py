@@ -4,19 +4,47 @@ Sectional rotation fields get their own POD basis; one linear map, fitted
 over every training case that carries torsion, sends deflection
 coordinates a(t) to torsional coordinates b(t). Inference reads nothing
 but the estimated coordinates: no operating-point label picks the map.
+
+The basis and the map come from one pass over the torsion cases
+(:func:`fit_torsion_model`), so each torsion matrix can be loaded, folded
+and dropped in turn; :func:`fit_torsion_map` solves the same least-squares
+problem for given series, through the same truncated SVD.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import BladeGrid, _read_csv, read_json, write_json
-from .decomposition import ModalBasis, write_modes_csv
+from .decomposition import ModalBasis, dof_weights, pod_fit, write_modes_csv
 from .errors import SchemaError, ValidationError
+
+
+def _coordinate_svd(A_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin SVD ``A_t = U S V^T`` of the stacked coordinates (n_t, N), cut
+    to ``lstsq``'s rank (singular values above eps * max(n_t, N) times the
+    largest); returns ``(U, V S^-1)``, so the minimum-norm least-squares
+    solution of ``A_t X = Y`` is ``V S^-1 (U^T Y)``."""
+    U, s, Vt = np.linalg.svd(A_t, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(A_t.shape) * s[0]))
+    if rank < A_t.shape[1]:
+        warnings.warn(
+            f"deflection coordinates are rank deficient ({rank} < "
+            f"{A_t.shape[1]}); returning the minimum-norm map", stacklevel=3)
+    return U[:, :rank], Vt[:rank].T / s[:rank]
+
+
+def _r_squared(ss_res: np.ndarray, ss_tot: np.ndarray) -> np.ndarray:
+    """1 - ss_res / ss_tot per row; a row with no variance scores 1 when
+    it is fitted exactly, else 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = 1.0 - ss_res / ss_tot
+    r2[ss_tot == 0.0] = np.where(ss_res[ss_tot == 0.0] <= 1e-30, 1.0, 0.0)
+    return r2
 
 
 def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:
@@ -32,19 +60,11 @@ def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("a_series and b_series must share the time axis")
     if A.shape[1] < A.shape[0]:
         raise ValidationError("need at least as many samples as coordinates")
-    M_t, _, rank, _ = np.linalg.lstsq(A.T, B.T, rcond=None)
-    if rank < A.shape[0]:
-        warnings.warn(
-            f"deflection coordinates are rank deficient ({rank} < {A.shape[0]}); "
-            "returning the minimum-norm map", stacklevel=2)
-    M = M_t.T
-    pred = M @ A
-    ss_res = np.sum((B - pred) ** 2, axis=1)
+    U, VS = _coordinate_svd(A.T)
+    M = (VS @ (U.T @ B.T)).T
+    ss_res = np.sum((B - M @ A) ** 2, axis=1)
     ss_tot = np.sum((B - B.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = 1.0 - ss_res / ss_tot
-    r2[ss_tot == 0.0] = np.where(ss_res[ss_tot == 0.0] <= 1e-30, 1.0, 0.0)
-    return M, r2
+    return M, _r_squared(ss_res, ss_tot)
 
 
 @dataclass
@@ -115,3 +135,56 @@ def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
     if len({len(row) for row in doc["M"]}) != 1:
         raise SchemaError(f"{path}: the rows of 'M' differ in length")
     return TorsionModel(basis=basis, M=np.asarray(doc["M"], dtype=float))
+
+
+def fit_torsion_model(a_series, tau_cases,
+                      n_modes: int) -> tuple[TorsionModel, np.ndarray]:
+    """Torsion POD basis and coupling map from one pass over the cases.
+
+    ``a_series`` holds each case's deflection coordinates (N, n_t_i);
+    ``tau_cases`` yields the torsion ensembles of the same cases in the
+    same order, and is read once. The basis keeps at most ``n_modes``
+    modes and stops at the numerical rank of the pooled torsion snapshots
+    (numpy's ``matrix_rank`` rule): a further mode would only fit rounding
+    noise. Returns the model and the map's R^2 per torsion mode, the share
+    of the mode's energy n_t * lambda_j that the coordinates explain.
+
+    With ``A^T = U_a S_a V_a^T`` (:func:`_coordinate_svd`; ``U_a,i`` the
+    rows of case i), each case adds ``U_a,i^T tau_i^T`` to G and
+    ``U_a,i^T 1`` to g while it is folded. With the pooled mean m and
+    ``U = diag(sqrt_w) modes``, ``Z U = (G - g m^T) diag(sqrt_w) U`` equals
+    ``U_a^T B^T`` for the projections B of every case, so no case is
+    projected: ``M^T = V_a S_a^-1 (Z U)``, and ``||(Z U)_j||^2`` is the
+    energy the map explains.
+    """
+    a_series = list(a_series)
+    U_a, VS = _coordinate_svd(np.hstack(a_series).T)
+    n_t = U_a.shape[0]
+    G = g = 0.0
+
+    def folded():
+        nonlocal G, g
+        start = 0
+        for a, tau in zip(a_series, tau_cases, strict=True):
+            if tau.n_t != a.shape[1]:
+                raise ValidationError(
+                    f"a torsion case has {tau.n_t} steps, its deflection "
+                    f"coordinates {a.shape[1]}")
+            U_i = U_a[start:start + tau.n_t]
+            start += tau.n_t
+            G = G + U_i.T @ tau.D.T
+            g = g + U_i.sum(axis=0)
+            yield tau
+
+    basis = pod_fit(folded(), n_modes)
+    s = np.sqrt(basis.energies)  # energies keep the singular values' ratios
+    rank = max(1, int(np.count_nonzero(
+        s > s[0] * max(basis.grid.n_dof, n_t) * np.finfo(float).eps)))
+    basis = replace(basis, modes=basis.modes[:, :rank],
+                    energies=basis.energies[:rank], n_modes=rank)
+    sqrt_w = np.sqrt(dof_weights(basis.grid))
+    Z = (G - np.outer(g, basis.mean_field)) * sqrt_w
+    ZU = Z @ (basis.modes * sqrt_w[:, None])
+    total = n_t * basis.energies
+    r2 = _r_squared(total - np.sum(ZU**2, axis=0), total)
+    return TorsionModel(basis=basis, M=(VS @ ZU).T), r2

@@ -276,6 +276,27 @@ class TestStreamingPod:
             tracemalloc.stop()
         assert peak < pooled_bytes
 
+    def test_working_memory_does_not_grow_with_case_length(self):
+        # one case forty times as long as the field is wide: folded in
+        # blocks, it needs less memory than its own snapshot matrix, and
+        # matches the one-QR former body
+        grid = BladeGrid(z_norm=np.linspace(0.0, 1.0, 10), length_m=100.0)
+        case = _cases(grid, (40 * grid.n_dof,), seed=6)[0]
+        pod_fit(_cases(grid, (50,))[0], 4)  # warm up first-call allocations
+        tracemalloc.start()
+        try:
+            basis = pod_fit(case, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < case.D.nbytes
+        mean, modes, energies, total = _former_pod_fit(case, 4)
+        assert np.array_equal(basis.mean_field, mean)
+        assert np.abs(basis.energies - energies).max() <= 1e-12 * energies[0]
+        assert basis.total_energy == pytest.approx(total, rel=1e-12)
+        assert np.abs(basis.modes - modes).max() <= \
+            1e-12 * np.abs(modes).max()
+
 
 class TestProjectReconstruct:
     @pytest.fixture

@@ -421,11 +421,11 @@ class TestFailureModes:
             self, quickstart, tmp_path, monkeypatch):
         pipeline_cfg, _ = quickstart
 
-        def nan_r2(a, b, _fit=bladesense.pipeline.fit_torsion_map):
-            M, r2 = _fit(a, b)
-            return M, np.full_like(r2, np.nan)
+        def nan_r2(*args, _fit=bladesense.pipeline.fit_torsion_model):
+            model, r2 = _fit(*args)
+            return model, np.full_like(r2, np.nan)
 
-        monkeypatch.setattr(bladesense.pipeline, "fit_torsion_map", nan_r2)
+        monkeypatch.setattr(bladesense.pipeline, "fit_torsion_model", nan_r2)
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 3
@@ -518,10 +518,13 @@ class TestCaseReads:
         pipeline_cfg, _ = quickstart
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = self._reads(monkeypatch, config, "fit-rom")
-        assert not [n for n in seen if n.endswith("_torsion.npy")]
-        assert sum(n.endswith("_channels.csv") for n in seen) == \
-            sum(n.endswith("_displacement.npy") for n in seen) == \
-            len(config.training) + len(config.evaluation)
+        # of an evaluation case, fit-rom uses only the grid
+        train = [Path(p).stem for p in config.training]
+        evaluation = [Path(p).stem for p in config.evaluation]
+        assert seen == dict.fromkeys(
+            [f"{n}_{kind}" for n in train
+             for kind in ("grid.csv", "channels.csv", "displacement.npy")]
+            + [f"{n}_grid.csv" for n in evaluation], 1)
 
 
 class TestTrainingRelease:
@@ -550,6 +553,33 @@ class TestTrainingRelease:
         assert len(refs) == len(config.training)
         assert not alive
 
+    def test_torsion_stage_holds_one_training_torsion_matrix(
+            self, quickstart, tmp_path, monkeypatch):
+        # each training torsion matrix is loaded, folded and dropped: once
+        # a matrix is folded, the ones before it are gone
+        pipeline_cfg, _ = quickstart
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        training = {Path(p) for p in config.training}
+        refs, alive = [], []
+
+        def recording(path, *args, _load=bladesense.pipeline.load_torsion):
+            if Path(path) in training:
+                alive.extend(r for r in refs[:-1] if r() is not None)
+            tau = _load(path, *args)
+            if Path(path) in training:
+                refs.append(weakref.ref(tau.D))
+            return tau
+
+        def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
+            _stage(ctx)
+            alive.extend(r for r in refs if r() is not None)
+
+        monkeypatch.setattr(bladesense.pipeline, "load_torsion", recording)
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
+        run_pipeline(config, plan="pipeline")
+        assert len(refs) == len(config.training) >= 3
+        assert not alive
+
 
 class TestProjections:
     @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
@@ -572,10 +602,8 @@ class TestProjections:
         cases = config.training + ([] if plan == "fit-rom" else config.evaluation)
         assert Counter(n for b, n in calls if b is deflection) == \
             Counter(n_t[p] for p in cases)
-        # and each training case's torsion once, on the torsion basis
-        torsion = Counter(n for b, n in calls if b is not deflection)
-        assert torsion == (Counter() if plan == "fit-rom" else
-                           Counter(n_t[p] for p in config.training))
+        # and no torsion case: the torsion map comes from the one-pass fold
+        assert all(b is deflection for b, _ in calls)
 
 
 class TestEstimateHealth:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from bladesense import (fit_torsion_map, infer_torsion, load_torsion_model,
-                        pod_fit, save_torsion_model)
+from bladesense import (ConditionKey, SnapshotEnsemble, fit_torsion_map,
+                        fit_torsion_model, infer_torsion, load_torsion_model,
+                        pod_fit, project, save_torsion_model)
 from bladesense.errors import SchemaError, ValidationError
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel
@@ -62,6 +63,63 @@ class TestFitTorsionMap:
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             fit_torsion_map(np.zeros((4, 3)), np.zeros((2, 3)))
+
+
+def _tau_ensemble(grid, D, f_s=10.0):
+    n_t = D.shape[1]
+    return SnapshotEnsemble(
+        grid=grid, D=D, t=np.arange(n_t) / f_s, theta=np.zeros(n_t),
+        omega=np.ones(n_t), u_raw=np.full(n_t, 9.0), u_filt=np.full(n_t, 9.0),
+        condition=ConditionKey(9.0, 0.1, 0), f_s=f_s)
+
+
+class TestFitTorsionModel:
+    """The one-pass map against an ``np.linalg.lstsq`` oracle on the
+    projections of every case onto the model's basis."""
+
+    @staticmethod
+    def _cases(deficient, lengths=(30, 45, 22), seed=12):
+        rng = np.random.default_rng(seed)
+        grid = demo_grid(n_z=6)
+        modes = orthonormal_polynomial_modes(grid, 5)
+        C = rng.standard_normal((5, 4))
+        a_series, taus = [], []
+        for k, n_t in enumerate(lengths):
+            a = np.diag([3.0, 2.0, 1.0, 0.5]) @ rng.standard_normal((4, n_t))
+            a += 0.4 * k  # per-case offsets: no case mean is the pooled one
+            if deficient:
+                a[3] = a[1]  # dependent coordinates
+            tau = (0.2 + modes @ (C @ a)
+                   + 0.3 * rng.standard_normal((grid.n_dof, n_t)))
+            a_series.append(a)
+            taus.append(_tau_ensemble(grid, tau))
+        return a_series, taus
+
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_matches_lstsq_on_the_projections(self, deficient):
+        a_series, taus = self._cases(deficient)
+        if deficient:
+            with pytest.warns(UserWarning, match="rank deficient"):
+                model, r2 = fit_torsion_model(a_series, iter(taus), 3)
+        else:
+            model, r2 = fit_torsion_model(a_series, iter(taus), 3)
+        assert np.array_equal(model.basis.modes, pod_fit(taus, 3).modes)
+        A = np.hstack(a_series)
+        B = project(np.hstack([t.D for t in taus]), model.basis)
+        M_t, _, rank, _ = np.linalg.lstsq(A.T, B.T, rcond=None)
+        assert rank == (3 if deficient else 4)
+        M = M_t.T  # the minimum-norm solution
+        assert np.abs(model.M - M).max() <= 1e-10 * np.abs(M).max()
+        ss_res = np.sum((B - M @ A) ** 2, axis=1)
+        ss_tot = np.sum((B - B.mean(axis=1, keepdims=True)) ** 2, axis=1)
+        assert np.abs(r2 - (1.0 - ss_res / ss_tot)).max() <= 1e-12
+        assert np.all(r2 < 1.0)  # the noise is not explained
+
+    def test_rejects_coordinates_of_another_length(self):
+        a_series, taus = self._cases(False)
+        a_series[1] = a_series[1][:, :-1]
+        with pytest.raises(ValidationError, match="44"):
+            fit_torsion_model(a_series, taus, 3)
 
 
 class TestInferTorsion:
