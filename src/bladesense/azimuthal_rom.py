@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (TWO_PI, ConditionKey, azimuth_bin, read_json,
-                      wrap_angle, write_json)
+from .dataset import TWO_PI, ConditionKey, azimuth_bin, read_json, write_json
 from .errors import ValidationError
 from .fusion import GaussianReduced
 
@@ -89,14 +88,16 @@ def bin_statistics(a_series, theta_series, n_theta: int,
                          counts=counts, means=means, covariances=covs)
 
 
-def fourier_design(theta, n_fourier: int) -> np.ndarray:
-    """Regression matrix with columns (1, cos k*theta, sin k*theta)."""
+def fourier_design(theta, n_fourier) -> np.ndarray:
+    """Regression matrix with columns (1, cos k*theta, sin k*theta), k = 1..n_F,
+    for the order n_F or its wavenumbers 1..n_F (a model keeps them)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k_theta = np.multiply.outer(theta, np.arange(1, n_fourier + 1))
-    design = np.empty(theta.shape + (1 + 2 * n_fourier,))
+    k = np.arange(1, n_fourier + 1) if np.ndim(n_fourier) == 0 else n_fourier
+    k_theta = theta[..., None] * k
+    design = np.empty(theta.shape + (1 + 2 * k.size,))
     design[..., 0] = 1.0
-    design[..., 1::2] = np.cos(k_theta)
-    design[..., 2::2] = np.sin(k_theta)
+    np.cos(k_theta, out=design[..., 1::2])
+    np.sin(k_theta, out=design[..., 2::2])
     return design
 
 
@@ -147,9 +148,9 @@ class AzimuthalRomModel:
     nodes' unit vectors), one stacked ``(n_speeds*(1 + 2*n_F), N)`` table of
     the label's mean coefficients and one ``(n_speeds, N(N+1)/2)`` stack of
     the upper triangles of its covariances, each checked PSD here, plus the
-    upper-triangle index pair. They are plain attributes, not fields, so
-    ``==`` and ``repr`` are unchanged; ``conditions`` is not to be changed
-    after construction.
+    (N, N) index into such a row and the Fourier wavenumbers. They are plain
+    attributes, not fields, so ``==`` and ``repr`` are unchanged;
+    ``conditions`` is not to be changed after construction.
     """
 
     n_fourier: int
@@ -157,9 +158,13 @@ class AzimuthalRomModel:
     conditions: list
 
     def __post_init__(self):
+        self._wavenumbers = np.arange(1, self.n_fourier + 1)
         if self.conditions:
-            self._triu = np.triu_indices(self.n_modes)
+            triu = np.triu_indices(self.n_modes)
             shape = (self.n_modes, 1 + 2 * self.n_fourier)
+            # packed index of entry (i, j): one take unpacks a covariance
+            self._gather = np.empty((self.n_modes,) * 2, dtype=np.intp)
+            self._gather[triu] = self._gather[triu[::-1]] = np.arange(triu[0].size)
         groups: dict = {}
         # stable sort: conditions with equal (ti, u) keep their given order
         for c in sorted(self.conditions, key=lambda c: (c.ti, c.u_mean)):
@@ -167,7 +172,7 @@ class AzimuthalRomModel:
         self._groups = {
             ti: (np.array([c.u_mean for c in group]), np.eye(len(group)),
                  np.concatenate([c.mean_coeffs.T for c in group]),
-                 np.stack([_checked_covariance(c, shape)[self._triu]
+                 np.stack([_checked_covariance(c, shape)[triu]
                            for c in group]))
             for ti, group in groups.items()
         }
@@ -245,14 +250,18 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     """
     if not model.conditions:
         raise ValidationError("ROM model has no trained conditions")
-    theta, u = np.broadcast_arrays(wrap_angle(np.asarray(theta, dtype=float)),
-                                   np.asarray(u_filt, dtype=float))
+    theta, u = np.asarray(theta, dtype=float), np.asarray(u_filt, dtype=float)
+    if theta.shape != u.shape:
+        theta, u = np.broadcast_arrays(theta, u)
     if theta.ndim > 1:
         raise ValidationError("theta and u_filt must be scalars or 1-D arrays")
     single = theta.ndim == 0
-    theta, u = np.atleast_1d(theta), np.atleast_1d(u)
+    # wrap_angle in place: mod can round up to exactly 2*pi
+    theta, u = np.mod(theta.reshape(-1), TWO_PI), u.reshape(-1)
+    theta[theta >= TWO_PI] -= TWO_PI
 
-    ti_near = min(model._groups, key=lambda label: abs(label - ti))
+    ti_near = (min(model._groups, key=lambda label: abs(label - ti))
+               if len(model._groups) > 1 else next(iter(model._groups)))
     speeds, units, mean_tables, cov_tables = model._groups[ti_near]
     if stats is not None:
         stats.steps += u.size
@@ -264,18 +273,13 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     weights = np.column_stack([np.interp(u, speeds, unit) for unit in units])
 
     # one product: (step, speed x Fourier term) against the stacked tables
-    design = fourier_design(theta, model.n_fourier)
+    design = fourier_design(theta, model._wavenumbers)
     mean = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ mean_tables
     # every design row holds a constant 1, so a non-finite azimuth or wind
     # speed (hence weight) makes its mean row non-finite
     if not np.isfinite(mean).all():
         raise ValidationError("Gaussian mean and covariance must be finite")
-    packed = weights @ cov_tables
-    n_modes = model.n_modes
-    iu, ju = model._triu
-    cov = np.empty((u.size, n_modes, n_modes))
-    cov[:, iu, ju] = packed
-    cov[:, ju, iu] = packed
+    cov = (weights @ cov_tables).take(model._gather, axis=1)
     if single:
         mean, cov = mean[0], cov[0]
     # a convex combination of covariances checked PSD when the model was built

@@ -18,6 +18,7 @@ innovation covariance) are applied by mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ def _sym(cov: np.ndarray) -> np.ndarray:
 
 
 def _trace(cov: np.ndarray) -> np.ndarray:
-    return cov.trace(axis1=-2, axis2=-1)
+    return np.add.reduce(cov.diagonal(0, -2, -1), -1)
 
 
 def _any(mask) -> bool:
@@ -129,19 +130,19 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
         raise ValidationError(
             f"dimension mismatch: prior has {prior.n}, measurement {measurement.n}"
         )
-    eye = np.eye(prior.n)
     p_cov = prior.covariance
     s_sum = p_cov + measurement.covariance
     tr = _trace(s_sum)
     certain = tr <= 0.0
-    regularize = ~certain & (np.linalg.eigvalsh(s_sum).min(axis=-1) <= 1e-14 * tr)
+    # eigvalsh returns the eigenvalues in ascending order
+    regularize = ~certain & (np.linalg.eigvalsh(s_sum)[..., 0] <= 1e-14 * tr)
     if _any(regularize):
-        s_sum = s_sum + np.where(regularize, 1e-12 * tr, 0.0)[..., None, None] * eye
+        s_sum += np.where(regularize, 1e-12 * tr, 0.0)[..., None, None] * np.eye(prior.n)
     any_certain = _any(certain)
     if any_certain:
         # the identity only makes the solve defined; these rows get zero gain
         certain_rows = certain[..., None, None]
-        s_sum = np.where(certain_rows, eye, s_sum)
+        s_sum = np.where(certain_rows, np.eye(prior.n), s_sum)
     # K = S_prior (S_prior + S_meas)^-1, via a solve on the symmetric sum
     gain = np.linalg.solve(s_sum, p_cov).swapaxes(-1, -2)
     if any_certain:
@@ -157,4 +158,9 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
         rows = mean.shape[:-1]
         stats.steps += int(np.prod(rows))
         stats.regularized += int(np.count_nonzero(np.broadcast_to(regularize, rows)))
+    # cov is exactly symmetric: if it is finite and PSD, the constructor
+    # would return it unchanged
+    if (math.isfinite(mean.sum() + cov.sum())
+            and not _any(np.linalg.eigvalsh(cov)[..., 0] < 0.0)):
+        return GaussianReduced.from_checked(mean, cov), gain
     return GaussianReduced(mean, cov), gain

@@ -60,9 +60,9 @@ class SensorSet:
     def gram_gain(self) -> np.ndarray | None:
         """The least-squares map (S^T S)^-1 S^T from the thin SVD of the
         sampled basis S, computed once per sensor set; None when S is rank
-        deficient (condition number above 1e12)."""
+        deficient: fewer rows than columns, or condition number above 1e12."""
         u, s, vt = np.linalg.svd(self.sampled_basis, full_matrices=False)
-        if s.min() <= 0 or s.max() / s.min() > _COND_LIMIT:
+        if s.size < vt.shape[1] or s.min() <= 0 or s.max() / s.min() > _COND_LIMIT:
             return None
         return (vt.T / s) @ u.T
 

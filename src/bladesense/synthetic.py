@@ -122,12 +122,12 @@ def _ar1(rho: float, sigma: float, n: int, rng) -> np.ndarray:
     """Stationary AR(1) path: x[k] = rho x[k-1] + N(0, sigma^2)."""
     if sigma == 0.0:
         return np.zeros(n)
-    x = np.empty(n)
-    x[0] = rng.normal(0.0, sigma / np.sqrt(1.0 - rho**2))
-    innov = rng.normal(0.0, sigma, n - 1)
-    for k in range(1, n):
-        x[k] = rho * x[k - 1] + innov[k - 1]
-    return x
+    x = [rng.normal(0.0, sigma / np.sqrt(1.0 - rho**2))]
+    # sequential, so a scalar loop over Python floats
+    rho = float(rho)
+    for e in rng.normal(0.0, sigma, n - 1).tolist():
+        x.append(rho * x[-1] + e)
+    return np.array(x)
 
 
 def _gram_schmidt(raw: np.ndarray, weights: np.ndarray) -> np.ndarray:

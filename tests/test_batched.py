@@ -6,7 +6,9 @@ time and as one stack and require agreement within 1e-10 of each output's
 largest magnitude: the stacked products sum in another order, so the
 results are not bit-identical. ``_reference_evaluate_rom`` and
 ``_reference_fuse`` are the per-step loop bodies the batched kernels
-replaced, kept here as an independent oracle.
+replaced, kept here as an independent oracle. ``_former_evaluate_rom`` and
+``_former_fuse`` are the batched kernels before their per-call costs were
+cut; those fast paths must match them bit for bit.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
                                       bin_centers, fourier_eval)
 from bladesense.dataset import ConditionKey, wrap_angle
 from bladesense.errors import ValidationError
+from bladesense.fusion import _any
 from bladesense.sensing import sensor_dof_rows
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel
@@ -86,6 +89,79 @@ def _reference_fuse(prior, measurement):
     mean = prior.mean + gain @ (measurement.mean - prior.mean)
     cov = (np.eye(n) - gain) @ prior.covariance
     return mean, 0.5 * (cov + cov.T), gain, regularized
+
+
+def _former_fourier_design(theta, n_fourier):
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    k_theta = np.multiply.outer(theta, np.arange(1, n_fourier + 1))
+    design = np.empty(theta.shape + (1 + 2 * n_fourier,))
+    design[..., 0] = 1.0
+    design[..., 1::2] = np.cos(k_theta)
+    design[..., 2::2] = np.sin(k_theta)
+    return design
+
+
+def _former_evaluate_rom(model, theta, u_filt, ti, stats=None):
+    theta, u = np.broadcast_arrays(wrap_angle(np.asarray(theta, dtype=float)),
+                                   np.asarray(u_filt, dtype=float))
+    single = theta.ndim == 0
+    theta, u = np.atleast_1d(theta), np.atleast_1d(u)
+    ti_near = min(model._groups, key=lambda label: abs(label - ti))
+    speeds, units, mean_tables, cov_tables = model._groups[ti_near]
+    if stats is not None:
+        stats.steps += u.size
+        stats.clamped_low += int(np.count_nonzero(u < speeds[0]))
+        stats.clamped_high += int(np.count_nonzero(u > speeds[-1]))
+    weights = np.column_stack([np.interp(u, speeds, unit) for unit in units])
+    design = _former_fourier_design(theta, model.n_fourier)
+    mean = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ mean_tables
+    if not np.isfinite(mean).all():
+        raise ValidationError("Gaussian mean and covariance must be finite")
+    packed = weights @ cov_tables
+    n_modes = model.n_modes
+    iu, ju = np.triu_indices(n_modes)
+    cov = np.empty((u.size, n_modes, n_modes))
+    cov[:, iu, ju] = packed
+    cov[:, ju, iu] = packed
+    if single:
+        mean, cov = mean[0], cov[0]
+    return GaussianReduced.from_checked(mean, cov)
+
+
+def _former_fuse(prior, measurement, stats=None):
+    eye = np.eye(prior.n)
+    p_cov = prior.covariance
+    s_sum = p_cov + measurement.covariance
+    tr = s_sum.trace(axis1=-2, axis2=-1)
+    certain = tr <= 0.0
+    regularize = ~certain & (np.linalg.eigvalsh(s_sum).min(axis=-1) <= 1e-14 * tr)
+    if _any(regularize):
+        s_sum = s_sum + np.where(regularize, 1e-12 * tr, 0.0)[..., None, None] * eye
+    any_certain = _any(certain)
+    if any_certain:
+        certain_rows = certain[..., None, None]
+        s_sum = np.where(certain_rows, eye, s_sum)
+    gain = np.linalg.solve(s_sum, p_cov).swapaxes(-1, -2)
+    if any_certain:
+        gain = np.where(certain_rows, 0.0, gain)
+    mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
+    cov = measurement.covariance @ gain.swapaxes(-1, -2)
+    cov += cov.swapaxes(-1, -2)
+    cov *= 0.5
+    if any_certain:
+        cov = np.where(certain_rows, 0.0, cov)
+    if stats is not None:
+        rows = mean.shape[:-1]
+        stats.steps += int(np.prod(rows))
+        stats.regularized += int(np.count_nonzero(np.broadcast_to(regularize, rows)))
+    return GaussianReduced(mean, cov), gain
+
+
+def assert_identical(got, ref):
+    """Tolerance 0: same shape, dtype and bytes."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+    assert got.tobytes() == ref.tobytes()
 
 
 # wind below, inside, exactly at and above the trained speeds (8, 12);
@@ -241,8 +317,8 @@ class TestDecompositionCalls:
     """Call counts, not timings: a PSD step must not eigendecompose."""
 
     @staticmethod
-    def _count(monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
+    def _count(monkeypatch, names=("eigh", "eigvalsh")):
+        calls = dict.fromkeys(names, 0)
         for name in calls:
             def counting(*args, _name=name, _f=getattr(np.linalg, name), **kw):
                 calls[_name] += 1
@@ -271,6 +347,19 @@ class TestDecompositionCalls:
         evaluate_rom(model, _THETA, _U, 0.1)
         # the covariances were checked when the model was built
         assert calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_psd_batch_of_one_fuse_makes_no_eigh_call(self, monkeypatch):
+        prior = evaluate_rom(self._psd_model(), 1.0, 9.5, 0.1)
+        rng = np.random.default_rng(2)
+        meas = GaussianReduced(rng.standard_normal(N_MODES),
+                               random_spd(rng, N_MODES, 0.01))
+        ref, _ = _former_fuse(prior, meas)
+        assert np.linalg.eigvalsh(ref.covariance).min() >= 0.0
+        calls = self._count(monkeypatch, ("eigh", "eigvalsh", "solve"))
+        fused, _ = fuse(prior, meas)
+        assert calls["eigh"] == 0 and calls["eigvalsh"] <= 2
+        assert calls["solve"] == 1
+        assert_identical(fused.covariance, ref.covariance)
 
 
 class TestPerStepInvariants:
@@ -385,6 +474,140 @@ class TestFuseBatch:
             assert_close(fused.mean[k], step.mean)
             assert_close(fused.covariance[k], step.covariance)
         assert stats.steps == p_mean.shape[0]
+
+
+def _one_label_model():
+    fitted = _model()
+    return AzimuthalRomModel(fitted.n_fourier, fitted.n_theta,
+                             [c for c in fitted.conditions if c.ti == 0.10])
+
+
+# azimuths that np.mod rounds up to exactly 2*pi, or that lie on a period
+_EDGE_THETA = np.array([-1e-17, -5e-324, 2 * np.pi, np.nextafter(2 * np.pi, 0.0),
+                        4 * np.pi, -2 * np.pi])
+
+
+class TestFastPathsMatchFormer:
+    """evaluate_rom and fuse against the former kernels with tolerance 0: a
+    batch of one (Python, numpy and 0-d scalars), stacks, one TI label and
+    several, and the fallbacks that still run the full constructor."""
+
+    @pytest.mark.parametrize("make_model", [_model, _one_label_model])
+    def test_evaluate_rom_batch_of_one(self, make_model):
+        model = make_model()
+        for ti in (0.10, 0.13, 0.20, 0.5):
+            stats, former_stats = RomStats(), RomStats()
+            for theta, u in zip(np.concatenate([_THETA, _EDGE_THETA]),
+                                np.concatenate([_U, _U[:_EDGE_THETA.size]])):
+                for cast in (float, np.float64, np.asarray):
+                    got = evaluate_rom(model, cast(theta), cast(u), ti, stats)
+                    ref = _former_evaluate_rom(model, cast(theta), cast(u), ti,
+                                               former_stats)
+                    assert_identical(got.mean, ref.mean)
+                    assert_identical(got.covariance, ref.covariance)
+            assert vars(stats) == vars(former_stats)
+
+    @pytest.mark.parametrize("make_model", [_model, _one_label_model])
+    def test_evaluate_rom_stacks(self, make_model):
+        model = make_model()
+        for theta, u in ((_THETA, _U), (bin_centers(72), 9.0), (1.0, _U),
+                         (_EDGE_THETA, 10.0), (_THETA[:1], _U[:1]),
+                         (list(_THETA), list(_U))):
+            for ti in (0.10, 0.17, 0.5):
+                stats, former_stats = RomStats(), RomStats()
+                got = evaluate_rom(model, theta, u, ti, stats)
+                ref = _former_evaluate_rom(model, theta, u, ti, former_stats)
+                assert_identical(got.mean, ref.mean)
+                assert_identical(got.covariance, ref.covariance)
+                assert vars(stats) == vars(former_stats)
+
+    @staticmethod
+    def _assert_fuse_identical(prior, meas):
+        stats, former_stats = FusionStats(), FusionStats()
+        got, gain = fuse(prior, meas, stats)
+        ref, ref_gain = _former_fuse(prior, meas, former_stats)
+        assert_identical(got.mean, ref.mean)
+        assert_identical(got.covariance, ref.covariance)
+        assert_identical(gain, ref_gain)
+        assert vars(stats) == vars(former_stats)
+        return got, gain, stats
+
+    def test_fuse_batch_of_one(self):
+        model, rng = _model(), np.random.default_rng(7)
+        for k in range(_U.size):
+            prior = evaluate_rom(model, _THETA[k], _U[k], 0.10)
+            meas = GaussianReduced(rng.standard_normal(N_MODES),
+                                   random_spd(rng, N_MODES, 0.01))
+            self._assert_fuse_identical(prior, meas)
+
+    def test_fuse_stacks(self):
+        p_mean, p_cov, m_mean, _ = TestFuseBatch()._stack(n_t=_U.size)
+        shared = random_spd(np.random.default_rng(5), N_MODES)
+        prior = evaluate_rom(_model(), _THETA, _U, 0.10)
+        self._assert_fuse_identical(prior, GaussianReduced(m_mean, shared))
+        self._assert_fuse_identical(GaussianReduced(p_mean, p_cov),
+                                    GaussianReduced(m_mean, shared))
+        self._assert_fuse_identical(GaussianReduced(m_mean, shared), prior)
+
+    def test_regularized_and_certain_rows_counted(self):
+        # row 3 is regularized, row 7 fully certain
+        p_mean, p_cov, m_mean, m_cov = TestFuseBatch()._stack()
+        _, gain, stats = self._assert_fuse_identical(
+            GaussianReduced(p_mean, p_cov), GaussianReduced(m_mean, m_cov))
+        assert (stats.steps, stats.regularized) == (40, 1)
+        assert np.all(gain[7] == 0.0)
+        for k, regularized in ((3, 1), (7, 0)):
+            _, _, stats = self._assert_fuse_identical(
+                GaussianReduced(p_mean[k], p_cov[k]),
+                GaussianReduced(m_mean[k], m_cov[k]))
+            assert (stats.steps, stats.regularized) == (1, regularized)
+
+    @pytest.mark.parametrize("case", ["mean", "covariance", "one row"])
+    def test_non_finite_fusion_rejected(self, case):
+        # finite sources whose fused mean or covariance overflows
+        n, big = N_MODES, 8e307
+        if case == "mean":
+            prior = GaussianReduced(np.full(n, 1e308), np.eye(n))
+            meas = GaussianReduced(np.full(n, -1e308), np.eye(n))
+        elif case == "covariance":
+            prior = GaussianReduced(np.zeros(n), big * np.eye(n))
+            meas = GaussianReduced(np.zeros(n), big * np.eye(n))
+        else:
+            means = np.zeros((5, n))
+            means[2] = 1e308
+            prior = GaussianReduced(means, np.eye(n))
+            meas = GaussianReduced(-means, np.eye(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kernel in (fuse, _former_fuse):
+                with pytest.raises(ValidationError, match="finite"):
+                    kernel(prior, meas)
+
+    @staticmethod
+    def _rank_deficient_pair(seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((N_MODES, N_MODES - 1))
+        B = rng.standard_normal((N_MODES, N_MODES - 1))
+        return (GaussianReduced(rng.standard_normal(N_MODES), A @ A.T),
+                GaussianReduced(rng.standard_normal(N_MODES), B @ B.T))
+
+    def test_tiny_negative_fused_covariance_lifted(self):
+        # rank-deficient sources give a singular fused covariance; for this
+        # pair the product rounds its zero eigenvalue below zero
+        prior, meas = self._rank_deficient_pair(0)
+        fused, gain, _ = self._assert_fuse_identical(prior, meas)
+        raw = meas.covariance @ gain.T
+        raw = 0.5 * (raw + raw.T)
+        assert np.linalg.eigvalsh(raw).min() < 0.0
+        assert np.linalg.eigvalsh(fused.covariance).min() >= 0.0
+        lift = fused.covariance - raw
+        assert np.all(lift.diagonal() > 0.0)
+        assert np.array_equal(lift, np.diag(lift.diagonal()))
+        pairs = [self._rank_deficient_pair(seed) for seed in range(12)]
+        self._assert_fuse_identical(
+            GaussianReduced(np.stack([p.mean for p, _ in pairs]),
+                            np.stack([p.covariance for p, _ in pairs])),
+            GaussianReduced(np.stack([m.mean for _, m in pairs]),
+                            np.stack([m.covariance for _, m in pairs])))
 
 
 class TestEstimatorBatch:

@@ -156,6 +156,18 @@ class TestSparseEstimate:
         with pytest.raises(NumericalError, match="sensor set"):
             sparse_estimate(np.ones(6), sensors, noise)
 
+    def test_wide_sampled_basis_raises(self):
+        # one sensor reads 3 rows, fewer than the 4 modes: the least-squares
+        # map is undefined, and the minimum-norm pseudo-inverse gives a
+        # singular covariance
+        grid = demo_grid(n_z=12)
+        basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, 4))
+        sensors = place_sensors(basis, 1)
+        assert sensors.sampled_basis.shape == (3, 4)
+        assert sensors.gram_gain is None
+        with pytest.raises(NumericalError, match="sensor set"):
+            sparse_estimate(np.zeros(3), sensors, NoiseModel.isotropic(0.1, 1))
+
     @pytest.mark.parametrize("n_noise", [3, 5])
     def test_noise_model_of_another_sensor_count_rejected(self, n_noise):
         # four sensors, one noise block per sensor: a model of another count

@@ -97,6 +97,30 @@ class TestGenerateCase:
             overlap = abs(inner(basis.modes[:, n], modes[:, n], grid))
             assert overlap >= 0.99
 
+    @staticmethod
+    def _former_ar1(rho, sigma, n, rng):
+        """The recurrence over numpy scalars that ``_ar1`` replaced."""
+        if sigma == 0.0:
+            return np.zeros(n)
+        x = np.empty(n)
+        x[0] = rng.normal(0.0, sigma / np.sqrt(1.0 - rho**2))
+        innov = rng.normal(0.0, sigma, n - 1)
+        for k in range(1, n):
+            x[k] = rho * x[k - 1] + innov[k - 1]
+        return x
+
+    @pytest.mark.parametrize("rho, sigma, n", [
+        (0.8, 0.3, 1000), (np.float64(0.995), np.float64(0.05), 3200),
+        (-0.5, 2.0, 2), (0.9, 1.0, 1), (0.9, 0.0, 5)])
+    def test_ar1_matches_former_loop(self, rho, sigma, n):
+        rng, former_rng = np.random.default_rng(5), np.random.default_rng(5)
+        x = _ar1(rho, sigma, n, rng)
+        ref = self._former_ar1(rho, sigma, n, former_rng)
+        assert (x.shape, x.dtype) == (ref.shape, ref.dtype)
+        assert x.tobytes() == ref.tobytes()
+        # the same draws were taken
+        assert rng.bit_generator.state == former_rng.bit_generator.state
+
     def test_ar1_stationarity(self):
         rng = np.random.default_rng(123)
         rho = 0.8
