@@ -13,13 +13,14 @@ covariance is a convex combination of PSD matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import TWO_PI, ConditionKey, azimuth_bin, read_json, write_json
 from .errors import ValidationError
-from .fusion import GaussianReduced
+from .fusion import GaussianReduced, mixture_floor
 
 #: Sector count giving 5-degree azimuthal resolution.
 DEFAULT_N_THETA = 72
@@ -126,14 +127,14 @@ class RomCondition:
     covariance: np.ndarray   # (N, N)
 
 
-def _checked_covariance(c: RomCondition, shape: tuple) -> np.ndarray:
-    """The covariance symmetrized and checked PSD and matching the mean
-    table, itself checked finite and of ``shape`` (N, 1 + 2*n_F)."""
+def _checked(c: RomCondition, shape: tuple) -> GaussianReduced:
+    """The mean table, checked finite and of ``shape`` (N, 1 + 2*n_F), with
+    the covariance symmetrized, checked PSD and matching it."""
     try:
         if c.mean_coeffs.shape != shape:
             raise ValidationError(f"mean table must be {shape}, got "
                                   f"{c.mean_coeffs.shape}")
-        return GaussianReduced(c.mean_coeffs.T, c.covariance).covariance
+        return GaussianReduced(c.mean_coeffs.T, c.covariance)
     except ValidationError as err:
         raise ValidationError(
             f"ROM condition (u={c.u_mean}, ti={c.ti}): {err}") from err
@@ -147,9 +148,10 @@ class AzimuthalRomModel:
     ascending trained speeds, their identity matrix (the interpolation
     nodes' unit vectors), one stacked ``(n_speeds*(1 + 2*n_F), N)`` table of
     the label's mean coefficients and one ``(n_speeds, N(N+1)/2)`` stack of
-    the upper triangles of its covariances, each checked PSD here, plus the
-    (N, N) index into such a row and the Fourier wavenumbers. They are plain
-    attributes, not fields, so ``==`` and ``repr`` are unchanged;
+    the upper triangles of its covariances, each checked PSD here, with
+    their :func:`mixture_floor`, plus the (N, N) index into such a row and
+    the Fourier wavenumbers. They are plain attributes, not fields, so
+    ``==`` and ``repr`` are unchanged;
     ``conditions`` is not to be changed after construction.
     """
 
@@ -169,13 +171,14 @@ class AzimuthalRomModel:
         # stable sort: conditions with equal (ti, u) keep their given order
         for c in sorted(self.conditions, key=lambda c: (c.ti, c.u_mean)):
             groups.setdefault(c.ti, []).append(c)
-        self._groups = {
-            ti: (np.array([c.u_mean for c in group]), np.eye(len(group)),
-                 np.concatenate([c.mean_coeffs.T for c in group]),
-                 np.stack([_checked_covariance(c, shape)[triu]
-                           for c in group]))
-            for ti, group in groups.items()
-        }
+        self._groups, self._floors = {}, {}
+        for ti, group in groups.items():
+            checked = [_checked(c, shape) for c in group]
+            self._groups[ti] = (
+                np.array([c.u_mean for c in group]), np.eye(len(group)),
+                np.concatenate([c.mean_coeffs.T for c in group]),
+                np.stack([g.covariance[triu] for g in checked]))
+            self._floors[ti] = mixture_floor(checked)
 
     @property
     def n_modes(self) -> int:
@@ -251,6 +254,10 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     if not model.conditions:
         raise ValidationError("ROM model has no trained conditions")
     theta, u = np.asarray(theta, dtype=float), np.asarray(u_filt, dtype=float)
+    if not (math.isfinite(float(theta)) and math.isfinite(float(u))
+            if theta.ndim == u.ndim == 0
+            else np.isfinite(theta).all() and np.isfinite(u).all()):
+        raise ValidationError("theta and u_filt must be finite")
     if theta.shape != u.shape:
         theta, u = np.broadcast_arrays(theta, u)
     if theta.ndim > 1:
@@ -275,15 +282,14 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     # one product: (step, speed x Fourier term) against the stacked tables
     design = fourier_design(theta, model._wavenumbers)
     mean = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ mean_tables
-    # every design row holds a constant 1, so a non-finite azimuth or wind
-    # speed (hence weight) makes its mean row non-finite
+    # tables near the float limit can overflow
     if not np.isfinite(mean).all():
         raise ValidationError("Gaussian mean and covariance must be finite")
     cov = (weights @ cov_tables).take(model._gather, axis=1)
     if single:
         mean, cov = mean[0], cov[0]
     # a convex combination of covariances checked PSD when the model was built
-    return GaussianReduced.from_checked(mean, cov)
+    return GaussianReduced.from_checked(mean, cov, model._floors[ti_near])
 
 
 def save_rom(model: AzimuthalRomModel, path) -> None:

@@ -514,12 +514,13 @@ def load_grid(manifest_path) -> BladeGrid:
 
 
 def _load_fields(manifest_path, key: str, grid: BladeGrid | None,
-                 channels: dict | None) -> SnapshotEnsemble | None:
+                 channels: dict | None, m: dict | None = None
+                 ) -> SnapshotEnsemble | None:
     """The ensemble of the field matrix a case's manifest names under
-    ``key`` (``None`` when it names none), reading the grid and the channels
-    only when they are not given."""
+    ``key`` (``None`` when it names none), reading the manifest, the grid
+    and the channels only when they are not given."""
     manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path)
+    m = read_manifest(manifest_path) if m is None else m
     condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
     if key not in m:
         return None
@@ -533,10 +534,13 @@ def _load_fields(manifest_path, key: str, grid: BladeGrid | None,
                             **channels)
 
 
-def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
+def load_case(manifest_path, manifest: dict | None = None
+              ) -> tuple[BladeGrid, SnapshotEnsemble]:
     """Load and validate one case from its manifest; returns the grid and
-    the snapshot ensemble."""
-    ensemble = _load_fields(manifest_path, "displacement_file", None, None)
+    the snapshot ensemble; ``manifest``, its :func:`read_manifest` result
+    if the caller has it, is not read again."""
+    ensemble = _load_fields(manifest_path, "displacement_file", None, None,
+                            manifest)
     return ensemble.grid, ensemble
 
 

@@ -123,6 +123,7 @@ class _Context:
     train: list = field(default_factory=list)       # (case_id, ensemble);
     # fit-rom empties it, keeping each case's (grid, channels) for torsion
     train_channels: list = field(default_factory=list)
+    torsion_carriers: list = field(default_factory=list)  # training indices
     evaluation: list = field(default_factory=list)  # (case_id, ensemble)
     basis: ModalBasis | None = None
     train_coords: list = field(default_factory=list)  # set by fit-rom
@@ -145,7 +146,11 @@ class _Context:
 
 def _stage_load(ctx: _Context) -> None:
     cfg = ctx.config
-    ctx.train = [(Path(p).stem, load_case(p)[1]) for p in cfg.training]
+    for i, p in enumerate(cfg.training):
+        manifest = read_manifest(p)
+        ctx.train.append((Path(p).stem, load_case(p, manifest)[1]))
+        if "torsion_file" in manifest:
+            ctx.torsion_carriers.append(i)
     grids = [e.grid for _, e in ctx.train]
     for p in cfg.evaluation:
         # a plan that estimates nothing uses an evaluation case only for
@@ -285,8 +290,7 @@ def _stage_estimate(ctx: _Context) -> None:
 def _stage_torsion(ctx: _Context) -> None:
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
-    carriers = [i for i, p in enumerate(ctx.config.training)
-                if "torsion_file" in read_manifest(p)]
+    carriers = ctx.torsion_carriers
     if not carriers:
         return
     model, r2 = fit_torsion_model(

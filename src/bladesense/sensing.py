@@ -49,7 +49,8 @@ class SensorSet:
     def __post_init__(self):
         object.__setattr__(self, "station_indices",
                            np.asarray(self.station_indices, dtype=int))
-        if np.unique(self.station_indices).size != self.station_indices.size:
+        # a set, not np.unique, which imports numpy.ma
+        if len(set(self.station_indices.tolist())) != self.station_indices.size:
             raise ValidationError("sensor stations must be distinct")
 
     @property
@@ -82,7 +83,11 @@ class SensorSet:
         """The estimate covariance G Gamma G^T of ``noise`` through
         :attr:`gram_gain` (which must not be None), symmetrized and checked
         PSD once per noise model (read-only); a model of another sensor
-        count is a :class:`ValidationError`. Each entry keeps its noise
+        count is a :class:`ValidationError`."""
+        return self._noise(noise)[0]
+
+    def _noise(self, noise: "NoiseModel") -> tuple:
+        """:meth:`noise_covariance` and its floor. Each entry keeps its noise
         model alive, so the model's id cannot pass to another model while
         the entry exists."""
         entry = self._noise_covs.get(id(noise))
@@ -91,11 +96,10 @@ class SensorSet:
                 raise ValidationError(
                     "noise model size differs from sensor count")
             G = self.gram_gain
-            cov = GaussianReduced(np.zeros(G.shape[0]),
-                                  G @ noise.assembled @ G.T).covariance
-            cov.setflags(write=False)
-            entry = self._noise_covs[id(noise)] = (noise, cov)
-        return entry[1]
+            g = GaussianReduced(np.zeros(G.shape[0]), G @ noise.assembled @ G.T)
+            g.covariance.setflags(write=False)
+            entry = self._noise_covs[id(noise)] = (noise, g.covariance, g.floor)
+        return entry[1:]
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,7 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
     a = y_c @ G.T
     if not np.isfinite(a).all():
         raise ValidationError("Gaussian mean and covariance must be finite")
-    return GaussianReduced.from_checked(a, sensors.noise_covariance(noise))
+    return GaussianReduced.from_checked(a, *sensors._noise(noise))
 
 
 def write_sensors_csv(sensors: SensorSet, path) -> None:

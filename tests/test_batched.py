@@ -8,7 +8,8 @@ results are not bit-identical. ``_reference_evaluate_rom`` and
 ``_reference_fuse`` are the per-step loop bodies the batched kernels
 replaced, kept here as an independent oracle. ``_former_evaluate_rom`` and
 ``_former_fuse`` are the batched kernels before their per-call costs were
-cut; those fast paths must match them bit for bit.
+cut, and before eigenvalue floors settled fuse's PSD checks; those fast
+paths must match them bit for bit.
 """
 
 import numpy as np
@@ -357,9 +358,11 @@ class TestDecompositionCalls:
         assert np.linalg.eigvalsh(ref.covariance).min() >= 0.0
         calls = self._count(monkeypatch, ("eigh", "eigvalsh", "solve"))
         fused, _ = fuse(prior, meas)
-        assert calls["eigh"] == 0 and calls["eigvalsh"] <= 2
-        assert calls["solve"] == 1
+        # the floors of the ROM model and of the measurement settle both
+        # checks: no eigendecomposition, one solve
+        assert calls == {"eigh": 0, "eigvalsh": 0, "solve": 1}
         assert_identical(fused.covariance, ref.covariance)
+        assert 0.0 < fused.floor <= np.linalg.eigvalsh(fused.covariance)[0]
 
 
 class TestPerStepInvariants:
@@ -420,9 +423,18 @@ class TestPerStepInvariants:
             with pytest.raises(ValidationError, match="finite"):
                 sparse_estimate(np.full(12, np.inf), sensors, noise)
             for theta, u in ((_THETA, np.where(_U > 11.0, np.nan, _U)),
-                             (np.nan, 9.0), (np.inf, 9.0)):
+                             (np.nan, 9.0), (np.inf, 9.0), (1.0, np.inf),
+                             (1.0, -np.inf), (_THETA, np.where(_U > 14.0, np.inf, _U)),
+                             (_THETA, np.where(_U < 6.0, -np.inf, _U))):
                 with pytest.raises(ValidationError, match="finite"):
                     evaluate_rom(model, theta, u, 0.10)
+        # theta = inf is rejected before numpy's remainder would warn
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ValidationError, match="finite"):
+                evaluate_rom(model, np.inf, 9.0, 0.10)
+        # huge but finite input still gets its prior
+        for theta in (1e308, [1e308, 1e308]):
+            assert np.isfinite(evaluate_rom(model, theta, 9.0, 0.10).mean).all()
 
 
 class TestFuseBatch:
@@ -610,6 +622,170 @@ class TestFastPathsMatchFormer:
                             np.stack([m.covariance for _, m in pairs])))
 
 
+def _least(cov):
+    return np.linalg.eigvalsh(cov)[..., 0].min()
+
+
+class TestFloors:
+    """A floor never exceeds the least eigenvalue eigvalsh finds. Where the
+    floors settle fuse's checks, fuse makes no eigvalsh call and returns the
+    former kernel's bytes; where they cannot (a floor missing, zero or too
+    small), the eigvalsh checks run and still return the former's bytes,
+    regularized and lifted rows included."""
+
+    U = np.finfo(float).eps / 2
+    P = 4 * N_MODES ** 2  # p(N) of the margins in bladesense.fusion
+
+    @staticmethod
+    def _stacks(seed=8, n_t=30):
+        """Positive definite covariances over eight decades, and rank
+        deficient ones."""
+        rng = np.random.default_rng(seed)
+        pd = np.stack([random_spd(rng, N_MODES, scale)
+                       for scale in np.logspace(-6, 2, n_t)])
+        A = rng.standard_normal((n_t, N_MODES, N_MODES - 1))
+        return pd, A @ A.swapaxes(-1, -2)
+
+    def test_constructor_floors_are_sound(self):
+        pd, psd = self._stacks()
+        tiny, _ = TestBuiltOnce._tiny_negative_stack()
+        for covs in (pd, psd, tiny, np.zeros((2, N_MODES, N_MODES))):
+            for cov in (covs, *covs):
+                g = GaussianReduced(np.zeros(cov.shape[:-1]), cov)
+                assert g.floor <= _least(g.covariance)
+        assert all(GaussianReduced(np.zeros(N_MODES), c).floor > 0.0 for c in pd)
+
+    def test_prior_and_fused_floors_are_sound(self):
+        model, rng = _model(), np.random.default_rng(9)
+        theta, u = np.linspace(-7.0, 13.0, 400), np.linspace(5.0, 15.0, 400)
+        pd, psd = self._stacks()
+        for ti in (0.10, 0.20):
+            prior = evaluate_rom(model, theta, u, ti)
+            assert 0.0 < prior.floor <= _least(prior.covariance)
+            for k in range(0, 400, 37):
+                step = evaluate_rom(model, theta[k], u[k], ti)
+                assert step.floor == prior.floor <= _least(step.covariance)
+            for cov in (pd[0], pd[-1], psd[0], 0.01 * np.eye(N_MODES)):
+                meas = GaussianReduced(rng.standard_normal((400, N_MODES)), cov)
+                fused = TestFastPathsMatchFormer._assert_fuse_identical(prior, meas)[0]
+                assert fused.floor <= _least(fused.covariance)
+        means = rng.standard_normal((2, pd.shape[0], N_MODES))
+        for p_cov, m_cov in ((pd, pd[::-1]), (pd, psd), (psd, psd[::-1])):
+            fused, _, _ = TestFastPathsMatchFormer._assert_fuse_identical(
+                GaussianReduced(means[0], p_cov), GaussianReduced(means[1], m_cov))
+            assert fused.floor <= _least(fused.covariance)
+            for k in (0, 7, 29):
+                step, _, _ = TestFastPathsMatchFormer._assert_fuse_identical(
+                    GaussianReduced(means[0, k], p_cov[k]),
+                    GaussianReduced(means[1, k], m_cov[k]))
+                assert step.floor <= _least(step.covariance)
+
+    @staticmethod
+    def _pair(p_least, r_least, p_floor=None, r_floor=None, seed=10):
+        """Prior and measurement whose least eigenvalues lie along one shared
+        direction, the others O(1); floors given are set as they are (each
+        below the least eigenvalue), the others left to the constructor."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((N_MODES, N_MODES)))
+        out = []
+        for least, floor, rest in ((p_least, p_floor, [0.5, 1.0]),
+                                   (r_least, r_floor, [0.02, 0.01])):
+            g = GaussianReduced(rng.standard_normal(N_MODES),
+                                (q * ([least] + rest)) @ q.T)
+            if floor is not None:
+                assert floor <= _least(g.covariance)
+                g = GaussianReduced.from_checked(g.mean, g.covariance, floor)
+            out.append(g)
+        return out
+
+    @staticmethod
+    def _fuse_counted(monkeypatch, prior, meas):
+        """fuse's eigvalsh calls, result and stats; the result is checked
+        against the former kernel's with tolerance 0."""
+        calls = TestDecompositionCalls._count(monkeypatch, ("eigvalsh",))
+        stats, former_stats = FusionStats(), FusionStats()
+        got, gain = fuse(prior, meas, stats)
+        monkeypatch.undo()
+        ref, ref_gain = _former_fuse(prior, meas, former_stats)
+        for a, b in ((got.mean, ref.mean), (got.covariance, ref.covariance),
+                     (gain, ref_gain)):
+            assert_identical(a, b)
+        assert vars(stats) == vars(former_stats)
+        assert got.floor <= _least(got.covariance)
+        return calls["eigvalsh"], got, stats
+
+    @staticmethod
+    def _trace(prior, meas):
+        return float(np.trace(prior.covariance + meas.covariance))
+
+    def _regularize_margin(self, prior, meas):
+        """(1e-14 + 2 (p + 1) u) tr S: f_P + f_R above it settles that the
+        innovation covariance needs no regularizing."""
+        return (1e-14 + 2 * (self.P + 1) * self.U) * self._trace(prior, meas)
+
+    @pytest.mark.parametrize("side, eigvalsh_calls", [(1 + 1e-9, 1), (1 - 1e-9, 2)])
+    def test_regularize_margin(self, monkeypatch, side, eigvalsh_calls):
+        # f_P + f_R just inside or outside the margin of the pair's own
+        # trace; with f_R = 0 the fused floor is unknown, so the constructor
+        # checks the result either way
+        least = self._regularize_margin(*self._pair(0.0, 0.0))
+        margin = self._regularize_margin(*self._pair(2 * least, least))
+        prior, meas = self._pair(2 * least, least, margin * side, 0.0)
+        calls, got, stats = self._fuse_counted(monkeypatch, prior, meas)
+        assert (calls, stats.regularized) == (eigvalsh_calls, 0)
+
+    @pytest.mark.parametrize("scale", [0.5, 0.8, 1.25, 2.0])
+    def test_former_regularize_threshold(self, monkeypatch, scale):
+        # lambda_min(S) around 1e-14 tr S, where the floors never decide:
+        # eigvalsh does, and regularizes below the threshold as before
+        prior, meas = self._pair(1e-12, 1e-12)
+        least = 0.5e-14 * scale * self._trace(prior, meas)
+        calls, _, stats = self._fuse_counted(monkeypatch,
+                                             *self._pair(least, least))
+        assert calls == 2 and stats.regularized == (scale < 1.0)
+
+    def _fused_margin(self, trace):
+        """The least equal floors f_P = f_R that settle the fused check:
+        h - delta > p u (T + delta), by bisection."""
+        def settles(f):
+            delta = 4 * self.P * self.U * trace * trace / (2 * f)
+            return f / 2 - delta > self.P * self.U * (trace + delta)
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if settles(mid) else (mid, hi)
+        return hi
+
+    @pytest.mark.parametrize("side, eigvalsh_calls", [(1 + 1e-9, 0), (1 - 1e-9, 1)])
+    def test_fused_margin(self, monkeypatch, side, eigvalsh_calls):
+        # equal floors just inside or outside the margin of the pair's own
+        # trace: outside, the constructor checks the result
+        least = 2 * self._fused_margin(self._trace(*self._pair(0.0, 0.0)))
+        f = self._fused_margin(self._trace(*self._pair(least, least)))
+        prior, meas = self._pair(least, least, f * side, f * side)
+        calls, got, stats = self._fuse_counted(monkeypatch, prior, meas)
+        assert calls == eigvalsh_calls and stats.regularized == 0
+        assert got.floor > 0.0
+
+    def test_missing_or_zero_floors_run_the_checks(self, monkeypatch):
+        prior, meas = self._pair(1e-3, 1e-3)
+        for p_floor, r_floor in ((None, meas.floor), (prior.floor, None),
+                                 (0.0, 0.0)):
+            pair = [GaussianReduced.from_checked(g.mean, g.covariance, floor)
+                    for g, floor in ((prior, p_floor), (meas, r_floor))]
+            calls, _, _ = self._fuse_counted(monkeypatch, *pair)
+            assert calls == 2
+        # noise 0: the prior settles the innovation check, the all-zero
+        # fused covariance goes through the constructor
+        zero = GaussianReduced(meas.mean, np.zeros((N_MODES, N_MODES)))
+        calls, got, _ = self._fuse_counted(monkeypatch, prior, zero)
+        assert calls == 1 and not got.covariance.any()
+        # a rank-deficient prior and measurement: lifted as before
+        pair = TestFastPathsMatchFormer._rank_deficient_pair(0)
+        calls, got, _ = self._fuse_counted(monkeypatch, *pair)
+        assert calls >= 2 and got.floor <= _least(got.covariance)
+
+
 class TestEstimatorBatch:
     """observe -> sparse_estimate -> evaluate_rom -> fuse on one case."""
 
@@ -692,6 +868,12 @@ class TestNonFiniteGaussians:
     def test_single_rejected(self, mean, cov):
         with pytest.raises(ValidationError, match="finite"):
             GaussianReduced(mean, cov)
+
+    def test_covariance_overflowing_when_symmetrized_rejected(self):
+        # finite, but cov + cov.T overflows to inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="finite"):
+                GaussianReduced(np.zeros(3), 1e308 * np.eye(3))
 
     def test_one_bad_row_rejects_the_stack(self):
         means = np.zeros((5, 2))

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import bladesense
-from bladesense import dataset, load_case
+from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
+                        load_rom, observe, place_sensors, pod_fit,
+                        sparse_estimate)
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.errors import NumericalError, StageError, ValidationError
@@ -537,8 +539,8 @@ class TestTrainingRelease:
         training = {Path(p) for p in config.training}
         refs, alive = [], []
 
-        def recording(path, _load=bladesense.pipeline.load_case):
-            grid, e = _load(path)
+        def recording(path, *args, _load=bladesense.pipeline.load_case):
+            grid, e = _load(path, *args)
             if Path(path) in training:
                 refs.append(weakref.ref(e.D))
             return grid, e
@@ -722,6 +724,85 @@ class TestImportCost:
         assert res.returncode == 0, res.stderr
         assert (out / "artifacts.json").exists()
         assert (tmp_path / "rom.json").exists()
+
+
+    def test_place_sensors_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use in numpy 2.x (12-19 ms
+        # cold); numpy 1.x imports it with numpy itself, so there is
+        # nothing to check
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    sys.exit(3)\n"
+            "from bladesense import ModalBasis, place_sensors\n"
+            "from bladesense.synthetic import demo_grid, "
+            "orthonormal_polynomial_modes\n"
+            "grid = demo_grid(n_z=10)\n"
+            "basis = ModalBasis(grid=grid, mean_field=np.zeros(grid.n_dof),\n"
+            "                   modes=orthonormal_polynomial_modes(grid, 3),\n"
+            "                   energies=np.ones(3), n_modes=3,\n"
+            "                   total_energy=1.0)\n"
+            "assert place_sensors(basis, 4).n_sensors == 4\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(bladesense.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        if res.returncode == 3:
+            pytest.skip("numpy imports numpy.ma with numpy itself")
+        assert res.returncode == 0, res.stderr
+
+
+class TestFloorsOnDatasets:
+    """The floors of every prior, measurement and fused Gaussian of the
+    evaluation cases lie at or below the least eigenvalue eigvalsh finds,
+    and they settle every fusion of these datasets: the benchmark
+    workloads', the quickstart's and the tier-1 twin's (``synth --seed 0``
+    each)."""
+
+    @pytest.mark.parametrize("name", ["quickstart", "long_record",
+                                      "fine_grid", "twin"])
+    def test_floors_sound_and_settling(self, name, quickstart, tmp_path,
+                                       monkeypatch):
+        if name == "twin":
+            pipeline_cfg, out = quickstart
+        else:
+            spec = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+            synth = (["--config", str(spec / f"{name}.json")]
+                     if name != "quickstart" else [])
+            cases, out = tmp_path / "cases", tmp_path / "fit"
+            assert main(["synth", *synth, "--seed", "0", "--out", str(cases)]) == 0
+            pipeline_cfg = cases / "pipeline_config.json"
+            assert main(["fit-rom", "--config", str(pipeline_cfg),
+                         "--out", str(out)]) == 0
+        cfg = json.loads(Path(pipeline_cfg).read_text())
+        base = Path(pipeline_cfg).parent
+        n_sensors = cfg.get("n_sensors", 4)
+        basis = pod_fit([load_case(base / p)[1] for p in cfg["training"]],
+                        cfg.get("n_modes", 4))
+        sensors = place_sensors(basis, n_sensors)
+        noise = NoiseModel.from_config(cfg.get("noise", 0.1), n_sensors)
+        rom = load_rom(out / "rom.json")
+        for p in cfg["evaluation"]:
+            _, e = load_case(base / p)
+            y = observe(e.D.T, sensors, noise, np.random.default_rng(0))
+            meas = sparse_estimate(y, sensors, noise)
+            prior = evaluate_rom(rom, e.theta, e.u_filt, e.condition.ti)
+            calls = []
+
+            def counting(*args, _eigvalsh=np.linalg.eigvalsh):
+                calls.append(args)
+                return _eigvalsh(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvalsh", counting)
+                fused, _ = fuse(prior, meas)
+            assert not calls
+            for g in (meas, prior, fused):
+                least = np.linalg.eigvalsh(g.covariance)[..., 0].min()
+                assert 0.0 < g.floor <= least
 
 
 class TestBenchmarkStepChild:
