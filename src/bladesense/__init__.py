@@ -6,8 +6,7 @@ from .azimuthal_rom import (AzimuthalRomModel, BinStatistics, RomStats,
 from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                       load_case, load_torsion, save_case, smooth_wind,
                       wrap_angle)
-from .decomposition import (LnmResult, ModalBasis, inner, lnm_amplitudes,
-                            pod_fit, project, reconstruct)
+from .decomposition import ModalBasis, inner, pod_fit, project
 from .errors import NumericalError, SchemaError, StageError, ValidationError
 from .fusion import FusionStats, GaussianReduced, fuse
 from .pipeline import PipelineConfig, run_pipeline
@@ -17,7 +16,7 @@ from .spectral import psd
 from .synthetic import (GroundTruth, SyntheticCaseSpec, TorsionTwin,
                         blade_demo_modes, demo_grid, demo_spec, generate_case,
                         orthonormal_polynomial_modes)
-from .torsion import (TorsionModel, fit_torsion_map, fit_torsion_model,
-                      infer_torsion, load_torsion_model, save_torsion_model)
+from .torsion import (TorsionModel, fit_torsion_model, infer_torsion,
+                      load_torsion_model, save_torsion_model)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Discrete inner product, POD of snapshot ensembles, and harmonic-mode fits.
+"""Discrete inner product and POD of snapshot ensembles.
 
 The inner product between two stacked 3-component fields approximates the
 length-normalized continuous one. On a uniform grid every station carries
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import BladeGrid, SnapshotEnsemble, _write_csv
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 _ORTHO_TOL = 1e-8
 
@@ -219,114 +219,6 @@ def project(fields, basis: ModalBasis) -> np.ndarray:
     w = dof_weights(basis.grid)
     a = basis.modes.T @ ((cols - basis.mean_field[:, None]) * w[:, None])
     return a[:, 0] if single else a
-
-
-def reconstruct(a, basis: ModalBasis, covariance=None):
-    """Full field from reduced coordinates, optionally with a variance field.
-
-    Returns mean_field + modes @ a. When a reduced covariance is supplied
-    the pointwise variance diag(Phi Sigma Phi^T) is returned alongside as
-    ``(field, variance)``.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.n_modes,):
-        raise ValidationError(f"a must have length {basis.n_modes}")
-    fld = basis.mean_field + basis.modes @ a
-    if covariance is None:
-        return fld
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (basis.n_modes, basis.n_modes):
-        raise ValidationError("covariance must be N x N")
-    eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-    if eigs.min() < -1e-8 * max(np.trace(cov), 1e-300):
-        raise ValidationError("covariance is not positive semi-definite")
-    var = np.einsum("ij,jk,ik->i", basis.modes, cov, basis.modes)
-    return fld, var
-
-
-@dataclass
-class LnmResult:
-    """Spatial shapes and amplitudes extracted at prescribed frequencies.
-
-    ``shapes`` columns are unit-norm under the discrete inner product (zero
-    when the record carries no energy at that frequency); ``amplitudes`` are
-    the root-sum-square of the cosine/sine pair at each frequency.
-    """
-
-    frequencies: np.ndarray
-    shapes: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
-        self.shapes = np.asarray(self.shapes, dtype=float)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=float)
-        if np.any(self.amplitudes < 0):
-            raise ValidationError("amplitudes must be non-negative")
-
-
-def lnm_amplitudes(ensemble: SnapshotEnsemble, frequencies) -> LnmResult:
-    """Least-squares extraction of harmonic spatial structures from data.
-
-    Given natural frequencies (rad/s), the temporal regressors are the
-    unit-norm cos/sin pair at each frequency sampled on the record's time
-    axis. The snapshot matrix is regressed onto those columns; spatial
-    shapes are normalized under the discrete inner product and per-frequency
-    amplitudes are the root-sum-square of the two column amplitudes.
-
-    Parameters
-    ----------
-    ensemble : SnapshotEnsemble
-    frequencies : sequence of float
-        Distinct angular frequencies, each below pi*f_s (two samples per
-        period).
-
-    Raises
-    ------
-    NumericalError
-        If the regressor Gram matrix has condition number above 1e12
-        (frequencies too close for the record length).
-    """
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if freqs.size == 0:
-        raise ValidationError("need at least one frequency")
-    if np.unique(freqs).size != freqs.size:
-        raise ValidationError("frequencies must be distinct")
-    if np.any(freqs <= 0):
-        raise ValidationError("frequencies must be positive")
-    if np.any(freqs >= np.pi * ensemble.f_s):
-        raise ValidationError(
-            "need at least 2 samples per period of the highest frequency"
-        )
-
-    t = ensemble.t
-    cols = []
-    for w in freqs:
-        for wave in (np.cos(w * t), np.sin(w * t)):
-            cols.append(wave / np.linalg.norm(wave))
-    psi = np.column_stack(cols)
-
-    gram = psi.T @ psi
-    if np.linalg.cond(gram) > 1e12:
-        raise NumericalError(
-            "harmonic regressors are nearly collinear; use a longer record "
-            "or better-separated frequencies"
-        )
-    coeffs = np.linalg.solve(gram, psi.T @ ensemble.D.T).T  # (3*n_z, 2*n_hat)
-
-    grid = ensemble.grid
-    shapes = np.zeros((grid.n_dof, freqs.size))
-    amplitudes = np.zeros(freqs.size)
-    for n in range(freqs.size):
-        pair = coeffs[:, 2 * n : 2 * n + 2]
-        norms = np.array([np.sqrt(max(inner(pair[:, j], pair[:, j], grid), 0.0))
-                          for j in range(2)])
-        amplitudes[n] = float(np.hypot(norms[0], norms[1]))
-        if amplitudes[n] > 1e-300:
-            j = int(np.argmax(norms))
-            shapes[:, n] = pair[:, j] / norms[j]
-    shapes = _fix_signs(shapes)
-    return LnmResult(frequencies=freqs, shapes=shapes, amplitudes=amplitudes)
 
 
 def write_modes_csv(basis: ModalBasis, path) -> None:

@@ -8,9 +8,10 @@ Gaussians are fused row by row. Each row equals what the per-step library
 calls give for that step. Batch reporting (spectra, histograms, azimuthal
 curves, coupling scatter) runs afterwards on the recorded traces.
 
-Every figure-type artifact is emitted as an SVG plus a CSV twin holding the
-exact plotted numbers; an ``artifacts.json`` index lists everything
-written. A stage failure leaves a ``FAILED`` marker naming the stage.
+Every figure is an SVG whose plotted numbers a CSV holds: its twin of the
+same name, or for the reconstruction trace the case's ``recon_<case>.csv``.
+An ``artifacts.json`` index lists everything written. A stage failure
+leaves a ``FAILED`` marker naming the stage.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .errors import StageError, ValidationError
 from .fusion import FusionStats, fuse
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
                       sparse_estimate, write_sensors_csv)
-from .spectral import DEFAULT_SMOOTH, psd
-from .torsion import fit_torsion_model, infer_torsion, save_torsion_model
+from .spectral import psd
+from .torsion import (_r_squared, fit_torsion_model, infer_torsion,
+                      save_torsion_model)
 
 _COMPONENTS = ("ux", "uy", "uz")
 _TORSION_COMPONENTS = ("taux", "tauy", "tauz")
@@ -156,8 +158,15 @@ def _stage_load(ctx: _Context) -> None:
         # a plan that estimates nothing uses an evaluation case only for
         # its grid, and reads no more of it
         if "estimate" in COMMAND_PLANS[ctx.plan]:
-            ctx.evaluation.append((Path(p).stem, load_case(p)[1]))
-            grids.append(ctx.evaluation[-1][1].grid)
+            e = load_case(p)[1]
+            # the report's spectra are normalized by the mean rotor speed
+            omega = float(np.mean(e.omega))
+            if not omega > 0:
+                raise ValidationError(
+                    f"evaluation case {Path(p).stem!r}: mean rotor speed "
+                    f"'omega' must be positive, got {omega!r}")
+            ctx.evaluation.append((Path(p).stem, e))
+            grids.append(e.grid)
         else:
             grids.append(load_grid(p))
     z0 = grids[0].z_norm
@@ -314,17 +323,17 @@ def _stage_torsion(ctx: _Context) -> None:
             ctx.emit(f"torsion_recon_{case_id}.csv"),
             {"t": e.t, "theta": e.theta}, ctx.obs_stations,
             _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
+        row_r2 = _r_squared(
+            np.sum((est_obs - true_obs) ** 2, axis=1),
+            np.sum((true_obs - true_obs.mean(axis=1, keepdims=True)) ** 2,
+                   axis=1))
         per_station = []
         for s_i, station in enumerate(ctx.obs_stations):
             comp_stats = {}
             for c_i, comp in enumerate(_TORSION_COMPONENTS):
                 row = 3 * s_i + c_i
-                ss_res = float(np.sum((est_obs[row] - true_obs[row]) ** 2))
-                ss_tot = float(np.sum((true_obs[row] - true_obs[row].mean()) ** 2))
-                comp_stats[comp] = {
-                    "rmse": rmse[row],
-                    "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
-                }
+                comp_stats[comp] = {"rmse": rmse[row],
+                                    "r_squared": float(row_r2[row])}
             per_station.append({"station_index": int(station),
                                 "components": comp_stats})
         eval_summary[case_id] = per_station
@@ -361,11 +370,7 @@ def _stage_report(ctx: _Context) -> None:
     tip = n_z - 1
     for c_i, comp in enumerate(_COMPONENTS):
         signal = e.D[c_i * n_z + tip, :]
-        f_hat, raw = psd(signal, e.f_s, f_1p, smooth=None)
-        if raw.size >= DEFAULT_SMOOTH[0]:
-            _, smoothed = psd(signal, e.f_s, f_1p, smooth=DEFAULT_SMOOTH)
-        else:
-            smoothed = raw
+        f_hat, raw, smoothed = psd(signal, e.f_s, f_1p)
         base = f"psd_{case_id}_{comp}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["f_hat", "power_raw", "power_smoothed"],
@@ -438,17 +443,11 @@ def _stage_report(ctx: _Context) -> None:
                              title=f"a{i + 1} vs a{j + 1} ({case_id})",
                              xlabel=f"a{i + 1}", ylabel=f"a{j + 1}")
 
-    # reconstruction trace at the first observation station, flapwise
-    base = f"trace_{case_id}_ux"
+    # reconstruction trace at the first observation station, flapwise; its
+    # numbers are the station's ux columns of recon_<case>.csv
     series = [("true", e.t, trace["true_obs"][0])]
     series += [(src, e.t, trace["fields"][src][0]) for src in _SOURCES]
-    _write_csv(ctx.emit(base + ".csv"),
-               ["t", "true", "sparse", "rom", "fused"],
-               np.column_stack([e.t, trace["true_obs"][0],
-                                trace["fields"]["sparse"][0],
-                                trace["fields"]["rom"][0],
-                                trace["fields"]["fused"][0]]), _REPORT_FMT)
-    svgplot.line_plot(ctx.emit(base + ".svg"), series,
+    svgplot.line_plot(ctx.emit(f"trace_{case_id}_ux.svg"), series,
                       title=f"ux at station {station} ({case_id})",
                       xlabel="t (s)", ylabel="ux (m)")
 

@@ -79,17 +79,13 @@ class SensorSet:
     def _noise_covs(self) -> dict:
         return {}
 
-    def noise_covariance(self, noise: "NoiseModel") -> np.ndarray:
+    def _noise(self, noise: "NoiseModel") -> tuple:
         """The estimate covariance G Gamma G^T of ``noise`` through
         :attr:`gram_gain` (which must not be None), symmetrized and checked
-        PSD once per noise model (read-only); a model of another sensor
-        count is a :class:`ValidationError`."""
-        return self._noise(noise)[0]
-
-    def _noise(self, noise: "NoiseModel") -> tuple:
-        """:meth:`noise_covariance` and its floor. Each entry keeps its noise
-        model alive, so the model's id cannot pass to another model while
-        the entry exists."""
+        PSD once per noise model (read-only), and its floor; a model of
+        another sensor count is a :class:`ValidationError`. Each entry keeps
+        its noise model alive, so the model's id cannot pass to another
+        model while the entry exists."""
         entry = self._noise_covs.get(id(noise))
         if entry is None:
             if len(noise.per_sensor) != self.n_sensors:

@@ -1,4 +1,5 @@
-"""Spectral density reporting with rotor-normalized frequencies."""
+"""Spectral density reporting with rotor-normalized frequencies: one FFT
+gives the raw periodogram and its Savitzky-Golay smoothed copy."""
 
 from __future__ import annotations
 
@@ -6,12 +7,12 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Savitzky-Golay (window, polyorder) used when smoothing is requested.
-DEFAULT_SMOOTH = (33, 3)
+#: Savitzky-Golay (window, polyorder) of the smoothed spectrum.
+SAVGOL_WINDOW = (33, 3)
 
 
-def psd(signal, f_s: float, f_1p: float,
-        smooth=None) -> tuple[np.ndarray, np.ndarray]:
+def psd(signal, f_s: float,
+        f_1p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided periodogram of the whole record on a rotor-normalized
     frequency axis: periodic Hann window, mean removed, one segment.
 
@@ -19,26 +20,22 @@ def psd(signal, f_s: float, f_1p: float,
     ----------
     signal : 1-D time series
     f_s : sampling frequency, Hz
-    f_1p : once-per-revolution frequency, Hz; the returned axis is f/f_1p
-        and spans [0, f_s / (2 f_1p)]
-    smooth : None or (window, polyorder)
-        Optional Savitzky-Golay smoothing of the raw spectrum; the window
-        must be odd, at least polyorder + 2 and at most the spectrum's
-        length (n // 2 + 1 bins for n samples). Smoothed power is clipped
-        at zero to keep the non-negativity contract.
+    f_1p : once-per-revolution frequency, Hz
+
+    Returns
+    -------
+    f_hat : the axis f/f_1p, spanning [0, f_s / (2 f_1p)]
+    raw : the power spectral density
+    smoothed : ``raw`` smoothed by the :data:`SAVGOL_WINDOW` Savitzky-Golay
+        filter and clipped at zero to keep the non-negativity contract;
+        ``raw`` itself when the spectrum (n // 2 + 1 bins for n samples)
+        is shorter than the window
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("signal must be a 1-D series")
     if not (f_s > 0 and f_1p > 0):
         raise ValidationError("f_s and f_1p must be positive")
-    if smooth is not None:
-        window, polyorder = int(smooth[0]), int(smooth[1])
-        if window % 2 == 0 or window < polyorder + 2:
-            raise ValidationError(
-                f"smoothing window must be odd and >= polyorder+2, "
-                f"got window={window}, polyorder={polyorder}"
-            )
 
     n = x.size
     # periodic Hann: the first n points of a symmetric window of n + 1
@@ -48,14 +45,10 @@ def psd(signal, f_s: float, f_1p: float,
     # fold the negative frequencies in; DC and an even-length Nyquist bin
     # have no mirror
     power[1:None if n % 2 else -1] *= 2
-    if smooth is not None:
-        if power.size < window:
-            raise ValidationError(
-                f"spectrum ({power.size} bins) shorter than the smoothing "
-                f"window ({window})"
-            )
-        power = np.clip(_savgol(power, window, polyorder), 0.0, None)
-    return np.fft.rfftfreq(n, 1.0 / f_s) / f_1p, power
+    smoothed = power
+    if power.size >= SAVGOL_WINDOW[0]:
+        smoothed = np.clip(_savgol(power, *SAVGOL_WINDOW), 0.0, None)
+    return np.fft.rfftfreq(n, 1.0 / f_s) / f_1p, power, smoothed
 
 
 def _savgol(y: np.ndarray, window: int, polyorder: int) -> np.ndarray:

@@ -7,8 +7,7 @@ but the estimated coordinates: no operating-point label picks the map.
 
 The basis and the map come from one pass over the torsion cases
 (:func:`fit_torsion_model`), so each torsion matrix can be loaded, folded
-and dropped in turn; :func:`fit_torsion_map` solves the same least-squares
-problem for given series, through the same truncated SVD.
+and dropped in turn.
 """
 
 from __future__ import annotations
@@ -24,20 +23,6 @@ from .decomposition import ModalBasis, dof_weights, pod_fit, write_modes_csv
 from .errors import SchemaError, ValidationError
 
 
-def _coordinate_svd(A_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin SVD ``A_t = U S V^T`` of the stacked coordinates (n_t, N), cut
-    to ``lstsq``'s rank (singular values above eps * max(n_t, N) times the
-    largest); returns ``(U, V S^-1)``, so the minimum-norm least-squares
-    solution of ``A_t X = Y`` is ``V S^-1 (U^T Y)``."""
-    U, s, Vt = np.linalg.svd(A_t, full_matrices=False)
-    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(A_t.shape) * s[0]))
-    if rank < A_t.shape[1]:
-        warnings.warn(
-            f"deflection coordinates are rank deficient ({rank} < "
-            f"{A_t.shape[1]}); returning the minimum-norm map", stacklevel=3)
-    return U[:, :rank], Vt[:rank].T / s[:rank]
-
-
 def _r_squared(ss_res: np.ndarray, ss_tot: np.ndarray) -> np.ndarray:
     """1 - ss_res / ss_tot per row; a row with no variance scores 1 when
     it is fitted exactly, else 0."""
@@ -45,26 +30,6 @@ def _r_squared(ss_res: np.ndarray, ss_tot: np.ndarray) -> np.ndarray:
         r2 = 1.0 - ss_res / ss_tot
     r2[ss_tot == 0.0] = np.where(ss_res[ss_tot == 0.0] <= 1e-30, 1.0, 0.0)
     return r2
-
-
-def fit_torsion_map(a_series, b_series) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares linear map M with b ~ M a; returns (M, per-row R^2).
-
-    The minimum-norm solution is used, so coordinates of ``a`` that never
-    move contribute zero columns. A rank-deficient coefficient series only
-    triggers a warning, not an error.
-    """
-    A = np.atleast_2d(np.asarray(a_series, dtype=float))
-    B = np.atleast_2d(np.asarray(b_series, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise ValidationError("a_series and b_series must share the time axis")
-    if A.shape[1] < A.shape[0]:
-        raise ValidationError("need at least as many samples as coordinates")
-    U, VS = _coordinate_svd(A.T)
-    M = (VS @ (U.T @ B.T)).T
-    ss_res = np.sum((B - M @ A) ** 2, axis=1)
-    ss_tot = np.sum((B - B.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    return M, _r_squared(ss_res, ss_tot)
 
 
 @dataclass
@@ -149,17 +114,33 @@ def fit_torsion_model(a_series, tau_cases,
     noise. Returns the model and the map's R^2 per torsion mode, the share
     of the mode's energy n_t * lambda_j that the coordinates explain.
 
-    With ``A^T = U_a S_a V_a^T`` (:func:`_coordinate_svd`; ``U_a,i`` the
-    rows of case i), each case adds ``U_a,i^T tau_i^T`` to G and
-    ``U_a,i^T 1`` to g while it is folded. With the pooled mean m and
+    The map is the minimum-norm least-squares solution: the thin SVD
+    ``A^T = U_a S_a V_a^T`` of the stacked coordinates is cut to
+    ``lstsq``'s rank (singular values above eps * n_t times the largest),
+    so a coordinate that never moves gets a zero column, and a rank
+    deficiency warns rather than fails. The cases must pool at least as
+    many steps as there are coordinates. With ``U_a,i`` the rows of case
+    i, each case adds ``U_a,i^T tau_i^T`` to G and ``U_a,i^T 1`` to g
+    while it is folded. With the pooled mean m and
     ``U = diag(sqrt_w) modes``, ``Z U = (G - g m^T) diag(sqrt_w) U`` equals
     ``U_a^T B^T`` for the projections B of every case, so no case is
     projected: ``M^T = V_a S_a^-1 (Z U)``, and ``||(Z U)_j||^2`` is the
     energy the map explains.
     """
     a_series = list(a_series)
-    U_a, VS = _coordinate_svd(np.hstack(a_series).T)
-    n_t = U_a.shape[0]
+    A_t = np.hstack(a_series).T
+    n_t, n_coords = A_t.shape
+    if n_t < n_coords:
+        raise ValidationError(
+            f"the torsion cases pool {n_t} steps, fewer than the "
+            f"{n_coords} deflection coordinates")
+    U_a, s_a, Vt = np.linalg.svd(A_t, full_matrices=False)
+    rank_a = int(np.count_nonzero(s_a > np.finfo(float).eps * n_t * s_a[0]))
+    if rank_a < n_coords:
+        warnings.warn(
+            f"deflection coordinates are rank deficient ({rank_a} < "
+            f"{n_coords}); returning the minimum-norm map", stacklevel=2)
+    U_a, VS = U_a[:, :rank_a], Vt[:rank_a].T / s_a[:rank_a]
     G = g = 0.0
 
     def folded():

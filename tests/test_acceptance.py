@@ -2,6 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; ``pytest -v`` gives the equivalent pass/fail status per test name.
+Criterion 9 (harmonic mode extraction) is retired with the code it
+checked; the other criteria keep their numbers.
 """
 
 import json
@@ -9,22 +11,20 @@ import time
 
 import numpy as np
 
-from bladesense import (GaussianReduced, NoiseModel, fit_torsion_map, fuse,
-                        inner, lnm_amplitudes, load_case, load_torsion,
-                        observe, place_sensors, pod_fit, project, psd,
-                        reconstruct, sparse_estimate)
+from bladesense import (GaussianReduced, NoiseModel, fit_torsion_model, fuse,
+                        load_case, load_torsion, observe, place_sensors,
+                        pod_fit, project, psd, sparse_estimate)
 from bladesense.azimuthal_rom import bin_statistics, evaluate_rom, fit_rom
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI, ConditionKey
 from bladesense.fusion import FusionStats
 from bladesense.sensing import sensor_dof_rows
-from bladesense.spectral import DEFAULT_SMOOTH
 from bladesense.synthetic import (SyntheticCaseSpec, TorsionTwin,
                                   blade_demo_modes, demo_grid, generate_case,
                                   orthonormal_polynomial_modes)
-from bladesense.torsion import TorsionModel
 
-from conftest import align_sign, basis_from_modes, dense_pod_oracle, random_spd
+from conftest import (align_sign, basis_from_modes, dense_pod_oracle,
+                      random_spd, torsion_cases)
 
 
 def _pass(num: int, label: str) -> None:
@@ -100,7 +100,7 @@ def test_criterion_02_exact_sparse_recovery(tmp_path):
         y = observe(ens.D[:, k], sensors)
         est = sparse_estimate(y, sensors, noise, mode="gram_corrected")
         worst_a = max(worst_a, np.abs(est.mean - a_proj[:, k]).max())
-        field = reconstruct(est.mean, basis)
+        field = basis.mean_field + basis.modes @ est.mean
         worst_field = max(worst_field, np.abs(field - ens.D[:, k]).max())
     elapsed = time.monotonic() - start
 
@@ -251,9 +251,9 @@ def test_criterion_07_spectral_signature(tmp_path):
     signal = ens.D[tip_x, :] - ens.D[tip_x, :].mean()
 
     from scipy.signal import find_peaks
-    for smooth in (None, DEFAULT_SMOOTH):
-        f_hat, power = psd(signal, ens.f_s, f_1p, smooth=smooth)
-        bin_width = f_hat[1] - f_hat[0]
+    f_hat, raw, smoothed = psd(signal, ens.f_s, f_1p)
+    bin_width = f_hat[1] - f_hat[0]
+    for smooth, power in (("raw", raw), ("smoothed", smoothed)):
         for target in (1.0, 2.0, 3.0):
             window = (f_hat > target - 0.5) & (f_hat < target + 0.5)
             peak = f_hat[window][np.argmax(power[window])]
@@ -289,12 +289,15 @@ def test_criterion_08_torsion_inference(tmp_path):
         tau = load_torsion(truth.manifest_path)
         return defl, tau
 
-    # exact map recovery on synthetic coordinates
+    # exact recovery of the field map psi M0 on synthetic coordinates
     rng = np.random.default_rng(5)
+    psi = modes6[:, :5]
     M0 = rng.standard_normal((5, 4))
     a_syn = rng.standard_normal((4, 2000))
-    M_hat, _ = fit_torsion_map(a_syn, M0 @ a_syn)
-    assert np.abs(M_hat - M0).max() <= 1e-8
+    a_syn -= a_syn.mean(axis=1, keepdims=True)
+    fitted, _ = fit_torsion_model(
+        [a_syn], torsion_cases(grid, psi, M0, [a_syn]), 5)
+    assert np.abs(fitted.basis.modes @ fitted.M - psi @ M0).max() <= 1e-8
 
     defl_a, tau_a = make(0)
     defl_b, tau_b = make(1)
@@ -316,12 +319,10 @@ def test_criterion_08_torsion_inference(tmp_path):
             grid=grid, D=D_a, t=defl_a.t, theta=defl_a.theta,
             omega=defl_a.omega, u_raw=defl_a.u_raw, u_filt=defl_a.u_filt,
             condition=defl_a.condition, f_s=defl_a.f_s), 4)
-        tau_basis = pod_fit(type(tau_a)(
+        model, _ = fit_torsion_model([project(D_a, basis)], [type(tau_a)(
             grid=grid, D=T_a, t=tau_a.t, theta=tau_a.theta,
             omega=tau_a.omega, u_raw=tau_a.u_raw, u_filt=tau_a.u_filt,
-            condition=tau_a.condition, f_s=tau_a.f_s), 5)
-        M, _ = fit_torsion_map(project(D_a, basis), project(T_a, tau_basis))
-        model = TorsionModel(basis=tau_basis, M=M)
+            condition=tau_a.condition, f_s=tau_a.f_s)], 5)
         a_b = project(D_b, basis)
         tau_hat = model.basis.mean_field[:, None] + model.basis.modes @ (
             model.M @ a_b)
@@ -341,33 +342,6 @@ def test_criterion_08_torsion_inference(tmp_path):
     assert r2_noisy >= 0.8, r2_noisy
     _pass(8, f"torsion map exact to 1e-8; held-out R2 clean {r2_clean:.4f}, "
              f"SNR-10 {r2_noisy:.4f}")
-
-
-def test_criterion_09_lnm_two_tone(uniform_grid):
-    import bladesense
-    modes = orthonormal_polynomial_modes(uniform_grid, 2)
-    f_s, n_t = 20.0, 800  # 40 s record, bin = 0.025 Hz
-    t = np.arange(n_t) / f_s
-    f1, f2 = 0.8, 1.1  # separated by 12 bins
-    w1, w2 = TWO_PI * f1, TWO_PI * f2
-    amp1, amp2 = 2.0, 0.5
-    c1, c2 = np.cos(w1 * t), np.sin(w2 * t)
-    D = amp1 * np.outer(modes[:, 0], c1) + amp2 * np.outer(modes[:, 1], c2)
-    ens = bladesense.SnapshotEnsemble(
-        grid=uniform_grid, D=D, t=t, theta=np.mod(t, TWO_PI),
-        omega=np.ones(n_t), u_raw=np.full(n_t, 10.0),
-        u_filt=np.full(n_t, 10.0), condition=ConditionKey(10.0, 0.1, 0),
-        f_s=f_s)
-    res = lnm_amplitudes(ens, [w1, w2])
-
-    for n in range(2):
-        cos_sim = abs(inner(res.shapes[:, n], modes[:, n], uniform_grid))
-        assert cos_sim >= 0.999
-    expected_ratio = (amp1 * np.linalg.norm(c1)) / (amp2 * np.linalg.norm(c2))
-    ratio = res.amplitudes[0] / res.amplitudes[1]
-    assert abs(ratio / expected_ratio - 1.0) <= 0.01
-    _pass(9, f"two-tone shapes cos-sim >= 0.999, amplitude ratio error "
-             f"{abs(ratio / expected_ratio - 1.0):.2e}")
 
 
 def test_criterion_10_end_to_end_budget_and_determinism(tmp_path):

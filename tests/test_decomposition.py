@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, inner,
-                        lnm_amplitudes, pod_fit, project, reconstruct)
+                        pod_fit, project)
 from bladesense.decomposition import _fix_signs, dof_weights
-from bladesense.errors import NumericalError, ValidationError
+from bladesense.errors import ValidationError
 from bladesense.synthetic import orthonormal_polynomial_modes
 
 from conftest import align_sign, dense_pod_oracle
@@ -315,76 +315,16 @@ class TestProjectReconstruct:
 
     def test_roundtrip_coefficients(self, basis):
         a = np.array([0.3, -1.2, 2.5])
-        assert np.allclose(project(reconstruct(a, basis), basis), a,
-                           atol=1e-12)
-
-    def test_reconstruct_zero_is_mean(self, basis):
-        assert np.array_equal(reconstruct(np.zeros(3), basis),
-                              basis.mean_field)
-
-    def test_identity_covariance_variance_field(self, basis):
-        _, var = reconstruct(np.zeros(3), basis, covariance=np.eye(3))
-        assert np.allclose(var, np.sum(basis.modes**2, axis=1), atol=1e-12)
+        assert np.allclose(project(basis.mean_field + basis.modes @ a, basis),
+                           a, atol=1e-12)
 
     def test_field_in_span_roundtrip(self, basis, uniform_grid):
         rng = np.random.default_rng(30)
         field = basis.mean_field + basis.modes @ rng.standard_normal(3)
-        assert np.allclose(reconstruct(project(field, basis), basis), field,
-                           atol=1e-10)
-
-    def test_non_psd_covariance_rejected(self, basis):
-        bad = np.diag([1.0, 1.0, -0.5])
-        with pytest.raises(ValidationError):
-            reconstruct(np.zeros(3), basis, covariance=bad)
+        assert np.allclose(
+            basis.mean_field + basis.modes @ project(field, basis), field,
+            atol=1e-10)
 
     def test_length_mismatch(self, basis):
         with pytest.raises(ValidationError):
             project(np.ones(4), basis)
-
-
-class TestLnmAmplitudes:
-    def test_single_tone_recovery(self, uniform_grid):
-        phi = orthonormal_polynomial_modes(uniform_grid, 1)[:, 0]
-        f_s, n_t = 20.0, 400
-        t = np.arange(n_t) / f_s
-        w1 = 2 * np.pi * 1.3
-        c = np.cos(w1 * t)
-        ens = _ensemble(uniform_grid, np.outer(phi, c), f_s=f_s)
-        res = lnm_amplitudes(ens, [w1])
-        assert res.amplitudes[0] == pytest.approx(np.linalg.norm(c), rel=1e-10)
-        aligned = align_sign(res.shapes, phi[:, None])
-        assert np.allclose(aligned[:, 0], phi, atol=1e-8)
-
-    def test_zero_data(self, uniform_grid):
-        ens = _ensemble(uniform_grid, np.zeros((uniform_grid.n_dof, 100)))
-        res = lnm_amplitudes(ens, [2.0, 5.0])
-        assert np.allclose(res.amplitudes, 0.0)
-
-    def test_two_tone_recovery(self, uniform_grid):
-        modes = orthonormal_polynomial_modes(uniform_grid, 2)
-        f_s, n_t = 20.0, 800  # record 40 s, bin 0.025 Hz
-        t = np.arange(n_t) / f_s
-        w1, w2 = 2 * np.pi * 0.8, 2 * np.pi * 1.1  # 12 bins apart
-        D = 2.0 * np.outer(modes[:, 0], np.cos(w1 * t)) \
-            + 0.5 * np.outer(modes[:, 1], np.sin(w2 * t))
-        res = lnm_amplitudes(_ensemble(uniform_grid, D, f_s=f_s), [w1, w2])
-        aligned = align_sign(res.shapes, modes)
-        assert np.allclose(aligned, modes, atol=1e-6)
-
-    def test_close_frequencies_raise_numerical(self, uniform_grid):
-        D = np.random.default_rng(0).standard_normal((uniform_grid.n_dof, 50))
-        ens = _ensemble(uniform_grid, D)
-        with pytest.raises(NumericalError, match="longer record"):
-            lnm_amplitudes(ens, [1.0, 1.0 + 1e-9])
-
-    def test_duplicate_frequencies_rejected(self, uniform_grid):
-        ens = _ensemble(uniform_grid,
-                        np.zeros((uniform_grid.n_dof, 50)))
-        with pytest.raises(ValidationError, match="distinct"):
-            lnm_amplitudes(ens, [1.0, 1.0])
-
-    def test_nyquist_violation_rejected(self, uniform_grid):
-        ens = _ensemble(uniform_grid, np.zeros((uniform_grid.n_dof, 50)),
-                        f_s=20.0)
-        with pytest.raises(ValidationError, match="samples per period"):
-            lnm_amplitudes(ens, [np.pi * 20.0])

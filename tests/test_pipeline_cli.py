@@ -82,11 +82,22 @@ class TestPipelineRun:
         assert modes.shape[1] == 5  # mean column + 4 modes
 
     def test_every_svg_has_csv_twin(self, quickstart):
+        # the reconstruction trace's numbers are the first observation
+        # station's ux columns of its case's recon table
         _, out = quickstart
+        cases = json.loads((out / "error_summary.json").read_text())["cases"]
         svgs = list(out.glob("*.svg"))
         assert svgs
         for svg in svgs:
-            assert svg.with_suffix(".csv").exists(), svg.name
+            if not svg.name.startswith("trace_"):
+                assert svg.with_suffix(".csv").exists(), svg.name
+                continue
+            case = svg.name[len("trace_"):-len("_ux.svg")]
+            station = cases[case]["stations"][0]["station_index"]
+            header = (out / f"recon_{case}.csv").read_text().split("\n", 1)[0]
+            assert set(header.split(",")) >= {"t"} | {
+                f"ux_s{station:03d}_{src}"
+                for src in ("true", "sparse", "rom", "fused")}, svg.name
 
     def test_error_summary_three_way_comparison(self, quickstart):
         _, out = quickstart
@@ -264,6 +275,27 @@ class TestPipelineRun:
         assert sorted(p.name for p in ref.iterdir()) == sorted(names)
         for name in names:
             assert (ref / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_torsion_component_that_never_moves_scores_one(self, quickstart,
+                                                           tmp_path):
+        # with tauz zero in every case, the inferred tauz is zero too: an
+        # exact fit of a row with no variance has R^2 1, as in fit_r_squared
+        pipeline_cfg, _ = quickstart
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        for path in cases.glob("*_torsion.npy"):
+            tau = np.load(path)
+            tau[2 * tau.shape[0] // 3:] = 0.0
+            np.save(path, tau)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "torsion_summary.json").read_text())
+        stations = summary["evaluation"]["ev_s5"]
+        assert stations
+        for station in stations:
+            assert station["components"]["tauz"] == {"rmse": 0.0,
+                                                     "r_squared": 1.0}
 
     def test_torsion_ignores_the_nominal_wind_speed(self, quickstart,
                                                     tmp_path):
@@ -445,6 +477,31 @@ class TestFailureModes:
         code, marker = self._failed_load(quickstart, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and "at row 10" in marker
+
+    def test_non_positive_rotor_speed_fails_at_load(self, quickstart,
+                                                    tmp_path, capsys):
+        # the report's spectra divide by the mean rotor speed; a case at
+        # rest is rejected before any stage writes a file
+        def damage(cases):
+            path = cases / "ev_s5_channels.csv"
+            lines = path.read_text().splitlines()
+            for i in range(1, len(lines)):
+                cells = lines[i].split(",")
+                cells[2] = "0.0"
+                lines[i] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+
+        capsys.readouterr()
+        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        assert code == 2
+        assert "stage: load" in marker and "'ev_s5'" in marker
+        assert "'ev_s5'" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+        # fit-rom reads only the evaluation case's grid
+        cases = tmp_path / "cases"
+        assert main(["fit-rom", "--config", str(cases / "pipeline_config.json"),
+                     "--out", str(tmp_path / "fit-rom")]) == 0
 
     def test_non_finite_channel_fails_at_load(self, quickstart, tmp_path):
         def damage(cases):

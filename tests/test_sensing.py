@@ -176,8 +176,6 @@ class TestSparseEstimate:
         noise = NoiseModel.isotropic(0.1, n_noise)
         with pytest.raises(ValidationError, match="sensor count"):
             sparse_estimate(np.zeros((2, 12)), sensors, noise)
-        with pytest.raises(ValidationError, match="sensor count"):
-            sensors.noise_covariance(noise)
 
     def test_unknown_mode_rejected(self):
         grid, basis, sensors = _demo_sensors()

@@ -1,76 +1,92 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bladesense import (ConditionKey, SnapshotEnsemble, fit_torsion_map,
-                        fit_torsion_model, infer_torsion, load_torsion_model,
+from bladesense import (fit_torsion_model, infer_torsion, load_torsion_model,
                         pod_fit, project, save_torsion_model)
 from bladesense.errors import SchemaError, ValidationError
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel
 
-from conftest import align_sign, basis_from_modes, dense_pod_oracle
+from conftest import (align_sign, basis_from_modes, dense_pod_oracle,
+                      tau_ensemble, torsion_cases)
 
 
-class TestFitTorsionMap:
-    def test_exact_linear_relation_recovered(self):
-        rng = np.random.default_rng(0)
-        M0 = rng.standard_normal((5, 4))
-        a = rng.standard_normal((4, 200))
-        M, r2 = fit_torsion_map(a, M0 @ a)
-        assert np.allclose(M, M0, atol=1e-10)
+def _centered(rng, n_coords, lengths):
+    """Coordinate series of the given lengths with a pooled mean of zero."""
+    a_series = [rng.standard_normal((n_coords, n_t)) for n_t in lengths]
+    mean = np.hstack(a_series).mean(axis=1, keepdims=True)
+    return [a - mean for a in a_series]
+
+
+class TestTorsionFieldMap:
+    """The map of :func:`fit_torsion_model` on torsion ensembles psi M0 a
+    (conftest ``torsion_cases``); an independent target is psi b, M0 = I."""
+
+    @staticmethod
+    def _setup(seed):
+        grid = demo_grid(n_z=6)
+        return (np.random.default_rng(seed), grid,
+                orthonormal_polynomial_modes(grid, 3))
+
+    def test_exact_field_map_recovered(self):
+        rng, grid, psi = self._setup(0)
+        M0 = rng.standard_normal((3, 4))
+        a_series = _centered(rng, 4, (120, 80))
+        model, r2 = fit_torsion_model(
+            a_series, torsion_cases(grid, psi, M0, a_series), 3)
+        assert np.abs(model.basis.modes @ model.M - psi @ M0).max() <= 1e-8
         assert np.allclose(r2, 1.0, atol=1e-10)
 
     def test_independent_target_has_no_fit(self):
-        rng = np.random.default_rng(1)
+        rng, grid, psi = self._setup(1)
         a = rng.standard_normal((4, 10**4))
         b = rng.standard_normal((3, 10**4))
-        _, r2 = fit_torsion_map(a, b)
+        _, r2 = fit_torsion_model(
+            [a], torsion_cases(grid, psi, np.eye(3), [b]), 3)
         assert np.all(r2 < 0.1)
 
     def test_zero_coordinate_gives_zero_column(self):
-        rng = np.random.default_rng(2)
+        rng, grid, psi = self._setup(2)
         a = rng.standard_normal((3, 100))
         a[1, :] = 0.0
+        taus = torsion_cases(grid, psi, np.eye(3),
+                             [rng.standard_normal((3, 100))])
         with pytest.warns(UserWarning, match="rank deficient"):
-            M, _ = fit_torsion_map(a, rng.standard_normal((2, 100)))
-        assert np.allclose(M[:, 1], 0.0, atol=1e-12)
+            model, _ = fit_torsion_model([a], taus, 3)
+        assert np.allclose(model.M[:, 1], 0.0, atol=1e-12)
 
     def test_rank_deficiency_warns(self):
-        rng = np.random.default_rng(3)
+        rng, grid, psi = self._setup(3)
         a = rng.standard_normal((3, 100))
         a[2, :] = a[1, :]  # dependent coordinates
+        taus = torsion_cases(grid, psi, np.eye(3),
+                             [rng.standard_normal((3, 100))])
         with pytest.warns(UserWarning, match="rank deficient"):
-            fit_torsion_map(a, rng.standard_normal((2, 100)))
+            fit_torsion_model([a], taus, 3)
 
     def test_scale_equivariance(self):
-        rng = np.random.default_rng(4)
+        rng, grid, psi = self._setup(4)
         a = rng.standard_normal((3, 120))
-        b = rng.standard_normal((4, 120))
-        M1, _ = fit_torsion_map(a, b)
-        M2, _ = fit_torsion_map(2.5 * a, b)
-        assert np.allclose(M2, M1 / 2.5, atol=1e-12)
-
-    def test_refit_consistency(self):
-        rng = np.random.default_rng(5)
-        M0 = rng.standard_normal((4, 3))
-        a = rng.standard_normal((3, 150))
-        M1, _ = fit_torsion_map(a, M0 @ a)
-        M2, _ = fit_torsion_map(a, M1 @ a)
-        assert np.allclose(M1, M2, atol=1e-10)
+        taus = torsion_cases(grid, psi, np.eye(3),
+                             [rng.standard_normal((3, 120))])
+        model1, _ = fit_torsion_model([a], taus, 3)
+        model2, _ = fit_torsion_model([2.5 * a], taus, 3)
+        assert np.array_equal(model2.basis.modes, model1.basis.modes)
+        assert np.allclose(model2.M, model1.M / 2.5, atol=1e-12)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValidationError):
-            fit_torsion_map(np.zeros((4, 3)), np.zeros((2, 3)))
-
-
-def _tau_ensemble(grid, D, f_s=10.0):
-    n_t = D.shape[1]
-    return SnapshotEnsemble(
-        grid=grid, D=D, t=np.arange(n_t) / f_s, theta=np.zeros(n_t),
-        omega=np.ones(n_t), u_raw=np.full(n_t, 9.0), u_filt=np.full(n_t, 9.0),
-        condition=ConditionKey(9.0, 0.1, 0), f_s=f_s)
+        # rejected before the coordinates' rank check would warn
+        rng, grid, psi = self._setup(5)
+        a = rng.standard_normal((4, 3))
+        taus = torsion_cases(grid, psi, np.ones((3, 4)), [a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="3 steps, fewer than the 4"):
+                fit_torsion_model([a], taus, 2)
 
 
 class TestFitTorsionModel:
@@ -92,7 +108,7 @@ class TestFitTorsionModel:
             tau = (0.2 + modes @ (C @ a)
                    + 0.3 * rng.standard_normal((grid.n_dof, n_t)))
             a_series.append(a)
-            taus.append(_tau_ensemble(grid, tau))
+            taus.append(tau_ensemble(grid, tau))
         return a_series, taus
 
     @pytest.mark.parametrize("deficient", [False, True])
@@ -146,13 +162,11 @@ class TestInferTorsion:
         rng = np.random.default_rng(9)
         grid = demo_grid(n_z=8)
         xi = orthonormal_polynomial_modes(grid, 3)
-        basis = basis_from_modes(grid, xi)
         M0 = rng.standard_normal((3, 2))
-        a_series = rng.standard_normal((2, 300))
-        tau = xi @ (M0 @ a_series)  # zero-mean torsion field
-        b_series = xi.T @ (tau * np.tile(np.full(grid.n_z, 1 / grid.n_z), 3)[:, None])
-        M, _ = fit_torsion_map(a_series, b_series)
-        model = TorsionModel(basis=basis, M=M)
+        (a_series,) = _centered(rng, 2, (300,))
+        (tau_case,) = torsion_cases(grid, xi, M0, [a_series])
+        tau = tau_case.D  # zero-mean torsion field
+        model, _ = fit_torsion_model([a_series], [tau_case], 3)
         for k in range(0, 300, 50):
             field = infer_torsion(a_series[:, k], model)
             assert np.allclose(field, tau[:, k], atol=1e-8)
