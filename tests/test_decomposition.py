@@ -325,6 +325,16 @@ class TestProjectReconstruct:
             basis.mean_field + basis.modes @ project(field, basis), field,
             atol=1e-10)
 
+    def test_matrix_projects_column_by_column(self, basis):
+        rng = np.random.default_rng(31)
+        fields = basis.mean_field[:, None] + rng.standard_normal(
+            (basis.grid.n_dof, 5))
+        a = project(fields, basis)
+        assert a.shape == (3, 5)
+        for k in range(5):
+            assert np.allclose(a[:, k], project(fields[:, k], basis),
+                               rtol=0.0, atol=1e-12)
+
     def test_length_mismatch(self, basis):
         with pytest.raises(ValidationError):
             project(np.ones(4), basis)

@@ -99,6 +99,15 @@ class TestPipelineRun:
                 f"ux_s{station:03d}_{src}"
                 for src in ("true", "sparse", "rom", "fused")}, svg.name
 
+    def test_trace_numbers_are_not_written_twice(self, quickstart):
+        # the trace's columns live in the recon table: no trace CSV
+        _, out = quickstart
+        listing = json.loads((out / "artifacts.json").read_text())["files"]
+        traces = sorted(p.name for p in out.glob("trace_*"))
+        assert traces and all(name.endswith("_ux.svg") for name in traces)
+        assert not [name for name in listing
+                    if name.startswith("trace_") and name.endswith(".csv")]
+
     def test_error_summary_three_way_comparison(self, quickstart):
         _, out = quickstart
         summary = json.loads((out / "error_summary.json").read_text())
@@ -663,6 +672,23 @@ class TestProjections:
             Counter(n_t[p] for p in cases)
         # and no torsion case: the torsion map comes from the one-pass fold
         assert all(b is deflection for b, _ in calls)
+
+
+class TestReportSpectra:
+    def test_one_psd_call_per_tip_component(self, quickstart, tmp_path,
+                                            monkeypatch):
+        # each call gives both the raw and the smoothed spectrum
+        pipeline_cfg, _ = quickstart
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        calls = []
+
+        def counting(signal, f_s, f_1p, _psd=bladesense.pipeline.psd):
+            calls.append(np.size(signal))
+            return _psd(signal, f_s, f_1p)
+
+        monkeypatch.setattr(bladesense.pipeline, "psd", counting)
+        run_pipeline(config, plan="pipeline")
+        assert calls == [load_case(config.evaluation[0])[1].n_t] * 3
 
 
 class TestEstimateHealth:

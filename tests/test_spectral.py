@@ -54,6 +54,19 @@ class TestPsd:
         assert raw.size == n // 2 + 1
         assert np.array_equal(smooth, raw) is not smoothed
 
+    def test_one_fft_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(a, *args, _rfft=np.fft.rfft, **kwargs):
+            calls.append(np.shape(a))
+            return _rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        x = np.random.default_rng(3).standard_normal(256)
+        _, raw, smoothed = psd(x, 10.0, 1.0)
+        assert calls == [(256,)]
+        assert not np.array_equal(smoothed, raw)
+
     @pytest.mark.parametrize("signal, f_s, f_1p", [
         (np.zeros((2, 8)), 10.0, 1.0), (np.zeros(1), 10.0, 1.0),
         (np.zeros(8), 0.0, 1.0), (np.zeros(8), 10.0, -1.0)])
@@ -76,5 +89,15 @@ class TestPsdOracle:
         assert np.allclose(f_hat, f_ref / f_1p, rtol=1e-15, atol=0.0)
         assert np.max(np.abs(power - p_ref)) <= 1e-12 * np.max(p_ref)
 
+        s_ref = np.clip(savgol_filter(p_ref, *SAVGOL_WINDOW), 0.0, None)
+        assert np.max(np.abs(smoothed - s_ref)) <= 1e-12 * np.max(s_ref)
+
+    def test_matches_scipy_when_the_window_spans_the_spectrum(self):
+        # 64 samples give 33 bins: each edge fit covers the whole spectrum
+        x = np.random.default_rng(64).standard_normal(64)
+        _, p_ref = welch(x, fs=10.0, nperseg=64)
+        _, power, smoothed = psd(x, 10.0, 1.0)
+        assert smoothed.size == SAVGOL_WINDOW[0]
+        assert np.max(np.abs(power - p_ref)) <= 1e-12 * np.max(p_ref)
         s_ref = np.clip(savgol_filter(p_ref, *SAVGOL_WINDOW), 0.0, None)
         assert np.max(np.abs(smoothed - s_ref)) <= 1e-12 * np.max(s_ref)

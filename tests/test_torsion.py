@@ -8,7 +8,7 @@ from bladesense import (fit_torsion_model, infer_torsion, load_torsion_model,
                         pod_fit, project, save_torsion_model)
 from bladesense.errors import SchemaError, ValidationError
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
-from bladesense.torsion import TorsionModel
+from bladesense.torsion import TorsionModel, _r_squared
 
 from conftest import (align_sign, basis_from_modes, dense_pod_oracle,
                       tau_ensemble, torsion_cases)
@@ -77,6 +77,19 @@ class TestTorsionFieldMap:
         assert np.array_equal(model2.basis.modes, model1.basis.modes)
         assert np.allclose(model2.M, model1.M / 2.5, atol=1e-12)
 
+    def test_refit_consistency(self):
+        # a map refitted to its own predicted fields is the same map
+        rng, grid, psi = self._setup(6)
+        M0 = rng.standard_normal((3, 3))
+        (a,) = _centered(rng, 3, (150,))
+        model1, _ = fit_torsion_model([a], torsion_cases(grid, psi, M0, [a]),
+                                      3)
+        xi_m1 = model1.basis.modes @ model1.M
+        model2, r2 = fit_torsion_model(
+            [a], [tau_ensemble(grid, xi_m1 @ a)], 3)
+        assert np.abs(model2.basis.modes @ model2.M - xi_m1).max() <= 1e-8
+        assert np.allclose(r2, 1.0, atol=1e-10)
+
     def test_too_few_samples(self):
         # rejected before the coordinates' rank check would warn
         rng, grid, psi = self._setup(5)
@@ -87,6 +100,21 @@ class TestTorsionFieldMap:
             with pytest.raises(ValidationError,
                                match="3 steps, fewer than the 4"):
                 fit_torsion_model([a], taus, 2)
+
+
+class TestRSquared:
+    """The package's R^2 rule, shared by the fit and the torsion report."""
+
+    def test_rows_with_variance(self):
+        r2 = _r_squared(np.array([1.0, 0.0, 4.0]), np.array([4.0, 2.0, 4.0]))
+        assert np.array_equal(r2, [0.75, 1.0, 0.0])
+
+    def test_row_without_variance_scores_one_only_when_exact(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division warning either
+            r2 = _r_squared(np.array([0.0, 1e-3, 2.0]),
+                            np.array([0.0, 0.0, 4.0]))
+        assert np.array_equal(r2, [1.0, 0.0, 0.5])
 
 
 class TestFitTorsionModel:
