@@ -55,10 +55,6 @@ class BinStatistics:
     def occupied(self) -> np.ndarray:
         return self.counts > 0
 
-    @property
-    def n_modes(self) -> int:
-        return self.means.shape[1]
-
 
 def bin_statistics(a_series, theta_series, n_theta: int,
                    condition: ConditionKey) -> BinStatistics:

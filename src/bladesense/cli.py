@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     except _NUMERICAL as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
-    except (ValidationError, FileNotFoundError) as err:
+    except (ValidationError, OSError) as err:  # a bad path included
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -292,10 +292,6 @@ class SnapshotEnsemble:
     def n_t(self) -> int:
         return self.D.shape[1]
 
-    @property
-    def n_z(self) -> int:
-        return self.grid.n_z
-
     def channels(self) -> dict:
         """The per-step channels ``t, theta, omega, u_raw, u_filt`` by name."""
         return {name: getattr(self, name) for name in _CHANNELS}

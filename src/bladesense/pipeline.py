@@ -343,13 +343,28 @@ def _stage_torsion(ctx: _Context) -> None:
                 "evaluation": eval_summary})
 
 
+def _quartiles(x: np.ndarray) -> list:
+    """The 75th and 25th percentiles of ``np.percentile``'s default rule,
+    bit for bit, from one sort: ``np.percentile`` imports ``numpy.ma`` in
+    numpy 2.x (8-17 ms cold on a 2-core Xeon)."""
+    s = np.sort(x)
+    out = []
+    for q in (0.75, 0.25):
+        v = (s.size - 1) * q
+        i = int(v)
+        g = v - i
+        a, b = s[i], s[min(i + 1, s.size - 1)]
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
+
+
 def _fd_edges(x: np.ndarray) -> np.ndarray:
     """Freedman-Diaconis bin edges with degenerate-data fallbacks."""
     x = np.asarray(x, dtype=float)
     lo, hi = float(x.min()), float(x.max())
     if hi <= lo:
         return np.array([lo - 0.5, lo + 0.5])
-    q75, q25 = np.percentile(x, [75.0, 25.0])
+    q75, q25 = _quartiles(x)
     iqr = q75 - q25
     if iqr <= 0:
         n_bins = max(1, int(np.ceil(np.sqrt(x.size))))
@@ -393,11 +408,13 @@ def _stage_report(ctx: _Context) -> None:
                    ["bin_left", "bin_right", "count_true", "count_fused"],
                    np.column_stack([edges[:-1], edges[1:], h_true, h_fused]),
                    _REPORT_FMT)
-        svgplot.histogram_plot(
-            ctx.emit(base + ".svg"), edges,
-            [("true", h_true), ("fused", h_fused)],
+        steps = np.repeat(edges, 2)  # each bin's count drawn as a step
+        svgplot.line_plot(
+            ctx.emit(base + ".svg"),
+            [(label, steps, [0, *np.repeat(h, 2), 0])
+             for label, h in (("true", h_true), ("fused", h_fused))],
             title=f"{comp} at station {station} ({case_id})",
-            xlabel=f"{comp} (m)")
+            xlabel=f"{comp} (m)", ylabel="count")
 
     # azimuthal mean +/- sigma: binned data against the fitted model
     st = ctx.stats_list[0]

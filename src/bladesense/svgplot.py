@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG emission: lines, histograms, scatter.
+"""Minimal deterministic SVG emission: lines and scatter.
 
 No plotting dependency; output is plain vector markup with fixed float
 formatting so identical data produces identical bytes.
@@ -136,26 +136,6 @@ def line_plot(path, series, title="", xlabel="", ylabel="", log_y=False):
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.2"/>')
     cv.legend([s[0] for s in series])
-    cv.save(path)
-
-
-def histogram_plot(path, edges, counts_by_label, title="", xlabel=""):
-    """Overlaid step histograms on shared bin edges."""
-    edges = np.asarray(edges, dtype=float)
-    ymax = max(float(np.max(c)) for _, c in counts_by_label) or 1.0
-    cv = _Canvas(title, xlabel, "count", (edges[0], edges[-1]), (0.0, ymax))
-    for i, (_, counts) in enumerate(counts_by_label):
-        xs, ys = [edges[0]], [0.0]
-        for j, c in enumerate(counts):
-            xs.extend([edges[j], edges[j + 1]])
-            ys.extend([c, c])
-        xs.append(edges[-1])
-        ys.append(0.0)
-        pts = _pairs("%.6g,%.6g", " ", cv.px(xs), cv.py(ys))
-        cv.parts.append(
-            f'<polyline points="{pts}" fill="none" '
-            f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.2"/>')
-    cv.legend([lbl for lbl, _ in counts_by_label])
     cv.save(path)
 
 

@@ -39,17 +39,13 @@ class TorsionModel:
     basis: ModalBasis
     M: np.ndarray
 
-    @property
-    def n_torsion(self) -> int:  # the rows of the coupling map
-        return self.basis.n_modes
-
     def __post_init__(self):
         self.M = np.asarray(self.M, dtype=float)
-        if (self.M.ndim != 2 or self.M.shape[0] != self.n_torsion
+        if (self.M.ndim != 2 or self.M.shape[0] != self.basis.n_modes
                 or not np.all(np.isfinite(self.M))):
             raise ValidationError(
-                f"coupling map must be a finite ({self.n_torsion}, N) matrix, "
-                f"got shape {self.M.shape}")
+                f"coupling map must be a finite ({self.basis.n_modes}, N) "
+                f"matrix, got shape {self.M.shape}")
 
 
 def infer_torsion(a, model: TorsionModel) -> np.ndarray:
@@ -73,7 +69,7 @@ def save_torsion_model(model: TorsionModel, path, basis_filename=None) -> None:
     path = Path(path)
     basis_filename = basis_filename or (path.stem + "_basis.csv")
     write_modes_csv(model.basis, path.parent / basis_filename)
-    write_json(path, {"basis_file": basis_filename, "J": model.n_torsion,
+    write_json(path, {"basis_file": basis_filename, "J": model.basis.n_modes,
                       "M": model.M.tolist()})
 
 

@@ -12,10 +12,10 @@ import pytest
 
 import bladesense
 from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
-                        load_rom, observe, place_sensors, pod_fit,
+                        load_rom, observe, place_sensors, pod_fit, project,
                         sparse_estimate)
 from bladesense.cli import main
-from bladesense.pipeline import PipelineConfig, run_pipeline
+from bladesense.pipeline import PipelineConfig, _quartiles, run_pipeline
 from bladesense.errors import NumericalError, StageError, ValidationError
 
 from conftest import DAMAGE, damage_case, savetxt_writer
@@ -36,38 +36,73 @@ SYNTH_CONFIG = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The datasets the workload checks run on, each ``synth --seed 0``: the
+#: tier-1 twin (``SYNTH_CONFIG``), the quickstart (``synth``'s default) and
+#: the benchmark workloads.
+DATASETS = ("twin", "quickstart", "long_record", "fine_grid")
+
+
 @pytest.fixture(scope="session")
-def quickstart(tmp_path_factory):
-    root = tmp_path_factory.mktemp("quickstart")
-    cfg = root / "synth.json"
-    cfg.write_text(json.dumps(SYNTH_CONFIG))
-    assert main(["synth", "--config", str(cfg), "--out", str(root / "cases"),
-                 "--seed", "0"]) == 0
-    pipeline_cfg = root / "cases" / "pipeline_config.json"
-    out = root / "results"
-    assert main(["pipeline", "--config", str(pipeline_cfg),
-                 "--out", str(out)]) == 0
-    return pipeline_cfg, out
+def pipeline_runs(tmp_path_factory):
+    """``run(name)`` gives (pipeline config, results directory) of the
+    ``synth --seed 0`` and ``pipeline`` run of a dataset of ``DATASETS``,
+    made on its first request in the session."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            root = tmp_path_factory.mktemp(name)
+            if name == "twin":
+                spec = root / "synth.json"
+                spec.write_text(json.dumps(SYNTH_CONFIG))
+                config = ["--config", str(spec)]
+            elif name == "quickstart":
+                config = []
+            else:
+                spec = ROOT / "perfbench" / "workloads" / f"{name}.json"
+                config = ["--config", str(spec)]
+            assert main(["synth", *config, "--seed", "0",
+                         "--out", str(root / "cases")]) == 0
+            pipeline_cfg = root / "cases" / "pipeline_config.json"
+            out = root / "results"
+            assert main(["pipeline", "--config", str(pipeline_cfg),
+                         "--out", str(out)]) == 0
+            runs[name] = pipeline_cfg, out
+        return runs[name]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def twin(pipeline_runs):
+    return pipeline_runs("twin")
+
+
+@pytest.fixture(scope="session", params=DATASETS)
+def dataset_run(request, pipeline_runs):
+    return pipeline_runs(request.param)
 
 
 class TestPipelineRun:
-    def test_all_declared_artifacts_exist(self, quickstart):
-        _, out = quickstart
+    def test_all_declared_artifacts_exist(self, twin):
+        _, out = twin
         listing = json.loads((out / "artifacts.json").read_text())["files"]
         assert listing, "artifact index is empty"
         for name in listing:
             assert (out / name).exists(), name
         assert not (out / "FAILED").exists()
 
-    def test_core_artifacts_present(self, quickstart):
-        _, out = quickstart
+    def test_core_artifacts_present(self, twin):
+        _, out = twin
         for name in ("modes.csv", "energies.csv", "sensors.csv", "rom.json",
                      "error_summary.json", "torsion_model.json",
                      "torsion_summary.json"):
             assert (out / name).exists(), name
 
-    def test_tabular_artifacts_parse_numerically(self, quickstart):
-        _, out = quickstart
+    def test_tabular_artifacts_parse_numerically(self, twin):
+        _, out = twin
         sensors = np.loadtxt(out / "sensors.csv", delimiter=",", skiprows=1,
                              ndmin=2)
         assert sensors.shape == (4, 3)
@@ -81,10 +116,10 @@ class TestPipelineRun:
                            ndmin=2)
         assert modes.shape[1] == 5  # mean column + 4 modes
 
-    def test_every_svg_has_csv_twin(self, quickstart):
+    def test_every_svg_has_csv_twin(self, twin):
         # the reconstruction trace's numbers are the first observation
         # station's ux columns of its case's recon table
-        _, out = quickstart
+        _, out = twin
         cases = json.loads((out / "error_summary.json").read_text())["cases"]
         svgs = list(out.glob("*.svg"))
         assert svgs
@@ -99,17 +134,17 @@ class TestPipelineRun:
                 f"ux_s{station:03d}_{src}"
                 for src in ("true", "sparse", "rom", "fused")}, svg.name
 
-    def test_trace_numbers_are_not_written_twice(self, quickstart):
+    def test_trace_numbers_are_not_written_twice(self, twin):
         # the trace's columns live in the recon table: no trace CSV
-        _, out = quickstart
+        _, out = twin
         listing = json.loads((out / "artifacts.json").read_text())["files"]
         traces = sorted(p.name for p in out.glob("trace_*"))
         assert traces and all(name.endswith("_ux.svg") for name in traces)
         assert not [name for name in listing
                     if name.startswith("trace_") and name.endswith(".csv")]
 
-    def test_error_summary_three_way_comparison(self, quickstart):
-        _, out = quickstart
+    def test_error_summary_three_way_comparison(self, twin):
+        _, out = twin
         summary = json.loads((out / "error_summary.json").read_text())
         assert summary["cases"]
         for case in summary["cases"].values():
@@ -120,8 +155,8 @@ class TestPipelineRun:
                     assert all(v >= 0 for v in rmse.values())
             assert set(case["reduced_rmse"]) == {"sparse", "rom", "fused"}
 
-    def test_trace_of_fused_covariance_logged(self, quickstart):
-        _, out = quickstart
+    def test_trace_of_fused_covariance_logged(self, twin):
+        _, out = twin
         recon = next(out.glob("recon_*.csv"))
         header = recon.read_text().splitlines()[0].split(",")
         assert "trace_fused_cov" in header
@@ -129,10 +164,10 @@ class TestPipelineRun:
         data = np.loadtxt(recon, delimiter=",", skiprows=1)
         assert np.all(data[:, col] >= 0.0)
 
-    def test_station_rmse_recomputed_from_the_report_tables(self, quickstart):
+    def test_station_rmse_recomputed_from_the_report_tables(self, twin):
         # the reconstruction tables hold 10 significant digits; every RMSE
         # the summaries give must still follow from them
-        _, out = quickstart
+        _, out = twin
 
         def columns(name):
             names = (out / name).read_text().splitlines()[0].split(",")
@@ -164,8 +199,8 @@ class TestPipelineRun:
         for want, got in pairs:
             assert got == pytest.approx(want, rel=1e-8)
 
-    def test_wind_speed_clamps_counted(self, quickstart):
-        pipeline_cfg, out = quickstart
+    def test_wind_speed_clamps_counted(self, twin):
+        pipeline_cfg, out = twin
         summary = json.loads((out / "error_summary.json").read_text())
         rom = json.loads((out / "rom.json").read_text())
         speeds = [c["u_mean"] for c in rom["conditions"]]  # one TI label
@@ -181,10 +216,10 @@ class TestPipelineRun:
         assert summary["rom"]["clamped_high"] > 0
         assert summary["rom"]["steps"] == summary["fusion"]["steps"]
 
-    def test_torsion_rank_defaults_to_n_modes(self, quickstart):
+    def test_torsion_rank_defaults_to_n_modes(self, twin):
         # the twin's torsion field has rank N; a mode N+1 would be rounding
         # noise with an arbitrary, often negative, fit R^2
-        pipeline_cfg, out = quickstart
+        pipeline_cfg, out = twin
         n_modes = PipelineConfig.from_json(pipeline_cfg).n_modes
         model = json.loads((out / "torsion_model.json").read_text())
         assert model["J"] == n_modes
@@ -241,8 +276,8 @@ class TestPipelineRun:
     @pytest.mark.parametrize("n_modes, pairs", [
         (1, []), (2, ["a1_a2"]), (4, ["a1_a2", "a1_a4", "a2_a4"])])
     def test_coupling_scatter_draws_the_pairs_that_exist(
-            self, quickstart, tmp_path, n_modes, pairs):
-        pipeline_cfg, _ = quickstart
+            self, twin, tmp_path, n_modes, pairs):
+        pipeline_cfg, _ = twin
         doc = json.loads(pipeline_cfg.read_text())
         doc["n_modes"] = n_modes
         cfg = pipeline_cfg.parent / f"modes_{tmp_path.name}.json"
@@ -253,20 +288,23 @@ class TestPipelineRun:
             f"coupling_ev_s5_{pair}.{ext}" for pair in pairs
             for ext in ("csv", "svg"))
 
-    def test_determinism_byte_identical(self, quickstart, tmp_path):
-        pipeline_cfg, out = quickstart
+    def test_determinism_byte_identical(self, dataset_run, tmp_path):
+        # a second run writes the same files with the same bytes
+        pipeline_cfg, out = dataset_run
         out2 = tmp_path / "again"
         assert main(["pipeline", "--config", str(pipeline_cfg),
                      "--out", str(out2)]) == 0
-        for name in json.loads((out / "artifacts.json").read_text())["files"]:
+        names = sorted(p.name for p in out.iterdir())
+        assert sorted(p.name for p in out2.iterdir()) == names
+        for name in names:
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_artifacts_equal_those_of_a_savetxt_writer(self, quickstart,
+    def test_artifacts_equal_those_of_a_savetxt_writer(self, dataset_run,
                                                        tmp_path, monkeypatch):
         # every table of a run, report tables from numpy blocks included,
         # holds np.savetxt's bytes; each module that binds the writer is
         # patched, and both precisions must have gone through the patch
-        pipeline_cfg, out = quickstart
+        pipeline_cfg, out = dataset_run
         formats = Counter()
 
         def reference(path, names, data, fmt=dataset._FLOAT_FMT):
@@ -285,11 +323,11 @@ class TestPipelineRun:
         for name in names:
             assert (ref / name).read_bytes() == (out / name).read_bytes(), name
 
-    def test_torsion_component_that_never_moves_scores_one(self, quickstart,
+    def test_torsion_component_that_never_moves_scores_one(self, twin,
                                                            tmp_path):
         # with tauz zero in every case, the inferred tauz is zero too: an
         # exact fit of a row with no variance has R^2 1, as in fit_r_squared
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
         for path in cases.glob("*_torsion.npy"):
@@ -306,12 +344,12 @@ class TestPipelineRun:
             assert station["components"]["tauz"] == {"rmse": 0.0,
                                                      "r_squared": 1.0}
 
-    def test_torsion_ignores_the_nominal_wind_speed(self, quickstart,
+    def test_torsion_ignores_the_nominal_wind_speed(self, twin,
                                                     tmp_path):
         # torsion is inferred from the estimate alone: relabelling the
         # evaluation case's nominal u_mean (10.6, a trained speed) to the
         # other trained speed changes no torsion artifact
-        pipeline_cfg, out = quickstart
+        pipeline_cfg, out = twin
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
         manifest = cases / json.loads(pipeline_cfg.read_text())["evaluation"][0]
@@ -329,10 +367,10 @@ class TestPipelineRun:
             assert ((relabelled / name).read_bytes()
                     == (out / name).read_bytes()), name
 
-    def test_stage_subcommands(self, quickstart, tmp_path):
+    def test_stage_subcommands(self, dataset_run, tmp_path):
         # fit-rom is the pipeline's set-up: it writes the pipeline's bytes
         # for every file it writes; only the artifact index lists fewer
-        pipeline_cfg, full = quickstart
+        pipeline_cfg, full = dataset_run
         out = tmp_path / "fit-rom"
         assert main(["fit-rom", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 0
@@ -345,9 +383,9 @@ class TestPipelineRun:
 
     @pytest.mark.parametrize("command", ["decompose", "sensors", "estimate",
                                          "torsion", "report"])
-    def test_prefix_commands_are_gone(self, quickstart, tmp_path, command):
+    def test_prefix_commands_are_gone(self, twin, tmp_path, command):
         # every artifact comes from pipeline, the set-up alone from fit-rom
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(pipeline_cfg), "--out", str(out)])
@@ -358,9 +396,9 @@ class TestPipelineRun:
             run_pipeline(config, plan=command)
         assert not out.exists()
 
-    def test_pivot_scalar_flag(self, quickstart, tmp_path):
+    def test_pivot_scalar_flag(self, twin, tmp_path):
         # station pivoting is the only placement; the old flag is an error
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         out = tmp_path / "scalar"
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", "--config", str(pipeline_cfg),
@@ -404,9 +442,31 @@ class TestFailureModes:
     def test_nonexistent_config_path(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "none.json")]) == 2
 
-    def test_numerical_error_exit_code(self, quickstart, tmp_path,
+    @pytest.mark.parametrize("case", ["out_is_a_file", "config_is_a_directory",
+                                      "synth_out_under_a_file"])
+    def test_bad_path_exits_2(self, pipeline_runs, tmp_path, capsys, case):
+        # a path the system refuses is an input error with a message, not
+        # a traceback; the file in the way is left as it was
+        pipeline_cfg, _ = pipeline_runs("quickstart")
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        args = {
+            "out_is_a_file": ["pipeline", "--config", str(pipeline_cfg),
+                              "--out", str(afile)],
+            "config_is_a_directory": ["pipeline", "--config",
+                                      str(pipeline_cfg.parent),
+                                      "--out", str(tmp_path / "out")],
+            "synth_out_under_a_file": ["synth", "--out", str(afile / "x")],
+        }[case]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert afile.read_text() == "keep"
+        assert not (tmp_path / "out").exists()
+
+    def test_numerical_error_exit_code(self, twin, tmp_path,
                                        monkeypatch):
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
 
         def singular(*args, **kwargs):
             raise NumericalError("snapshot matrix is singular")
@@ -419,8 +479,8 @@ class TestFailureModes:
         assert "stage: decompose" in marker
         assert "singular" in marker
 
-    def test_stage_error_carries_stage_name(self, quickstart, tmp_path):
-        pipeline_cfg, _ = quickstart
+    def test_stage_error_carries_stage_name(self, twin, tmp_path):
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg,
                                           out_dir=tmp_path / "o")
         config.n_sensors = 9  # more sensors than the 8 stations of the grid
@@ -428,11 +488,11 @@ class TestFailureModes:
             run_pipeline(config, plan="pipeline")
         assert (tmp_path / "o" / "FAILED").exists()
 
-    def test_fractions_on_one_station_fail_at_load(self, quickstart, tmp_path,
+    def test_fractions_on_one_station_fail_at_load(self, twin, tmp_path,
                                                    capsys):
         # on the 8-station grid 0.44 and 0.45 both snap to station 3, whose
         # columns the tables would then carry twice
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         doc = json.loads(pipeline_cfg.read_text())
         doc["observation_fractions"] = [0.44, 0.45, 0.88]
         cfg = pipeline_cfg.parent / f"snap_{tmp_path.name}.json"
@@ -447,10 +507,10 @@ class TestFailureModes:
         assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
 
     @staticmethod
-    def _failed_load(quickstart, tmp_path, damage):
-        """Run ``pipeline`` on a copy of the quickstart cases after
+    def _failed_load(twin, tmp_path, damage):
+        """Run ``pipeline`` on a copy of the twin's cases after
         ``damage(cases_dir)``; returns the exit code and the FAILED marker."""
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
         damage(cases)
@@ -461,8 +521,8 @@ class TestFailureModes:
         return code, (out / "FAILED").read_text()
 
     def test_non_finite_summary_value_is_a_numerical_error(
-            self, quickstart, tmp_path, monkeypatch):
-        pipeline_cfg, _ = quickstart
+            self, twin, tmp_path, monkeypatch):
+        pipeline_cfg, _ = twin
 
         def nan_r2(*args, _fit=bladesense.pipeline.fit_torsion_model):
             model, r2 = _fit(*args)
@@ -476,18 +536,18 @@ class TestFailureModes:
         assert "stage: torsion" in (out / "FAILED").read_text()
         assert not (out / "torsion_summary.json").exists()
 
-    def test_non_finite_input_fails_at_load(self, quickstart, tmp_path):
+    def test_non_finite_input_fails_at_load(self, twin, tmp_path):
         def damage(cases):
             path = cases / "ev_s5_displacement.npy"
             D = np.load(path)
             D[5, 10] = np.nan
             np.save(path, D)
 
-        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        code, marker = self._failed_load(twin, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and "at row 10" in marker
 
-    def test_non_positive_rotor_speed_fails_at_load(self, quickstart,
+    def test_non_positive_rotor_speed_fails_at_load(self, twin,
                                                     tmp_path, capsys):
         # the report's spectra divide by the mean rotor speed; a case at
         # rest is rejected before any stage writes a file
@@ -501,7 +561,7 @@ class TestFailureModes:
             path.write_text("\n".join(lines) + "\n")
 
         capsys.readouterr()
-        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        code, marker = self._failed_load(twin, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and "'ev_s5'" in marker
         assert "'ev_s5'" in capsys.readouterr().err
@@ -512,7 +572,7 @@ class TestFailureModes:
         assert main(["fit-rom", "--config", str(cases / "pipeline_config.json"),
                      "--out", str(tmp_path / "fit-rom")]) == 0
 
-    def test_non_finite_channel_fails_at_load(self, quickstart, tmp_path):
+    def test_non_finite_channel_fails_at_load(self, twin, tmp_path):
         def damage(cases):
             path = cases / "ev_s5_channels.csv"
             lines = path.read_text().splitlines()
@@ -521,24 +581,24 @@ class TestFailureModes:
             lines[11] = ",".join(cells)
             path.write_text("\n".join(lines) + "\n")
 
-        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        code, marker = self._failed_load(twin, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and "column omega at row 10" in marker
 
     @pytest.mark.parametrize("kind", DAMAGE)
-    def test_bad_binary_input_fails_at_load(self, quickstart, tmp_path, kind):
+    def test_bad_binary_input_fails_at_load(self, twin, tmp_path, kind):
         names = []
 
         def damage(cases):
             names.append(damage_case(cases / "ev_s5.json", kind)[1])
 
-        code, marker = self._failed_load(quickstart, tmp_path, damage)
+        code, marker = self._failed_load(twin, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and names[0] in marker
 
 
 class TestLayouts:
-    def test_full_width_case_fails_at_load(self, quickstart, tmp_path):
+    def test_full_width_case_fails_at_load(self, twin, tmp_path):
         # the fields as columns of the snapshot table, and no
         # displacement_file: not a case layout, so the load stage rejects it
         first = []
@@ -550,7 +610,7 @@ class TestLayouts:
                     damage_case(cases / name, kind)
             first.append(doc["training"][0])
 
-        code, marker = TestFailureModes._failed_load(quickstart, tmp_path,
+        code, marker = TestFailureModes._failed_load(twin, tmp_path,
                                                      to_full_width)
         assert code == 2
         assert "stage: load" in marker and first[0] in marker
@@ -570,9 +630,9 @@ class TestCaseReads:
         run_pipeline(config, plan=plan)
         return seen
 
-    def test_pipeline_parses_each_case_file_once(self, quickstart, tmp_path,
+    def test_pipeline_parses_each_case_file_once(self, twin, tmp_path,
                                                  monkeypatch):
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = self._reads(monkeypatch, config, "pipeline")
         names = [Path(p).stem for p in config.training + config.evaluation]
@@ -581,9 +641,9 @@ class TestCaseReads:
                               "torsion.npy")]
         assert seen == dict.fromkeys(files, 1)
 
-    def test_fit_rom_parses_no_torsion_file(self, quickstart, tmp_path,
+    def test_fit_rom_parses_no_torsion_file(self, twin, tmp_path,
                                             monkeypatch):
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = self._reads(monkeypatch, config, "fit-rom")
         # of an evaluation case, fit-rom uses only the grid
@@ -596,11 +656,11 @@ class TestCaseReads:
 
 
 class TestTrainingRelease:
-    def test_training_deflections_released_after_fit_rom(self, quickstart,
+    def test_training_deflections_released_after_fit_rom(self, twin,
                                                          tmp_path, monkeypatch):
         # fit-rom is the last reader of each training D; torsion keeps only
         # the grid and channels, so the torsion stage never holds both
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         training = {Path(p) for p in config.training}
         refs, alive = [], []
@@ -622,10 +682,10 @@ class TestTrainingRelease:
         assert not alive
 
     def test_torsion_stage_holds_one_training_torsion_matrix(
-            self, quickstart, tmp_path, monkeypatch):
+            self, twin, tmp_path, monkeypatch):
         # each training torsion matrix is loaded, folded and dropped: once
         # a matrix is folded, the ones before it are gone
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         training = {Path(p) for p in config.training}
         refs, alive = [], []
@@ -651,11 +711,11 @@ class TestTrainingRelease:
 
 class TestProjections:
     @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
-    def test_each_case_projected_once(self, quickstart, tmp_path, monkeypatch,
+    def test_each_case_projected_once(self, twin, tmp_path, monkeypatch,
                                       plan):
         # fit-rom projects the training cases once and torsion reuses
         # those coordinates
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         calls = []  # (basis, n_t); the deflection basis is projected on first
 
@@ -675,10 +735,10 @@ class TestProjections:
 
 
 class TestReportSpectra:
-    def test_one_psd_call_per_tip_component(self, quickstart, tmp_path,
+    def test_one_psd_call_per_tip_component(self, twin, tmp_path,
                                             monkeypatch):
         # each call gives both the raw and the smoothed spectrum
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         calls = []
 
@@ -689,6 +749,23 @@ class TestReportSpectra:
         monkeypatch.setattr(bladesense.pipeline, "psd", counting)
         run_pipeline(config, plan="pipeline")
         assert calls == [load_case(config.evaluation[0])[1].n_t] * 3
+
+
+class TestHistogramEdges:
+    def test_quartiles_are_those_of_np_percentile(self):
+        # bit for bit, on lengths from 1 up to the benchmark records', with
+        # ties and magnitudes from 1e-30 to 1e30
+        rng = np.random.default_rng(7)
+        sizes = [*range(1, 60)] * 30 + [1120, 3200, 6400] * 20
+        for i, n in enumerate(sizes):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31)
+            if i % 3 == 1:
+                x = rng.choice(x, n)  # repeated values
+            elif i % 3 == 2:
+                x = rng.integers(-3, 4, n).astype(float)  # mostly ties
+            got = _quartiles(x)
+            want = np.percentile(x, [75.0, 25.0])
+            assert np.array_equal(np.asarray(got), want), (n, got, want)
 
 
 class TestEstimateHealth:
@@ -733,9 +810,9 @@ class TestEstimateHealth:
             # criterion 3's tolerance
             assert rmse["fused"] <= 1.05 * rmse["sparse"], (case_id, rmse)
 
-    def test_noise_free_sensors_give_the_sparse_estimate(self, quickstart,
+    def test_noise_free_sensors_give_the_sparse_estimate(self, twin,
                                                          tmp_path):
-        pipeline_cfg, _ = quickstart
+        pipeline_cfg, _ = twin
         cfg = pipeline_cfg.parent / f"noise0_{tmp_path.name}.json"
         cfg.write_text(json.dumps({**json.loads(pipeline_cfg.read_text()),
                                    "noise": 0}))
@@ -746,9 +823,9 @@ class TestEstimateHealth:
             rmse = case["reduced_rmse"]
             assert np.allclose(rmse["fused"], rmse["sparse"], rtol=1e-9)
 
-    def test_nis_mean_matches_per_step_computation(self, quickstart, tmp_path,
+    def test_nis_mean_matches_per_step_computation(self, twin, tmp_path,
                                                    monkeypatch):
-        pipeline_cfg, out = quickstart
+        pipeline_cfg, out = twin
         fused = []  # (prior, measurement) of each fuse call
 
         def recording(prior, measurement, stats=None,
@@ -789,8 +866,12 @@ class TestImportCost:
             ["pipeline", "--config", pipeline_cfg, "--out", str(out)],
             ["fit-rom", "--config", pipeline_cfg, "--out", str(tmp_path)],
         ]
+        # nor numpy.ma (np.percentile and np.unique import it in numpy 2.x,
+        # 8-17 ms cold), unless numpy imports it with numpy itself (1.x)
         code = (
             "import sys\n"
+            "import numpy\n"
+            "numpy_ma = 'numpy.ma' in sys.modules\n"
             "import bladesense.cli\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules\n"
@@ -799,6 +880,7 @@ class TestImportCost:
             f"for args in {commands!r}:\n"
             "    assert bladesense.cli.main(args) == 0, args[0]\n"
             "    assert not scipy_modules(), (args[0], scipy_modules())\n"
+            "    assert numpy_ma or 'numpy.ma' not in sys.modules, args[0]\n"
         )
         src = str(Path(bladesense.__file__).resolve().parents[1])
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -839,38 +921,59 @@ class TestImportCost:
 
 
 class TestFloorsOnDatasets:
-    """The floors of every prior, measurement and fused Gaussian of the
-    evaluation cases lie at or below the least eigenvalue eigvalsh finds,
-    and they settle every fusion of these datasets: the benchmark
-    workloads', the quickstart's and the tier-1 twin's (``synth --seed 0``
-    each)."""
+    """The library API on each dataset's pipeline run: the floors of every
+    prior, measurement and fused Gaussian of the evaluation cases lie at or
+    below the least eigenvalue eigvalsh finds and settle every fusion, the
+    batched estimate is the pipeline's, and the README "Library" loop (a
+    batch of one per step, the path the benchmark times) gives it step by
+    step."""
 
-    @pytest.mark.parametrize("name", ["quickstart", "long_record",
-                                      "fine_grid", "twin"])
-    def test_floors_sound_and_settling(self, name, quickstart, tmp_path,
-                                       monkeypatch):
-        if name == "twin":
-            pipeline_cfg, out = quickstart
-        else:
-            spec = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
-            synth = (["--config", str(spec / f"{name}.json")]
-                     if name != "quickstart" else [])
-            cases, out = tmp_path / "cases", tmp_path / "fit"
-            assert main(["synth", *synth, "--seed", "0", "--out", str(cases)]) == 0
-            pipeline_cfg = cases / "pipeline_config.json"
-            assert main(["fit-rom", "--config", str(pipeline_cfg),
-                         "--out", str(out)]) == 0
-        cfg = json.loads(Path(pipeline_cfg).read_text())
-        base = Path(pipeline_cfg).parent
+    @staticmethod
+    def _calibrate(dataset_run):
+        """The basis, sensors, noise model and ROM of a pipeline run, and
+        per evaluation case (ensemble, seed of the pipeline's noise stream,
+        fused reduced RMSE in its error summary)."""
+        pipeline_cfg, out = dataset_run
+        cfg = json.loads(pipeline_cfg.read_text())
+        base = pipeline_cfg.parent
         n_sensors = cfg.get("n_sensors", 4)
         basis = pod_fit([load_case(base / p)[1] for p in cfg["training"]],
                         cfg.get("n_modes", 4))
         sensors = place_sensors(basis, n_sensors)
         noise = NoiseModel.from_config(cfg.get("noise", 0.1), n_sensors)
-        rom = load_rom(out / "rom.json")
-        for p in cfg["evaluation"]:
-            _, e = load_case(base / p)
-            y = observe(e.D.T, sensors, noise, np.random.default_rng(0))
+        summary = json.loads((out / "error_summary.json").read_text())
+        cases = [
+            (load_case(base / p)[1],
+             np.random.SeedSequence([cfg.get("seed", 0), idx]),
+             summary["cases"][Path(p).stem]["reduced_rmse_total"]["fused"])
+            for idx, p in enumerate(cfg["evaluation"])]
+        return basis, sensors, noise, load_rom(out / "rom.json"), cases
+
+    def test_model_tables_read_back_exactly(self, dataset_run):
+        # energies.csv and sensors.csv hold the basis and the sensor set
+        # losslessly, though neither goes through the table writer
+        basis, sensors, *_ = self._calibrate(dataset_run)
+        _, out = dataset_run
+
+        def rows(name):
+            lines = (out / name).read_text().splitlines()[1:]
+            return np.array([[float(v) for v in line.split(",")]
+                             for line in lines])
+
+        energies = rows("energies.csv")
+        assert np.array_equal(energies[:, 0], np.arange(1, basis.n_modes + 1))
+        assert np.array_equal(energies[:, 1], basis.energies)
+        assert np.array_equal(energies[:, 2],
+                              np.cumsum(basis.energies) / basis.total_energy)
+        table = rows("sensors.csv")
+        assert np.array_equal(table[:, 0], np.arange(1, sensors.n_sensors + 1))
+        assert np.array_equal(table[:, 1], sensors.station_indices)
+        assert np.array_equal(table[:, 2], sensors.locations_norm)
+
+    def test_floors_sound_and_settling(self, dataset_run, monkeypatch):
+        _, sensors, noise, rom, cases = self._calibrate(dataset_run)
+        for e, seed, _ in cases:
+            y = observe(e.D.T, sensors, noise, np.random.default_rng(seed))
             meas = sparse_estimate(y, sensors, noise)
             prior = evaluate_rom(rom, e.theta, e.u_filt, e.condition.ti)
             calls = []
@@ -887,16 +990,40 @@ class TestFloorsOnDatasets:
                 least = np.linalg.eigvalsh(g.covariance)[..., 0].min()
                 assert 0.0 < g.floor <= least
 
+    def test_library_loop_gives_the_pipeline_estimate(self, dataset_run):
+        # the batched estimate reproduces the pipeline's fused reduced RMSE
+        # exactly, so it is the one the pipeline made; 200 steps of the
+        # README loop on the same noise stream give its fused means
+        basis, sensors, noise, rom, cases = self._calibrate(dataset_run)
+        for e, seed, want in cases:
+            y = observe(e.D.T, sensors, noise, np.random.default_rng(seed))
+            batched, _ = fuse(
+                evaluate_rom(rom, e.theta, e.u_filt, e.condition.ti),
+                sparse_estimate(y, sensors, noise))
+            rmse = float(np.sqrt(np.mean(
+                (batched.mean.T - project(e.D, basis)) ** 2)))
+            assert rmse == want
+            rng = np.random.default_rng(seed)
+            for k in range(200):
+                y = observe(e.D[:, k], sensors, noise, rng)
+                measurement = sparse_estimate(y, sensors, noise)
+                prior = evaluate_rom(rom, e.theta[k], e.u_filt[k],
+                                     e.condition.ti)
+                fused, _ = fuse(prior, measurement)
+                ref = batched.mean[k]
+                assert np.isfinite(fused.mean).all(), k
+                assert (np.abs(fused.mean - ref).max()
+                        <= 1e-10 * np.abs(ref).max()), k
+
 
 class TestBenchmarkStepChild:
-    def test_steps_child_answers_one_request(self, quickstart):
+    def test_steps_child_answers_one_request(self, dataset_run):
         # the benchmark's per-step timer drives the public API; a library
         # change that breaks those calls must fail here, not in the benchmark
-        pipeline_cfg, out = quickstart
-        root = Path(__file__).resolve().parents[1]
+        pipeline_cfg, out = dataset_run
         src = str(Path(bladesense.__file__).resolve().parents[1])
         res = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "steps.py"),
+            [sys.executable, str(ROOT / "perfbench" / "steps.py"),
              str(pipeline_cfg), str(out / "rom.json")],
             input="0 64 1\n", capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src})
@@ -1045,8 +1172,8 @@ class TestConfigValidation:
             "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
             "synth-name-empty", "synth-name-dot", "synth-name-dot-dot"])
     def test_malformed_config_exits_2_naming_the_key(
-            self, quickstart, tmp_path, capsys, command, edit, key):
-        pipeline_cfg, _ = quickstart
+            self, twin, tmp_path, capsys, command, edit, key):
+        pipeline_cfg, _ = twin
         argv = command.split()  # the command and its extra flags
         synth = argv[0] == "synth"
         base = SYNTH_CONFIG if synth else json.loads(pipeline_cfg.read_text())
@@ -1087,8 +1214,8 @@ class TestConfigValidation:
     ], ids=["seed-fraction", "seed-bool", "u_mean-text", "f_s-text",
             "L_b-null", "grid_file-number", "misspelt-torsion_file"])
     def test_malformed_manifest_exits_2_naming_the_key(
-            self, quickstart, tmp_path, capsys, key, value):
-        pipeline_cfg, _ = quickstart
+            self, twin, tmp_path, capsys, key, value):
+        pipeline_cfg, _ = twin
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
         manifest = cases / json.loads(pipeline_cfg.read_text())["training"][1]
@@ -1102,8 +1229,8 @@ class TestConfigValidation:
         assert f"'{key}'" in err and manifest.name in err
         assert "load" in (tmp_path / "out" / "FAILED").read_text()
 
-    def test_n_modes_bounded_by_sensors(self, quickstart):
-        pipeline_cfg, _ = quickstart
+    def test_n_modes_bounded_by_sensors(self, twin):
+        pipeline_cfg, _ = twin
         doc = json.loads(pipeline_cfg.read_text())
         doc["n_modes"] = 13  # more than the 12 rows of four sensors
         doc["n_sensors"] = 4
@@ -1118,8 +1245,8 @@ class TestConfigValidation:
         ("torsion_rank", 5),
         ("n_sensor", 3),  # misspelt n_sensors
     ])
-    def test_unknown_key_rejected(self, quickstart, tmp_path, key, value):
-        pipeline_cfg, _ = quickstart
+    def test_unknown_key_rejected(self, twin, tmp_path, key, value):
+        pipeline_cfg, _ = twin
         doc = json.loads(pipeline_cfg.read_text())
         doc[key] = value
         bad = pipeline_cfg.parent / f"bad_{key}.json"

@@ -86,12 +86,32 @@ def test_line_plot_bytes(tmp_path, log_y):
                 title="t", xlabel="x", ylabel="y", log_y=log_y)
 
 
-def test_histogram_plot_bytes(tmp_path):
-    rng = np.random.default_rng(1)
-    edges = np.linspace(-1e-30, 2.0, 41)
-    counts = [("true", rng.integers(0, 50, 40)), ("fused", np.zeros(40))]
-    _same_bytes(tmp_path, svgplot.histogram_plot, _former_histogram_plot,
-                edges, counts, title="h", xlabel="x")
+_RNG = np.random.default_rng(1)
+HISTOGRAMS = {
+    "fused_empty": (np.linspace(-1e-30, 2.0, 41),
+                    [("true", _RNG.integers(0, 50, 40)),
+                     ("fused", np.zeros(40))]),
+    "both": (np.linspace(-3.0, 1e5, 41),
+             [("true", _RNG.integers(0, 50, 40)),
+              ("fused", _RNG.integers(0, 70, 40))]),
+    "all_empty": (np.array([0.5, 1.5]),  # a count axis from 0 to 1
+                  [("true", np.zeros(1, dtype=int)), ("fused", np.zeros(1))]),
+}
+
+
+@pytest.mark.parametrize("case", HISTOGRAMS)
+def test_histogram_plot_bytes(tmp_path, case):
+    # the report draws a histogram as line_plot's polylines on step
+    # coordinates: the former histogram plot's bytes, limits and legend
+    edges, counts = HISTOGRAMS[case]
+    steps = [(label, np.repeat(edges, 2), [0, *np.repeat(h, 2), 0])
+             for label, h in counts]
+    svgplot.line_plot(tmp_path / "new.svg", steps, title="h", xlabel="x",
+                      ylabel="count")
+    _former_histogram_plot(tmp_path / "former.svg", edges, counts,
+                           title="h", xlabel="x")
+    assert (tmp_path / "new.svg").read_bytes() == \
+        (tmp_path / "former.svg").read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2000])

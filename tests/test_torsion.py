@@ -228,7 +228,7 @@ class TestPersistence:
         save_torsion_model(TorsionModel(basis=basis, M=M), path)
         assert set(json.loads(path.read_text())) == {"basis_file", "J", "M"}
         back = load_torsion_model(path, grid)
-        assert back.n_torsion == 3
+        assert back.basis.n_modes == 3
         assert np.array_equal(back.M, M)
         assert np.allclose(back.basis.modes, basis.modes, atol=1e-15)
 
