@@ -1,8 +1,7 @@
 """Sparse-sensor reconstruction of rotating-blade deflection fields."""
 
-from .azimuthal_rom import (AzimuthalRomModel, BinStatistics, RomStats,
-                            bin_statistics, evaluate_rom, fit_rom,
-                            load_rom, save_rom)
+from .azimuthal_rom import (AzimuthalRomModel, RomStats, evaluate_rom,
+                            fit_rom, load_rom, save_rom)
 from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                       load_case, load_torsion, save_case, smooth_wind,
                       wrap_angle)

@@ -1,88 +1,36 @@
-"""Quasi-steady stochastic model of reduced coordinates over azimuth.
+"""Quasi-steady stochastic prior of the reduced coordinates over azimuth and
+wind speed.
 
-The rotor plane is split into uniform sectors; within each sector the
-reduced coordinates collected over a whole operating condition (all seeds)
-are summarized by their mean vector and covariance matrix. The bin means
-are regressed onto a truncated Fourier series in azimuth, and the prior
-covariance is one matrix per condition: that of the samples about the
-fitted mean, pooled over all azimuths (a bin's own covariance, from few
-independent samples of a slowly decorrelating record, is rank deficient).
-Both are interpolated in wind speed with the same weights, so every prior
-covariance is a convex combination of PSD matrices.
+One least-squares fit over every training sample gives the mean
+
+    a(theta, u) = sum_k (alpha_k + beta_k (u - u_ref)) f_k(theta)
+
+with f_k the truncated Fourier regressors of :func:`fourier_design`, u the
+filtered wind speed ``u_filt`` (in training as at run time) and u_ref its
+mean over the training samples. Beyond the trained speeds the mean
+extrapolates linearly in u. The prior covariance is one (N, N) matrix, the
+pooled leave-one-case-out error: the second moment of each training case's
+coordinates about the mean fitted without that case. With a single
+training case there is nothing to leave out, and the in-sample error is
+used. Every step thus shares one covariance, so fusion with a fixed
+measurement covariance has one gain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import TWO_PI, ConditionKey, azimuth_bin, read_json, write_json
+from .dataset import TWO_PI, read_json, write_json
 from .errors import ValidationError
-from .fusion import GaussianReduced, mixture_floor
+from .fusion import GaussianReduced
 
-#: Sector count giving 5-degree azimuthal resolution.
+#: Sector count of the azimuthal figure: 5-degree display bins.
 DEFAULT_N_THETA = 72
 #: Fourier truncation order of the mean tables.
 DEFAULT_N_FOURIER = 6
-
-#: Sentinel seed marking statistics aggregated over several realizations.
-MERGED_SEED = -1
-
-
-def bin_centers(n_theta: int) -> np.ndarray:
-    return (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
-
-
-@dataclass
-class BinStatistics:
-    """Per-sector sample counts, mean vectors and covariance matrices.
-
-    Empty sectors keep NaN statistics and a zero count; they are excluded
-    from any downstream regression rather than treated as zeros. The
-    condition's seed is ``MERGED_SEED`` when samples from several
-    realizations were concatenated.
-    """
-
-    condition: ConditionKey
-    n_theta: int
-    counts: np.ndarray
-    means: np.ndarray        # (n_theta, N)
-    covariances: np.ndarray  # (n_theta, N, N)
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.counts > 0
-
-
-def bin_statistics(a_series, theta_series, n_theta: int,
-                   condition: ConditionKey) -> BinStatistics:
-    """Bin reduced coordinates by azimuth sector and summarize each bin.
-
-    ``a_series`` is (N, n_t); ``theta_series`` the matching wrapped
-    azimuths; ``condition`` labels the operating point they were taken at.
-    Covariances use population normalization 1/n.
-    """
-    a = np.atleast_2d(np.asarray(a_series, dtype=float))
-    theta = np.asarray(theta_series, dtype=float)
-    if a.shape[1] != theta.shape[0]:
-        raise ValidationError(
-            f"a_series has {a.shape[1]} samples but theta has {theta.shape[0]}"
-        )
-    n_modes = a.shape[0]
-    idx = azimuth_bin(theta, n_theta)
-    counts = np.bincount(idx, minlength=n_theta)
-    means = np.full((n_theta, n_modes), np.nan)
-    covs = np.full((n_theta, n_modes, n_modes), np.nan)
-    for b in np.flatnonzero(counts):
-        samples = a[:, idx == b]
-        mu = samples.mean(axis=1)
-        means[b] = mu
-        centered = samples - mu[:, None]
-        covs[b] = (centered @ centered.T) / samples.shape[1]
-    return BinStatistics(condition=condition, n_theta=n_theta,
-                         counts=counts, means=means, covariances=covs)
 
 
 def fourier_design(theta, n_fourier) -> np.ndarray:
@@ -114,141 +62,139 @@ def fourier_eval(coeffs, theta):
 
 
 @dataclass
-class RomCondition:
-    """Fourier mean table and pooled covariance of one (u, TI) condition."""
-
-    u_mean: float
-    ti: float
-    mean_coeffs: np.ndarray  # (N, 1 + 2*n_F)
-    covariance: np.ndarray   # (N, N)
-
-
-def _checked(c: RomCondition, shape: tuple) -> GaussianReduced:
-    """The mean table, checked finite and of ``shape`` (N, 1 + 2*n_F), with
-    the covariance symmetrized, checked PSD and matching it."""
-    try:
-        if c.mean_coeffs.shape != shape:
-            raise ValidationError(f"mean table must be {shape}, got "
-                                  f"{c.mean_coeffs.shape}")
-        return GaussianReduced(c.mean_coeffs.T, c.covariance)
-    except ValidationError as err:
-        raise ValidationError(
-            f"ROM condition (u={c.u_mean}, ti={c.ti}): {err}") from err
-
-
-@dataclass
 class AzimuthalRomModel:
-    """Collection of per-condition tables plus evaluation metadata.
+    """The joint prior: the mean tables ``mean_coeffs`` (alpha) and
+    ``slope_coeffs`` (beta, per m/s), each (N, 1 + 2*n_F), about the
+    reference speed ``u_ref``; ``u_range``, the lowest and highest training
+    speed; the (N, N) ``covariance``; and ``conditions``, the nominal
+    ``{"u_mean", "ti"}`` of each training case, kept as a record only.
 
-    The evaluation tables are built once, on construction: per TI label the
-    ascending trained speeds, their identity matrix (the interpolation
-    nodes' unit vectors), one stacked ``(n_speeds*(1 + 2*n_F), N)`` table of
-    the label's mean coefficients and one ``(n_speeds, N(N+1)/2)`` stack of
-    the upper triangles of its covariances, each checked PSD here, with
-    their :func:`mixture_floor`, plus the (N, N) index into such a row and
-    the Fourier wavenumbers. They are plain attributes, not fields, so
-    ``==`` and ``repr`` are unchanged;
-    ``conditions`` is not to be changed after construction.
+    The constructor checks the tables finite and of one shape and the
+    covariance PSD; ``covariance`` is then the checked matrix, read-only,
+    which :func:`evaluate_rom` shares with every Gaussian it returns.
     """
 
     n_fourier: int
-    n_theta: int
-    conditions: list
+    u_ref: float
+    u_range: tuple
+    mean_coeffs: np.ndarray
+    slope_coeffs: np.ndarray
+    covariance: np.ndarray
+    conditions: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.mean_coeffs = np.asarray(self.mean_coeffs, dtype=float)
+        self.slope_coeffs = np.asarray(self.slope_coeffs, dtype=float)
+        n_modes = self.mean_coeffs.shape[0] if self.mean_coeffs.ndim else 0
+        shape = (n_modes, 1 + 2 * self.n_fourier)
+        for name in ("mean_coeffs", "slope_coeffs"):
+            table = getattr(self, name)
+            if table.shape != shape or not n_modes:
+                raise ValidationError(f"ROM {name} must be {shape}, got {table.shape}")
+            if not np.isfinite(table).all():
+                raise ValidationError(f"ROM {name} must be finite")
+        lo, hi = self.u_range
+        if not (math.isfinite(self.u_ref) and math.isfinite(lo)
+                and math.isfinite(hi) and lo <= hi):
+            raise ValidationError("ROM u_ref and u_range must be finite, "
+                                  f"with u_range ascending, got {self.u_range}")
+        try:
+            self.covariance = GaussianReduced(np.zeros(n_modes),
+                                              self.covariance).covariance
+        except ValidationError as err:
+            raise ValidationError(f"ROM covariance: {err}") from err
+        self.covariance.setflags(write=False)
         self._wavenumbers = np.arange(1, self.n_fourier + 1)
-        if self.conditions:
-            triu = np.triu_indices(self.n_modes)
-            shape = (self.n_modes, 1 + 2 * self.n_fourier)
-            # packed index of entry (i, j): one take unpacks a covariance
-            self._gather = np.empty((self.n_modes,) * 2, dtype=np.intp)
-            self._gather[triu] = self._gather[triu[::-1]] = np.arange(triu[0].size)
-        groups: dict = {}
-        # stable sort: conditions with equal (ti, u) keep their given order
-        for c in sorted(self.conditions, key=lambda c: (c.ti, c.u_mean)):
-            groups.setdefault(c.ti, []).append(c)
-        self._groups, self._floors = {}, {}
-        for ti, group in groups.items():
-            checked = [_checked(c, shape) for c in group]
-            self._groups[ti] = (
-                np.array([c.u_mean for c in group]), np.eye(len(group)),
-                np.concatenate([c.mean_coeffs.T for c in group]),
-                np.stack([g.covariance[triu] for g in checked]))
-            self._floors[ti] = mixture_floor(checked)
+        self._tables = (self.mean_coeffs.T.copy(), self.slope_coeffs.T.copy())
 
     @property
     def n_modes(self) -> int:
-        return self.conditions[0].mean_coeffs.shape[0]
+        return self.mean_coeffs.shape[0]
 
 
-def fit_rom(stats_list, n_fourier: int = DEFAULT_N_FOURIER) -> AzimuthalRomModel:
-    """Fit each condition's Fourier mean table and pooled covariance.
+def _design(theta, u, u_ref, wavenumbers) -> np.ndarray:
+    """Regressors (f_k(theta), (u - u_ref) f_k(theta)), one row per sample."""
+    f = fourier_design(theta, wavenumbers)
+    return np.hstack([f, (u - u_ref)[:, None] * f])
 
-    The mean entries share the occupied bins, so they are regressed together
-    in one multi-right-hand-side least-squares solve; empty bins are
-    excluded. The covariance is that of the condition's samples about the
-    fitted mean at their bin centres, from the bin statistics alone:
-    ``sum_b n_b (C_b + d_b d_b^T) / sum_b n_b`` with ``d_b`` the bin mean
-    minus the fitted mean. Too few occupied bins is reported with the
-    condition that has them.
+
+def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
+            conditions=()) -> AzimuthalRomModel:
+    """Fit the joint prior to training cases, each an ``(a, theta, u_filt)``
+    triple: the reduced coordinates (N, n_t) and the azimuths and filtered
+    wind speeds of their n_t steps. ``conditions`` is stored as the model's
+    record of the cases.
+
+    The mean tables come from one multi-right-hand-side least-squares solve
+    over all samples, the covariance from one more solve per left-out case.
+    Azimuths that cannot determine all 1 + 2*n_F Fourier terms are rejected;
+    wind speeds that cannot determine the slopes (one constant speed) give
+    the minimum-norm slopes, zero.
     """
-    stats_list = list(stats_list)
-    if not stats_list:
-        raise ValidationError("no binned statistics supplied")
-    n_theta = stats_list[0].n_theta
-    n_coeff = 1 + 2 * n_fourier
-    conditions = []
-    for st in stats_list:
-        if st.n_theta != n_theta:
-            raise ValidationError("all statistics must share the sector count")
-        occ = st.occupied
-        if occ.sum() < n_coeff:
+    cases = [(np.atleast_2d(np.asarray(a, dtype=float)),
+              np.asarray(theta, dtype=float).reshape(-1),
+              np.asarray(u, dtype=float).reshape(-1)) for a, theta, u in cases]
+    if not cases:
+        raise ValidationError("no training cases supplied")
+    n_modes = cases[0][0].shape[0]
+    for i, (a, theta, u) in enumerate(cases):
+        if a.shape[0] != n_modes or not a.shape[1] == theta.size == u.size:
             raise ValidationError(
-                f"(u={st.condition.u_mean}, ti={st.condition.ti}): need at "
-                f"least {n_coeff} non-empty bins for n_F={n_fourier}, "
-                f"got {occ.sum()}"
-            )
-        design = fourier_design(bin_centers(n_theta)[occ], n_fourier)
-        coeffs, _, _, _ = np.linalg.lstsq(design, st.means[occ], rcond=None)
-        counts = st.counts[occ]
-        offsets = st.means[occ] - design @ coeffs
-        pooled = (np.tensordot(counts, st.covariances[occ], axes=1)
-                  + (counts * offsets.T) @ offsets) / counts.sum()
-        conditions.append(RomCondition(
-            u_mean=st.condition.u_mean, ti=st.condition.ti,
-            mean_coeffs=np.ascontiguousarray(coeffs.T),
-            covariance=0.5 * (pooled + pooled.T),
-        ))
-    conditions.sort(key=lambda c: (c.ti, c.u_mean))
-    return AzimuthalRomModel(n_fourier=n_fourier, n_theta=n_theta,
-                             conditions=conditions)
+                f"training case {i}: coordinates {a.shape} with {theta.size} "
+                f"azimuths and {u.size} wind speeds; want ({n_modes}, n_t) "
+                f"with n_t of each")
+    u_all = np.concatenate([u for _, _, u in cases])
+    u_ref = float(u_all.mean())
+    wavenumbers = np.arange(1, n_fourier + 1)
+    X = np.concatenate([_design(theta, u, u_ref, wavenumbers)
+                        for _, theta, u in cases])
+    Y = np.concatenate([a.T for a, _, _ in cases])
+    coeffs, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    n_coeff = 1 + 2 * n_fourier
+    if rank < n_coeff:
+        raise ValidationError(
+            f"the training samples determine {rank} of the {n_coeff} "
+            f"regressors of n_F={n_fourier}; need more azimuths")
+    if len(cases) == 1:  # nothing to leave out: the in-sample error
+        error = Y - X @ coeffs
+    else:
+        error = np.empty_like(Y)
+        ends = np.cumsum([a.shape[1] for a, _, _ in cases])
+        for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+            rest = np.r_[0:lo, hi:len(Y)]
+            left_out, *_ = np.linalg.lstsq(X[rest], Y[rest], rcond=None)
+            error[lo:hi] = Y[lo:hi] - X[lo:hi] @ left_out
+    cov = error.T @ error / len(Y)
+    return AzimuthalRomModel(
+        n_fourier=n_fourier, u_ref=u_ref,
+        u_range=(float(u_all.min()), float(u_all.max())),
+        mean_coeffs=np.ascontiguousarray(coeffs[:n_coeff].T),
+        slope_coeffs=np.ascontiguousarray(coeffs[n_coeff:].T),
+        covariance=0.5 * (cov + cov.T), conditions=list(conditions))
 
 
 @dataclass
 class RomStats:
     """Running counters of prior evaluations surfaced by the pipeline: steps,
-    and steps whose filtered wind speed lies below or above the trained
-    speeds of the chosen TI label (the end condition is then used as is)."""
+    and steps whose filtered wind speed lies below or above every training
+    speed (the mean then extrapolates linearly in u)."""
 
     steps: int = 0
-    clamped_low: int = 0
-    clamped_high: int = 0
+    extrapolated_low: int = 0
+    extrapolated_high: int = 0
 
 
-def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
+def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti,
                  stats: RomStats | None = None) -> GaussianReduced:
-    """Evaluate the prior Gaussian at azimuths and operating points.
+    """Evaluate the prior Gaussian at azimuths and filtered wind speeds.
 
     ``theta`` and ``u_filt`` are scalars or 1-D arrays, one entry per time
     step, broadcast against each other; a scalar pair gives one Gaussian,
-    arrays give a stack (see :class:`GaussianReduced`). The TI label is
-    resolved once to the nearest trained label; wind speed linearly
-    interpolates the mean tables and the covariances between the bracketing
-    trained speeds, and outside the trained range the end condition is used
-    as is (counted in ``stats``). Non-finite input is rejected.
+    arrays give a stack of means (see :class:`GaussianReduced`). Every
+    Gaussian shares the model's one read-only covariance. Steps outside the
+    trained speeds are counted in ``stats``. Non-finite input is rejected.
+    ``ti`` is ignored: the joint prior has no turbulence-intensity label.
     """
-    if not model.conditions:
-        raise ValidationError("ROM model has no trained conditions")
     theta, u = np.asarray(theta, dtype=float), np.asarray(u_filt, dtype=float)
     if not (math.isfinite(float(theta)) and math.isfinite(float(u))
             if theta.ndim == u.ndim == 0
@@ -262,63 +208,53 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti: float,
     # wrap_angle in place: mod can round up to exactly 2*pi
     theta, u = np.mod(theta.reshape(-1), TWO_PI), u.reshape(-1)
     theta[theta >= TWO_PI] -= TWO_PI
-
-    ti_near = (min(model._groups, key=lambda label: abs(label - ti))
-               if len(model._groups) > 1 else next(iter(model._groups)))
-    speeds, units, mean_tables, cov_tables = model._groups[ti_near]
     if stats is not None:
+        lo, hi = model.u_range
         stats.steps += u.size
-        stats.clamped_low += int(np.count_nonzero(u < speeds[0]))
-        stats.clamped_high += int(np.count_nonzero(u > speeds[-1]))
-    # linear-interpolation weight of each trained speed per step (the hat
-    # functions); np.interp holds the end values, so beyond the trained
-    # range the end condition is used as is
-    weights = np.column_stack([np.interp(u, speeds, unit) for unit in units])
-
-    # one product: (step, speed x Fourier term) against the stacked tables
+        stats.extrapolated_low += int(np.count_nonzero(u < lo))
+        stats.extrapolated_high += int(np.count_nonzero(u > hi))
     design = fourier_design(theta, model._wavenumbers)
-    mean = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ mean_tables
+    alpha, beta = model._tables
+    mean = design @ alpha + (u - model.u_ref)[:, None] * (design @ beta)
     # tables near the float limit can overflow
     if not np.isfinite(mean).all():
         raise ValidationError("Gaussian mean and covariance must be finite")
-    cov = (weights @ cov_tables).take(model._gather, axis=1)
-    if single:
-        mean, cov = mean[0], cov[0]
-    # a convex combination of covariances checked PSD when the model was built
-    return GaussianReduced.from_checked(mean, cov, model._floors[ti_near])
+    return GaussianReduced.from_checked(mean[0] if single else mean,
+                                        model.covariance)
 
 
 def save_rom(model: AzimuthalRomModel, path) -> None:
     """Persist the model as a single JSON document."""
-    doc = {
+    write_json(path, {
         "n_F": model.n_fourier,
-        "n_theta": model.n_theta,
-        "conditions": [
-            {
-                "u_mean": c.u_mean,
-                "ti": c.ti,
-                "mean_coeffs": c.mean_coeffs.tolist(),
-                "covariance": c.covariance.tolist(),
-            }
-            for c in model.conditions
-        ],
-    }
-    write_json(path, doc)
+        "u_ref": model.u_ref,
+        "u_range": list(model.u_range),
+        "mean_coeffs": model.mean_coeffs.tolist(),
+        "slope_coeffs": model.slope_coeffs.tolist(),
+        "covariance": model.covariance.tolist(),
+        "conditions": model.conditions,
+    })
 
 
 #: ``rom.json`` keys and their types (see :func:`read_json`).
-_ROM_CONDITION = ({"u_mean": float, "ti": float, "mean_coeffs": [[float]],
-                   "covariance": [[float]]},
-                  ("u_mean", "ti", "mean_coeffs", "covariance"))
-_ROM = {"n_F": int, "n_theta": int, "conditions": [_ROM_CONDITION]}
+_ROM = {"n_F": int, "u_ref": float, "u_range": [float],
+        "mean_coeffs": [[float]], "slope_coeffs": [[float]],
+        "covariance": [[float]],
+        "conditions": [({"u_mean": float, "ti": float}, ("u_mean", "ti"))]}
 
 
 def load_rom(path) -> AzimuthalRomModel:
     doc = read_json(path, _ROM, tuple(_ROM), "ROM file")
-    conditions = [RomCondition(
-        u_mean=c["u_mean"], ti=c["ti"],
-        mean_coeffs=np.asarray(c["mean_coeffs"], dtype=float),
-        covariance=np.asarray(c["covariance"], dtype=float),
-    ) for c in doc["conditions"]]
-    return AzimuthalRomModel(n_fourier=doc["n_F"], n_theta=doc["n_theta"],
-                             conditions=conditions)
+    try:
+        if len(doc["u_range"]) != 2:
+            raise ValidationError("u_range must list the lowest and highest "
+                                  "training speed")
+        return AzimuthalRomModel(
+            n_fourier=doc["n_F"], u_ref=doc["u_ref"],
+            u_range=tuple(doc["u_range"]),
+            mean_coeffs=np.asarray(doc["mean_coeffs"], dtype=float),
+            slope_coeffs=np.asarray(doc["slope_coeffs"], dtype=float),
+            covariance=np.asarray(doc["covariance"], dtype=float),
+            conditions=doc["conditions"])
+    except (ValidationError, ValueError) as err:  # ragged tables: ValueError
+        raise ValidationError(f"{path}: {err}") from None

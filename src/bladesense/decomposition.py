@@ -231,8 +231,6 @@ def write_modes_csv(basis: ModalBasis, path) -> None:
 def write_energies_csv(basis: ModalBasis, path) -> None:
     """Export (n, lambda, cumulative_fraction) rows."""
     total = basis.total_energy if basis.total_energy > 0 else 1.0
-    cum = np.cumsum(basis.energies) / total
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,lambda,cumulative_fraction\n")
-        for n in range(basis.n_modes):
-            fh.write(f"{n + 1},{float(basis.energies[n])!r},{float(cum[n])!r}\n")
+    _write_csv(path, ["n", "lambda", "cumulative_fraction"], np.column_stack([
+        np.arange(1, basis.n_modes + 1), basis.energies,
+        np.cumsum(basis.energies) / total]))

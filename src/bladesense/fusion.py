@@ -10,46 +10,25 @@ which minimizes the trace of the fused covariance; it is formed as
 S_meas K^T, as with a near-exact measurement (K close to I) the form
 (I - K) S_prior is rounding noise that need not be PSD. Everything here
 works on one Gaussian or on a stack of them, one per time step: means of
-shape (..., N) and covariances of shape (..., N, N). The prior covariance
-varies with azimuth, so each row gets its own gain, all from one stacked
-solve; the per-row special cases (a degenerate or a regularized
-innovation covariance) are applied by mask.
+shape (..., N) and covariances of shape (..., N, N) or one (N, N)
+covariance shared by every row.
+
+A fixed pair of covariances has one gain and one fused covariance
+(steady-state fixed-gain fusion, Simon, *Optimal State Estimation*, 2006,
+7.3). ``fuse`` keeps them for read-only (N, N) pairs, so a step that meets
+the same pair again is one matrix-vector product; any other pair gets its
+per-row gains from one stacked solve, the per-row special cases (a
+degenerate or a regularized innovation covariance) applied by mask.
 """
 
 from __future__ import annotations
 
-import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-# A floor bounds the least exact eigenvalue of a covariance from below. With
-# u the unit roundoff and p = 4 N^2 for LAPACK's "modest" p(N) (Users' Guide
-# 4.4, 4.7), eigvalsh errs by <= p u ||A|| on a symmetric A, and solve solves
-# (A + E) X = B exactly with ||E|| <= p u ||A||. Hence:
-# - eigvalsh's eigenvalues l give the floor l_min - 2 p u max|l|;
-# - K covariances C_k mixed in np.interp's hat weights (in [-3u, 1 + 3u],
-#   summing to 1 within 6u), T = max tr C_k: the weights cost (6K + 6) u T
-#   and the product 2.02 K u T, both within 10 (K + 1) u T;
-# - fuse, with f = f_P + f_R <= lambda_min(S) and T = tr S >= ||S||: the
-#   rounded sum and eigvalsh err by (p + 1) u T, so no row needs regularizing
-#   if f > (1e-14 + 2 (p + 1) u) T. Then F = R S^-1 P has lambda_min(F) >=
-#   h = f_P f_R / f. With kappa = T / f and eps = (p + 1) u T <= f / 2 (as
-#   h > delta implies), ||R ((S + E)^-1 - S^-1) P|| <= 2 eps sqrt(||R|| ||P||)
-#   / f <= eps kappa; the product and symmetrization add 2.02 N^1.5 u T kappa
-#   + 2 sqrt(N) u T. delta = 4 p u kappa T covers all, and the rounding of T
-#   and h; eigvalsh sees the result PSD if h - delta > p u (T + delta).
-_U = np.finfo(float).eps / 2
-
-
-def mixture_floor(parts: list) -> float:
-    """Floor of any covariance interpolated in np.interp's hat weights from
-    the checked Gaussians ``parts``; lambda_min is concave."""
-    top = max(float(_trace(g.covariance)) for g in parts)
-    return min(g.floor for g in parts) - 10 * (len(parts) + 1) * _U * top
 
 
 def _sym(cov: np.ndarray) -> np.ndarray:
@@ -77,14 +56,11 @@ class GaussianReduced:
     covariance is symmetrized on construction; eigenvalues below -1e-10 *
     trace are rejected, and a matrix with a smaller negative one is lifted
     by a diagonal shift until eigvalsh reports none; the other matrices are
-    left as they are. ``floor``, a plain attribute, not a field, bounds the
-    least exact eigenvalue of every covariance held from below (None: no
-    bound known).
+    left as they are.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    floor = None
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -118,19 +94,16 @@ class GaussianReduced:
                 cov = cov + np.where(neg, shift, 0.0)[..., None, None] * eye
                 w = np.linalg.eigvalsh(cov)
                 neg = w[..., 0] < 0.0
-        top = np.maximum(-w[..., 0], w[..., -1])  # ||A|| <= 2 max|l|
-        self.floor = float(np.min(w[..., 0] - 8 * n * n * _U * top))
         self.mean, self.covariance = mean, cov
 
     @classmethod
-    def from_checked(cls, mean: np.ndarray, covariance: np.ndarray,
-                     floor: float | None = None) -> "GaussianReduced":
+    def from_checked(cls, mean: np.ndarray,
+                     covariance: np.ndarray) -> "GaussianReduced":
         """Wrap a finite mean and a covariance the caller has already made
         finite, exactly symmetric and PSD (a covariance taken from a checked
-        Gaussian, or a convex combination of such), with its floor, without
-        repeating the checks of the constructor."""
+        Gaussian), without repeating the checks of the constructor."""
         g = cls.__new__(cls)
-        g.mean, g.covariance, g.floor = mean, covariance, floor
+        g.mean, g.covariance = mean, covariance
         return g
 
     @property
@@ -146,46 +119,33 @@ class FusionStats:
     regularized: int = 0
 
 
-def fuse(prior: GaussianReduced, measurement: GaussianReduced,
-         stats: FusionStats | None = None) -> tuple[GaussianReduced, np.ndarray]:
-    """Fuse a prior and a measurement Gaussian; returns (fused, gain).
+#: Gain, fused covariance and regularize flag of read-only (N, N) covariance
+#: pairs, keyed by the pair's ids. Each entry holds its two covariances, so
+#: neither id can pass to another array while the entry exists; the oldest
+#: entry goes when a new one would exceed ``_MEMO_SIZE``. Lookups need no
+#: lock (a dict read is atomic); an eviction and insert take ``_MEMO_LOCK``.
+_MEMO: dict = {}
+_MEMO_SIZE = 8
+_MEMO_LOCK = threading.Lock()
 
-    Either argument may be a stack (see :class:`GaussianReduced`); the rows
-    are fused independently and the gain is (N, N) or (..., N, N). Per
-    row, a nearly singular innovation covariance (min eigenvalue below
-    1e-14 * trace) is regularized with 1e-12 * trace on the diagonal and
-    counted in ``stats.regularized``; this occurs when both sources claim
-    near-zero variance, e.g. from sparsely populated training bins. A row
-    whose innovation covariance has trace <= 0 (both sources fully certain)
-    keeps the prior mean with zero covariance and zero gain.
 
-    Floors large enough settle both checks without eigvalsh, with the same
-    outcome: Weyl's lambda_min(P + R) >= f_P + f_R, and R (P + R)^-1 P >=
-    f_P f_R / (f_P + f_R), less rounding, the result's floor.
-    """
-    if prior.n != measurement.n:
-        raise ValidationError(
-            f"dimension mismatch: prior has {prior.n}, measurement {measurement.n}"
-        )
-    n, f_p, f_r, p = prior.n, prior.floor, measurement.floor, 4 * prior.n ** 2
-    p_cov = prior.covariance
-    s_sum = p_cov + measurement.covariance
+def _fixed(cov: np.ndarray) -> bool:
+    """One (N, N) covariance that cannot change under the memo: read-only
+    and owning its data (a read-only view may have a writeable base)."""
+    return cov.ndim == 2 and not cov.flags.writeable and cov.flags.owndata
+
+
+def _gains(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
+    """(gain, fused covariance, regularize flags) of a covariance pair, one
+    or a stack; the fused covariance is exactly symmetric but unchecked."""
+    n = p_cov.shape[-1]
+    s_sum = p_cov + r_cov
     tr = _trace(s_sum)
-    top = float(tr if tr.ndim == 0 else tr.max())
-    floor = None
-    if (f_p is not None and f_r is not None
-            and f_p + f_r > (1e-14 + 2 * (p + 1) * _U) * top):
-        certain = regularize = np.False_
-        # with f_P <= 0 or f_R <= 0, h <= 0 fails the test below
-        delta = 4 * p * _U * top * top / (f_p + f_r)
-        floor = f_p * f_r / (f_p + f_r) - delta
-        floor = floor if floor > p * _U * (top + delta) else None
-    else:
-        certain = tr <= 0.0
-        # eigvalsh returns the eigenvalues in ascending order
-        regularize = ~certain & (np.linalg.eigvalsh(s_sum)[..., 0] <= 1e-14 * tr)
-        if _any(regularize):
-            s_sum += np.where(regularize, 1e-12 * tr, 0.0)[..., None, None] * np.eye(n)
+    certain = tr <= 0.0
+    # eigvalsh returns the eigenvalues in ascending order
+    regularize = ~certain & (np.linalg.eigvalsh(s_sum)[..., 0] <= 1e-14 * tr)
+    if _any(regularize):
+        s_sum += np.where(regularize, 1e-12 * tr, 0.0)[..., None, None] * np.eye(n)
     any_certain = _any(certain)
     if any_certain:
         # the identity only makes the solve defined; these rows get zero gain
@@ -195,19 +155,64 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
     gain = np.linalg.solve(s_sum, p_cov).swapaxes(-1, -2)
     if any_certain:
         gain = np.where(certain_rows, 0.0, gain)
-    mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
     # symmetrized in place, so the result keeps the product's allocation
-    cov = measurement.covariance @ gain.swapaxes(-1, -2)
+    cov = r_cov @ gain.swapaxes(-1, -2)
     cov += cov.swapaxes(-1, -2)
     cov *= 0.5
     if any_certain:
         cov = np.where(certain_rows, 0.0, cov)
+    return gain, cov, regularize
+
+
+def fuse(prior: GaussianReduced, measurement: GaussianReduced,
+         stats: FusionStats | None = None) -> tuple[GaussianReduced, np.ndarray]:
+    """Fuse a prior and a measurement Gaussian; returns (fused, gain).
+
+    Either argument may be a stack (see :class:`GaussianReduced`); the rows
+    are fused independently and the gain is (N, N) or (..., N, N). Per
+    row, a nearly singular innovation covariance (min eigenvalue below
+    1e-14 * trace) is regularized with 1e-12 * trace on the diagonal and
+    counted in ``stats.regularized``; this occurs when both sources claim
+    near-zero variance in some direction. A row whose innovation covariance
+    has trace <= 0 (both sources fully certain) keeps the prior mean with
+    zero covariance and zero gain.
+
+    When both covariances are single read-only (N, N) arrays that own their
+    data, as :func:`evaluate_rom` and :func:`sparse_estimate` return them,
+    the gain, the checked fused covariance (shared, read-only) and the
+    regularize flag are computed once per pair and kept; a later call with
+    the same two arrays only applies the gain. Such a covariance must not
+    change while it is read-only. Any other pair runs every check per call.
+    """
+    if prior.n != measurement.n:
+        raise ValidationError(
+            f"dimension mismatch: prior has {prior.n}, measurement {measurement.n}"
+        )
+    p_cov, r_cov = prior.covariance, measurement.covariance
+    key = (id(p_cov), id(r_cov))
+    entry = _MEMO.get(key)
+    if entry is None:
+        gain, cov, regularize = _gains(p_cov, r_cov)
+        if _fixed(p_cov) and _fixed(r_cov):
+            cov = GaussianReduced(np.zeros(prior.n), cov).covariance
+            gain.setflags(write=False)
+            cov.setflags(write=False)
+            entry = (p_cov, r_cov, gain, cov, bool(regularize))
+            with _MEMO_LOCK:
+                if len(_MEMO) >= _MEMO_SIZE:
+                    del _MEMO[next(iter(_MEMO))]
+                _MEMO[key] = entry
+    if entry is not None:
+        gain, cov, regularize = entry[2:]
+    mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
+    if entry is None:
+        fused = GaussianReduced(mean, cov)
+    elif np.isfinite(mean).all():
+        fused = GaussianReduced.from_checked(mean, cov)
+    else:
+        raise ValidationError("Gaussian mean and covariance must be finite")
     if stats is not None:
         rows = mean.shape[:-1]
         stats.steps += int(np.prod(rows))
         stats.regularized += int(np.count_nonzero(np.broadcast_to(regularize, rows)))
-    # cov is exactly symmetric: if it is finite and its floor shows it PSD,
-    # the constructor (the eigvalsh fallback) would return it unchanged
-    if floor is not None and math.isfinite(mean.sum() + cov.sum()):
-        return GaussianReduced.from_checked(mean, cov, floor), gain
-    return GaussianReduced(mean, cov), gain
+    return fused, gain

@@ -4,8 +4,8 @@ Estimation runs once per evaluation case on whole arrays: the sensors are
 sampled (with noise) at every time step in one call, the reduced
 coordinates of all steps come from one linear map, the azimuthal prior is
 evaluated at every step's angle and filtered wind speed, and the two
-Gaussians are fused row by row. Each row equals what the per-step library
-calls give for that step. Batch reporting (spectra, histograms, azimuthal
+Gaussians are fused with one gain, as both share one covariance over all
+steps. Each row equals what the per-step library calls give for that step. Batch reporting (spectra, histograms, azimuthal
 curves, coupling scatter) runs afterwards on the recorded traces.
 
 Every figure is an SVG whose plotted numbers a CSV holds: its twin of the
@@ -23,9 +23,9 @@ import numpy as np
 
 from . import azimuthal_rom as rom_mod
 from . import svgplot
-from .azimuthal_rom import (AzimuthalRomModel, RomStats, bin_statistics,
-                            bin_centers, evaluate_rom, fit_rom, save_rom)
-from .dataset import (_REPORT_FMT, ConditionKey, _write_csv, load_case,
+from .azimuthal_rom import (AzimuthalRomModel, RomStats, evaluate_rom,
+                            fit_rom, save_rom)
+from .dataset import (_REPORT_FMT, TWO_PI, _write_csv, azimuth_bin, load_case,
                       load_grid, load_torsion, read_json, read_manifest,
                       write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
@@ -133,7 +133,6 @@ class _Context:
     noise_model: NoiseModel | None = None
     obs_stations: np.ndarray | None = None  # set by load, with
     obs_rows: np.ndarray | None = None      # their rows in a field
-    stats_list: list = field(default_factory=list)
     rom: AzimuthalRomModel | None = None
     fusion_stats: FusionStats = field(default_factory=FusionStats)
     rom_stats: RomStats = field(default_factory=RomStats)
@@ -200,19 +199,11 @@ def _stage_sensors(ctx: _Context) -> None:
 
 def _stage_fit_rom(ctx: _Context) -> None:
     ctx.train_coords = [project(e.D, ctx.basis) for _, e in ctx.train]
-    groups: dict = {}
-    for (_, e), a in zip(ctx.train, ctx.train_coords):
-        key = (e.condition.u_mean, e.condition.ti)
-        groups.setdefault(key, []).append((a, e.theta))
-    ctx.stats_list = []
-    for (u_mean, ti), parts in sorted(groups.items()):
-        ctx.stats_list.append(bin_statistics(
-            np.concatenate([a for a, _ in parts], axis=1),
-            np.concatenate([theta for _, theta in parts]), ctx.config.n_theta,
-            condition=ConditionKey(u_mean=u_mean, ti=ti,
-                                   seed=rom_mod.MERGED_SEED),
-        ))
-    ctx.rom = fit_rom(ctx.stats_list, ctx.config.n_fourier)
+    ctx.rom = fit_rom(
+        [(a, e.theta, e.u_filt) for (_, e), a in zip(ctx.train, ctx.train_coords)],
+        ctx.config.n_fourier,
+        [{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
+         for _, e in ctx.train])
     save_rom(ctx.rom, ctx.emit("rom.json"))
     # the last reader of the training deflections: torsion needs only each
     # case's grid and channels, so the matrices are released here
@@ -253,18 +244,19 @@ def _stage_estimate(ctx: _Context) -> None:
                              ctx.rom_stats)
         fused, _ = fuse(prior, meas, ctx.fusion_stats)
         # normalized innovation squared per step, nu^T (P_prior + P_meas)^-1 nu
-        # with nu = sparse - prior: N on average for calibrated covariances
+        # with nu = sparse - prior: N on average for calibrated covariances;
+        # both covariances are shared by every step
         innovation = meas.mean - prior.mean
-        nis = np.einsum("ti,ti->t", innovation, np.linalg.solve(
-            prior.covariance + meas.covariance, innovation[..., None])[..., 0])
+        nis = np.einsum("ti,it->t", innovation, np.linalg.solve(
+            prior.covariance + meas.covariance, innovation.T))
         A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
         a_proj = project(e.D, ctx.basis)
         fields = {src: mean_obs + phi_obs @ A[src] for src in _SOURCES}
         true_obs = e.D[ctx.obs_rows, :]
         rmse = _station_table(
             ctx.emit(f"recon_{case_id}.csv"),
-            {"t": e.t, "theta": e.theta, "trace_fused_cov":
-             np.trace(fused.covariance, axis1=1, axis2=2)},
+            {"t": e.t, "theta": e.theta,
+             "trace_fused_cov": np.full(e.n_t, np.trace(fused.covariance))},
             ctx.obs_stations, _COMPONENTS, true_obs, fields)
         stations_out = [
             {"station_index": int(station), "z_norm": float(z[station]),
@@ -291,7 +283,7 @@ def _stage_estimate(ctx: _Context) -> None:
         "fusion": asdict(ctx.fusion_stats),
         "rom": asdict(ctx.rom_stats),
         "settings": {key: getattr(cfg, key) for key in
-                     ("n_modes", "n_sensors", "n_theta", "n_fourier", "seed")},
+                     ("n_modes", "n_sensors", "n_fourier", "seed")},
     }
     write_json(ctx.emit("error_summary.json"), ctx.summary)
 
@@ -416,32 +408,41 @@ def _stage_report(ctx: _Context) -> None:
             title=f"{comp} at station {station} ({case_id})",
             xlabel=f"{comp} (m)", ylabel="count")
 
-    # azimuthal mean +/- sigma: binned data against the fitted model
-    st = ctx.stats_list[0]
-    centers = bin_centers(st.n_theta)
-    occ = st.occupied
-    rom_eval = evaluate_rom(ctx.rom, centers, st.condition.u_mean,
-                            st.condition.ti)
+    # azimuthal mean +/- sigma of the first training case, binned into
+    # n_theta display sectors, against the prior at the bin centres and the
+    # case's mean wind speed
+    n_theta = ctx.config.n_theta
+    a = ctx.train_coords[0]
+    channels = ctx.train_channels[0][1]
+    idx = azimuth_bin(channels["theta"], n_theta)
+    counts = np.bincount(idx, minlength=n_theta)
+    occ, n_b = counts > 0, np.maximum(counts, 1)
+    data_mean = np.stack([np.bincount(idx, a_n, n_theta) for a_n in a]) / n_b
+    data_var = np.stack([np.bincount(idx, d * d, n_theta)
+                         for d in a - data_mean[:, idx]]) / n_b
+    data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
+    centers = ((np.arange(n_theta) + 0.5) * TWO_PI / n_theta)[occ]
+    prior = evaluate_rom(ctx.rom, centers, float(np.mean(channels["u_filt"])),
+                         None)
+    rom_std = np.sqrt(np.diagonal(prior.covariance))
     for n in range(ctx.config.n_modes):
-        data_mean = st.means[occ, n]
-        data_std = np.sqrt(np.maximum(st.covariances[occ, n, n], 0.0))
-        rom_mean = rom_eval.mean[:, n]
-        rom_std = np.sqrt(np.maximum(rom_eval.covariance[:, n, n], 0.0))
+        rom_mean = prior.mean[:, n]
+        rom_sd = np.full(centers.size, rom_std[n])
         base = f"azimuthal_mode{n + 1}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["theta_center", "data_mean", "data_std",
                     "rom_mean", "rom_std"],
-                   np.column_stack([centers[occ], data_mean, data_std,
-                                    rom_mean[occ], rom_std[occ]]),
+                   np.column_stack([centers, data_mean[n], data_std[n],
+                                    rom_mean, rom_sd]),
                    _REPORT_FMT)
         svgplot.line_plot(
             ctx.emit(base + ".svg"),
-            [("data mean", centers[occ], data_mean),
-             ("data +1s", centers[occ], data_mean + data_std),
-             ("data -1s", centers[occ], data_mean - data_std),
-             ("model mean", centers[occ], rom_mean[occ]),
-             ("model +1s", centers[occ], rom_mean[occ] + rom_std[occ]),
-             ("model -1s", centers[occ], rom_mean[occ] - rom_std[occ])],
+            [("data mean", centers, data_mean[n]),
+             ("data +1s", centers, data_mean[n] + data_std[n]),
+             ("data -1s", centers, data_mean[n] - data_std[n]),
+             ("model mean", centers, rom_mean),
+             ("model +1s", centers, rom_mean + rom_sd),
+             ("model -1s", centers, rom_mean - rom_sd)],
             title=f"Azimuthal statistics, mode {n + 1}",
             xlabel="theta (rad)", ylabel=f"a_{n + 1}")
 

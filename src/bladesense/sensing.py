@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dataset import _write_csv
 from .decomposition import ModalBasis
 from .errors import NumericalError, ValidationError
 from .fusion import GaussianReduced
@@ -79,23 +80,24 @@ class SensorSet:
     def _noise_covs(self) -> dict:
         return {}
 
-    def _noise(self, noise: "NoiseModel") -> tuple:
+    def _noise(self, noise: "NoiseModel") -> np.ndarray:
         """The estimate covariance G Gamma G^T of ``noise`` through
         :attr:`gram_gain` (which must not be None), symmetrized and checked
-        PSD once per noise model (read-only), and its floor; a model of
-        another sensor count is a :class:`ValidationError`. Each entry keeps
-        its noise model alive, so the model's id cannot pass to another
-        model while the entry exists."""
+        PSD once per noise model (read-only); a model of another sensor
+        count is a :class:`ValidationError`. Each entry keeps its noise
+        model alive, so the model's id cannot pass to another model while
+        the entry exists."""
         entry = self._noise_covs.get(id(noise))
         if entry is None:
             if len(noise.per_sensor) != self.n_sensors:
                 raise ValidationError(
                     "noise model size differs from sensor count")
             G = self.gram_gain
-            g = GaussianReduced(np.zeros(G.shape[0]), G @ noise.assembled @ G.T)
-            g.covariance.setflags(write=False)
-            entry = self._noise_covs[id(noise)] = (noise, g.covariance, g.floor)
-        return entry[1:]
+            cov = GaussianReduced(np.zeros(G.shape[0]),
+                                  G @ noise.assembled @ G.T).covariance
+            cov.setflags(write=False)
+            entry = self._noise_covs[id(noise)] = (noise, cov)
+        return entry[1]
 
 
 @dataclass(frozen=True)
@@ -282,13 +284,11 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
     a = y_c @ G.T
     if not np.isfinite(a).all():
         raise ValidationError("Gaussian mean and covariance must be finite")
-    return GaussianReduced.from_checked(a, *sensors._noise(noise))
+    return GaussianReduced.from_checked(a, sensors._noise(noise))
 
 
 def write_sensors_csv(sensors: SensorSet, path) -> None:
     """Export (rank, station_index, z_norm) rows, most important first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,station_index,z_norm\n")
-        for r, (i, z) in enumerate(zip(sensors.station_indices,
-                                       sensors.locations_norm), start=1):
-            fh.write(f"{r},{i},{float(z)!r}\n")
+    _write_csv(path, ["rank", "station_index", "z_norm"], np.column_stack([
+        np.arange(1, sensors.n_sensors + 1), sensors.station_indices,
+        sensors.locations_norm]))

@@ -3,88 +3,55 @@ import json
 import numpy as np
 import pytest
 
-from bladesense import (ConditionKey, azimuth_bin, bin_statistics,
-                        evaluate_rom, fit_rom, load_rom, save_rom, wrap_angle)
-from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
-                                      bin_centers, fourier_design,
-                                      fourier_eval)
+from bladesense import (AzimuthalRomModel, RomStats, evaluate_rom, fit_rom,
+                        load_rom, save_rom, wrap_angle)
+from bladesense.azimuthal_rom import fourier_design, fourier_eval
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
-
-def _cond(u=10.0, ti=0.10, seed=0):
-    return ConditionKey(u_mean=u, ti=ti, seed=seed)
+from conftest import random_spd
 
 
-def fit_fourier(centers, values, n_fourier):
-    """Oracle: one ordinary least-squares fit of per-bin scalars onto the
-    Fourier regressors, a separate solve per table entry."""
-    design = fourier_design(centers, n_fourier)
-    return np.linalg.lstsq(design, values, rcond=None)[0]
+def _centers(n_theta):
+    return (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
 
 
-def _fit_rom_series(values, n_fourier):
-    """fit_rom on one mode whose binned means are ``values`` (one per bin,
-    every bin occupied); returns the mean coefficients and the residual
-    norm of the fitted series at the bin centers."""
-    n_theta = values.size
-    st = BinStatistics(condition=_cond(), n_theta=n_theta,
-                       counts=np.ones(n_theta, dtype=int),
-                       means=values[:, None],
-                       covariances=np.zeros((n_theta, 1, 1)))
-    coeffs = fit_rom([st], n_fourier).conditions[0].mean_coeffs[0]
-    resid = np.linalg.norm(fourier_eval(coeffs, bin_centers(n_theta)) - values)
-    return coeffs, resid
+def _fit_series(values, n_fourier):
+    """fit_rom on one mode sampled once at each of ``values.size`` uniform
+    azimuths at one wind speed; returns the mean coefficients and the
+    residual norm of the fitted series at those azimuths."""
+    theta = _centers(values.size)
+    model = fit_rom([(values[None, :], theta, np.full(values.size, 10.0))],
+                    n_fourier)
+    coeffs = model.mean_coeffs[0]
+    return coeffs, np.linalg.norm(fourier_eval(coeffs, theta) - values)
 
 
-class TestBinStatistics:
-    def test_single_sample_per_bin(self):
-        n_theta = 8
-        theta = bin_centers(n_theta)
-        a = np.vstack([np.arange(n_theta, dtype=float)])
-        st = bin_statistics(a, theta, n_theta, condition=_cond())
-        assert np.all(st.counts == 1)
-        assert np.allclose(st.means[:, 0], a[0])
-        assert np.allclose(st.covariances, 0.0)
-
-    def test_identical_samples_zero_covariance(self):
-        theta = np.tile(bin_centers(4), 5)
-        a = np.full((2, theta.size), 3.3)
-        st = bin_statistics(a, theta, 4, condition=_cond())
-        assert np.allclose(st.covariances, 0.0)
-
-    def test_population_variance_convention(self):
-        theta = np.array([0.1, 0.1])
-        a = np.array([[1.0, -1.0]])
-        st = bin_statistics(a, theta, 4, condition=_cond())
-        assert st.means[0, 0] == pytest.approx(0.0)
-        assert st.covariances[0, 0, 0] == pytest.approx(1.0)  # 1/n, not 1/(n-1)
-
-    def test_empty_bins_flagged_not_zero(self):
-        theta = np.array([0.05, 0.05])
-        a = np.array([[1.0, 2.0]])
-        st = bin_statistics(a, theta, 8, condition=_cond())
-        assert st.counts[0] == 2 and np.all(st.counts[1:] == 0)
-        assert np.all(np.isnan(st.means[1:]))
-        assert not np.any(st.occupied[1:])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            bin_statistics(np.zeros((2, 5)), np.zeros(4), 8,
-                           condition=_cond())
+def _joint_cases(rng, alpha, beta, u_ref, speeds, n_t=400, sigma=0.0):
+    """Cases whose coordinates follow the joint mean exactly, plus white
+    noise of std ``sigma``: one per nominal speed, the wind wandering
+    about it."""
+    cases = []
+    for u_nom in speeds:
+        theta = rng.uniform(0.0, TWO_PI, n_t)
+        u = u_nom + 0.5 * rng.standard_normal(n_t)
+        f = fourier_design(theta, (alpha.shape[1] - 1) // 2)
+        a = (f @ alpha.T + (u - u_ref)[:, None] * (f @ beta.T)).T
+        cases.append((a + sigma * rng.standard_normal(a.shape), theta, u))
+    return cases
 
 
 class TestFitFourier:
     def test_constant_function(self):
-        coeffs, resid = _fit_rom_series(np.full(72, 2.0), 6)
+        coeffs, resid = _fit_series(np.full(72, 2.0), 6)
         assert coeffs[0] == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
         assert resid <= 1e-12
 
     def test_in_class_signal_exact(self):
-        centers = bin_centers(72)
+        centers = _centers(72)
         values = 3.0 * np.cos(centers) + np.sin(2 * centers)
-        coeffs, resid = _fit_rom_series(values, 6)
+        coeffs, resid = _fit_series(values, 6)
         expected = np.zeros(13)
         expected[1] = 3.0   # c_1
         expected[4] = 1.0   # s_2
@@ -92,277 +59,270 @@ class TestFitFourier:
         assert resid <= 1e-10
 
     def test_aliased_harmonic_leaves_residual(self):
-        centers = bin_centers(72)
+        centers = _centers(72)
         values = np.cos(7 * centers)  # outside the n_F=6 model class
-        coeffs, resid = _fit_rom_series(values, 6)
+        coeffs, resid = _fit_series(values, 6)
         assert resid > 0.5 * np.linalg.norm(values)
         # on the uniform 72-point grid cos(7 theta) is orthogonal to every
         # retained regressor, so the coefficients collapse to zero
         assert np.allclose(coeffs, 0.0, atol=1e-10)
 
-    def test_too_few_bins(self):
-        with pytest.raises(ValidationError, match="non-empty bins"):
-            _fit_rom_series(np.zeros(8), 6)
-
-
-def _truth_tables(rng, n_modes, n_fourier_true, n_fourier_model):
-    """Ground-truth mean tables padded to the model's coefficient width."""
-    width = 1 + 2 * n_fourier_model
-    tab = np.zeros((n_modes, width))
-    tab[:, : 1 + 2 * n_fourier_true] = rng.uniform(
-        -1.0, 1.0, (n_modes, 1 + 2 * n_fourier_true))
-    return tab
+    def test_too_few_azimuths(self):
+        with pytest.raises(ValidationError, match="need more azimuths"):
+            _fit_series(np.zeros(8), 6)
 
 
 class TestFitRom:
-    def test_constant_statistics_reproduced(self):
-        n_theta = 72
-        means = np.full((n_theta, 1), 1.7)
-        covs = np.full((n_theta, 1, 1), 0.25)
-        st = BinStatistics(condition=_cond(), n_theta=n_theta,
-                           counts=np.ones(n_theta, dtype=int),
-                           means=means, covariances=covs)
-        model = fit_rom([st], 6)
-        g = evaluate_rom(model, 1.234, 10.0, 0.10)
+    def test_constant_data_reproduced(self):
+        # a constant mean with noise about it: the tables give the constant
+        # and the covariance the noise's second moment about it
+        rng = np.random.default_rng(9)
+        theta = _centers(72)
+        a = 1.7 + np.tile([-0.5, 0.5], 36)[None, :]
+        model = fit_rom([(a, theta, np.full(72, 10.0))], 6)
+        g = evaluate_rom(model, 1.234, 10.0 + rng.standard_normal(), 0.10)
         assert g.mean[0] == pytest.approx(1.7, abs=1e-10)
         assert g.covariance[0, 0] == pytest.approx(0.25, abs=1e-10)
 
     def test_pure_1p_sinusoid_captured(self):
-        n_theta = 72
-        centers = bin_centers(n_theta)
-        means = (2.0 * np.sin(centers))[:, None]
-        covs = np.full((n_theta, 1, 1), 0.1)
-        st = BinStatistics(condition=_cond(), n_theta=n_theta,
-                           counts=np.ones(n_theta, dtype=int),
-                           means=means, covariances=covs)
-        model = fit_rom([st], 6)
-        coeffs = model.conditions[0].mean_coeffs[0]
+        theta = _centers(72)
+        a = 2.0 * np.sin(theta)[None, :]
+        coeffs = fit_rom([(a, theta, np.full(72, 10.0))], 6).mean_coeffs[0]
         assert coeffs[2] == pytest.approx(2.0, abs=1e-10)  # s_1
-        others = np.delete(coeffs, 2)
-        assert np.allclose(others, 0.0, atol=1e-10)
+        assert np.allclose(np.delete(coeffs, 2), 0.0, atol=1e-10)
 
-    def test_generate_and_refit_recovers_tables(self):
+    def test_joint_tables_recovered(self):
+        # noise-free coordinates of the model class: alpha and beta come
+        # back exactly, from cases at three speeds, and the error is zero
         rng = np.random.default_rng(5)
-        n_modes, n_theta, n_fourier = 3, 72, 6
-        mean_tab = _truth_tables(rng, n_modes, 4, n_fourier)
-        # bin covariances: a positive diagonal with a small 2P ripple, and
-        # unequal bin counts; the means lie in the model class, so the
-        # pooled covariance is the count-weighted mean of the bin covariances
-        centers = bin_centers(n_theta)
-        means = fourier_eval(mean_tab, centers).T
-        diag = (1.0 + 0.1 * np.arange(n_modes))[None, :] \
-            + 0.05 * np.cos(2 * centers)[:, None]
-        covs = np.stack([np.diag(d) for d in diag])
-        counts = rng.integers(5, 15, n_theta)
-        st = BinStatistics(condition=_cond(), n_theta=n_theta,
-                           counts=counts, means=means, covariances=covs)
-        model = fit_rom([st], n_fourier)
-        assert np.allclose(model.conditions[0].mean_coeffs, mean_tab,
-                           atol=1e-8)
-        pooled = np.tensordot(counts, covs, axes=1) / counts.sum()
-        assert np.allclose(model.conditions[0].covariance, pooled, atol=1e-8)
+        alpha = rng.uniform(-1.0, 1.0, (3, 13))
+        beta = rng.uniform(-0.2, 0.2, (3, 13))
+        cases = _joint_cases(rng, alpha, beta, 0.0, (8.0, 10.0, 12.0))
+        u_ref = float(np.mean(np.concatenate([u for *_, u in cases])))
+        # the fit centres u on the mean training speed: alpha moves with it
+        model = fit_rom(cases, 6)
+        assert model.u_ref == u_ref
+        assert np.abs(model.slope_coeffs - beta).max() <= 1e-10
+        assert np.abs(model.mean_coeffs - (alpha + u_ref * beta)).max() <= 1e-9
+        assert np.abs(model.covariance).max() <= 1e-18
+        u_all = np.concatenate([u for *_, u in cases])
+        assert model.u_range == (u_all.min(), u_all.max())
 
-    def test_refit_fixed_point(self):
-        rng = np.random.default_rng(8)
-        st = bin_statistics(rng.standard_normal((2, 4000)),
-                            rng.uniform(0, TWO_PI, 4000) % TWO_PI, 72,
-                            condition=_cond())
-        model1 = fit_rom([st], 6)
-        centers = bin_centers(72)
-        means = fourier_eval(model1.conditions[0].mean_coeffs, centers).T
-        covs = np.tile(model1.conditions[0].covariance, (72, 1, 1))
-        st2 = BinStatistics(condition=_cond(), n_theta=72,
-                            counts=np.ones(72, dtype=int),
-                            means=means, covariances=covs)
-        model2 = fit_rom([st2], 6)
-        assert np.allclose(model2.conditions[0].mean_coeffs,
-                           model1.conditions[0].mean_coeffs, atol=1e-10)
-        assert np.allclose(model2.conditions[0].covariance,
-                           model1.conditions[0].covariance, atol=1e-10)
-
-    def test_pooled_covariance_about_the_fitted_mean(self):
+    def test_single_case_uses_the_in_sample_error(self):
+        # with one training case there is nothing to leave out: the
+        # covariance is that of the samples about the fitted mean
         rng = np.random.default_rng(3)
-        n_theta, n_fourier = 72, 6
-        theta = rng.uniform(0, TWO_PI, 3000) % TWO_PI
-        a = rng.standard_normal((3, 3000)) + np.cos(theta) + np.sin(5 * theta)
-        idx = azimuth_bin(theta, n_theta)
-        keep = idx % 9 != 0  # leave some bins empty
-        a, theta, idx = a[:, keep], theta[keep], idx[keep]
-        st = bin_statistics(a, theta, n_theta, condition=_cond())
-        cond = fit_rom([st], n_fourier).conditions[0]
-        occ = st.occupied
-        ref_mean = np.array([
-            fit_fourier(bin_centers(n_theta)[occ], st.means[occ, n], n_fourier)
-            for n in range(3)])
-        assert np.abs(cond.mean_coeffs - ref_mean).max() \
-            <= 1e-12 * np.abs(ref_mean).max()
-        # every sample about the fitted mean at its bin's centre
-        resid = a - fourier_eval(cond.mean_coeffs, bin_centers(n_theta)[idx])
-        ref_cov = resid @ resid.T / a.shape[1]
-        assert np.abs(cond.covariance - ref_cov).max() \
-            <= 1e-12 * np.abs(ref_cov).max()
-        assert np.array_equal(cond.covariance, cond.covariance.T)
+        theta = rng.uniform(0.0, TWO_PI, 3000)
+        u = 9.0 + rng.standard_normal(3000)
+        a = rng.standard_normal((3, 3000)) + np.cos(theta) + 0.1 * u * np.sin(5 * theta)
+        model = fit_rom([(a, theta, u)], 6)
+        f = fourier_design(theta, 6)
+        X = np.hstack([f, (u - u.mean())[:, None] * f])
+        coeffs = np.linalg.lstsq(X, a.T, rcond=None)[0]
+        resid = a.T - X @ coeffs
+        ref = resid.T @ resid / u.size
+        assert np.abs(model.covariance - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(model.covariance, model.covariance.T)
 
-    def test_error_carries_condition_context(self):
-        st = bin_statistics(np.zeros((1, 3)), np.full(3, 0.1), 72,
-                            condition=_cond(u=12.0))
-        with pytest.raises(ValidationError, match="u=12.0"):
-            fit_rom([st], 6)
+    def test_covariance_is_the_pooled_leave_one_case_out_error(self):
+        # oracle: per case, the normal equations of the other cases
+        rng = np.random.default_rng(4)
+        alpha = rng.uniform(-1.0, 1.0, (2, 5))
+        beta = rng.uniform(-0.2, 0.2, (2, 5))
+        cases = _joint_cases(rng, alpha, beta, 10.0, (8.0, 9.5, 11.0, 12.0),
+                             n_t=300, sigma=0.3)
+        model = fit_rom(cases, 2)
+        u_ref = float(np.mean(np.concatenate([u for *_, u in cases])))
+        blocks = []
+        for a, theta, u in cases:
+            f = fourier_design(theta, 2)
+            X = np.hstack([f, (u - u_ref)[:, None] * f])
+            blocks.append((X, a.T))
+        second, n = 0.0, 0
+        for c, (X_c, Y_c) in enumerate(blocks):
+            G = sum(X.T @ X for i, (X, _) in enumerate(blocks) if i != c)
+            b = sum(X.T @ Y for i, (X, Y) in enumerate(blocks) if i != c)
+            err = Y_c - X_c @ np.linalg.solve(G, b)
+            second, n = second + err.T @ err, n + len(Y_c)
+        ref = second / n
+        assert np.abs(model.covariance - ref).max() <= 1e-10 * np.abs(ref).max()
+        # the left-out error is larger than the in-sample one
+        in_sample = fit_rom([(np.hstack([a for a, *_ in cases]),
+                              np.concatenate([t for _, t, _ in cases]),
+                              np.concatenate([u for *_, u in cases]))], 2)
+        assert np.trace(model.covariance) > np.trace(in_sample.covariance)
+
+    def test_constant_wind_gives_zero_slopes(self):
+        rng = np.random.default_rng(6)
+        theta = rng.uniform(0.0, TWO_PI, 500)
+        a = np.cos(theta)[None, :] + 0.1 * rng.standard_normal((1, 500))
+        model = fit_rom([(a, theta, np.full(500, 9.0)),
+                         (a, theta, np.full(500, 9.0))], 3)
+        assert not model.slope_coeffs.any()
+        assert model.u_range == (9.0, 9.0)
+
+    def test_conditions_kept_as_given(self):
+        rng = np.random.default_rng(7)
+        cases = _joint_cases(rng, np.ones((1, 3)), np.zeros((1, 3)), 9.0,
+                             (8.0, 10.0), n_t=50)
+        record = [{"u_mean": 8.0, "ti": 0.1}, {"u_mean": 10.0, "ti": 0.1}]
+        assert fit_rom(cases, 1, record).conditions == record
+
+    def test_mismatched_cases_rejected(self):
+        theta = np.linspace(0.0, 6.0, 40)
+        with pytest.raises(ValidationError, match="training case 1"):
+            fit_rom([(np.zeros((2, 40)), theta, theta),
+                     (np.zeros((3, 40)), theta, theta)], 2)
+        with pytest.raises(ValidationError, match="training case 0"):
+            fit_rom([(np.zeros((2, 40)), theta[:-1], theta)], 2)
+        with pytest.raises(ValidationError, match="no training cases"):
+            fit_rom([], 2)
 
 
-def _two_condition_model(seed=0):
+def _model(seed=0, n_modes=2):
+    """A joint model with random tables about 10 m/s, trained over 8-12 m/s."""
     rng = np.random.default_rng(seed)
-    stats = []
-    for u in (8.0, 12.0):
-        centers = bin_centers(72)
-        means = np.column_stack([u / 10.0 + np.cos(centers),
-                                 0.5 * np.sin(centers)])
-        covs = np.tile(np.diag([0.02 * u, 0.1]), (72, 1, 1))
-        stats.append(BinStatistics(
-            condition=_cond(u=u), n_theta=72,
-            counts=np.full(72, 5, dtype=int), means=means, covariances=covs))
-    return fit_rom(stats, 6)
+    return AzimuthalRomModel(
+        n_fourier=6, u_ref=10.0, u_range=(8.0, 12.0),
+        mean_coeffs=rng.standard_normal((n_modes, 13)),
+        slope_coeffs=0.1 * rng.standard_normal((n_modes, 13)),
+        covariance=random_spd(rng, n_modes, 0.1))
 
 
 class TestEvaluateRom:
-    def test_evaluation_identity_at_center(self):
-        model = _two_condition_model()
-        center = bin_centers(72)[10]
-        g = evaluate_rom(model, center, 8.0, 0.10)
-        expected = fourier_eval(model.conditions[0].mean_coeffs, center)
-        assert np.allclose(g.mean, expected, atol=1e-12)
+    def test_mean_follows_the_tables(self):
+        model = _model()
+        for theta, u in ((0.3, 10.0), (4.0, 8.5), (6.2, 13.0)):
+            g = evaluate_rom(model, theta, u, 0.1)
+            expected = (fourier_eval(model.mean_coeffs, theta)
+                        + (u - 10.0) * fourier_eval(model.slope_coeffs, theta))
+            assert np.allclose(g.mean, expected, atol=1e-12)
 
-    def test_wind_interpolation_is_linear(self):
-        model = _two_condition_model()
+    def test_linear_in_wind_inside_and_beyond_the_trained_range(self):
+        model = _model()
         theta = 0.7
-        g_lo = evaluate_rom(model, theta, 8.0, 0.10)
-        g_hi = evaluate_rom(model, theta, 12.0, 0.10)
-        g_mid = evaluate_rom(model, theta, 10.0, 0.10)
-        assert np.allclose(g_mid.mean, 0.5 * (g_lo.mean + g_hi.mean),
-                           atol=1e-12)
-        assert not np.allclose(g_lo.covariance, g_hi.covariance)
-        assert np.allclose(g_mid.covariance,
-                           0.5 * (g_lo.covariance + g_hi.covariance), atol=1e-12)
+        means = [evaluate_rom(model, theta, u, 0.1).mean
+                 for u in (2.0, 8.0, 10.0, 12.0, 30.0)]
+        slope = (means[3] - means[1]) / 4.0
+        assert np.allclose(means[2], 0.5 * (means[1] + means[3]), atol=1e-12)
+        # no clamping: beyond the trained speeds the line continues
+        assert np.allclose(means[0], means[1] - 6.0 * slope, atol=1e-11)
+        assert np.allclose(means[4], means[3] + 18.0 * slope, atol=1e-11)
 
-    def test_wind_clamped_at_range_ends(self):
-        model = _two_condition_model()
-        theta = 1.0
-        assert np.allclose(evaluate_rom(model, theta, 2.0, 0.1).mean,
-                           evaluate_rom(model, theta, 8.0, 0.1).mean)
-        assert np.allclose(evaluate_rom(model, theta, 30.0, 0.1).mean,
-                           evaluate_rom(model, theta, 12.0, 0.1).mean)
+    def test_one_read_only_covariance_shared_by_every_step(self):
+        model = _model()
+        theta = np.linspace(0.0, 6.0, 50)
+        for g in (evaluate_rom(model, 1.0, 9.0, 0.1),
+                  evaluate_rom(model, theta, 9.0, 0.1),
+                  evaluate_rom(model, theta, np.linspace(5.0, 15.0, 50), 0.1)):
+            assert g.covariance is model.covariance
+        assert not model.covariance.flags.writeable
+        assert np.linalg.eigvalsh(model.covariance).min() > 0.0
 
-    def test_covariance_always_psd(self):
-        model = _two_condition_model()
-        rng = np.random.default_rng(3)
-        for theta in rng.uniform(0, TWO_PI, 200):
-            g = evaluate_rom(model, theta, rng.uniform(6, 14), 0.10)
-            assert np.linalg.eigvalsh(g.covariance).min() >= 0.0
+    def test_turbulence_intensity_ignored(self):
+        model = _model()
+        ref = evaluate_rom(model, 2.0, 9.0, 0.1)
+        for ti in (0.05, 0.3, None):
+            assert np.array_equal(evaluate_rom(model, 2.0, 9.0, ti).mean, ref.mean)
 
-    def test_rank_deficient_bins_give_a_definite_covariance(self):
-        # one revolution of a slowly decorrelating AR(1), two samples per
-        # bin: every bin covariance has rank one, the pooled one full rank
-        rng = np.random.default_rng(4)
-        n_theta, n_t = 72, 144
-        a = np.zeros((3, n_t))
-        for k in range(1, n_t):
-            a[:, k] = 0.995 * a[:, k - 1] + rng.standard_normal(3)
-        theta = (np.arange(n_t) + 0.5) * TWO_PI / n_t
-        st = bin_statistics(a, theta, n_theta, condition=_cond())
-        assert np.all(st.counts == 2)
-        model = fit_rom([st], 6)
-        g = evaluate_rom(model, bin_centers(n_theta), 10.0, 0.10)
-        eigs = np.linalg.eigvalsh(g.covariance)
-        assert eigs.min() > 1e-3 * eigs.max()
-
-    def test_nearest_ti_resolution(self):
-        centers = bin_centers(72)
-        stats = []
-        for ti, level in ((0.05, 1.0), (0.15, 5.0)):
-            means = np.full((72, 1), level)
-            covs = np.full((72, 1, 1), 0.1)
-            stats.append(BinStatistics(
-                condition=_cond(ti=ti), n_theta=72,
-                counts=np.ones(72, dtype=int), means=means, covariances=covs))
-        model = fit_rom(stats, 6)
-        assert evaluate_rom(model, 1.0, 10.0, 0.06).mean[0] == pytest.approx(1.0)
-        assert evaluate_rom(model, 1.0, 10.0, 0.14).mean[0] == pytest.approx(5.0)
+    def test_steps_beyond_the_trained_speeds_counted(self):
+        model = _model()
+        stats = RomStats()
+        u = np.array([7.9, 8.0, 10.0, 12.0, 12.1, 20.0])
+        evaluate_rom(model, np.zeros(6), u, 0.1, stats)
+        # the range ends themselves are trained
+        assert (stats.steps, stats.extrapolated_low,
+                stats.extrapolated_high) == (6, 1, 2)
+        evaluate_rom(model, 1.0, 3.0, 0.1, stats)
+        assert (stats.steps, stats.extrapolated_low) == (7, 2)
 
     def test_periodicity_after_wrapping(self):
-        model = _two_condition_model()
+        model = _model()
         for theta in (0.0, 0.9, 3.3, 6.1):
             g1 = evaluate_rom(model, wrap_angle(theta), 9.0, 0.10)
             g2 = evaluate_rom(model, wrap_angle(theta + TWO_PI), 9.0, 0.10)
             assert np.allclose(g1.mean, g2.mean, atol=1e-9)
-            assert np.allclose(g1.covariance, g2.covariance, atol=1e-9)
             # identical wrapped inputs give bit-identical outputs
             g3 = evaluate_rom(model, wrap_angle(theta), 9.0, 0.10)
             assert np.array_equal(g1.mean, g3.mean)
 
-    def test_empty_model_rejected(self):
-        model = AzimuthalRomModel(n_fourier=6, n_theta=72, conditions=[])
-        with pytest.raises(ValidationError, match="no trained conditions"):
-            evaluate_rom(model, 0.0, 10.0, 0.1)
+
+class TestModel:
+    def test_rejects_tables_of_the_wrong_shape(self):
+        good = _model()
+        kwargs = dict(n_fourier=6, u_ref=10.0, u_range=(8.0, 12.0),
+                      mean_coeffs=good.mean_coeffs,
+                      slope_coeffs=good.slope_coeffs,
+                      covariance=good.covariance)
+        for key, bad in (("mean_coeffs", good.mean_coeffs[:, :-2]),
+                         ("slope_coeffs", good.slope_coeffs[:1]),
+                         ("covariance", good.covariance[:1, :1])):
+            with pytest.raises(ValidationError, match="must be"):
+                AzimuthalRomModel(**{**kwargs, key: bad})
+        with pytest.raises(ValidationError, match="u_range"):
+            AzimuthalRomModel(**{**kwargs, "u_range": (12.0, 8.0)})
+        nan = good.slope_coeffs.copy()
+        nan[1, 3] = np.nan
+        with pytest.raises(ValidationError, match="slope_coeffs must be finite"):
+            AzimuthalRomModel(**{**kwargs, "slope_coeffs": nan})
 
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
-        model = _two_condition_model()
+        model = _model()
+        model.conditions = [{"u_mean": 8.0, "ti": 0.1}, {"u_mean": 12.0, "ti": 0.1}]
         path = tmp_path / "rom.json"
         save_rom(model, path)
         back = load_rom(path)
-        assert back.n_fourier == model.n_fourier
-        assert back.n_theta == model.n_theta
-        for c1, c2 in zip(model.conditions, back.conditions):
-            assert c1.u_mean == c2.u_mean and c1.ti == c2.ti
-            assert np.allclose(c1.mean_coeffs, c2.mean_coeffs, atol=0)
-            assert np.allclose(c1.covariance, c2.covariance, atol=0)
+        assert (back.n_fourier, back.u_ref, back.u_range, back.conditions) == (
+            model.n_fourier, model.u_ref, model.u_range, model.conditions)
+        for name in ("mean_coeffs", "slope_coeffs", "covariance"):
+            assert np.array_equal(getattr(back, name), getattr(model, name))
 
-    def test_former_format_rejected(self, tmp_path):
+    def test_former_binned_layout_rejected(self, tmp_path):
         path = tmp_path / "rom.json"
-        save_rom(_two_condition_model(), path)
+        save_rom(_model(), path)
         doc = json.loads(path.read_text())
-        for c in doc["conditions"]:
-            c["cov_coeffs"] = [[0.2] + [0.0] * 12] * 3
-            del c["covariance"]
+        doc["n_theta"] = 72
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="cov_coeffs"):
+        with pytest.raises(SchemaError, match="n_theta"):
             load_rom(path)
 
-    def test_indefinite_covariance_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key, value, match", [
+        ("covariance", [[1.0, 0.0], [0.0, -0.5]], "not PSD"),
+        ("u_range", [8.0], "u_range"),
+        ("mean_coeffs", [[1.0] * 13, [1.0] * 12], "rom.json"),
+    ])
+    def test_bad_model_rejected_naming_the_file(self, tmp_path, key, value,
+                                                match):
         path = tmp_path / "rom.json"
-        save_rom(_two_condition_model(), path)
+        save_rom(_model(), path)
         doc = json.loads(path.read_text())
-        doc["conditions"][1]["covariance"] = [[1.0, 0.0], [0.0, -0.5]]
+        doc[key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=r"u=12.0.*not PSD"):
+        with pytest.raises(ValidationError, match=match) as err:
             load_rom(path)
-        model = _two_condition_model()
-        model.conditions[0].mean_coeffs[1, 3] = np.nan
-        with pytest.raises(ValidationError, match=r"u=8.0.*finite"):
-            AzimuthalRomModel(6, 72, model.conditions)
+        assert str(path) in str(err.value)
 
 
 class TestDataSufficiency:
-    def test_doubling_samples_tightens_binned_means(self):
-        # paired short/long records; doubling per-bin samples must usually
-        # shrink the worst-bin deviation from the true azimuthal mean
+    def test_doubling_samples_tightens_the_fitted_mean(self):
+        # paired short/long records; doubling the samples must usually
+        # shrink the worst deviation of the fitted mean from the true one
         truth = np.zeros(13)
         truth[0], truth[1], truth[4] = 1.0, 0.8, 0.3
-        n_theta = 36
+        grid = _centers(36)
         improvements = 0
         n_pairs = 12
         for seed in range(n_pairs):
             rng = np.random.default_rng(1000 + seed)
 
             def max_dev(n_samples, rng=rng):
-                theta = rng.uniform(0, TWO_PI, n_samples) % TWO_PI
+                theta = rng.uniform(0, TWO_PI, n_samples)
                 a = fourier_eval(truth, theta) + rng.normal(0, 0.5, n_samples)
-                st = bin_statistics(a[None, :], theta, n_theta,
-                                    condition=_cond())
-                centers = bin_centers(n_theta)[st.occupied]
-                return np.max(np.abs(st.means[st.occupied, 0]
-                                     - fourier_eval(truth, centers)))
+                model = fit_rom([(a[None, :], theta, np.full(n_samples, 9.0))], 6)
+                return np.max(np.abs(fourier_eval(model.mean_coeffs[0], grid)
+                                     - fourier_eval(truth, grid)))
 
             if max_dev(2 * 36 * 60) < max_dev(36 * 60):
                 improvements += 1

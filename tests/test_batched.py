@@ -5,23 +5,25 @@ each once per evaluation case. These tests run the same steps one at a
 time and as one stack and require agreement within 1e-10 of each output's
 largest magnitude: the stacked products sum in another order, so the
 results are not bit-identical. ``_reference_evaluate_rom`` and
-``_reference_fuse`` are the per-step loop bodies the batched kernels
-replaced, kept here as an independent oracle. ``_former_evaluate_rom`` and
-``_former_fuse`` are the batched kernels before their per-call costs were
-cut, and before eigenvalue floors settled fuse's PSD checks; those fast
-paths must match them bit for bit.
+``_reference_fuse`` are per-step loop bodies kept here as independent
+oracles. ``_former_fuse`` is the batched kernel before its per-call costs
+were cut; ``fuse`` must match it bit for bit, whether it runs every check
+or reuses the gain of a fixed covariance pair.
 """
+
+import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from bladesense import (FusionStats, GaussianReduced, NoiseModel, RomStats,
-                        evaluate_rom, fit_rom, fuse, infer_torsion, observe,
-                        place_sensors, sparse_estimate)
-from bladesense import sensing
-from bladesense.azimuthal_rom import (AzimuthalRomModel, BinStatistics,
-                                      bin_centers, fourier_eval)
-from bladesense.dataset import ConditionKey, wrap_angle
+from bladesense import (AzimuthalRomModel, FusionStats, GaussianReduced,
+                        NoiseModel, RomStats, evaluate_rom, fuse,
+                        infer_torsion, observe, place_sensors, sparse_estimate)
+from bladesense import fusion, sensing
+from bladesense.azimuthal_rom import fourier_eval
+from bladesense.dataset import wrap_angle
 from bladesense.errors import ValidationError
 from bladesense.fusion import _any
 from bladesense.sensing import sensor_dof_rows
@@ -42,38 +44,21 @@ def assert_close(got, ref):
 
 
 def _model(seed=0):
-    """TI 0.10 trained at 8 and 12 m/s, TI 0.20 at 10 m/s only (a
-    single-speed group). Random rank-one bin covariances and scattered bin
-    means give each condition its own pooled covariance."""
+    """A joint prior with random mean and slope tables about 10 m/s, trained
+    over 8-12 m/s, and a random positive definite covariance."""
     rng = np.random.default_rng(seed)
-    stats = []
-    for u, ti in ((8.0, 0.10), (12.0, 0.10), (10.0, 0.20)):
-        means = rng.standard_normal((72, N_MODES)) + u / 10.0
-        v = rng.standard_normal((72, N_MODES))
-        covs = 0.1 * v[:, :, None] * v[:, None, :]
-        stats.append(BinStatistics(
-            condition=ConditionKey(u_mean=u, ti=ti, seed=0), n_theta=72,
-            counts=np.full(72, 3), means=means, covariances=covs))
-    return fit_rom(stats, 6)
+    return AzimuthalRomModel(
+        n_fourier=6, u_ref=10.0, u_range=(8.0, 12.0),
+        mean_coeffs=rng.standard_normal((N_MODES, 13)) + 1.0,
+        slope_coeffs=0.1 * rng.standard_normal((N_MODES, 13)),
+        covariance=random_spd(rng, N_MODES, 0.1))
 
 
-def _reference_evaluate_rom(model, theta, u_filt, ti):
-    labels = np.unique([c.ti for c in model.conditions])
-    ti_near = labels[int(np.argmin(np.abs(labels - ti)))]
-    group = sorted((c for c in model.conditions if c.ti == ti_near),
-                   key=lambda c: c.u_mean)
-    speeds = np.array([c.u_mean for c in group])
-    if u_filt <= speeds[0] or len(group) == 1:
-        mean_tab, cov = group[0].mean_coeffs, group[0].covariance
-    elif u_filt >= speeds[-1]:
-        mean_tab, cov = group[-1].mean_coeffs, group[-1].covariance
-    else:
-        hi = int(np.searchsorted(speeds, u_filt))
-        lo = hi - 1
-        w = (u_filt - speeds[lo]) / (speeds[hi] - speeds[lo])
-        mean_tab = (1 - w) * group[lo].mean_coeffs + w * group[hi].mean_coeffs
-        cov = (1 - w) * group[lo].covariance + w * group[hi].covariance
-    return fourier_eval(mean_tab, wrap_angle(float(theta))), cov
+def _reference_evaluate_rom(model, theta, u_filt):
+    theta = wrap_angle(float(theta))
+    mean = (fourier_eval(model.mean_coeffs, theta)
+            + (u_filt - model.u_ref) * fourier_eval(model.slope_coeffs, theta))
+    return mean, model.covariance
 
 
 def _reference_fuse(prior, measurement):
@@ -90,43 +75,6 @@ def _reference_fuse(prior, measurement):
     mean = prior.mean + gain @ (measurement.mean - prior.mean)
     cov = (np.eye(n) - gain) @ prior.covariance
     return mean, 0.5 * (cov + cov.T), gain, regularized
-
-
-def _former_fourier_design(theta, n_fourier):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k_theta = np.multiply.outer(theta, np.arange(1, n_fourier + 1))
-    design = np.empty(theta.shape + (1 + 2 * n_fourier,))
-    design[..., 0] = 1.0
-    design[..., 1::2] = np.cos(k_theta)
-    design[..., 2::2] = np.sin(k_theta)
-    return design
-
-
-def _former_evaluate_rom(model, theta, u_filt, ti, stats=None):
-    theta, u = np.broadcast_arrays(wrap_angle(np.asarray(theta, dtype=float)),
-                                   np.asarray(u_filt, dtype=float))
-    single = theta.ndim == 0
-    theta, u = np.atleast_1d(theta), np.atleast_1d(u)
-    ti_near = min(model._groups, key=lambda label: abs(label - ti))
-    speeds, units, mean_tables, cov_tables = model._groups[ti_near]
-    if stats is not None:
-        stats.steps += u.size
-        stats.clamped_low += int(np.count_nonzero(u < speeds[0]))
-        stats.clamped_high += int(np.count_nonzero(u > speeds[-1]))
-    weights = np.column_stack([np.interp(u, speeds, unit) for unit in units])
-    design = _former_fourier_design(theta, model.n_fourier)
-    mean = (weights[:, :, None] * design[:, None, :]).reshape(u.size, -1) @ mean_tables
-    if not np.isfinite(mean).all():
-        raise ValidationError("Gaussian mean and covariance must be finite")
-    packed = weights @ cov_tables
-    n_modes = model.n_modes
-    iu, ju = np.triu_indices(n_modes)
-    cov = np.empty((u.size, n_modes, n_modes))
-    cov[:, iu, ju] = packed
-    cov[:, ju, iu] = packed
-    if single:
-        mean, cov = mean[0], cov[0]
-    return GaussianReduced.from_checked(mean, cov)
 
 
 def _former_fuse(prior, measurement, stats=None):
@@ -171,41 +119,57 @@ _U = np.array([5.0, 8.0, 9.1, 10.0, 11.99, 12.0, 15.0, 7.9, 12.5, 10.7])
 _THETA = np.array([-0.3, 0.0, 1.2, 6.5, 2 * np.pi, 3.1, -7.0, 13.0, 4.4, 5.9])
 
 
+# azimuths that np.mod rounds up to exactly 2*pi, or that lie on a period
+_EDGE_THETA = np.array([-1e-17, -5e-324, 2 * np.pi, np.nextafter(2 * np.pi, 0.0),
+                        4 * np.pi, -2 * np.pi])
+
+
 class TestEvaluateRomBatch:
-    @pytest.mark.parametrize("ti", [0.10, 0.13, 0.17, 0.20, 0.5])
-    def test_stack_matches_per_step(self, ti):
-        # 0.13 resolves to the 0.10 group, 0.17 and 0.5 to the single-speed
-        # 0.20 group: the TI label is picked once for the whole stack
+    def test_stack_matches_per_step(self):
         model = _model()
-        batch = evaluate_rom(model, _THETA, _U, ti)
+        batch = evaluate_rom(model, _THETA, _U, 0.1)
         assert batch.mean.shape == (_U.size, N_MODES)
-        assert batch.covariance.shape == (_U.size, N_MODES, N_MODES)
+        assert batch.covariance is model.covariance
         for k in range(_U.size):
-            step = evaluate_rom(model, _THETA[k], _U[k], ti)
+            step = evaluate_rom(model, _THETA[k], _U[k], 0.1)
             assert_close(batch.mean[k], step.mean)
-            assert_close(batch.covariance[k], step.covariance)
-            ref_mean, ref_cov = _reference_evaluate_rom(model, _THETA[k], _U[k], ti)
+            ref_mean, ref_cov = _reference_evaluate_rom(model, _THETA[k], _U[k])
             assert_close(batch.mean[k], ref_mean)
-            assert_close(batch.covariance[k], ref_cov)
-        assert np.linalg.eigvalsh(batch.covariance).min() >= 0.0
+            assert step.covariance is ref_cov
+
+    def test_batch_of_one_takes_any_scalar(self):
+        # Python, numpy and 0-d scalars give the same bytes, at azimuths
+        # that wrap to a period's edge too
+        model = _model()
+        for theta, u in zip(np.concatenate([_THETA, _EDGE_THETA]),
+                            np.concatenate([_U, _U[:_EDGE_THETA.size]])):
+            ref = evaluate_rom(model, theta, u, 0.1)
+            assert ref.mean.shape == (N_MODES,)
+            assert_close(ref.mean, _reference_evaluate_rom(model, theta, u)[0])
+            for cast in (float, np.asarray):
+                got = evaluate_rom(model, cast(theta), cast(u), 0.1)
+                assert np.array_equal(got.mean, ref.mean)
 
     def test_scalar_wind_broadcasts_over_azimuths(self):
         model = _model()
-        centers = bin_centers(72)
+        centers = (np.arange(72) + 0.5) * 2 * np.pi / 72
         batch = evaluate_rom(model, centers, 9.0, 0.10)
         for k in (0, 17, 71):
             assert_close(batch.mean[k], evaluate_rom(model, centers[k], 9.0, 0.10).mean)
+        assert_close(evaluate_rom(model, 1.0, _U, 0.1).mean,
+                     evaluate_rom(model, np.ones(_U.size), _U, 0.1).mean)
+        assert_close(evaluate_rom(model, list(_THETA), list(_U), 0.1).mean,
+                     evaluate_rom(model, _THETA, _U, 0.1).mean)
 
-    def test_clamped_steps_counted(self):
+    def test_extrapolated_steps_counted(self):
         model = _model()
         stats = RomStats()
         evaluate_rom(model, _THETA, _U, 0.10, stats)
-        # the range ends themselves (8.0, 12.0) are trained, not clamped
-        assert (stats.steps, stats.clamped_low, stats.clamped_high) == (10, 2, 2)
-        evaluate_rom(model, _THETA, _U, 0.20, stats)  # one speed: 10.0
-        assert (stats.steps, stats.clamped_low, stats.clamped_high) == (20, 6, 7)
+        # the range ends themselves (8.0, 12.0) are trained
+        assert (stats.steps, stats.extrapolated_low,
+                stats.extrapolated_high) == (10, 2, 2)
         evaluate_rom(model, 0.5, 20.0, 0.10, stats)
-        assert (stats.steps, stats.clamped_high) == (21, 8)
+        assert (stats.steps, stats.extrapolated_high) == (11, 3)
 
     def test_rejects_two_dimensional_input(self):
         with pytest.raises(ValidationError, match="1-D"):
@@ -218,35 +182,8 @@ def _rows_of(sensors, n_z):
 
 
 class TestBuiltOnce:
-    """Built once: the per-label tables sort their conditions, the sensor
-    rows are cached, and a Gaussian's diagonal lift changes only the
-    matrices eigvalsh flags."""
-
-    def test_tables_sorted_per_label(self):
-        fitted = _model()
-        # conditions in unsorted order: the tables must sort them per label
-        model = AzimuthalRomModel(
-            n_fourier=fitted.n_fourier, n_theta=fitted.n_theta,
-            conditions=[fitted.conditions[k] for k in (2, 1, 0)])
-        assert "_groups" not in repr(model)
-        assert list(model._groups) == [0.10, 0.20]
-        for ti in (0.10, 0.13, 0.20, 0.5):
-            for theta, u in ((_THETA, _U), (_THETA[2], _U[2]), (_THETA[6], _U[6])):
-                got = evaluate_rom(model, theta, u, ti)
-                ref = evaluate_rom(fitted, theta, u, ti)
-                assert np.array_equal(got.mean, ref.mean)
-                assert np.array_equal(got.covariance, ref.covariance)
-
-    def test_rejects_tables_of_the_wrong_shape(self):
-        model = _model()
-        bad = model.conditions[0]
-        for mean_coeffs, cov in ((bad.mean_coeffs[:, :-2], bad.covariance),
-                                 (bad.mean_coeffs, bad.covariance[:-1, :-1])):
-            short = type(bad)(u_mean=bad.u_mean, ti=bad.ti,
-                              mean_coeffs=mean_coeffs, covariance=cov)
-            with pytest.raises(ValidationError, match="must be"):
-                AzimuthalRomModel(model.n_fourier, model.n_theta,
-                                  [short] + model.conditions[1:])
+    """Built once: the sensor rows are cached, and a Gaussian's diagonal
+    lift changes only the matrices eigvalsh flags."""
 
     @staticmethod
     def _tiny_negative_stack(seed=3, n=12):
@@ -327,42 +264,31 @@ class TestDecompositionCalls:
             monkeypatch.setattr(np.linalg, name, counting)
         return calls
 
-    @staticmethod
-    def _psd_model():
-        rng = np.random.default_rng(4)
-        stats = []
-        for u in (8.0, 12.0):
-            covs = np.stack([random_spd(rng, N_MODES) for _ in range(72)])
-            stats.append(BinStatistics(
-                condition=ConditionKey(u_mean=u, ti=0.1, seed=0), n_theta=72,
-                counts=np.full(72, 3), means=rng.standard_normal((72, N_MODES)),
-                covariances=covs))
-        return fit_rom(stats, 2)
-
-    def test_psd_batch_of_one_makes_no_eigh_call(self, monkeypatch):
-        model = self._psd_model()
-        prior = evaluate_rom(model, 1.0, 9.5, 0.1)
-        assert np.linalg.eigvalsh(prior.covariance).min() > 0.0
+    def test_evaluate_rom_makes_no_eigh_call(self, monkeypatch):
+        model = _model()
         calls = self._count(monkeypatch)
         evaluate_rom(model, 1.0, 9.5, 0.1)
         evaluate_rom(model, _THETA, _U, 0.1)
-        # the covariances were checked when the model was built
+        # the covariance was checked when the model was built
         assert calls == {"eigh": 0, "eigvalsh": 0}
 
-    def test_psd_batch_of_one_fuse_makes_no_eigh_call(self, monkeypatch):
-        prior = evaluate_rom(self._psd_model(), 1.0, 9.5, 0.1)
-        rng = np.random.default_rng(2)
-        meas = GaussianReduced(rng.standard_normal(N_MODES),
-                               random_spd(rng, N_MODES, 0.01))
-        ref, _ = _former_fuse(prior, meas)
-        assert np.linalg.eigvalsh(ref.covariance).min() >= 0.0
+    def test_fixed_pair_checked_once(self, monkeypatch):
+        fusion._MEMO.clear()
+        model, rng = _model(), np.random.default_rng(2)
+        meas_cov = _read_only(random_spd(rng, N_MODES, 0.01))
+        means = rng.standard_normal((_U.size, N_MODES))
         calls = self._count(monkeypatch, ("eigh", "eigvalsh", "solve"))
-        fused, _ = fuse(prior, meas)
-        # the floors of the ROM model and of the measurement settle both
-        # checks: no eigendecomposition, one solve
-        assert calls == {"eigh": 0, "eigvalsh": 0, "solve": 1}
-        assert_identical(fused.covariance, ref.covariance)
-        assert 0.0 < fused.floor <= np.linalg.eigvalsh(fused.covariance)[0]
+        fuse(evaluate_rom(model, 1.0, 9.5, 0.1),
+             GaussianReduced.from_checked(means[0], meas_cov))
+        # the first call checks the innovation covariance (eigvalsh), solves
+        # for the gain and checks the fused covariance (eigvalsh)
+        assert calls == {"eigh": 0, "eigvalsh": 2, "solve": 1}
+        for k in range(_U.size):
+            fuse(evaluate_rom(model, _THETA[k], _U[k], 0.1),
+                 GaussianReduced.from_checked(means[k], meas_cov))
+        fuse(evaluate_rom(model, _THETA, _U, 0.1),
+             GaussianReduced.from_checked(means, meas_cov))
+        assert calls == {"eigh": 0, "eigvalsh": 2, "solve": 1}
 
 
 class TestPerStepInvariants:
@@ -488,50 +414,10 @@ class TestFuseBatch:
         assert stats.steps == p_mean.shape[0]
 
 
-def _one_label_model():
-    fitted = _model()
-    return AzimuthalRomModel(fitted.n_fourier, fitted.n_theta,
-                             [c for c in fitted.conditions if c.ti == 0.10])
-
-
-# azimuths that np.mod rounds up to exactly 2*pi, or that lie on a period
-_EDGE_THETA = np.array([-1e-17, -5e-324, 2 * np.pi, np.nextafter(2 * np.pi, 0.0),
-                        4 * np.pi, -2 * np.pi])
-
-
 class TestFastPathsMatchFormer:
-    """evaluate_rom and fuse against the former kernels with tolerance 0: a
-    batch of one (Python, numpy and 0-d scalars), stacks, one TI label and
-    several, and the fallbacks that still run the full constructor."""
-
-    @pytest.mark.parametrize("make_model", [_model, _one_label_model])
-    def test_evaluate_rom_batch_of_one(self, make_model):
-        model = make_model()
-        for ti in (0.10, 0.13, 0.20, 0.5):
-            stats, former_stats = RomStats(), RomStats()
-            for theta, u in zip(np.concatenate([_THETA, _EDGE_THETA]),
-                                np.concatenate([_U, _U[:_EDGE_THETA.size]])):
-                for cast in (float, np.float64, np.asarray):
-                    got = evaluate_rom(model, cast(theta), cast(u), ti, stats)
-                    ref = _former_evaluate_rom(model, cast(theta), cast(u), ti,
-                                               former_stats)
-                    assert_identical(got.mean, ref.mean)
-                    assert_identical(got.covariance, ref.covariance)
-            assert vars(stats) == vars(former_stats)
-
-    @pytest.mark.parametrize("make_model", [_model, _one_label_model])
-    def test_evaluate_rom_stacks(self, make_model):
-        model = make_model()
-        for theta, u in ((_THETA, _U), (bin_centers(72), 9.0), (1.0, _U),
-                         (_EDGE_THETA, 10.0), (_THETA[:1], _U[:1]),
-                         (list(_THETA), list(_U))):
-            for ti in (0.10, 0.17, 0.5):
-                stats, former_stats = RomStats(), RomStats()
-                got = evaluate_rom(model, theta, u, ti, stats)
-                ref = _former_evaluate_rom(model, theta, u, ti, former_stats)
-                assert_identical(got.mean, ref.mean)
-                assert_identical(got.covariance, ref.covariance)
-                assert vars(stats) == vars(former_stats)
+    """fuse against the former kernel with tolerance 0: a batch of one,
+    stacks, regularized, certain and lifted rows, and fixed covariance
+    pairs, whose gain is computed once and reused."""
 
     @staticmethod
     def _assert_fuse_identical(prior, meas):
@@ -545,18 +431,24 @@ class TestFastPathsMatchFormer:
         return got, gain, stats
 
     def test_fuse_batch_of_one(self):
+        # a writeable measurement covariance, then a fixed (read-only) one
         model, rng = _model(), np.random.default_rng(7)
+        fixed = _read_only(random_spd(rng, N_MODES, 0.01))
         for k in range(_U.size):
             prior = evaluate_rom(model, _THETA[k], _U[k], 0.10)
-            meas = GaussianReduced(rng.standard_normal(N_MODES),
-                                   random_spd(rng, N_MODES, 0.01))
-            self._assert_fuse_identical(prior, meas)
+            mean = rng.standard_normal(N_MODES)
+            self._assert_fuse_identical(
+                prior, GaussianReduced(mean, random_spd(rng, N_MODES, 0.01)))
+            self._assert_fuse_identical(
+                prior, GaussianReduced.from_checked(mean, fixed))
 
     def test_fuse_stacks(self):
         p_mean, p_cov, m_mean, _ = TestFuseBatch()._stack(n_t=_U.size)
         shared = random_spd(np.random.default_rng(5), N_MODES)
         prior = evaluate_rom(_model(), _THETA, _U, 0.10)
         self._assert_fuse_identical(prior, GaussianReduced(m_mean, shared))
+        self._assert_fuse_identical(
+            prior, GaussianReduced.from_checked(m_mean, _read_only(shared)))
         self._assert_fuse_identical(GaussianReduced(p_mean, p_cov),
                                     GaussianReduced(m_mean, shared))
         self._assert_fuse_identical(GaussianReduced(m_mean, shared), prior)
@@ -622,168 +514,182 @@ class TestFastPathsMatchFormer:
                             np.stack([m.covariance for _, m in pairs])))
 
 
-def _least(cov):
-    return np.linalg.eigvalsh(cov)[..., 0].min()
+def _read_only(cov):
+    cov = np.array(cov, dtype=float)
+    cov.setflags(write=False)
+    return cov
 
 
-class TestFloors:
-    """A floor never exceeds the least eigenvalue eigvalsh finds. Where the
-    floors settle fuse's checks, fuse makes no eigvalsh call and returns the
-    former kernel's bytes; where they cannot (a floor missing, zero or too
-    small), the eigvalsh checks run and still return the former's bytes,
-    regularized and lifted rows included."""
-
-    U = np.finfo(float).eps / 2
-    P = 4 * N_MODES ** 2  # p(N) of the margins in bladesense.fusion
-
+class TestRegularizeThreshold:
     @staticmethod
-    def _stacks(seed=8, n_t=30):
-        """Positive definite covariances over eight decades, and rank
-        deficient ones."""
-        rng = np.random.default_rng(seed)
-        pd = np.stack([random_spd(rng, N_MODES, scale)
-                       for scale in np.logspace(-6, 2, n_t)])
-        A = rng.standard_normal((n_t, N_MODES, N_MODES - 1))
-        return pd, A @ A.swapaxes(-1, -2)
-
-    def test_constructor_floors_are_sound(self):
-        pd, psd = self._stacks()
-        tiny, _ = TestBuiltOnce._tiny_negative_stack()
-        for covs in (pd, psd, tiny, np.zeros((2, N_MODES, N_MODES))):
-            for cov in (covs, *covs):
-                g = GaussianReduced(np.zeros(cov.shape[:-1]), cov)
-                assert g.floor <= _least(g.covariance)
-        assert all(GaussianReduced(np.zeros(N_MODES), c).floor > 0.0 for c in pd)
-
-    def test_prior_and_fused_floors_are_sound(self):
-        model, rng = _model(), np.random.default_rng(9)
-        theta, u = np.linspace(-7.0, 13.0, 400), np.linspace(5.0, 15.0, 400)
-        pd, psd = self._stacks()
-        for ti in (0.10, 0.20):
-            prior = evaluate_rom(model, theta, u, ti)
-            assert 0.0 < prior.floor <= _least(prior.covariance)
-            for k in range(0, 400, 37):
-                step = evaluate_rom(model, theta[k], u[k], ti)
-                assert step.floor == prior.floor <= _least(step.covariance)
-            for cov in (pd[0], pd[-1], psd[0], 0.01 * np.eye(N_MODES)):
-                meas = GaussianReduced(rng.standard_normal((400, N_MODES)), cov)
-                fused = TestFastPathsMatchFormer._assert_fuse_identical(prior, meas)[0]
-                assert fused.floor <= _least(fused.covariance)
-        means = rng.standard_normal((2, pd.shape[0], N_MODES))
-        for p_cov, m_cov in ((pd, pd[::-1]), (pd, psd), (psd, psd[::-1])):
-            fused, _, _ = TestFastPathsMatchFormer._assert_fuse_identical(
-                GaussianReduced(means[0], p_cov), GaussianReduced(means[1], m_cov))
-            assert fused.floor <= _least(fused.covariance)
-            for k in (0, 7, 29):
-                step, _, _ = TestFastPathsMatchFormer._assert_fuse_identical(
-                    GaussianReduced(means[0, k], p_cov[k]),
-                    GaussianReduced(means[1, k], m_cov[k]))
-                assert step.floor <= _least(step.covariance)
-
-    @staticmethod
-    def _pair(p_least, r_least, p_floor=None, r_floor=None, seed=10):
-        """Prior and measurement whose least eigenvalues lie along one shared
-        direction, the others O(1); floors given are set as they are (each
-        below the least eigenvalue), the others left to the constructor."""
+    def _pair(least, seed=10):
+        """Prior and measurement whose least eigenvalue ``least`` lies along
+        one shared direction, the others O(1)."""
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((N_MODES, N_MODES)))
-        out = []
-        for least, floor, rest in ((p_least, p_floor, [0.5, 1.0]),
-                                   (r_least, r_floor, [0.02, 0.01])):
-            g = GaussianReduced(rng.standard_normal(N_MODES),
+        return [GaussianReduced(rng.standard_normal(N_MODES),
                                 (q * ([least] + rest)) @ q.T)
-            if floor is not None:
-                assert floor <= _least(g.covariance)
-                g = GaussianReduced.from_checked(g.mean, g.covariance, floor)
-            out.append(g)
-        return out
+                for rest in ([0.5, 1.0], [0.02, 0.01])]
 
-    @staticmethod
-    def _fuse_counted(monkeypatch, prior, meas):
-        """fuse's eigvalsh calls, result and stats; the result is checked
-        against the former kernel's with tolerance 0."""
-        calls = TestDecompositionCalls._count(monkeypatch, ("eigvalsh",))
-        stats, former_stats = FusionStats(), FusionStats()
-        got, gain = fuse(prior, meas, stats)
-        monkeypatch.undo()
-        ref, ref_gain = _former_fuse(prior, meas, former_stats)
-        for a, b in ((got.mean, ref.mean), (got.covariance, ref.covariance),
-                     (gain, ref_gain)):
-            assert_identical(a, b)
-        assert vars(stats) == vars(former_stats)
-        assert got.floor <= _least(got.covariance)
-        return calls["eigvalsh"], got, stats
-
-    @staticmethod
-    def _trace(prior, meas):
-        return float(np.trace(prior.covariance + meas.covariance))
-
-    def _regularize_margin(self, prior, meas):
-        """(1e-14 + 2 (p + 1) u) tr S: f_P + f_R above it settles that the
-        innovation covariance needs no regularizing."""
-        return (1e-14 + 2 * (self.P + 1) * self.U) * self._trace(prior, meas)
-
-    @pytest.mark.parametrize("side, eigvalsh_calls", [(1 + 1e-9, 1), (1 - 1e-9, 2)])
-    def test_regularize_margin(self, monkeypatch, side, eigvalsh_calls):
-        # f_P + f_R just inside or outside the margin of the pair's own
-        # trace; with f_R = 0 the fused floor is unknown, so the constructor
-        # checks the result either way
-        least = self._regularize_margin(*self._pair(0.0, 0.0))
-        margin = self._regularize_margin(*self._pair(2 * least, least))
-        prior, meas = self._pair(2 * least, least, margin * side, 0.0)
-        calls, got, stats = self._fuse_counted(monkeypatch, prior, meas)
-        assert (calls, stats.regularized) == (eigvalsh_calls, 0)
-
+    @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("scale", [0.5, 0.8, 1.25, 2.0])
-    def test_former_regularize_threshold(self, monkeypatch, scale):
-        # lambda_min(S) around 1e-14 tr S, where the floors never decide:
-        # eigvalsh does, and regularizes below the threshold as before
-        prior, meas = self._pair(1e-12, 1e-12)
-        least = 0.5e-14 * scale * self._trace(prior, meas)
-        calls, _, stats = self._fuse_counted(monkeypatch,
-                                             *self._pair(least, least))
-        assert calls == 2 and stats.regularized == (scale < 1.0)
+    def test_regularized_below_the_threshold(self, scale, fixed):
+        # lambda_min(S) around 1e-14 tr S: regularized below the threshold,
+        # on a miss and on every hit of a fixed pair
+        prior, meas = self._pair(1e-12)
+        least = 0.5e-14 * scale * float(np.trace(prior.covariance
+                                                 + meas.covariance))
+        pair = self._pair(least)
+        if fixed:
+            fusion._MEMO.clear()
+            pair = [GaussianReduced.from_checked(g.mean, _read_only(g.covariance))
+                    for g in pair]
+        for _ in range(2):
+            *_, stats = TestFastPathsMatchFormer._assert_fuse_identical(*pair)
+            assert stats.regularized == (scale < 1.0)
 
-    def _fused_margin(self, trace):
-        """The least equal floors f_P = f_R that settle the fused check:
-        h - delta > p u (T + delta), by bisection."""
-        def settles(f):
-            delta = 4 * self.P * self.U * trace * trace / (2 * f)
-            return f / 2 - delta > self.P * self.U * (trace + delta)
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if settles(mid) else (mid, hi)
-        return hi
 
-    @pytest.mark.parametrize("side, eigvalsh_calls", [(1 + 1e-9, 0), (1 - 1e-9, 1)])
-    def test_fused_margin(self, monkeypatch, side, eigvalsh_calls):
-        # equal floors just inside or outside the margin of the pair's own
-        # trace: outside, the constructor checks the result
-        least = 2 * self._fused_margin(self._trace(*self._pair(0.0, 0.0)))
-        f = self._fused_margin(self._trace(*self._pair(least, least)))
-        prior, meas = self._pair(least, least, f * side, f * side)
-        calls, got, stats = self._fuse_counted(monkeypatch, prior, meas)
-        assert calls == eigvalsh_calls and stats.regularized == 0
-        assert got.floor > 0.0
+class TestGainMemo:
+    """A fixed pair of read-only (N, N) covariances keeps one gain; any
+    other pair is fused from scratch on every call."""
 
-    def test_missing_or_zero_floors_run_the_checks(self, monkeypatch):
-        prior, meas = self._pair(1e-3, 1e-3)
-        for p_floor, r_floor in ((None, meas.floor), (prior.floor, None),
-                                 (0.0, 0.0)):
-            pair = [GaussianReduced.from_checked(g.mean, g.covariance, floor)
-                    for g, floor in ((prior, p_floor), (meas, r_floor))]
-            calls, _, _ = self._fuse_counted(monkeypatch, *pair)
-            assert calls == 2
-        # noise 0: the prior settles the innovation check, the all-zero
-        # fused covariance goes through the constructor
-        zero = GaussianReduced(meas.mean, np.zeros((N_MODES, N_MODES)))
-        calls, got, _ = self._fuse_counted(monkeypatch, prior, zero)
-        assert calls == 1 and not got.covariance.any()
-        # a rank-deficient prior and measurement: lifted as before
-        pair = TestFastPathsMatchFormer._rank_deficient_pair(0)
-        calls, got, _ = self._fuse_counted(monkeypatch, *pair)
-        assert calls >= 2 and got.floor <= _least(got.covariance)
+    @staticmethod
+    def _pair(rng, n_t=None):
+        shape = (N_MODES,) if n_t is None else (n_t, N_MODES)
+        return (rng.standard_normal(shape), random_spd(rng, N_MODES),
+                rng.standard_normal(shape), random_spd(rng, N_MODES, 0.01))
+
+    def test_hit_returns_the_bytes_of_a_fresh_fuse(self):
+        rng = np.random.default_rng(1)
+        p_mean, p_cov, m_mean, m_cov = self._pair(rng, n_t=20)
+        p_cov, m_cov = _read_only(p_cov), _read_only(m_cov)
+        fusion._MEMO.clear()
+        runs = []
+        for clear in (False, False, True):
+            if clear:
+                fusion._MEMO.clear()
+            runs.append([fuse(GaussianReduced.from_checked(p_mean[k], p_cov),
+                              GaussianReduced.from_checked(m_mean[k], m_cov))
+                         for k in range(20)])
+        for got in runs[1:]:
+            for (fused, gain), (ref, ref_gain) in zip(got, runs[0]):
+                assert_identical(fused.mean, ref.mean)
+                assert_identical(fused.covariance, ref.covariance)
+                assert_identical(gain, ref_gain)
+        # one entry, whose arrays are shared and read-only
+        (fused, gain), (again, _) = runs[1][:2]
+        assert len(fusion._MEMO) == 1 and fused.covariance is again.covariance
+        assert not (fused.covariance.flags.writeable or gain.flags.writeable)
+        # and the batch, through the same entry, agrees with the steps
+        batch, _ = fuse(GaussianReduced.from_checked(p_mean, p_cov),
+                        GaussianReduced.from_checked(m_mean, m_cov))
+        assert batch.covariance is runs[2][0][0].covariance
+        for k in range(20):
+            assert_close(batch.mean[k], runs[0][k][0].mean)
+
+    @pytest.mark.parametrize("kind", ["writeable", "stacked", "view"])
+    def test_a_covariance_that_can_change_is_never_memoized(self, kind):
+        rng = np.random.default_rng(2)
+        p_mean, p_cov, m_mean, m_cov = self._pair(rng, n_t=4)
+        if kind == "stacked":
+            p_cov = np.stack([p_cov] * 4)
+        fusion._MEMO.clear()
+        for scale in (1.0, 3.0):
+            cov = p_cov
+            if kind == "view":  # read-only, but its base is writeable
+                cov = p_cov.view()
+                cov.setflags(write=False)
+            prior = GaussianReduced.from_checked(p_mean, cov)
+            meas = GaussianReduced.from_checked(m_mean, _read_only(m_cov))
+            got, gain = fuse(prior, meas)
+            ref, ref_gain = _former_fuse(prior, meas)
+            assert_identical(got.mean, ref.mean)
+            assert_identical(gain, ref_gain)
+            if scale == 1.0:
+                first = got.mean
+            p_cov *= 3.0  # changed in place between the calls
+        assert not np.array_equal(got.mean, first)
+        assert not fusion._MEMO
+
+    def test_dropped_covariances_never_alias(self):
+        # each pair is made, fused and dropped; a new array may reuse a
+        # freed array's id, but a live entry holds its arrays, so every call
+        # must give the fresh result of its own pair
+        rng = np.random.default_rng(3)
+        fusion._MEMO.clear()
+        for _ in range(60):
+            p_mean, p_cov, m_mean, m_cov = self._pair(rng)
+            prior = GaussianReduced.from_checked(p_mean, _read_only(p_cov))
+            meas = GaussianReduced.from_checked(m_mean, _read_only(m_cov))
+            TestFastPathsMatchFormer._assert_fuse_identical(prior, meas)
+            del prior, meas
+            gc.collect()
+
+    def test_memo_stays_bounded(self):
+        rng = np.random.default_rng(4)
+        fusion._MEMO.clear()
+        kept = []
+        for _ in range(3 * fusion._MEMO_SIZE):
+            p_mean, p_cov, m_mean, m_cov = self._pair(rng)
+            kept.append((GaussianReduced.from_checked(p_mean, _read_only(p_cov)),
+                         GaussianReduced.from_checked(m_mean, _read_only(m_cov))))
+            fuse(*kept[-1])
+            assert len(fusion._MEMO) <= fusion._MEMO_SIZE
+        # the newest pairs are kept, the oldest evicted
+        assert len(fusion._MEMO) == fusion._MEMO_SIZE
+        newest = kept[-1]
+        assert (id(newest[0].covariance), id(newest[1].covariance)) in fusion._MEMO
+        assert (id(kept[0][0].covariance), id(kept[0][1].covariance)) not in fusion._MEMO
+        # an evicted pair is fused afresh, with the same bytes
+        for pair in (kept[0], newest):
+            TestFastPathsMatchFormer._assert_fuse_identical(*pair)
+
+    def test_threads_sharing_the_memo(self):
+        # more threads than cores, switching often, each fusing its own
+        # stream of fixed pairs: every result is its pair's fresh one, and
+        # concurrent evictions neither fail nor grow the memo
+        rng = np.random.default_rng(5)
+        pairs = [tuple(GaussianReduced.from_checked(mean, _read_only(cov))
+                       for mean, cov in ((p_mean, p_cov), (m_mean, m_cov)))
+                 for p_mean, p_cov, m_mean, m_cov in
+                 (self._pair(rng) for _ in range(40))]
+        refs = [_former_fuse(*pair)[0].mean for pair in pairs]
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(400):
+                    i = (offset + 7 * k) % len(pairs)
+                    got = fuse(*pairs[i])[0].mean
+                    if got.tobytes() != refs[i].tobytes():
+                        errors.append(i)
+            except Exception as err:  # reported below, not lost in a thread
+                errors.append(err)
+
+        fusion._MEMO.clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(fusion._MEMO) <= fusion._MEMO_SIZE
+
+    def test_non_finite_mean_rejected_on_a_hit(self):
+        fusion._MEMO.clear()
+        cov = _read_only(np.eye(N_MODES))
+        fuse(GaussianReduced.from_checked(np.zeros(N_MODES), cov),
+             GaussianReduced.from_checked(np.ones(N_MODES), cov))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="finite"):
+                fuse(GaussianReduced.from_checked(np.full(N_MODES, 1e308), cov),
+                     GaussianReduced.from_checked(np.full(N_MODES, -1e308), cov))
 
 
 class TestEstimatorBatch:
@@ -829,7 +735,9 @@ class TestEstimatorBatch:
         assert np.array_equal(meas.covariance, sparse_cov)
         assert_close(prior.mean, np.array(ref["rom"]))
         assert_close(fused.mean, np.array(ref["fused"]))
-        assert_close(np.trace(fused.covariance, axis1=1, axis2=2),
+        # both covariances are fixed: the fused one is shared by every step
+        assert fused.covariance.shape == (N_MODES, N_MODES)
+        assert_close(np.full(n_t, np.trace(fused.covariance)),
                      np.array(ref["trace"]))
         assert vars(rom_stats) == vars(step_rom)
         assert vars(fusion_stats) == vars(step_fusion)
