@@ -15,15 +15,15 @@ covariance shared by every row.
 
 A fixed pair of covariances has one gain and one fused covariance
 (steady-state fixed-gain fusion, Simon, *Optimal State Estimation*, 2006,
-7.3). ``fuse`` keeps them for read-only (N, N) pairs, so a step that meets
-the same pair again is one matrix-vector product; any other pair gets its
-per-row gains from one stacked solve, the per-row special cases (a
-degenerate or a regularized innovation covariance) applied by mask.
+7.3). ``fuse`` keeps them for the last pair of (N, N) covariances it met,
+so a step that meets the same pair again is one matrix-vector product; a
+stack of covariances gets its per-row gains from one stacked solve, the
+per-row special cases (a degenerate or a regularized innovation
+covariance) applied by mask.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,20 +119,12 @@ class FusionStats:
     regularized: int = 0
 
 
-#: Gain, fused covariance and regularize flag of read-only (N, N) covariance
-#: pairs, keyed by the pair's ids. Each entry holds its two covariances, so
-#: neither id can pass to another array while the entry exists; the oldest
-#: entry goes when a new one would exceed ``_MEMO_SIZE``. Lookups need no
-#: lock (a dict read is atomic); an eviction and insert take ``_MEMO_LOCK``.
-_MEMO: dict = {}
-_MEMO_SIZE = 8
-_MEMO_LOCK = threading.Lock()
-
-
-def _fixed(cov: np.ndarray) -> bool:
-    """One (N, N) covariance that cannot change under the memo: read-only
-    and owning its data (a read-only view may have a writeable base)."""
-    return cov.ndim == 2 and not cov.flags.writeable and cov.flags.owndata
+#: (prior covariance bytes, measurement covariance bytes, gain, fused
+#: covariance, regularize flag) of the last (N, N) pair fused, or None.
+#: Keyed by content, so a covariance changed in place is a miss, whatever
+#: its flags and id; one tuple assignment replaces it, so a reader that
+#: takes it once sees one whole entry.
+_LAST = None
 
 
 def _gains(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
@@ -177,35 +169,35 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
     has trace <= 0 (both sources fully certain) keeps the prior mean with
     zero covariance and zero gain.
 
-    When both covariances are single read-only (N, N) arrays that own their
-    data, as :func:`evaluate_rom` and :func:`sparse_estimate` return them,
-    the gain, the checked fused covariance (shared, read-only) and the
-    regularize flag are computed once per pair and kept; a later call with
-    the same two arrays only applies the gain. Such a covariance must not
-    change while it is read-only. Any other pair runs every check per call.
+    When both covariances are single (N, N) arrays, as :func:`evaluate_rom`
+    and :func:`sparse_estimate` return them, the gain, the checked fused
+    covariance and the regularize flag are kept for that pair; the gain and
+    the fused covariance are returned shared and read-only. A later call
+    with a pair of the same bytes only applies the gain, so a covariance
+    changed in place is fused afresh. A stack of covariances runs every
+    check on each call.
     """
     if prior.n != measurement.n:
         raise ValidationError(
             f"dimension mismatch: prior has {prior.n}, measurement {measurement.n}"
         )
+    global _LAST
     p_cov, r_cov = prior.covariance, measurement.covariance
-    key = (id(p_cov), id(r_cov))
-    entry = _MEMO.get(key)
-    if entry is None:
-        gain, cov, regularize = _gains(p_cov, r_cov)
-        if _fixed(p_cov) and _fixed(r_cov):
+    single = p_cov.ndim == 2 and r_cov.ndim == 2
+    if single:
+        p_key, r_key = p_cov.tobytes(), r_cov.tobytes()
+        last = _LAST
+        if last is None or last[0] != p_key or last[1] != r_key:
+            gain, cov, regularize = _gains(p_cov, r_cov)
             cov = GaussianReduced(np.zeros(prior.n), cov).covariance
             gain.setflags(write=False)
             cov.setflags(write=False)
-            entry = (p_cov, r_cov, gain, cov, bool(regularize))
-            with _MEMO_LOCK:
-                if len(_MEMO) >= _MEMO_SIZE:
-                    del _MEMO[next(iter(_MEMO))]
-                _MEMO[key] = entry
-    if entry is not None:
-        gain, cov, regularize = entry[2:]
+            last = _LAST = (p_key, r_key, gain, cov, bool(regularize))
+        gain, cov, regularize = last[2:]
+    else:
+        gain, cov, regularize = _gains(p_cov, r_cov)
     mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
-    if entry is None:
+    if not single:
         fused = GaussianReduced(mean, cov)
     elif np.isfinite(mean).all():
         fused = GaussianReduced.from_checked(mean, cov)

@@ -273,7 +273,7 @@ class TestDecompositionCalls:
         assert calls == {"eigh": 0, "eigvalsh": 0}
 
     def test_fixed_pair_checked_once(self, monkeypatch):
-        fusion._MEMO.clear()
+        fusion._LAST = None
         model, rng = _model(), np.random.default_rng(2)
         meas_cov = _read_only(random_spd(rng, N_MODES, 0.01))
         means = rng.standard_normal((_U.size, N_MODES))
@@ -531,18 +531,18 @@ class TestRegularizeThreshold:
                                 (q * ([least] + rest)) @ q.T)
                 for rest in ([0.5, 1.0], [0.02, 0.01])]
 
-    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("scale", [0.5, 0.8, 1.25, 2.0])
-    def test_regularized_below_the_threshold(self, scale, fixed):
+    def test_regularized_below_the_threshold(self, scale, stacked):
         # lambda_min(S) around 1e-14 tr S: regularized below the threshold,
-        # on a miss and on every hit of a fixed pair
+        # for a stack of one row, and on the miss and the hit of a kept pair
         prior, meas = self._pair(1e-12)
         least = 0.5e-14 * scale * float(np.trace(prior.covariance
                                                  + meas.covariance))
         pair = self._pair(least)
-        if fixed:
-            fusion._MEMO.clear()
-            pair = [GaussianReduced.from_checked(g.mean, _read_only(g.covariance))
+        fusion._LAST = None
+        if stacked:
+            pair = [GaussianReduced(g.mean[None], g.covariance[None])
                     for g in pair]
         for _ in range(2):
             *_, stats = TestFastPathsMatchFormer._assert_fuse_identical(*pair)
@@ -550,8 +550,8 @@ class TestRegularizeThreshold:
 
 
 class TestGainMemo:
-    """A fixed pair of read-only (N, N) covariances keeps one gain; any
-    other pair is fused from scratch on every call."""
+    """``fuse`` keeps the gain of the last pair of (N, N) covariances, keyed
+    by their bytes; a stack, or a pair changed in place, is fused afresh."""
 
     @staticmethod
     def _pair(rng, n_t=None):
@@ -563,11 +563,11 @@ class TestGainMemo:
         rng = np.random.default_rng(1)
         p_mean, p_cov, m_mean, m_cov = self._pair(rng, n_t=20)
         p_cov, m_cov = _read_only(p_cov), _read_only(m_cov)
-        fusion._MEMO.clear()
+        fusion._LAST = None
         runs = []
         for clear in (False, False, True):
             if clear:
-                fusion._MEMO.clear()
+                fusion._LAST = None
             runs.append([fuse(GaussianReduced.from_checked(p_mean[k], p_cov),
                               GaussianReduced.from_checked(m_mean[k], m_cov))
                          for k in range(20)])
@@ -576,9 +576,9 @@ class TestGainMemo:
                 assert_identical(fused.mean, ref.mean)
                 assert_identical(fused.covariance, ref.covariance)
                 assert_identical(gain, ref_gain)
-        # one entry, whose arrays are shared and read-only
+        # the kept arrays are shared and read-only
         (fused, gain), (again, _) = runs[1][:2]
-        assert len(fusion._MEMO) == 1 and fused.covariance is again.covariance
+        assert fused.covariance is again.covariance
         assert not (fused.covariance.flags.writeable or gain.flags.writeable)
         # and the batch, through the same entry, agrees with the steps
         batch, _ = fuse(GaussianReduced.from_checked(p_mean, p_cov),
@@ -587,36 +587,43 @@ class TestGainMemo:
         for k in range(20):
             assert_close(batch.mean[k], runs[0][k][0].mean)
 
-    @pytest.mark.parametrize("kind", ["writeable", "stacked", "view"])
-    def test_a_covariance_that_can_change_is_never_memoized(self, kind):
+    @pytest.mark.parametrize(
+        "kind", ["writeable", "stacked", "view", "made writeable and back"])
+    def test_a_covariance_changed_in_place_is_fused_afresh(self, kind):
         rng = np.random.default_rng(2)
         p_mean, p_cov, m_mean, m_cov = self._pair(rng, n_t=4)
         if kind == "stacked":
             p_cov = np.stack([p_cov] * 4)
-        fusion._MEMO.clear()
+        cov = p_cov
+        if kind == "view":  # read-only, but its base is writeable
+            cov = p_cov.view()
+            cov.setflags(write=False)
+        elif kind == "made writeable and back":
+            cov = p_cov = _read_only(p_cov)
+        meas = GaussianReduced.from_checked(m_mean, _read_only(m_cov))
+        fusion._LAST = None
         for scale in (1.0, 3.0):
-            cov = p_cov
-            if kind == "view":  # read-only, but its base is writeable
-                cov = p_cov.view()
-                cov.setflags(write=False)
             prior = GaussianReduced.from_checked(p_mean, cov)
-            meas = GaussianReduced.from_checked(m_mean, _read_only(m_cov))
             got, gain = fuse(prior, meas)
             ref, ref_gain = _former_fuse(prior, meas)
             assert_identical(got.mean, ref.mean)
             assert_identical(gain, ref_gain)
             if scale == 1.0:
                 first = got.mean
-            p_cov *= 3.0  # changed in place between the calls
+            # changed in place between the calls, with no call in between
+            # that would see it writeable
+            p_cov.setflags(write=True)
+            p_cov *= 3.0
+            if kind == "made writeable and back":
+                p_cov.setflags(write=False)
         assert not np.array_equal(got.mean, first)
-        assert not fusion._MEMO
 
     def test_dropped_covariances_never_alias(self):
         # each pair is made, fused and dropped; a new array may reuse a
-        # freed array's id, but a live entry holds its arrays, so every call
-        # must give the fresh result of its own pair
+        # freed array's id, but every call must give the fresh result of
+        # its own pair
         rng = np.random.default_rng(3)
-        fusion._MEMO.clear()
+        fusion._LAST = None
         for _ in range(60):
             p_mean, p_cov, m_mean, m_cov = self._pair(rng)
             prior = GaussianReduced.from_checked(p_mean, _read_only(p_cov))
@@ -625,34 +632,30 @@ class TestGainMemo:
             del prior, meas
             gc.collect()
 
-    def test_memo_stays_bounded(self):
+    def test_memo_holds_the_last_pair_only(self):
         rng = np.random.default_rng(4)
-        fusion._MEMO.clear()
-        kept = []
-        for _ in range(3 * fusion._MEMO_SIZE):
+        fusion._LAST = None
+        pairs = []
+        for _ in range(3):
             p_mean, p_cov, m_mean, m_cov = self._pair(rng)
-            kept.append((GaussianReduced.from_checked(p_mean, _read_only(p_cov)),
-                         GaussianReduced.from_checked(m_mean, _read_only(m_cov))))
-            fuse(*kept[-1])
-            assert len(fusion._MEMO) <= fusion._MEMO_SIZE
-        # the newest pairs are kept, the oldest evicted
-        assert len(fusion._MEMO) == fusion._MEMO_SIZE
-        newest = kept[-1]
-        assert (id(newest[0].covariance), id(newest[1].covariance)) in fusion._MEMO
-        assert (id(kept[0][0].covariance), id(kept[0][1].covariance)) not in fusion._MEMO
-        # an evicted pair is fused afresh, with the same bytes
-        for pair in (kept[0], newest):
+            pairs.append((GaussianReduced(p_mean, p_cov),
+                          GaussianReduced(m_mean, m_cov)))
+            fuse(*pairs[-1])
+            newest = tuple(g.covariance.tobytes() for g in pairs[-1])
+            assert fusion._LAST[:2] == newest
+        # switching between pairs refits each time, with the same bytes
+        for pair in (pairs[0], pairs[-1], pairs[0]):
             TestFastPathsMatchFormer._assert_fuse_identical(*pair)
 
     def test_threads_sharing_the_memo(self):
         # more threads than cores, switching often, each fusing its own
-        # stream of fixed pairs: every result is its pair's fresh one, and
-        # concurrent evictions neither fail nor grow the memo
+        # stream of pairs: every result is its pair's fresh one, as each
+        # call reads the one entry once
         rng = np.random.default_rng(5)
         pairs = [tuple(GaussianReduced.from_checked(mean, _read_only(cov))
                        for mean, cov in ((p_mean, p_cov), (m_mean, m_cov)))
                  for p_mean, p_cov, m_mean, m_cov in
-                 (self._pair(rng) for _ in range(40))]
+                 (self._pair(rng) for _ in range(6))]
         refs = [_former_fuse(*pair)[0].mean for pair in pairs]
         errors = []
 
@@ -666,11 +669,11 @@ class TestGainMemo:
             except Exception as err:  # reported below, not lost in a thread
                 errors.append(err)
 
-        fusion._MEMO.clear()
+        fusion._LAST = None
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -679,10 +682,10 @@ class TestGainMemo:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(fusion._MEMO) <= fusion._MEMO_SIZE
+        fusion._LAST = None
 
     def test_non_finite_mean_rejected_on_a_hit(self):
-        fusion._MEMO.clear()
+        fusion._LAST = None
         cov = _read_only(np.eye(N_MODES))
         fuse(GaussianReduced.from_checked(np.zeros(N_MODES), cov),
              GaussianReduced.from_checked(np.ones(N_MODES), cov))

@@ -199,7 +199,7 @@ class TestPipelineRun:
         for want, got in pairs:
             assert got == pytest.approx(want, rel=1e-8)
 
-    def test_extrapolated_steps_counted(self, dataset_run):
+    def test_extrapolated_steps_counted(self, dataset_run, request):
         pipeline_cfg, out = dataset_run
         summary = json.loads((out / "error_summary.json").read_text())
         rom = json.loads((out / "rom.json").read_text())
@@ -218,6 +218,10 @@ class TestPipelineRun:
             "extrapolated_low": int(np.sum(u < lo)),
             "extrapolated_high": int(np.sum(u > hi)),
         }
+        # the benchmark workloads' evaluation wind leaves the trained range
+        # (synth --seed 0: 466 and 18 steps below it), so the counter fires
+        if request.node.callspec.params["dataset_run"] in ("long_record", "fine_grid"):
+            assert summary["rom"]["extrapolated_low"] > 0
         assert summary["rom"]["steps"] == summary["fusion"]["steps"]
 
     def test_torsion_rank_defaults_to_n_modes(self, twin):
