@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import TWO_PI, read_json, write_json
+from .dataset import read_json, wrap_angle, write_json
 from .errors import ValidationError
 from .fusion import GaussianReduced
 
@@ -205,9 +205,7 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti,
     if theta.ndim > 1:
         raise ValidationError("theta and u_filt must be scalars or 1-D arrays")
     single = theta.ndim == 0
-    # wrap_angle in place: mod can round up to exactly 2*pi
-    theta, u = np.mod(theta.reshape(-1), TWO_PI), u.reshape(-1)
-    theta[theta >= TWO_PI] -= TWO_PI
+    theta, u = wrap_angle(theta.reshape(-1)), u.reshape(-1)
     if stats is not None:
         lo, hi = model.u_range
         stats.steps += u.size

@@ -301,8 +301,10 @@ def wrap_angle(theta):
     """Wrap angles to [0, 2*pi); scalar in, scalar out."""
     out = np.mod(theta, TWO_PI)
     # mod can round up to exactly 2*pi for inputs just below a period
-    out = np.where(out >= TWO_PI, out - TWO_PI, out)
-    return float(out) if np.isscalar(theta) else out
+    if isinstance(out, np.ndarray):
+        out[out >= TWO_PI] -= TWO_PI
+        return out
+    return float(out - TWO_PI if out >= TWO_PI else out)
 
 
 def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:

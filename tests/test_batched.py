@@ -7,8 +7,10 @@ largest magnitude: the stacked products sum in another order, so the
 results are not bit-identical. ``_reference_evaluate_rom`` and
 ``_reference_fuse`` are per-step loop bodies kept here as independent
 oracles. ``_former_fuse`` is the batched kernel before its per-call costs
-were cut; ``fuse`` must match it bit for bit, whether it runs every check
-or reuses the gain of a fixed covariance pair.
+were cut, when it also took one covariance per row; ``fuse``, which takes
+one (N, N) covariance per Gaussian, must match it bit for bit on single
+steps and on stacked means, whether it computes the gain of a covariance
+pair or reuses the one it kept.
 """
 
 import gc
@@ -25,7 +27,6 @@ from bladesense import fusion, sensing
 from bladesense.azimuthal_rom import fourier_eval
 from bladesense.dataset import wrap_angle
 from bladesense.errors import ValidationError
-from bladesense.fusion import _any
 from bladesense.sensing import sensor_dof_rows
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel
@@ -75,6 +76,10 @@ def _reference_fuse(prior, measurement):
     mean = prior.mean + gain @ (measurement.mean - prior.mean)
     cov = (np.eye(n) - gain) @ prior.covariance
     return mean, 0.5 * (cov + cov.T), gain, regularized
+
+
+def _any(mask):
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
 def _former_fuse(prior, measurement, stats=None):
@@ -175,6 +180,28 @@ class TestEvaluateRomBatch:
         with pytest.raises(ValidationError, match="1-D"):
             evaluate_rom(_model(), np.zeros((2, 2)), 9.0, 0.10)
 
+    def test_wrap_angle_matches_the_former_form(self):
+        # the former wrap_angle, which blended with np.where
+        def former(theta):
+            out = np.mod(theta, 2 * np.pi)
+            out = np.where(out >= 2 * np.pi, out - 2 * np.pi, out)
+            return float(out) if np.isscalar(theta) else out
+
+        thetas = np.concatenate([_THETA, _EDGE_THETA])
+        for theta in thetas:
+            for cast in (float, np.float64):
+                got = wrap_angle(cast(theta))
+                assert type(got) is float
+                assert_identical(got, former(cast(theta)))
+        for arr in (_THETA, _EDGE_THETA, thetas.reshape(2, -1)):
+            got = wrap_angle(arr)
+            assert_identical(got, former(arr))
+            assert np.all((got >= 0.0) & (got < 2 * np.pi))
+        # the caller's array is left as it was
+        edge = _EDGE_THETA.copy()
+        wrap_angle(edge)
+        assert_identical(edge, _EDGE_THETA)
+
 
 def _rows_of(sensors, n_z):
     stations = sensors.station_indices
@@ -204,30 +231,25 @@ class TestBuiltOnce:
 
     def test_psd_stack_comes_back_unchanged(self):
         covs, flagged = self._tiny_negative_stack()
-        psd = covs[~flagged]
-        for cov in (psd, psd[0]):
-            got = GaussianReduced(np.zeros(cov.shape[:-1]), cov).covariance
-            assert np.array_equal(got, cov)
+        for cov in covs[~flagged]:
+            for mean in (np.zeros(N_MODES), np.zeros((5, N_MODES))):
+                got = GaussianReduced(mean, cov).covariance
+                assert np.array_equal(got, cov)
 
-    @pytest.mark.parametrize("shape", [(12,), (3, 4)])
-    def test_lifts_only_the_tiny_negative_rows(self, shape):
+    def test_lifts_only_the_tiny_negative_matrices(self):
         covs, flagged = self._tiny_negative_stack()
         assert np.array_equal(np.linalg.eigvalsh(covs).min(axis=-1) < 0.0,
                               flagged)
-        covs = covs.reshape(shape + covs.shape[-2:])
-        flagged = flagged.reshape(shape)
-        got = GaussianReduced(np.zeros(covs.shape[:-1]), covs).covariance
-        assert np.array_equal(got[~flagged], covs[~flagged])
-        assert np.linalg.eigvalsh(got).min() >= 0.0
-        # the lift is a positive shift of the diagonal and nothing else
-        lift = got[flagged] - covs[flagged]
-        diagonal = lift.diagonal(axis1=-2, axis2=-1)
-        assert np.all(diagonal > 0.0)
-        assert np.array_equal(lift, diagonal[:, :, None] * np.eye(N_MODES))
-        # a single matrix takes the same path as a stack of one
-        k = tuple(np.argwhere(flagged)[0])
-        single = GaussianReduced(np.zeros(N_MODES), covs[k]).covariance
-        assert np.array_equal(single, got[k])
+        for cov, lifted in zip(covs, flagged):
+            got = GaussianReduced(np.zeros(N_MODES), cov).covariance
+            assert np.linalg.eigvalsh(got).min() >= 0.0
+            # the lift is a positive shift of the diagonal and nothing else
+            lift = got - cov
+            assert np.all(lift.diagonal() > 0.0) == lifted
+            assert np.array_equal(lift, np.diag(lift.diagonal()))
+            # a stack of means takes the same lift
+            stacked = GaussianReduced(np.zeros((4, N_MODES)), cov).covariance
+            assert np.array_equal(stacked, got)
 
     def test_observe_reuses_the_sensor_rows(self, monkeypatch):
         grid = demo_grid(n_z=10)
@@ -364,60 +386,70 @@ class TestPerStepInvariants:
 
 
 class TestFuseBatch:
-    def _stack(self, n_t=40, seed=1):
+    # a pair of random covariances, a pair whose innovation covariance is
+    # near-singular (regularized) and a fully certain pair (trace 0)
+    @staticmethod
+    def _pairs(seed=1):
         rng = np.random.default_rng(seed)
-        p_mean = rng.standard_normal((n_t, N_MODES))
-        m_mean = rng.standard_normal((n_t, N_MODES))
-        p_cov = np.stack([random_spd(rng, N_MODES) for _ in range(n_t)])
-        m_cov = np.stack([random_spd(rng, N_MODES) for _ in range(n_t)])
-        # row 3: near-singular innovation covariance (regularized);
-        # row 7: both sources fully certain (trace 0)
-        p_cov[3] = m_cov[3] = np.diag([1.0, 0.0, 2.0])
-        p_cov[7] = m_cov[7] = 0.0
-        return p_mean, p_cov, m_mean, m_cov
+        singular = np.diag([1.0, 0.0, 2.0])
+        return {"random": (random_spd(rng, N_MODES), random_spd(rng, N_MODES)),
+                "regularized": (singular, singular),
+                "certain": (np.zeros((N_MODES, N_MODES)),) * 2}
 
-    def test_stack_matches_per_step(self):
-        p_mean, p_cov, m_mean, m_cov = self._stack()
+    @staticmethod
+    def _means(n_t=40, seed=1):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n_t, N_MODES)),
+                rng.standard_normal((n_t, N_MODES)))
+
+    @pytest.mark.parametrize("kind", ["random", "regularized", "certain"])
+    def test_stack_matches_per_step(self, kind):
+        p_mean, m_mean = self._means()
+        p_cov, m_cov = self._pairs()[kind]
         stats = FusionStats()
         fused, gain = fuse(GaussianReduced(p_mean, p_cov),
                            GaussianReduced(m_mean, m_cov), stats)
-        step_stats, ref_regularized = FusionStats(), 0
+        assert fused.covariance.shape == gain.shape == (N_MODES, N_MODES)
+        step_stats = FusionStats()
         for k in range(p_mean.shape[0]):
-            prior = GaussianReduced(p_mean[k], p_cov[k])
-            meas = GaussianReduced(m_mean[k], m_cov[k])
+            prior = GaussianReduced(p_mean[k], p_cov)
+            meas = GaussianReduced(m_mean[k], m_cov)
             step, step_gain = fuse(prior, meas, step_stats)
             assert_close(fused.mean[k], step.mean)
-            assert_close(fused.covariance[k], step.covariance)
-            assert_close(gain[k], step_gain)
+            assert_identical(step.covariance, fused.covariance)
+            assert_identical(step_gain, gain)
             ref_mean, ref_cov, ref_gain, regularized = _reference_fuse(prior, meas)
-            ref_regularized += regularized
             assert_close(fused.mean[k], ref_mean)
-            assert_close(fused.covariance[k], ref_cov)
-            assert_close(gain[k], ref_gain)
-            assert_close(np.trace(fused.covariance[k]), np.trace(ref_cov))
-        assert (stats.steps, stats.regularized) == (40, ref_regularized) == (40, 1)
-        assert (step_stats.steps, step_stats.regularized) == (40, 1)
-        assert np.array_equal(fused.mean[7], p_mean[7])
-        assert np.all(fused.covariance[7] == 0.0) and np.all(gain[7] == 0.0)
+            assert_close(fused.covariance, ref_cov)
+            assert_close(gain, ref_gain)
+            assert_close(np.trace(fused.covariance), np.trace(ref_cov))
+        rows = 40 if kind == "regularized" else 0
+        assert regularized == (kind == "regularized")
+        assert (stats.steps, stats.regularized) == (40, rows)
+        assert (step_stats.steps, step_stats.regularized) == (40, rows)
+        if kind == "certain":
+            assert np.array_equal(fused.mean, p_mean)
+            assert np.all(fused.covariance == 0.0) and np.all(gain == 0.0)
 
-    def test_shared_measurement_covariance(self):
-        p_mean, p_cov, m_mean, _ = self._stack()
-        shared = random_spd(np.random.default_rng(5), N_MODES)
-        stats = FusionStats()
-        fused, _ = fuse(GaussianReduced(p_mean, p_cov),
-                        GaussianReduced(m_mean, shared), stats)
-        for k in range(p_mean.shape[0]):
-            step, _ = fuse(GaussianReduced(p_mean[k], p_cov[k]),
-                           GaussianReduced(m_mean[k], shared))
-            assert_close(fused.mean[k], step.mean)
-            assert_close(fused.covariance[k], step.covariance)
-        assert stats.steps == p_mean.shape[0]
+    def test_one_step_broadcasts_against_a_stack(self):
+        p_mean, m_mean = self._means()
+        p_cov, m_cov = self._pairs()["random"]
+        for p_one, m_one in ((False, True), (True, False)):
+            stats = FusionStats()
+            fused, _ = fuse(GaussianReduced(p_mean[0] if p_one else p_mean, p_cov),
+                            GaussianReduced(m_mean[0] if m_one else m_mean, m_cov),
+                            stats)
+            assert fused.mean.shape == (40, N_MODES) and stats.steps == 40
+            for k in range(40):
+                step, _ = fuse(GaussianReduced(p_mean[0 if p_one else k], p_cov),
+                               GaussianReduced(m_mean[0 if m_one else k], m_cov))
+                assert_close(fused.mean[k], step.mean)
 
 
 class TestFastPathsMatchFormer:
     """fuse against the former kernel with tolerance 0: a batch of one,
-    stacks, regularized, certain and lifted rows, and fixed covariance
-    pairs, whose gain is computed once and reused."""
+    stacked means, regularized, certain and lifted pairs, and fixed
+    covariance pairs, whose gain is computed once and reused."""
 
     @staticmethod
     def _assert_fuse_identical(prior, meas):
@@ -443,8 +475,8 @@ class TestFastPathsMatchFormer:
                 prior, GaussianReduced.from_checked(mean, fixed))
 
     def test_fuse_stacks(self):
-        p_mean, p_cov, m_mean, _ = TestFuseBatch()._stack(n_t=_U.size)
-        shared = random_spd(np.random.default_rng(5), N_MODES)
+        p_mean, m_mean = TestFuseBatch._means(n_t=_U.size)
+        p_cov, shared = TestFuseBatch._pairs(5)["random"]
         prior = evaluate_rom(_model(), _THETA, _U, 0.10)
         self._assert_fuse_identical(prior, GaussianReduced(m_mean, shared))
         self._assert_fuse_identical(
@@ -454,16 +486,19 @@ class TestFastPathsMatchFormer:
         self._assert_fuse_identical(GaussianReduced(m_mean, shared), prior)
 
     def test_regularized_and_certain_rows_counted(self):
-        # row 3 is regularized, row 7 fully certain
-        p_mean, p_cov, m_mean, m_cov = TestFuseBatch()._stack()
-        _, gain, stats = self._assert_fuse_identical(
-            GaussianReduced(p_mean, p_cov), GaussianReduced(m_mean, m_cov))
-        assert (stats.steps, stats.regularized) == (40, 1)
-        assert np.all(gain[7] == 0.0)
-        for k, regularized in ((3, 1), (7, 0)):
+        # every row of a stack fused with a regularized pair is counted, and
+        # a fully certain pair gets zero gain
+        p_mean, m_mean = TestFuseBatch._means()
+        pairs = TestFuseBatch._pairs()
+        for kind, regularized in (("regularized", 1), ("certain", 0)):
+            p_cov, m_cov = pairs[kind]
+            _, gain, stats = self._assert_fuse_identical(
+                GaussianReduced(p_mean, p_cov), GaussianReduced(m_mean, m_cov))
+            assert (stats.steps, stats.regularized) == (40, 40 * regularized)
+            assert np.all(gain == 0.0) == (kind == "certain")
             _, _, stats = self._assert_fuse_identical(
-                GaussianReduced(p_mean[k], p_cov[k]),
-                GaussianReduced(m_mean[k], m_cov[k]))
+                GaussianReduced(p_mean[3], p_cov),
+                GaussianReduced(m_mean[3], m_cov))
             assert (stats.steps, stats.regularized) == (1, regularized)
 
     @pytest.mark.parametrize("case", ["mean", "covariance", "one row"])
@@ -506,12 +541,12 @@ class TestFastPathsMatchFormer:
         lift = fused.covariance - raw
         assert np.all(lift.diagonal() > 0.0)
         assert np.array_equal(lift, np.diag(lift.diagonal()))
-        pairs = [self._rank_deficient_pair(seed) for seed in range(12)]
-        self._assert_fuse_identical(
-            GaussianReduced(np.stack([p.mean for p, _ in pairs]),
-                            np.stack([p.covariance for p, _ in pairs])),
-            GaussianReduced(np.stack([m.mean for _, m in pairs]),
-                            np.stack([m.covariance for _, m in pairs])))
+        rng = np.random.default_rng(1)
+        for seed in range(12):
+            prior, meas = self._rank_deficient_pair(seed)
+            self._assert_fuse_identical(
+                GaussianReduced(rng.standard_normal((5, N_MODES)), prior.covariance),
+                GaussianReduced(rng.standard_normal((5, N_MODES)), meas.covariance))
 
 
 def _read_only(cov):
@@ -535,23 +570,23 @@ class TestRegularizeThreshold:
     @pytest.mark.parametrize("scale", [0.5, 0.8, 1.25, 2.0])
     def test_regularized_below_the_threshold(self, scale, stacked):
         # lambda_min(S) around 1e-14 tr S: regularized below the threshold,
-        # for a stack of one row, and on the miss and the hit of a kept pair
+        # for a stacked mean of one row, and on the miss and the hit of a
+        # kept pair
         prior, meas = self._pair(1e-12)
         least = 0.5e-14 * scale * float(np.trace(prior.covariance
                                                  + meas.covariance))
         pair = self._pair(least)
         fusion._LAST = None
         if stacked:
-            pair = [GaussianReduced(g.mean[None], g.covariance[None])
-                    for g in pair]
+            pair = [GaussianReduced(g.mean[None], g.covariance) for g in pair]
         for _ in range(2):
             *_, stats = TestFastPathsMatchFormer._assert_fuse_identical(*pair)
             assert stats.regularized == (scale < 1.0)
 
 
 class TestGainMemo:
-    """``fuse`` keeps the gain of the last pair of (N, N) covariances, keyed
-    by their bytes; a stack, or a pair changed in place, is fused afresh."""
+    """``fuse`` keeps the gain of the last covariance pair, keyed by their
+    bytes; a pair changed in place is fused afresh."""
 
     @staticmethod
     def _pair(rng, n_t=None):
@@ -588,12 +623,10 @@ class TestGainMemo:
             assert_close(batch.mean[k], runs[0][k][0].mean)
 
     @pytest.mark.parametrize(
-        "kind", ["writeable", "stacked", "view", "made writeable and back"])
+        "kind", ["writeable", "view", "made writeable and back"])
     def test_a_covariance_changed_in_place_is_fused_afresh(self, kind):
         rng = np.random.default_rng(2)
         p_mean, p_cov, m_mean, m_cov = self._pair(rng, n_t=4)
-        if kind == "stacked":
-            p_cov = np.stack([p_cov] * 4)
         cov = p_cov
         if kind == "view":  # read-only, but its base is writeable
             cov = p_cov.view()
@@ -785,26 +818,21 @@ class TestNonFiniteGaussians:
         with np.errstate(over="ignore"):
             with pytest.raises(ValidationError, match="finite"):
                 GaussianReduced(np.zeros(3), 1e308 * np.eye(3))
+        # a PSD covariance whose trace alone overflows is accepted, with no
+        # overflow warning: the trace is taken only for a negative eigenvalue
+        with np.errstate(over="raise"):
+            GaussianReduced(np.zeros(3), 8e307 * np.eye(3))
 
     def test_one_bad_row_rejects_the_stack(self):
         means = np.zeros((5, 2))
-        covs = np.tile(np.eye(2), (5, 1, 1))
-        GaussianReduced(means, covs)
-        covs[3, 0, 0] = np.nan
-        with pytest.raises(ValidationError, match="finite"):
-            GaussianReduced(means, covs)
+        GaussianReduced(means, np.eye(2))
         means[1, 1] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             GaussianReduced(means, np.eye(2))
 
-    def test_stack_checked_row_by_row(self):
-        covs = np.stack([np.eye(2), np.diag([1.0, -1e-12]), np.diag([1.0, -0.5])])
-        with pytest.raises(ValidationError, match="PSD"):
-            GaussianReduced(np.zeros((3, 2)), covs)
-        g = GaussianReduced(np.zeros((2, 2)), covs[:2])
-        assert np.array_equal(g.covariance[0], np.eye(2))
-        assert np.linalg.eigvalsh(g.covariance[1]).min() >= 0.0
-
     def test_covariance_stack_must_match_the_mean(self):
-        with pytest.raises(ValidationError):
-            GaussianReduced(np.zeros((4, 2)), np.tile(np.eye(2), (3, 1, 1)))
+        # one (N, N) covariance per Gaussian: a stack of covariances is
+        # rejected, one per row of the mean or a stack of one included
+        for n_covs in (4, 1, 3):
+            with pytest.raises(ValidationError, match=r"must be \(2, 2\)"):
+                GaussianReduced(np.zeros((4, 2)), np.tile(np.eye(2), (n_covs, 1, 1)))
