@@ -22,7 +22,7 @@ is stored already wrapped to [0, 2*pi) and the time axis must be uniform at
 the declared sampling frequency.
 
 Every table a program reads back (case grids and channels, POD modes and
-torsion bases) is written as decimal text with 18 significant digits
+torsion maps) is written as decimal text with 18 significant digits
 (``%.17e``), so a save/load round trip is bit-exact.
 Tables that only people and plots read (reconstructions, figure twins)
 carry 10 significant digits (``%.9e``), formatted in numpy blocks,

@@ -18,7 +18,7 @@ working memory grows with the grid, not with a case or the training set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class ModalBasis:
     modes: np.ndarray
     energies: np.ndarray
     n_modes: int
-    total_energy: float = field(default=0.0)
+    total_energy: float
 
     def __post_init__(self):
         self.mean_field = np.asarray(self.mean_field, dtype=float)
@@ -109,8 +109,6 @@ class ModalBasis:
         gram = self.modes.T @ (self.modes * w[:, None])
         if not np.allclose(gram, np.eye(self.n_modes), atol=_ORTHO_TOL):
             raise ValidationError("mode columns are not orthonormal under inner()")
-        if self.total_energy == 0.0:
-            self.total_energy = float(np.sum(self.energies))
 
 
 def pod_fit(ensembles, n_modes: int) -> ModalBasis:

@@ -297,10 +297,8 @@ def _stage_torsion(ctx: _Context) -> None:
     model, r2 = fit_torsion_model(
         [ctx.train_coords[i] for i in carriers],
         (load_torsion(ctx.config.training[i], *ctx.train_channels[i])
-         for i in carriers), ctx.config.n_modes)
-    save_torsion_model(model, ctx.emit("torsion_model.json"),
-                       basis_filename="torsion_basis.csv")
-    ctx.artifacts.append("torsion_basis.csv")
+         for i in carriers))
+    save_torsion_model(model, ctx.emit("torsion_map.csv"))
 
     # torsion inferred from the fused estimate, scored against the truth
     eval_summary = {}
@@ -319,19 +317,15 @@ def _stage_torsion(ctx: _Context) -> None:
             np.sum((est_obs - true_obs) ** 2, axis=1),
             np.sum((true_obs - true_obs.mean(axis=1, keepdims=True)) ** 2,
                    axis=1))
-        per_station = []
-        for s_i, station in enumerate(ctx.obs_stations):
-            comp_stats = {}
-            for c_i, comp in enumerate(_TORSION_COMPONENTS):
-                row = 3 * s_i + c_i
-                comp_stats[comp] = {"rmse": rmse[row],
-                                    "r_squared": float(row_r2[row])}
-            per_station.append({"station_index": int(station),
-                                "components": comp_stats})
-        eval_summary[case_id] = per_station
+        eval_summary[case_id] = [
+            {"station_index": int(station),
+             "components": {comp: {"rmse": rmse[3 * s_i + c_i],
+                                   "r_squared": float(row_r2[3 * s_i + c_i])}
+                            for c_i, comp in enumerate(_TORSION_COMPONENTS)}}
+            for s_i, station in enumerate(ctx.obs_stations)]
 
     write_json(ctx.emit("torsion_summary.json"),
-               {"fit_r_squared": [float(v) for v in r2],
+               {"fit_r_squared": r2,
                 "evaluation": eval_summary})
 
 

@@ -76,19 +76,16 @@ class SensorSet:
         rows.setflags(write=False)
         return rows
 
-    @cached_property
-    def _noise_covs(self) -> dict:
-        return {}
-
     def _noise(self, noise: "NoiseModel") -> np.ndarray:
         """The estimate covariance G Gamma G^T of ``noise`` through
         :attr:`gram_gain` (which must not be None), symmetrized and checked
-        PSD once per noise model (read-only); a model of another sensor
-        count is a :class:`ValidationError`. Each entry keeps its noise
-        model alive, so the model's id cannot pass to another model while
-        the entry exists."""
-        entry = self._noise_covs.get(id(noise))
-        if entry is None:
+        PSD (read-only); a model of another sensor count is a
+        :class:`ValidationError`. Only the last model's covariance is kept,
+        keyed by the bytes of its assembled covariance, so a covariance
+        changed in place is computed afresh and no model is kept alive."""
+        key = noise.assembled.tobytes()
+        last = getattr(self, "_last_noise", None)
+        if last is None or last[0] != key:
             if len(noise.per_sensor) != self.n_sensors:
                 raise ValidationError(
                     "noise model size differs from sensor count")
@@ -96,8 +93,9 @@ class SensorSet:
             cov = GaussianReduced(np.zeros(G.shape[0]),
                                   G @ noise.assembled @ G.T).covariance
             cov.setflags(write=False)
-            entry = self._noise_covs[id(noise)] = (noise, cov)
-        return entry[1]
+            last = (key, cov)
+            object.__setattr__(self, "_last_noise", last)
+        return last[1]
 
 
 @dataclass(frozen=True)

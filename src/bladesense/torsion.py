@@ -1,11 +1,12 @@
 """Inference of sectional rotations from deflection coordinates.
 
-Sectional rotation fields get their own POD basis; one linear map, fitted
-over every training case that carries torsion, sends deflection
-coordinates a(t) to torsional coordinates b(t). Inference reads nothing
-but the estimated coordinates: no operating-point label picks the map.
+One linear field map, fitted over every training case that carries
+torsion, sends deflection coordinates a(t) straight to the rotation field,
+tau = mean + W a. The rotations get no basis of their own: the
+least-squares map already has rank at most N. Inference reads nothing but
+the estimated coordinates: no operating-point label picks the map.
 
-The basis and the map come from one pass over the torsion cases
+The map comes from one pass over the torsion cases
 (:func:`fit_torsion_model`), so each torsion matrix can be loaded, folded
 and dropped in turn.
 """
@@ -13,13 +14,13 @@ and dropped in turn.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import BladeGrid, _read_csv, read_json, write_json
-from .decomposition import ModalBasis, dof_weights, pod_fit, write_modes_csv
+from .dataset import BladeGrid, _read_csv, _write_csv
+from .decomposition import dof_weights
 from .errors import SchemaError, ValidationError
 
 
@@ -34,94 +35,79 @@ def _r_squared(ss_res: np.ndarray, ss_tot: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TorsionModel:
-    """Torsional POD basis plus the coupling map ``M`` (b = M a)."""
+    """Mean rotation field plus the field map ``W`` (tau = mean + W a)."""
 
-    basis: ModalBasis
-    M: np.ndarray
+    mean_field: np.ndarray
+    field_map: np.ndarray
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        if (self.M.ndim != 2 or self.M.shape[0] != self.basis.n_modes
-                or not np.all(np.isfinite(self.M))):
+        self.mean_field = np.asarray(self.mean_field, dtype=float)
+        self.field_map = np.asarray(self.field_map, dtype=float)
+        if (self.mean_field.ndim != 1 or self.field_map.ndim != 2
+                or self.field_map.shape[0] != self.mean_field.size
+                or not np.all(np.isfinite(self.field_map))
+                or not np.all(np.isfinite(self.mean_field))):
             raise ValidationError(
-                f"coupling map must be a finite ({self.basis.n_modes}, N) "
-                f"matrix, got shape {self.M.shape}")
+                f"a torsion model needs a finite mean field and a finite "
+                f"({self.mean_field.size}, N) field map, got shapes "
+                f"{self.mean_field.shape} and {self.field_map.shape}")
 
 
 def infer_torsion(a, model: TorsionModel) -> np.ndarray:
-    """Torsion field tau = mean + Xi (M a).
+    """Torsion field tau = mean + W a.
 
     Accepts one coordinate vector (N,) or a matrix of column vectors
     (N, n_t); the result has matching shape (3*n_z,) or (3*n_z, n_t).
     """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] != model.M.shape[1]:
+    if a.shape[0] != model.field_map.shape[1]:
         raise ValidationError(
-            f"{a.shape[0]} deflection coordinates given, but the coupling "
-            f"map takes {model.M.shape[1]}")
-    tau = model.basis.modes @ (model.M @ a)
-    mean = model.basis.mean_field
-    return tau + (mean if a.ndim == 1 else mean[:, None])
+            f"{a.shape[0]} deflection coordinates given, but the field "
+            f"map takes {model.field_map.shape[1]}")
+    mean = model.mean_field
+    return model.field_map @ a + (mean if a.ndim == 1 else mean[:, None])
 
 
-def save_torsion_model(model: TorsionModel, path, basis_filename=None) -> None:
-    """Write the JSON document plus the referenced basis CSV next to it."""
-    path = Path(path)
-    basis_filename = basis_filename or (path.stem + "_basis.csv")
-    write_modes_csv(model.basis, path.parent / basis_filename)
-    write_json(path, {"basis_file": basis_filename, "J": model.basis.n_modes,
-                      "M": model.M.tolist()})
-
-
-#: ``torsion_model.json`` keys and their types (see :func:`read_json`).
-_TORSION_MODEL = {"basis_file": str, "J": int, "M": [[float]]}
+def save_torsion_model(model: TorsionModel, path) -> None:
+    """Write one lossless table, ``mean,a_1,...,a_N``: the mean field and
+    the map's columns, one row per degree of freedom."""
+    names = [f"a_{n + 1}" for n in range(model.field_map.shape[1])]
+    _write_csv(Path(path), ["mean"] + names,
+               np.column_stack([model.mean_field, model.field_map]))
 
 
 def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
     path = Path(path)
-    doc = read_json(path, _TORSION_MODEL, tuple(_TORSION_MODEL),
-                    "torsion model")
-    basis_path = path.parent / doc["basis_file"]
-    names, table = _read_csv(basis_path)
-    if names != ["mean"] + [f"mode_{n}" for n in range(1, len(names))]:
-        raise SchemaError(f"{basis_path}: header must be mean,mode_1,...")
-    mean_field, modes = table[:, 0], table[:, 1:]
-    # energies are not persisted; store placeholder non-increasing values
-    basis = ModalBasis(grid=grid, mean_field=mean_field, modes=modes,
-                       energies=np.zeros(modes.shape[1]),
-                       n_modes=modes.shape[1], total_energy=1.0)
-    if {doc["J"], len(doc["M"])} != {basis.n_modes}:
-        raise SchemaError(f"{path}: 'J' and the rows of 'M' must equal "
-                          f"the {basis.n_modes} modes of {basis_path.name}")
-    if len({len(row) for row in doc["M"]}) != 1:
-        raise SchemaError(f"{path}: the rows of 'M' differ in length")
-    return TorsionModel(basis=basis, M=np.asarray(doc["M"], dtype=float))
+    names, table = _read_csv(path)
+    if names != ["mean"] + [f"a_{n}" for n in range(1, max(2, len(names)))]:
+        raise SchemaError(f"{path}: header must be mean,a_1,...,a_N")
+    if table.shape[0] != grid.n_dof:
+        raise SchemaError(f"{path}: {table.shape[0]} rows, but the grid "
+                          f"has {grid.n_dof} degrees of freedom")
+    return TorsionModel(mean_field=table[:, 0], field_map=table[:, 1:])
 
 
-def fit_torsion_model(a_series, tau_cases,
-                      n_modes: int) -> tuple[TorsionModel, np.ndarray]:
-    """Torsion POD basis and coupling map from one pass over the cases.
+def fit_torsion_model(a_series, tau_cases) -> tuple[TorsionModel, float]:
+    """Torsion field map and its fit R^2, from one pass over the cases.
 
     ``a_series`` holds each case's deflection coordinates (N, n_t_i);
     ``tau_cases`` yields the torsion ensembles of the same cases in the
-    same order, and is read once. The basis keeps at most ``n_modes``
-    modes and stops at the numerical rank of the pooled torsion snapshots
-    (numpy's ``matrix_rank`` rule): a further mode would only fit rounding
-    noise. Returns the model and the map's R^2 per torsion mode, the share
-    of the mode's energy n_t * lambda_j that the coordinates explain.
+    same order, on one grid, and is read once. The fit R^2 is the share of
+    the pooled torsion fluctuation energy, under
+    :func:`~bladesense.decomposition.inner`, that the map explains; a field
+    with no variance scores 1 when it is fitted exactly, else 0.
 
-    The map is the minimum-norm least-squares solution: the thin SVD
+    W is the minimum-norm least-squares solution of ``tau_k - m = W a_k``
+    over every step k, with m the pooled mean field: the thin SVD
     ``A^T = U_a S_a V_a^T`` of the stacked coordinates is cut to
     ``lstsq``'s rank (singular values above eps * n_t times the largest),
     so a coordinate that never moves gets a zero column, and a rank
     deficiency warns rather than fails. The cases must pool at least as
-    many steps as there are coordinates. With ``U_a,i`` the rows of case
-    i, each case adds ``U_a,i^T tau_i^T`` to G and ``U_a,i^T 1`` to g
-    while it is folded. With the pooled mean m and
-    ``U = diag(sqrt_w) modes``, ``Z U = (G - g m^T) diag(sqrt_w) U`` equals
-    ``U_a^T B^T`` for the projections B of every case, so no case is
-    projected: ``M^T = V_a S_a^-1 (Z U)``, and ``||(Z U)_j||^2`` is the
-    energy the map explains.
+    many steps as there are coordinates. While case i is folded, it adds
+    ``U_a,i^T tau_i^T`` to G and ``U_a,i^T 1`` to g (``U_a,i`` its rows of
+    ``U_a``), and its column sums and squares to the pooled ones. Then
+    ``W^T = V_a S_a^-1 (G - g m^T)``, and the weighted squares of
+    ``G - g m^T`` are the energy W explains: no case is held or projected.
     """
     a_series = list(a_series)
     A_t = np.hstack(a_series).T
@@ -137,31 +123,23 @@ def fit_torsion_model(a_series, tau_cases,
             f"deflection coordinates are rank deficient ({rank_a} < "
             f"{n_coords}); returning the minimum-norm map", stacklevel=2)
     U_a, VS = U_a[:, :rank_a], Vt[:rank_a].T / s_a[:rank_a]
-    G = g = 0.0
-
-    def folded():
-        nonlocal G, g
-        start = 0
-        for a, tau in zip(a_series, tau_cases, strict=True):
-            if tau.n_t != a.shape[1]:
-                raise ValidationError(
-                    f"a torsion case has {tau.n_t} steps, its deflection "
-                    f"coordinates {a.shape[1]}")
-            U_i = U_a[start:start + tau.n_t]
-            start += tau.n_t
-            G = G + U_i.T @ tau.D.T
-            g = g + U_i.sum(axis=0)
-            yield tau
-
-    basis = pod_fit(folded(), n_modes)
-    s = np.sqrt(basis.energies)  # energies keep the singular values' ratios
-    rank = max(1, int(np.count_nonzero(
-        s > s[0] * max(basis.grid.n_dof, n_t) * np.finfo(float).eps)))
-    basis = replace(basis, modes=basis.modes[:, :rank],
-                    energies=basis.energies[:rank], n_modes=rank)
-    sqrt_w = np.sqrt(dof_weights(basis.grid))
-    Z = (G - np.outer(g, basis.mean_field)) * sqrt_w
-    ZU = Z @ (basis.modes * sqrt_w[:, None])
-    total = n_t * basis.energies
-    r2 = _r_squared(total - np.sum(ZU**2, axis=0), total)
-    return TorsionModel(basis=basis, M=(VS @ ZU).T), r2
+    G = g = sums = squares = 0.0
+    start = 0
+    for a, tau in zip(a_series, tau_cases, strict=True):
+        if tau.n_t != a.shape[1]:
+            raise ValidationError(
+                f"a torsion case has {tau.n_t} steps, its deflection "
+                f"coordinates {a.shape[1]}")
+        U_i = U_a[start:start + tau.n_t]
+        start += tau.n_t
+        G = G + U_i.T @ tau.D.T
+        g = g + U_i.sum(axis=0)
+        sums = sums + tau.D.sum(axis=1)
+        squares = squares + np.einsum("ij,ij->i", tau.D, tau.D)
+    mean = sums / n_t
+    Z = G - np.outer(g, mean)
+    w = dof_weights(tau.grid)
+    ss_tot = w @ (squares - sums * mean)
+    r2 = _r_squared(np.array([ss_tot - w @ np.einsum("ij,ij->j", Z, Z)]),
+                    np.array([ss_tot]))
+    return TorsionModel(mean_field=mean, field_map=(VS @ Z).T), float(r2[0])

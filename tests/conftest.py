@@ -64,7 +64,7 @@ def tau_ensemble(grid, D):
 def torsion_cases(grid, psi, M0, a_series):
     """Torsion ensembles psi M0 a_i, one per coordinate series a_i (N, n_t_i),
     for modes psi orthonormal under the discrete inner product. With a
-    pooled mean of zero in the a_i, the fitted field map Xi M is psi M0."""
+    pooled mean of zero in the a_i, the fitted field map W is psi M0."""
     return [tau_ensemble(grid, psi @ (M0 @ a)) for a in a_series]
 
 

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from bladesense import (GaussianReduced, NoiseModel, fit_torsion_model, fuse,
-                        load_case, load_torsion, observe, place_sensors,
-                        pod_fit, project, psd, sparse_estimate)
+                        infer_torsion, load_case, load_torsion, observe,
+                        place_sensors, pod_fit, project, psd, sparse_estimate)
 from bladesense.azimuthal_rom import evaluate_rom, fit_rom
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI
@@ -291,8 +291,8 @@ def test_criterion_08_torsion_inference(tmp_path):
     a_syn = rng.standard_normal((4, 2000))
     a_syn -= a_syn.mean(axis=1, keepdims=True)
     fitted, _ = fit_torsion_model(
-        [a_syn], torsion_cases(grid, psi, M0, [a_syn]), 5)
-    assert np.abs(fitted.basis.modes @ fitted.M - psi @ M0).max() <= 1e-8
+        [a_syn], torsion_cases(grid, psi, M0, [a_syn]))
+    assert np.abs(fitted.field_map - psi @ M0).max() <= 1e-8
 
     defl_a, tau_a = make(0)
     defl_b, tau_b = make(1)
@@ -317,10 +317,8 @@ def test_criterion_08_torsion_inference(tmp_path):
         model, _ = fit_torsion_model([project(D_a, basis)], [type(tau_a)(
             grid=grid, D=T_a, t=tau_a.t, theta=tau_a.theta,
             omega=tau_a.omega, u_raw=tau_a.u_raw, u_filt=tau_a.u_filt,
-            condition=tau_a.condition, f_s=tau_a.f_s)], 5)
-        a_b = project(D_b, basis)
-        tau_hat = model.basis.mean_field[:, None] + model.basis.modes @ (
-            model.M @ a_b)
+            condition=tau_a.condition, f_s=tau_a.f_s)])
+        tau_hat = infer_torsion(project(D_b, basis), model)
         truth_tau = tau_b.D
         r2 = []
         for row in range(truth_tau.shape[0]):

@@ -12,9 +12,10 @@ import pytest
 
 import bladesense
 from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
-                        load_rom, observe, place_sensors, pod_fit, project,
-                        sparse_estimate)
+                        load_rom, load_torsion_model, observe, place_sensors,
+                        pod_fit, project, sparse_estimate)
 from bladesense.cli import main
+from bladesense.dataset import load_grid
 from bladesense.pipeline import PipelineConfig, _quartiles, run_pipeline
 from bladesense.errors import NumericalError, StageError, ValidationError
 
@@ -97,9 +98,12 @@ class TestPipelineRun:
     def test_core_artifacts_present(self, twin):
         _, out = twin
         for name in ("modes.csv", "energies.csv", "sensors.csv", "rom.json",
-                     "error_summary.json", "torsion_model.json",
+                     "error_summary.json", "torsion_map.csv",
                      "torsion_summary.json"):
             assert (out / name).exists(), name
+        # the former two-file torsion layout is gone
+        for name in ("torsion_model.json", "torsion_basis.csv"):
+            assert not (out / name).exists(), name
 
     def test_tabular_artifacts_parse_numerically(self, twin):
         _, out = twin
@@ -224,23 +228,20 @@ class TestPipelineRun:
             assert summary["rom"]["extrapolated_low"] > 0
         assert summary["rom"]["steps"] == summary["fusion"]["steps"]
 
-    def test_torsion_rank_defaults_to_n_modes(self, twin):
-        # the twin's torsion field has rank N; a mode N+1 would be rounding
-        # noise with an arbitrary, often negative, fit R^2
+    def test_torsion_map_has_one_column_per_mode(self, twin):
+        # the twin's torsion is a linear function of its N coordinates
         pipeline_cfg, out = twin
-        n_modes = PipelineConfig.from_json(pipeline_cfg).n_modes
-        model = json.loads((out / "torsion_model.json").read_text())
-        assert model["J"] == n_modes
-        basis = np.loadtxt(out / "torsion_basis.csv", delimiter=",",
-                           skiprows=1, ndmin=2)
-        assert basis.shape[1] == 1 + n_modes  # mean column + N modes
+        config = PipelineConfig.from_json(pipeline_cfg)
+        grid = load_grid(config.training[0])
+        model = load_torsion_model(out / "torsion_map.csv", grid)
+        assert model.field_map.shape == (grid.n_dof, config.n_modes)
         r2 = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
-        assert len(r2) == n_modes
-        assert min(r2) >= 0.99
+        assert r2 >= 0.99
 
-    def test_torsion_rank_taken_from_the_data(self, tmp_path):
+    def test_torsion_map_of_six_modes_on_a_rank_4_field(self, tmp_path):
         # deflection noise lets the deflection POD keep six real modes, but
-        # the twin's torsion field has rank 4: the torsion basis stops there
+        # the twin's torsion field has rank 4: the map takes all six
+        # coordinates and still explains the pooled torsion energy
         cfg = json.loads(json.dumps(SYNTH_CONFIG))
         for entry in cfg["training"] + cfg["evaluation"]:
             entry["noise_sigma"] = 0.005
@@ -252,13 +253,11 @@ class TestPipelineRun:
         assert main(["pipeline", "--config",
                      str(tmp_path / "cases" / "pipeline_config.json"),
                      "--out", str(out)]) == 0
-        assert json.loads((out / "torsion_model.json").read_text())["J"] == 4
-        basis = np.loadtxt(out / "torsion_basis.csv", delimiter=",",
+        table = np.loadtxt(out / "torsion_map.csv", delimiter=",",
                            skiprows=1, ndmin=2)
-        assert basis.shape[1] == 1 + 4
+        assert table.shape[1] == 1 + 6  # mean column + N columns
         r2 = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
-        assert len(r2) == 4
-        assert min(r2) >= 0.99
+        assert r2 >= 0.99
 
     def test_three_stations(self, tmp_path):
         # the paper's setting: four modes from three stations (nine rows),
@@ -552,8 +551,8 @@ class TestFailureModes:
         pipeline_cfg, _ = twin
 
         def nan_r2(*args, _fit=bladesense.pipeline.fit_torsion_model):
-            model, r2 = _fit(*args)
-            return model, np.full_like(r2, np.nan)
+            model, _ = _fit(*args)
+            return model, float("nan")
 
         monkeypatch.setattr(bladesense.pipeline, "fit_torsion_model", nan_r2)
         out = tmp_path / "out"

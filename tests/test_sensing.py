@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,33 @@ class TestSparseEstimate:
         noise = NoiseModel.isotropic(0.1, n_noise)
         with pytest.raises(ValidationError, match="sensor count"):
             sparse_estimate(np.zeros((2, 12)), sensors, noise)
+
+    def test_covariance_changed_in_place_is_recomputed(self):
+        # the estimate covariance is keyed by the noise covariance's bytes,
+        # not by the model object: a model changed in place gets the
+        # covariance a fresh sensor set computes
+        grid, basis, sensors = _demo_sensors()
+        noise = NoiseModel.isotropic(0.1, 4)
+        before = sparse_estimate(np.zeros(12), sensors, noise).covariance
+        noise.assembled.setflags(write=True)
+        noise.assembled[...] *= 100.0
+        noise.assembled.setflags(write=False)
+        after = sparse_estimate(np.zeros(12), sensors, noise).covariance
+        fresh = sparse_estimate(np.zeros(12), place_sensors(basis, 4),
+                                noise).covariance
+        assert np.array_equal(after, fresh)
+        assert np.allclose(after, 100.0 * before, rtol=1e-12, atol=0)
+
+    def test_estimate_covariance_keeps_no_noise_model_alive(self):
+        grid, basis, sensors = _demo_sensors()
+        refs = []
+        for sigma in (0.1, 0.2, 0.1):
+            noise = NoiseModel.isotropic(sigma, 4)
+            sparse_estimate(np.zeros(12), sensors, noise)
+            refs.append(weakref.ref(noise))
+        del noise
+        gc.collect()
+        assert all(r() is None for r in refs)
 
     def test_unknown_mode_rejected(self):
         grid, basis, sensors = _demo_sensors()
