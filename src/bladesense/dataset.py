@@ -299,12 +299,13 @@ class SnapshotEnsemble:
 
 def wrap_angle(theta):
     """Wrap angles to [0, 2*pi); scalar in, scalar out."""
+    # float % is np.mod's floor-mod; both can round up to 2*pi from below
+    if isinstance(theta, (float, int)) or np.ndim(theta) == 0:
+        out = float(theta) % TWO_PI
+        return out - TWO_PI if out >= TWO_PI else out
     out = np.mod(theta, TWO_PI)
-    # mod can round up to exactly 2*pi for inputs just below a period
-    if isinstance(out, np.ndarray):
-        out[out >= TWO_PI] -= TWO_PI
-        return out
-    return float(out - TWO_PI if out >= TWO_PI else out)
+    out[out >= TWO_PI] -= TWO_PI
+    return out
 
 
 def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:

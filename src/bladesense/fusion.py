@@ -21,11 +21,19 @@ one matrix product with the same gain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def _all_finite(x: np.ndarray) -> None:
+    """Reject a non-finite mean (N,), on Python floats, or stack of means."""
+    if not (all(map(math.isfinite, x.tolist())) if x.ndim == 1
+            else np.isfinite(x).all()):
+        raise ValidationError("Gaussian mean and covariance must be finite")
 
 
 @dataclass
@@ -162,10 +170,9 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
         last = _LAST = (p_key, r_key, gain, cov, regularized)
     gain, cov, regularized = last[2:]
     mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
-    if not np.isfinite(mean).all():
-        raise ValidationError("Gaussian mean and covariance must be finite")
+    _all_finite(mean)
     if stats is not None:
-        rows = int(np.prod(mean.shape[:-1]))
+        rows = mean.size // mean.shape[-1]
         stats.steps += rows
         if regularized:
             stats.regularized += rows

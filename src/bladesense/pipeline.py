@@ -316,7 +316,7 @@ def _stage_torsion(ctx: _Context) -> None:
         row_r2 = _r_squared(
             np.sum((est_obs - true_obs) ** 2, axis=1),
             np.sum((true_obs - true_obs.mean(axis=1, keepdims=True)) ** 2,
-                   axis=1))
+                   axis=1), np.sum(true_obs**2, axis=1), e.n_t)
         eval_summary[case_id] = [
             {"station_index": int(station),
              "components": {comp: {"rmse": rmse[3 * s_i + c_i],

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import _write_csv
 from .decomposition import ModalBasis
 from .errors import NumericalError, ValidationError
-from .fusion import GaussianReduced
+from .fusion import GaussianReduced, _all_finite
 
 _COND_LIMIT = 1e12
 
@@ -242,7 +242,7 @@ def observe(field, sensors: SensorSet, noise: NoiseModel | None = None,
             f"field must be a stacked 3-component vector of the sensors' "
             f"{sensors.n_z}-station grid (length {3 * sensors.n_z}) or a "
             f"stack of them, one per row")
-    y = field[..., sensors.rows]
+    y = field[sensors.rows] if field.ndim == 1 else field[:, sensors.rows]
     if noise is not None:
         if len(noise.per_sensor) != sensors.n_sensors:
             raise ValidationError("noise model size differs from sensor count")
@@ -280,8 +280,7 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
             "sampled basis is rank deficient; choose a different sensor set"
         )
     a = y_c @ G.T
-    if not np.isfinite(a).all():
-        raise ValidationError("Gaussian mean and covariance must be finite")
+    _all_finite(a)
     return GaussianReduced.from_checked(a, sensors._noise(noise))
 
 

@@ -24,12 +24,17 @@ from .decomposition import dof_weights
 from .errors import SchemaError, ValidationError
 
 
-def _r_squared(ss_res: np.ndarray, ss_tot: np.ndarray) -> np.ndarray:
-    """1 - ss_res / ss_tot per row; a row with no variance scores 1 when
-    it is fitted exactly, else 0."""
+def _r_squared(ss_res: np.ndarray, ss_tot: np.ndarray, ss_raw: np.ndarray,
+               n_t: int) -> np.ndarray:
+    """1 - ss_res / ss_tot per row, at most 1, for rows of ``n_t`` samples
+    with energy ``ss_raw`` about zero. A row has no variance when its
+    ss_tot is below n_t * eps * ss_raw, the rounding of a sum of n_t
+    squares; it then scores 1 when ss_res lies below that too, else 0."""
+    tol = n_t * np.finfo(float).eps * ss_raw
+    flat = ss_tot <= tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = 1.0 - ss_res / ss_tot
-    r2[ss_tot == 0.0] = np.where(ss_res[ss_tot == 0.0] <= 1e-30, 1.0, 0.0)
+        r2 = 1.0 - np.maximum(ss_res, 0.0) / ss_tot
+    r2[flat] = np.where(ss_res[flat] <= tol[flat], 1.0, 0.0)
     return r2
 
 
@@ -94,8 +99,8 @@ def fit_torsion_model(a_series, tau_cases) -> tuple[TorsionModel, float]:
     ``tau_cases`` yields the torsion ensembles of the same cases in the
     same order, on one grid, and is read once. The fit R^2 is the share of
     the pooled torsion fluctuation energy, under
-    :func:`~bladesense.decomposition.inner`, that the map explains; a field
-    with no variance scores 1 when it is fitted exactly, else 0.
+    :func:`~bladesense.decomposition.inner`, that the map explains, by the
+    rule of :func:`_r_squared`.
 
     W is the minimum-norm least-squares solution of ``tau_k - m = W a_k``
     over every step k, with m the pooled mean field: the thin SVD
@@ -141,5 +146,5 @@ def fit_torsion_model(a_series, tau_cases) -> tuple[TorsionModel, float]:
     w = dof_weights(tau.grid)
     ss_tot = w @ (squares - sums * mean)
     r2 = _r_squared(np.array([ss_tot - w @ np.einsum("ij,ij->j", Z, Z)]),
-                    np.array([ss_tot]))
+                    np.array([ss_tot]), np.array([w @ squares]), n_t)
     return TorsionModel(mean_field=mean, field_map=(VS @ Z).T), float(r2[0])

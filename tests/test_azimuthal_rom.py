@@ -67,6 +67,16 @@ class TestFitFourier:
         # retained regressor, so the coefficients collapse to zero
         assert np.allclose(coeffs, 0.0, atol=1e-10)
 
+    def test_one_series_at_one_azimuth(self):
+        # a scalar azimuth gives a float for one series, one value per row
+        # for a table, as the array form gives them
+        coeffs = np.random.default_rng(0).standard_normal((3, 13))
+        got = fourier_eval(coeffs[0], 0.3)
+        assert type(got) is float
+        assert got == fourier_eval(coeffs[0], np.array([0.3]))[0]
+        assert np.array_equal(fourier_eval(coeffs, 0.3),
+                              fourier_eval(coeffs, np.array([0.3]))[:, 0])
+
     def test_too_few_azimuths(self):
         with pytest.raises(ValidationError, match="need more azimuths"):
             _fit_series(np.zeros(8), 6)

@@ -14,6 +14,7 @@ pair or reuses the one it kept.
 """
 
 import gc
+import itertools
 import sys
 import threading
 
@@ -143,17 +144,30 @@ class TestEvaluateRomBatch:
             assert step.covariance is ref_cov
 
     def test_batch_of_one_takes_any_scalar(self):
-        # Python, numpy and 0-d scalars give the same bytes, at azimuths
-        # that wrap to a period's edge too
+        # a scalar pair takes the float branch: Python, numpy and 0-d
+        # scalars give the same bytes, the stacked path's mean within RTOL
+        # and its counts, at azimuths that wrap to a period's edge or lie
+        # far out, and at wind speeds at and beyond the trained range
         model = _model()
-        for theta, u in zip(np.concatenate([_THETA, _EDGE_THETA]),
-                            np.concatenate([_U, _U[:_EDGE_THETA.size]])):
-            ref = evaluate_rom(model, theta, u, 0.1)
-            assert ref.mean.shape == (N_MODES,)
-            assert_close(ref.mean, _reference_evaluate_rom(model, theta, u)[0])
-            for cast in (float, np.asarray):
-                got = evaluate_rom(model, cast(theta), cast(u), 0.1)
-                assert np.array_equal(got.mean, ref.mean)
+        lo, hi = model.u_range
+        thetas = np.concatenate([_THETA, _EDGE_THETA, [1e6, -1e6]])
+        winds = np.concatenate([_U, [np.nextafter(lo, 0.0), np.nextafter(hi, 20.0)]])
+        for theta, u in itertools.product(thetas, winds):
+            stack_stats = RomStats()
+            stack = evaluate_rom(model, np.array([theta]), np.array([u]), 0.1,
+                                 stack_stats)
+            ref = None
+            for cast in (float, np.float64, np.asarray):
+                stats = RomStats()
+                got = evaluate_rom(model, cast(theta), cast(u), 0.1, stats)
+                assert got.mean.shape == (N_MODES,)
+                assert got.covariance is model.covariance
+                assert vars(stats) == vars(stack_stats)
+                if ref is None:
+                    ref = got.mean
+                    assert_close(ref, stack.mean[0])
+                    assert_close(ref, _reference_evaluate_rom(model, theta, u)[0])
+                assert np.array_equal(got.mean, ref)
 
     def test_scalar_wind_broadcasts_over_azimuths(self):
         model = _model()
@@ -187,13 +201,13 @@ class TestEvaluateRomBatch:
             out = np.where(out >= 2 * np.pi, out - 2 * np.pi, out)
             return float(out) if np.isscalar(theta) else out
 
-        thetas = np.concatenate([_THETA, _EDGE_THETA])
+        thetas = np.concatenate([_THETA, _EDGE_THETA, [1e6, -1e6]])
         for theta in thetas:
-            for cast in (float, np.float64):
+            for cast in (float, np.float64, np.asarray):
                 got = wrap_angle(cast(theta))
                 assert type(got) is float
                 assert_identical(got, former(cast(theta)))
-        for arr in (_THETA, _EDGE_THETA, thetas.reshape(2, -1)):
+        for arr in (_THETA, _EDGE_THETA, thetas.reshape(2, -1), [1e6]):
             got = wrap_angle(arr)
             assert_identical(got, former(arr))
             assert np.all((got >= 0.0) & (got < 2 * np.pi))
@@ -362,23 +376,26 @@ class TestPerStepInvariants:
     def test_non_finite_inputs_still_rejected(self):
         sensors = self._sensors()
         noise = NoiseModel.isotropic(0.1, 4)
-        y = np.zeros((3, 12))
-        y[1, 4] = np.nan
         model = _model()
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValidationError, match="finite"):
-                sparse_estimate(y, sensors, noise)
-            with pytest.raises(ValidationError, match="finite"):
-                sparse_estimate(np.full(12, np.inf), sensors, noise)
+            for bad in (np.nan, np.inf, -np.inf):
+                # one step and a stack with one bad reading
+                y = np.zeros((3, 12))
+                y[1, 4] = bad
+                for y_bad in (y[1], y):
+                    with pytest.raises(ValidationError, match="finite"):
+                        sparse_estimate(y_bad, sensors, noise)
             for theta, u in ((_THETA, np.where(_U > 11.0, np.nan, _U)),
-                             (np.nan, 9.0), (np.inf, 9.0), (1.0, np.inf),
-                             (1.0, -np.inf), (_THETA, np.where(_U > 14.0, np.inf, _U)),
+                             (np.nan, 9.0), (np.inf, 9.0), (-np.inf, 9.0),
+                             (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+                             (_THETA, np.where(_U > 14.0, np.inf, _U)),
                              (_THETA, np.where(_U < 6.0, -np.inf, _U))):
-                with pytest.raises(ValidationError, match="finite"):
+                # by the input check, not only by the mean's
+                with pytest.raises(ValidationError, match="theta and u_filt"):
                     evaluate_rom(model, theta, u, 0.10)
         # theta = inf is rejected before numpy's remainder would warn
         with np.errstate(invalid="raise"):
-            with pytest.raises(ValidationError, match="finite"):
+            with pytest.raises(ValidationError, match="theta and u_filt"):
                 evaluate_rom(model, np.inf, 9.0, 0.10)
         # huge but finite input still gets its prior
         for theta in (1e308, [1e308, 1e308]):
@@ -820,6 +837,20 @@ class TestNonFiniteGaussians:
         # overflow warning: the trace is taken only for a negative eigenvalue
         with np.errstate(over="raise"):
             GaussianReduced(np.zeros(3), 8e307 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fuse_rejects_a_non_finite_mean(self, bad):
+        # means wrapped unchecked: fuse finds the bad entry in one step and
+        # in one row of a stack, on the miss and the hit of a kept pair
+        cov = _read_only(np.eye(2))
+        fusion._LAST = None
+        means = np.zeros((4, 2))
+        means[2, 1] = bad
+        with np.errstate(invalid="ignore"):
+            for mean in (means[2], means, means[2], means):
+                with pytest.raises(ValidationError, match="finite"):
+                    fuse(GaussianReduced.from_checked(np.zeros(2), cov),
+                         GaussianReduced.from_checked(mean, cov))
 
     def test_one_bad_row_rejects_the_stack(self):
         means = np.zeros((5, 2))

@@ -117,6 +117,31 @@ class TestTorsionFieldMap:
         assert np.abs(model2.field_map - W1).max() <= 1e-8
         assert r2 == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("level", [0.2, 0.013])
+    def test_constant_field_has_no_variance(self, level):
+        # a constant field pools a rounding-level total of either sign;
+        # its map is rounding noise and fits it exactly
+        rng, grid, _ = self._setup(0)
+        a = rng.standard_normal((3, 120))
+        model, r2 = fit_torsion_model(
+            [a], [tau_ensemble(grid, np.full((grid.n_dof, 120), level))])
+        assert np.abs(model.field_map).max() <= 1e-16
+        assert r2 == 1.0
+
+    def test_exact_fit_scores_at_most_one(self):
+        # the residual is the total less the explained energy, which can
+        # round above the total
+        r2s = []
+        for seed in range(8):
+            rng, grid, psi = self._setup(seed)
+            M0 = rng.standard_normal((3, 4))
+            a_series = _centered(rng, 4, (120, 80))
+            _, r2 = fit_torsion_model(
+                a_series, torsion_cases(grid, psi, M0, a_series))
+            r2s.append(r2)
+        assert max(r2s) <= 1.0
+        assert min(r2s) >= 1.0 - 1e-12
+
     def test_too_few_samples(self):
         # rejected before the coordinates' rank check would warn
         rng, grid, psi = self._setup(5)
@@ -133,15 +158,32 @@ class TestRSquared:
     """The package's R^2 rule, shared by the fit and the torsion report."""
 
     def test_rows_with_variance(self):
-        r2 = _r_squared(np.array([1.0, 0.0, 4.0]), np.array([4.0, 2.0, 4.0]))
+        r2 = _r_squared(np.array([1.0, 0.0, 4.0]), np.array([4.0, 2.0, 4.0]),
+                        np.array([5.0, 2.0, 9.0]), 10)
         assert np.array_equal(r2, [0.75, 1.0, 0.0])
 
     def test_row_without_variance_scores_one_only_when_exact(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division warning either
             r2 = _r_squared(np.array([0.0, 1e-3, 2.0]),
-                            np.array([0.0, 0.0, 4.0]))
+                            np.array([0.0, 0.0, 4.0]),
+                            np.array([0.0, 0.0, 4.0]), 10)
         assert np.array_equal(r2, [1.0, 0.0, 0.5])
+
+    def test_no_variance_is_judged_against_the_magnitude(self):
+        # a rounding-level total of either sign, relative to the row's
+        # energy about zero, is no variance; a residual of the same size
+        # is an exact fit, one above it is none
+        energy = np.array([14.4, 0.06, 14.4, 1.0])
+        r2 = _r_squared(np.array([5e-15, 1e-17, 1e-3, 2.0**-31]),
+                        np.array([5e-15, -1e-17, 5e-15, 2.0**-30]), energy, 120)
+        assert np.array_equal(r2, [1.0, 1.0, 0.0, 0.5])
+
+    def test_never_above_one(self):
+        # a residual that rounding made negative counts as zero
+        r2 = _r_squared(np.array([-1e-16, -3.0]), np.array([2.0, 2.0]),
+                        np.array([3.0, 3.0]), 10)
+        assert np.array_equal(r2, [1.0, 1.0])
 
 
 class TestFitTorsionModel:
