@@ -1,7 +1,7 @@
 """Quasi-steady stochastic prior of the reduced coordinates over azimuth and
 wind speed.
 
-One least-squares fit over every training sample gives the mean
+A least-squares fit over every training sample gives the mean
 
     a(theta, u) = sum_k (alpha_k + beta_k (u - u_ref)) f_k(theta)
 
@@ -10,10 +10,10 @@ filtered wind speed ``u_filt`` (in training as at run time) and u_ref its
 mean over the training samples. Beyond the trained speeds the mean
 extrapolates linearly in u. The prior covariance is one (N, N) matrix, the
 pooled leave-one-case-out error: the second moment of each training case's
-coordinates about the mean fitted without that case. With a single
-training case there is nothing to leave out, and the in-sample error is
-used. Every step thus shares one covariance, so fusion with a fixed
-measurement covariance has one gain.
+coordinates about the mean fitted without that case (with a single case,
+about the fit itself). Each case enters every fit as two sums of products
+of its regressors (see :func:`fit_rom`). Every step shares one covariance,
+so fusion with a fixed measurement covariance has one gain.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ DEFAULT_N_THETA = 72
 DEFAULT_N_FOURIER = 6
 
 
-def fourier_design(theta, n_fourier) -> np.ndarray:
-    """Regression matrix with columns (1, cos k*theta, sin k*theta), k = 1..n_F,
-    for the order n_F or its wavenumbers 1..n_F (a model keeps them)."""
+def fourier_design(theta, n_fourier: int) -> np.ndarray:
+    """Regression matrix with columns (1, cos k*theta, sin k*theta), k = 1..n_F."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = np.arange(1, n_fourier + 1) if np.ndim(n_fourier) == 0 else n_fourier
-    k_theta = theta[..., None] * k
-    design = np.empty(theta.shape + (1 + 2 * k.size,))
+    k_theta = theta[..., None] * np.arange(1, n_fourier + 1)
+    design = np.empty(theta.shape + (1 + 2 * n_fourier,))
     design[..., 0] = 1.0
     np.cos(k_theta, out=design[..., 1::2])
     np.sin(k_theta, out=design[..., 2::2])
@@ -104,18 +102,17 @@ class AzimuthalRomModel:
         except ValidationError as err:
             raise ValidationError(f"ROM covariance: {err}") from err
         self.covariance.setflags(write=False)
-        self._wavenumbers = np.arange(1, self.n_fourier + 1)
-        self._tables = (self.mean_coeffs.T.copy(), self.slope_coeffs.T.copy())
-        self._stacked = np.vstack(self._tables)
+        # [alpha; beta], one row per regressor of :func:`_design`
+        self._stacked = np.vstack([self.mean_coeffs.T, self.slope_coeffs.T])
 
     @property
     def n_modes(self) -> int:
         return self.mean_coeffs.shape[0]
 
 
-def _design(theta, u, u_ref, wavenumbers) -> np.ndarray:
+def _design(theta, u, u_ref, n_fourier) -> np.ndarray:
     """Regressors (f_k(theta), (u - u_ref) f_k(theta)), one row per sample."""
-    f = fourier_design(theta, wavenumbers)
+    f = fourier_design(theta, n_fourier)
     return np.hstack([f, (u - u_ref)[:, None] * f])
 
 
@@ -126,11 +123,13 @@ def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
     wind speeds of their n_t steps. ``conditions`` is stored as the model's
     record of the cases.
 
-    The mean tables come from one multi-right-hand-side least-squares solve
-    over all samples, the covariance from one more solve per left-out case.
-    Azimuths that cannot determine all 1 + 2*n_F Fourier terms are rejected;
-    wind speeds that cannot determine the slopes (one constant speed) give
-    the minimum-norm slopes, zero.
+    Case i gives G_i = X_i^T X_i and B_i = X_i^T a_i^T, X_i its regressors.
+    The tables solve (sum G) c = sum B; the fold without case i solves
+    (sum G - G_i) c = sum B - B_i and is scored on case i's samples. Each
+    is a minimum-norm solve whose rank counts the singular values of the
+    regressors above sqrt(2 (1 + 2 n_F) eps), about 1e-7, times the largest.
+    Azimuths that cannot determine all 1 + 2 n_F Fourier terms are rejected;
+    one constant wind speed cannot determine the slopes and gives zero ones.
     """
     cases = [(np.atleast_2d(np.asarray(a, dtype=float)),
               np.asarray(theta, dtype=float).reshape(-1),
@@ -146,26 +145,23 @@ def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
                 f"with n_t of each")
     u_all = np.concatenate([u for _, _, u in cases])
     u_ref = float(u_all.mean())
-    wavenumbers = np.arange(1, n_fourier + 1)
-    X = np.concatenate([_design(theta, u, u_ref, wavenumbers)
-                        for _, theta, u in cases])
-    Y = np.concatenate([a.T for a, _, _ in cases])
-    coeffs, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    designs = ((_design(theta, u, u_ref, n_fourier), a.T)
+               for a, theta, u in cases)
+    sums = [(X.T @ X, X.T @ Y) for X, Y in designs]
+    G, B = map(sum, zip(*sums))
+    coeffs, _, rank, _ = np.linalg.lstsq(G, B, rcond=None)
     n_coeff = 1 + 2 * n_fourier
     if rank < n_coeff:
         raise ValidationError(
             f"the training samples determine {rank} of the {n_coeff} "
             f"regressors of n_F={n_fourier}; need more azimuths")
-    if len(cases) == 1:  # nothing to leave out: the in-sample error
-        error = Y - X @ coeffs
-    else:
-        error = np.empty_like(Y)
-        ends = np.cumsum([a.shape[1] for a, _, _ in cases])
-        for lo, hi in zip(np.r_[0, ends[:-1]], ends):
-            rest = np.r_[0:lo, hi:len(Y)]
-            left_out, *_ = np.linalg.lstsq(X[rest], Y[rest], rcond=None)
-            error[lo:hi] = Y[lo:hi] - X[lo:hi] @ left_out
-    cov = error.T @ error / len(Y)
+    second = np.zeros((n_modes, n_modes))
+    for (a, theta, u), (G_i, B_i) in zip(cases, sums):
+        fold = (coeffs if len(cases) == 1
+                else np.linalg.lstsq(G - G_i, B - B_i, rcond=None)[0])
+        error = a.T - _design(theta, u, u_ref, n_fourier) @ fold
+        second += error.T @ error
+    cov = second / u_all.size
     return AzimuthalRomModel(
         n_fourier=n_fourier, u_ref=u_ref,
         u_range=(float(u_all.min()), float(u_all.max())),
@@ -217,9 +213,8 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti,
             theta, u = np.broadcast_arrays(theta, u)
         if theta.ndim > 1:
             raise ValidationError("theta and u_filt must be scalars or 1-D arrays")
-        design = fourier_design(wrap_angle(theta), model._wavenumbers)
-        alpha, beta = model._tables
-        mean = design @ alpha + (u - model.u_ref)[:, None] * (design @ beta)
+        mean = _design(wrap_angle(theta), u, model.u_ref,
+                       model.n_fourier) @ model._stacked
     if stats is not None:
         lo, hi = model.u_range
         stats.steps += np.size(u)

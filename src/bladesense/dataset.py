@@ -308,6 +308,16 @@ def wrap_angle(theta):
     return out
 
 
+def _first_order(c: float, v: np.ndarray, y_prev: float) -> np.ndarray:
+    """y[k] = c*y[k-1] + v[k] for each v[k], from y[-1] = ``y_prev``: a
+    sequential recurrence, so a scalar loop over Python floats."""
+    c, y, out = float(c), float(y_prev), []
+    for x in v.tolist():
+        y = c * y + x
+        out.append(y)
+    return np.array(out)
+
+
 def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:
     """Exponential smoothing: out[k] = alpha*raw[k] + (1-alpha)*out[k-1].
 
@@ -319,18 +329,9 @@ def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValidationError("wind series must be 1-D and non-empty")
-    # direct-form recurrence of the first-order IIR filter, with the state
-    # z seeded so that out[0] = raw[0]; the recurrence is sequential, so it
-    # runs as a scalar loop over Python floats
-    a = float(alpha)
-    b = 1.0 - a
-    z = b * float(raw[0])
-    out = []
-    for x in raw.tolist():
-        y = a * x + z
-        out.append(y)
-        z = b * y
-    return np.array(out)
+    # the first-order IIR filter, seeded with out[-1] = raw[0]
+    alpha = float(alpha)
+    return _first_order(1.0 - alpha, alpha * raw, raw[0])
 
 
 def azimuth_bin(theta, n_theta: int):

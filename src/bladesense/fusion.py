@@ -112,19 +112,27 @@ class FusionStats:
 _LAST = None
 
 
+def innovation_covariance(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
+    """(S, regularized flag): the innovation covariance S = P_prior + P_meas
+    that :func:`fuse` inverts. A nearly singular sum (min eigenvalue at most
+    1e-14 * trace) gets 1e-12 * trace on the diagonal; a sum of trace <= 0
+    is returned as it is."""
+    s_sum = p_cov + r_cov
+    tr = s_sum.trace()
+    # eigvalsh returns the eigenvalues in ascending order
+    regularized = bool(tr > 0.0 and np.linalg.eigvalsh(s_sum)[0] <= 1e-14 * tr)
+    if regularized:
+        s_sum += 1e-12 * tr * np.eye(len(s_sum))
+    return s_sum, regularized
+
+
 def _gain(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
     """(gain, fused covariance, regularized flag) of a covariance pair; the
     fused covariance is exactly symmetric but unchecked."""
-    n = p_cov.shape[0]
-    s_sum = p_cov + r_cov
-    tr = s_sum.trace()
-    if tr <= 0.0:
+    s_sum, regularized = innovation_covariance(p_cov, r_cov)
+    if s_sum.trace() <= 0.0:
         # both sources fully certain: zero gain keeps the prior mean
-        return np.zeros((n, n)), np.zeros((n, n)), False
-    # eigvalsh returns the eigenvalues in ascending order
-    regularized = bool(np.linalg.eigvalsh(s_sum)[0] <= 1e-14 * tr)
-    if regularized:
-        s_sum += 1e-12 * tr * np.eye(n)
+        return np.zeros_like(s_sum), np.zeros_like(s_sum), False
     # K = S_prior (S_prior + S_meas)^-1, via a solve on the symmetric sum
     gain = np.linalg.solve(s_sum, p_cov).T
     # symmetrized in place, so the result keeps the product's allocation
@@ -140,13 +148,12 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
 
     Either argument may hold a stack of means (see :class:`GaussianReduced`);
     the rows are fused independently with the one (N, N) gain of the
-    covariance pair. A nearly singular innovation covariance (min
-    eigenvalue below 1e-14 * trace) is regularized with 1e-12 * trace on
-    the diagonal, and every row fused with it is counted in
-    ``stats.regularized``; this occurs when both sources claim near-zero
-    variance in some direction. An innovation covariance with trace <= 0
-    (both sources fully certain) keeps the prior mean with zero covariance
-    and zero gain.
+    covariance pair. A nearly singular innovation covariance is regularized
+    (see :func:`innovation_covariance`), and every row fused with it is
+    counted in ``stats.regularized``; this occurs when both sources claim
+    near-zero variance in some direction. An innovation covariance with
+    trace <= 0 (both sources fully certain) keeps the prior mean with zero
+    covariance and zero gain.
 
     The gain, the checked fused covariance and the regularized flag are
     kept for the last covariance pair, keyed by the two arrays' bytes, and

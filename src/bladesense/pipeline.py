@@ -31,7 +31,7 @@ from .dataset import (_REPORT_FMT, TWO_PI, _write_csv, azimuth_bin, load_case,
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
-from .fusion import FusionStats, fuse
+from .fusion import FusionStats, fuse, innovation_covariance
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
                       sparse_estimate, write_sensors_csv)
 from .spectral import psd
@@ -243,12 +243,12 @@ def _stage_estimate(ctx: _Context) -> None:
         prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti,
                              ctx.rom_stats)
         fused, _ = fuse(prior, meas, ctx.fusion_stats)
-        # normalized innovation squared per step, nu^T (P_prior + P_meas)^-1 nu
-        # with nu = sparse - prior: N on average for calibrated covariances;
-        # both covariances are shared by every step
-        innovation = meas.mean - prior.mean
-        nis = np.einsum("ti,it->t", innovation, np.linalg.solve(
-            prior.covariance + meas.covariance, innovation.T))
+        # normalized innovation squared per step, nu^T S^-1 nu with nu =
+        # sparse - prior and S the innovation covariance fuse inverted, one
+        # for every step: N on average for calibrated covariances
+        nu = meas.mean - prior.mean
+        s_cov, _ = innovation_covariance(prior.covariance, meas.covariance)
+        nis = np.einsum("ti,it->t", nu, np.linalg.solve(s_cov, nu.T))
         A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
         a_proj = project(e.D, ctx.basis)
         fields = {src: mean_obs + phi_obs @ A[src] for src in _SOURCES}

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .azimuthal_rom import fourier_eval
-from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, save_case,
-                      smooth_wind, wrap_angle)
+from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, _first_order,
+                      save_case, smooth_wind, wrap_angle)
 from .decomposition import dof_weights
 from .errors import ValidationError
 
@@ -122,12 +122,8 @@ def _ar1(rho: float, sigma: float, n: int, rng) -> np.ndarray:
     """Stationary AR(1) path: x[k] = rho x[k-1] + N(0, sigma^2)."""
     if sigma == 0.0:
         return np.zeros(n)
-    x = [rng.normal(0.0, sigma / np.sqrt(1.0 - rho**2))]
-    # sequential, so a scalar loop over Python floats
-    rho = float(rho)
-    for e in rng.normal(0.0, sigma, n - 1).tolist():
-        x.append(rho * x[-1] + e)
-    return np.array(x)
+    x0 = rng.normal(0.0, sigma / np.sqrt(1.0 - rho**2))
+    return _first_order(rho, np.r_[x0, rng.normal(0.0, sigma, n - 1)], 0.0)
 
 
 def _gram_schmidt(raw: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bladesense import (AzimuthalRomModel, RomStats, evaluate_rom, fit_rom,
-                        load_rom, save_rom, wrap_angle)
+                        load_rom, pipeline, save_rom, wrap_angle)
 from bladesense.azimuthal_rom import fourier_design, fourier_eval
+from bladesense.cli import main
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
 from conftest import random_spd
+from test_pipeline_cli import SYNTH_CONFIG
 
 
 def _centers(n_theta):
@@ -39,6 +41,120 @@ def _joint_cases(rng, alpha, beta, u_ref, speeds, n_t=400, sigma=0.0):
         a = (f @ alpha.T + (u - u_ref)[:, None] * (f @ beta.T)).T
         cases.append((a + sigma * rng.standard_normal(a.shape), theta, u))
     return cases
+
+
+def _stacked_fit(cases, n_fourier):
+    """Reference fit: one np.linalg.lstsq over the stacked samples of every
+    case for the tables, and per case one over the stacked samples of the
+    other cases (with a single case, the fit itself). Returns the table
+    [alpha; beta], the fold tables and the pooled fold error covariance."""
+    u_all = np.concatenate([u for *_, u in cases])
+    u_ref = float(u_all.mean())
+    blocks = []
+    for a, theta, u in cases:
+        f = fourier_design(theta, n_fourier)
+        blocks.append((np.hstack([f, (u - u_ref)[:, None] * f]), a.T))
+    X = np.concatenate([x for x, _ in blocks])
+    Y = np.concatenate([y for _, y in blocks])
+    coeffs = np.linalg.lstsq(X, Y, rcond=None)[0]
+    folds, second = [], 0.0
+    for i, (X_i, Y_i) in enumerate(blocks):
+        rest = [b for j, b in enumerate(blocks) if j != i] or blocks
+        folds.append(np.linalg.lstsq(np.concatenate([x for x, _ in rest]),
+                                     np.concatenate([y for _, y in rest]),
+                                     rcond=None)[0])
+        error = Y_i - X_i @ folds[-1]
+        second = second + error.T @ error
+    return coeffs, folds, second / len(Y)
+
+
+def _relative(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def twin_cases(tmp_path_factory):
+    """The training cases the ``fit-rom`` command passes to fit_rom on the
+    tier-1 twin (``synth --seed 0``)."""
+    root = tmp_path_factory.mktemp("twin_rom")
+    (root / "synth.json").write_text(json.dumps(SYNTH_CONFIG))
+    assert main(["synth", "--config", str(root / "synth.json"), "--seed",
+                 "0", "--out", str(root / "cases")]) == 0
+    seen = []
+
+    def recording(cases, *args):
+        seen.append(cases)
+        return fit_rom(cases, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "fit_rom", recording)
+        assert main(["fit-rom", "--config",
+                     str(root / "cases" / "pipeline_config.json"),
+                     "--out", str(root / "out")]) == 0
+    return seen[0]
+
+
+def _many_cases(n_cases=20, n_t=300, seed=11):
+    """Noisy cases of the joint model class, one per speed over 7-12 m/s."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-1.0, 1.0, (3, 13))
+    beta = rng.uniform(-0.2, 0.2, (3, 13))
+    return _joint_cases(rng, alpha, beta, 9.5,
+                        np.linspace(7.0, 12.0, n_cases), n_t=n_t, sigma=0.3)
+
+
+class TestPerCaseSums:
+    """The fit and its leave-one-case-out folds come from per-case sums;
+    they match one least-squares solve over the stacked samples."""
+
+    @pytest.mark.parametrize("which", ["twin", "twenty", "one"])
+    def test_fit_and_folds_match_the_stacked_solves(self, which, twin_cases,
+                                                    monkeypatch):
+        cases = {"twin": twin_cases, "twenty": _many_cases(),
+                 "one": _many_cases(1, 1000)}[which]
+        ref, ref_folds, ref_cov = _stacked_fit(cases, 6)
+        solved, lstsq = [], np.linalg.lstsq
+
+        def recording(a, b, rcond=None):
+            out = lstsq(a, b, rcond=rcond)
+            solved.append(out[0])
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        model = fit_rom(cases, 6)
+        # the fit, then one fold per case; a single case's fold is the fit
+        assert len(solved) == (len(cases) + 1 if len(cases) > 1 else 1)
+        assert _relative(solved[0], ref) <= 1e-12
+        for fold, ref_fold in zip(solved[1:], ref_folds):
+            assert _relative(fold, ref_fold) <= 1e-12
+        assert _relative(np.vstack([model.mean_coeffs.T,
+                                    model.slope_coeffs.T]), ref) <= 1e-12
+        assert _relative(model.covariance, ref_cov) <= 1e-12
+
+    def test_case_order_does_not_matter(self):
+        cases = _many_cases()
+        model = fit_rom(cases, 6)
+        order = np.random.default_rng(1).permutation(len(cases))
+        permuted = fit_rom([cases[i] for i in order], 6)
+        assert permuted.u_range == model.u_range
+        assert permuted.u_ref == pytest.approx(model.u_ref, rel=1e-13)
+        for name in ("mean_coeffs", "slope_coeffs", "covariance"):
+            assert _relative(getattr(permuted, name),
+                             getattr(model, name)) <= 1e-13, name
+
+    def test_no_solve_sees_more_rows_than_regressors(self, monkeypatch):
+        # every solve is 2 (1 + 2 n_F) rows square, whatever the number of
+        # cases and samples
+        rows, lstsq = [], np.linalg.lstsq
+
+        def recording(a, b, rcond=None):
+            rows.append(a.shape[0])
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        fit_rom(_many_cases(20, 2000), 6)
+        fit_rom(_many_cases(3, 500), 2)
+        assert rows == [26] * 21 + [10] * 4
 
 
 class TestFitFourier:
@@ -80,6 +196,12 @@ class TestFitFourier:
     def test_too_few_azimuths(self):
         with pytest.raises(ValidationError, match="need more azimuths"):
             _fit_series(np.zeros(8), 6)
+        # 12 distinct azimuths determine 12 of the 13 terms, 13 all of them
+        with pytest.raises(ValidationError, match="determine 12 of the 13"):
+            _fit_series(np.ones(12), 6)
+        coeffs, resid = _fit_series(np.ones(13), 6)
+        assert np.allclose(coeffs, np.eye(13)[0], atol=1e-12)
+        assert resid <= 1e-12
 
 
 class TestFitRom:

@@ -378,6 +378,29 @@ class TestSmoothWind:
         ref, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x, zi=zi)
         assert np.array_equal(smooth_wind(x, alpha=alpha), ref)
 
+    @staticmethod
+    def _former_smooth_wind(raw, alpha):
+        """The direct-form loop over Python floats that the shared
+        first-order recurrence replaced."""
+        a = float(alpha)
+        b = 1.0 - a
+        z = b * float(raw[0])
+        out = []
+        for x in raw.tolist():
+            y = a * x + z
+            out.append(y)
+            z = b * y
+        return np.array(out)
+
+    def test_bit_identical_to_the_former_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            x = rng.normal(10.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3)
+            alpha = float(rng.uniform(1e-3, 1.0))
+            assert (smooth_wind(x, alpha=alpha).tobytes()
+                    == self._former_smooth_wind(x, alpha).tobytes())
+
 
 class TestAzimuthBin:
     def test_lower_edge(self):

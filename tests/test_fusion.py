@@ -3,6 +3,7 @@ import pytest
 
 from bladesense import FusionStats, GaussianReduced, fuse
 from bladesense.errors import ValidationError
+from bladesense.fusion import innovation_covariance
 
 from conftest import random_spd
 
@@ -96,3 +97,31 @@ class TestFuse:
         fused, gain = fuse(prior, meas, stats)
         assert fused.mean[0] == 1.0
         assert np.all(gain == 0.0)
+
+
+class TestInnovationCovariance:
+    def test_well_conditioned_sum_returned_as_it_is(self):
+        rng = np.random.default_rng(2)
+        p, r = random_spd(rng, 4), random_spd(rng, 4, 0.1)
+        s_cov, regularized = innovation_covariance(p, r)
+        assert not regularized
+        assert np.array_equal(s_cov, p + r)
+
+    def test_nearly_singular_sum_regularized(self):
+        p, r = np.diag([2.0, 1e-15]), np.zeros((2, 2))
+        s_cov, regularized = innovation_covariance(p, r)
+        tr = 2.0 + 1e-15
+        assert regularized
+        assert np.array_equal(s_cov, np.diag([2.0 + 1e-12 * tr,
+                                              1e-15 + 1e-12 * tr]))
+        # fuse inverts the same matrix and counts the step
+        stats = FusionStats()
+        _, gain = fuse(GaussianReduced([0.0, 0.0], p),
+                       GaussianReduced([1.0, 1.0], r), stats)
+        assert np.allclose(gain, np.linalg.solve(s_cov, p).T, rtol=1e-12)
+        assert (stats.steps, stats.regularized) == (1, 1)
+
+    def test_zero_sum_not_regularized(self):
+        s_cov, regularized = innovation_covariance(np.zeros((2, 2)),
+                                                   np.zeros((2, 2)))
+        assert not regularized and not s_cov.any()

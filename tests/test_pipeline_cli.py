@@ -849,6 +849,24 @@ class TestEstimateHealth:
             rmse = case["reduced_rmse"]
             assert np.allclose(rmse["fused"], rmse["sparse"], rtol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:deflection coordinates are rank")
+    def test_nis_uses_the_regularized_innovation_covariance(self, twin,
+                                                            tmp_path):
+        # noise-free sensors and more modes than the twin's rank 4: fuse
+        # regularizes the innovation covariance of every step, and NIS is
+        # taken with that regularized matrix (the raw sum read 48.5)
+        pipeline_cfg, _ = twin
+        cfg = pipeline_cfg.parent / f"rank6_{tmp_path.name}.json"
+        cfg.write_text(json.dumps({**json.loads(pipeline_cfg.read_text()),
+                                   "noise": 0, "n_modes": 6}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "error_summary.json").read_text())
+        fusion = summary["fusion"]
+        assert fusion["regularized"] == fusion["steps"] > 0
+        for case_id, case in summary["cases"].items():
+            assert 0.0 < case["nis_mean"] < 2 * 6, case_id
+
     def test_nis_mean_matches_per_step_computation(self, twin, tmp_path,
                                                    monkeypatch):
         pipeline_cfg, out = twin
@@ -866,6 +884,8 @@ class TestEstimateHealth:
         full_run = json.loads((out / "error_summary.json").read_text())
         case_ids = [Path(p).stem for p in config.evaluation]
         assert len(fused) == len(case_ids)  # one stacked call per case
+        # nothing is regularized, so NIS uses the raw sum
+        assert summary["fusion"]["regularized"] == 0
         for case_id, (prior, meas) in zip(case_ids, fused):
             nis = []
             # both covariances are shared by every step

@@ -121,6 +121,31 @@ class TestGenerateCase:
         # the same draws were taken
         assert rng.bit_generator.state == former_rng.bit_generator.state
 
+    @staticmethod
+    def _former_float_ar1(rho, sigma, n, rng):
+        """The loop over Python floats that the shared first-order
+        recurrence replaced."""
+        if sigma == 0.0:
+            return np.zeros(n)
+        x = [rng.normal(0.0, sigma / np.sqrt(1.0 - rho**2))]
+        rho = float(rho)
+        for e in rng.normal(0.0, sigma, n - 1).tolist():
+            x.append(rho * x[-1] + e)
+        return np.array(x)
+
+    def test_ar1_bit_identical_to_the_former_float_loop(self):
+        draws = np.random.default_rng(41)
+        for seed in range(200):
+            rho = float(draws.uniform(-0.999, 0.999))
+            sigma = float(10.0 ** draws.uniform(-3, 1))
+            n = int(draws.integers(1, 400))
+            rng, former_rng = (np.random.default_rng(seed),
+                               np.random.default_rng(seed))
+            x = _ar1(rho, sigma, n, rng)
+            ref = self._former_float_ar1(rho, sigma, n, former_rng)
+            assert x.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == former_rng.bit_generator.state
+
     def test_ar1_stationarity(self):
         rng = np.random.default_rng(123)
         rho = 0.8
