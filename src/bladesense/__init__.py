@@ -1,13 +1,13 @@
 """Sparse-sensor reconstruction of rotating-blade deflection fields."""
 
-from .azimuthal_rom import (AzimuthalRomModel, RomStats, evaluate_rom,
-                            fit_rom, load_rom, save_rom)
+from .azimuthal_rom import (AzimuthalRomModel, evaluate_rom, fit_rom,
+                            load_rom, save_rom)
 from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                       load_case, load_torsion, save_case, smooth_wind,
                       wrap_angle)
 from .decomposition import ModalBasis, inner, pod_fit, project
 from .errors import NumericalError, SchemaError, StageError, ValidationError
-from .fusion import FusionStats, GaussianReduced, fuse
+from .fusion import GaussianReduced, fuse
 from .pipeline import PipelineConfig, run_pipeline
 from .sensing import (NoiseModel, SensorSet, observe, place_sensors,
                       sparse_estimate)

@@ -170,26 +170,16 @@ def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
         covariance=0.5 * (cov + cov.T), conditions=list(conditions))
 
 
-@dataclass
-class RomStats:
-    """Running counters of prior evaluations surfaced by the pipeline: steps,
-    and steps whose filtered wind speed lies below or above every training
-    speed (the mean then extrapolates linearly in u)."""
-
-    steps: int = 0
-    extrapolated_low: int = 0
-    extrapolated_high: int = 0
-
-
-def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti,
-                 stats: RomStats | None = None) -> GaussianReduced:
+def evaluate_rom(model: AzimuthalRomModel, theta, u_filt,
+                 ti) -> GaussianReduced:
     """Evaluate the prior Gaussian at azimuths and filtered wind speeds.
 
     ``theta`` and ``u_filt`` are scalars or 1-D arrays, one entry per time
     step, broadcast against each other; a scalar pair gives one Gaussian,
     arrays give a stack of means (see :class:`GaussianReduced`). Every
-    Gaussian shares the model's one read-only covariance. Steps outside the
-    trained speeds are counted in ``stats``. Non-finite input is rejected.
+    Gaussian shares the model's one read-only covariance. Beyond
+    ``model.u_range`` the mean extrapolates linearly in u. Non-finite input
+    is rejected.
     ``ti`` is ignored: the joint prior has no turbulence-intensity label.
     A scalar pair is evaluated on Python floats, cheaper there than numpy's
     set-up; its mean agrees with the stacked one to rounding.
@@ -215,11 +205,6 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt, ti,
             raise ValidationError("theta and u_filt must be scalars or 1-D arrays")
         mean = _design(wrap_angle(theta), u, model.u_ref,
                        model.n_fourier) @ model._stacked
-    if stats is not None:
-        lo, hi = model.u_range
-        stats.steps += np.size(u)
-        stats.extrapolated_low += int(np.count_nonzero(u < lo))
-        stats.extrapolated_high += int(np.count_nonzero(u > hi))
     _all_finite(mean)  # tables near the float limit can overflow
     return GaussianReduced.from_checked(mean, model.covariance)
 

@@ -481,6 +481,7 @@ def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
+    """The grid of a case from its manifest; reads the grid file only."""
     path = manifest_path.parent / manifest["grid_file"]
     names, data = _read_csv(path)
     if names != ["z_norm"]:
@@ -505,12 +506,6 @@ def read_manifest(manifest_path) -> dict:
     """A case's manifest, checked against the manifest schema; every
     manifest read goes through here."""
     return read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
-
-
-def load_grid(manifest_path) -> BladeGrid:
-    """The grid of a case; reads its manifest and grid file, nothing else."""
-    manifest_path = Path(manifest_path)
-    return _load_grid(manifest_path, read_manifest(manifest_path))
 
 
 def _load_fields(manifest_path, key: str, grid: BladeGrid | None,
@@ -545,16 +540,19 @@ def load_case(manifest_path, manifest: dict | None = None
 
 
 def load_torsion(manifest_path, grid: BladeGrid | None = None,
-                 channels: dict | None = None) -> SnapshotEnsemble | None:
+                 channels: dict | None = None, manifest: dict | None = None
+                 ) -> SnapshotEnsemble | None:
     """Load the optional torsion file of a case as an ensemble of tau fields.
 
     ``grid`` and ``channels`` are the case's, from :func:`load_case` (see
-    :meth:`SnapshotEnsemble.channels`), when the caller has them: they are
-    reused, so only the torsion file is read. Without them, the grid and the
-    channels are read too, but never the displacement matrix. Returns
-    ``None`` when the manifest names no ``torsion_file``.
+    :meth:`SnapshotEnsemble.channels`), and ``manifest`` its
+    :func:`read_manifest` result, when the caller has them: they are
+    reused, so only the torsion file is read. Without them, the manifest,
+    the grid and the channels are read too, but never the displacement
+    matrix. Returns ``None`` when the manifest names no ``torsion_file``.
     """
-    return _load_fields(manifest_path, "torsion_file", grid, channels)
+    return _load_fields(manifest_path, "torsion_file", grid, channels,
+                        manifest)
 
 
 def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,

@@ -96,19 +96,11 @@ class GaussianReduced:
         return self.mean.shape[-1]
 
 
-@dataclass
-class FusionStats:
-    """Running counters surfaced by the pipeline."""
-
-    steps: int = 0
-    regularized: int = 0
-
-
 #: (prior covariance bytes, measurement covariance bytes, gain, fused
-#: covariance, regularized flag) of the last pair fused, or None. Keyed by
-#: content, so a covariance changed in place is a miss, whatever its flags
-#: and id; one tuple assignment replaces it, so a reader that takes it once
-#: sees one whole entry.
+#: covariance) of the last pair fused, or None. Keyed by content, so a
+#: covariance changed in place is a miss, whatever its flags and id; one
+#: tuple assignment replaces it, so a reader that takes it once sees one
+#: whole entry.
 _LAST = None
 
 
@@ -127,39 +119,37 @@ def innovation_covariance(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
 
 
 def _gain(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
-    """(gain, fused covariance, regularized flag) of a covariance pair; the
-    fused covariance is exactly symmetric but unchecked."""
-    s_sum, regularized = innovation_covariance(p_cov, r_cov)
+    """(gain, fused covariance) of a covariance pair; the fused covariance
+    is exactly symmetric but unchecked."""
+    s_sum, _ = innovation_covariance(p_cov, r_cov)
     if s_sum.trace() <= 0.0:
         # both sources fully certain: zero gain keeps the prior mean
-        return np.zeros_like(s_sum), np.zeros_like(s_sum), False
+        return np.zeros_like(s_sum), np.zeros_like(s_sum)
     # K = S_prior (S_prior + S_meas)^-1, via a solve on the symmetric sum
     gain = np.linalg.solve(s_sum, p_cov).T
     # symmetrized in place, so the result keeps the product's allocation
     cov = r_cov @ gain.T
     cov += cov.T
     cov *= 0.5
-    return gain, cov, regularized
+    return gain, cov
 
 
-def fuse(prior: GaussianReduced, measurement: GaussianReduced,
-         stats: FusionStats | None = None) -> tuple[GaussianReduced, np.ndarray]:
+def fuse(prior: GaussianReduced,
+         measurement: GaussianReduced) -> tuple[GaussianReduced, np.ndarray]:
     """Fuse a prior and a measurement Gaussian; returns (fused, gain).
 
     Either argument may hold a stack of means (see :class:`GaussianReduced`);
     the rows are fused independently with the one (N, N) gain of the
     covariance pair. A nearly singular innovation covariance is regularized
-    (see :func:`innovation_covariance`), and every row fused with it is
-    counted in ``stats.regularized``; this occurs when both sources claim
+    (see :func:`innovation_covariance`); this occurs when both sources claim
     near-zero variance in some direction. An innovation covariance with
     trace <= 0 (both sources fully certain) keeps the prior mean with zero
     covariance and zero gain.
 
-    The gain, the checked fused covariance and the regularized flag are
-    kept for the last covariance pair, keyed by the two arrays' bytes, and
-    returned shared and read-only. A later call with a pair of the same
-    bytes only applies the gain, so a covariance changed in place is fused
-    afresh.
+    The gain and the checked fused covariance are kept for the last
+    covariance pair, keyed by the two arrays' bytes, and returned shared
+    and read-only. A later call with a pair of the same bytes only applies
+    the gain, so a covariance changed in place is fused afresh.
     """
     if prior.n != measurement.n:
         raise ValidationError(
@@ -170,17 +160,12 @@ def fuse(prior: GaussianReduced, measurement: GaussianReduced,
     p_key, r_key = p_cov.tobytes(), r_cov.tobytes()
     last = _LAST
     if last is None or last[0] != p_key or last[1] != r_key:
-        gain, cov, regularized = _gain(p_cov, r_cov)
+        gain, cov = _gain(p_cov, r_cov)
         cov = GaussianReduced(np.zeros(prior.n), cov).covariance
         gain.setflags(write=False)
         cov.setflags(write=False)
-        last = _LAST = (p_key, r_key, gain, cov, regularized)
-    gain, cov, regularized = last[2:]
+        last = _LAST = (p_key, r_key, gain, cov)
+    gain, cov = last[2:]
     mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
     _all_finite(mean)
-    if stats is not None:
-        rows = mean.size // mean.shape[-1]
-        stats.steps += rows
-        if regularized:
-            stats.regularized += rows
     return GaussianReduced.from_checked(mean, cov), gain

@@ -16,22 +16,21 @@ leaves a ``FAILED`` marker naming the stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import azimuthal_rom as rom_mod
 from . import svgplot
-from .azimuthal_rom import (AzimuthalRomModel, RomStats, evaluate_rom,
-                            fit_rom, save_rom)
-from .dataset import (_REPORT_FMT, TWO_PI, _write_csv, azimuth_bin, load_case,
-                      load_grid, load_torsion, read_json, read_manifest,
+from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
+from .dataset import (_REPORT_FMT, TWO_PI, _load_grid, _write_csv, azimuth_bin,
+                      load_case, load_torsion, read_json, read_manifest,
                       write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
-from .fusion import FusionStats, fuse, innovation_covariance
+from .fusion import fuse, innovation_covariance
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
                       sparse_estimate, write_sensors_csv)
 from .spectral import psd
@@ -125,7 +124,7 @@ class _Context:
     train: list = field(default_factory=list)       # (case_id, ensemble);
     # fit-rom empties it, keeping each case's (grid, channels) for torsion
     train_channels: list = field(default_factory=list)
-    torsion_carriers: list = field(default_factory=list)  # training indices
+    manifests: dict = field(default_factory=dict)   # config path -> manifest
     evaluation: list = field(default_factory=list)  # (case_id, ensemble)
     basis: ModalBasis | None = None
     train_coords: list = field(default_factory=list)  # set by fit-rom
@@ -134,8 +133,6 @@ class _Context:
     obs_stations: np.ndarray | None = None  # set by load, with
     obs_rows: np.ndarray | None = None      # their rows in a field
     rom: AzimuthalRomModel | None = None
-    fusion_stats: FusionStats = field(default_factory=FusionStats)
-    rom_stats: RomStats = field(default_factory=RomStats)
     traces: dict = field(default_factory=dict)      # case_id -> per-case arrays
     summary: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
@@ -147,17 +144,17 @@ class _Context:
 
 def _stage_load(ctx: _Context) -> None:
     cfg = ctx.config
-    for i, p in enumerate(cfg.training):
-        manifest = read_manifest(p)
-        ctx.train.append((Path(p).stem, load_case(p, manifest)[1]))
-        if "torsion_file" in manifest:
-            ctx.torsion_carriers.append(i)
+    # each manifest is read here, once, and kept for the torsion stage
+    for p in cfg.training:
+        m = ctx.manifests[p] = read_manifest(p)
+        ctx.train.append((Path(p).stem, load_case(p, m)[1]))
     grids = [e.grid for _, e in ctx.train]
     for p in cfg.evaluation:
+        m = ctx.manifests[p] = read_manifest(p)
         # a plan that estimates nothing uses an evaluation case only for
         # its grid, and reads no more of it
         if "estimate" in COMMAND_PLANS[ctx.plan]:
-            e = load_case(p)[1]
+            e = load_case(p, m)[1]
             # the report's spectra are normalized by the mean rotor speed
             omega = float(np.mean(e.omega))
             if not omega > 0:
@@ -167,7 +164,7 @@ def _stage_load(ctx: _Context) -> None:
             ctx.evaluation.append((Path(p).stem, e))
             grids.append(e.grid)
         else:
-            grids.append(load_grid(p))
+            grids.append(_load_grid(Path(p), m))
     z0 = grids[0].z_norm
     for grid in grids:
         if grid.z_norm.shape != z0.shape or np.any(grid.z_norm != z0):
@@ -236,18 +233,28 @@ def _stage_estimate(ctx: _Context) -> None:
     mean_obs = ctx.basis.mean_field[ctx.obs_rows][:, None]
     phi_obs = ctx.basis.modes[ctx.obs_rows, :]
     cases_summary = {}
+    fusion = {"steps": 0, "regularized": 0}
+    rom = {"steps": 0, "extrapolated_low": 0, "extrapolated_high": 0}
+    lo, hi = ctx.rom.u_range
     for idx, (case_id, e) in enumerate(ctx.evaluation):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
         meas = sparse_estimate(y, ctx.sensors, ctx.noise_model)
-        prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti,
-                             ctx.rom_stats)
-        fused, _ = fuse(prior, meas, ctx.fusion_stats)
+        prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti)
+        fused, _ = fuse(prior, meas)
         # normalized innovation squared per step, nu^T S^-1 nu with nu =
         # sparse - prior and S the innovation covariance fuse inverted, one
         # for every step: N on average for calibrated covariances
         nu = meas.mean - prior.mean
-        s_cov, _ = innovation_covariance(prior.covariance, meas.covariance)
+        s_cov, regularized = innovation_covariance(prior.covariance,
+                                                   meas.covariance)
+        # the filter counters: every step of a case fuses the one
+        # covariance pair, and the prior extrapolates beyond u_range
+        fusion["steps"] += e.n_t
+        fusion["regularized"] += e.n_t * regularized
+        rom["steps"] += e.n_t
+        rom["extrapolated_low"] += int(np.count_nonzero(e.u_filt < lo))
+        rom["extrapolated_high"] += int(np.count_nonzero(e.u_filt > hi))
         nis = np.einsum("ti,it->t", nu, np.linalg.solve(s_cov, nu.T))
         A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
         a_proj = project(e.D, ctx.basis)
@@ -280,8 +287,8 @@ def _stage_estimate(ctx: _Context) -> None:
 
     ctx.summary = {
         "cases": cases_summary,
-        "fusion": asdict(ctx.fusion_stats),
-        "rom": asdict(ctx.rom_stats),
+        "fusion": fusion,
+        "rom": rom,
         "settings": {key: getattr(cfg, key) for key in
                      ("n_modes", "n_sensors", "n_fourier", "seed")},
     }
@@ -291,19 +298,22 @@ def _stage_estimate(ctx: _Context) -> None:
 def _stage_torsion(ctx: _Context) -> None:
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
-    carriers = ctx.torsion_carriers
+    training = ctx.config.training
+    carriers = [i for i, p in enumerate(training)
+                if "torsion_file" in ctx.manifests[p]]
     if not carriers:
         return
     model, r2 = fit_torsion_model(
         [ctx.train_coords[i] for i in carriers],
-        (load_torsion(ctx.config.training[i], *ctx.train_channels[i])
+        (load_torsion(training[i], *ctx.train_channels[i],
+                      ctx.manifests[training[i]])
          for i in carriers))
     save_torsion_model(model, ctx.emit("torsion_map.csv"))
 
     # torsion inferred from the fused estimate, scored against the truth
     eval_summary = {}
     for p, (case_id, e) in zip(ctx.config.evaluation, ctx.evaluation):
-        tau_e = load_torsion(p, e.grid, e.channels())
+        tau_e = load_torsion(p, e.grid, e.channels(), ctx.manifests[p])
         if tau_e is None:
             continue
         tau_hat = infer_torsion(ctx.traces[case_id]["A"]["fused"], model)

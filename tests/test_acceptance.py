@@ -17,7 +17,6 @@ from bladesense import (GaussianReduced, NoiseModel, fit_torsion_model, fuse,
 from bladesense.azimuthal_rom import evaluate_rom, fit_rom
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI
-from bladesense.fusion import FusionStats
 from bladesense.sensing import sensor_dof_rows
 from bladesense.synthetic import (SyntheticCaseSpec, TorsionTwin,
                                   blade_demo_modes, demo_grid, generate_case,
@@ -140,7 +139,6 @@ def test_criterion_03_fusion_dominance(tmp_path):
     rom = fit_rom([(project(e.D, basis), e.theta, e.u_filt) for e in train], 6)
 
     rmse = {src: [] for src in ("sparse", "rom", "fused")}
-    fusion_stats = FusionStats()
     for j, seed in enumerate(eval_seeds):
         ens = make(f"ev{seed}", seed, 15.0)
         a_true = project(ens.D, basis)
@@ -150,7 +148,7 @@ def test_criterion_03_fusion_dominance(tmp_path):
             y = observe(ens.D[:, k], sensors, noise, rng)
             meas = sparse_estimate(y, sensors, noise)
             prior = evaluate_rom(rom, ens.theta[k], ens.u_filt[k], 0.10)
-            fused, _ = fuse(prior, meas, fusion_stats)
+            fused, _ = fuse(prior, meas)
             err["sparse"] += np.sum((meas.mean - a_true[:, k]) ** 2)
             err["rom"] += np.sum((prior.mean - a_true[:, k]) ** 2)
             err["fused"] += np.sum((fused.mean - a_true[:, k]) ** 2)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bladesense import (AzimuthalRomModel, RomStats, evaluate_rom, fit_rom,
-                        load_rom, pipeline, save_rom, wrap_angle)
+from bladesense import (AzimuthalRomModel, evaluate_rom, fit_rom, load_rom,
+                        pipeline, save_rom, wrap_angle)
 from bladesense.azimuthal_rom import fourier_design, fourier_eval
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI
@@ -356,17 +356,6 @@ class TestEvaluateRom:
         ref = evaluate_rom(model, 2.0, 9.0, 0.1)
         for ti in (0.05, 0.3, None):
             assert np.array_equal(evaluate_rom(model, 2.0, 9.0, ti).mean, ref.mean)
-
-    def test_steps_beyond_the_trained_speeds_counted(self):
-        model = _model()
-        stats = RomStats()
-        u = np.array([7.9, 8.0, 10.0, 12.0, 12.1, 20.0])
-        evaluate_rom(model, np.zeros(6), u, 0.1, stats)
-        # the range ends themselves are trained
-        assert (stats.steps, stats.extrapolated_low,
-                stats.extrapolated_high) == (6, 1, 2)
-        evaluate_rom(model, 1.0, 3.0, 0.1, stats)
-        assert (stats.steps, stats.extrapolated_low) == (7, 2)
 
     def test_periodicity_after_wrapping(self):
         model = _model()

@@ -21,9 +21,9 @@ import threading
 import numpy as np
 import pytest
 
-from bladesense import (AzimuthalRomModel, FusionStats, GaussianReduced,
-                        NoiseModel, RomStats, evaluate_rom, fuse,
-                        infer_torsion, observe, place_sensors, sparse_estimate)
+from bladesense import (AzimuthalRomModel, GaussianReduced, NoiseModel,
+                        evaluate_rom, fuse, infer_torsion, observe,
+                        place_sensors, sparse_estimate)
 from bladesense import fusion, sensing
 from bladesense.azimuthal_rom import fourier_eval
 from bladesense.dataset import wrap_angle
@@ -83,7 +83,7 @@ def _any(mask):
     return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
-def _former_fuse(prior, measurement, stats=None):
+def _former_fuse(prior, measurement):
     eye = np.eye(prior.n)
     p_cov = prior.covariance
     s_sum = p_cov + measurement.covariance
@@ -105,10 +105,6 @@ def _former_fuse(prior, measurement, stats=None):
     cov *= 0.5
     if any_certain:
         cov = np.where(certain_rows, 0.0, cov)
-    if stats is not None:
-        rows = mean.shape[:-1]
-        stats.steps += int(np.prod(rows))
-        stats.regularized += int(np.count_nonzero(np.broadcast_to(regularize, rows)))
     return GaussianReduced(mean, cov), gain
 
 
@@ -145,24 +141,20 @@ class TestEvaluateRomBatch:
 
     def test_batch_of_one_takes_any_scalar(self):
         # a scalar pair takes the float branch: Python, numpy and 0-d
-        # scalars give the same bytes, the stacked path's mean within RTOL
-        # and its counts, at azimuths that wrap to a period's edge or lie
+        # scalars give the same bytes and the stacked path's mean within
+        # RTOL, at azimuths that wrap to a period's edge or lie
         # far out, and at wind speeds at and beyond the trained range
         model = _model()
         lo, hi = model.u_range
         thetas = np.concatenate([_THETA, _EDGE_THETA, [1e6, -1e6]])
         winds = np.concatenate([_U, [np.nextafter(lo, 0.0), np.nextafter(hi, 20.0)]])
         for theta, u in itertools.product(thetas, winds):
-            stack_stats = RomStats()
-            stack = evaluate_rom(model, np.array([theta]), np.array([u]), 0.1,
-                                 stack_stats)
+            stack = evaluate_rom(model, np.array([theta]), np.array([u]), 0.1)
             ref = None
             for cast in (float, np.float64, np.asarray):
-                stats = RomStats()
-                got = evaluate_rom(model, cast(theta), cast(u), 0.1, stats)
+                got = evaluate_rom(model, cast(theta), cast(u), 0.1)
                 assert got.mean.shape == (N_MODES,)
                 assert got.covariance is model.covariance
-                assert vars(stats) == vars(stack_stats)
                 if ref is None:
                     ref = got.mean
                     assert_close(ref, stack.mean[0])
@@ -179,16 +171,6 @@ class TestEvaluateRomBatch:
                      evaluate_rom(model, np.ones(_U.size), _U, 0.1).mean)
         assert_close(evaluate_rom(model, list(_THETA), list(_U), 0.1).mean,
                      evaluate_rom(model, _THETA, _U, 0.1).mean)
-
-    def test_extrapolated_steps_counted(self):
-        model = _model()
-        stats = RomStats()
-        evaluate_rom(model, _THETA, _U, 0.10, stats)
-        # the range ends themselves (8.0, 12.0) are trained
-        assert (stats.steps, stats.extrapolated_low,
-                stats.extrapolated_high) == (10, 2, 2)
-        evaluate_rom(model, 0.5, 20.0, 0.10, stats)
-        assert (stats.steps, stats.extrapolated_high) == (11, 3)
 
     def test_rejects_two_dimensional_input(self):
         with pytest.raises(ValidationError, match="1-D"):
@@ -423,15 +405,13 @@ class TestFuseBatch:
     def test_stack_matches_per_step(self, kind):
         p_mean, m_mean = self._means()
         p_cov, m_cov = self._pairs()[kind]
-        stats = FusionStats()
         fused, gain = fuse(GaussianReduced(p_mean, p_cov),
-                           GaussianReduced(m_mean, m_cov), stats)
+                           GaussianReduced(m_mean, m_cov))
         assert fused.covariance.shape == gain.shape == (N_MODES, N_MODES)
-        step_stats = FusionStats()
         for k in range(p_mean.shape[0]):
             prior = GaussianReduced(p_mean[k], p_cov)
             meas = GaussianReduced(m_mean[k], m_cov)
-            step, step_gain = fuse(prior, meas, step_stats)
+            step, step_gain = fuse(prior, meas)
             assert_close(fused.mean[k], step.mean)
             assert_identical(step.covariance, fused.covariance)
             assert_identical(step_gain, gain)
@@ -440,10 +420,7 @@ class TestFuseBatch:
             assert_close(fused.covariance, ref_cov)
             assert_close(gain, ref_gain)
             assert_close(np.trace(fused.covariance), np.trace(ref_cov))
-        rows = 40 if kind == "regularized" else 0
         assert regularized == (kind == "regularized")
-        assert (stats.steps, stats.regularized) == (40, rows)
-        assert (step_stats.steps, step_stats.regularized) == (40, rows)
         if kind == "certain":
             assert np.array_equal(fused.mean, p_mean)
             assert np.all(fused.covariance == 0.0) and np.all(gain == 0.0)
@@ -452,11 +429,9 @@ class TestFuseBatch:
         p_mean, m_mean = self._means()
         p_cov, m_cov = self._pairs()["random"]
         for p_one, m_one in ((False, True), (True, False)):
-            stats = FusionStats()
             fused, _ = fuse(GaussianReduced(p_mean[0] if p_one else p_mean, p_cov),
-                            GaussianReduced(m_mean[0] if m_one else m_mean, m_cov),
-                            stats)
-            assert fused.mean.shape == (40, N_MODES) and stats.steps == 40
+                            GaussianReduced(m_mean[0] if m_one else m_mean, m_cov))
+            assert fused.mean.shape == (40, N_MODES)
             for k in range(40):
                 step, _ = fuse(GaussianReduced(p_mean[0 if p_one else k], p_cov),
                                GaussianReduced(m_mean[0 if m_one else k], m_cov))
@@ -470,14 +445,12 @@ class TestFastPathsMatchFormer:
 
     @staticmethod
     def _assert_fuse_identical(prior, meas):
-        stats, former_stats = FusionStats(), FusionStats()
-        got, gain = fuse(prior, meas, stats)
-        ref, ref_gain = _former_fuse(prior, meas, former_stats)
+        got, gain = fuse(prior, meas)
+        ref, ref_gain = _former_fuse(prior, meas)
         assert_identical(got.mean, ref.mean)
         assert_identical(got.covariance, ref.covariance)
         assert_identical(gain, ref_gain)
-        assert vars(stats) == vars(former_stats)
-        return got, gain, stats
+        return got, gain
 
     def test_fuse_batch_of_one(self):
         # a writeable measurement covariance, then a fixed (read-only) one
@@ -503,20 +476,18 @@ class TestFastPathsMatchFormer:
         self._assert_fuse_identical(GaussianReduced(m_mean, shared), prior)
 
     def test_regularized_and_certain_rows_counted(self):
-        # every row of a stack fused with a regularized pair is counted, and
-        # a fully certain pair gets zero gain
+        # a regularized pair is flagged for the pipeline's count, and a fully
+        # certain pair gets zero gain
         p_mean, m_mean = TestFuseBatch._means()
         pairs = TestFuseBatch._pairs()
-        for kind, regularized in (("regularized", 1), ("certain", 0)):
+        for kind, regularized in (("regularized", True), ("certain", False)):
             p_cov, m_cov = pairs[kind]
-            _, gain, stats = self._assert_fuse_identical(
+            assert fusion.innovation_covariance(p_cov, m_cov)[1] == regularized
+            _, gain = self._assert_fuse_identical(
                 GaussianReduced(p_mean, p_cov), GaussianReduced(m_mean, m_cov))
-            assert (stats.steps, stats.regularized) == (40, 40 * regularized)
             assert np.all(gain == 0.0) == (kind == "certain")
-            _, _, stats = self._assert_fuse_identical(
-                GaussianReduced(p_mean[3], p_cov),
-                GaussianReduced(m_mean[3], m_cov))
-            assert (stats.steps, stats.regularized) == (1, regularized)
+            self._assert_fuse_identical(GaussianReduced(p_mean[3], p_cov),
+                                        GaussianReduced(m_mean[3], m_cov))
 
     @pytest.mark.parametrize("case", ["mean", "covariance", "one row"])
     def test_non_finite_fusion_rejected(self, case):
@@ -550,7 +521,7 @@ class TestFastPathsMatchFormer:
         # rank-deficient sources give a singular fused covariance; for this
         # pair the product rounds its zero eigenvalue below zero
         prior, meas = self._rank_deficient_pair(0)
-        fused, gain, _ = self._assert_fuse_identical(prior, meas)
+        fused, gain = self._assert_fuse_identical(prior, meas)
         raw = meas.covariance @ gain.T
         raw = 0.5 * (raw + raw.T)
         assert np.linalg.eigvalsh(raw).min() < 0.0
@@ -596,9 +567,10 @@ class TestRegularizeThreshold:
         fusion._LAST = None
         if stacked:
             pair = [GaussianReduced(g.mean[None], g.covariance) for g in pair]
+        assert fusion.innovation_covariance(
+            *(g.covariance for g in pair))[1] == (scale < 1.0)
         for _ in range(2):
-            *_, stats = TestFastPathsMatchFormer._assert_fuse_identical(*pair)
-            assert stats.regularized == (scale < 1.0)
+            TestFastPathsMatchFormer._assert_fuse_identical(*pair)
 
 
 class TestGainMemo:
@@ -759,24 +731,22 @@ class TestEstimatorBatch:
         n_t = _U.size
         D = basis.modes @ rng.standard_normal((N_MODES, n_t))
 
-        step_rom, step_fusion = RomStats(), FusionStats()
         step_rng = np.random.default_rng(3)
         ref = {"y": [], "sparse": [], "rom": [], "fused": [], "trace": []}
         for k in range(n_t):
             y = observe(D[:, k], sensors, noise, step_rng)
             meas = sparse_estimate(y, sensors, noise)
-            prior = evaluate_rom(model, _THETA[k], _U[k], 0.10, step_rom)
-            fused, _ = fuse(prior, meas, step_fusion)
+            prior = evaluate_rom(model, _THETA[k], _U[k], 0.10)
+            fused, _ = fuse(prior, meas)
             for key, val in zip(ref, (y, meas.mean, prior.mean, fused.mean,
                                       np.trace(fused.covariance))):
                 ref[key].append(val)
             sparse_cov = meas.covariance
 
-        rom_stats, fusion_stats = RomStats(), FusionStats()
         y = observe(D.T, sensors, noise, np.random.default_rng(3))
         meas = sparse_estimate(y, sensors, noise)
-        prior = evaluate_rom(model, _THETA, _U, 0.10, rom_stats)
-        fused, _ = fuse(prior, meas, fusion_stats)
+        prior = evaluate_rom(model, _THETA, _U, 0.10)
+        fused, _ = fuse(prior, meas)
 
         # one (n_t, 3 n_P) noise block is the same stream as n_t draws
         assert_close(y, np.array(ref["y"]))
@@ -792,8 +762,6 @@ class TestEstimatorBatch:
         assert fused.covariance.shape == (N_MODES, N_MODES)
         assert_close(np.full(n_t, np.trace(fused.covariance)),
                      np.array(ref["trace"]))
-        assert vars(rom_stats) == vars(step_rom)
-        assert vars(fusion_stats) == vars(step_fusion)
 
     def test_observe_rejects_bad_stack(self):
         grid = demo_grid(n_z=10)

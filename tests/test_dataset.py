@@ -9,7 +9,7 @@ from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                         load_case, load_torsion, save_case, smooth_wind,
                         wrap_angle)
 from bladesense import dataset
-from bladesense.dataset import TWO_PI
+from bladesense.dataset import TWO_PI, read_manifest
 from bladesense.errors import SchemaError, ValidationError
 
 from conftest import CHANNELS, DAMAGE, damage_case, savetxt_writer
@@ -286,6 +286,11 @@ class TestLoadTorsion:
         back = load_torsion(manifest, ens.grid, ens.channels())
         assert np.array_equal(back.D, tau)
         assert back.grid is ens.grid and back.theta is ens.theta
+        # given its manifest too, the case's JSON is not read again
+        m = read_manifest(manifest)
+        manifest.unlink()
+        again = load_torsion(manifest, ens.grid, ens.channels(), m)
+        assert np.array_equal(again.D, tau)
 
     def test_rejects_a_torsion_matrix_of_the_wrong_shape(self, tmp_path):
         manifest, _, tau = _random_case(tmp_path)

@@ -15,7 +15,6 @@ from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
                         load_rom, load_torsion_model, observe, place_sensors,
                         pod_fit, project, sparse_estimate)
 from bladesense.cli import main
-from bladesense.dataset import load_grid
 from bladesense.pipeline import PipelineConfig, _quartiles, run_pipeline
 from bladesense.errors import NumericalError, StageError, ValidationError
 
@@ -226,13 +225,14 @@ class TestPipelineRun:
         # (synth --seed 0: 466 and 18 steps below it), so the counter fires
         if request.node.callspec.params["dataset_run"] in ("long_record", "fine_grid"):
             assert summary["rom"]["extrapolated_low"] > 0
-        assert summary["rom"]["steps"] == summary["fusion"]["steps"]
+        # every step fuses one well-conditioned covariance pair
+        assert summary["fusion"] == {"steps": u.size, "regularized": 0}
 
     def test_torsion_map_has_one_column_per_mode(self, twin):
         # the twin's torsion is a linear function of its N coordinates
         pipeline_cfg, out = twin
         config = PipelineConfig.from_json(pipeline_cfg)
-        grid = load_grid(config.training[0])
+        grid = load_case(config.training[0])[0]
         model = load_torsion_model(out / "torsion_map.csv", grid)
         assert model.field_map.shape == (grid.n_dof, config.n_modes)
         r2 = json.loads((out / "torsion_summary.json").read_text())["fit_r_squared"]
@@ -680,6 +680,25 @@ class TestCaseReads:
              for kind in ("grid.csv", "channels.csv", "displacement.npy")]
             + [f"{n}_grid.csv" for n in evaluation], 1)
 
+    @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
+    def test_each_manifest_read_once(self, twin, tmp_path, monkeypatch,
+                                     plan):
+        # the load stage keeps the manifests, and torsion reuses them
+        pipeline_cfg, _ = twin
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        seen = Counter()
+
+        def counting(path, *args, _read=dataset.read_json):
+            seen[Path(path).resolve()] += 1
+            return _read(path, *args)
+
+        monkeypatch.setattr(dataset, "read_json", counting)
+        run_pipeline(config, plan=plan)
+        manifests = [Path(p).resolve()
+                     for p in config.training + config.evaluation]
+        assert len(set(manifests)) == len(manifests)
+        assert {p: seen[p] for p in manifests} == dict.fromkeys(manifests, 1)
+
 
 class TestTrainingRelease:
     def test_training_deflections_released_after_fit_rom(self, twin,
@@ -872,10 +891,9 @@ class TestEstimateHealth:
         pipeline_cfg, out = twin
         fused = []  # (prior, measurement) of each fuse call
 
-        def recording(prior, measurement, stats=None,
-                      _fuse=bladesense.pipeline.fuse):
+        def recording(prior, measurement, _fuse=bladesense.pipeline.fuse):
             fused.append((prior, measurement))
-            return _fuse(prior, measurement, stats)
+            return _fuse(prior, measurement)
 
         monkeypatch.setattr(bladesense.pipeline, "fuse", recording)
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
@@ -1066,6 +1084,33 @@ class TestLibraryOnDatasets:
                 assert np.isfinite(fused.mean).all(), k
                 assert (np.abs(fused.mean - ref).max()
                         <= 1e-10 * np.abs(ref).max()), k
+
+
+class TestReadmeLibrary:
+    def test_library_blocks_run_on_the_quickstart(self, tmp_path,
+                                                  monkeypatch):
+        # the two Python blocks of README "Library", as written, on the
+        # Quickstart's files: the per-step loop, then the batch calls
+        text = (ROOT / "README.md").read_text()
+        section = text.split("\n## Library\n")[1].split("\n## ")[0]
+        blocks = [b.split("```")[0] for b in section.split("```python\n")[1:]]
+        assert len(blocks) == 2
+        out = tmp_path / "quickstart"
+        assert main(["synth", "--out", str(out), "--seed", "0"]) == 0
+        assert main(["pipeline", "--config", str(out / "pipeline_config.json"),
+                     "--out", str(out / "results")]) == 0
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(blocks[0], namespace)
+        step = namespace["fused"]
+        assert np.isfinite(step.mean).all()
+        exec(blocks[1], namespace)
+        ens, batch = namespace["ens"], namespace["fused"]
+        assert batch.mean.shape == (ens.n_t, step.n)
+        assert np.isfinite(batch.mean).all()
+        # one noise stream: the last row is the loop's last step
+        ref = batch.mean[-1]
+        assert np.abs(step.mean - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestPriorGates:
