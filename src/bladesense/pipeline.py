@@ -34,8 +34,8 @@ from .fusion import fuse, innovation_covariance
 from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
                       sparse_estimate, write_sensors_csv)
 from .spectral import psd
-from .torsion import (_r_squared, fit_torsion_model, infer_torsion,
-                      save_torsion_model)
+from .torsion import (TorsionModel, _r_squared, fit_torsion_model,
+                      infer_torsion, save_torsion_model)
 
 _COMPONENTS = ("ux", "uy", "uz")
 _TORSION_COMPONENTS = ("taux", "tauy", "tauz")
@@ -125,7 +125,9 @@ class _Context:
     # fit-rom empties it, keeping each case's (grid, channels) for torsion
     train_channels: list = field(default_factory=list)
     manifests: dict = field(default_factory=dict)   # config path -> manifest
-    evaluation: list = field(default_factory=list)  # (case_id, ensemble)
+    evaluation: list = field(default_factory=list)  # (case_id, ensemble);
+    # estimate empties it, keeping each case's (case_id, grid, channels, f_s)
+    eval_channels: list = field(default_factory=list)
     basis: ModalBasis | None = None
     train_coords: list = field(default_factory=list)  # set by fit-rom
     sensors: object = None
@@ -236,7 +238,12 @@ def _stage_estimate(ctx: _Context) -> None:
     fusion = {"steps": 0, "regularized": 0}
     rom = {"steps": 0, "extrapolated_low": 0, "extrapolated_high": 0}
     lo, hi = ctx.rom.u_range
-    for idx, (case_id, e) in enumerate(ctx.evaluation):
+    tip_rows = np.arange(1, 4) * z.size - 1  # the tip's ux, uy, uz
+    for idx in range(len(ctx.evaluation)):
+        # the last reader of each evaluation deflection matrix: later stages
+        # read only the case's grid, channels and f_s, and the report its
+        # tip rows, so the matrix is released once the case is scored
+        case_id, e = ctx.evaluation.pop(0)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
         meas = sparse_estimate(y, ctx.sensors, ctx.noise_model)
@@ -283,7 +290,8 @@ def _stage_estimate(ctx: _Context) -> None:
             "nis_mean": float(nis.mean()),
         }
         ctx.traces[case_id] = {"A": A, "a_proj": a_proj, "true_obs": true_obs,
-                               "fields": fields}
+                               "fields": fields, "tip": e.D[tip_rows, :]}
+        ctx.eval_channels.append((case_id, e.grid, e.channels(), e.f_s))
 
     ctx.summary = {
         "cases": cases_summary,
@@ -310,23 +318,27 @@ def _stage_torsion(ctx: _Context) -> None:
          for i in carriers))
     save_torsion_model(model, ctx.emit("torsion_map.csv"))
 
-    # torsion inferred from the fused estimate, scored against the truth
+    # torsion inferred from the fused estimate, scored against the truth;
+    # both are read at the observation stations only, so the map is cut to
+    # their rows and each truth matrix is dropped once they are taken
+    obs_model = TorsionModel(model.mean_field[ctx.obs_rows],
+                             model.field_map[ctx.obs_rows])
     eval_summary = {}
-    for p, (case_id, e) in zip(ctx.config.evaluation, ctx.evaluation):
-        tau_e = load_torsion(p, e.grid, e.channels(), ctx.manifests[p])
-        if tau_e is None:
+    for p, (case_id, grid, channels, _) in zip(ctx.config.evaluation,
+                                               ctx.eval_channels):
+        if "torsion_file" not in ctx.manifests[p]:
             continue
-        tau_hat = infer_torsion(ctx.traces[case_id]["A"]["fused"], model)
-        true_obs = tau_e.D[ctx.obs_rows, :]
-        est_obs = tau_hat[ctx.obs_rows, :]
+        true_obs = load_torsion(p, grid, channels,
+                                ctx.manifests[p]).D[ctx.obs_rows, :]
+        est_obs = infer_torsion(ctx.traces[case_id]["A"]["fused"], obs_model)
         rmse = _station_table(
             ctx.emit(f"torsion_recon_{case_id}.csv"),
-            {"t": e.t, "theta": e.theta}, ctx.obs_stations,
+            {"t": channels["t"], "theta": channels["theta"]}, ctx.obs_stations,
             _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
         row_r2 = _r_squared(
             np.sum((est_obs - true_obs) ** 2, axis=1),
             np.sum((true_obs - true_obs.mean(axis=1, keepdims=True)) ** 2,
-                   axis=1), np.sum(true_obs**2, axis=1), e.n_t)
+                   axis=1), np.sum(true_obs**2, axis=1), true_obs.shape[1])
         eval_summary[case_id] = [
             {"station_index": int(station),
              "components": {comp: {"rmse": rmse[3 * s_i + c_i],
@@ -371,17 +383,14 @@ def _fd_edges(x: np.ndarray) -> np.ndarray:
 
 
 def _stage_report(ctx: _Context) -> None:
-    case_id, e = ctx.evaluation[0]
+    case_id, _, eval_channels, f_s = ctx.eval_channels[0]
     trace = ctx.traces[case_id]
     station = int(ctx.obs_stations[0])
-    n_z = e.grid.n_z
-    f_1p = float(np.mean(e.omega)) / (2.0 * np.pi)
+    f_1p = float(np.mean(eval_channels["omega"])) / (2.0 * np.pi)
 
     # spectra of the tip signals, raw and smoothed
-    tip = n_z - 1
     for c_i, comp in enumerate(_COMPONENTS):
-        signal = e.D[c_i * n_z + tip, :]
-        f_hat, raw, smoothed = psd(signal, e.f_s, f_1p)
+        f_hat, raw, smoothed = psd(trace["tip"][c_i], f_s, f_1p)
         base = f"psd_{case_id}_{comp}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["f_hat", "power_raw", "power_smoothed"],
@@ -467,8 +476,9 @@ def _stage_report(ctx: _Context) -> None:
 
     # reconstruction trace at the first observation station, flapwise; its
     # numbers are the station's ux columns of recon_<case>.csv
-    series = [("true", e.t, trace["true_obs"][0])]
-    series += [(src, e.t, trace["fields"][src][0]) for src in _SOURCES]
+    t = eval_channels["t"]
+    series = [("true", t, trace["true_obs"][0])]
+    series += [(src, t, trace["fields"][src][0]) for src in _SOURCES]
     svgplot.line_plot(ctx.emit(f"trace_{case_id}_ux.svg"), series,
                       title=f"ux at station {station} ({case_id})",
                       xlabel="t (s)", ylabel="ux (m)")

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
                         pod_fit, project, sparse_estimate)
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, _quartiles, run_pipeline
+from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
 
 from conftest import DAMAGE, damage_case, savetxt_writer
@@ -752,6 +754,83 @@ class TestTrainingRelease:
         run_pipeline(config, plan="pipeline")
         assert len(refs) == len(config.training) >= 3
         assert not alive
+
+
+class TestEvaluationRelease:
+    def test_evaluation_deflections_released_before_torsion(
+            self, twin, tmp_path, monkeypatch):
+        # estimate is the last reader of each evaluation D: torsion and the
+        # report keep only the case's grid, channels, f_s and tip rows
+        pipeline_cfg, _ = twin
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        evaluation = {Path(p) for p in config.evaluation}
+        refs, alive = [], []
+
+        def recording(path, *args, _load=bladesense.pipeline.load_case):
+            grid, e = _load(path, *args)
+            if Path(path) in evaluation:
+                refs.append(weakref.ref(e.D))
+            return grid, e
+
+        def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
+            alive.extend(r for r in refs if r() is not None)
+            _stage(ctx)
+
+        monkeypatch.setattr(bladesense.pipeline, "load_case", recording)
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
+        run_pipeline(config, plan="pipeline")
+        assert len(refs) == len(config.evaluation)
+        assert not alive
+
+        # the spectra of the kept tip rows are those of the case file's
+        # matrix, byte for byte
+        path = Path(config.evaluation[0])
+        _, e = load_case(path)
+        tip = e.grid.n_z - 1
+        f_1p = float(np.mean(e.omega)) / (2.0 * np.pi)
+        for c_i, comp in enumerate(("ux", "uy", "uz")):
+            name = f"psd_{path.stem}_{comp}.csv"
+            f_hat, raw, smoothed = psd(e.D[c_i * e.grid.n_z + tip], e.f_s,
+                                       f_1p)
+            dataset._write_csv(tmp_path / name,
+                               ["f_hat", "power_raw", "power_smoothed"],
+                               np.column_stack([f_hat, raw, smoothed]),
+                               dataset._REPORT_FMT)
+            assert ((tmp_path / "o" / name).read_bytes()
+                    == (tmp_path / name).read_bytes()), name
+
+    def test_torsion_stage_peak_in_evaluation_torsion_matrices(
+            self, tmp_path, monkeypatch):
+        # the stage holds no evaluation D, infers torsion at the observation
+        # rows only and drops each truth matrix once its rows are taken:
+        # its traced peak is the truth matrix while it loads, or the
+        # station table while it is written (2.6 matrices here). Inferring
+        # the whole field beside the whole truth matrix peaked at 4.6. The
+        # twin's 200-step record is smaller than the table writer's fixed
+        # blocks, so this record is 3 200 steps
+        cfg = json.loads(json.dumps(SYNTH_CONFIG))
+        cfg["evaluation"][0]["duration_s"] = 80.0
+        (tmp_path / "synth.json").write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--out", str(tmp_path / "cases")]) == 0
+        config = PipelineConfig.from_json(
+            tmp_path / "cases" / "pipeline_config.json",
+            out_dir=tmp_path / "o")
+        peaks = []
+
+        def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
+            tracemalloc.start()
+            try:
+                _stage(ctx)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
+        run_pipeline(config, plan="pipeline")
+        matrix = dataset.load_torsion(config.evaluation[0]).D.nbytes
+        assert matrix == 3 * 8 * 3200 * 8
+        assert peaks and peaks[0] <= 3.5 * matrix
 
 
 class TestProjections:

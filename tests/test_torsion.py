@@ -7,6 +7,7 @@ from bladesense import (fit_torsion_model, infer_torsion, load_torsion_model,
                         save_torsion_model)
 from bladesense.decomposition import dof_weights
 from bladesense.errors import SchemaError, ValidationError
+from bladesense.sensing import sensor_dof_rows
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel, _r_squared
 
@@ -267,6 +268,22 @@ class TestInferTorsion:
         for k in range(0, 300, 50):
             field = infer_torsion(a_series[:, k], model)
             assert np.allclose(field, tau[:, k], atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 300)], ids=["vector", "stack"])
+    def test_model_cut_to_rows_gives_those_rows(self, shape):
+        # the pipeline scores torsion at the observation stations by a model
+        # cut to their rows; each row is a dot product over the same N
+        # coordinates, so the cut model matches the full field's rows
+        rng = np.random.default_rng(4)
+        model = TorsionModel(mean_field=rng.standard_normal(36),
+                             field_map=rng.standard_normal((36, 4)))
+        rows = sensor_dof_rows(np.array([11, 9, 6]), 12)
+        cut = TorsionModel(model.mean_field[rows], model.field_map[rows])
+        a = rng.standard_normal(shape)
+        out = infer_torsion(a, cut)
+        assert out.shape == (rows.size, *shape[1:])
+        np.testing.assert_allclose(out, infer_torsion(a, model)[rows],
+                                   rtol=0, atol=1e-12)
 
 
 class TestPersistence:
