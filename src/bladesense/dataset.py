@@ -13,7 +13,9 @@ channels and the field matrices (paths relative to the manifest):
 
 This is the one layout: :func:`save_case` writes it and the loaders read
 only it. Outside solver output becomes a case by building a
-:class:`SnapshotEnsemble` and calling :func:`save_case`.
+:class:`SnapshotEnsemble` and calling :func:`save_case`. :func:`load_torsion`
+reads a torsion matrix as a plain array of its deflection's shape. A matrix
+read is checked for dtype, shape and finite values, naming its file.
 
 Field rows have a fixed order (all x stations, all y stations, all z
 stations); every module downstream assumes that order, and a ``.npy``
@@ -230,6 +232,18 @@ class ConditionKey:
             raise ValidationError(f"ti must lie in (0, 1), got {self.ti!r}")
 
 
+def _check_finite(D: np.ndarray, where) -> None:
+    """Reject the first non-finite value of a field matrix ``D``, naming
+    ``where`` (the matrix, or its file), component, station and row."""
+    finite = np.isfinite(D)
+    if not finite.all():
+        k, dof = np.argwhere(~finite.T)[0]
+        comp, station = divmod(int(dof), D.shape[0] // 3)
+        raise ValidationError(
+            f"{where}: non-finite value (component {'xyz'[comp]}, station "
+            f"{station:03d}) at row {k}: {float(D[dof, k])!r}")
+
+
 @dataclass
 class SnapshotEnsemble:
     """Time-indexed stack of 3-component fields with per-snapshot metadata.
@@ -256,14 +270,7 @@ class SnapshotEnsemble:
                 f"D must have {self.grid.n_dof} rows, got shape {self.D.shape}"
             )
         n_t = self.D.shape[1]
-        finite = np.isfinite(self.D)
-        if not finite.all():
-            k, dof = np.argwhere(~finite.T)[0]
-            comp, station = divmod(int(dof), self.grid.n_z)
-            raise ValidationError(
-                f"non-finite value in column D (component {'xyz'[comp]}, "
-                f"station {station:03d}) at row {k}: {self.D[dof, k]!r}"
-            )
+        _check_finite(self.D, "D")
         for name in _CHANNELS:
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
@@ -273,13 +280,12 @@ class SnapshotEnsemble:
             if bad.size:
                 raise ValidationError(
                     f"non-finite value in column {name} at row {bad[0]}: "
-                    f"{arr[bad[0]]!r}"
+                    f"{float(arr[bad[0]])!r}"
                 )
         bad = np.flatnonzero((self.theta < 0.0) | (self.theta >= TWO_PI))
         if bad.size:
-            raise ValidationError(
-                f"theta out of [0, 2*pi) at row {bad[0]}: {self.theta[bad[0]]!r}"
-            )
+            raise ValidationError(f"theta out of [0, 2*pi) at row {bad[0]}: "
+                                  f"{float(self.theta[bad[0]])!r}")
         if not self.f_s > 0:
             raise ValidationError("f_s must be positive")
         dt = np.diff(self.t)
@@ -291,10 +297,6 @@ class SnapshotEnsemble:
     @property
     def n_t(self) -> int:
         return self.D.shape[1]
-
-    def channels(self) -> dict:
-        """The per-step channels ``t, theta, omega, u_raw, u_filt`` by name."""
-        return {name: getattr(self, name) for name in _CHANNELS}
 
 
 def wrap_angle(theta):
@@ -460,7 +462,7 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray,
 
 
 def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """Read a float64 field matrix of the given shape from a ``.npy`` file."""
+    """The finite float64 field matrix of ``shape`` in a ``.npy`` file."""
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
     with open(path, "rb") as fh:
@@ -477,6 +479,7 @@ def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
         raise SchemaError(
             f"{path}: shape {data.shape}, expected {shape} (3*n_z, n_t)"
         )
+    _check_finite(data, path)
     return data
 
 
@@ -508,51 +511,35 @@ def read_manifest(manifest_path) -> dict:
     return read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
 
 
-def _load_fields(manifest_path, key: str, grid: BladeGrid | None,
-                 channels: dict | None, m: dict | None = None
-                 ) -> SnapshotEnsemble | None:
-    """The ensemble of the field matrix a case's manifest names under
-    ``key`` (``None`` when it names none), reading the manifest, the grid
-    and the channels only when they are not given."""
-    manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path) if m is None else m
-    condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
-    if key not in m:
-        return None
-    if grid is None:
-        grid = _load_grid(manifest_path, m)
-    if channels is None:
-        channels = _read_channels(manifest_path.parent / m["snapshot_file"])
-    D = _read_npy(manifest_path.parent / m[key],
-                  (grid.n_dof, channels["t"].size))
-    return SnapshotEnsemble(grid=grid, D=D, condition=condition, f_s=m["f_s"],
-                            **channels)
-
-
 def load_case(manifest_path, manifest: dict | None = None
               ) -> tuple[BladeGrid, SnapshotEnsemble]:
     """Load and validate one case from its manifest; returns the grid and
     the snapshot ensemble; ``manifest``, its :func:`read_manifest` result
     if the caller has it, is not read again."""
-    ensemble = _load_fields(manifest_path, "displacement_file", None, None,
-                            manifest)
-    return ensemble.grid, ensemble
+    manifest_path = Path(manifest_path)
+    m = read_manifest(manifest_path) if manifest is None else manifest
+    condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
+    grid = _load_grid(manifest_path, m)
+    channels = _read_channels(manifest_path.parent / m["snapshot_file"])
+    D = _read_npy(manifest_path.parent / m["displacement_file"],
+                  (grid.n_dof, channels["t"].size))
+    return grid, SnapshotEnsemble(grid=grid, D=D, condition=condition,
+                                  f_s=m["f_s"], **channels)
 
 
-def load_torsion(manifest_path, grid: BladeGrid | None = None,
-                 channels: dict | None = None, manifest: dict | None = None
-                 ) -> SnapshotEnsemble | None:
-    """Load the optional torsion file of a case as an ensemble of tau fields.
+def load_torsion(manifest_path, shape: tuple[int, int],
+                 manifest: dict | None = None) -> np.ndarray | None:
+    """The torsion matrix of a case, of ``shape`` (3*n_z, n_t), its
+    deflection's; ``None`` when the manifest names no ``torsion_file``.
 
-    ``grid`` and ``channels`` are the case's, from :func:`load_case` (see
-    :meth:`SnapshotEnsemble.channels`), and ``manifest`` its
-    :func:`read_manifest` result, when the caller has them: they are
-    reused, so only the torsion file is read. Without them, the manifest,
-    the grid and the channels are read too, but never the displacement
-    matrix. Returns ``None`` when the manifest names no ``torsion_file``.
+    Only the torsion file is read, and the manifest when ``manifest``, its
+    :func:`read_manifest` result, is not given.
     """
-    return _load_fields(manifest_path, "torsion_file", grid, channels,
-                        manifest)
+    manifest_path = Path(manifest_path)
+    m = read_manifest(manifest_path) if manifest is None else manifest
+    if "torsion_file" not in m:
+        return None
+    return _read_npy(manifest_path.parent / m["torsion_file"], shape)
 
 
 def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,

@@ -67,6 +67,9 @@ class PipelineConfig:
         for group in ("training", "evaluation"):
             if not getattr(self, group):
                 raise ValidationError(f"'{group}' lists no cases")
+        names = [Path(p).stem for p in self.evaluation]  # output names
+        if len(set(names)) < len(names):
+            raise ValidationError(f"'evaluation' names a case twice: {names}")
         for name, low in (("n_modes", 1), ("n_sensors", 1), ("n_theta", 1),
                           ("n_fourier", 0), ("seed", 0)):
             if getattr(self, name) < low:
@@ -122,12 +125,11 @@ class _Context:
     config: PipelineConfig
     plan: str = "pipeline"
     train: list = field(default_factory=list)       # (case_id, ensemble);
-    # fit-rom empties it, keeping each case's (grid, channels) for torsion
-    train_channels: list = field(default_factory=list)
+    # fit-rom empties it, keeping the first case's theta and u_filt
+    train_channels: dict = field(default_factory=dict)
     manifests: dict = field(default_factory=dict)   # config path -> manifest
     evaluation: list = field(default_factory=list)  # (case_id, ensemble);
-    # estimate empties it, keeping each case's (case_id, grid, channels, f_s)
-    eval_channels: list = field(default_factory=list)
+    # estimate empties it, keeping what later stages read in traces
     basis: ModalBasis | None = None
     train_coords: list = field(default_factory=list)  # set by fit-rom
     sensors: object = None
@@ -204,9 +206,10 @@ def _stage_fit_rom(ctx: _Context) -> None:
         [{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
          for _, e in ctx.train])
     save_rom(ctx.rom, ctx.emit("rom.json"))
-    # the last reader of the training deflections: torsion needs only each
-    # case's grid and channels, so the matrices are released here
-    ctx.train_channels = [(e.grid, e.channels()) for _, e in ctx.train]
+    # the last reader of the training cases: torsion reads only their
+    # coordinates, and the report the first case's theta and u_filt
+    e = ctx.train[0][1]
+    ctx.train_channels = {"theta": e.theta, "u_filt": e.u_filt}
     ctx.train = []
 
 
@@ -240,9 +243,6 @@ def _stage_estimate(ctx: _Context) -> None:
     lo, hi = ctx.rom.u_range
     tip_rows = np.arange(1, 4) * z.size - 1  # the tip's ux, uy, uz
     for idx in range(len(ctx.evaluation)):
-        # the last reader of each evaluation deflection matrix: later stages
-        # read only the case's grid, channels and f_s, and the report its
-        # tip rows, so the matrix is released once the case is scored
         case_id, e = ctx.evaluation.pop(0)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
@@ -289,9 +289,13 @@ def _stage_estimate(ctx: _Context) -> None:
             "reduced_rmse_total": reduced_total,
             "nis_mean": float(nis.mean()),
         }
-        ctx.traces[case_id] = {"A": A, "a_proj": a_proj, "true_obs": true_obs,
-                               "fields": fields, "tip": e.D[tip_rows, :]}
-        ctx.eval_channels.append((case_id, e.grid, e.channels(), e.f_s))
+        # the last reader of each evaluation case: torsion reads its fused
+        # coordinates, t and theta, and the report the first case's traces
+        trace = {"fused": A["fused"], "t": e.t, "theta": e.theta}
+        if not ctx.traces:
+            trace.update(a_proj=a_proj, true_obs=true_obs, fields=fields,
+                         tip=e.D[tip_rows, :], omega=e.omega, f_s=e.f_s)
+        ctx.traces[case_id] = trace
 
     ctx.summary = {
         "cases": cases_summary,
@@ -306,16 +310,15 @@ def _stage_estimate(ctx: _Context) -> None:
 def _stage_torsion(ctx: _Context) -> None:
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
-    training = ctx.config.training
-    carriers = [i for i, p in enumerate(training)
+    n_dof = ctx.basis.grid.n_dof
+    carriers = [(p, a) for p, a in zip(ctx.config.training, ctx.train_coords)
                 if "torsion_file" in ctx.manifests[p]]
     if not carriers:
         return
     model, r2 = fit_torsion_model(
-        [ctx.train_coords[i] for i in carriers],
-        (load_torsion(training[i], *ctx.train_channels[i],
-                      ctx.manifests[training[i]])
-         for i in carriers))
+        [a for _, a in carriers],
+        (load_torsion(p, (n_dof, a.shape[1]), ctx.manifests[p])
+         for p, a in carriers), ctx.basis.grid)
     save_torsion_model(model, ctx.emit("torsion_map.csv"))
 
     # torsion inferred from the fused estimate, scored against the truth;
@@ -324,16 +327,17 @@ def _stage_torsion(ctx: _Context) -> None:
     obs_model = TorsionModel(model.mean_field[ctx.obs_rows],
                              model.field_map[ctx.obs_rows])
     eval_summary = {}
-    for p, (case_id, grid, channels, _) in zip(ctx.config.evaluation,
-                                               ctx.eval_channels):
+    for p in ctx.config.evaluation:
         if "torsion_file" not in ctx.manifests[p]:
             continue
-        true_obs = load_torsion(p, grid, channels,
-                                ctx.manifests[p]).D[ctx.obs_rows, :]
-        est_obs = infer_torsion(ctx.traces[case_id]["A"]["fused"], obs_model)
+        case_id = Path(p).stem
+        trace = ctx.traces[case_id]
+        true_obs = load_torsion(p, (n_dof, trace["t"].size),
+                                ctx.manifests[p])[ctx.obs_rows, :]
+        est_obs = infer_torsion(trace["fused"], obs_model)
         rmse = _station_table(
             ctx.emit(f"torsion_recon_{case_id}.csv"),
-            {"t": channels["t"], "theta": channels["theta"]}, ctx.obs_stations,
+            {"t": trace["t"], "theta": trace["theta"]}, ctx.obs_stations,
             _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
         row_r2 = _r_squared(
             np.sum((est_obs - true_obs) ** 2, axis=1),
@@ -383,14 +387,13 @@ def _fd_edges(x: np.ndarray) -> np.ndarray:
 
 
 def _stage_report(ctx: _Context) -> None:
-    case_id, _, eval_channels, f_s = ctx.eval_channels[0]
-    trace = ctx.traces[case_id]
+    case_id, trace = next(iter(ctx.traces.items()))
     station = int(ctx.obs_stations[0])
-    f_1p = float(np.mean(eval_channels["omega"])) / (2.0 * np.pi)
+    f_1p = float(np.mean(trace["omega"])) / (2.0 * np.pi)
 
     # spectra of the tip signals, raw and smoothed
     for c_i, comp in enumerate(_COMPONENTS):
-        f_hat, raw, smoothed = psd(trace["tip"][c_i], f_s, f_1p)
+        f_hat, raw, smoothed = psd(trace["tip"][c_i], trace["f_s"], f_1p)
         base = f"psd_{case_id}_{comp}"
         _write_csv(ctx.emit(base + ".csv"),
                    ["f_hat", "power_raw", "power_smoothed"],
@@ -426,8 +429,7 @@ def _stage_report(ctx: _Context) -> None:
     # case's mean wind speed
     n_theta = ctx.config.n_theta
     a = ctx.train_coords[0]
-    channels = ctx.train_channels[0][1]
-    idx = azimuth_bin(channels["theta"], n_theta)
+    idx = azimuth_bin(ctx.train_channels["theta"], n_theta)
     counts = np.bincount(idx, minlength=n_theta)
     occ, n_b = counts > 0, np.maximum(counts, 1)
     data_mean = np.stack([np.bincount(idx, a_n, n_theta) for a_n in a]) / n_b
@@ -435,8 +437,8 @@ def _stage_report(ctx: _Context) -> None:
                          for d in a - data_mean[:, idx]]) / n_b
     data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
     centers = ((np.arange(n_theta) + 0.5) * TWO_PI / n_theta)[occ]
-    prior = evaluate_rom(ctx.rom, centers, float(np.mean(channels["u_filt"])),
-                         None)
+    prior = evaluate_rom(
+        ctx.rom, centers, float(np.mean(ctx.train_channels["u_filt"])), None)
     rom_std = np.sqrt(np.diagonal(prior.covariance))
     for n in range(ctx.config.n_modes):
         rom_mean = prior.mean[:, n]
@@ -476,7 +478,7 @@ def _stage_report(ctx: _Context) -> None:
 
     # reconstruction trace at the first observation station, flapwise; its
     # numbers are the station's ux columns of recon_<case>.csv
-    t = eval_channels["t"]
+    t = trace["t"]
     series = [("true", t, trace["true_obs"][0])]
     series += [(src, t, trace["fields"][src][0]) for src in _SOURCES]
     svgplot.line_plot(ctx.emit(f"trace_{case_id}_ux.svg"), series,

@@ -6,9 +6,9 @@ tau = mean + W a. The rotations get no basis of their own: the
 least-squares map already has rank at most N. Inference reads nothing but
 the estimated coordinates: no operating-point label picks the map.
 
-The map comes from one pass over the torsion cases
-(:func:`fit_torsion_model`), so each torsion matrix can be loaded, folded
-and dropped in turn.
+The map comes from one pass over the torsion matrices, plain (3*n_z, n_t)
+arrays (:func:`fit_torsion_model`), so each can be loaded, folded and
+dropped in turn.
 """
 
 from __future__ import annotations
@@ -92,13 +92,14 @@ def load_torsion_model(path, grid: BladeGrid) -> TorsionModel:
     return TorsionModel(mean_field=table[:, 0], field_map=table[:, 1:])
 
 
-def fit_torsion_model(a_series, tau_cases) -> tuple[TorsionModel, float]:
+def fit_torsion_model(a_series, tau_matrices, grid: BladeGrid
+                      ) -> tuple[TorsionModel, float]:
     """Torsion field map and its fit R^2, from one pass over the cases.
 
     ``a_series`` holds each case's deflection coordinates (N, n_t_i);
-    ``tau_cases`` yields the torsion ensembles of the same cases in the
-    same order, on one grid, and is read once. The fit R^2 is the share of
-    the pooled torsion fluctuation energy, under
+    ``tau_matrices`` yields the torsion matrices (3*n_z, n_t_i) of the same
+    cases in the same order, on ``grid``, and is read once. The fit R^2 is
+    the share of the pooled torsion fluctuation energy, under
     :func:`~bladesense.decomposition.inner`, that the map explains, by the
     rule of :func:`_r_squared`.
 
@@ -112,7 +113,8 @@ def fit_torsion_model(a_series, tau_cases) -> tuple[TorsionModel, float]:
     ``U_a,i^T tau_i^T`` to G and ``U_a,i^T 1`` to g (``U_a,i`` its rows of
     ``U_a``), and its column sums and squares to the pooled ones. Then
     ``W^T = V_a S_a^-1 (G - g m^T)``, and the weighted squares of
-    ``G - g m^T`` are the energy W explains: no case is held or projected.
+    ``G - g m^T`` are the energy W explains: no case is projected, or held
+    past its fold.
     """
     a_series = list(a_series)
     A_t = np.hstack(a_series).T
@@ -130,20 +132,24 @@ def fit_torsion_model(a_series, tau_cases) -> tuple[TorsionModel, float]:
     U_a, VS = U_a[:, :rank_a], Vt[:rank_a].T / s_a[:rank_a]
     G = g = sums = squares = 0.0
     start = 0
-    for a, tau in zip(a_series, tau_cases, strict=True):
-        if tau.n_t != a.shape[1]:
-            raise ValidationError(
-                f"a torsion case has {tau.n_t} steps, its deflection "
-                f"coordinates {a.shape[1]}")
-        U_i = U_a[start:start + tau.n_t]
-        start += tau.n_t
-        G = G + U_i.T @ tau.D.T
+    taus = iter(tau_matrices)  # zip would hold each matrix past its fold
+    for a in a_series:
+        tau, shape = next(taus, None), (grid.n_dof, a.shape[1])
+        if tau is None or tau.shape != shape:
+            raise ValidationError(f"a torsion matrix of shape {shape} expected"
+                                  f", got {getattr(tau, 'shape', tau)}")
+        U_i = U_a[start:start + shape[1]]
+        start += shape[1]
+        G = G + U_i.T @ tau.T
         g = g + U_i.sum(axis=0)
-        sums = sums + tau.D.sum(axis=1)
-        squares = squares + np.einsum("ij,ij->i", tau.D, tau.D)
+        sums = sums + tau.sum(axis=1)
+        squares = squares + np.einsum("ij,ij->i", tau, tau)
+        del tau
+    if next(taus, None) is not None:
+        raise ValidationError("more torsion matrices than coordinate series")
     mean = sums / n_t
     Z = G - np.outer(g, mean)
-    w = dof_weights(tau.grid)
+    w = dof_weights(grid)
     ss_tot = w @ (squares - sums * mean)
     r2 = _r_squared(np.array([ss_tot - w @ np.einsum("ij,ij->j", Z, Z)]),
                     np.array([ss_tot]), np.array([w @ squares]), n_t)

@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bladesense import (BladeGrid, ConditionKey, ModalBasis, SnapshotEnsemble,
-                        dataset)
+from bladesense import BladeGrid, ModalBasis, dataset
 from bladesense.decomposition import dof_weights
 from bladesense.errors import SchemaError
 
@@ -52,20 +51,11 @@ def basis_from_modes(grid, modes, mean_field=None, energies=None):
     )
 
 
-def tau_ensemble(grid, D):
-    """A torsion ensemble of the fields D (3*n_z, n_t) with plain channels."""
-    n_t = D.shape[1]
-    return SnapshotEnsemble(
-        grid=grid, D=D, t=np.arange(n_t) / 10.0, theta=np.zeros(n_t),
-        omega=np.ones(n_t), u_raw=np.full(n_t, 9.0), u_filt=np.full(n_t, 9.0),
-        condition=ConditionKey(9.0, 0.1, 0), f_s=10.0)
-
-
-def torsion_cases(grid, psi, M0, a_series):
-    """Torsion ensembles psi M0 a_i, one per coordinate series a_i (N, n_t_i),
+def torsion_cases(psi, M0, a_series):
+    """Torsion matrices psi M0 a_i, one per coordinate series a_i (N, n_t_i),
     for modes psi orthonormal under the discrete inner product. With a
     pooled mean of zero in the a_i, the fitted field map W is psi M0."""
-    return [tau_ensemble(grid, psi @ (M0 @ a)) for a in a_series]
+    return [psi @ (M0 @ a) for a in a_series]
 
 
 def savetxt_writer(path, names, data, fmt=dataset._FLOAT_FMT):

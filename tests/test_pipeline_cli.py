@@ -574,6 +574,31 @@ class TestFailureModes:
         code, marker = self._failed_load(twin, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and "at row 10" in marker
+        # the message names the file, and the value as a plain float
+        assert "ev_s5_displacement.npy: non-finite value" in marker
+        assert marker.endswith("at row 10: nan\n")
+
+    @pytest.mark.parametrize("case", ["tr_a_s0", "ev_s5"])
+    def test_non_finite_torsion_fails_at_torsion_naming_the_file(
+            self, twin, tmp_path, capsys, case):
+        # a torsion matrix is read by the torsion stage, after estimate
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        path = cases / f"{case}_torsion.npy"
+        tau = np.load(path)
+        tau[13, 10] = np.inf  # uy_005 at row 10 of the 8-station grid
+        np.save(path, tau)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        message = (f"{path}: non-finite value (component y, station 005) "
+                   "at row 10: inf")
+        assert marker == f"stage: torsion\nerror: {message}\n"
+        assert message in capsys.readouterr().err
+        assert not (out / "torsion_summary.json").exists()
 
     def test_non_positive_rotor_speed_fails_at_load(self, twin,
                                                     tmp_path, capsys):
@@ -730,19 +755,18 @@ class TestTrainingRelease:
 
     def test_torsion_stage_holds_one_training_torsion_matrix(
             self, twin, tmp_path, monkeypatch):
-        # each training torsion matrix is loaded, folded and dropped: once
-        # a matrix is folded, the ones before it are gone
+        # each training torsion matrix is loaded, folded and dropped: when
+        # a matrix loads, every one before it is gone
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         training = {Path(p) for p in config.training}
         refs, alive = [], []
 
         def recording(path, *args, _load=bladesense.pipeline.load_torsion):
-            if Path(path) in training:
-                alive.extend(r for r in refs[:-1] if r() is not None)
+            alive.extend(r for r in refs if r() is not None)
             tau = _load(path, *args)
             if Path(path) in training:
-                refs.append(weakref.ref(tau.D))
+                refs.append(weakref.ref(tau))
             return tau
 
         def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
@@ -799,6 +823,80 @@ class TestEvaluationRelease:
             assert ((tmp_path / "o" / name).read_bytes()
                     == (tmp_path / name).read_bytes()), name
 
+    def test_later_stages_hold_only_what_they_read(self, tmp_path,
+                                                  monkeypatch):
+        # the report reads the first evaluation case's traces and the first
+        # training case's theta and u_filt, and torsion each evaluation
+        # case's fused coordinates, t and theta: of every other case, the
+        # channels, projections and station tables are gone when the
+        # torsion stage starts
+        cfg = json.loads(json.dumps(SYNTH_CONFIG))
+        cfg["evaluation"][0]["seeds"] = [5, 6]
+        (tmp_path / "synth.json").write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--out", str(tmp_path / "cases")]) == 0
+        config = PipelineConfig.from_json(
+            tmp_path / "cases" / "pipeline_config.json",
+            out_dir=tmp_path / "o")
+        pipeline = bladesense.pipeline
+        training = [Path(p) for p in config.training]
+        kept, dropped, stage = [], [], []
+
+        def loading(path, *args, _load=pipeline.load_case):
+            grid, e = _load(path, *args)
+            if Path(path) in training:
+                refs = [weakref.ref(e.theta), weakref.ref(e.u_filt)]
+                (dropped if kept else kept).extend(refs)
+            return grid, e
+
+        def in_estimate(refs):
+            # the first evaluation case's arrays go to kept
+            if stage == ["estimate"]:
+                first = len(kept) < 2 + 5
+                (kept if first else dropped).extend(refs)
+
+        def projecting(fields, basis, _project=pipeline.project):
+            a = _project(fields, basis)
+            in_estimate([weakref.ref(a)])
+            return a
+
+        def table(path, head, stations, comps, true_obs, estimates,
+                  _table=pipeline._station_table):
+            in_estimate([weakref.ref(true_obs)]
+                        + [weakref.ref(v) for v in estimates.values()])
+            return _table(path, head, stations, comps, true_obs, estimates)
+
+        def estimate(ctx, _stage=pipeline._STAGES["estimate"]):
+            stage.append("estimate")
+            _stage(ctx)
+            stage.append("done")
+
+        held, alive = [], []
+
+        def nbytes(x):
+            return (sum(map(nbytes, x.values())) if isinstance(x, dict)
+                    else np.asarray(x).nbytes)
+
+        def torsion(ctx, _stage=pipeline._STAGES["torsion"]):
+            alive.extend(r() is not None for r in kept + dropped)
+            held.extend((case_id, nbytes(trace))
+                        for case_id, trace in list(ctx.traces.items())[1:])
+            _stage(ctx)
+
+        monkeypatch.setattr(pipeline, "load_case", loading)
+        monkeypatch.setattr(pipeline, "project", projecting)
+        monkeypatch.setattr(pipeline, "_station_table", table)
+        monkeypatch.setitem(pipeline._STAGES, "estimate", estimate)
+        monkeypatch.setitem(pipeline._STAGES, "torsion", torsion)
+        run_pipeline(config, plan="pipeline")
+        # first training case: theta, u_filt; first evaluation case: its
+        # projection, its true station rows and the three estimates'
+        assert len(kept) == 2 + 5 and len(dropped) == 2 * 2 + 5
+        assert alive == [True] * len(kept) + [False] * len(dropped)
+        # the later evaluation case keeps its fused coordinates, t, theta
+        n_t = load_case(config.evaluation[1])[1].n_t
+        assert held == [("ev_s6", (config.n_modes + 2) * n_t * 8)]
+
     def test_torsion_stage_peak_in_evaluation_torsion_matrices(
             self, tmp_path, monkeypatch):
         # the stage holds no evaluation D, infers torsion at the observation
@@ -828,7 +926,8 @@ class TestEvaluationRelease:
 
         monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
         run_pipeline(config, plan="pipeline")
-        matrix = dataset.load_torsion(config.evaluation[0]).D.nbytes
+        path = config.evaluation[0]
+        matrix = dataset.load_torsion(path, load_case(path)[1].D.shape).nbytes
         assert matrix == 3 * 8 * 3200 * 8
         assert peaks and peaks[0] <= 3.5 * matrix
 
@@ -1368,6 +1467,9 @@ class TestConfigValidation:
         ("synth", _set.__func__("training", "name", "."), "'training[0].name'"),
         ("synth", _set.__func__("training", "name", ".."),
          "'training[0].name'"),
+        # an evaluation case's outputs are named after its manifest's stem
+        ("pipeline", lambda doc: {**doc, "evaluation": doc["evaluation"] * 2},
+         "'evaluation' names a case twice: ['ev_s5', 'ev_s5']"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "fractions-scalar", "fraction-above-1",
@@ -1385,7 +1487,8 @@ class TestConfigValidation:
             "synth-lnm_frequencies", "synth-case-in-both-groups",
             "synth-case-twice-in-training", "synth-seed-listed-twice",
             "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
-            "synth-name-empty", "synth-name-dot", "synth-name-dot-dot"])
+            "synth-name-empty", "synth-name-dot", "synth-name-dot-dot",
+            "evaluation-case-twice"])
     def test_malformed_config_exits_2_naming_the_key(
             self, twin, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = twin

@@ -11,7 +11,7 @@ from bladesense.sensing import sensor_dof_rows
 from bladesense.synthetic import demo_grid, orthonormal_polynomial_modes
 from bladesense.torsion import TorsionModel, _r_squared
 
-from conftest import tau_ensemble, torsion_cases
+from conftest import torsion_cases
 
 
 def _centered(rng, n_coords, lengths):
@@ -22,7 +22,7 @@ def _centered(rng, n_coords, lengths):
 
 
 class TestTorsionFieldMap:
-    """The field map of :func:`fit_torsion_model` on torsion ensembles
+    """The field map of :func:`fit_torsion_model` on torsion matrices
     psi M0 a (conftest ``torsion_cases``); an independent target is psi b,
     M0 = I."""
 
@@ -37,7 +37,7 @@ class TestTorsionFieldMap:
         M0 = rng.standard_normal((3, 4))
         a_series = _centered(rng, 4, (120, 80))
         model, r2 = fit_torsion_model(
-            a_series, torsion_cases(grid, psi, M0, a_series))
+            a_series, torsion_cases(psi, M0, a_series), grid)
         assert np.abs(model.field_map - psi @ M0).max() <= 1e-8
         assert r2 == pytest.approx(1.0, abs=1e-10)
 
@@ -46,7 +46,7 @@ class TestTorsionFieldMap:
         a = rng.standard_normal((4, 10**4))
         b = rng.standard_normal((3, 10**4))
         _, r2 = fit_torsion_model(
-            [a], torsion_cases(grid, psi, np.eye(3), [b]))
+            [a], torsion_cases(psi, np.eye(3), [b]), grid)
         assert r2 < 0.1
 
     def test_low_energy_driven_part_beside_an_independent_one(self):
@@ -65,7 +65,7 @@ class TestTorsionFieldMap:
         (a,) = _centered(rng, 3, (n_t,))
         driven = psi_s @ (M0 @ a)
         tau = driven + psi_b @ rng.standard_normal((3, n_t))
-        model, r2 = fit_torsion_model([a], [tau_ensemble(grid, tau)])
+        model, r2 = fit_torsion_model([a], [tau], grid)
         assert model.field_map.shape == (grid.n_dof, 3)
         w = dof_weights(grid)
         bound = 4.0 / np.sqrt(n_t)
@@ -81,28 +81,25 @@ class TestTorsionFieldMap:
         rng, grid, psi = self._setup(2)
         a = rng.standard_normal((3, 100))
         a[1, :] = 0.0
-        taus = torsion_cases(grid, psi, np.eye(3),
-                             [rng.standard_normal((3, 100))])
+        taus = torsion_cases(psi, np.eye(3), [rng.standard_normal((3, 100))])
         with pytest.warns(UserWarning, match="rank deficient"):
-            model, _ = fit_torsion_model([a], taus)
+            model, _ = fit_torsion_model([a], taus, grid)
         assert np.allclose(model.field_map[:, 1], 0.0, atol=1e-12)
 
     def test_rank_deficiency_warns(self):
         rng, grid, psi = self._setup(3)
         a = rng.standard_normal((3, 100))
         a[2, :] = a[1, :]  # dependent coordinates
-        taus = torsion_cases(grid, psi, np.eye(3),
-                             [rng.standard_normal((3, 100))])
+        taus = torsion_cases(psi, np.eye(3), [rng.standard_normal((3, 100))])
         with pytest.warns(UserWarning, match="rank deficient"):
-            fit_torsion_model([a], taus)
+            fit_torsion_model([a], taus, grid)
 
     def test_scale_equivariance(self):
         rng, grid, psi = self._setup(4)
         a = rng.standard_normal((3, 120))
-        taus = torsion_cases(grid, psi, np.eye(3),
-                             [rng.standard_normal((3, 120))])
-        model1, _ = fit_torsion_model([a], taus)
-        model2, _ = fit_torsion_model([2.5 * a], taus)
+        taus = torsion_cases(psi, np.eye(3), [rng.standard_normal((3, 120))])
+        model1, _ = fit_torsion_model([a], taus, grid)
+        model2, _ = fit_torsion_model([2.5 * a], taus, grid)
         assert np.array_equal(model2.mean_field, model1.mean_field)
         assert np.allclose(model2.field_map, model1.field_map / 2.5,
                            atol=1e-12)
@@ -112,9 +109,9 @@ class TestTorsionFieldMap:
         rng, grid, psi = self._setup(6)
         M0 = rng.standard_normal((3, 3))
         (a,) = _centered(rng, 3, (150,))
-        model1, _ = fit_torsion_model([a], torsion_cases(grid, psi, M0, [a]))
+        model1, _ = fit_torsion_model([a], torsion_cases(psi, M0, [a]), grid)
         W1 = model1.field_map
-        model2, r2 = fit_torsion_model([a], [tau_ensemble(grid, W1 @ a)])
+        model2, r2 = fit_torsion_model([a], [W1 @ a], grid)
         assert np.abs(model2.field_map - W1).max() <= 1e-8
         assert r2 == pytest.approx(1.0, abs=1e-10)
 
@@ -125,7 +122,7 @@ class TestTorsionFieldMap:
         rng, grid, _ = self._setup(0)
         a = rng.standard_normal((3, 120))
         model, r2 = fit_torsion_model(
-            [a], [tau_ensemble(grid, np.full((grid.n_dof, 120), level))])
+            [a], [np.full((grid.n_dof, 120), level)], grid)
         assert np.abs(model.field_map).max() <= 1e-16
         assert r2 == 1.0
 
@@ -138,7 +135,7 @@ class TestTorsionFieldMap:
             M0 = rng.standard_normal((3, 4))
             a_series = _centered(rng, 4, (120, 80))
             _, r2 = fit_torsion_model(
-                a_series, torsion_cases(grid, psi, M0, a_series))
+                a_series, torsion_cases(psi, M0, a_series), grid)
             r2s.append(r2)
         assert max(r2s) <= 1.0
         assert min(r2s) >= 1.0 - 1e-12
@@ -147,12 +144,12 @@ class TestTorsionFieldMap:
         # rejected before the coordinates' rank check would warn
         rng, grid, psi = self._setup(5)
         a = rng.standard_normal((4, 3))
-        taus = torsion_cases(grid, psi, np.ones((3, 4)), [a])
+        taus = torsion_cases(psi, np.ones((3, 4)), [a])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError,
                                match="3 steps, fewer than the 4"):
-                fit_torsion_model([a], taus)
+                fit_torsion_model([a], taus, grid)
 
 
 class TestRSquared:
@@ -206,19 +203,19 @@ class TestFitTorsionModel:
             tau = (0.2 + modes @ (C @ a)
                    + 0.3 * rng.standard_normal((grid.n_dof, n_t)))
             a_series.append(a)
-            taus.append(tau_ensemble(grid, tau))
-        return a_series, taus
+            taus.append(tau)
+        return a_series, taus, grid
 
     @pytest.mark.parametrize("deficient", [False, True])
     def test_matches_lstsq_on_the_fields(self, deficient):
-        a_series, taus = self._cases(deficient)
+        a_series, taus, grid = self._cases(deficient)
         if deficient:
             with pytest.warns(UserWarning, match="rank deficient"):
-                model, r2 = fit_torsion_model(a_series, iter(taus))
+                model, r2 = fit_torsion_model(a_series, iter(taus), grid)
         else:
-            model, r2 = fit_torsion_model(a_series, iter(taus))
+            model, r2 = fit_torsion_model(a_series, iter(taus), grid)
         A = np.hstack(a_series)
-        T = np.hstack([t.D for t in taus])
+        T = np.hstack(taus)
         mean = T.mean(axis=1)
         assert np.allclose(model.mean_field, mean, rtol=0, atol=1e-15)
         X = T - mean[:, None]
@@ -226,17 +223,24 @@ class TestFitTorsionModel:
         assert rank == (3 if deficient else 4)
         W = W_t.T  # the minimum-norm solution
         assert np.abs(model.field_map - W).max() <= 1e-10 * np.abs(W).max()
-        w = dof_weights(taus[0].grid)
+        w = dof_weights(grid)
         ss_res = w @ np.sum((X - W @ A) ** 2, axis=1)
         ss_tot = w @ np.sum(X**2, axis=1)
         assert abs(r2 - (1.0 - ss_res / ss_tot)) <= 1e-12
         assert r2 < 1.0  # the noise is not explained
 
     def test_rejects_coordinates_of_another_length(self):
-        a_series, taus = self._cases(False)
+        a_series, taus, grid = self._cases(False)
         a_series[1] = a_series[1][:, :-1]
         with pytest.raises(ValidationError, match="44"):
-            fit_torsion_model(a_series, taus)
+            fit_torsion_model(a_series, taus, grid)
+
+    @pytest.mark.parametrize("n_taus", [2, 4], ids=["fewer", "more"])
+    def test_rejects_another_number_of_matrices(self, n_taus):
+        a_series, taus, grid = self._cases(False)
+        taus = (taus + taus)[:n_taus]
+        with pytest.raises(ValidationError, match="torsion matrices|None"):
+            fit_torsion_model(a_series, iter(taus), grid)
 
 
 class TestInferTorsion:
@@ -262,9 +266,8 @@ class TestInferTorsion:
         xi = orthonormal_polynomial_modes(grid, 3)
         M0 = rng.standard_normal((3, 2))
         (a_series,) = _centered(rng, 2, (300,))
-        (tau_case,) = torsion_cases(grid, xi, M0, [a_series])
-        tau = tau_case.D  # zero-mean torsion field
-        model, _ = fit_torsion_model([a_series], [tau_case])
+        (tau,) = torsion_cases(xi, M0, [a_series])  # zero-mean torsion field
+        model, _ = fit_torsion_model([a_series], [tau], grid)
         for k in range(0, 300, 50):
             field = infer_torsion(a_series[:, k], model)
             assert np.allclose(field, tau[:, k], atol=1e-8)
