@@ -27,8 +27,6 @@ from .dataset import read_json, wrap_angle, write_json
 from .errors import ValidationError
 from .fusion import GaussianReduced, _all_finite
 
-#: Sector count of the azimuthal figure: 5-degree display bins.
-DEFAULT_N_THETA = 72
 #: Fourier truncation order of the mean tables.
 DEFAULT_N_FOURIER = 6
 

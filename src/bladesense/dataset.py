@@ -123,8 +123,7 @@ _MANIFEST = {"name": str, "L_b": float, "f_s": float, "u_mean": float,
 _MANIFEST_REQUIRED = tuple(k for k in _MANIFEST if k != "torsion_file")
 
 #: What a type error message says a value of each scalar type must be.
-_EXPECTED = {int: "a whole number", float: "a finite number", str: "text",
-             dict: "a JSON object"}
+_EXPECTED = {int: "a whole number", float: "a finite number", str: "text"}
 
 
 def _checked(value, kind, path, where: str):
@@ -151,7 +150,7 @@ def _checked(value, kind, path, where: str):
                 isinstance(value, float) and math.isfinite(value)
                 and (kind is float or value.is_integer())):
             return kind(value)
-    elif kind is object or kind in (str, dict) and isinstance(value, kind):
+    elif kind is object or kind is str and isinstance(value, str):
         return value
     expected = ("a list" if isinstance(kind, list) else "a JSON object"
                 if isinstance(kind, tuple) else _EXPECTED[kind])
@@ -163,10 +162,9 @@ def read_json(path, schema: dict, required=(), what: str = "document") -> dict:
     """The JSON object in ``path`` (a ``what``), checked against ``schema``.
 
     ``schema`` maps each allowed key to its type: ``int`` (a whole number),
-    ``float`` (a finite number), ``str``, ``dict`` (any object), ``object``
-    (as given), ``[kind]`` (a list of that kind) or ``(schema, required)``
-    (an object checked in the same way); ``required`` lists the keys that
-    must be present.
+    ``float`` (a finite number), ``str``, ``object`` (as given), ``[kind]``
+    (a list of that kind) or ``(schema, required)`` (an object checked in
+    the same way); ``required`` lists the keys that must be present.
     """
     path = Path(path)
     if not path.exists():

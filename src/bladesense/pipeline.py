@@ -56,7 +56,6 @@ class PipelineConfig:
     out_dir: Path
     n_modes: int = 4
     n_sensors: int = 4
-    n_theta: int = rom_mod.DEFAULT_N_THETA
     n_fourier: int = rom_mod.DEFAULT_N_FOURIER
     noise: object = 0.1
     observation_fractions: tuple = (0.44, 0.68, 0.88)
@@ -70,8 +69,8 @@ class PipelineConfig:
         names = [Path(p).stem for p in self.evaluation]  # output names
         if len(set(names)) < len(names):
             raise ValidationError(f"'evaluation' names a case twice: {names}")
-        for name, low in (("n_modes", 1), ("n_sensors", 1), ("n_theta", 1),
-                          ("n_fourier", 0), ("seed", 0)):
+        for name, low in (("n_modes", 1), ("n_sensors", 1), ("n_fourier", 0),
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValidationError(f"'{name}' must be >= {low}")
         # each sensor reports three rows; SensorSet.gram_gain checks the
@@ -355,35 +354,8 @@ def _stage_torsion(ctx: _Context) -> None:
                 "evaluation": eval_summary})
 
 
-def _quartiles(x: np.ndarray) -> list:
-    """The 75th and 25th percentiles of ``np.percentile``'s default rule,
-    bit for bit, from one sort: ``np.percentile`` imports ``numpy.ma`` in
-    numpy 2.x (8-17 ms cold on a 2-core Xeon)."""
-    s = np.sort(x)
-    out = []
-    for q in (0.75, 0.25):
-        v = (s.size - 1) * q
-        i = int(v)
-        g = v - i
-        a, b = s[i], s[min(i + 1, s.size - 1)]
-        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
-    return out
-
-
-def _fd_edges(x: np.ndarray) -> np.ndarray:
-    """Freedman-Diaconis bin edges with degenerate-data fallbacks."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = float(x.min()), float(x.max())
-    if hi <= lo:
-        return np.array([lo - 0.5, lo + 0.5])
-    q75, q25 = _quartiles(x)
-    iqr = q75 - q25
-    if iqr <= 0:
-        n_bins = max(1, int(np.ceil(np.sqrt(x.size))))
-    else:
-        width = 2.0 * iqr / np.cbrt(x.size)
-        n_bins = int(np.clip(np.ceil((hi - lo) / width), 1, 200))
-    return np.linspace(lo, hi, n_bins + 1)
+#: Azimuth sectors of the report's azimuthal figure: 5-degree bins.
+_N_SECTORS = 72
 
 
 def _stage_report(ctx: _Context) -> None:
@@ -408,7 +380,8 @@ def _stage_report(ctx: _Context) -> None:
     for c_i, comp in enumerate(_COMPONENTS):
         true_sig = trace["true_obs"][c_i]
         fused_sig = trace["fields"]["fused"][c_i]
-        edges = _fd_edges(np.concatenate([true_sig, fused_sig]))
+        edges = np.histogram_bin_edges(np.concatenate([true_sig, fused_sig]),
+                                       "scott")
         h_true, _ = np.histogram(true_sig, bins=edges)
         h_fused, _ = np.histogram(fused_sig, bins=edges)
         base = f"hist_{case_id}_{comp}"
@@ -424,19 +397,19 @@ def _stage_report(ctx: _Context) -> None:
             title=f"{comp} at station {station} ({case_id})",
             xlabel=f"{comp} (m)", ylabel="count")
 
-    # azimuthal mean +/- sigma of the first training case, binned into
-    # n_theta display sectors, against the prior at the bin centres and the
-    # case's mean wind speed
-    n_theta = ctx.config.n_theta
+    # azimuthal mean +/- sigma of the first training case in 5-degree
+    # sectors, against the prior at the sector centres and the case's mean
+    # wind speed
     a = ctx.train_coords[0]
-    idx = azimuth_bin(ctx.train_channels["theta"], n_theta)
-    counts = np.bincount(idx, minlength=n_theta)
+    idx = azimuth_bin(ctx.train_channels["theta"], _N_SECTORS)
+    counts = np.bincount(idx, minlength=_N_SECTORS)
     occ, n_b = counts > 0, np.maximum(counts, 1)
-    data_mean = np.stack([np.bincount(idx, a_n, n_theta) for a_n in a]) / n_b
-    data_var = np.stack([np.bincount(idx, d * d, n_theta)
+    data_mean = np.stack([np.bincount(idx, a_n, _N_SECTORS)
+                          for a_n in a]) / n_b
+    data_var = np.stack([np.bincount(idx, d * d, _N_SECTORS)
                          for d in a - data_mean[:, idx]]) / n_b
     data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
-    centers = ((np.arange(n_theta) + 0.5) * TWO_PI / n_theta)[occ]
+    centers = ((np.arange(_N_SECTORS) + 0.5) * TWO_PI / _N_SECTORS)[occ]
     prior = evaluate_rom(
         ctx.rom, centers, float(np.mean(ctx.train_channels["u_filt"])), None)
     rom_std = np.sqrt(np.diagonal(prior.covariance))

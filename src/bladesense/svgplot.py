@@ -17,6 +17,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _text(s: str) -> str:
+    """``s`` as XML character data."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _pairs(template: str, sep: str, px, py) -> str:
     """``template`` (two ``%.6g`` fields) filled with each (x, y) point and
     joined by ``sep``: one ``%`` over Python floats, the same text as
@@ -39,13 +44,14 @@ def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
 
 
 class _Canvas:
+    """A plot box; on a log axis ``ylim`` must be positive."""
+
     def __init__(self, title: str, xlabel: str, ylabel: str,
                  xlim, ylim, log_y: bool = False):
         self.log_y = log_y
         self.x0, self.x1 = float(xlim[0]), float(xlim[1])
         y0, y1 = float(ylim[0]), float(ylim[1])
         if log_y:
-            y0 = max(y0, 1e-300)
             y0, y1 = np.log10(y0), np.log10(max(y1, y0 * 10))
         if self.x1 <= self.x0:
             self.x1 = self.x0 + 1.0
@@ -56,10 +62,10 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
             f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-            f'<text x="{_W/2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-            f'<text x="{(_ML + _W - _MR)/2}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>',
+            f'<text x="{_W/2}" y="20" text-anchor="middle" font-size="14">{_text(title)}</text>',
+            f'<text x="{(_ML + _W - _MR)/2}" y="{_H - 12}" text-anchor="middle">{_text(xlabel)}</text>',
             f'<text x="16" y="{(_MT + _H - _MB)/2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(_MT + _H - _MB)/2})">{ylabel}</text>',
+            f'transform="rotate(-90 16 {(_MT + _H - _MB)/2})">{_text(ylabel)}</text>',
             f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
             f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>',
         ]
@@ -72,7 +78,9 @@ class _Canvas:
     def py(self, y):
         y = np.asarray(y, dtype=float)
         if self.log_y:
-            y = np.log10(np.clip(y, 1e-300, None))
+            # a value with no logarithm is drawn on the axis floor
+            low = y <= 0
+            y = np.where(low, self.y0, np.log10(np.where(low, 1.0, y)))
         f = (y - self.y0) / (self.y1 - self.y0)
         return _H - _MB - f * (_H - _MT - _MB)
 
@@ -103,7 +111,7 @@ class _Canvas:
                 f'<line x1="{_W - _MR - 140}" y1="{y}" x2="{_W - _MR - 116}" '
                 f'y2="{y}" stroke="{color}" stroke-width="2"/>')
             self.parts.append(
-                f'<text x="{_W - _MR - 110}" y="{y + 4}">{label}</text>')
+                f'<text x="{_W - _MR - 110}" y="{y + 4}">{_text(label)}</text>')
 
     def save(self, path):
         self.parts.append("</svg>")
@@ -112,22 +120,23 @@ class _Canvas:
             fh.write("\n")
 
 
-def _finite_range(arrays):
+def _finite_range(arrays, log=False):
+    """The range of the finite values, of the positive ones on a log axis."""
     lo, hi = np.inf, -np.inf
     for arr in arrays:
         arr = np.asarray(arr, dtype=float)
-        good = arr[np.isfinite(arr)]
+        good = arr[np.isfinite(arr) & (arr > 0 if log else True)]
         if good.size:
             lo, hi = min(lo, good.min()), max(hi, good.max())
     if not np.isfinite(lo):
-        lo, hi = 0.0, 1.0
+        lo, hi = (1.0, 10.0) if log else (0.0, 1.0)
     return lo, hi
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="", log_y=False):
     """series: list of (label, x, y); colors follow the fixed palette."""
     xlim = _finite_range([s[1] for s in series])
-    ylim = _finite_range([s[2] for s in series])
+    ylim = _finite_range([s[2] for s in series], log=log_y)
     cv = _Canvas(title, xlabel, ylabel, xlim, ylim, log_y=log_y)
     for i, (_, x, y) in enumerate(series):
         pts = _pairs("%.6g,%.6g", " ", cv.px(x), cv.py(y))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
                         load_rom, load_torsion_model, observe, place_sensors,
                         pod_fit, project, sparse_estimate)
 from bladesense.cli import main
-from bladesense.pipeline import PipelineConfig, _quartiles, run_pipeline
+from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
 
@@ -138,6 +139,29 @@ class TestPipelineRun:
             assert set(header.split(",")) >= {"t"} | {
                 f"ux_s{station:03d}_{src}"
                 for src in ("true", "sparse", "rom", "fused")}, svg.name
+
+    def test_markup_in_a_case_name_stays_text(self, twin, tmp_path):
+        # a case name may hold XML markup characters: every figure is still
+        # well-formed XML and its title shows the name as written
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        doc = json.loads(pipeline_cfg.read_text())
+        name = "R&D<1>"
+        (cases / doc["evaluation"][0]).rename(cases / f"{name}.json")
+        doc["evaluation"][0] = f"{name}.json"
+        cfg = cases / pipeline_cfg.name
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 14
+        titled = 0
+        for svg in svgs:
+            root = ET.parse(svg).getroot()
+            title = root.find("{http://www.w3.org/2000/svg}text").text
+            titled += title.endswith(f"({name})")
+        assert titled == 10  # all but the azimuthal figures
 
     def test_trace_numbers_are_not_written_twice(self, twin):
         # the trace's columns live in the recon table: no trace CSV
@@ -390,24 +414,6 @@ class TestPipelineRun:
             if path.name != "artifacts.json":
                 assert path.read_bytes() == (full / path.name).read_bytes(), \
                     path.name
-
-    def test_n_theta_moves_only_the_azimuthal_figure(self, twin, tmp_path):
-        # n_theta is the figure's display binning: the prior, the estimates
-        # and every other file keep their bytes
-        pipeline_cfg, full = twin
-        doc = json.loads(pipeline_cfg.read_text())
-        doc["n_theta"] = 18
-        cfg = pipeline_cfg.parent / f"n_theta_{tmp_path.name}.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
-        names = sorted(p.name for p in full.iterdir())
-        assert sorted(p.name for p in out.iterdir()) == names
-        figure = [n for n in names if n.startswith("azimuthal_mode")]
-        assert len(figure) == 2 * 4  # a CSV and an SVG per mode
-        for name in names:
-            same = (out / name).read_bytes() == (full / name).read_bytes()
-            assert same != (name in figure), name
 
     @pytest.mark.parametrize("command", ["decompose", "sensors", "estimate",
                                          "torsion", "report"])
@@ -975,20 +981,45 @@ class TestReportSpectra:
 
 
 class TestHistogramEdges:
-    def test_quartiles_are_those_of_np_percentile(self):
-        # bit for bit, on lengths from 1 up to the benchmark records', with
-        # ties and magnitudes from 1e-30 to 1e30
-        rng = np.random.default_rng(7)
-        sizes = [*range(1, 60)] * 30 + [1120, 3200, 6400] * 20
-        for i, n in enumerate(sizes):
-            x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31)
-            if i % 3 == 1:
-                x = rng.choice(x, n)  # repeated values
-            elif i % 3 == 2:
-                x = rng.integers(-3, 4, n).astype(float)  # mostly ties
-            got = _quartiles(x)
-            want = np.percentile(x, [75.0, 25.0])
-            assert np.array_equal(np.asarray(got), want), (n, got, want)
+    def test_edges_are_scotts_rule(self, dataset_run):
+        # each histogram bins the first observation station's true and
+        # fused series of recon_<case>.csv, which hold ten digits
+        _, out = dataset_run
+        cases = json.loads((out / "error_summary.json").read_text())["cases"]
+        hists = sorted(out.glob("hist_*.csv"))
+        assert len(hists) == 3
+        for path in hists:
+            case, comp = path.stem[len("hist_"):].rsplit("_", 1)
+            station = cases[case]["stations"][0]["station_index"]
+            recon = np.genfromtxt(out / f"recon_{case}.csv", delimiter=",",
+                                  names=True)
+            true = recon[f"{comp}_s{station:03d}_true"]
+            fused = recon[f"{comp}_s{station:03d}_fused"]
+            want = np.histogram_bin_edges(np.concatenate([true, fused]),
+                                          "scott")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            edges = np.append(table[:, 0], table[-1, 1])
+            assert edges.size == want.size, path.name
+            assert np.allclose(edges, want, rtol=0,
+                               atol=1e-8 * np.ptp(want)), path.name
+            assert np.array_equal(table[:-1, 1], table[1:, 0]), path.name
+            assert table[:, 2].sum() == table[:, 3].sum() == true.size
+
+    def test_constant_series_has_one_unit_bin(self, twin, tmp_path):
+        # the blade root never moves: its uy and uz are zero in the truth
+        # and in every estimate
+        pipeline_cfg, _ = twin
+        doc = json.loads(pipeline_cfg.read_text())
+        doc["observation_fractions"] = [0.0, 0.44, 0.88]
+        cfg = pipeline_cfg.parent / f"root_{tmp_path.name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        n_t = load_case(pipeline_cfg.parent / doc["evaluation"][0])[1].n_t
+        for comp in ("uy", "uz"):
+            table = np.loadtxt(out / f"hist_ev_s5_{comp}.csv", delimiter=",",
+                               skiprows=1, ndmin=2)
+            assert table.tolist() == [[-0.5, 0.5, n_t, n_t]], comp
 
 
 class TestEstimateHealth:
@@ -1111,7 +1142,8 @@ class TestImportCost:
             ["fit-rom", "--config", pipeline_cfg, "--out", str(tmp_path)],
         ]
         # nor numpy.ma (np.percentile and np.unique import it in numpy 2.x,
-        # 8-17 ms cold), unless numpy imports it with numpy itself (1.x)
+        # 8-17 ms cold; the report's Scott histogram edges need np.std
+        # only), unless numpy imports it with numpy itself (1.x)
         code = (
             "import sys\n"
             "import numpy\n"
@@ -1124,7 +1156,8 @@ class TestImportCost:
             f"for args in {commands!r}:\n"
             "    assert bladesense.cli.main(args) == 0, args[0]\n"
             "    assert not scipy_modules(), (args[0], scipy_modules())\n"
-            "    assert numpy_ma or 'numpy.ma' not in sys.modules, args[0]\n"
+            "    assert numpy_ma or 'numpy.ma' not in sys.modules, \\\n"
+            "        (args[0], 'numpy.ma')\n"
         )
         src = str(Path(bladesense.__file__).resolve().parents[1])
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -1562,6 +1595,7 @@ class TestConfigValidation:
         ("pivot", "scalar"),
         ("torsion_rank", 5),
         ("n_sensor", 3),  # misspelt n_sensors
+        ("n_theta", 72),  # the azimuthal figure's sectors are fixed
     ])
     def test_unknown_key_rejected(self, twin, tmp_path, key, value):
         pipeline_cfg, _ = twin

@@ -2,11 +2,16 @@
 formatting: ``_former_*`` are the plot bodies as they were, one ``_fmt``
 call per coordinate, kept as the byte-for-byte oracle."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
 from bladesense import svgplot
-from bladesense.svgplot import _Canvas, _finite_range, _fmt, _PALETTE
+from bladesense.svgplot import (_H, _MB, _ML, _MR, _MT, _PALETTE, _W, _Canvas,
+                                _finite_range, _fmt)
+
+_SVG = "{http://www.w3.org/2000/svg}"
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-30, -1e-30, 5e-324,
            123456789.0, 0.1 + 0.2, 1.0, -2.5e17]
@@ -15,7 +20,7 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-30, -1e-30, 5e-324,
 def _former_line_plot(path, series, title="", xlabel="", ylabel="",
                       log_y=False):
     xlim = _finite_range([s[1] for s in series])
-    ylim = _finite_range([s[2] for s in series])
+    ylim = _finite_range([s[2] for s in series], log=log_y)
     cv = _Canvas(title, xlabel, ylabel, xlim, ylim, log_y=log_y)
     for i, (_, x, y) in enumerate(series):
         px, py = cv.px(x), cv.py(y)
@@ -84,6 +89,29 @@ def test_line_plot_bytes(tmp_path, log_y):
                 [("a", x, y), ("b", x, -y if not log_y else 2 * y),
                  ("special", np.arange(len(SPECIAL)), np.array(SPECIAL))],
                 title="t", xlabel="x", ylabel="y", log_y=log_y)
+
+
+def test_log_axis_spans_the_positive_values(tmp_path):
+    # a smoothed spectrum clipped at zero: the axis starts within a decade
+    # of the smallest positive value, and the zeros sit on its floor
+    x = np.arange(50.0)
+    y = np.geomspace(3e-3, 20.0, 50)
+    y[[3, 7, 49]] = 0.0
+    series = [("a", x, y), ("b", x, 2 * y)]
+    svgplot.line_plot(tmp_path / "p.svg", series, log_y=True)
+    root = ET.parse(tmp_path / "p.svg").getroot()
+    ticks = [float(t.text[2:]) for t in root.iter(f"{_SVG}text")
+             if t.get("text-anchor") == "end"]
+    assert np.log10(3e-3) <= min(ticks) < np.log10(3e-3) + 1
+    lines = list(root.iter(f"{_SVG}polyline"))
+    assert len(lines) == len(series)
+    for line, (_, _, ys) in zip(lines, series):
+        pts = np.array([p.split(",") for p in line.get("points").split()],
+                       dtype=float)
+        assert np.all((pts[:, 0] >= _ML) & (pts[:, 0] <= _W - _MR))
+        assert np.all((pts[:, 1] >= _MT) & (pts[:, 1] <= _H - _MB))
+        assert np.all(pts[ys == 0, 1] == _H - _MB)
+    assert lines[0].get("points").split()[0] == f"{_ML},{_H - _MB}"
 
 
 _RNG = np.random.default_rng(1)
