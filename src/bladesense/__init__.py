@@ -12,8 +12,8 @@ from .pipeline import PipelineConfig, run_pipeline
 from .sensing import (NoiseModel, SensorSet, observe, place_sensors,
                       sparse_estimate)
 from .spectral import psd
-from .synthetic import (GroundTruth, SyntheticCaseSpec, TorsionTwin,
-                        blade_demo_modes, demo_grid, demo_spec, generate_case,
+from .synthetic import (SyntheticCaseSpec, TorsionTwin, blade_demo_modes,
+                        demo_grid, demo_spec, generate_case,
                         orthonormal_polynomial_modes)
 from .torsion import (TorsionModel, fit_torsion_model, infer_torsion,
                       load_torsion_model, save_torsion_model)

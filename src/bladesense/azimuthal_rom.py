@@ -42,21 +42,6 @@ def fourier_design(theta, n_fourier: int) -> np.ndarray:
     return design
 
 
-def fourier_eval(coeffs, theta):
-    """Evaluate a truncated Fourier series; coeffs ordered (c0, c1, s1, ...).
-
-    ``coeffs`` may be a single coefficient vector or a table with one series
-    per row; theta may be scalar or array.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n_fourier = (coeffs.shape[-1] - 1) // 2
-    design = fourier_design(theta, n_fourier)
-    out = coeffs @ design.T
-    if np.isscalar(theta):
-        return float(out[0]) if coeffs.ndim == 1 else out[..., 0]
-    return out
-
-
 @dataclass
 class AzimuthalRomModel:
     """The joint prior: the mean tables ``mean_coeffs`` (alpha) and

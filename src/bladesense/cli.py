@@ -82,8 +82,8 @@ def cmd_synth(args) -> int:
                           **settings}).validate_settings()
     except ValidationError as err:
         raise SchemaError(f"{path}: 'pipeline': {err}") from err
-    manifests = {group: [generate_case(spec, case_seed, out)
-                         .manifest_path.name for case_seed, spec in pairs]
+    manifests = {group: [generate_case(spec, case_seed, out).name
+                         for case_seed, spec in pairs]
                  for group, pairs in specs.items()}
     pipe_cfg = {**manifests, **settings}
     cfg_path = Path(out) / "pipeline_config.json"

@@ -33,12 +33,12 @@ byte-equal to ``%``; the lossless tables are formatted by ``%``.
 Every JSON document (manifests, configs, models, summaries) is read with
 :func:`read_json` and written with :func:`write_json`. A document is a JSON
 object whose keys each have a type: a whole number (``4.0`` but not
-``4.7``), a finite number (not ``true``/``false``), text, an object, a
-value as given, or a list of one of these. Invalid JSON, an unknown key, a
-missing required key or a wrong type is a :class:`SchemaError` naming the
-file and the key (exit code 2), a missing file a ``FileNotFoundError``
-(exit code 2), and writing a non-finite number a :class:`NumericalError`
-naming the file (exit code 3).
+``4.7``), a finite number (not ``true``/``false``), text, an object, or a
+list of one of these. Invalid JSON, an unknown key, a missing required key
+or a wrong type is a :class:`SchemaError` naming the file and the key
+(exit code 2), a missing file a ``FileNotFoundError`` (exit code 2), and
+writing a non-finite number a :class:`NumericalError` naming the file
+(exit code 3).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _checked(value, kind, path, where: str):
                 isinstance(value, float) and math.isfinite(value)
                 and (kind is float or value.is_integer())):
             return kind(value)
-    elif kind is object or kind is str and isinstance(value, str):
+    elif kind is str and isinstance(value, str):
         return value
     expected = ("a list" if isinstance(kind, list) else "a JSON object"
                 if isinstance(kind, tuple) else _EXPECTED[kind])
@@ -162,9 +162,9 @@ def read_json(path, schema: dict, required=(), what: str = "document") -> dict:
     """The JSON object in ``path`` (a ``what``), checked against ``schema``.
 
     ``schema`` maps each allowed key to its type: ``int`` (a whole number),
-    ``float`` (a finite number), ``str``, ``object`` (as given), ``[kind]``
-    (a list of that kind) or ``(schema, required)`` (an object checked in
-    the same way); ``required`` lists the keys that must be present.
+    ``float`` (a finite number), ``str``, ``[kind]`` (a list of that kind)
+    or ``(schema, required)`` (an object checked in the same way);
+    ``required`` lists the keys that must be present.
     """
     path = Path(path)
     if not path.exists():

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import azimuthal_rom as rom_mod
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
 from .dataset import (_REPORT_FMT, TWO_PI, _load_grid, _write_csv, azimuth_bin,
@@ -41,10 +40,9 @@ _COMPONENTS = ("ux", "uy", "uz")
 _TORSION_COMPONENTS = ("taux", "tauy", "tauz")
 _SOURCES = ("sparse", "rom", "fused")
 
-#: Config value type (see :func:`read_json`) of each PipelineConfig field
-#: type; the noise spec passes as given, for :meth:`NoiseModel.from_config`.
-_FIELD_KINDS = {"list": [str], "Path": str, "int": int, "tuple": [float],
-                "object": object}
+#: Config value type (see :func:`read_json`) of each PipelineConfig type.
+_FIELD_KINDS = {"list": [str], "Path": str, "int": int, "float": float,
+                "tuple": [float]}
 
 
 @dataclass
@@ -56,8 +54,7 @@ class PipelineConfig:
     out_dir: Path
     n_modes: int = 4
     n_sensors: int = 4
-    n_fourier: int = rom_mod.DEFAULT_N_FOURIER
-    noise: object = 0.1
+    noise: float = 0.1
     observation_fractions: tuple = (0.44, 0.68, 0.88)
     seed: int = 0
 
@@ -69,9 +66,9 @@ class PipelineConfig:
         names = [Path(p).stem for p in self.evaluation]  # output names
         if len(set(names)) < len(names):
             raise ValidationError(f"'evaluation' names a case twice: {names}")
-        for name, low in (("n_modes", 1), ("n_sensors", 1), ("n_fourier", 0),
+        for name, low in (("n_modes", 1), ("n_sensors", 1), ("noise", 0),
                           ("seed", 0)):
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:  # nan included
                 raise ValidationError(f"'{name}' must be >= {low}")
         # each sensor reports three rows; SensorSet.gram_gain checks the
         # sampled basis actually has rank n_modes
@@ -84,7 +81,6 @@ class PipelineConfig:
             if not 0.0 <= f <= 1.0:
                 raise ValidationError(
                     f"'observation_fractions' must lie in [0, 1], got {f!r}")
-        NoiseModel.from_config(self.noise, self.n_sensors)
 
     def validate(self) -> None:
         """The settings' rules, and every referenced manifest exists."""
@@ -192,8 +188,8 @@ def _stage_decompose(ctx: _Context) -> None:
 
 def _stage_sensors(ctx: _Context) -> None:
     ctx.sensors = place_sensors(ctx.basis, ctx.config.n_sensors)
-    ctx.noise_model = NoiseModel.from_config(ctx.config.noise,
-                                             ctx.config.n_sensors)
+    ctx.noise_model = NoiseModel.isotropic(ctx.config.noise,
+                                           ctx.config.n_sensors)
     write_sensors_csv(ctx.sensors, ctx.emit("sensors.csv"))
 
 
@@ -201,9 +197,8 @@ def _stage_fit_rom(ctx: _Context) -> None:
     ctx.train_coords = [project(e.D, ctx.basis) for _, e in ctx.train]
     ctx.rom = fit_rom(
         [(a, e.theta, e.u_filt) for (_, e), a in zip(ctx.train, ctx.train_coords)],
-        ctx.config.n_fourier,
-        [{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
-         for _, e in ctx.train])
+        conditions=[{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
+                    for _, e in ctx.train])
     save_rom(ctx.rom, ctx.emit("rom.json"))
     # the last reader of the training cases: torsion reads only their
     # coordinates, and the report the first case's theta and u_filt
@@ -301,7 +296,7 @@ def _stage_estimate(ctx: _Context) -> None:
         "fusion": fusion,
         "rom": rom,
         "settings": {key: getattr(cfg, key) for key in
-                     ("n_modes", "n_sensors", "n_fourier", "seed")},
+                     ("n_modes", "n_sensors", "seed")},
     }
     write_json(ctx.emit("error_summary.json"), ctx.summary)
 

@@ -143,20 +143,10 @@ class NoiseModel:
         return cls.from_matrices([np.eye(3) * sigma**2] * n_sensors)
 
     @classmethod
-    def from_config(cls, spec, n_sensors: int) -> "NoiseModel":
-        """Build from a JSON-style spec: a scalar sigma or
-        ``{"per_sensor": [3x3, ...]}``."""
-        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            return cls.isotropic(float(spec), n_sensors)
-        mats = spec.get("per_sensor") if isinstance(spec, dict) else None
-        if not isinstance(mats, list) or len(spec) != 1:
-            raise ValidationError("noise config must be a sigma or per-sensor "
-                                  f"matrices, got {spec!r:.60}")
-        if len(mats) != n_sensors:
-            raise ValidationError(
-                f"noise config lists {len(mats)} sensors, expected {n_sensors}"
-            )
-        return cls.from_matrices(mats)
+    def from_config(cls, sigma, n_sensors: int) -> "NoiseModel":
+        """:meth:`isotropic` of a config's ``noise``, a scalar sigma (the
+        step loop of ``perfbench/steps.py`` reads its config this way)."""
+        return cls.isotropic(float(sigma), n_sensors)
 
 
 def _greedy_pivots(candidates: np.ndarray, count: int) -> list[int]:

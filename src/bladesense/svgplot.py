@@ -134,25 +134,34 @@ def _finite_range(arrays, log=False):
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="", log_y=False):
-    """series: list of (label, x, y); colors follow the fixed palette."""
+    """series: list of (label, x, y); colors follow the fixed palette. A
+    point with a non-finite coordinate breaks its line: each run of finite
+    points is a polyline of its own."""
     xlim = _finite_range([s[1] for s in series])
     ylim = _finite_range([s[2] for s in series], log=log_y)
     cv = _Canvas(title, xlabel, ylabel, xlim, ylim, log_y=log_y)
     for i, (_, x, y) in enumerate(series):
-        pts = _pairs("%.6g,%.6g", " ", cv.px(x), cv.py(y))
+        px, py = cv.px(x), cv.py(y)
+        finite = np.isfinite(px) & np.isfinite(py)
+        ends = np.flatnonzero(np.diff(np.r_[0, finite, 0]))
         color = _PALETTE[i % len(_PALETTE)]
-        cv.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.2"/>')
+        for a, b in zip(ends[::2], ends[1::2]):
+            pts = _pairs("%.6g,%.6g", " ", px[a:b], py[a:b])
+            cv.parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="1.2"/>')
     cv.legend([s[0] for s in series])
     cv.save(path)
 
 
 def scatter_plot(path, x, y, title="", xlabel="", ylabel=""):
+    """One circle per point whose coordinates are both finite."""
     cv = _Canvas(title, xlabel, ylabel, _finite_range([x]), _finite_range([y]))
+    px, py = cv.px(x), cv.py(y)
+    drawn = np.isfinite(px) & np.isfinite(py)
     circles = _pairs(f'<circle cx="%.6g" cy="%.6g" r="1.5" '
                      f'fill="{_PALETTE[0]}" fill-opacity="0.5"/>',
-                     "\n", cv.px(x), cv.py(y))
+                     "\n", px[drawn], py[drawn])
     if circles:
         cv.parts.append(circles)
     cv.save(path)

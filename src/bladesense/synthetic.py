@@ -9,10 +9,9 @@ features). Rotor speed is frozen per case so the ground truth stays
 closed-form, and the wind channel is synthesized as u_mean * (1 + TI *
 AR(1)) to exercise condition resolution downstream.
 
-A case is written as the dataset schema's files and nothing else;
-:func:`generate_case` returns the true reduced coordinates for callers that
-score against them. Everything is deterministic in (spec, seed):
-generating a case twice yields byte-identical files.
+A case is written as the dataset schema's files and nothing else, and
+:func:`generate_case` returns its manifest path. Everything is deterministic
+in (spec, seed): generating a case twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .azimuthal_rom import fourier_eval
+from .azimuthal_rom import fourier_design
 from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, _first_order,
                       save_case, smooth_wind, wrap_angle)
 from .decomposition import dof_weights
@@ -109,15 +108,6 @@ class SyntheticCaseSpec:
         return int(round(self.duration_s * self.f_s))
 
 
-@dataclass
-class GroundTruth:
-    """A written case's manifest and the coordinates an estimator should
-    recover."""
-
-    a_true: np.ndarray           # (N_true, n_t)
-    manifest_path: Path
-
-
 def _ar1(rho: float, sigma: float, n: int, rng) -> np.ndarray:
     """Stationary AR(1) path: x[k] = rho x[k-1] + N(0, sigma^2)."""
     if sigma == 0.0:
@@ -192,8 +182,8 @@ def orthonormal_polynomial_modes(grid: BladeGrid, n_modes: int) -> np.ndarray:
     return _gram_schmidt(raw, dof_weights(grid))
 
 
-def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
-    """Write one synthetic case to disk and return its ground truth.
+def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> Path:
+    """Write one synthetic case to disk and return its manifest path.
 
     The files are exactly what :func:`save_case` writes: the manifest, the
     grid, the channels and the displacement matrix, plus the torsion matrix
@@ -204,7 +194,8 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
     t = np.arange(n_t) / spec.f_s
     theta = wrap_angle(spec.omega * t)
 
-    a_true = fourier_eval(spec.azimuthal_mean, theta)
+    n_harmonics = (spec.azimuthal_mean.shape[1] - 1) // 2
+    a_true = spec.azimuthal_mean @ fourier_design(theta, n_harmonics).T
     for n in range(spec.n_true):
         a_true[n] += _ar1(spec.ar_rho[n], spec.ar_sigma[n], n_t, rng)
         for h in (1, 2, 3):
@@ -230,8 +221,7 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> GroundTruth:
         tau_true = (spec.torsion.mean_field[:, None]
                     + spec.torsion.modes @ (spec.torsion.coupling @ a_true))
 
-    manifest_path = save_case(ensemble, out_dir, spec.name, tau=tau_true)
-    return GroundTruth(a_true=a_true, manifest_path=manifest_path)
+    return save_case(ensemble, out_dir, spec.name, tau=tau_true)
 
 
 def demo_grid(n_z: int = 12, length_m: float = 117.0) -> BladeGrid:

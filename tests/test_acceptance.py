@@ -61,8 +61,8 @@ def test_criterion_01_pod_oracle_equivalence(tmp_path):
     grid = demo_grid(n_z=6)
     spec = _spec("pod", grid, azimuthal_mean=_AZIMUTHAL_MEAN, ar_sigma=0.15,
                  noise_sigma=0.05, duration_s=2.5, f_s=80.0)  # 200 snapshots
-    truth = generate_case(spec, 0, tmp_path)
-    _, ens = load_case(truth.manifest_path)
+    manifest = generate_case(spec, 0, tmp_path)
+    _, ens = load_case(manifest)
     assert ens.n_t == 200
 
     start = time.monotonic()
@@ -81,8 +81,8 @@ def test_criterion_02_exact_sparse_recovery(tmp_path):
     grid = demo_grid(n_z=12)
     spec = _spec("exact", grid, azimuthal_mean=_AZIMUTHAL_MEAN, ar_sigma=0.1,
                  duration_s=62.5, f_s=160.0)  # 10^4 steps
-    truth = generate_case(spec, 1, tmp_path)
-    _, ens = load_case(truth.manifest_path)
+    manifest = generate_case(spec, 1, tmp_path)
+    _, ens = load_case(manifest)
     assert ens.n_t == 10**4
 
     basis = pod_fit(ens, 4)
@@ -119,8 +119,8 @@ def test_criterion_03_fusion_dominance(tmp_path):
         spec = _spec(name, grid, azimuthal_mean=_AZIMUTHAL_MEAN,
                      ar_rho=0.9, ar_sigma=0.035, duration_s=duration,
                      f_s=80.0, omega=1.0)
-        truth = generate_case(spec, seed, tmp_path)
-        _, ens = load_case(truth.manifest_path)
+        manifest = generate_case(spec, seed, tmp_path)
+        _, ens = load_case(manifest)
         return ens
 
     train = [make(f"tr{s}", s, 40.0) for s in train_seeds]
@@ -189,8 +189,8 @@ def test_criterion_05_fourier_rom_recovery(tmp_path):
     ])
     spec = _spec("rom", grid, azimuthal_mean=azimuthal, ar_sigma=0.0,
                  duration_s=120.0, f_s=80.0, omega=0.83)
-    truth = generate_case(spec, 0, tmp_path)
-    _, ens = load_case(truth.manifest_path)
+    manifest = generate_case(spec, 0, tmp_path)
+    _, ens = load_case(manifest)
 
     basis = basis_from_modes(grid, spec.true_modes)
     a = project(ens.D, basis)
@@ -237,8 +237,8 @@ def test_criterion_07_spectral_signature(tmp_path):
     ])
     spec = _spec("tones", grid, harmonics=harmonics, ar_sigma=0.0,
                  duration_s=240.0, f_s=40.0, omega=1.0)
-    truth = generate_case(spec, 2, tmp_path)
-    _, ens = load_case(truth.manifest_path)
+    manifest = generate_case(spec, 2, tmp_path)
+    _, ens = load_case(manifest)
     f_1p = spec.omega / TWO_PI
     tip_x = grid.n_z - 1
     signal = ens.D[tip_x, :] - ens.D[tip_x, :].mean()
@@ -277,9 +277,9 @@ def test_criterion_08_torsion_inference(tmp_path):
         spec = _spec(f"tor{seed}", grid, azimuthal_mean=_AZIMUTHAL_MEAN,
                      ar_rho=0.9, ar_sigma=0.15, duration_s=50.0, f_s=80.0,
                      torsion=torsion)
-        truth = generate_case(spec, seed, tmp_path)
-        _, defl = load_case(truth.manifest_path)
-        return defl, load_torsion(truth.manifest_path, defl.D.shape)
+        manifest = generate_case(spec, seed, tmp_path)
+        _, defl = load_case(manifest)
+        return defl, load_torsion(manifest, defl.D.shape)
 
     # exact recovery of the field map psi M0 on synthetic coordinates
     rng = np.random.default_rng(5)

@@ -5,7 +5,7 @@ import pytest
 
 from bladesense import (AzimuthalRomModel, evaluate_rom, fit_rom, load_rom,
                         pipeline, save_rom, wrap_angle)
-from bladesense.azimuthal_rom import fourier_design, fourier_eval
+from bladesense.azimuthal_rom import fourier_design
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
@@ -26,7 +26,8 @@ def _fit_series(values, n_fourier):
     model = fit_rom([(values[None, :], theta, np.full(values.size, 10.0))],
                     n_fourier)
     coeffs = model.mean_coeffs[0]
-    return coeffs, np.linalg.norm(fourier_eval(coeffs, theta) - values)
+    fitted = coeffs @ fourier_design(theta, n_fourier).T
+    return coeffs, np.linalg.norm(fitted - values)
 
 
 def _joint_cases(rng, alpha, beta, u_ref, speeds, n_t=400, sigma=0.0):
@@ -82,9 +83,9 @@ def twin_cases(tmp_path_factory):
                  "0", "--out", str(root / "cases")]) == 0
     seen = []
 
-    def recording(cases, *args):
+    def recording(cases, *args, **kwargs):
         seen.append(cases)
-        return fit_rom(cases, *args)
+        return fit_rom(cases, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "fit_rom", recording)
@@ -182,16 +183,6 @@ class TestFitFourier:
         # on the uniform 72-point grid cos(7 theta) is orthogonal to every
         # retained regressor, so the coefficients collapse to zero
         assert np.allclose(coeffs, 0.0, atol=1e-10)
-
-    def test_one_series_at_one_azimuth(self):
-        # a scalar azimuth gives a float for one series, one value per row
-        # for a table, as the array form gives them
-        coeffs = np.random.default_rng(0).standard_normal((3, 13))
-        got = fourier_eval(coeffs[0], 0.3)
-        assert type(got) is float
-        assert got == fourier_eval(coeffs[0], np.array([0.3]))[0]
-        assert np.array_equal(fourier_eval(coeffs, 0.3),
-                              fourier_eval(coeffs, np.array([0.3]))[:, 0])
 
     def test_too_few_azimuths(self):
         with pytest.raises(ValidationError, match="need more azimuths"):
@@ -326,8 +317,9 @@ class TestEvaluateRom:
         model = _model()
         for theta, u in ((0.3, 10.0), (4.0, 8.5), (6.2, 13.0)):
             g = evaluate_rom(model, theta, u, 0.1)
-            expected = (fourier_eval(model.mean_coeffs, theta)
-                        + (u - 10.0) * fourier_eval(model.slope_coeffs, theta))
+            f = fourier_design(theta, 6)[0]
+            expected = (model.mean_coeffs @ f
+                        + (u - 10.0) * (model.slope_coeffs @ f))
             assert np.allclose(g.mean, expected, atol=1e-12)
 
     def test_linear_in_wind_inside_and_beyond_the_trained_range(self):
@@ -440,10 +432,11 @@ class TestDataSufficiency:
 
             def max_dev(n_samples, rng=rng):
                 theta = rng.uniform(0, TWO_PI, n_samples)
-                a = fourier_eval(truth, theta) + rng.normal(0, 0.5, n_samples)
+                a = (truth @ fourier_design(theta, 6).T
+                     + rng.normal(0, 0.5, n_samples))
                 model = fit_rom([(a[None, :], theta, np.full(n_samples, 9.0))], 6)
-                return np.max(np.abs(fourier_eval(model.mean_coeffs[0], grid)
-                                     - fourier_eval(truth, grid)))
+                f = fourier_design(grid, 6).T
+                return np.max(np.abs(model.mean_coeffs[0] @ f - truth @ f))
 
             if max_dev(2 * 36 * 60) < max_dev(36 * 60):
                 improvements += 1

@@ -25,7 +25,7 @@ from bladesense import (AzimuthalRomModel, GaussianReduced, NoiseModel,
                         evaluate_rom, fuse, infer_torsion, observe,
                         place_sensors, sparse_estimate)
 from bladesense import fusion, sensing
-from bladesense.azimuthal_rom import fourier_eval
+from bladesense.azimuthal_rom import fourier_design
 from bladesense.dataset import wrap_angle
 from bladesense.errors import ValidationError
 from bladesense.sensing import sensor_dof_rows
@@ -58,8 +58,9 @@ def _model(seed=0):
 
 def _reference_evaluate_rom(model, theta, u_filt):
     theta = wrap_angle(float(theta))
-    mean = (fourier_eval(model.mean_coeffs, theta)
-            + (u_filt - model.u_ref) * fourier_eval(model.slope_coeffs, theta))
+    f = fourier_design(theta, model.n_fourier).T
+    mean = (model.mean_coeffs @ f
+            + (u_filt - model.u_ref) * (model.slope_coeffs @ f))[:, 0]
     return mean, model.covariance
 
 

@@ -1216,7 +1216,7 @@ class TestLibraryOnDatasets:
         basis = pod_fit([load_case(base / p)[1] for p in cfg["training"]],
                         cfg.get("n_modes", 4))
         sensors = place_sensors(basis, n_sensors)
-        noise = NoiseModel.from_config(cfg.get("noise", 0.1), n_sensors)
+        noise = NoiseModel.isotropic(cfg.get("noise", 0.1), n_sensors)
         summary = json.loads((out / "error_summary.json").read_text())
         cases = [
             (load_case(base / p)[1],
@@ -1451,9 +1451,10 @@ class TestConfigValidation:
         ("pipeline", lambda doc: {**doc, "n_fourier": -1}, "'n_fourier'"),
         ("pipeline", lambda doc: {**doc, "n_theta": 0}, "'n_theta'"),
         ("pipeline", lambda doc: {**doc, "n_sensors": 0}, "'n_sensors'"),
-        ("pipeline", lambda doc: {**doc, "noise": True}, "noise config"),
+        ("pipeline", lambda doc: {**doc, "noise": True}, "'noise'"),
         ("pipeline", lambda doc: {**doc, "noise": {"per_sensor": 5}},
-         "noise config"),
+         "'noise'"),
+        ("pipeline", lambda doc: {**doc, "noise": -0.1}, "'noise'"),
         # values the types allow but a case does not: nothing is written,
         # not even the valid cases before the bad one
         ("synth", _set.__func__("training", "ti", 1.5), "'training[0]': ti"),
@@ -1467,7 +1468,7 @@ class TestConfigValidation:
         ("synth", _set.__func__("evaluation", "seeds", [-1]),
          "'evaluation[0].seeds'"),
         # the pipeline block is checked as the config it becomes
-        ("synth", _block.__func__(noise="abc"), "noise config"),
+        ("synth", _block.__func__(noise="abc"), "'pipeline.noise'"),
         ("synth", _block.__func__(n_modes="abc"), "'pipeline.n_modes'"),
         ("synth", _block.__func__(n_modes=0), "'n_modes'"),
         ("synth", _block.__func__(n_modes=13), "'n_modes'"),
@@ -1511,8 +1512,9 @@ class TestConfigValidation:
             "synth-n_z-text", "synth-training-object", "training-scalar",
             "fractions-empty", "seed-negative", "n_fourier-negative",
             "n_theta-zero", "n_sensors-zero", "noise-bool",
-            "noise-per_sensor-scalar", "synth-ti-above-1", "synth-u_mean-zero",
-            "synth-second-case-ti-above-1", "synth-second-case-too-short",
+            "noise-per_sensor-scalar", "noise-negative", "synth-ti-above-1",
+            "synth-u_mean-zero", "synth-second-case-ti-above-1",
+            "synth-second-case-too-short",
             "synth-seed-negative", "synth-noise-text", "synth-n_modes-text",
             "synth-n_modes-zero", "synth-n_modes-above-3-sensors",
             "synth-pipeline-seed-negative", "synth-fraction-above-1",
@@ -1596,6 +1598,9 @@ class TestConfigValidation:
         ("torsion_rank", 5),
         ("n_sensor", 3),  # misspelt n_sensors
         ("n_theta", 72),  # the azimuthal figure's sectors are fixed
+        ("n_fourier", 6),  # the prior's Fourier order is fixed
+        # the noise is one sigma, not per-sensor matrices
+        ("noise", {"per_sensor": [np.eye(3).tolist()] * 4}),
     ])
     def test_unknown_key_rejected(self, twin, tmp_path, key, value):
         pipeline_cfg, _ = twin

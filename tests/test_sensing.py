@@ -245,17 +245,22 @@ class TestNoiseModel:
         assert np.all(noise.assembled[:3, 3:] == 0.0)
 
     def test_from_config_variants(self):
+        # a config's noise is one sigma; per-sensor matrices are built
+        # with from_matrices
         n1 = NoiseModel.from_config(0.1, 2)
         assert np.allclose(np.diag(n1.assembled), 0.01)
-        n3 = NoiseModel.from_config(
-            {"per_sensor": [np.eye(3).tolist()] * 2}, 2)
+        assert np.array_equal(n1.assembled,
+                              NoiseModel.isotropic(0.1, 2).assembled)
+        assert np.array_equal(NoiseModel.from_config(1, 2).assembled,
+                              np.eye(6))
+        with pytest.raises(ValidationError):
+            NoiseModel.from_config(-0.1, 2)
+        n3 = NoiseModel.from_matrices([np.eye(3).tolist()] * 2)
         assert np.allclose(n3.assembled, np.eye(6))
-        with pytest.raises(ValidationError):
-            NoiseModel.from_config({"per_sensor": [np.eye(3).tolist()]}, 2)
-        with pytest.raises(ValidationError):
-            NoiseModel.from_config("bad", 2)
-        with pytest.raises(ValidationError):  # a scalar is written bare
-            NoiseModel.from_config({"sigma": 0.2}, 3)
+        with pytest.raises(ValidationError, match="3x3"):
+            NoiseModel.from_matrices([np.eye(2)])
+        with pytest.raises(ValidationError, match="3x3"):
+            NoiseModel.from_matrices(["bad"])
 
     def test_asymmetric_rejected(self):
         bad = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

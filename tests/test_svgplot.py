@@ -1,6 +1,7 @@
 """SVG coordinates formatted per element list against the former per-point
 formatting: ``_former_*`` are the plot bodies as they were, one ``_fmt``
-call per coordinate, kept as the byte-for-byte oracle."""
+call per coordinate, kept as the byte-for-byte oracle. A point with a
+non-finite coordinate is left out of both, and breaks a line."""
 
 import xml.etree.ElementTree as ET
 
@@ -24,11 +25,17 @@ def _former_line_plot(path, series, title="", xlabel="", ylabel="",
     cv = _Canvas(title, xlabel, ylabel, xlim, ylim, log_y=log_y)
     for i, (_, x, y) in enumerate(series):
         px, py = cv.px(x), cv.py(y)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        runs = [[]]  # the finite runs of points, each a polyline
+        for a, b in zip(px, py):
+            if np.isfinite(a) and np.isfinite(b):
+                runs[-1].append(f"{_fmt(a)},{_fmt(b)}")
+            elif runs[-1]:
+                runs.append([])
         color = _PALETTE[i % len(_PALETTE)]
-        cv.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.2"/>')
+        for run in filter(None, runs):
+            cv.parts.append(
+                f'<polyline points="{" ".join(run)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.2"/>')
     cv.legend([s[0] for s in series])
     cv.save(path)
 
@@ -57,9 +64,10 @@ def _former_scatter_plot(path, x, y, title="", xlabel="", ylabel=""):
     cv = _Canvas(title, xlabel, ylabel, _finite_range([x]), _finite_range([y]))
     px, py = cv.px(x), cv.py(y)
     for a, b in zip(px, py):
-        cv.parts.append(
-            f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="1.5" '
-            f'fill="{_PALETTE[0]}" fill-opacity="0.5"/>')
+        if np.isfinite(a) and np.isfinite(b):
+            cv.parts.append(
+                f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="1.5" '
+                f'fill="{_PALETTE[0]}" fill-opacity="0.5"/>')
     cv.save(path)
 
 
@@ -150,3 +158,28 @@ def test_scatter_plot_bytes(tmp_path, n):
         x[0], y[1] = np.nan, -np.inf
     _same_bytes(tmp_path, svgplot.scatter_plot, _former_scatter_plot,
                 x, y, title="s", xlabel="a", ylabel="b")
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_plots_of_special_values_write_finite_numbers(tmp_path, log_y):
+    # nan and inf are not numbers in SVG's attribute grammar: a line breaks
+    # at a point that has one, and a scatter leaves the point out
+    v = np.array(SPECIAL)
+    x = np.arange(v.size, dtype=float)
+    x[6] = np.nan
+    svgplot.line_plot(tmp_path / "l.svg", [("v", x, v), ("w", v, x)],
+                      log_y=log_y)
+    svgplot.scatter_plot(tmp_path / "s.svg", v, v[::-1])
+    lines, dots = (ET.parse(tmp_path / name).getroot() for name in
+                   ("l.svg", "s.svg"))
+    for root in (lines, dots):
+        numbers = [n for el in root.iter() for name in ("points", "cx", "cy")
+                   for n in el.get(name, "").replace(",", " ").split()]
+        assert numbers and np.all(np.isfinite(np.array(numbers, dtype=float)))
+    # SPECIAL opens with nan, inf and -inf (a log axis draws -inf on its
+    # floor), and x[6] is nan: each series is two runs of points
+    runs = [len(line.get("points").split())
+            for line in lines.iter(f"{_SVG}polyline")]
+    assert runs == [4 if log_y else 3, 5, 3, 5]
+    assert len(list(dots.iter(f"{_SVG}circle"))) == np.count_nonzero(
+        np.isfinite(v) & np.isfinite(v[::-1]))

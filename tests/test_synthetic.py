@@ -4,7 +4,7 @@ import pytest
 from bladesense import load_case, pod_fit, inner
 from bladesense.dataset import TWO_PI
 from bladesense.errors import ValidationError
-from bladesense.azimuthal_rom import fourier_eval
+from bladesense.azimuthal_rom import fourier_design
 from bladesense.synthetic import (SyntheticCaseSpec, demo_grid, demo_spec,
                                   generate_case,
                                   orthonormal_polynomial_modes, _ar1)
@@ -27,19 +27,19 @@ class TestGenerateCase:
     def test_deterministic_byte_identical(self, tmp_path):
         spec = demo_spec("det", 9.0, 0.1, grid=demo_grid(n_z=6),
                          duration_s=3.0, f_s=40.0)
-        t1 = generate_case(spec, 5, tmp_path / "a")
-        t2 = generate_case(spec, 5, tmp_path / "b")
+        m1 = generate_case(spec, 5, tmp_path / "a")
+        m2 = generate_case(spec, 5, tmp_path / "b")
         for p1 in sorted((tmp_path / "a").iterdir()):
             p2 = tmp_path / "b" / p1.name
             assert p1.read_bytes() == p2.read_bytes(), p1.name
-        assert np.array_equal(t1.a_true, t2.a_true)
+        assert np.array_equal(load_case(m1)[1].D, load_case(m2)[1].D)
 
     def test_different_seed_differs(self, tmp_path):
         spec = demo_spec("s", 9.0, 0.1, grid=demo_grid(n_z=6),
                          duration_s=2.0, f_s=40.0)
-        t1 = generate_case(spec, 1, tmp_path / "a")
-        t2 = generate_case(spec, 2, tmp_path / "b")
-        assert not np.array_equal(t1.a_true, t2.a_true)
+        m1 = generate_case(spec, 1, tmp_path / "a")
+        m2 = generate_case(spec, 2, tmp_path / "b")
+        assert not np.array_equal(load_case(m1)[1].D, load_case(m2)[1].D)
 
     def test_deterministic_limit_is_pure_azimuthal_field(self, tmp_path):
         grid = demo_grid(n_z=6)
@@ -48,17 +48,18 @@ class TestGenerateCase:
         spec.ar_sigma = np.zeros(4)
         spec.harmonic_amplitudes = np.zeros((4, 3))
         spec.noise_sigma = 0.0
-        truth = generate_case(spec, 0, tmp_path)
-        _, ens = load_case(truth.manifest_path)
-        expected_a = fourier_eval(spec.azimuthal_mean, ens.theta)
+        manifest = generate_case(spec, 0, tmp_path)
+        _, ens = load_case(manifest)
+        # demo_spec's mean tables hold c0 and three harmonics
+        expected_a = spec.azimuthal_mean @ fourier_design(ens.theta, 3).T
         expected = spec.mean_field[:, None] + spec.true_modes @ expected_a
         assert np.allclose(ens.D, expected, atol=1e-12)
 
     def test_theta_kinematics(self, tmp_path):
         spec = demo_spec("kin", 10.0, 0.1, grid=demo_grid(n_z=6),
                          duration_s=4.0, f_s=40.0, with_torsion=False)
-        truth = generate_case(spec, 0, tmp_path)
-        _, ens = load_case(truth.manifest_path)
+        manifest = generate_case(spec, 0, tmp_path)
+        _, ens = load_case(manifest)
         expected = np.mod(spec.omega * ens.t, TWO_PI)
         assert np.allclose(ens.theta, expected, atol=1e-12)
 
@@ -66,8 +67,8 @@ class TestGenerateCase:
     def test_written_files_conform_to_schema(self, tmp_path, with_torsion):
         spec = demo_spec("schema", 10.0, 0.1, grid=demo_grid(n_z=6),
                          duration_s=2.0, f_s=40.0, with_torsion=with_torsion)
-        truth = generate_case(spec, 0, tmp_path)
-        grid, ens = load_case(truth.manifest_path)
+        manifest = generate_case(spec, 0, tmp_path)
+        grid, ens = load_case(manifest)
         assert grid.n_z == 6
         assert ens.n_t == 80
         # exactly the case files save_case writes, nothing beside them
@@ -90,8 +91,8 @@ class TestGenerateCase:
             ar_sigma=np.array([1.6, 0.8, 0.4, 0.2]),  # variance ratios 4
             noise_sigma=0.0,
         )
-        truth = generate_case(spec, 3, tmp_path)
-        _, ens = load_case(truth.manifest_path)
+        manifest = generate_case(spec, 3, tmp_path)
+        _, ens = load_case(manifest)
         basis = pod_fit(ens, 4)
         for n in range(4):
             overlap = abs(inner(basis.modes[:, n], modes[:, n], grid))
