@@ -111,7 +111,8 @@ def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
     (sum G - G_i) c = sum B - B_i and is scored on case i's samples. Each
     is a minimum-norm solve whose rank counts the singular values of the
     regressors above sqrt(2 (1 + 2 n_F) eps), about 1e-7, times the largest.
-    Azimuths that cannot determine all 1 + 2 n_F Fourier terms are rejected;
+    Azimuths that cannot determine all 1 + 2 n_F Fourier terms are rejected,
+    by the rank of the Fourier block of sum G alone, whatever the wind does;
     one constant wind speed cannot determine the slopes and gives zero ones.
     """
     cases = [(np.atleast_2d(np.asarray(a, dtype=float)),
@@ -132,12 +133,15 @@ def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
                for a, theta, u in cases)
     sums = [(X.T @ X, X.T @ Y) for X, Y in designs]
     G, B = map(sum, zip(*sums))
-    coeffs, _, rank, _ = np.linalg.lstsq(G, B, rcond=None)
     n_coeff = 1 + 2 * n_fourier
+    # the Fourier block alone: a varying wind's slope columns add rank
+    # that the azimuths lack
+    rank = np.linalg.matrix_rank(G[:n_coeff, :n_coeff])
     if rank < n_coeff:
         raise ValidationError(
             f"the training samples determine {rank} of the {n_coeff} "
             f"regressors of n_F={n_fourier}; need more azimuths")
+    coeffs = np.linalg.lstsq(G, B, rcond=None)[0]
     second = np.zeros((n_modes, n_modes))
     for (a, theta, u), (G_i, B_i) in zip(cases, sums):
         fold = (coeffs if len(cases) == 1

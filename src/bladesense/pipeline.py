@@ -188,8 +188,7 @@ def _stage_decompose(ctx: _Context) -> None:
 
 def _stage_sensors(ctx: _Context) -> None:
     ctx.sensors = place_sensors(ctx.basis, ctx.config.n_sensors)
-    ctx.noise_model = NoiseModel.isotropic(ctx.config.noise,
-                                           ctx.config.n_sensors)
+    ctx.noise_model = NoiseModel(ctx.config.noise, ctx.config.n_sensors)
     write_sensors_csv(ctx.sensors, ctx.emit("sensors.csv"))
 
 

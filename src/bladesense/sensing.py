@@ -7,8 +7,7 @@ least-squares solution on the sampled basis, so three stations (nine rows)
 can carry up to nine modes when the sampled basis keeps full column rank.
 
 Measurement vectors group components per sensor: for placed stations
-(s_1, s_2, ...) the layout is (ux(s_1), uy(s_1), uz(s_1), ux(s_2), ...),
-matching the block-diagonal assembly of per-sensor noise covariances.
+(s_1, s_2, ...) the layout is (ux(s_1), uy(s_1), uz(s_1), ux(s_2), ...).
 """
 
 from __future__ import annotations
@@ -81,72 +80,43 @@ class SensorSet:
         :attr:`gram_gain` (which must not be None), symmetrized and checked
         PSD (read-only); a model of another sensor count is a
         :class:`ValidationError`. Only the last model's covariance is kept,
-        keyed by the bytes of its assembled covariance, so a covariance
-        changed in place is computed afresh and no model is kept alive."""
-        key = noise.assembled.tobytes()
+        keyed by its sigma."""
+        if noise.n_sensors != self.n_sensors:
+            raise ValidationError("noise model size differs from sensor count")
         last = getattr(self, "_last_noise", None)
-        if last is None or last[0] != key:
-            if len(noise.per_sensor) != self.n_sensors:
-                raise ValidationError(
-                    "noise model size differs from sensor count")
+        if last is None or last[0] != noise.sigma:
             G = self.gram_gain
+            gamma = np.eye(3 * noise.n_sensors) * noise.sigma**2
             cov = GaussianReduced(np.zeros(G.shape[0]),
-                                  G @ noise.assembled @ G.T).covariance
+                                  G @ gamma @ G.T).covariance
             cov.setflags(write=False)
-            last = (key, cov)
+            last = (noise.sigma, cov)
             object.__setattr__(self, "_last_noise", last)
         return last[1]
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-sensor 3x3 noise covariances and their block-diagonal assembly
-    (read-only: estimate covariances derived from it are cached)."""
+    """One noise standard deviation ``sigma`` on every component of each of
+    ``n_sensors`` sensors: Gamma = sigma^2 I."""
 
-    per_sensor: tuple
-    assembled: np.ndarray
-    _factor: np.ndarray
+    sigma: float
+    n_sensors: int
 
-    @classmethod
-    def from_matrices(cls, matrices) -> "NoiseModel":
-        mats = []
-        for p, m in enumerate(matrices):
-            try:
-                m = np.asarray(m, dtype=float)
-            except (TypeError, ValueError):  # text, objects, ragged rows
-                m = None
-            if m is None or m.shape != (3, 3):
-                raise ValidationError(f"sensor {p}: covariance must be 3x3")
-            if not np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max())):
-                raise ValidationError(f"sensor {p}: covariance must be symmetric")
-            m = 0.5 * (m + m.T)
-            if np.linalg.eigvalsh(m).min() < -1e-12 * max(np.trace(m), 1e-300):
-                raise ValidationError(f"sensor {p}: covariance must be PSD")
-            mats.append(m)
-        n = 3 * len(mats)
-        assembled = np.zeros((n, n))
-        factor = np.zeros((n, n))
-        for p, m in enumerate(mats):
-            sl = slice(3 * p, 3 * p + 3)
-            assembled[sl, sl] = m
-            eigs, vecs = np.linalg.eigh(m)
-            factor[sl, sl] = vecs * np.sqrt(np.clip(eigs, 0.0, None))
-        assembled.setflags(write=False)
-        return cls(per_sensor=tuple(mats), assembled=assembled, _factor=factor)
-
-    @classmethod
-    def isotropic(cls, sigma: float, n_sensors: int) -> "NoiseModel":
-        """Same scalar standard deviation on every component of every sensor."""
+    def __post_init__(self):
+        sigma = float(self.sigma)
         if not 0.0 <= sigma < np.inf:
             raise ValidationError(f"noise sigma must be finite and "
-                                  f"non-negative, got {sigma!r}")
-        return cls.from_matrices([np.eye(3) * sigma**2] * n_sensors)
+                                  f"non-negative, got {self.sigma!r}")
+        if self.n_sensors < 1:
+            raise ValidationError(
+                f"noise model needs at least one sensor, got {self.n_sensors}")
+        object.__setattr__(self, "sigma", sigma)
 
     @classmethod
     def from_config(cls, sigma, n_sensors: int) -> "NoiseModel":
-        """:meth:`isotropic` of a config's ``noise``, a scalar sigma (the
-        step loop of ``perfbench/steps.py`` reads its config this way)."""
-        return cls.isotropic(float(sigma), n_sensors)
+        """The model of a config's ``noise`` (``perfbench/steps.py`` calls it)."""
+        return cls(sigma, n_sensors)
 
 
 def _greedy_pivots(candidates: np.ndarray, count: int) -> list[int]:
@@ -234,11 +204,13 @@ def observe(field, sensors: SensorSet, noise: NoiseModel | None = None,
             f"stack of them, one per row")
     y = field[sensors.rows] if field.ndim == 1 else field[:, sensors.rows]
     if noise is not None:
-        if len(noise.per_sensor) != sensors.n_sensors:
+        if noise.n_sensors != sensors.n_sensors:
             raise ValidationError("noise model size differs from sensor count")
         rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
                else np.random.default_rng(rng_seed))
-        y += rng.standard_normal(y.shape) @ noise._factor.T
+        z = rng.standard_normal(y.shape)
+        z *= noise.sigma
+        y += z
     return y
 
 

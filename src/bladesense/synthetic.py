@@ -3,7 +3,7 @@
 The generator replaces a high-fidelity aeroelastic stack for verification
 purposes. Reduced coordinates follow a prescribed azimuthal mean (truncated
 Fourier series in theta), an AR(1) fluctuation, and optional per-revolution
-harmonic content; the full field is assembled from orthonormal root-clamped
+harmonic content; the full field is built from orthonormal root-clamped
 mode shapes (a monomial family and a blade-like family with localized
 features). Rotor speed is frozen per case so the ground truth stays
 closed-form, and the wind channel is synthesized as u_mean * (1 + TI *

@@ -87,7 +87,7 @@ def test_criterion_02_exact_sparse_recovery(tmp_path):
 
     basis = pod_fit(ens, 4)
     sensors = place_sensors(basis, 4)
-    noise = NoiseModel.isotropic(0.0, 4)
+    noise = NoiseModel(0.0, 4)
     a_proj = project(ens.D, basis)
     a_scale = max(1.0, np.abs(a_proj).max())
     field_scale = max(1.0, np.abs(ens.D).max())
@@ -135,7 +135,7 @@ def test_criterion_03_fusion_dominance(tmp_path):
                      u_filt=np.concatenate([e.u_filt for e in train]),
                      condition=pooled.condition, f_s=pooled.f_s), 4)
     sensors = place_sensors(basis, 4)
-    noise = NoiseModel.isotropic(sigma_meas, 4)
+    noise = NoiseModel(sigma_meas, 4)
     rom = fit_rom([(project(e.D, basis), e.theta, e.u_filt) for e in train], 6)
 
     rmse = {src: [] for src in ("sparse", "rom", "fused")}

@@ -194,6 +194,31 @@ class TestFitFourier:
         assert np.allclose(coeffs, np.eye(13)[0], atol=1e-12)
         assert resid <= 1e-12
 
+    def test_varying_wind_does_not_stand_in_for_azimuths(self):
+        # 8 distinct azimuths, each visited 10 times: the wind's slope
+        # columns add rank to the joint system, but only 8 Fourier terms
+        # are determined, at a constant wind or a varying one
+        rng = np.random.default_rng(3)
+        theta = np.repeat(_centers(8), 10)
+        a = rng.standard_normal((2, theta.size))
+        for u in (np.full(theta.size, 10.0),
+                  10.0 + rng.standard_normal(theta.size)):
+            with pytest.raises(ValidationError, match="determine 8 of the 13"):
+                fit_rom([(a, theta, u)], 6)
+
+    def test_thirteen_azimuths_with_varying_wind_accepted(self):
+        # the Fourier block's rank is full at 13 distinct azimuths, so a
+        # varying wind there fits both tables: constant coordinates give
+        # the constant term and zero slopes
+        rng = np.random.default_rng(4)
+        theta = np.repeat(_centers(13), 10)
+        u = 10.0 + rng.standard_normal(theta.size)
+        model = fit_rom([(np.full((2, theta.size), 1.5), theta, u)], 6)
+        expected = np.zeros((2, 13))
+        expected[:, 0] = 1.5
+        assert np.allclose(model.mean_coeffs, expected, atol=1e-12)
+        assert np.allclose(model.slope_coeffs, 0.0, atol=1e-12)
+
 
 class TestFitRom:
     def test_constant_data_reproduced(self):

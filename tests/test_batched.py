@@ -13,6 +13,7 @@ steps and on stacked means, whether it computes the gain of a covariance
 pair or reuses the one it kept.
 """
 
+import dataclasses
 import gc
 import itertools
 import sys
@@ -322,11 +323,11 @@ class TestPerStepInvariants:
 
     def test_noise_covariance_built_once_per_pair(self, monkeypatch):
         sensors = self._sensors()
-        noise = NoiseModel.isotropic(0.1, 4)
+        noise = NoiseModel(0.1, 4)
         y = np.random.default_rng(0).standard_normal((6, 12))
         first = sparse_estimate(y, sensors, noise)
         G = sensors.gram_gain
-        ref = GaussianReduced(np.zeros(N_MODES), G @ noise.assembled @ G.T)
+        ref = GaussianReduced(np.zeros(N_MODES), G @ (0.1**2 * np.eye(12)) @ G.T)
         assert np.array_equal(first.covariance, ref.covariance)
         calls = TestDecompositionCalls._count(monkeypatch)
         for k in range(3):
@@ -334,31 +335,32 @@ class TestPerStepInvariants:
             assert again.covariance is first.covariance
         assert calls == {"eigh": 0, "eigvalsh": 0}
         assert not first.covariance.flags.writeable
-        assert not noise.assembled.flags.writeable
-        with pytest.raises(ValueError):
-            noise.assembled[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.sigma = 1.0
 
     def test_another_noise_model_or_sensor_set_gets_its_own(self):
         sensors, other_sensors = self._sensors(), self._sensors(n_z=12)
         y = np.random.default_rng(1).standard_normal(12)
-        small = sparse_estimate(y, sensors, NoiseModel.isotropic(0.1, 4))
-        # each model object has its own entry, an equal one included
+        small = sparse_estimate(y, sensors, NoiseModel(0.1, 4))
+        # an equal model gets the same covariance, another sigma its own
+        equal = sparse_estimate(y, sensors, NoiseModel(0.1, 4))
+        assert equal.covariance is small.covariance
         for sigma in (0.1, 0.3):
-            noise = NoiseModel.isotropic(sigma, 4)
+            noise = NoiseModel(sigma, 4)
             got = sparse_estimate(y, sensors, noise).covariance
             G = sensors.gram_gain
-            ref = G @ noise.assembled @ G.T
+            ref = G @ (sigma**2 * np.eye(12)) @ G.T
             assert np.array_equal(got, 0.5 * (ref + ref.T))
         assert np.allclose(got, 9.0 * small.covariance, rtol=1e-14, atol=0.0)
         G = other_sensors.gram_gain
         got = sparse_estimate(np.zeros(12), other_sensors, noise).covariance
-        ref = G @ noise.assembled @ G.T
+        ref = G @ (sigma**2 * np.eye(12)) @ G.T
         assert np.array_equal(got, 0.5 * (ref + ref.T))
         assert not np.array_equal(got, sparse_estimate(y, sensors, noise).covariance)
 
     def test_non_finite_inputs_still_rejected(self):
         sensors = self._sensors()
-        noise = NoiseModel.isotropic(0.1, 4)
+        noise = NoiseModel(0.1, 4)
         model = _model()
         with np.errstate(invalid="ignore"):
             for bad in (np.nan, np.inf, -np.inf):
@@ -726,8 +728,8 @@ class TestEstimatorBatch:
         basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
         sensors = place_sensors(basis, 4)
         rng = np.random.default_rng(11)
-        # anisotropic per-sensor noise: its factor is not symmetric
-        noise = NoiseModel.from_matrices([random_spd(rng, 3, 0.01) for _ in range(4)])
+        sigma = 0.1
+        noise = NoiseModel(sigma, 4)
         model = _model()
         n_t = _U.size
         D = basis.modes @ rng.standard_normal((N_MODES, n_t))
@@ -753,7 +755,7 @@ class TestEstimatorBatch:
         assert_close(y, np.array(ref["y"]))
         draws = np.random.default_rng(3)
         rows = sensor_dof_rows(sensors.station_indices, grid.n_z)
-        assert_close(y, np.array([D[rows, k] + noise._factor @ draws.standard_normal(12)
+        assert_close(y, np.array([D[rows, k] + sigma * draws.standard_normal(12)
                                   for k in range(n_t)]))
         assert_close(meas.mean, np.array(ref["sparse"]))
         assert np.array_equal(meas.covariance, sparse_cov)
@@ -771,7 +773,7 @@ class TestEstimatorBatch:
         with pytest.raises(ValidationError):
             observe(np.zeros((2, 3, 30)), sensors)
         with pytest.raises(ValidationError, match="length"):
-            sparse_estimate(np.zeros((5, 11)), sensors, NoiseModel.isotropic(0.1, 4))
+            sparse_estimate(np.zeros((5, 11)), sensors, NoiseModel(0.1, 4))
 
 
 class TestInferTorsionBatch:

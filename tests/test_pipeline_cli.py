@@ -1216,7 +1216,7 @@ class TestLibraryOnDatasets:
         basis = pod_fit([load_case(base / p)[1] for p in cfg["training"]],
                         cfg.get("n_modes", 4))
         sensors = place_sensors(basis, n_sensors)
-        noise = NoiseModel.isotropic(cfg.get("noise", 0.1), n_sensors)
+        noise = NoiseModel(cfg.get("noise", 0.1), n_sensors)
         summary = json.loads((out / "error_summary.json").read_text())
         cases = [
             (load_case(base / p)[1],
