@@ -41,8 +41,7 @@ _TORSION_COMPONENTS = ("taux", "tauy", "tauz")
 _SOURCES = ("sparse", "rom", "fused")
 
 #: Config value type (see :func:`read_json`) of each PipelineConfig type.
-_FIELD_KINDS = {"list": [str], "Path": str, "int": int, "float": float,
-                "tuple": [float]}
+_FIELD_KINDS = {"list": [str], "Path": str, "int": int, "float": float}
 
 
 @dataclass
@@ -55,7 +54,6 @@ class PipelineConfig:
     n_modes: int = 4
     n_sensors: int = 4
     noise: float = 0.1
-    observation_fractions: tuple = (0.44, 0.68, 0.88)
     seed: int = 0
 
     def validate_settings(self) -> None:
@@ -74,13 +72,6 @@ class PipelineConfig:
         # sampled basis actually has rank n_modes
         if self.n_modes > 3 * self.n_sensors:
             raise ValidationError("'n_modes' must not exceed 3 * 'n_sensors'")
-        if not self.observation_fractions:
-            raise ValidationError("'observation_fractions' lists no station")
-        # a fraction outside the blade would snap to its end station
-        for f in self.observation_fractions:
-            if not 0.0 <= f <= 1.0:
-                raise ValidationError(
-                    f"'observation_fractions' must lie in [0, 1], got {f!r}")
 
     def validate(self) -> None:
         """The settings' rules, and every referenced manifest exists."""
@@ -155,11 +146,15 @@ def _stage_load(ctx: _Context) -> None:
         if "estimate" in COMMAND_PLANS[ctx.plan]:
             e = load_case(p, m)[1]
             # the report's spectra are normalized by the mean rotor speed
+            # and need at least two samples
             omega = float(np.mean(e.omega))
             if not omega > 0:
                 raise ValidationError(
                     f"evaluation case {Path(p).stem!r}: mean rotor speed "
                     f"'omega' must be positive, got {omega!r}")
+            if e.n_t < 2:
+                raise ValidationError(f"evaluation case {Path(p).stem!r} has "
+                                      f"{e.n_t} time step, fewer than 2")
             ctx.evaluation.append((Path(p).stem, e))
             grids.append(e.grid)
         else:
@@ -168,13 +163,14 @@ def _stage_load(ctx: _Context) -> None:
     for grid in grids:
         if grid.z_norm.shape != z0.shape or np.any(grid.z_norm != z0):
             raise ValidationError("all cases must share the same grid")
-    fractions = ctx.config.observation_fractions
+    # on a coarse grid two fractions can snap to one station
+    fractions = _OBSERVATION_FRACTIONS
     stations = [int(np.argmin(np.abs(z0 - f))) for f in fractions]
     for i, station in enumerate(stations):
         if station in stations[:i]:
             first = fractions[stations.index(station)]
             raise ValidationError(
-                f"'observation_fractions' {first!r} and {fractions[i]!r} "
+                f"observation fractions {first!r} and {fractions[i]!r} "
                 f"both snap to station {station}")
     ctx.obs_stations = np.array(stations, dtype=int)
     ctx.obs_rows = sensor_dof_rows(ctx.obs_stations, z0.size)
@@ -234,7 +230,7 @@ def _stage_estimate(ctx: _Context) -> None:
     fusion = {"steps": 0, "regularized": 0}
     rom = {"steps": 0, "extrapolated_low": 0, "extrapolated_high": 0}
     lo, hi = ctx.rom.u_range
-    tip_rows = np.arange(1, 4) * z.size - 1  # the tip's ux, uy, uz
+    tip_rows = sensor_dof_rows([z.size - 1], z.size)  # the tip's ux, uy, uz
     for idx in range(len(ctx.evaluation)):
         case_id, e = ctx.evaluation.pop(0)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
@@ -347,6 +343,9 @@ def _stage_torsion(ctx: _Context) -> None:
                {"fit_r_squared": r2,
                 "evaluation": eval_summary})
 
+
+#: z/L_b of the scored stations; load snaps each to its nearest grid station.
+_OBSERVATION_FRACTIONS = (0.44, 0.68, 0.88)
 
 #: Azimuth sectors of the report's azimuthal figure: 5-degree bins.
 _N_SECTORS = 72

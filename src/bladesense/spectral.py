@@ -33,7 +33,8 @@ def psd(signal, f_s: float,
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size < 2:
-        raise ValidationError("signal must be a 1-D series")
+        raise ValidationError("signal must be a 1-D series of at least 2 "
+                              f"samples, got shape {x.shape}")
     if not (f_s > 0 and f_1p > 0):
         raise ValidationError("f_s and f_1p must be positive")
 

@@ -2,8 +2,8 @@
 
 The generator replaces a high-fidelity aeroelastic stack for verification
 purposes. Reduced coordinates follow a prescribed azimuthal mean (truncated
-Fourier series in theta), an AR(1) fluctuation, and optional per-revolution
-harmonic content; the full field is built from orthonormal root-clamped
+Fourier series in theta, which also carries the per-revolution tones) and
+an AR(1) fluctuation; the full field is built from orthonormal root-clamped
 mode shapes (a monomial family and a blade-like family with localized
 features). Rotor speed is frozen per case so the ground truth stays
 closed-form, and the wind channel is synthesized as u_mean * (1 + TI *
@@ -55,7 +55,6 @@ class SyntheticCaseSpec:
     azimuthal_mean: np.ndarray   # (N_true, 1 + 2*K), K <= 6
     ar_rho: np.ndarray           # (N_true,), each in [0, 1)
     ar_sigma: np.ndarray         # (N_true,), innovation std
-    harmonic_amplitudes: np.ndarray | None = None  # (N_true, 3) for 1P/2P/3P
     noise_sigma: float = 0.0
     torsion: TorsionTwin | None = None
 
@@ -66,10 +65,6 @@ class SyntheticCaseSpec:
             np.asarray(self.azimuthal_mean, dtype=float))
         self.ar_rho = np.asarray(self.ar_rho, dtype=float)
         self.ar_sigma = np.asarray(self.ar_sigma, dtype=float)
-        if self.harmonic_amplitudes is None:
-            self.harmonic_amplitudes = np.zeros((self.n_true, 3))
-        self.harmonic_amplitudes = np.atleast_2d(
-            np.asarray(self.harmonic_amplitudes, dtype=float))
 
         ConditionKey(self.u_mean, self.ti, 0)  # its rule for u_mean and ti
         n_dof = self.grid.n_dof
@@ -91,8 +86,6 @@ class SyntheticCaseSpec:
             raise ValidationError("AR coefficients must lie in [0, 1)")
         if np.any(self.ar_sigma < 0) or self.noise_sigma < 0:
             raise ValidationError("standard deviations must be non-negative")
-        if self.harmonic_amplitudes.shape != (self.n_true, 3):
-            raise ValidationError("harmonic amplitudes must be (N_true, 3)")
         if not (self.omega > 0 and self.duration_s > 0 and self.f_s > 0):
             raise ValidationError("omega, duration_s and f_s must be positive")
         if self.n_t < 2:
@@ -198,11 +191,6 @@ def generate_case(spec: SyntheticCaseSpec, seed: int, out_dir) -> Path:
     a_true = spec.azimuthal_mean @ fourier_design(theta, n_harmonics).T
     for n in range(spec.n_true):
         a_true[n] += _ar1(spec.ar_rho[n], spec.ar_sigma[n], n_t, rng)
-        for h in (1, 2, 3):
-            amp = spec.harmonic_amplitudes[n, h - 1]
-            if amp != 0.0:
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                a_true[n] += amp * np.cos(h * spec.omega * t + phase)
 
     D = spec.mean_field[:, None] + spec.true_modes @ a_true
     if spec.noise_sigma > 0.0:
@@ -230,14 +218,14 @@ def demo_grid(n_z: int = 12, length_m: float = 117.0) -> BladeGrid:
 
 def demo_spec(name: str, u_mean: float, ti: float, grid: BladeGrid | None = None,
               duration_s: float = 25.0, f_s: float = 160.0,
-              noise_sigma: float = 0.0,
-              with_torsion: bool = True) -> SyntheticCaseSpec:
+              noise_sigma: float = 0.0) -> SyntheticCaseSpec:
     """A four-mode blade-like case whose loading scales with wind speed.
 
     Mode 1 carries the wind-speed-dependent steady loading plus a strong 1P
     line, mode 2 a gravity-style pure 1P sine, mode 3 a sharper feature with
-    2P/3P content, mode 4 a small 2P; AR(1) fluctuations sit on top. Used by
-    the CLI quickstart and by most tests.
+    2P/3P content, mode 4 a small 2P; AR(1) fluctuations sit on top, and
+    the torsion field couples to all four. Used by the CLI quickstart and by
+    most tests.
     """
     grid = grid or demo_grid()
     modes = blade_demo_modes(grid)
@@ -252,20 +240,16 @@ def demo_spec(name: str, u_mean: float, ti: float, grid: BladeGrid | None = None
     ar_sigma = np.array([0.12, 0.08, 0.05, 0.03])
     mean_field = np.zeros(grid.n_dof)
     mean_field[grid.n_z:2 * grid.n_z] = -0.2 * grid.z_norm  # steady droop
-    torsion = None
-    if with_torsion:
-        all_modes = orthonormal_polynomial_modes(grid, 6)
-        tau_modes = all_modes[:, [4, 5, 0, 1, 2]][:, :5]
-        coupling = np.array([
-            [0.50, 0.10, 0.00, 0.02],
-            [0.05, 0.40, 0.08, 0.00],
-            [0.00, 0.06, 0.30, 0.05],
-            [0.02, 0.00, 0.04, 0.25],
-            [0.01, 0.02, 0.02, 0.10],
-        ])
-        torsion = TorsionTwin(modes=tau_modes,
-                              mean_field=np.zeros(grid.n_dof),
-                              coupling=coupling)
+    tau_modes = orthonormal_polynomial_modes(grid, 6)[:, [4, 5, 0, 1, 2]]
+    coupling = np.array([
+        [0.50, 0.10, 0.00, 0.02],
+        [0.05, 0.40, 0.08, 0.00],
+        [0.00, 0.06, 0.30, 0.05],
+        [0.02, 0.00, 0.04, 0.25],
+        [0.01, 0.02, 0.02, 0.10],
+    ])
+    torsion = TorsionTwin(modes=tau_modes, mean_field=np.zeros(grid.n_dof),
+                          coupling=coupling)
     return SyntheticCaseSpec(
         name=name, grid=grid, u_mean=u_mean, ti=ti,
         omega=0.83 * load + 0.2, duration_s=duration_s, f_s=f_s,

@@ -32,7 +32,7 @@ def _pass(num: int, label: str) -> None:
 
 def _spec(name, grid, *, u_mean=10.0, ti=0.10, omega=1.0, duration_s=40.0,
           f_s=80.0, azimuthal_mean=None, ar_rho=0.9, ar_sigma=0.0,
-          harmonics=None, noise_sigma=0.0, torsion=None, n_modes=4):
+          noise_sigma=0.0, torsion=None, n_modes=4):
     modes = orthonormal_polynomial_modes(grid, n_modes)
     if azimuthal_mean is None:
         azimuthal_mean = np.zeros((n_modes, 7))
@@ -43,8 +43,7 @@ def _spec(name, grid, *, u_mean=10.0, ti=0.10, omega=1.0, duration_s=40.0,
         azimuthal_mean=azimuthal_mean,
         ar_rho=np.full(n_modes, ar_rho),
         ar_sigma=np.full(n_modes, ar_sigma),
-        harmonic_amplitudes=harmonics, noise_sigma=noise_sigma,
-        torsion=torsion,
+        noise_sigma=noise_sigma, torsion=torsion,
     )
 
 
@@ -229,13 +228,10 @@ def test_criterion_06_sensor_placement_quality():
 
 def test_criterion_07_spectral_signature(tmp_path):
     grid = demo_grid(n_z=8)
-    harmonics = np.array([
-        [2.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.5],
-        [0.0, 0.0, 0.0],
-    ])
-    spec = _spec("tones", grid, harmonics=harmonics, ar_sigma=0.0,
+    # 1P on mode 1, 2P on mode 2 and 3P on mode 3, as cosines in theta
+    tones = np.zeros((4, 7))
+    tones[0, 1], tones[1, 3], tones[2, 5] = 2.0, 1.0, 0.5
+    spec = _spec("tones", grid, azimuthal_mean=tones, ar_sigma=0.0,
                  duration_s=240.0, f_s=40.0, omega=1.0)
     manifest = generate_case(spec, 2, tmp_path)
     _, ens = load_case(manifest)

@@ -522,21 +522,23 @@ class TestFailureModes:
             run_pipeline(config, plan="pipeline")
         assert (tmp_path / "o" / "FAILED").exists()
 
-    def test_fractions_on_one_station_fail_at_load(self, twin, tmp_path,
-                                                   capsys):
-        # on the 8-station grid 0.44 and 0.45 both snap to station 3, whose
-        # columns the tables would then carry twice
-        pipeline_cfg, _ = twin
-        doc = json.loads(pipeline_cfg.read_text())
-        doc["observation_fractions"] = [0.44, 0.45, 0.88]
-        cfg = pipeline_cfg.parent / f"snap_{tmp_path.name}.json"
-        cfg.write_text(json.dumps(doc))
+    def test_fractions_on_one_station_fail_at_load(self, tmp_path, capsys):
+        # on a 3-station grid the observation fractions 0.44 and 0.68 both
+        # snap to station 1, whose columns the tables would then carry twice
+        doc = json.loads(json.dumps(SYNTH_CONFIG))
+        doc["grid"]["n_z"] = 3
+        (tmp_path / "synth.json").write_text(json.dumps(doc))
+        cases = tmp_path / "cases"
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--out", str(cases)]) == 0
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["pipeline", "--config",
+                     str(cases / "pipeline_config.json"),
+                     "--out", str(out)]) == 2
         err, marker = capsys.readouterr().err, (out / "FAILED").read_text()
         assert "stage: load" in marker
-        for part in ("0.44", "0.45", "station 3"):
+        for part in ("0.44", "0.68", "station 1"):
             assert part in marker and part in err, part
         assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
 
@@ -630,6 +632,37 @@ class TestFailureModes:
         cases = tmp_path / "cases"
         assert main(["fit-rom", "--config", str(cases / "pipeline_config.json"),
                      "--out", str(tmp_path / "fit-rom")]) == 0
+
+    def test_one_step_evaluation_case_fails_at_load(self, twin, tmp_path,
+                                                    capsys):
+        # the report's spectra need two samples: a shorter evaluation case
+        # is rejected before any stage writes a file
+        def cut(n_t):
+            def damage(cases):
+                _, e = load_case(cases / "ev_s5.json")
+                short = dataset.SnapshotEnsemble(
+                    grid=e.grid, D=e.D[:, :n_t], condition=e.condition,
+                    f_s=e.f_s, **{c: getattr(e, c)[:n_t] for c in
+                                  ("t", "theta", "omega", "u_raw", "u_filt")})
+                tau = np.load(cases / "ev_s5_torsion.npy")[:, :n_t]
+                dataset.save_case(short, cases, "ev_s5", tau=tau)
+            return damage
+
+        capsys.readouterr()
+        code, marker = self._failed_load(twin, tmp_path / "one", cut(1))
+        assert code == 2
+        assert marker == ("stage: load\nerror: evaluation case 'ev_s5' has "
+                          "1 time step, fewer than 2\n")
+        assert "'ev_s5' has 1 time step" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "one" / "out").iterdir()
+                      ) == ["FAILED"]
+        # two steps run through every stage
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "two"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        cut(2)(cases)
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(cases / "out")]) == 0
 
     def test_non_finite_channel_fails_at_load(self, twin, tmp_path):
         def damage(cases):
@@ -1005,16 +1038,17 @@ class TestHistogramEdges:
             assert np.array_equal(table[:-1, 1], table[1:, 0]), path.name
             assert table[:, 2].sum() == table[:, 3].sum() == true.size
 
-    def test_constant_series_has_one_unit_bin(self, twin, tmp_path):
+    def test_constant_series_has_one_unit_bin(self, twin, tmp_path,
+                                              monkeypatch):
         # the blade root never moves: its uy and uz are zero in the truth
         # and in every estimate
         pipeline_cfg, _ = twin
-        doc = json.loads(pipeline_cfg.read_text())
-        doc["observation_fractions"] = [0.0, 0.44, 0.88]
-        cfg = pipeline_cfg.parent / f"root_{tmp_path.name}.json"
-        cfg.write_text(json.dumps(doc))
+        monkeypatch.setattr(bladesense.pipeline, "_OBSERVATION_FRACTIONS",
+                            (0.0, 0.44, 0.88))
         out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["pipeline", "--config", str(pipeline_cfg),
+                     "--out", str(out)]) == 0
+        doc = json.loads(pipeline_cfg.read_text())
         n_t = load_case(pipeline_cfg.parent / doc["evaluation"][0])[1].n_t
         for comp in ("uy", "uz"):
             table = np.loadtxt(out / f"hist_ev_s5_{comp}.csv", delimiter=",",
@@ -1430,12 +1464,6 @@ class TestConfigValidation:
         ("pipeline", lambda doc: [doc], "JSON object"),
         ("pipeline", lambda doc: {**doc, "n_modes": "abc"}, "'n_modes'"),
         ("pipeline", lambda doc: {**doc, "n_modes": 4.7}, "'n_modes'"),
-        ("pipeline", lambda doc: {**doc, "observation_fractions": 0.5},
-         "'observation_fractions'"),
-        ("pipeline", lambda doc: {**doc, "observation_fractions": [0.4, 1.2]},
-         "observation_fractions"),
-        ("pipeline", lambda doc: {**doc, "observation_fractions": [-0.1]},
-         "observation_fractions"),
         ("synth", _set.__func__("training", "u_mean", "abc"),
          "'training[0].u_mean'"),
         ("synth", lambda doc: {**doc, "training": [doc["training"][0], {
@@ -1445,8 +1473,6 @@ class TestConfigValidation:
         ("synth", lambda doc: {**doc, "grid": {"n_z": "x"}}, "'grid.n_z'"),
         ("synth", lambda doc: {**doc, "training": {}}, "'training'"),
         ("pipeline", lambda doc: {**doc, "training": 5}, "'training'"),
-        ("pipeline", lambda doc: {**doc, "observation_fractions": []},
-         "'observation_fractions'"),
         ("pipeline", lambda doc: {**doc, "seed": -1}, "'seed'"),
         ("pipeline", lambda doc: {**doc, "n_fourier": -1}, "'n_fourier'"),
         ("pipeline", lambda doc: {**doc, "n_theta": 0}, "'n_theta'"),
@@ -1473,14 +1499,14 @@ class TestConfigValidation:
         ("synth", _block.__func__(n_modes=0), "'n_modes'"),
         ("synth", _block.__func__(n_modes=13), "'n_modes'"),
         ("synth", _block.__func__(seed=-1), "'seed'"),
-        ("synth", _block.__func__(observation_fractions=[0.4, 1.2]),
-         "'observation_fractions'"),
         ("synth", _block.__func__(evaluation=[]), "'evaluation'"),
         # options that are gone are unknown keys
         ("pipeline", lambda doc: {**doc, "lnm_frequencies": [1.0, 2.0]},
          "'lnm_frequencies'"),
         ("synth", _block.__func__(lnm_frequencies=[1.0, 2.0]),
          "['lnm_frequencies'] in 'pipeline'"),
+        ("synth", _block.__func__(observation_fractions=[0.44, 0.68, 0.88]),
+         "['observation_fractions'] in 'pipeline'"),
         # two entries that write one case file: the later would overwrite it
         ("synth", lambda doc: {**doc, "evaluation": [{
             **doc["evaluation"][0], "name": "tr_b", "seeds": [0]}]},
@@ -1506,20 +1532,20 @@ class TestConfigValidation:
          "'evaluation' names a case twice: ['ev_s5', 'ev_s5']"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
-            "n_modes-fraction", "fractions-scalar", "fraction-above-1",
-            "fraction-below-0", "synth-u_mean-text",
+            "n_modes-fraction", "synth-u_mean-text",
             "synth-second-case-u_mean-text", "synth-seeds-scalar",
             "synth-n_z-text", "synth-training-object", "training-scalar",
-            "fractions-empty", "seed-negative", "n_fourier-negative",
+            "seed-negative", "n_fourier-negative",
             "n_theta-zero", "n_sensors-zero", "noise-bool",
             "noise-per_sensor-scalar", "noise-negative", "synth-ti-above-1",
             "synth-u_mean-zero", "synth-second-case-ti-above-1",
             "synth-second-case-too-short",
             "synth-seed-negative", "synth-noise-text", "synth-n_modes-text",
             "synth-n_modes-zero", "synth-n_modes-above-3-sensors",
-            "synth-pipeline-seed-negative", "synth-fraction-above-1",
+            "synth-pipeline-seed-negative",
             "synth-pipeline-evaluation-empty", "lnm_frequencies",
-            "synth-lnm_frequencies", "synth-case-in-both-groups",
+            "synth-lnm_frequencies", "synth-observation_fractions",
+            "synth-case-in-both-groups",
             "synth-case-twice-in-training", "synth-seed-listed-twice",
             "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
             "synth-name-empty", "synth-name-dot", "synth-name-dot-dot",
@@ -1599,6 +1625,8 @@ class TestConfigValidation:
         ("n_sensor", 3),  # misspelt n_sensors
         ("n_theta", 72),  # the azimuthal figure's sectors are fixed
         ("n_fourier", 6),  # the prior's Fourier order is fixed
+        # the scored stations are fixed
+        ("observation_fractions", [0.44, 0.68, 0.88]),
         # the noise is one sigma, not per-sensor matrices
         ("noise", {"per_sensor": [np.eye(3).tolist()] * 4}),
     ])

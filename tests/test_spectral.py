@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import savgol_filter, welch
@@ -73,6 +75,12 @@ class TestPsd:
     def test_bad_input_rejected(self, signal, f_s, f_1p):
         with pytest.raises(ValidationError):
             psd(signal, f_s, f_1p)
+
+    @pytest.mark.parametrize("signal", [np.zeros(1), np.zeros((2, 8))])
+    def test_short_or_2d_signal_message_gives_its_shape(self, signal):
+        message = f"at least 2 samples, got shape {signal.shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            psd(signal, 10.0, 1.0)
 
 
 class TestPsdOracle:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,11 +45,9 @@ class TestGenerateCase:
 
     def test_deterministic_limit_is_pure_azimuthal_field(self, tmp_path):
         grid = demo_grid(n_z=6)
-        spec = demo_spec("pure", 10.0, 0.1, grid=grid, duration_s=3.0,
-                         f_s=40.0, with_torsion=False)
-        spec.ar_sigma = np.zeros(4)
-        spec.harmonic_amplitudes = np.zeros((4, 3))
-        spec.noise_sigma = 0.0
+        spec = dataclasses.replace(
+            demo_spec("pure", 10.0, 0.1, grid=grid, duration_s=3.0, f_s=40.0),
+            torsion=None, ar_sigma=np.zeros(4), noise_sigma=0.0)
         manifest = generate_case(spec, 0, tmp_path)
         _, ens = load_case(manifest)
         # demo_spec's mean tables hold c0 and three harmonics
@@ -56,17 +56,20 @@ class TestGenerateCase:
         assert np.allclose(ens.D, expected, atol=1e-12)
 
     def test_theta_kinematics(self, tmp_path):
-        spec = demo_spec("kin", 10.0, 0.1, grid=demo_grid(n_z=6),
-                         duration_s=4.0, f_s=40.0, with_torsion=False)
+        spec = dataclasses.replace(
+            demo_spec("kin", 10.0, 0.1, grid=demo_grid(n_z=6),
+                      duration_s=4.0, f_s=40.0), torsion=None)
         manifest = generate_case(spec, 0, tmp_path)
         _, ens = load_case(manifest)
         expected = np.mod(spec.omega * ens.t, TWO_PI)
         assert np.allclose(ens.theta, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("with_torsion", [True, False])
-    def test_written_files_conform_to_schema(self, tmp_path, with_torsion):
+    @pytest.mark.parametrize("torsion", [True, False])
+    def test_written_files_conform_to_schema(self, tmp_path, torsion):
         spec = demo_spec("schema", 10.0, 0.1, grid=demo_grid(n_z=6),
-                         duration_s=2.0, f_s=40.0, with_torsion=with_torsion)
+                         duration_s=2.0, f_s=40.0)
+        if not torsion:
+            spec = dataclasses.replace(spec, torsion=None)
         manifest = generate_case(spec, 0, tmp_path)
         grid, ens = load_case(manifest)
         assert grid.n_z == 6
@@ -74,7 +77,7 @@ class TestGenerateCase:
         # exactly the case files save_case writes, nothing beside them
         expected = {"schema.json", "schema_grid.csv", "schema_channels.csv",
                     "schema_displacement.npy"}
-        if with_torsion:
+        if torsion:
             expected.add("schema_torsion.npy")
         assert {p.name for p in tmp_path.iterdir()} == expected
 
