@@ -12,8 +12,12 @@ Several cases are pooled in time in one pass, without stacking them: each
 case is centered on its own mean and folded into a running triangular QR
 factor in time blocks of a few times the field's width (a streaming
 tall-skinny QR), then one row per case folds in the difference between
-its mean and the pooled one. The SVD runs on the final factor, so the
-working memory grows with the grid, not with a case or the training set.
+its mean and the pooled one. Each fold is one LAPACK Householder QR run
+in place in a single (n_dof + 4*n_dof) x n_dof buffer, the factor kept in
+its leading rows; the factor is copied out for the SVD and the buffer
+released, so the working memory grows with the grid, not with a case or
+the training set. Projection takes at most 4*n_dof snapshots at a
+time, so its working memory is one block.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .dataset import BladeGrid, SnapshotEnsemble, _write_csv
 from .errors import ValidationError
@@ -111,6 +116,34 @@ class ModalBasis:
             raise ValidationError("mode columns are not orthonormal under inner()")
 
 
+def _fold(buf: np.ndarray, m: int) -> int:
+    """QR-factor the leading m rows of buf in place; return R's row count k.
+
+    buf is an F-contiguous float64 (lda, n) array. LAPACK ``dgeqrf`` (the
+    routine, blocking and workspace query of ``np.linalg.qr``, without its
+    copies) leaves R in the upper triangle of the leading k = min(m, n)
+    rows; their Householder vectors below it are zeroed. ``lapack_lite``
+    checks neither m nor lda against the array, hence the guards.
+    """
+    if (buf.ndim != 2 or buf.dtype != np.float64
+            or not buf.flags.f_contiguous):
+        raise ValueError("fold buffer must be a 2-D F-contiguous float64 array")
+    lda, n = buf.shape
+    if not 1 <= m <= lda:
+        raise ValueError(f"fold rows must be in [1, {lda}], got {m}")
+    k = min(m, n)
+    tau = np.empty(k)
+    work = np.empty(1)
+    # buf.T is the C-contiguous (n, lda) view lapack_lite accepts
+    lapack_lite.dgeqrf(m, n, buf.T, lda, tau, work, -1, 0)
+    lwork = max(1, n, int(work[0]))
+    work = np.empty(lwork)
+    if lapack_lite.dgeqrf(m, n, buf.T, lda, tau, work, lwork, 0)["info"]:
+        raise np.linalg.LinAlgError("dgeqrf failed on a POD fold")
+    buf[:k][np.tri(k, n, -1, dtype=bool)] = 0.0
+    return k
+
+
 def pod_fit(ensembles, n_modes: int) -> ModalBasis:
     """Fit a POD basis to one snapshot ensemble or several, pooled in time.
 
@@ -122,9 +155,11 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
         is read once, so a generator may load each case as it is needed
         and drop it after. Each case, centered on its own mean, is folded
         in blocks of 4*3*n_z snapshots; with two cases or more, one row
-        per case then adds its mean's offset from the pooled mean. No case
-        is stacked or copied whole: the working memory is a few blocks of
-        the grid's size, not a case.
+        per case then adds its mean's offset from the pooled mean. Each
+        fold runs in place in one (3*n_z + 4*3*n_z) x 3*n_z buffer, and
+        the triangular factor is copied out of it for the SVD. No case is
+        stacked or copied whole: the working memory is that buffer, not a
+        case.
     n_modes : int
         Truncation order N, with 1 <= N <= min(3*n_z, sum of n_t_i).
 
@@ -144,11 +179,11 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
             grid = e.grid
             n_dof = grid.n_dof
             sqrt_w = np.sqrt(dof_weights(grid))
-            # rows of the weighted, centered snapshots folded per QR; the
-            # buffer is in Fortran order, which qr copies without strides
+            # rows of the weighted, centered snapshots folded per QR,
+            # written under the r rows of R
             block = 4 * n_dof
             buf = np.empty((n_dof, n_dof + block)).T
-            R = buf[:0]
+            r = 0
         elif (e.grid.z_norm.shape != grid.z_norm.shape
                 or np.any(e.grid.z_norm != grid.z_norm)):
             raise ValidationError("all ensembles must share one grid")
@@ -164,12 +199,10 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
         # is the R of all rows so far (a streaming TSQR)
         for start in range(0, e.n_t, block):
             cols = e.D[:, start:start + block]
-            r = R.shape[0]
-            rows = buf[:r + cols.shape[1]]
-            rows[:r] = R
-            np.subtract(cols.T, mean_i, out=rows[r:])
-            rows[r:] *= sqrt_w
-            R = np.linalg.qr(rows, mode="r")
+            rows = buf[r:r + cols.shape[1]]
+            np.subtract(cols.T, mean_i, out=rows)
+            rows *= sqrt_w
+            r = _fold(buf, r + cols.shape[1])
     if grid is None:
         raise ValidationError("pod_fit needs at least one ensemble")
     n_t = sum(counts)
@@ -187,7 +220,12 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
         # case gets none: even a zero row reshapes a trapezoidal R
         shift = np.sqrt(counts)[:, None] * sqrt_w * (
             np.array(sums) / np.array(counts)[:, None] - mean_field)
-        R = np.linalg.qr(np.vstack([R, shift]), mode="r")
+        for start in range(0, len(counts), block):
+            rows = shift[start:start + block]
+            buf[r:r + rows.shape[0]] = rows
+            r = _fold(buf, r + rows.shape[0])
+    R = buf[:r].copy()
+    del buf
     U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     energies_all = s**2 / n_t
     modes = _fix_signs(U[:, :n_modes] / sqrt_w[:, None])
@@ -205,7 +243,9 @@ def project(fields, basis: ModalBasis) -> np.ndarray:
     """Reduced coordinates: a_n = inner(field - mean_field, phi_n).
 
     Accepts a single field (3*n_z,) or a matrix of column fields
-    (3*n_z, n_t); the result has matching shape (N,) or (N, n_t).
+    (3*n_z, n_t); the result has matching shape (N,) or (N, n_t). The
+    columns are taken in blocks of at most 4*3*n_z, so the working memory
+    is one block, not the matrix.
     """
     fields = np.asarray(fields, dtype=float)
     single = fields.ndim == 1
@@ -214,8 +254,15 @@ def project(fields, basis: ModalBasis) -> np.ndarray:
         raise ValidationError(
             f"field must have {basis.grid.n_dof} rows, got {cols.shape[0]}"
         )
-    w = dof_weights(basis.grid)
-    a = basis.modes.T @ ((cols - basis.mean_field[:, None]) * w[:, None])
+    w = dof_weights(basis.grid)[:, None]
+    mean = basis.mean_field[:, None]
+    a = np.empty((basis.n_modes, cols.shape[1]))
+    # near-equal blocks of at most 4*n_dof columns: none is a lone column
+    # unless the matrix is, since matmul's one-column path rounds otherwise
+    n_blocks = max(1, -(-cols.shape[1] // (4 * basis.grid.n_dof)))
+    for out, part in zip(np.array_split(a, n_blocks, axis=1),
+                         np.array_split(cols, n_blocks, axis=1)):
+        out[...] = basis.modes.T @ ((part - mean) * w)
     return a[:, 0] if single else a
 
 

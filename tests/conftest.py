@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,17 @@ def savetxt_writer(path, names, data, fmt=dataset._FLOAT_FMT):
     ``%`` to each row."""
     np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(names),
                comments="")
+
+
+def traced_peak(fn, *args):
+    """Run ``fn(*args)`` under tracemalloc; return its result and the
+    peak of traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_spd(rng, n, scale=1.0):

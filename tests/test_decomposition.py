@@ -1,15 +1,13 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, inner,
                         pod_fit, project)
-from bladesense.decomposition import _fix_signs, dof_weights
+from bladesense.decomposition import _fix_signs, _fold, dof_weights
 from bladesense.errors import ValidationError
 from bladesense.synthetic import orthonormal_polynomial_modes
 
-from conftest import align_sign, dense_pod_oracle
+from conftest import align_sign, dense_pod_oracle, traced_peak
 
 
 def _ensemble(grid, D, f_s=20.0):
@@ -268,12 +266,7 @@ class TestStreamingPod:
         cases = _cases(grid, (400,) * 8, seed=5)
         pooled_bytes = sum(e.D.nbytes for e in cases)
         pod_fit(cases[:1], 4)  # warm up first-call allocations
-        tracemalloc.start()
-        try:
-            pod_fit(cases, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(pod_fit, cases, 4)
         assert peak < pooled_bytes
 
     def test_working_memory_does_not_grow_with_case_length(self):
@@ -283,12 +276,7 @@ class TestStreamingPod:
         grid = BladeGrid(z_norm=np.linspace(0.0, 1.0, 10), length_m=100.0)
         case = _cases(grid, (40 * grid.n_dof,), seed=6)[0]
         pod_fit(_cases(grid, (50,))[0], 4)  # warm up first-call allocations
-        tracemalloc.start()
-        try:
-            basis = pod_fit(case, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        basis, peak = traced_peak(pod_fit, case, 4)
         assert peak < case.D.nbytes
         mean, modes, energies, total = _former_pod_fit(case, 4)
         assert np.array_equal(basis.mean_field, mean)
@@ -296,6 +284,63 @@ class TestStreamingPod:
         assert basis.total_energy == pytest.approx(total, rel=1e-12)
         assert np.abs(basis.modes - modes).max() <= \
             1e-12 * np.abs(modes).max()
+
+    @pytest.mark.parametrize("n_z", [40, 96])
+    def test_peak_is_the_fold_buffer(self, n_z):
+        # each fold runs in place, so the peak is the (n_dof + 4 n_dof) x
+        # n_dof buffer plus the copy of R and the SVD's arrays; one copy of
+        # the buffer per fold would pass 2 buffers
+        grid = BladeGrid(z_norm=np.linspace(0.0, 1.0, n_z), length_m=100.0)
+        cases = _cases(grid, (2000,) * 4, seed=7)
+        pod_fit(cases[:1], 4)  # warm up first-call allocations
+        _, peak = traced_peak(pod_fit, cases, 4)
+        assert peak < 1.5 * grid.n_dof * 5 * grid.n_dof * 8
+
+    def test_more_cases_than_spare_buffer_rows(self):
+        # n_dof = 9: 50 per-case shift rows fold in chunks of 4 n_dof = 36
+        grid = BladeGrid(z_norm=np.linspace(0.0, 1.0, 3), length_m=100.0)
+        self._assert_matches_stacked(_cases(grid, (3,) * 50, seed=8), 4)
+
+
+class TestFold:
+    """_fold runs LAPACK dgeqrf in place; its R equals np.linalg.qr's."""
+
+    @pytest.mark.parametrize("m, lda", [(50, None), (18, None), (7, None),
+                                        (50, 90), (7, 90)])
+    def test_r_is_bit_identical_to_qr(self, m, lda):
+        # tall, square and wide (trapezoidal R), then leading slices of a
+        # buffer with spare rows
+        rows = np.random.default_rng(m).standard_normal((m, 18))
+        buf = np.empty((18, lda or m)).T
+        buf[:m] = rows
+        k = _fold(buf, m)
+        assert k == min(m, 18)
+        assert buf[:k].tobytes() == np.linalg.qr(rows, mode="r").tobytes()
+
+    def test_chain_leaves_r_in_place(self):
+        rng = np.random.default_rng(9)
+        buf = np.empty((18, 18 + 30)).T
+        R, r = np.empty((0, 18)), 0
+        for b in (30, 5, 12):
+            block = rng.standard_normal((b, 18))
+            buf[r:r + b] = block
+            r = _fold(buf, r + b)
+            R = np.linalg.qr(np.vstack([R, block]), mode="r")
+            assert buf[:r].tobytes() == R.tobytes()
+
+    @pytest.mark.parametrize("buf, m, match", [
+        (np.ones(40), 1, "2-D"),
+        (np.ones((20, 18)), 7, "F-contiguous"),
+        (np.ones((18, 40)).T[::2], 7, "F-contiguous"),
+        (np.ones((18, 20), dtype=np.float32).T, 7, "float64"),
+        (np.ones((18, 20)).T, 0, r"\[1, 20\]"),
+        (np.ones((18, 20)).T, 21, r"\[1, 20\]"),
+    ])
+    def test_rejects_a_bad_buffer_untouched(self, buf, m, match):
+        before = buf.copy()
+        with pytest.raises(ValueError, match=match):
+            _fold(buf, m)
+        assert np.array_equal(buf, before)
 
 
 class TestProjectReconstruct:
@@ -334,6 +379,23 @@ class TestProjectReconstruct:
         for k in range(5):
             assert np.allclose(a[:, k], project(fields[:, k], basis),
                                rtol=0.0, atol=1e-12)
+
+    def test_blocks_equal_the_whole_matrix_form(self, basis):
+        # n_dof = 18, so blocks of at most 72 columns; no lone last column
+        rng = np.random.default_rng(32)
+        w = dof_weights(basis.grid)[:, None]
+        for n_t in (0, 1, 2, 72, 73, 145, 1000):
+            fields = rng.standard_normal((basis.grid.n_dof, n_t))
+            whole = basis.modes.T @ ((fields - basis.mean_field[:, None]) * w)
+            assert project(fields, basis).tobytes() == whole.tobytes()
+
+    def test_working_memory_is_one_block(self):
+        grid = BladeGrid(z_norm=np.linspace(0.0, 1.0, 40), length_m=100.0)
+        basis = pod_fit(_cases(grid, (200,))[0], 4)
+        D = _cases(grid, (40 * grid.n_dof,), seed=10)[0].D
+        project(D[:, :10], basis)  # warm up first-call allocations
+        _, peak = traced_peak(project, D, basis)
+        assert peak < D.nbytes / 2
 
     def test_length_mismatch(self, basis):
         with pytest.raises(ValidationError):

@@ -3,7 +3,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -21,7 +20,7 @@ from bladesense.pipeline import PipelineConfig, run_pipeline
 from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
 
-from conftest import DAMAGE, damage_case, savetxt_writer
+from conftest import DAMAGE, damage_case, savetxt_writer, traced_peak
 
 SYNTH_CONFIG = {
     "grid": {"n_z": 8, "L_b": 100.0},
@@ -956,12 +955,7 @@ class TestEvaluationRelease:
         peaks = []
 
         def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
-            tracemalloc.start()
-            try:
-                _stage(ctx)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(_stage, ctx)[1])
 
         monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
         run_pipeline(config, plan="pipeline")
