@@ -5,7 +5,7 @@ A least-squares fit over every training sample gives the mean
 
     a(theta, u) = sum_k (alpha_k + beta_k (u - u_ref)) f_k(theta)
 
-with f_k the truncated Fourier regressors of :func:`fourier_design`, u the
+with f_k the Fourier regressors of :func:`fourier_design` to n_F = 6, u the
 filtered wind speed ``u_filt`` (in training as at run time) and u_ref its
 mean over the training samples. Beyond the trained speeds the mean
 extrapolates linearly in u. The prior covariance is one (N, N) matrix, the
@@ -27,8 +27,8 @@ from .dataset import read_json, wrap_angle, write_json
 from .errors import ValidationError
 from .fusion import GaussianReduced, _all_finite
 
-#: Fourier truncation order of the mean tables.
-DEFAULT_N_FOURIER = 6
+#: Fourier truncation order n_F of the mean tables; fixed.
+N_FOURIER = 6
 
 
 def fourier_design(theta, n_fourier: int) -> np.ndarray:
@@ -50,12 +50,11 @@ class AzimuthalRomModel:
     speed; the (N, N) ``covariance``; and ``conditions``, the nominal
     ``{"u_mean", "ti"}`` of each training case, kept as a record only.
 
-    The constructor checks the tables finite and of one shape and the
+    The constructor checks the tables finite and (N, 13) and the
     covariance PSD; ``covariance`` is then the checked matrix, read-only,
     which :func:`evaluate_rom` shares with every Gaussian it returns.
     """
 
-    n_fourier: int
     u_ref: float
     u_range: tuple
     mean_coeffs: np.ndarray
@@ -67,7 +66,7 @@ class AzimuthalRomModel:
         self.mean_coeffs = np.asarray(self.mean_coeffs, dtype=float)
         self.slope_coeffs = np.asarray(self.slope_coeffs, dtype=float)
         n_modes = self.mean_coeffs.shape[0] if self.mean_coeffs.ndim else 0
-        shape = (n_modes, 1 + 2 * self.n_fourier)
+        shape = (n_modes, 1 + 2 * N_FOURIER)
         for name in ("mean_coeffs", "slope_coeffs"):
             table = getattr(self, name)
             if table.shape != shape or not n_modes:
@@ -93,14 +92,13 @@ class AzimuthalRomModel:
         return self.mean_coeffs.shape[0]
 
 
-def _design(theta, u, u_ref, n_fourier) -> np.ndarray:
+def _design(theta, u, u_ref) -> np.ndarray:
     """Regressors (f_k(theta), (u - u_ref) f_k(theta)), one row per sample."""
-    f = fourier_design(theta, n_fourier)
+    f = fourier_design(theta, N_FOURIER)
     return np.hstack([f, (u - u_ref)[:, None] * f])
 
 
-def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
-            conditions=()) -> AzimuthalRomModel:
+def fit_rom(cases, *, conditions=()) -> AzimuthalRomModel:
     """Fit the joint prior to training cases, each an ``(a, theta, u_filt)``
     triple: the reduced coordinates (N, n_t) and the azimuths and filtered
     wind speeds of their n_t steps. ``conditions`` is stored as the model's
@@ -129,29 +127,28 @@ def fit_rom(cases, n_fourier: int = DEFAULT_N_FOURIER,
                 f"with n_t of each")
     u_all = np.concatenate([u for _, _, u in cases])
     u_ref = float(u_all.mean())
-    designs = ((_design(theta, u, u_ref, n_fourier), a.T)
+    designs = ((_design(theta, u, u_ref), a.T)
                for a, theta, u in cases)
     sums = [(X.T @ X, X.T @ Y) for X, Y in designs]
     G, B = map(sum, zip(*sums))
-    n_coeff = 1 + 2 * n_fourier
+    n_coeff = 1 + 2 * N_FOURIER
     # the Fourier block alone: a varying wind's slope columns add rank
     # that the azimuths lack
     rank = np.linalg.matrix_rank(G[:n_coeff, :n_coeff])
     if rank < n_coeff:
         raise ValidationError(
             f"the training samples determine {rank} of the {n_coeff} "
-            f"regressors of n_F={n_fourier}; need more azimuths")
+            f"regressors of n_F={N_FOURIER}; need more azimuths")
     coeffs = np.linalg.lstsq(G, B, rcond=None)[0]
     second = np.zeros((n_modes, n_modes))
     for (a, theta, u), (G_i, B_i) in zip(cases, sums):
         fold = (coeffs if len(cases) == 1
                 else np.linalg.lstsq(G - G_i, B - B_i, rcond=None)[0])
-        error = a.T - _design(theta, u, u_ref, n_fourier) @ fold
+        error = a.T - _design(theta, u, u_ref) @ fold
         second += error.T @ error
     cov = second / u_all.size
     return AzimuthalRomModel(
-        n_fourier=n_fourier, u_ref=u_ref,
-        u_range=(float(u_all.min()), float(u_all.max())),
+        u_ref=u_ref, u_range=(float(u_all.min()), float(u_all.max())),
         mean_coeffs=np.ascontiguousarray(coeffs[:n_coeff].T),
         slope_coeffs=np.ascontiguousarray(coeffs[n_coeff:].T),
         covariance=0.5 * (cov + cov.T), conditions=list(conditions))
@@ -179,7 +176,7 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt,
         theta = wrap_angle(theta)
         # the regressors (f_k, (u - u_ref) f_k) against [alpha; beta]
         f = [1.0]
-        for k in range(1, model.n_fourier + 1):
+        for k in range(1, N_FOURIER + 1):
             f += (math.cos(k * theta), math.sin(k * theta))
         du = u - model.u_ref
         mean = np.dot(f + [du * v for v in f], model._stacked)
@@ -190,8 +187,7 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt,
             theta, u = np.broadcast_arrays(theta, u)
         if theta.ndim > 1:
             raise ValidationError("theta and u_filt must be scalars or 1-D arrays")
-        mean = _design(wrap_angle(theta), u, model.u_ref,
-                       model.n_fourier) @ model._stacked
+        mean = _design(wrap_angle(theta), u, model.u_ref) @ model._stacked
     _all_finite(mean)  # tables near the float limit can overflow
     return GaussianReduced.from_checked(mean, model.covariance)
 
@@ -199,7 +195,7 @@ def evaluate_rom(model: AzimuthalRomModel, theta, u_filt,
 def save_rom(model: AzimuthalRomModel, path) -> None:
     """Persist the model as a single JSON document."""
     write_json(path, {
-        "n_F": model.n_fourier,
+        "n_F": N_FOURIER,
         "u_ref": model.u_ref,
         "u_range": list(model.u_range),
         "mean_coeffs": model.mean_coeffs.tolist(),
@@ -219,11 +215,13 @@ _ROM = {"n_F": int, "u_ref": float, "u_range": [float],
 def load_rom(path) -> AzimuthalRomModel:
     doc = read_json(path, _ROM, tuple(_ROM), "ROM file")
     try:
+        if doc["n_F"] != N_FOURIER:
+            raise ValidationError(f"'n_F' must be {N_FOURIER}, got {doc['n_F']}")
         if len(doc["u_range"]) != 2:
             raise ValidationError("u_range must list the lowest and highest "
                                   "training speed")
         return AzimuthalRomModel(
-            n_fourier=doc["n_F"], u_ref=doc["u_ref"],
+            u_ref=doc["u_ref"],
             u_range=tuple(doc["u_range"]),
             mean_coeffs=np.asarray(doc["mean_coeffs"], dtype=float),
             slope_coeffs=np.asarray(doc["slope_coeffs"], dtype=float),

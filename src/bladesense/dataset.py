@@ -34,11 +34,11 @@ Every JSON document (manifests, configs, models, summaries) is read with
 :func:`read_json` and written with :func:`write_json`. A document is a JSON
 object whose keys each have a type: a whole number (``4.0`` but not
 ``4.7``), a finite number (not ``true``/``false``), text, an object, or a
-list of one of these. Invalid JSON, an unknown key, a missing required key
-or a wrong type is a :class:`SchemaError` naming the file and the key
-(exit code 2), a missing file a ``FileNotFoundError`` (exit code 2), and
-writing a non-finite number a :class:`NumericalError` naming the file
-(exit code 3).
+list of one of these. Invalid JSON, a key repeated in any object, an
+unknown key, a missing required key or a wrong type is a
+:class:`SchemaError` naming the file and the key (exit code 2), a
+missing file a ``FileNotFoundError`` (exit code 2), and writing a
+non-finite number a :class:`NumericalError` naming the file (exit code 3).
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .errors import NumericalError, SchemaError, ValidationError
 TWO_PI = 2.0 * np.pi
 
 #: Exponential smoothing factor of :func:`smooth_wind`, which gives the
-#: synthetic twin its filtered hub wind speed ``u_filt``.
-DEFAULT_SMOOTHING_ALPHA = 0.2
+#: synthetic twin its filtered hub wind speed ``u_filt``; fixed.
+SMOOTHING_ALPHA = 0.2
 
 #: Lossless: 18 significant digits round-trip every float64 bit-exactly.
 #: Use it for any table the program, or a later run, reads back.
@@ -158,6 +158,16 @@ def _checked(value, kind, path, where: str):
                       f"must be {expected}, got {value!r:.60}")
 
 
+def _unique_keys(pairs) -> dict:
+    """The object of ``pairs``; a key given twice is a ValueError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(path, schema: dict, required=(), what: str = "document") -> dict:
     """The JSON object in ``path`` (a ``what``), checked against ``schema``.
 
@@ -170,8 +180,9 @@ def read_json(path, schema: dict, required=(), what: str = "document") -> dict:
     if not path.exists():
         raise FileNotFoundError(f"missing {what}: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         object_pairs_hook=_unique_keys)
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, _unique_keys
         raise SchemaError(f"{path}: invalid JSON ({err})") from err
     return _checked(doc, (schema, required), path, "")
 
@@ -318,20 +329,17 @@ def _first_order(c: float, v: np.ndarray, y_prev: float) -> np.ndarray:
     return np.array(out)
 
 
-def smooth_wind(raw, alpha: float = DEFAULT_SMOOTHING_ALPHA) -> np.ndarray:
-    """Exponential smoothing: out[k] = alpha*raw[k] + (1-alpha)*out[k-1].
+def smooth_wind(raw) -> np.ndarray:
+    """Exponential smoothing out[k] = a*raw[k] + (1-a)*out[k-1], a = 0.2.
 
     The filter is seeded with out[0] = raw[0], so a constant series is a
     fixed point and there is no startup transient.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1], got {alpha!r}")
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValidationError("wind series must be 1-D and non-empty")
     # the first-order IIR filter, seeded with out[-1] = raw[0]
-    alpha = float(alpha)
-    return _first_order(1.0 - alpha, alpha * raw, raw[0])
+    return _first_order(1.0 - SMOOTHING_ALPHA, SMOOTHING_ALPHA * raw, raw[0])
 
 
 def azimuth_bin(theta, n_theta: int):

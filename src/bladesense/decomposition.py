@@ -85,7 +85,6 @@ class ModalBasis:
     mean_field : (3*n_z,) time-average of the ensemble
     modes : (3*n_z, N) columns orthonormal under :func:`inner`
     energies : (N,) non-increasing modal energies (m^2)
-    n_modes : truncation order N
     total_energy : total fluctuation energy of the source ensemble, used for
         cumulative-fraction reporting
     """
@@ -94,7 +93,6 @@ class ModalBasis:
     mean_field: np.ndarray
     modes: np.ndarray
     energies: np.ndarray
-    n_modes: int
     total_energy: float
 
     def __post_init__(self):
@@ -104,7 +102,7 @@ class ModalBasis:
         n_dof = self.grid.n_dof
         if self.mean_field.shape != (n_dof,):
             raise ValidationError("mean_field has wrong length")
-        if self.modes.shape != (n_dof, self.n_modes):
+        if self.modes.ndim != 2 or self.modes.shape[0] != n_dof:
             raise ValidationError("modes must be (3*n_z, N)")
         if self.energies.shape != (self.n_modes,):
             raise ValidationError("energies must have length N")
@@ -114,6 +112,11 @@ class ModalBasis:
         gram = self.modes.T @ (self.modes * w[:, None])
         if not np.allclose(gram, np.eye(self.n_modes), atol=_ORTHO_TOL):
             raise ValidationError("mode columns are not orthonormal under inner()")
+
+    @property
+    def n_modes(self) -> int:
+        """Truncation order N, the width of ``modes``."""
+        return self.modes.shape[1]
 
 
 def _fold(buf: np.ndarray, m: int) -> int:
@@ -234,7 +237,6 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
         mean_field=mean_field,
         modes=modes,
         energies=energies_all[:n_modes],
-        n_modes=n_modes,
         total_energy=float(energies_all.sum()),
     )
 

@@ -266,11 +266,11 @@ def _stage_estimate(ctx: _Context) -> None:
              "rmse": {comp: {src: rmse[src][3 * s_i + c_i] for src in _SOURCES}
                       for c_i, comp in enumerate(_COMPONENTS)}}
             for s_i, station in enumerate(ctx.obs_stations)]
-        reduced = {src: [float(r) for r in
-                         np.sqrt(np.mean((A[src] - a_proj) ** 2, axis=1))]
-                   for src in _SOURCES}
-        reduced_total = {src: float(np.sqrt(np.mean((A[src] - a_proj) ** 2)))
-                         for src in _SOURCES}
+        reduced, reduced_total = {}, {}
+        for src in _SOURCES:  # one squared error at a time
+            sq = (A[src] - a_proj) ** 2
+            reduced[src] = [float(r) for r in np.sqrt(np.mean(sq, axis=1))]
+            reduced_total[src] = float(np.sqrt(np.mean(sq)))
         cases_summary[case_id] = {
             "n_steps": int(e.n_t),
             "stations": stations_out,

@@ -75,24 +75,22 @@ class SensorSet:
         rows.setflags(write=False)
         return rows
 
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """G G^T of :attr:`gram_gain` G (which must not be None),
+        symmetrized and checked PSD, built once per sensor set (read-only)."""
+        G = self.gram_gain
+        gram = GaussianReduced(np.zeros(G.shape[0]), G @ G.T).covariance
+        gram.setflags(write=False)
+        return gram
+
     def _noise(self, noise: "NoiseModel") -> np.ndarray:
-        """The estimate covariance G Gamma G^T of ``noise`` through
-        :attr:`gram_gain` (which must not be None), symmetrized and checked
-        PSD (read-only); a model of another sensor count is a
-        :class:`ValidationError`. Only the last model's covariance is kept,
-        keyed by its sigma."""
+        """The estimate covariance G Gamma G^T = sigma^2 G G^T of ``noise``
+        (see :attr:`_gram`); a model of another sensor count is a
+        :class:`ValidationError`."""
         if noise.n_sensors != self.n_sensors:
             raise ValidationError("noise model size differs from sensor count")
-        last = getattr(self, "_last_noise", None)
-        if last is None or last[0] != noise.sigma:
-            G = self.gram_gain
-            gamma = np.eye(3 * noise.n_sensors) * noise.sigma**2
-            cov = GaussianReduced(np.zeros(G.shape[0]),
-                                  G @ gamma @ G.T).covariance
-            cov.setflags(write=False)
-            last = (noise.sigma, cov)
-            object.__setattr__(self, "_last_noise", last)
-        return last[1]
+        return noise.sigma**2 * self._gram
 
 
 @dataclass(frozen=True)
@@ -219,9 +217,9 @@ def sparse_estimate(y, sensors: SensorSet, noise: NoiseModel,
     """Reduced coordinates (with covariance) from measurement vectors.
 
     ``y`` is one measurement (3*n_P,) or a stack (n_t, 3*n_P). The linear
-    map and its rank check are computed once per sensor set and the
-    covariance once per (sensor set, noise model) pair, so a stack gets a
-    (n_t, N) mean with one shared, read-only (N, N) covariance.
+    map, its rank check and G G^T are computed once per sensor set, and
+    the covariance is sigma^2 G G^T, so a stack gets a (n_t, N) mean with
+    one shared (N, N) covariance.
 
     The map is the least-squares solution G = (S^T S)^-1 S^T on the
     sampled basis S, exact for noise-free data at full column rank; the

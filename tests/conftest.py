@@ -47,7 +47,6 @@ def basis_from_modes(grid, modes, mean_field=None, energies=None):
         mean_field=np.zeros(grid.n_dof) if mean_field is None else mean_field,
         modes=modes,
         energies=np.zeros(n) if energies is None else np.asarray(energies, float),
-        n_modes=n,
         total_energy=1.0,
     )
 

@@ -135,7 +135,7 @@ def test_criterion_03_fusion_dominance(tmp_path):
                      condition=pooled.condition, f_s=pooled.f_s), 4)
     sensors = place_sensors(basis, 4)
     noise = NoiseModel(sigma_meas, 4)
-    rom = fit_rom([(project(e.D, basis), e.theta, e.u_filt) for e in train], 6)
+    rom = fit_rom([(project(e.D, basis), e.theta, e.u_filt) for e in train])
 
     rmse = {src: [] for src in ("sparse", "rom", "fused")}
     for j, seed in enumerate(eval_seeds):
@@ -194,7 +194,7 @@ def test_criterion_05_fourier_rom_recovery(tmp_path):
     basis = basis_from_modes(grid, spec.true_modes)
     a = project(ens.D, basis)
     assert np.ptp(ens.u_filt) > 0.0
-    rom = fit_rom([(a, ens.theta, ens.u_filt)], 6)
+    rom = fit_rom([(a, ens.theta, ens.u_filt)])
 
     fitted = rom.mean_coeffs
     truth_tab = np.zeros_like(fitted)

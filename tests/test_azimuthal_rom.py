@@ -5,7 +5,7 @@ import pytest
 
 from bladesense import (AzimuthalRomModel, evaluate_rom, fit_rom, load_rom,
                         pipeline, save_rom, wrap_angle)
-from bladesense.azimuthal_rom import fourier_design
+from bladesense.azimuthal_rom import N_FOURIER, fourier_design
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI
 from bladesense.errors import SchemaError, ValidationError
@@ -18,15 +18,14 @@ def _centers(n_theta):
     return (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
 
 
-def _fit_series(values, n_fourier):
+def _fit_series(values):
     """fit_rom on one mode sampled once at each of ``values.size`` uniform
     azimuths at one wind speed; returns the mean coefficients and the
     residual norm of the fitted series at those azimuths."""
     theta = _centers(values.size)
-    model = fit_rom([(values[None, :], theta, np.full(values.size, 10.0))],
-                    n_fourier)
+    model = fit_rom([(values[None, :], theta, np.full(values.size, 10.0))])
     coeffs = model.mean_coeffs[0]
-    fitted = coeffs @ fourier_design(theta, n_fourier).T
+    fitted = coeffs @ fourier_design(theta, N_FOURIER).T
     return coeffs, np.linalg.norm(fitted - values)
 
 
@@ -44,7 +43,7 @@ def _joint_cases(rng, alpha, beta, u_ref, speeds, n_t=400, sigma=0.0):
     return cases
 
 
-def _stacked_fit(cases, n_fourier):
+def _stacked_fit(cases):
     """Reference fit: one np.linalg.lstsq over the stacked samples of every
     case for the tables, and per case one over the stacked samples of the
     other cases (with a single case, the fit itself). Returns the table
@@ -53,7 +52,7 @@ def _stacked_fit(cases, n_fourier):
     u_ref = float(u_all.mean())
     blocks = []
     for a, theta, u in cases:
-        f = fourier_design(theta, n_fourier)
+        f = fourier_design(theta, N_FOURIER)
         blocks.append((np.hstack([f, (u - u_ref)[:, None] * f]), a.T))
     X = np.concatenate([x for x, _ in blocks])
     Y = np.concatenate([y for _, y in blocks])
@@ -113,7 +112,7 @@ class TestPerCaseSums:
                                                     monkeypatch):
         cases = {"twin": twin_cases, "twenty": _many_cases(),
                  "one": _many_cases(1, 1000)}[which]
-        ref, ref_folds, ref_cov = _stacked_fit(cases, 6)
+        ref, ref_folds, ref_cov = _stacked_fit(cases)
         solved, lstsq = [], np.linalg.lstsq
 
         def recording(a, b, rcond=None):
@@ -122,7 +121,7 @@ class TestPerCaseSums:
             return out
 
         monkeypatch.setattr(np.linalg, "lstsq", recording)
-        model = fit_rom(cases, 6)
+        model = fit_rom(cases)
         # the fit, then one fold per case; a single case's fold is the fit
         assert len(solved) == (len(cases) + 1 if len(cases) > 1 else 1)
         assert _relative(solved[0], ref) <= 1e-12
@@ -134,9 +133,9 @@ class TestPerCaseSums:
 
     def test_case_order_does_not_matter(self):
         cases = _many_cases()
-        model = fit_rom(cases, 6)
+        model = fit_rom(cases)
         order = np.random.default_rng(1).permutation(len(cases))
-        permuted = fit_rom([cases[i] for i in order], 6)
+        permuted = fit_rom([cases[i] for i in order])
         assert permuted.u_range == model.u_range
         assert permuted.u_ref == pytest.approx(model.u_ref, rel=1e-13)
         for name in ("mean_coeffs", "slope_coeffs", "covariance"):
@@ -144,8 +143,8 @@ class TestPerCaseSums:
                              getattr(model, name)) <= 1e-13, name
 
     def test_no_solve_sees_more_rows_than_regressors(self, monkeypatch):
-        # every solve is 2 (1 + 2 n_F) rows square, whatever the number of
-        # cases and samples
+        # every solve is 2 (1 + 2 n_F) = 26 rows square, whatever the number
+        # of cases and samples
         rows, lstsq = [], np.linalg.lstsq
 
         def recording(a, b, rcond=None):
@@ -153,14 +152,14 @@ class TestPerCaseSums:
             return lstsq(a, b, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", recording)
-        fit_rom(_many_cases(20, 2000), 6)
-        fit_rom(_many_cases(3, 500), 2)
-        assert rows == [26] * 21 + [10] * 4
+        fit_rom(_many_cases(20, 2000))
+        fit_rom(_many_cases(3, 500))
+        assert rows == [26] * (21 + 4)
 
 
 class TestFitFourier:
     def test_constant_function(self):
-        coeffs, resid = _fit_series(np.full(72, 2.0), 6)
+        coeffs, resid = _fit_series(np.full(72, 2.0))
         assert coeffs[0] == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
         assert resid <= 1e-12
@@ -168,7 +167,7 @@ class TestFitFourier:
     def test_in_class_signal_exact(self):
         centers = _centers(72)
         values = 3.0 * np.cos(centers) + np.sin(2 * centers)
-        coeffs, resid = _fit_series(values, 6)
+        coeffs, resid = _fit_series(values)
         expected = np.zeros(13)
         expected[1] = 3.0   # c_1
         expected[4] = 1.0   # s_2
@@ -178,7 +177,7 @@ class TestFitFourier:
     def test_aliased_harmonic_leaves_residual(self):
         centers = _centers(72)
         values = np.cos(7 * centers)  # outside the n_F=6 model class
-        coeffs, resid = _fit_series(values, 6)
+        coeffs, resid = _fit_series(values)
         assert resid > 0.5 * np.linalg.norm(values)
         # on the uniform 72-point grid cos(7 theta) is orthogonal to every
         # retained regressor, so the coefficients collapse to zero
@@ -186,11 +185,11 @@ class TestFitFourier:
 
     def test_too_few_azimuths(self):
         with pytest.raises(ValidationError, match="need more azimuths"):
-            _fit_series(np.zeros(8), 6)
+            _fit_series(np.zeros(8))
         # 12 distinct azimuths determine 12 of the 13 terms, 13 all of them
         with pytest.raises(ValidationError, match="determine 12 of the 13"):
-            _fit_series(np.ones(12), 6)
-        coeffs, resid = _fit_series(np.ones(13), 6)
+            _fit_series(np.ones(12))
+        coeffs, resid = _fit_series(np.ones(13))
         assert np.allclose(coeffs, np.eye(13)[0], atol=1e-12)
         assert resid <= 1e-12
 
@@ -204,7 +203,7 @@ class TestFitFourier:
         for u in (np.full(theta.size, 10.0),
                   10.0 + rng.standard_normal(theta.size)):
             with pytest.raises(ValidationError, match="determine 8 of the 13"):
-                fit_rom([(a, theta, u)], 6)
+                fit_rom([(a, theta, u)])
 
     def test_thirteen_azimuths_with_varying_wind_accepted(self):
         # the Fourier block's rank is full at 13 distinct azimuths, so a
@@ -213,7 +212,7 @@ class TestFitFourier:
         rng = np.random.default_rng(4)
         theta = np.repeat(_centers(13), 10)
         u = 10.0 + rng.standard_normal(theta.size)
-        model = fit_rom([(np.full((2, theta.size), 1.5), theta, u)], 6)
+        model = fit_rom([(np.full((2, theta.size), 1.5), theta, u)])
         expected = np.zeros((2, 13))
         expected[:, 0] = 1.5
         assert np.allclose(model.mean_coeffs, expected, atol=1e-12)
@@ -227,7 +226,7 @@ class TestFitRom:
         rng = np.random.default_rng(9)
         theta = _centers(72)
         a = 1.7 + np.tile([-0.5, 0.5], 36)[None, :]
-        model = fit_rom([(a, theta, np.full(72, 10.0))], 6)
+        model = fit_rom([(a, theta, np.full(72, 10.0))])
         g = evaluate_rom(model, 1.234, 10.0 + rng.standard_normal(), 0.10)
         assert g.mean[0] == pytest.approx(1.7, abs=1e-10)
         assert g.covariance[0, 0] == pytest.approx(0.25, abs=1e-10)
@@ -235,7 +234,7 @@ class TestFitRom:
     def test_pure_1p_sinusoid_captured(self):
         theta = _centers(72)
         a = 2.0 * np.sin(theta)[None, :]
-        coeffs = fit_rom([(a, theta, np.full(72, 10.0))], 6).mean_coeffs[0]
+        coeffs = fit_rom([(a, theta, np.full(72, 10.0))]).mean_coeffs[0]
         assert coeffs[2] == pytest.approx(2.0, abs=1e-10)  # s_1
         assert np.allclose(np.delete(coeffs, 2), 0.0, atol=1e-10)
 
@@ -248,7 +247,7 @@ class TestFitRom:
         cases = _joint_cases(rng, alpha, beta, 0.0, (8.0, 10.0, 12.0))
         u_ref = float(np.mean(np.concatenate([u for *_, u in cases])))
         # the fit centres u on the mean training speed: alpha moves with it
-        model = fit_rom(cases, 6)
+        model = fit_rom(cases)
         assert model.u_ref == u_ref
         assert np.abs(model.slope_coeffs - beta).max() <= 1e-10
         assert np.abs(model.mean_coeffs - (alpha + u_ref * beta)).max() <= 1e-9
@@ -263,7 +262,7 @@ class TestFitRom:
         theta = rng.uniform(0.0, TWO_PI, 3000)
         u = 9.0 + rng.standard_normal(3000)
         a = rng.standard_normal((3, 3000)) + np.cos(theta) + 0.1 * u * np.sin(5 * theta)
-        model = fit_rom([(a, theta, u)], 6)
+        model = fit_rom([(a, theta, u)])
         f = fourier_design(theta, 6)
         X = np.hstack([f, (u - u.mean())[:, None] * f])
         coeffs = np.linalg.lstsq(X, a.T, rcond=None)[0]
@@ -275,15 +274,15 @@ class TestFitRom:
     def test_covariance_is_the_pooled_leave_one_case_out_error(self):
         # oracle: per case, the normal equations of the other cases
         rng = np.random.default_rng(4)
-        alpha = rng.uniform(-1.0, 1.0, (2, 5))
-        beta = rng.uniform(-0.2, 0.2, (2, 5))
+        alpha = rng.uniform(-1.0, 1.0, (2, 13))
+        beta = rng.uniform(-0.2, 0.2, (2, 13))
         cases = _joint_cases(rng, alpha, beta, 10.0, (8.0, 9.5, 11.0, 12.0),
                              n_t=300, sigma=0.3)
-        model = fit_rom(cases, 2)
+        model = fit_rom(cases)
         u_ref = float(np.mean(np.concatenate([u for *_, u in cases])))
         blocks = []
         for a, theta, u in cases:
-            f = fourier_design(theta, 2)
+            f = fourier_design(theta, N_FOURIER)
             X = np.hstack([f, (u - u_ref)[:, None] * f])
             blocks.append((X, a.T))
         second, n = 0.0, 0
@@ -297,7 +296,7 @@ class TestFitRom:
         # the left-out error is larger than the in-sample one
         in_sample = fit_rom([(np.hstack([a for a, *_ in cases]),
                               np.concatenate([t for _, t, _ in cases]),
-                              np.concatenate([u for *_, u in cases]))], 2)
+                              np.concatenate([u for *_, u in cases]))])
         assert np.trace(model.covariance) > np.trace(in_sample.covariance)
 
     def test_constant_wind_gives_zero_slopes(self):
@@ -305,33 +304,40 @@ class TestFitRom:
         theta = rng.uniform(0.0, TWO_PI, 500)
         a = np.cos(theta)[None, :] + 0.1 * rng.standard_normal((1, 500))
         model = fit_rom([(a, theta, np.full(500, 9.0)),
-                         (a, theta, np.full(500, 9.0))], 3)
+                         (a, theta, np.full(500, 9.0))])
         assert not model.slope_coeffs.any()
         assert model.u_range == (9.0, 9.0)
 
     def test_conditions_kept_as_given(self):
         rng = np.random.default_rng(7)
-        cases = _joint_cases(rng, np.ones((1, 3)), np.zeros((1, 3)), 9.0,
+        cases = _joint_cases(rng, np.ones((1, 13)), np.zeros((1, 13)), 9.0,
                              (8.0, 10.0), n_t=50)
         record = [{"u_mean": 8.0, "ti": 0.1}, {"u_mean": 10.0, "ti": 0.1}]
-        assert fit_rom(cases, 1, record).conditions == record
+        assert fit_rom(cases, conditions=record).conditions == record
 
     def test_mismatched_cases_rejected(self):
         theta = np.linspace(0.0, 6.0, 40)
         with pytest.raises(ValidationError, match="training case 1"):
             fit_rom([(np.zeros((2, 40)), theta, theta),
-                     (np.zeros((3, 40)), theta, theta)], 2)
+                     (np.zeros((3, 40)), theta, theta)])
         with pytest.raises(ValidationError, match="training case 0"):
-            fit_rom([(np.zeros((2, 40)), theta[:-1], theta)], 2)
+            fit_rom([(np.zeros((2, 40)), theta[:-1], theta)])
         with pytest.raises(ValidationError, match="no training cases"):
-            fit_rom([], 2)
+            fit_rom([])
+
+    def test_fourier_order_is_not_an_argument(self):
+        # a stale positional order must not bind to ``conditions``
+        with pytest.raises(TypeError):
+            fit_rom(_many_cases(3, 500), 6)
+        with pytest.raises(TypeError):
+            fit_rom(_many_cases(3, 500), n_fourier=6)
 
 
 def _model(seed=0, n_modes=2):
     """A joint model with random tables about 10 m/s, trained over 8-12 m/s."""
     rng = np.random.default_rng(seed)
     return AzimuthalRomModel(
-        n_fourier=6, u_ref=10.0, u_range=(8.0, 12.0),
+        u_ref=10.0, u_range=(8.0, 12.0),
         mean_coeffs=rng.standard_normal((n_modes, 13)),
         slope_coeffs=0.1 * rng.standard_normal((n_modes, 13)),
         covariance=random_spd(rng, n_modes, 0.1))
@@ -388,7 +394,7 @@ class TestEvaluateRom:
 class TestModel:
     def test_rejects_tables_of_the_wrong_shape(self):
         good = _model()
-        kwargs = dict(n_fourier=6, u_ref=10.0, u_range=(8.0, 12.0),
+        kwargs = dict(u_ref=10.0, u_range=(8.0, 12.0),
                       mean_coeffs=good.mean_coeffs,
                       slope_coeffs=good.slope_coeffs,
                       covariance=good.covariance)
@@ -412,8 +418,9 @@ class TestPersistence:
         path = tmp_path / "rom.json"
         save_rom(model, path)
         back = load_rom(path)
-        assert (back.n_fourier, back.u_ref, back.u_range, back.conditions) == (
-            model.n_fourier, model.u_ref, model.u_range, model.conditions)
+        assert (back.u_ref, back.u_range, back.conditions) == (
+            model.u_ref, model.u_range, model.conditions)
+        assert json.loads(path.read_text())["n_F"] == 6
         for name in ("mean_coeffs", "slope_coeffs", "covariance"):
             assert np.array_equal(getattr(back, name), getattr(model, name))
 
@@ -430,6 +437,9 @@ class TestPersistence:
         ("covariance", [[1.0, 0.0], [0.0, -0.5]], "not PSD"),
         ("u_range", [8.0], "u_range"),
         ("mean_coeffs", [[1.0] * 13, [1.0] * 12], "rom.json"),
+        # the Fourier order is fixed
+        ("n_F", 5, "'n_F' must be 6, got 5"),
+        ("n_F", 7, "'n_F' must be 6, got 7"),
     ])
     def test_bad_model_rejected_naming_the_file(self, tmp_path, key, value,
                                                 match):
@@ -459,7 +469,7 @@ class TestDataSufficiency:
                 theta = rng.uniform(0, TWO_PI, n_samples)
                 a = (truth @ fourier_design(theta, 6).T
                      + rng.normal(0, 0.5, n_samples))
-                model = fit_rom([(a[None, :], theta, np.full(n_samples, 9.0))], 6)
+                model = fit_rom([(a[None, :], theta, np.full(n_samples, 9.0))])
                 f = fourier_design(grid, 6).T
                 return np.max(np.abs(model.mean_coeffs[0] @ f - truth @ f))
 

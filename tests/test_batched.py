@@ -26,7 +26,7 @@ from bladesense import (AzimuthalRomModel, GaussianReduced, NoiseModel,
                         evaluate_rom, fuse, infer_torsion, observe,
                         place_sensors, sparse_estimate)
 from bladesense import fusion, sensing
-from bladesense.azimuthal_rom import fourier_design
+from bladesense.azimuthal_rom import N_FOURIER, fourier_design
 from bladesense.dataset import wrap_angle
 from bladesense.errors import ValidationError
 from bladesense.sensing import sensor_dof_rows
@@ -51,7 +51,7 @@ def _model(seed=0):
     over 8-12 m/s, and a random positive definite covariance."""
     rng = np.random.default_rng(seed)
     return AzimuthalRomModel(
-        n_fourier=6, u_ref=10.0, u_range=(8.0, 12.0),
+        u_ref=10.0, u_range=(8.0, 12.0),
         mean_coeffs=rng.standard_normal((N_MODES, 13)) + 1.0,
         slope_coeffs=0.1 * rng.standard_normal((N_MODES, 13)),
         covariance=random_spd(rng, N_MODES, 0.1))
@@ -59,7 +59,7 @@ def _model(seed=0):
 
 def _reference_evaluate_rom(model, theta, u_filt):
     theta = wrap_angle(float(theta))
-    f = fourier_design(theta, model.n_fourier).T
+    f = fourier_design(theta, N_FOURIER).T
     mean = (model.mean_coeffs @ f
             + (u_filt - model.u_ref) * (model.slope_coeffs @ f))[:, 0]
     return mean, model.covariance
@@ -312,8 +312,8 @@ class TestDecompositionCalls:
 
 
 class TestPerStepInvariants:
-    """The sparse-estimate covariance is built and checked once per (sensor
-    set, noise model) pair."""
+    """The sparse-estimate covariance is sigma^2 times one G G^T, built and
+    checked once per sensor set."""
 
     @staticmethod
     def _sensors(n_z=10):
@@ -321,42 +321,40 @@ class TestPerStepInvariants:
         basis = basis_from_modes(grid, orthonormal_polynomial_modes(grid, N_MODES))
         return place_sensors(basis, 4)
 
-    def test_noise_covariance_built_once_per_pair(self, monkeypatch):
+    def test_noise_covariance_is_sigma_squared_times_one_gram(self,
+                                                              monkeypatch):
         sensors = self._sensors()
-        noise = NoiseModel(0.1, 4)
         y = np.random.default_rng(0).standard_normal((6, 12))
-        first = sparse_estimate(y, sensors, noise)
+        calls = TestDecompositionCalls._count(monkeypatch, ("svd", "eigvalsh"))
+        for k, sigma in enumerate((0.0, 0.1, 2.5)):
+            noise = NoiseModel(sigma, 4)
+            for y_k in (y, y[k]):
+                got = sparse_estimate(y_k, sensors, noise).covariance
+                assert np.array_equal(got, sigma**2 * sensors._gram)
+            if not k:
+                # the SVD of gram_gain and the PSD check of G G^T
+                first = dict(calls)
+                assert first["svd"] == 1 and first["eigvalsh"] >= 1
+        assert calls == first
         G = sensors.gram_gain
-        ref = GaussianReduced(np.zeros(N_MODES), G @ (0.1**2 * np.eye(12)) @ G.T)
-        assert np.array_equal(first.covariance, ref.covariance)
-        calls = TestDecompositionCalls._count(monkeypatch)
-        for k in range(3):
-            again = sparse_estimate(y[k], sensors, noise)
-            assert again.covariance is first.covariance
-        assert calls == {"eigh": 0, "eigvalsh": 0}
-        assert not first.covariance.flags.writeable
+        ref = G @ (2.5**2 * np.eye(12)) @ G.T
+        assert np.allclose(got, 0.5 * (ref + ref.T), rtol=1e-14, atol=0.0)
+        assert not sensors._gram.flags.writeable
+        assert not hasattr(sensors, "_last_noise")
         with pytest.raises(dataclasses.FrozenInstanceError):
             noise.sigma = 1.0
 
-    def test_another_noise_model_or_sensor_set_gets_its_own(self):
+    def test_another_sensor_set_gets_its_own_gram(self):
         sensors, other_sensors = self._sensors(), self._sensors(n_z=12)
-        y = np.random.default_rng(1).standard_normal(12)
-        small = sparse_estimate(y, sensors, NoiseModel(0.1, 4))
-        # an equal model gets the same covariance, another sigma its own
-        equal = sparse_estimate(y, sensors, NoiseModel(0.1, 4))
-        assert equal.covariance is small.covariance
-        for sigma in (0.1, 0.3):
-            noise = NoiseModel(sigma, 4)
-            got = sparse_estimate(y, sensors, noise).covariance
-            G = sensors.gram_gain
-            ref = G @ (sigma**2 * np.eye(12)) @ G.T
-            assert np.array_equal(got, 0.5 * (ref + ref.T))
-        assert np.allclose(got, 9.0 * small.covariance, rtol=1e-14, atol=0.0)
-        G = other_sensors.gram_gain
+        noise = NoiseModel(0.3, 4)
         got = sparse_estimate(np.zeros(12), other_sensors, noise).covariance
-        ref = G @ (sigma**2 * np.eye(12)) @ G.T
-        assert np.array_equal(got, 0.5 * (ref + ref.T))
-        assert not np.array_equal(got, sparse_estimate(y, sensors, noise).covariance)
+        G = other_sensors.gram_gain
+        ref = GaussianReduced(np.zeros(N_MODES), G @ G.T).covariance
+        assert np.array_equal(got, 0.3**2 * ref)
+        assert not np.array_equal(
+            got, sparse_estimate(np.zeros(12), sensors, noise).covariance)
+        with pytest.raises(ValidationError, match="sensor count"):
+            sparse_estimate(np.zeros(12), sensors, NoiseModel(0.3, 5))
 
     def test_non_finite_inputs_still_rejected(self):
         sensors = self._sensors()

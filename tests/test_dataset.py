@@ -9,7 +9,7 @@ from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
                         load_case, load_torsion, save_case, smooth_wind,
                         wrap_angle)
 from bladesense import dataset
-from bladesense.dataset import TWO_PI, read_manifest
+from bladesense.dataset import SMOOTHING_ALPHA, TWO_PI, read_manifest
 from bladesense.errors import SchemaError, ValidationError
 
 from conftest import CHANNELS, DAMAGE, damage_case, savetxt_writer
@@ -354,36 +354,31 @@ class TestBadBinaryInput:
 
 class TestSmoothWind:
     def test_constant_is_fixed_point(self):
-        out = smooth_wind(np.full(50, 10.0), alpha=0.2)
+        out = smooth_wind(np.full(50, 10.0))
         assert np.allclose(out, 10.0)
 
     def test_single_step_recurrence(self):
-        out = smooth_wind(np.array([0.0, 1.0]), alpha=0.2)
+        out = smooth_wind(np.array([0.0, 1.0]))
         assert np.allclose(out, [0.0, 0.2])
 
-    def test_alpha_one_is_identity(self):
-        x = np.array([3.0, -1.0, 4.0, 1.5])
-        assert np.array_equal(smooth_wind(x, alpha=1.0), x)
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.2])
-    def test_alpha_out_of_range(self, alpha):
-        with pytest.raises(ValidationError):
-            smooth_wind(np.ones(3), alpha=alpha)
+    def test_factor_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            smooth_wind(np.ones(3), alpha=0.2)
 
     def test_output_bounded_by_input_range(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(4.0, 16.0, 300)
-        out = smooth_wind(x, alpha=0.2)
+        out = smooth_wind(x)
         assert out.min() >= x.min() - 1e-12
         assert out.max() <= x.max() + 1e-12
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(10.0, 2.0, 120)
-        full = smooth_wind(x, alpha=0.3)
+        full = smooth_wind(x)
         k = 37
         # restart at k with the filter state seeded from the previous output
-        tail = smooth_wind(np.concatenate([[full[k - 1]], x[k:]]), alpha=0.3)[1:]
+        tail = smooth_wind(np.concatenate([[full[k - 1]], x[k:]]))[1:]
         assert np.array_equal(full[k:], tail)
 
     def test_empty_series_rejected(self):
@@ -391,13 +386,13 @@ class TestSmoothWind:
             smooth_wind(np.array([]))
 
     @pytest.mark.parametrize("n", [1, 2, 3200])
-    @pytest.mark.parametrize("alpha", [0.02, 0.2, 1.0])
-    def test_bit_identical_to_lfilter(self, n, alpha):
+    def test_bit_identical_to_lfilter(self, n):
+        alpha = SMOOTHING_ALPHA
         x = np.random.default_rng(n).normal(10.0, 2.0, n)
         # the IIR form; zi encodes the out[0] = raw[0] seed
         zi = np.array([(1.0 - alpha) * x[0]])
         ref, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x, zi=zi)
-        assert np.array_equal(smooth_wind(x, alpha=alpha), ref)
+        assert np.array_equal(smooth_wind(x), ref)
 
     @staticmethod
     def _former_smooth_wind(raw, alpha):
@@ -418,9 +413,8 @@ class TestSmoothWind:
         for _ in range(200):
             n = int(rng.integers(1, 400))
             x = rng.normal(10.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3)
-            alpha = float(rng.uniform(1e-3, 1.0))
-            assert (smooth_wind(x, alpha=alpha).tobytes()
-                    == self._former_smooth_wind(x, alpha).tobytes())
+            assert (smooth_wind(x).tobytes()
+                    == self._former_smooth_wind(x, SMOOTHING_ALPHA).tobytes())
 
 
 class TestAzimuthBin:

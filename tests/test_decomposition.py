@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, inner,
-                        pod_fit, project)
+from bladesense import (BladeGrid, ConditionKey, ModalBasis, SnapshotEnsemble,
+                        inner, pod_fit, project)
 from bladesense.decomposition import _fix_signs, _fold, dof_weights
 from bladesense.errors import ValidationError
 from bladesense.synthetic import orthonormal_polynomial_modes
@@ -341,6 +341,32 @@ class TestFold:
         with pytest.raises(ValueError, match=match):
             _fold(buf, m)
         assert np.array_equal(buf, before)
+
+
+class TestModalBasis:
+    def _kwargs(self, grid, n):
+        return dict(grid=grid, mean_field=np.zeros(grid.n_dof),
+                    modes=orthonormal_polynomial_modes(grid, n),
+                    energies=np.arange(n, 0, -1.0), total_energy=10.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_n_modes_is_the_width_of_the_modes(self, uniform_grid, n):
+        basis = ModalBasis(**self._kwargs(uniform_grid, n))
+        assert basis.n_modes == n == basis.modes.shape[1]
+        with pytest.raises(TypeError):
+            ModalBasis(**self._kwargs(uniform_grid, n), n_modes=n)
+
+    def test_energies_of_another_length_rejected(self, uniform_grid):
+        for energies in (np.ones(2), np.ones(4)):
+            with pytest.raises(ValidationError, match="energies"):
+                ModalBasis(**{**self._kwargs(uniform_grid, 3),
+                              "energies": energies})
+
+    def test_modes_of_another_shape_rejected(self, uniform_grid):
+        modes = orthonormal_polynomial_modes(uniform_grid, 3)
+        for bad in (modes[:-3], modes[:, 0], modes[None]):
+            with pytest.raises(ValidationError, match="modes must be"):
+                ModalBasis(**{**self._kwargs(uniform_grid, 3), "modes": bad})
 
 
 class TestProjectReconstruct:

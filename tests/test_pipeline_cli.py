@@ -1211,8 +1211,7 @@ class TestImportCost:
             "grid = demo_grid(n_z=10)\n"
             "basis = ModalBasis(grid=grid, mean_field=np.zeros(grid.n_dof),\n"
             "                   modes=orthonormal_polynomial_modes(grid, 3),\n"
-            "                   energies=np.ones(3), n_modes=3,\n"
-            "                   total_energy=1.0)\n"
+            "                   energies=np.ones(3), total_energy=1.0)\n"
             "assert place_sensors(basis, 4).n_sensors == 4\n"
             "assert 'numpy.ma' not in sys.modules\n"
         )
@@ -1601,6 +1600,50 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"'{key}'" in err and manifest.name in err
         assert "load" in (tmp_path / "out" / "FAILED").read_text()
+
+    @staticmethod
+    def _repeat(doc, key, first):
+        """``doc`` as JSON text with ``key`` given twice in the first object
+        that has it: ``first``, then the value ``doc`` has (the one a
+        last-wins parser keeps)."""
+        text = json.dumps(doc)
+        at = text.index(f'"{key}": ')
+        return f'{text[:at]}"{key}": {json.dumps(first)}, {text[at:]}'
+
+    @pytest.mark.parametrize("where, key", [
+        ("config", "training"), ("config", "seed"),
+        ("manifest", "torsion_file"), ("synth", "u_mean")])
+    def test_repeated_key_exits_2_naming_it(self, twin, tmp_path, capsys,
+                                            where, key):
+        pipeline_cfg, _ = twin
+        out = tmp_path / "out"
+        if where == "synth":
+            bad = tmp_path / "synth.json"
+            bad.write_text(self._repeat(SYNTH_CONFIG, key, 9.0))
+            argv = ["synth", "--config", str(bad)]
+        else:
+            cases = tmp_path / "cases"
+            shutil.copytree(pipeline_cfg.parent, cases)
+            argv = ["pipeline", "--config", str(cases / pipeline_cfg.name)]
+            doc = json.loads(pipeline_cfg.read_text())
+            bad = (cases / pipeline_cfg.name if where == "config"
+                   else cases / doc["training"][1])
+            # the first value alone would run: the case's own torsion
+            # file, one training case or seed 1
+            if where == "manifest":
+                doc = json.loads(bad.read_text())
+                first = doc[key]
+            else:
+                first = doc["training"][:1] if key == "training" else 1
+            bad.write_text(self._repeat(doc, key, first))
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"repeated key '{key}'" in err and bad.name in err
+        if where == "manifest":
+            assert "load" in (out / "FAILED").read_text()
+        else:
+            assert not out.exists()
 
     def test_n_modes_bounded_by_sensors(self, twin):
         pipeline_cfg, _ = twin
