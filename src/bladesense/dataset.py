@@ -27,8 +27,8 @@ Every table a program reads back (case grids and channels, POD modes and
 torsion maps) is written as decimal text with 18 significant digits
 (``%.17e``), so a save/load round trip is bit-exact.
 Tables that only people and plots read (reconstructions, figure twins)
-carry 10 significant digits (``%.9e``), formatted in numpy blocks,
-byte-equal to ``%``; the lossless tables are formatted by ``%``.
+carry 10 significant digits (``%.9e``). Both are formatted in numpy
+blocks, byte-equal to ``%`` (see :func:`_write_csv`).
 
 Every JSON document (manifests, configs, models, summaries) is read with
 :func:`read_json` and written with :func:`write_json`. A document is a JSON
@@ -63,20 +63,16 @@ SMOOTHING_ALPHA = 0.2
 _FLOAT_FMT = "%.17e"
 
 #: Report precision, for tables nothing reads back: 10 significant digits
-#: (relative rounding <= 5e-10) format in one half to two thirds of the
-#: time of 18, whose text CPython's dtoa builds on its slow bignum path.
+#: (relative rounding <= 5e-10), in files two thirds the size.
 _REPORT_FMT = "%.9e"
 
-#: Rows formatted per ``%`` call by ``_write_csv``; small blocks keep the
-#: formatted text, and so peak memory, small (4 096-row blocks were slower).
-_WRITE_BLOCK_ROWS = 256
+#: Values formatted, and written, per block of a table.
+_WRITE_BLOCK = 4096
 
-#: Values formatted, and written, per block of a ``_REPORT_FMT`` table.
-_REPORT_BLOCK = 4096
-
-#: Decimal exponents ``e`` the numpy formatter handles itself: scaling to
-#: ten integer digits multiplies or divides by 10**|9 - e| <= 10**22, which
-#: is exact in float64, so the scaled value is rounded only once.
+#: Decimal exponents ``e`` the numpy formatter handles itself at
+#: ``_REPORT_FMT``: scaling to ten integer digits multiplies or divides by
+#: 10**|9 - e| <= 10**22, which is exact in float64, so the scaled value is
+#: rounded only once.
 _REPORT_E = np.arange(-13, 32)
 
 #: A value whose scaled fraction lies this close to one half goes through
@@ -85,14 +81,33 @@ _REPORT_E = np.arange(-13, 32)
 #: rounding does.
 _NEAR_HALF = 1e-4
 
+#: Decimal exponents the numpy formatter handles itself at ``_FLOAT_FMT``:
+#: scaling to eighteen integer digits multiplies by 10**(17 - e) <= 10**22,
+#: exact in float64, and Dekker's product gives the scaled value's rounding
+#: error exactly.
+_FLOAT_E = (-5, 17)
+
+#: Veltkamp's splitter: ``c = _SPLITTER * a; hi = c - (c - a)`` cuts a
+#: float64 into two halves of at most 26 significant bits each.
+_SPLITTER = 2.0 ** 27 + 1
+
 
 def _ascii_words(codes) -> np.ndarray:
     """Rows of four ASCII codes as little-endian 32-bit words (0 = no byte)."""
     return np.ascontiguousarray(codes, dtype=np.uint8).view("<u4").ravel()
 
 
-# The formatter's tables, built once. A formatted value is five words:
-# [sign, d0, '.', d1] [d2..d5] [d6..d9] [e, sign, x, x] [separator].
+def _split(a):
+    """``(hi, lo)`` with ``hi + lo == a`` exactly and the product of any
+    two halves exact in float64 (Veltkamp's split)."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# The formatter's tables, built once. A formatted value is a lead word,
+# two (report) or four (lossless) words of four digits, an exponent word
+# and a separator word: [sign, d0, '.', d1] [d2..d5] ... [e, sign, x, x] [,].
 #: ASCII codes of the two digits of 00 .. 99, one row each.
 _TWO_DIGITS = np.column_stack(np.divmod(np.arange(100), 10)) + ord("0")
 #: ``[sign, d0, '.', d1]`` at ``100 * negative + d0d1``.
@@ -107,9 +122,12 @@ _EXP_WORDS = _ascii_words(np.column_stack([
     np.full(_REPORT_E.size, ord("e")),
     np.where(_REPORT_E < 0, ord("-"), ord("+")),
     _TWO_DIGITS[np.abs(_REPORT_E)]]))
-#: ``|x| * _SCALE_MUL[e + 13] / _SCALE_DIV[e + 13]`` has ten integer digits.
+#: ``|x| * _SCALE_MUL[e + 13] / _SCALE_DIV[e + 13]`` has ten integer digits;
+#: ``_SCALE_MUL[e + 5]`` is 10**(17 - e) for the exponents of ``_FLOAT_E``.
 _SCALE_MUL = np.array([float(10 ** max(9 - e, 0)) for e in _REPORT_E.tolist()])
 _SCALE_DIV = np.array([float(10 ** max(e - 9, 0)) for e in _REPORT_E.tolist()])
+#: The halves of 10**(17 - e) at ``e + 5``, for Dekker's product.
+_POW_HI, _POW_LO = _split(_SCALE_MUL[:_FLOAT_E[1] - _FLOAT_E[0] + 1])
 
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -362,15 +380,17 @@ def azimuth_bin(theta, n_theta: int):
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise SchemaError(f"{path}: empty file, expected a CSV header")
-        names = [c.strip() for c in header.split(",")]
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise SchemaError(f"{path}: malformed numeric body ({err})") from err
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            data = np.loadtxt(fh, delimiter=",", ndmin=2) if header else None
+    except UnicodeDecodeError as err:  # in the header's chunk or later
+        raise SchemaError(f"{path}: not UTF-8 text ({err})") from err
+    except ValueError as err:
+        raise SchemaError(f"{path}: malformed numeric body ({err})") from err
+    if not header:
+        raise SchemaError(f"{path}: empty file, expected a CSV header")
+    names = [c.strip() for c in header.split(",")]
     if data.size == 0:
         raise SchemaError(f"{path}: no data rows")
     if data.shape[1] != len(names):
@@ -380,48 +400,95 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def _format_report(x: np.ndarray, seps: np.ndarray) -> str:
-    """``x`` in ``_REPORT_FMT``, each value followed by its separator word
-    in ``seps``: byte for byte what ``%`` writes.
+def _ten_digits(a: np.ndarray, e: np.ndarray):
+    """``(ok, m)``: ``m`` the ten digits of ``a = |x|`` at decimal exponent
+    ``e``, where ``ok``; ``e`` is set to 9 elsewhere."""
+    ok = (e >= _REPORT_E[0]) & (e <= _REPORT_E[-1])
+    e[~ok] = 9
+    ei = e.astype(np.intp) - _REPORT_E[0]
+    scaled = a * _SCALE_MUL[ei] / _SCALE_DIV[ei]
+    m = np.rint(scaled)
+    # a wrong floor(log10) lands outside [1e9, 1e10) and is caught here
+    ok &= (scaled >= 1e9) & (m < 1e10) & (
+        np.abs(scaled - np.floor(scaled) - 0.5) > _NEAR_HALF)
+    m[~ok] = 1e9  # in range of the tables; the words are zeroed later
+    return ok, m.astype(np.int64)
 
-    A value ``x = +-m * 10**(e - 9)`` with ten integer digits ``m`` is
-    emitted from the word tables above. Values the tables cannot format
-    exactly (zero, non-finite, subnormal, an exponent outside ``_REPORT_E``,
-    a rounding carry, a near-half) are formatted by ``%`` and spliced in.
+
+def _eighteen_digits(a: np.ndarray, e: np.ndarray):
+    """``(ok, m)``: ``m`` the 18 digits of ``a = |x|`` at decimal exponent
+    ``e``, where ``ok``; ``e`` is set to 17 elsewhere.
+
+    Dekker's product splits ``a * 10**(17 - e)`` exactly into its float64
+    ``p`` and the residual ``err``. A ``p`` in [1e17, 1e18) is an integer
+    and a multiple of 16, so ``m = p + rint(err)`` is the exact product
+    rounded half to even, as ``%`` rounds: ``p`` is even, so ``rint``'s
+    choice at a tie is ``m``'s. The double below 10**e scales to at most
+    1e17 - 16, and the one below 10**(e + 1) to at most 1e18 - 128, for
+    every ``e`` here. So ``p`` lies in [1e17, 1e18) exactly where ``e`` is
+    the exponent of ``a`` (``floor(log10)`` can be off by one), and ``m``
+    then lies there too: the rounding never carries into a 19th digit.
     """
+    ok = (e >= _FLOAT_E[0]) & (e <= _FLOAT_E[1])
+    e[~ok] = 17
+    ei = e.astype(np.intp) - _FLOAT_E[0]
+    p = a * _SCALE_MUL[ei]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW_HI[ei], _POW_LO[ei]
+    # err = ((a_hi*p_hi - p) + a_hi*p_lo + a_lo*p_hi) + a_lo*p_lo, with the
+    # products in place: fewer temporaries keep the heap small
+    err = a_hi * p_hi
+    err -= p
+    err += np.multiply(a_hi, p_lo, out=a_hi)
+    err += np.multiply(a_lo, p_hi, out=p_hi)
+    err += np.multiply(a_lo, p_lo, out=a_lo)
+    ok &= (p >= 1e17) & (p < 1e18)
+    p[~ok] = 1e17  # in range of the tables; the words are zeroed later
+    err[~ok] = 0.0
+    m = p.astype(np.int64)
+    m += np.rint(err, out=err).astype(np.int64)
+    return ok, m
+
+
+def _format_values(x: np.ndarray, seps: np.ndarray, fmt: str) -> str:
+    """``x`` in ``fmt`` (``_FLOAT_FMT`` or ``_REPORT_FMT``), each value
+    followed by its separator word in ``seps``: byte for byte what ``%``
+    writes.
+
+    A value ``x = +-m * 10**(e - 17)`` with 18 integer digits ``m`` (or
+    ``+-m * 10**(e - 9)`` with ten) is emitted from the word tables above.
+    Values the tables cannot format exactly (zero, non-finite, subnormal,
+    an exponent outside the format's range and, in a report, a rounding
+    carry or a near-half) are formatted by ``%`` and spliced in.
+    """
+    lossless = fmt == _FLOAT_FMT
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         e = np.floor(np.log10(a))
-        ok = (e >= _REPORT_E[0]) & (e <= _REPORT_E[-1])
-        e[~ok] = 9
-        ei = e.astype(np.intp) - _REPORT_E[0]
-        scaled = a * _SCALE_MUL[ei] / _SCALE_DIV[ei]
-        m = np.rint(scaled)
-        # a wrong floor(log10) lands outside [1e9, 1e10) and is caught here
-        ok &= (scaled >= 1e9) & (m < 1e10) & (
-            np.abs(scaled - np.floor(scaled) - 0.5) > _NEAR_HALF)
-    m[~ok] = 1e9  # in range of the tables; the words are zeroed below
-    lead, lo = np.divmod(m.astype(np.int64), 10000)
-    lead, mid = np.divmod(lead, 10000)
+        ok, m = (_eighteen_digits if lossless else _ten_digits)(a, e)
+    n_groups = 4 if lossless else 2
     negative = np.signbit(x)
-    words = np.empty((x.size, 5), "<u4")
-    words[:, 0] = _LEAD_WORDS[lead + 100 * negative]
-    words[:, 1] = _DIGIT_WORDS[mid]
-    words[:, 2] = _DIGIT_WORDS[lo]
-    words[:, 3] = _EXP_WORDS[ei]
-    words[:, 4] = seps
+    words = np.empty((x.size, n_groups + 3), "<u4")
+    for j in range(n_groups, 0, -1):
+        high = m // 10000  # faster than np.divmod
+        words[:, j] = _DIGIT_WORDS[m - high * 10000]
+        m = high
+    words[:, 0] = _LEAD_WORDS[m + 100 * negative]
+    words[:, -2] = _EXP_WORDS[e.astype(np.intp) - _REPORT_E[0]]
+    words[:, -1] = seps
     slow = np.flatnonzero(~ok)
     words[slow] = 0  # zero bytes are squeezed out below
     codes = words.view(np.uint8)
     text = codes[codes != 0].tobytes().decode("ascii")
     if not slow.size:
         return text
-    # where each slow value goes: after the 15 characters, the sign and the
-    # separator of each value formatted before it
-    ends = np.cumsum(np.where(ok, 16 + negative, 0))[slow].tolist()
+    # where each slow value goes: after the digits, '.', exponent, sign
+    # and separator of each value formatted before it
+    width = 4 * n_groups + 8
+    ends = np.cumsum(np.where(ok, width + negative, 0))[slow].tolist()
     pieces, done = [], 0
     for i, end in zip(slow.tolist(), ends):
-        pieces += [text[done:end], _REPORT_FMT % float(x[i]), chr(seps[i])]
+        pieces += [text[done:end], fmt % float(x[i]), chr(seps[i])]
         done = end
     pieces.append(text[done:])
     return "".join(pieces)
@@ -430,17 +497,15 @@ def _format_report(x: np.ndarray, seps: np.ndarray) -> str:
 def _write_csv(path: Path, names: list[str], data: np.ndarray,
                fmt: str = _FLOAT_FMT) -> None:
     """The one writer of numeric tables: a header row, then each value in
-    ``fmt`` (lossless ``_FLOAT_FMT`` or ``_REPORT_FMT``), byte for byte what
-    ``np.savetxt(path, data, fmt=fmt, delimiter=",",
-    header=",".join(names), comments="")`` writes.
+    ``fmt`` (lossless ``_FLOAT_FMT`` or ``_REPORT_FMT``; any other is a
+    ValueError), byte for byte what ``np.savetxt(path, data, fmt=fmt,
+    delimiter=",", header=",".join(names), comments="")`` writes.
 
-    Report tables are formatted in numpy blocks of ``_REPORT_BLOCK`` values
-    (see :func:`_format_report`), each written as soon as it is formatted.
-    Lossless tables stay on ``%``: at 18 digits the scaled value exceeds
-    2**53, so one float product cannot decide the rounding. ``savetxt``
-    applies one ``%`` per row to numpy scalars; here one ``%`` formats a
-    block of up to ``_WRITE_BLOCK_ROWS`` rows of Python floats.
+    Both formats go through numpy blocks of ``_WRITE_BLOCK`` values (see
+    :func:`_format_values`), each written as soon as it is formatted.
     """
+    if fmt not in (_FLOAT_FMT, _REPORT_FMT):
+        raise ValueError(f"unsupported table format {fmt!r}")
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
@@ -448,23 +513,19 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray,
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
-        if fmt == _REPORT_FMT and data.size:
-            values = np.ascontiguousarray(data, dtype=np.float64).ravel()
-            n_cols = data.shape[1]
-            # the separator after each value of a block that starts in
-            # column 0; a block starting in column c reads from offset c
-            seps = np.full(_REPORT_BLOCK + n_cols, ord(","), "<u4")
-            seps[n_cols - 1::n_cols] = ord("\n")
-            for start in range(0, values.size, _REPORT_BLOCK):
-                block = values[start:start + _REPORT_BLOCK]
-                col = start % n_cols
-                fh.write(_format_report(block, seps[col:col + block.size]))
-        else:
-            row = ",".join([fmt] * data.shape[1]) + "\n"
-            for start in range(0, data.shape[0], _WRITE_BLOCK_ROWS):
-                block = data[start:start + _WRITE_BLOCK_ROWS]
-                fh.write((row * block.shape[0])
-                         % tuple(block.ravel().tolist()))
+        if not data.size:
+            fh.write("\n" * data.shape[0])  # savetxt's rows of no columns
+            return
+        values = np.ascontiguousarray(data, dtype=np.float64).ravel()
+        n_cols = data.shape[1]
+        # the separator after each value of a block that starts in
+        # column 0; a block starting in column c reads from offset c
+        seps = np.full(_WRITE_BLOCK + n_cols, ord(","), "<u4")
+        seps[n_cols - 1::n_cols] = ord("\n")
+        for start in range(0, values.size, _WRITE_BLOCK):
+            block = values[start:start + _WRITE_BLOCK]
+            col = start % n_cols
+            fh.write(_format_values(block, seps[col:col + block.size], fmt))
 
 
 def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ class TestRoundTrip:
 
 
 
+def _ties(rng, n):
+    """``n`` floats that are exact ties at the 18th significant digit: an
+    odd ``M < 2**53`` times ``2**(e - 18)`` lies in [10**e, 10**(e + 1))
+    and times 10**(17 - e) is ``M * 5**(17 - e) / 2``, for e = -5 .. 14."""
+    e = rng.integers(-5, 15, n)
+    low = 2.0 ** 18 * 5.0 ** e
+    M = rng.uniform(low + 1, np.minimum(10 * low, 2.0 ** 53) - 1)
+    return (M.astype(np.int64) | 1) * 2.0 ** (e - 18)
+
+
 def _table(kind, shape, rng):
     """A test table of ``shape`` whose values are of the given ``kind``."""
     data = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
@@ -173,6 +184,18 @@ def _table(kind, shape, rng):
         values = np.concatenate([halves, np.nextafter(halves, 0.0),
                                  np.nextafter(halves, np.inf)])
         flat[:values.size] = values * np.where(np.arange(values.size) % 2, -1, 1)
+    elif kind == "near-halves-18":
+        # the floats nearest to an 18-digit half (n5 * 10**p), at both ends
+        # of the digit range, and the floats next to them; then exact ties
+        n = np.concatenate([[10**17, 10**18 - 1],
+                            rng.integers(10**17, 10**18, 58)])
+        p = rng.integers(-24, 24, n.size)
+        halves = np.array([float(f"{d}5e{q}")
+                           for d, q in zip(n.tolist(), p.tolist())])
+        values = np.concatenate([halves, np.nextafter(halves, 0.0),
+                                 np.nextafter(halves, np.inf), _ties(rng, 60)])
+        flat[:values.size] = values * np.where(np.arange(values.size) % 2,
+                                               -1, 1)
     elif kind == "powers-of-ten":
         powers = 10.0 ** np.arange(-25, 36)
         values = np.concatenate([powers, np.nextafter(powers, 0.0),
@@ -184,16 +207,20 @@ def _table(kind, shape, rng):
         edges = np.array([1e-13, 9.87654321e-13, 1e-14, 9.87654321e-14,
                           1e31, 9.87654321e31, 9.9999999999e31, 1e32,
                           9.87654321e32, 1.5e-99, 1e-100, 1.5e100, 1e300,
-                          2.5e-308])
+                          2.5e-308,
+                          # and those of the lossless range, e = -5 .. 17
+                          1e-5, 9.87654321e-6, np.nextafter(1e-5, 0.0), 1e17,
+                          9.87654321e17, np.nextafter(1e18, 0.0), 1e18,
+                          1.23456789e18])
         flat[:2 * edges.size] = np.concatenate([edges, -edges])
     return data
 
 
 class TestWriteCsv:
     """``_write_csv``'s bytes are np.savetxt's, at the lossless and at the
-    report precision; report tables go through numpy blocks of
-    ``_REPORT_BLOCK`` values, with the values they cannot format exactly
-    spliced in from ``%``."""
+    report precision; both go through numpy blocks of ``_WRITE_BLOCK``
+    values, with the values they cannot format exactly spliced in from
+    ``%``."""
 
     FORMATS = (dataset._FLOAT_FMT, dataset._REPORT_FMT)
 
@@ -202,15 +229,16 @@ class TestWriteCsv:
         ((60, 39), "random"),          # as wide as a reconstruction table
         ((1, 7), "random"),            # a single row
         ((30, 3), "integers"),         # integer-valued floats, incl. -0.0
-        ((600, 5), "random"),          # more than one 256-row block
-        ((512, 2), "random"),          # exactly two blocks
+        ((600, 5), "random"),          # 3 000 values, one block
+        ((512, 2), "random"),          # 1 024 values, one block
         ((9, 2), "special"),           # nan, inf, subnormal, extremes
         ((0, 3), "random"),            # no rows: the header alone
         ((2048, 4), "random"),         # exactly two 4 096-value blocks
         ((700, 7), "random"),          # a 4 096-value block ends mid-row
         ((50, 7), "near-halves"),      # and their neighbours, either sign
         ((61, 4), "powers-of-ten"),    # and their neighbours
-        ((7, 4), "exponent-edges"),    # e = -13/-14, 31/32, three digits
+        ((11, 4), "exponent-edges"),   # e = -13/-14, 31/32, -6/-5, 17/18
+        ((60, 7), "near-halves-18"),   # near and exact 18-digit ties
     ])
     def test_bytes_equal_savetxt(self, tmp_path, shape, kind):
         data = _table(kind, shape, np.random.default_rng(sum(shape)))
@@ -242,6 +270,72 @@ class TestWriteCsv:
         savetxt_writer(tmp_path / "ref.csv", names, data, dataset._REPORT_FMT)
         assert (tmp_path / "got.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+    def test_a_million_lossless_values_equal_savetxt(self, tmp_path):
+        # random bit patterns, values across exponents -16..35 and at both
+        # edges of the blocks' range (e = -6/-5 and 17/18), 18-digit
+        # near-halves moved by up to 4 ulps, exact ties, and integers
+        # between 2**53 and 2**63
+        rng = np.random.default_rng(23)
+        n = 160_000
+        bits = np.frombuffer(rng.bytes(8 * n), np.float64)
+        spread = rng.standard_normal(n) * 10.0 ** rng.uniform(-16, 35, n)
+        edges = rng.uniform(1.0, 10.0, n) * \
+            10.0 ** rng.choice([-6, -5, 17, 18], n)
+        near = np.array([float(f"{d}5e{q}") for d, q in zip(
+            rng.integers(10**17, 10**18, n).tolist(),
+            rng.integers(-23, 1, n).tolist())])
+        near = near.view(np.int64) + rng.integers(-4, 5, n)
+        big = rng.integers(2**53, 2**63 - 2**10, n).astype(np.float64)
+        signed = np.concatenate([spread, edges, near.view(np.float64),
+                                 _ties(rng, n), big])
+        signed *= rng.choice([-1.0, 1.0], signed.size)
+        data = rng.permutation(np.concatenate([bits, signed]))
+        data = np.concatenate([data, np.zeros(40_000)]).reshape(-1, 40)
+        assert data.size == 1_000_000
+        names = [f"c{k}" for k in range(40)]
+        dataset._write_csv(tmp_path / "got.csv", names, data)
+        savetxt_writer(tmp_path / "ref.csv", names, data)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        # each tie's 18 digits end in an even digit, as % rounds them
+        ties = _ties(np.random.default_rng(3), 2_000)
+        e = np.floor(np.log10(ties)).astype(int)
+        for x, k in zip(ties.tolist(), (17 - e).tolist()):
+            assert Fraction(x) * 10**k % 1 == Fraction(1, 2), x
+        dataset._write_csv(tmp_path / "got.csv", ["x"], ties)
+        savetxt_writer(tmp_path / "ref.csv", ["x"], ties)
+        got = (tmp_path / "got.csv").read_text()
+        assert got == (tmp_path / "ref.csv").read_text()
+        last = [int(text.split("e")[0][-1]) for text in got.split()[1:]]
+        assert len(last) == ties.size and all(d % 2 == 0 for d in last)
+
+    def test_a_wrong_exponent_is_left_to_percent(self):
+        # floor(log10) can be off by one next to a power of ten: the double
+        # just below 10**e taken at e, and the one at or above it taken at
+        # e - 1, scale out of [1e17, 1e18) and are not formatted by blocks
+        for e in range(-5, 18):
+            above = 10.0 ** e
+            if Fraction(above) < Fraction(10) ** e:
+                above = np.nextafter(above, np.inf)
+            below = np.nextafter(above, 0.0)
+            ok, _ = dataset._eighteen_digits(
+                np.array([below, above, below, above]),
+                np.array([e, e, e - 1, e - 1], float))
+            assert ok.tolist() == [False, True, e > -5, False], e
+
+    def test_other_formats_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="'%.6e'"):
+            dataset._write_csv(tmp_path / "got.csv", ["x"], np.ones(3), "%.6e")
+
+    def test_rows_of_no_columns_are_empty_lines(self, tmp_path):
+        for fmt in self.FORMATS:
+            dataset._write_csv(tmp_path / "got.csv", [], np.zeros((3, 0)), fmt)
+            savetxt_writer(tmp_path / "ref.csv", [], np.zeros((3, 0)), fmt)
+            assert (tmp_path / "got.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes() == b"\n\n\n", fmt
 
     def test_one_dimensional_data_is_one_column(self, tmp_path):
         data = np.linspace(0.0, 1.0, 300)

@@ -46,6 +46,19 @@ ROOT = Path(__file__).resolve().parents[1]
 DATASETS = ("twin", "quickstart", "long_record", "fine_grid")
 
 
+def synth_config(name, root):
+    """The ``--config`` arguments of ``synth`` for a dataset of
+    ``DATASETS``; the twin's spec is written to ``root``."""
+    if name == "quickstart":
+        return []
+    if name == "twin":
+        spec = root / "synth.json"
+        spec.write_text(json.dumps(SYNTH_CONFIG))
+    else:
+        spec = ROOT / "perfbench" / "workloads" / f"{name}.json"
+    return ["--config", str(spec)]
+
+
 @pytest.fixture(scope="session")
 def pipeline_runs(tmp_path_factory):
     """``run(name)`` gives (pipeline config, results directory) of the
@@ -56,15 +69,7 @@ def pipeline_runs(tmp_path_factory):
     def run(name):
         if name not in runs:
             root = tmp_path_factory.mktemp(name)
-            if name == "twin":
-                spec = root / "synth.json"
-                spec.write_text(json.dumps(SYNTH_CONFIG))
-                config = ["--config", str(spec)]
-            elif name == "quickstart":
-                config = []
-            else:
-                spec = ROOT / "perfbench" / "workloads" / f"{name}.json"
-                config = ["--config", str(spec)]
+            config = synth_config(name, root)
             assert main(["synth", *config, "--seed", "0",
                          "--out", str(root / "cases")]) == 0
             pipeline_cfg = root / "cases" / "pipeline_config.json"
@@ -355,6 +360,28 @@ class TestPipelineRun:
         assert sorted(p.name for p in ref.iterdir()) == sorted(names)
         for name in names:
             assert (ref / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_synth_writes_the_bytes_of_a_savetxt_writer(
+            self, pipeline_runs, tmp_path, monkeypatch, name):
+        # every case file of synth --seed 0, whose grid and channel tables
+        # are lossless, is what a run with np.savetxt as its writer writes
+        cases = pipeline_runs(name)[0].parent
+        formats = Counter()
+
+        def reference(path, names, data, fmt=dataset._FLOAT_FMT):
+            formats[fmt] += 1
+            savetxt_writer(path, names, data, fmt)
+
+        monkeypatch.setattr(dataset, "_write_csv", reference)
+        ref = tmp_path / "reference"
+        assert main(["synth", *synth_config(name, tmp_path), "--seed", "0",
+                     "--out", str(ref)]) == 0
+        assert set(formats) == {dataset._FLOAT_FMT}
+        written = sorted(p.name for p in ref.iterdir())
+        assert any(n.endswith("_channels.csv") for n in written)
+        for n in written:
+            assert (ref / n).read_bytes() == (cases / n).read_bytes(), n
 
     def test_torsion_component_that_never_moves_scores_one(self, twin,
                                                            tmp_path):
@@ -662,6 +689,25 @@ class TestFailureModes:
         cut(2)(cases)
         assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
                      "--out", str(cases / "out")]) == 0
+
+    @pytest.mark.parametrize("name, at", [("ev_s5_grid.csv", 0),
+                                          ("ev_s5_channels.csv", -10)])
+    def test_a_byte_that_is_not_utf8_fails_at_load_naming_the_file(
+            self, twin, tmp_path, capsys, name, at):
+        # 0xff at the start of a grid CSV's header, and in the last row of
+        # a channel CSV, past the header's first buffered chunk
+        def damage(cases):
+            raw = bytearray((cases / name).read_bytes())
+            raw[at] = 0xFF
+            (cases / name).write_bytes(bytes(raw))
+
+        capsys.readouterr()
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        assert code == 2
+        assert "stage: load" in marker
+        err = capsys.readouterr().err
+        for text in (marker, err):
+            assert f"{name}: not UTF-8 text" in text, text
 
     def test_non_finite_channel_fails_at_load(self, twin, tmp_path):
         def damage(cases):
