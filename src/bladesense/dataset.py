@@ -28,7 +28,8 @@ torsion maps) is written as decimal text with 18 significant digits
 (``%.17e``), so a save/load round trip is bit-exact.
 Tables that only people and plots read (reconstructions, figure twins)
 carry 10 significant digits (``%.9e``). Both are formatted in numpy
-blocks, byte-equal to ``%`` (see :func:`_write_csv`).
+blocks by one exact digit kernel, byte-equal to ``%`` (see
+:func:`_write_csv`).
 
 Every JSON document (manifests, configs, models, summaries) is read with
 :func:`read_json` and written with :func:`write_json`. A document is a JSON
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from .errors import NumericalError, SchemaError, ValidationError
 
@@ -69,23 +71,11 @@ _REPORT_FMT = "%.9e"
 #: Values formatted, and written, per block of a table.
 _WRITE_BLOCK = 4096
 
-#: Decimal exponents ``e`` the numpy formatter handles itself at
-#: ``_REPORT_FMT``: scaling to ten integer digits multiplies or divides by
-#: 10**|9 - e| <= 10**22, which is exact in float64, so the scaled value is
-#: rounded only once.
-_REPORT_E = np.arange(-13, 32)
-
-#: A value whose scaled fraction lies this close to one half goes through
-#: ``%`` instead: below 1e10 the scaled value is off by at most half an ulp
-#: (< 1e-6), so outside this margin ``rint`` rounds as exact decimal
-#: rounding does.
-_NEAR_HALF = 1e-4
-
-#: Decimal exponents the numpy formatter handles itself at ``_FLOAT_FMT``:
-#: scaling to eighteen integer digits multiplies by 10**(17 - e) <= 10**22,
-#: exact in float64, and Dekker's product gives the scaled value's rounding
-#: error exactly.
-_FLOAT_E = (-5, 17)
+#: Decimal exponents the word tables cover: ``n`` significant digits of a
+#: value at exponent ``e`` are ``|x| * 10**(n - 1 - e)`` rounded, and that
+#: power is exact in float64 for ``n - 1 - e`` in 0 .. 22. So ``e`` runs
+#: over -13 .. 9 at ``_REPORT_FMT`` and -5 .. 17 at ``_FLOAT_FMT``.
+_EXP = np.arange(-13, 18)
 
 #: Veltkamp's splitter: ``c = _SPLITTER * a; hi = c - (c - a)`` cuts a
 #: float64 into two halves of at most 26 significant bits each.
@@ -117,17 +107,14 @@ _LEAD_WORDS = _ascii_words(np.column_stack([
 #: Four digits ``0000`` .. ``9999``.
 _DIGIT_WORDS = _ascii_words(np.column_stack([
     np.repeat(_TWO_DIGITS, 100, axis=0), np.tile(_TWO_DIGITS, (100, 1))]))
-#: ``e-13`` .. ``e+31`` at ``e + 13``.
+#: ``e-13`` .. ``e+17`` at ``e + 13``.
 _EXP_WORDS = _ascii_words(np.column_stack([
-    np.full(_REPORT_E.size, ord("e")),
-    np.where(_REPORT_E < 0, ord("-"), ord("+")),
-    _TWO_DIGITS[np.abs(_REPORT_E)]]))
-#: ``|x| * _SCALE_MUL[e + 13] / _SCALE_DIV[e + 13]`` has ten integer digits;
-#: ``_SCALE_MUL[e + 5]`` is 10**(17 - e) for the exponents of ``_FLOAT_E``.
-_SCALE_MUL = np.array([float(10 ** max(9 - e, 0)) for e in _REPORT_E.tolist()])
-_SCALE_DIV = np.array([float(10 ** max(e - 9, 0)) for e in _REPORT_E.tolist()])
-#: The halves of 10**(17 - e) at ``e + 5``, for Dekker's product.
-_POW_HI, _POW_LO = _split(_SCALE_MUL[:_FLOAT_E[1] - _FLOAT_E[0] + 1])
+    np.full(_EXP.size, ord("e")), np.where(_EXP < 0, ord("-"), ord("+")),
+    _TWO_DIGITS[np.abs(_EXP)]]))
+#: 10**k at ``k`` = 0 .. 22, all exact, and their halves for Dekker's
+#: product.
+_POW = np.array([float(10 ** k) for k in range(23)])
+_POW_HI, _POW_LO = _split(_POW)
 
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -167,7 +154,10 @@ def _checked(value, kind, path, where: str):
         if isinstance(value, int) and not isinstance(value, bool) or (
                 isinstance(value, float) and math.isfinite(value)
                 and (kind is float or value.is_integer())):
-            return kind(value)
+            try:
+                return kind(value)
+            except OverflowError:  # an integer beyond float range
+                pass
     elif kind is str and isinstance(value, str):
         return value
     expected = ("a list" if isinstance(kind, list) else "a JSON object"
@@ -400,41 +390,29 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def _ten_digits(a: np.ndarray, e: np.ndarray):
-    """``(ok, m)``: ``m`` the ten digits of ``a = |x|`` at decimal exponent
-    ``e``, where ``ok``; ``e`` is set to 9 elsewhere."""
-    ok = (e >= _REPORT_E[0]) & (e <= _REPORT_E[-1])
-    e[~ok] = 9
-    ei = e.astype(np.intp) - _REPORT_E[0]
-    scaled = a * _SCALE_MUL[ei] / _SCALE_DIV[ei]
-    m = np.rint(scaled)
-    # a wrong floor(log10) lands outside [1e9, 1e10) and is caught here
-    ok &= (scaled >= 1e9) & (m < 1e10) & (
-        np.abs(scaled - np.floor(scaled) - 0.5) > _NEAR_HALF)
-    m[~ok] = 1e9  # in range of the tables; the words are zeroed later
-    return ok, m.astype(np.int64)
+def _digits(a: np.ndarray, e: np.ndarray, n: int):
+    """``(ok, m)``: ``m`` the ``n`` significant digits of ``a = |x|`` at
+    decimal exponent ``e``, where ``ok``; ``e`` is set to ``n - 1``
+    elsewhere.
 
-
-def _eighteen_digits(a: np.ndarray, e: np.ndarray):
-    """``(ok, m)``: ``m`` the 18 digits of ``a = |x|`` at decimal exponent
-    ``e``, where ``ok``; ``e`` is set to 17 elsewhere.
-
-    Dekker's product splits ``a * 10**(17 - e)`` exactly into its float64
-    ``p`` and the residual ``err``. A ``p`` in [1e17, 1e18) is an integer
-    and a multiple of 16, so ``m = p + rint(err)`` is the exact product
-    rounded half to even, as ``%`` rounds: ``p`` is even, so ``rint``'s
-    choice at a tie is ``m``'s. The double below 10**e scales to at most
-    1e17 - 16, and the one below 10**(e + 1) to at most 1e18 - 128, for
-    every ``e`` here. So ``p`` lies in [1e17, 1e18) exactly where ``e`` is
-    the exponent of ``a`` (``floor(log10)`` can be off by one), and ``m``
-    then lies there too: the rounding never carries into a 19th digit.
+    Dekker's product splits ``a * 10**k``, ``k = n - 1 - e``, exactly into
+    its float64 ``p`` and the residual ``err``, and ``m`` is the exact
+    product rounded half to even, as ``%`` rounds. Ten digits: ``p`` is
+    below 2**34, so ``|err|`` is at most 2**-20 and every half-integer is a
+    float; ``rint(p)`` is right unless ``p`` is a half-integer, where the
+    sign of ``err`` decides (a zero ``err`` is a true tie). Eighteen
+    digits: ``p`` is an even integer from 2**53 up, so ``rint(err)``'s
+    choice at a tie is ``m``'s. ``floor(log10)`` can be off by one, but
+    wherever ``m`` has ``n`` digits ``%`` writes exactly those at ``e``.
     """
-    ok = (e >= _FLOAT_E[0]) & (e <= _FLOAT_E[1])
-    e[~ok] = 17
-    ei = e.astype(np.intp) - _FLOAT_E[0]
-    p = a * _SCALE_MUL[ei]
+    k = (n - 1) - e
+    ok = (k >= 0) & (k < _POW.size)
+    e[~ok] = n - 1
+    k[~ok] = 0
+    k = k.astype(np.intp)
+    p = a * _POW[k]
     a_hi, a_lo = _split(a)
-    p_hi, p_lo = _POW_HI[ei], _POW_LO[ei]
+    p_hi, p_lo = _POW_HI[k], _POW_LO[k]
     # err = ((a_hi*p_hi - p) + a_hi*p_lo + a_lo*p_hi) + a_lo*p_lo, with the
     # products in place: fewer temporaries keep the heap small
     err = a_hi * p_hi
@@ -442,11 +420,18 @@ def _eighteen_digits(a: np.ndarray, e: np.ndarray):
     err += np.multiply(a_hi, p_lo, out=a_hi)
     err += np.multiply(a_lo, p_hi, out=p_hi)
     err += np.multiply(a_lo, p_lo, out=a_lo)
-    ok &= (p >= 1e17) & (p < 1e18)
-    p[~ok] = 1e17  # in range of the tables; the words are zeroed later
-    err[~ok] = 0.0
-    m = p.astype(np.int64)
+    r = np.rint(p)
+    half = np.flatnonzero(np.abs(p - r) == 0.5)
+    half = half[err[half] != 0.0]  # a zero err is a tie rint breaks to even
+    r[half] = np.floor(p[half]) + (err[half] > 0.0)
+    ok &= p < 2.0 ** 62
+    bad = ~ok
+    r[bad] = 0.0
+    err[bad] = 0.0
+    m = r.astype(np.int64)
     m += np.rint(err, out=err).astype(np.int64)
+    ok &= (m >= 10 ** (n - 1)) & (m < 10 ** n)
+    m[~ok] = 10 ** (n - 1)  # in range of the tables; the words are zeroed later
     return ok, m
 
 
@@ -455,18 +440,18 @@ def _format_values(x: np.ndarray, seps: np.ndarray, fmt: str) -> str:
     followed by its separator word in ``seps``: byte for byte what ``%``
     writes.
 
-    A value ``x = +-m * 10**(e - 17)`` with 18 integer digits ``m`` (or
-    ``+-m * 10**(e - 9)`` with ten) is emitted from the word tables above.
-    Values the tables cannot format exactly (zero, non-finite, subnormal,
-    an exponent outside the format's range and, in a report, a rounding
-    carry or a near-half) are formatted by ``%`` and spliced in.
+    A value ``x = +-m * 10**(e - n + 1)`` with ``n`` integer digits ``m``
+    (18 lossless, ten in a report; see :func:`_digits`) is emitted from the
+    word tables above. Values the tables cannot format exactly (zero,
+    non-finite, subnormal, an exponent outside the format's range and a
+    rounding carry) are formatted by ``%`` and spliced in.
     """
-    lossless = fmt == _FLOAT_FMT
+    n = 18 if fmt == _FLOAT_FMT else 10
     a = np.abs(x)
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(a))
-        ok, m = (_eighteen_digits if lossless else _ten_digits)(a, e)
-    n_groups = 4 if lossless else 2
+        ok, m = _digits(a, e, n)
+    n_groups = (n - 2) // 4
     negative = np.signbit(x)
     words = np.empty((x.size, n_groups + 3), "<u4")
     for j in range(n_groups, 0, -1):
@@ -474,7 +459,7 @@ def _format_values(x: np.ndarray, seps: np.ndarray, fmt: str) -> str:
         words[:, j] = _DIGIT_WORDS[m - high * 10000]
         m = high
     words[:, 0] = _LEAD_WORDS[m + 100 * negative]
-    words[:, -2] = _EXP_WORDS[e.astype(np.intp) - _REPORT_E[0]]
+    words[:, -2] = _EXP_WORDS[e.astype(np.intp) - _EXP[0]]
     words[:, -1] = seps
     slow = np.flatnonzero(~ok)
     words[slow] = 0  # zero bytes are squeezed out below
@@ -484,8 +469,7 @@ def _format_values(x: np.ndarray, seps: np.ndarray, fmt: str) -> str:
         return text
     # where each slow value goes: after the digits, '.', exponent, sign
     # and separator of each value formatted before it
-    width = 4 * n_groups + 8
-    ends = np.cumsum(np.where(ok, width + negative, 0))[slow].tolist()
+    ends = np.cumsum(np.where(ok, n + 6 + negative, 0))[slow].tolist()
     pieces, done = [], 0
     for i, end in zip(slow.tolist(), ends):
         pieces += [text[done:end], fmt % float(x[i]), chr(seps[i])]
@@ -502,7 +486,8 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray,
     delimiter=",", header=",".join(names), comments="")`` writes.
 
     Both formats go through numpy blocks of ``_WRITE_BLOCK`` values (see
-    :func:`_format_values`), each written as soon as it is formatted.
+    :func:`_format_values`), each written as soon as it is formatted; one
+    digit kernel, :func:`_digits`, rounds both.
     """
     if fmt not in (_FLOAT_FMT, _REPORT_FMT):
         raise ValueError(f"unsupported table format {fmt!r}")
@@ -529,7 +514,8 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray,
 
 
 def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """The finite float64 field matrix of ``shape`` in a ``.npy`` file."""
+    """The finite float64 field matrix of ``shape`` in a ``.npy`` file; its
+    header is checked before the data is read."""
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
     with open(path, "rb") as fh:
@@ -537,14 +523,20 @@ def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
             raise SchemaError(f"{path}: not a .npy file")
         fh.seek(0)
         try:
-            data = np.load(fh, allow_pickle=False)
+            version = npformat.read_magic(fh)
+            header = (npformat.read_array_header_1_0 if version == (1, 0)
+                      else npformat.read_array_header_2_0)
+            declared, _, dtype = header(fh)
+            if dtype == np.float64 and declared == shape:
+                fh.seek(0)
+                data = np.load(fh, allow_pickle=False)
         except ValueError as err:
             raise SchemaError(f"{path}: unreadable .npy data ({err})") from err
-    if data.dtype != np.float64:
-        raise SchemaError(f"{path}: dtype {data.dtype}, expected float64")
-    if data.shape != shape:
+    if dtype != np.float64:
+        raise SchemaError(f"{path}: dtype {dtype}, expected float64")
+    if declared != shape:
         raise SchemaError(
-            f"{path}: shape {data.shape}, expected {shape} (3*n_z, n_t)"
+            f"{path}: shape {declared}, expected {shape} (3*n_z, n_t)"
         )
     _check_finite(data, path)
     return data

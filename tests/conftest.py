@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npformat
 
 from bladesense import BladeGrid, ModalBasis, dataset
 from bladesense.decomposition import dof_weights
@@ -93,7 +94,7 @@ CHANNELS = ["t", "theta", "omega", "u_raw", "u_filt"]
 #: when the case is loaded (see :func:`damage_case`).
 DAMAGE = ("missing", "not_npy", "truncated", "truncated_header", "object",
           "pickled", "float32", "short_rows", "short_steps", "transposed",
-          "fields_in_snapshots", "no_fields")
+          "fields_in_snapshots", "no_fields", "huge_steps")
 
 
 def damage_case(manifest_path, kind):
@@ -139,6 +140,14 @@ def damage_case(manifest_path, kind):
         np.save(npy, D[:, :-1])
     elif kind == "transposed":
         np.save(npy, np.ascontiguousarray(D.T))
+    elif kind == "huge_steps":
+        # 10**15 steps declared on the real body: more than any address
+        # space holds, so only a check of the header rejects it unallocated
+        with open(npy, "wb") as fh:
+            npformat.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (D.shape[0], 10**15)})
+            fh.write(D.tobytes())
     else:
         raise ValueError(kind)
     return SchemaError, npy.name

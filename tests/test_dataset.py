@@ -203,8 +203,10 @@ def _table(kind, shape, rng):
         flat[:values.size] = values
     elif kind == "exponent-edges":
         # the last exponents the numpy blocks format and the first ones
-        # they leave to %, with 3-digit exponents beyond
+        # they leave to %, with 3-digit exponents beyond: at ten digits
+        # e = -13 .. 9, so 1e10 .. 1e32 go to %, and so does a carry
         edges = np.array([1e-13, 9.87654321e-13, 1e-14, 9.87654321e-14,
+                          1e9, np.nextafter(1e10, 0.0), 9.9999999995e9, 1e10,
                           1e31, 9.87654321e31, 9.9999999999e31, 1e32,
                           9.87654321e32, 1.5e-99, 1e-100, 1.5e100, 1e300,
                           2.5e-308,
@@ -237,7 +239,7 @@ class TestWriteCsv:
         ((700, 7), "random"),          # a 4 096-value block ends mid-row
         ((50, 7), "near-halves"),      # and their neighbours, either sign
         ((61, 4), "powers-of-ten"),    # and their neighbours
-        ((11, 4), "exponent-edges"),   # e = -13/-14, 31/32, -6/-5, 17/18
+        ((13, 4), "exponent-edges"),   # e = -13/-14, 9/10, -6/-5, 17/18
         ((60, 7), "near-halves-18"),   # near and exact 18-digit ties
     ])
     def test_bytes_equal_savetxt(self, tmp_path, shape, kind):
@@ -312,19 +314,63 @@ class TestWriteCsv:
         last = [int(text.split("e")[0][-1]) for text in got.split()[1:]]
         assert len(last) == ties.size and all(d % 2 == 0 for d in last)
 
-    def test_a_wrong_exponent_is_left_to_percent(self):
-        # floor(log10) can be off by one next to a power of ten: the double
-        # just below 10**e taken at e, and the one at or above it taken at
-        # e - 1, scale out of [1e17, 1e18) and are not formatted by blocks
-        for e in range(-5, 18):
+    def test_ten_digit_ties_and_near_halves_stay_on_the_fast_path(self):
+        # exact ties n + 0.5 round half to even; a near-half, within 4 ulps
+        # of (n + 0.5) * 10**(e - 9) at every exponent e = -13 .. 9, rounds
+        # by the sign of its residual, also where its product is a
+        # half-integer. n < 1e10 - 1, so no value carries into 11 digits
+        rng = np.random.default_rng(29)
+        ties = rng.integers(1e9, 1e10 - 1, 4_000) + 0.5
+        exps = np.repeat(np.arange(-13, 10), 400)
+        near = (rng.integers(1e9, 1e10 - 1, exps.size) + 0.5) * \
+            10.0 ** (exps - 9)
+        near = (near.view(np.int64) + rng.integers(-4, 5, exps.size)
+                ).view(np.float64)
+        half_products = []
+        for x in (ties, near):
+            x = x * rng.choice([-1.0, 1.0], x.size)
+            a = np.abs(x)
+            e = np.floor(np.log10(a))
+            p = a * 10.0 ** (9 - e)
+            half_products.append(np.count_nonzero(p - np.floor(p) == 0.5))
+            ok, _ = dataset._digits(a, e, 10)
+            assert ok.all()
+            seps = np.full(x.size, ord(","), "<u4")
+            assert dataset._format_values(x, seps, dataset._REPORT_FMT) == \
+                "".join(dataset._REPORT_FMT % v + "," for v in x.tolist())
+        assert half_products[0] == ties.size and half_products[1] > 0
+        last = [int(text.split("e")[0][-1]) for text in
+                (dataset._REPORT_FMT % v for v in ties.tolist())]
+        assert all(d % 2 == 0 for d in last)
+
+    @pytest.mark.parametrize("n, low", [(18, -5), (10, -13)])
+    def test_a_wrong_exponent_is_left_to_percent(self, n, low):
+        # floor(log10) can be off by one next to a power of ten. The double
+        # just below 10**e taken at e scales below 1e17 at 18 digits, but
+        # rounds up to 1e9 at ten, which is what % writes; the one at or
+        # above 10**e taken at e - 1 scales out of range, and so does, at
+        # ten digits, the one below it (it rounds up to 1e10)
+        fmt = f"%.{n - 1}e"
+        for e in range(low, low + 23):
             above = 10.0 ** e
             if Fraction(above) < Fraction(10) ** e:
                 above = np.nextafter(above, np.inf)
             below = np.nextafter(above, 0.0)
-            ok, _ = dataset._eighteen_digits(
-                np.array([below, above, below, above]),
-                np.array([e, e, e - 1, e - 1], float))
-            assert ok.tolist() == [False, True, e > -5, False], e
+            x = np.array([below, above, below, above])
+            at = np.array([e, e, e - 1, e - 1], float)
+            ok, m = dataset._digits(x, at, n)
+            assert ok.tolist() == [n == 10, True, n == 18 and e > low,
+                                   False], e
+            # whichever way ok falls, the text is %'s
+            for v, good, digits, where in zip(x.tolist(), ok.tolist(),
+                                              m.tolist(), at.tolist()):
+                if good:
+                    text = str(digits)
+                    assert f"{text[0]}.{text[1:]}e{int(where):+03d}" == \
+                        fmt % v, (e, v)
+            seps = np.full(4, ord(","), "<u4")
+            assert dataset._format_values(x, seps, fmt) == \
+                "".join(fmt % v + "," for v in x.tolist())
 
     def test_other_formats_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="'%.6e'"):

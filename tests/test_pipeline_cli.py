@@ -1569,6 +1569,11 @@ class TestConfigValidation:
         # an evaluation case's outputs are named after its manifest's stem
         ("pipeline", lambda doc: {**doc, "evaluation": doc["evaluation"] * 2},
          "'evaluation' names a case twice: ['ev_s5', 'ev_s5']"),
+        # an integer beyond float range is not a finite number
+        ("pipeline", lambda doc: {**doc, "noise": 10**400},
+         "'noise' must be a finite number"),
+        ("synth", _set.__func__("training", "u_mean", 10**400),
+         "'training[0].u_mean' must be a finite number"),
     ], ids=["synth-no-name", "synth-no-u_mean", "synth-no-ti",
             "synth-not-object", "pipeline-not-object", "n_modes-text",
             "n_modes-fraction", "synth-u_mean-text",
@@ -1588,7 +1593,8 @@ class TestConfigValidation:
             "synth-case-twice-in-training", "synth-seed-listed-twice",
             "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
             "synth-name-empty", "synth-name-dot", "synth-name-dot-dot",
-            "evaluation-case-twice"])
+            "evaluation-case-twice", "noise-huge-integer",
+            "synth-u_mean-huge-integer"])
     def test_malformed_config_exits_2_naming_the_key(
             self, twin, tmp_path, capsys, command, edit, key):
         pipeline_cfg, _ = twin
@@ -1629,8 +1635,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("seed", 1.5), ("seed", True), ("u_mean", "9.5"), ("f_s", "abc"),
         ("L_b", None), ("grid_file", 5), ("torsoin_file", "x.npy"),
+        ("f_s", 10**400),
     ], ids=["seed-fraction", "seed-bool", "u_mean-text", "f_s-text",
-            "L_b-null", "grid_file-number", "misspelt-torsion_file"])
+            "L_b-null", "grid_file-number", "misspelt-torsion_file",
+            "f_s-huge-integer"])
     def test_malformed_manifest_exits_2_naming_the_key(
             self, twin, tmp_path, capsys, key, value):
         pipeline_cfg, _ = twin
