@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``synth`` writes synthetic cases and a pipeline config,
-``fit-rom`` fits the basis and the azimuthal ROM from the training cases
-(the set-up), and ``pipeline`` runs every stage and writes every artifact.
+``fit-rom`` fits the set-up (basis, azimuthal ROM and torsion map) from the
+training cases, and ``pipeline`` runs every stage and writes every artifact.
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
 
@@ -28,6 +28,10 @@ _SYNTH_CASE = ({"name": str, "u_mean": float, "ti": float, "seeds": [int],
 _SYNTH = {"grid": ({"n_z": int, "L_b": float}, ()), "training": [_SYNTH_CASE],
           "evaluation": [_SYNTH_CASE], "pipeline": (CONFIG_SCHEMA, ())}
 
+#: The longest file name synth writes, in bytes (NAME_MAX of the common
+#: file systems); a case's longest is ``<case>_displacement.npy``.
+_NAME_MAX = 255
+
 
 def cmd_synth(args) -> int:
     """Generate synthetic cases plus a ready-to-run pipeline config.
@@ -36,8 +40,8 @@ def cmd_synth(args) -> int:
     a config leaves out take the defaults of ``demo_grid`` and
     ``demo_spec``. The whole document, every case included, is checked
     before the first case is written; two entries that would write the same
-    case file, and a case ``name`` that is not a plain file name, are
-    rejected.
+    case file, a case ``name`` that is not a plain file name, and a case
+    file name longer than ``_NAME_MAX`` bytes are rejected.
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
@@ -57,12 +61,18 @@ def cmd_synth(args) -> int:
                     sep and sep in name for sep in ("/", os.sep, os.altsep)):
                 raise SchemaError(f"{path}: '{key}.name' must be a plain "
                                   f"file name, got {name!r}")
+            if len(os.fsencode(f"{name}_s0_displacement.npy")) > _NAME_MAX:
+                raise SchemaError(f"{path}: '{key}.name' makes a case file "
+                                  f"name longer than {_NAME_MAX} bytes")
             # every case key but name and seeds is a demo_spec argument
             options = {k: v for k, v in entry.items() if k not in ("name", "seeds")}
             for s in entry.get("seeds", [0]):
                 if seed + s < 0:
                     raise SchemaError(f"{path}: '{key}.seeds': --seed "
                                       f"{seed} plus seed {s} is negative")
+                if len(os.fsencode(f"{name}_s{s}_displacement.npy")) > _NAME_MAX:
+                    raise SchemaError(f"{path}: '{key}.seeds' makes a case "
+                                      f"file name longer than {_NAME_MAX} bytes")
                 try:
                     spec = demo_spec(name=f"{name}_s{s}", grid=grid,
                                      **options)
@@ -116,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, text, func in (
             ("synth", "generate synthetic cases and a config", cmd_synth),
-            ("fit-rom", "fit the basis and the azimuthal ROM", cmd_plan),
+            ("fit-rom", "fit the basis, the ROM and the torsion map", cmd_plan),
             ("pipeline", "run every stage, write every artifact", cmd_plan)):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, help="config JSON path")

@@ -1,12 +1,15 @@
 """End-to-end orchestration: decompose, place, fit, estimate, report.
 
-Estimation runs once per evaluation case on whole arrays: the sensors are
-sampled (with noise) at every time step in one call, the reduced
-coordinates of all steps come from one linear map, the azimuthal prior is
-evaluated at every step's angle and filtered wind speed, and the two
-Gaussians are fused with one gain, as both share one covariance over all
-steps. Each row equals what the per-step library calls give for that step. Batch reporting (spectra, histograms, azimuthal
-curves, coupling scatter) runs afterwards on the recorded traces.
+The fit-rom stage fits the azimuthal prior and the torsion map from the
+training cases. Estimation runs once per evaluation case on whole arrays:
+the sensors are sampled (with noise) at every step in one call, one linear
+map gives the reduced coordinates of all steps, the prior is evaluated at
+each step's angle and filtered wind speed, and the two Gaussians are fused
+with one gain, as both share one covariance over all steps. Each row
+equals what the per-step library calls give for that step. Once the case's
+field is released, its torsion is inferred from the fused coordinates and
+scored. Batch reporting (spectra, histograms, azimuthal curves, coupling
+scatter) runs afterwards on the first case's traces.
 
 Every figure is an SVG whose plotted numbers a CSV holds: its twin of the
 same name, or for the reconstruction trace the case's ``recon_<case>.csv``.
@@ -111,19 +114,19 @@ class _Context:
     config: PipelineConfig
     plan: str = "pipeline"
     train: list = field(default_factory=list)       # (case_id, ensemble);
-    # fit-rom empties it, keeping the first case's theta and u_filt
-    train_channels: dict = field(default_factory=dict)
+    # fit-rom empties it, keeping what the report reads of the first case
+    train_trace: dict = field(default_factory=dict)
     manifests: dict = field(default_factory=dict)   # config path -> manifest
     evaluation: list = field(default_factory=list)  # (case_id, ensemble);
-    # estimate empties it, keeping what later stages read in traces
+    # estimate empties it, keeping what the report reads of the first case
+    trace: dict = field(default_factory=dict)
     basis: ModalBasis | None = None
-    train_coords: list = field(default_factory=list)  # set by fit-rom
     sensors: object = None
     noise_model: NoiseModel | None = None
     obs_stations: np.ndarray | None = None  # set by load, with
     obs_rows: np.ndarray | None = None      # their rows in a field
     rom: AzimuthalRomModel | None = None
-    traces: dict = field(default_factory=dict)      # case_id -> per-case arrays
+    torsion: tuple | None = None  # (map at obs_rows, fit R^2), set by fit-rom
     summary: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
 
@@ -134,7 +137,7 @@ class _Context:
 
 def _stage_load(ctx: _Context) -> None:
     cfg = ctx.config
-    # each manifest is read here, once, and kept for the torsion stage
+    # each manifest is read here, once, and kept for the torsion reads
     for p in cfg.training:
         m = ctx.manifests[p] = read_manifest(p)
         ctx.train.append((Path(p).stem, load_case(p, m)[1]))
@@ -189,17 +192,31 @@ def _stage_sensors(ctx: _Context) -> None:
 
 
 def _stage_fit_rom(ctx: _Context) -> None:
-    ctx.train_coords = [project(e.D, ctx.basis) for _, e in ctx.train]
+    coords = [project(e.D, ctx.basis) for _, e in ctx.train]
     ctx.rom = fit_rom(
-        [(a, e.theta, e.u_filt) for (_, e), a in zip(ctx.train, ctx.train_coords)],
+        [(a, e.theta, e.u_filt) for (_, e), a in zip(ctx.train, coords)],
         conditions=[{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
                     for _, e in ctx.train])
     save_rom(ctx.rom, ctx.emit("rom.json"))
-    # the last reader of the training cases: torsion reads only their
-    # coordinates, and the report the first case's theta and u_filt
-    e = ctx.train[0][1]
-    ctx.train_channels = {"theta": e.theta, "u_filt": e.u_filt}
+    # the last reader of the training cases: the torsion map reads only
+    # their coordinates, and the report the first case's theta and u_filt
+    ctx.train_trace = {"a": coords[0], "theta": ctx.train[0][1].theta,
+                       "u_filt": ctx.train[0][1].u_filt}
     ctx.train = []
+    # one map over every training case that carries torsion; each torsion
+    # matrix is loaded, folded and dropped in turn
+    carriers = [(p, a) for p, a in zip(ctx.config.training, coords)
+                if "torsion_file" in ctx.manifests[p]]
+    if not carriers:
+        return
+    model, r2 = fit_torsion_model(
+        [a for _, a in carriers],
+        (load_torsion(p, (ctx.basis.grid.n_dof, a.shape[1]), ctx.manifests[p])
+         for p, a in carriers), ctx.basis.grid)
+    save_torsion_model(model, ctx.emit("torsion_map.csv"))
+    # estimate reads torsion at the observation stations only
+    ctx.torsion = (TorsionModel(model.mean_field[ctx.obs_rows],
+                                model.field_map[ctx.obs_rows]), r2)
 
 
 def _station_table(path, head: dict, stations, comps, true_obs,
@@ -226,12 +243,12 @@ def _stage_estimate(ctx: _Context) -> None:
     z = ctx.basis.grid.z_norm
     mean_obs = ctx.basis.mean_field[ctx.obs_rows][:, None]
     phi_obs = ctx.basis.modes[ctx.obs_rows, :]
-    cases_summary = {}
+    cases_summary, torsion = {}, {}
     fusion = {"steps": 0, "regularized": 0}
     rom = {"steps": 0, "extrapolated_low": 0, "extrapolated_high": 0}
     lo, hi = ctx.rom.u_range
     tip_rows = sensor_dof_rows([z.size - 1], z.size)  # the tip's ux, uy, uz
-    for idx in range(len(ctx.evaluation)):
+    for idx, path in enumerate(cfg.evaluation):
         case_id, e = ctx.evaluation.pop(0)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
@@ -256,10 +273,10 @@ def _stage_estimate(ctx: _Context) -> None:
         a_proj = project(e.D, ctx.basis)
         fields = {src: mean_obs + phi_obs @ A[src] for src in _SOURCES}
         true_obs = e.D[ctx.obs_rows, :]
+        head = {"t": e.t, "theta": e.theta}  # both tables' first columns
+        cov = np.full(e.n_t, np.trace(fused.covariance))
         rmse = _station_table(
-            ctx.emit(f"recon_{case_id}.csv"),
-            {"t": e.t, "theta": e.theta,
-             "trace_fused_cov": np.full(e.n_t, np.trace(fused.covariance))},
+            ctx.emit(f"recon_{case_id}.csv"), {**head, "trace_fused_cov": cov},
             ctx.obs_stations, _COMPONENTS, true_obs, fields)
         stations_out = [
             {"station_index": int(station), "z_norm": float(z[station]),
@@ -272,19 +289,20 @@ def _stage_estimate(ctx: _Context) -> None:
             reduced[src] = [float(r) for r in np.sqrt(np.mean(sq, axis=1))]
             reduced_total[src] = float(np.sqrt(np.mean(sq)))
         cases_summary[case_id] = {
-            "n_steps": int(e.n_t),
-            "stations": stations_out,
-            "reduced_rmse": reduced,
-            "reduced_rmse_total": reduced_total,
-            "nis_mean": float(nis.mean()),
-        }
-        # the last reader of each evaluation case: torsion reads its fused
-        # coordinates, t and theta, and the report the first case's traces
-        trace = {"fused": A["fused"], "t": e.t, "theta": e.theta}
-        if not ctx.traces:
-            trace.update(a_proj=a_proj, true_obs=true_obs, fields=fields,
-                         tip=e.D[tip_rows, :], omega=e.omega, f_s=e.f_s)
-        ctx.traces[case_id] = trace
+            "n_steps": int(e.n_t), "stations": stations_out,
+            "reduced_rmse": reduced, "reduced_rmse_total": reduced_total,
+            "nis_mean": float(nis.mean())}
+        # the last reader of each evaluation field: torsion scoring reads its
+        # fused coordinates, t and theta, and the report the first's traces
+        if not ctx.trace:
+            ctx.trace = {"case_id": case_id, "a_proj": a_proj, "t": e.t,
+                         "true_obs": true_obs, "fields": fields,
+                         "tip": e.D[tip_rows, :], "omega": e.omega,
+                         "f_s": e.f_s}
+        del e
+        if ctx.torsion and "torsion_file" in ctx.manifests[path]:
+            torsion[case_id] = _score_torsion(ctx, path, case_id, head,
+                                              A["fused"])
 
     ctx.summary = {
         "cases": cases_summary,
@@ -294,54 +312,30 @@ def _stage_estimate(ctx: _Context) -> None:
                      ("n_modes", "n_sensors", "seed")},
     }
     write_json(ctx.emit("error_summary.json"), ctx.summary)
+    if ctx.torsion:
+        write_json(ctx.emit("torsion_summary.json"),
+                   {"fit_r_squared": ctx.torsion[1], "evaluation": torsion})
 
 
-def _stage_torsion(ctx: _Context) -> None:
-    # one map over every training case that carries torsion; each torsion
-    # matrix is loaded, folded and dropped in turn
-    n_dof = ctx.basis.grid.n_dof
-    carriers = [(p, a) for p, a in zip(ctx.config.training, ctx.train_coords)
-                if "torsion_file" in ctx.manifests[p]]
-    if not carriers:
-        return
-    model, r2 = fit_torsion_model(
-        [a for _, a in carriers],
-        (load_torsion(p, (n_dof, a.shape[1]), ctx.manifests[p])
-         for p, a in carriers), ctx.basis.grid)
-    save_torsion_model(model, ctx.emit("torsion_map.csv"))
-
-    # torsion inferred from the fused estimate, scored against the truth;
-    # both are read at the observation stations only, so the map is cut to
-    # their rows and each truth matrix is dropped once they are taken
-    obs_model = TorsionModel(model.mean_field[ctx.obs_rows],
-                             model.field_map[ctx.obs_rows])
-    eval_summary = {}
-    for p in ctx.config.evaluation:
-        if "torsion_file" not in ctx.manifests[p]:
-            continue
-        case_id = Path(p).stem
-        trace = ctx.traces[case_id]
-        true_obs = load_torsion(p, (n_dof, trace["t"].size),
-                                ctx.manifests[p])[ctx.obs_rows, :]
-        est_obs = infer_torsion(trace["fused"], obs_model)
-        rmse = _station_table(
-            ctx.emit(f"torsion_recon_{case_id}.csv"),
-            {"t": trace["t"], "theta": trace["theta"]}, ctx.obs_stations,
-            _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
-        row_r2 = _r_squared(
-            np.sum((est_obs - true_obs) ** 2, axis=1),
-            np.sum((true_obs - true_obs.mean(axis=1, keepdims=True)) ** 2,
-                   axis=1), np.sum(true_obs**2, axis=1), true_obs.shape[1])
-        eval_summary[case_id] = [
-            {"station_index": int(station),
-             "components": {comp: {"rmse": rmse[3 * s_i + c_i],
-                                   "r_squared": float(row_r2[3 * s_i + c_i])}
-                            for c_i, comp in enumerate(_TORSION_COMPONENTS)}}
-            for s_i, station in enumerate(ctx.obs_stations)]
-
-    write_json(ctx.emit("torsion_summary.json"),
-               {"fit_r_squared": r2,
-                "evaluation": eval_summary})
+def _score_torsion(ctx: _Context, path, case_id, head: dict, fused) -> list:
+    """Write a case's torsion, inferred from its fused coordinates, beside
+    the truth at the observation rows; return the case's summary rows."""
+    true_obs = load_torsion(path, (ctx.basis.grid.n_dof, head["t"].size),
+                            ctx.manifests[path])[ctx.obs_rows, :]
+    est_obs = infer_torsion(fused, ctx.torsion[0])
+    rmse = _station_table(
+        ctx.emit(f"torsion_recon_{case_id}.csv"), head, ctx.obs_stations,
+        _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
+    row_r2 = _r_squared(
+        np.sum((est_obs - true_obs) ** 2, axis=1),
+        np.sum((true_obs - true_obs.mean(axis=1, keepdims=True)) ** 2,
+               axis=1), np.sum(true_obs**2, axis=1), true_obs.shape[1])
+    return [
+        {"station_index": int(station),
+         "components": {comp: {"rmse": rmse[3 * s_i + c_i],
+                               "r_squared": float(row_r2[3 * s_i + c_i])}
+                        for c_i, comp in enumerate(_TORSION_COMPONENTS)}}
+        for s_i, station in enumerate(ctx.obs_stations)]
 
 
 #: z/L_b of the scored stations; load snaps each to its nearest grid station.
@@ -352,7 +346,7 @@ _N_SECTORS = 72
 
 
 def _stage_report(ctx: _Context) -> None:
-    case_id, trace = next(iter(ctx.traces.items()))
+    case_id, trace = ctx.trace["case_id"], ctx.trace
     station = int(ctx.obs_stations[0])
     f_1p = float(np.mean(trace["omega"])) / (2.0 * np.pi)
 
@@ -393,8 +387,8 @@ def _stage_report(ctx: _Context) -> None:
     # azimuthal mean +/- sigma of the first training case in 5-degree
     # sectors, against the prior at the sector centres and the case's mean
     # wind speed
-    a = ctx.train_coords[0]
-    idx = azimuth_bin(ctx.train_channels["theta"], _N_SECTORS)
+    a = ctx.train_trace["a"]
+    idx = azimuth_bin(ctx.train_trace["theta"], _N_SECTORS)
     counts = np.bincount(idx, minlength=_N_SECTORS)
     occ, n_b = counts > 0, np.maximum(counts, 1)
     data_mean = np.stack([np.bincount(idx, a_n, _N_SECTORS)
@@ -404,7 +398,7 @@ def _stage_report(ctx: _Context) -> None:
     data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
     centers = ((np.arange(_N_SECTORS) + 0.5) * TWO_PI / _N_SECTORS)[occ]
     prior = evaluate_rom(
-        ctx.rom, centers, float(np.mean(ctx.train_channels["u_filt"])), None)
+        ctx.rom, centers, float(np.mean(ctx.train_trace["u_filt"])), None)
     rom_std = np.sqrt(np.diagonal(prior.covariance))
     for n in range(ctx.config.n_modes):
         rom_mean = prior.mean[:, n]
@@ -463,17 +457,16 @@ _STAGES = {
     "sensors": _stage_sensors,
     "fit-rom": _stage_fit_rom,
     "estimate": _stage_estimate,
-    "torsion": _stage_torsion,
     "report": _stage_report,
     "index": _stage_index,
 }
 
-#: The stages each command runs: ``fit-rom`` is the set-up (basis and
-#: ROM from the training cases), ``pipeline`` every stage.
+#: The stages each command runs: ``fit-rom`` is the set-up (basis, ROM
+#: and torsion map from the training cases), ``pipeline`` every stage.
 COMMAND_PLANS = {
     "fit-rom": ("load", "decompose", "fit-rom", "index"),
     "pipeline": ("load", "decompose", "sensors", "fit-rom", "estimate",
-                 "torsion", "report", "index"),
+                 "report", "index"),
 }
 
 

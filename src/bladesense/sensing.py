@@ -122,16 +122,11 @@ def _greedy_pivots(candidates: np.ndarray, count: int) -> list[int]:
     largest residual norm (exact ties resolved to the lowest index) and
     deflate the remainder against it."""
     resid = candidates.astype(float).copy()
-    n_cols = resid.shape[1]
     chosen: list[int] = []
     for _ in range(count):
         norms = np.linalg.norm(resid, axis=0)
         norms[chosen] = -1.0
         j = int(np.argmax(norms))  # argmax takes the first maximum: lowest index
-        if norms[j] <= 0.0:
-            # remaining candidates are numerically dependent; still pick the
-            # lowest unselected index to honor the ordering contract
-            j = min(set(range(n_cols)) - set(chosen))
         chosen.append(j)
         q = resid[:, j]
         nq = np.linalg.norm(q)

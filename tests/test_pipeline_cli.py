@@ -435,7 +435,8 @@ class TestPipelineRun:
         assert main(["fit-rom", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
-            "artifacts.json", "energies.csv", "modes.csv", "rom.json"]
+            "artifacts.json", "energies.csv", "modes.csv", "rom.json",
+            "torsion_map.csv"]
         for path in out.iterdir():
             if path.name != "artifacts.json":
                 assert path.read_bytes() == (full / path.name).read_bytes(), \
@@ -595,7 +596,7 @@ class TestFailureModes:
         assert main(["pipeline", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 3
         assert "torsion_summary.json" in (out / "FAILED").read_text()
-        assert "stage: torsion" in (out / "FAILED").read_text()
+        assert "stage: estimate" in (out / "FAILED").read_text()
         assert not (out / "torsion_summary.json").exists()
 
     def test_non_finite_input_fails_at_load(self, twin, tmp_path):
@@ -612,10 +613,13 @@ class TestFailureModes:
         assert "ev_s5_displacement.npy: non-finite value" in marker
         assert marker.endswith("at row 10: nan\n")
 
-    @pytest.mark.parametrize("case", ["tr_a_s0", "ev_s5"])
-    def test_non_finite_torsion_fails_at_torsion_naming_the_file(
-            self, twin, tmp_path, capsys, case):
-        # a torsion matrix is read by the torsion stage, after estimate
+    @pytest.mark.parametrize("case, stage, unwritten", [
+        ("tr_a_s0", "fit-rom", "torsion_map.csv"),
+        ("ev_s5", "estimate", "error_summary.json")])
+    def test_non_finite_torsion_fails_naming_the_file(
+            self, twin, tmp_path, capsys, case, stage, unwritten):
+        # fit-rom reads each training torsion matrix for the map, and
+        # estimate each evaluation one as it scores the case
         pipeline_cfg, _ = twin
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
@@ -630,9 +634,10 @@ class TestFailureModes:
         marker = (out / "FAILED").read_text()
         message = (f"{path}: non-finite value (component y, station 005) "
                    "at row 10: inf")
-        assert marker == f"stage: torsion\nerror: {message}\n"
+        assert marker == f"stage: {stage}\nerror: {message}\n"
         assert message in capsys.readouterr().err
         assert not (out / "torsion_summary.json").exists()
+        assert not (out / unwritten).exists()
 
     def test_non_positive_rotor_speed_fails_at_load(self, twin,
                                                     tmp_path, capsys):
@@ -778,23 +783,26 @@ class TestCaseReads:
                               "torsion.npy")]
         assert seen == dict.fromkeys(files, 1)
 
-    def test_fit_rom_parses_no_torsion_file(self, twin, tmp_path,
-                                            monkeypatch):
+    def test_fit_rom_parses_each_training_file_once(self, twin, tmp_path,
+                                                    monkeypatch):
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = self._reads(monkeypatch, config, "fit-rom")
-        # of an evaluation case, fit-rom uses only the grid
+        # the torsion map reads every training torsion file; of an
+        # evaluation case, fit-rom uses only the grid
         train = [Path(p).stem for p in config.training]
         evaluation = [Path(p).stem for p in config.evaluation]
         assert seen == dict.fromkeys(
             [f"{n}_{kind}" for n in train
-             for kind in ("grid.csv", "channels.csv", "displacement.npy")]
+             for kind in ("grid.csv", "channels.csv", "displacement.npy",
+                          "torsion.npy")]
             + [f"{n}_grid.csv" for n in evaluation], 1)
 
     @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
     def test_each_manifest_read_once(self, twin, tmp_path, monkeypatch,
                                      plan):
-        # the load stage keeps the manifests, and torsion reuses them
+        # the load stage keeps the manifests, and the torsion reads reuse
+        # them
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = Counter()
@@ -814,8 +822,8 @@ class TestCaseReads:
 class TestTrainingRelease:
     def test_training_deflections_released_after_fit_rom(self, twin,
                                                          tmp_path, monkeypatch):
-        # fit-rom is the last reader of each training D; torsion keeps only
-        # the grid and channels, so the torsion stage never holds both
+        # fit-rom is the last reader of each training D: the torsion map
+        # and the report read only the cases' coordinates and channels
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         training = {Path(p) for p in config.training}
@@ -837,57 +845,71 @@ class TestTrainingRelease:
         assert len(refs) == len(config.training)
         assert not alive
 
-    def test_torsion_stage_holds_one_training_torsion_matrix(
+    def test_fit_rom_holds_one_training_torsion_matrix(
             self, twin, tmp_path, monkeypatch):
-        # each training torsion matrix is loaded, folded and dropped: when
-        # a matrix loads, every one before it is gone
+        # each training torsion matrix is loaded, folded and dropped after
+        # the fields: when a matrix loads, every training D and every
+        # matrix before it are gone
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         training = {Path(p) for p in config.training}
-        refs, alive = [], []
+        fields, refs, alive = [], [], []
+
+        def loading(path, *args, _load=bladesense.pipeline.load_case):
+            grid, e = _load(path, *args)
+            if Path(path) in training:
+                fields.append(weakref.ref(e.D))
+            return grid, e
 
         def recording(path, *args, _load=bladesense.pipeline.load_torsion):
-            alive.extend(r for r in refs if r() is not None)
+            alive.extend(r for r in fields + refs if r() is not None)
             tau = _load(path, *args)
             if Path(path) in training:
                 refs.append(weakref.ref(tau))
             return tau
 
-        def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
+        def fit_rom(ctx, _stage=bladesense.pipeline._STAGES["fit-rom"]):
             _stage(ctx)
             alive.extend(r for r in refs if r() is not None)
 
+        monkeypatch.setattr(bladesense.pipeline, "load_case", loading)
         monkeypatch.setattr(bladesense.pipeline, "load_torsion", recording)
-        monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
         run_pipeline(config, plan="pipeline")
-        assert len(refs) == len(config.training) >= 3
+        assert len(refs) == len(fields) == len(config.training) >= 3
         assert not alive
 
 
 class TestEvaluationRelease:
     def test_evaluation_deflections_released_before_torsion(
             self, twin, tmp_path, monkeypatch):
-        # estimate is the last reader of each evaluation D: torsion and the
-        # report keep only the case's grid, channels, f_s and tip rows
+        # estimate reads each evaluation D last before it scores the case's
+        # torsion: the scoring and the report keep only the case's grid,
+        # channels, f_s and tip rows, so when a torsion truth loads, its
+        # case's D and every one before it are gone
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
-        evaluation = {Path(p) for p in config.evaluation}
-        refs, alive = [], []
+        evaluation = [Path(p) for p in config.evaluation]
+        refs, alive, scored = {}, [], []
 
         def recording(path, *args, _load=bladesense.pipeline.load_case):
             grid, e = _load(path, *args)
             if Path(path) in evaluation:
-                refs.append(weakref.ref(e.D))
+                refs[Path(path)] = weakref.ref(e.D)
             return grid, e
 
-        def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
-            alive.extend(r for r in refs if r() is not None)
-            _stage(ctx)
+        def truth(path, *args, _load=bladesense.pipeline.load_torsion):
+            if Path(path) in evaluation:
+                scored.append(Path(path))
+                done = evaluation[:evaluation.index(Path(path)) + 1]
+                alive.extend(p for p in done if refs[p]() is not None)
+            return _load(path, *args)
 
         monkeypatch.setattr(bladesense.pipeline, "load_case", recording)
-        monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
+        monkeypatch.setattr(bladesense.pipeline, "load_torsion", truth)
         run_pipeline(config, plan="pipeline")
         assert len(refs) == len(config.evaluation)
+        assert scored == evaluation
         assert not alive
 
         # the spectra of the kept tip rows are those of the case file's
@@ -909,11 +931,11 @@ class TestEvaluationRelease:
 
     def test_later_stages_hold_only_what_they_read(self, tmp_path,
                                                   monkeypatch):
-        # the report reads the first evaluation case's traces and the first
-        # training case's theta and u_filt, and torsion each evaluation
-        # case's fused coordinates, t and theta: of every other case, the
-        # channels, projections and station tables are gone when the
-        # torsion stage starts
+        # the report reads the first training case's coordinates, theta
+        # and u_filt, and the first evaluation case's t, projection, true
+        # station rows and the three estimates': when it starts, every
+        # other array of every case is gone, each case's fused coordinates
+        # and torsion rows included
         cfg = json.loads(json.dumps(SYNTH_CONFIG))
         cfg["evaluation"][0]["seeds"] = [5, 6]
         (tmp_path / "synth.json").write_text(json.dumps(cfg))
@@ -924,69 +946,65 @@ class TestEvaluationRelease:
             out_dir=tmp_path / "o")
         pipeline = bladesense.pipeline
         training = [Path(p) for p in config.training]
-        kept, dropped, stage = [], [], []
+        first = (training[0], Path(config.evaluation[0]))
+        kept, dropped, projected = [], [], []
 
         def loading(path, *args, _load=pipeline.load_case):
             grid, e = _load(path, *args)
             if Path(path) in training:
                 refs = [weakref.ref(e.theta), weakref.ref(e.u_filt)]
-                (dropped if kept else kept).extend(refs)
+            else:
+                refs = [weakref.ref(e.t)]
+                dropped.append(weakref.ref(e.theta))
+            (kept if Path(path) in first else dropped).extend(refs)
             return grid, e
-
-        def in_estimate(refs):
-            # the first evaluation case's arrays go to kept
-            if stage == ["estimate"]:
-                first = len(kept) < 2 + 5
-                (kept if first else dropped).extend(refs)
 
         def projecting(fields, basis, _project=pipeline.project):
             a = _project(fields, basis)
-            in_estimate([weakref.ref(a)])
+            # the training cases are projected first, then the evaluation
+            # cases, each in config order
+            projected.append(None)
+            (kept if len(projected) in (1, 1 + len(training))
+             else dropped).append(weakref.ref(a))
             return a
 
         def table(path, head, stations, comps, true_obs, estimates,
                   _table=pipeline._station_table):
-            in_estimate([weakref.ref(true_obs)]
-                        + [weakref.ref(v) for v in estimates.values()])
+            (kept if Path(path).name == f"recon_{first[1].stem}.csv"
+             else dropped).extend([weakref.ref(true_obs)]
+                                  + [weakref.ref(v) for v in estimates.values()])
             return _table(path, head, stations, comps, true_obs, estimates)
 
-        def estimate(ctx, _stage=pipeline._STAGES["estimate"]):
-            stage.append("estimate")
-            _stage(ctx)
-            stage.append("done")
+        def fusing(prior, meas, _fuse=pipeline.fuse):
+            fused, gain = _fuse(prior, meas)
+            dropped.append(weakref.ref(fused.mean))
+            return fused, gain
 
-        held, alive = [], []
+        alive = []
 
-        def nbytes(x):
-            return (sum(map(nbytes, x.values())) if isinstance(x, dict)
-                    else np.asarray(x).nbytes)
-
-        def torsion(ctx, _stage=pipeline._STAGES["torsion"]):
+        def report(ctx, _stage=pipeline._STAGES["report"]):
             alive.extend(r() is not None for r in kept + dropped)
-            held.extend((case_id, nbytes(trace))
-                        for case_id, trace in list(ctx.traces.items())[1:])
             _stage(ctx)
 
         monkeypatch.setattr(pipeline, "load_case", loading)
         monkeypatch.setattr(pipeline, "project", projecting)
         monkeypatch.setattr(pipeline, "_station_table", table)
-        monkeypatch.setitem(pipeline._STAGES, "estimate", estimate)
-        monkeypatch.setitem(pipeline._STAGES, "torsion", torsion)
+        monkeypatch.setattr(pipeline, "fuse", fusing)
+        monkeypatch.setitem(pipeline._STAGES, "report", report)
         run_pipeline(config, plan="pipeline")
-        # first training case: theta, u_filt; first evaluation case: its
-        # projection, its true station rows and the three estimates'
-        assert len(kept) == 2 + 5 and len(dropped) == 2 * 2 + 5
+        # kept: theta and u_filt, t, two projections and four station rows;
+        # dropped: 2 x 2 training channels, three evaluation channels, three
+        # projections, four station rows, 2 x 2 torsion rows and two fused
+        assert len(kept) == 2 + 1 + 2 + 4
+        assert len(dropped) == 4 + 3 + 3 + 4 + 4 + 2
         assert alive == [True] * len(kept) + [False] * len(dropped)
-        # the later evaluation case keeps its fused coordinates, t, theta
-        n_t = load_case(config.evaluation[1])[1].n_t
-        assert held == [("ev_s6", (config.n_modes + 2) * n_t * 8)]
 
-    def test_torsion_stage_peak_in_evaluation_torsion_matrices(
+    def test_torsion_scoring_peak_in_evaluation_torsion_matrices(
             self, tmp_path, monkeypatch):
-        # the stage holds no evaluation D, infers torsion at the observation
+        # scoring holds no evaluation D, infers torsion at the observation
         # rows only and drops each truth matrix once its rows are taken:
         # its traced peak is the truth matrix while it loads, or the
-        # station table while it is written (2.6 matrices here). Inferring
+        # station table while it is written (2.3 matrices here). Inferring
         # the whole field beside the whole truth matrix peaked at 4.6. The
         # twin's 200-step record is smaller than the table writer's fixed
         # blocks, so this record is 3 200 steps
@@ -1000,23 +1018,25 @@ class TestEvaluationRelease:
             out_dir=tmp_path / "o")
         peaks = []
 
-        def torsion(ctx, _stage=bladesense.pipeline._STAGES["torsion"]):
-            peaks.append(traced_peak(_stage, ctx)[1])
+        def scoring(*args, _score=bladesense.pipeline._score_torsion):
+            rows, peak = traced_peak(_score, *args)
+            peaks.append(peak)
+            return rows
 
-        monkeypatch.setitem(bladesense.pipeline._STAGES, "torsion", torsion)
+        monkeypatch.setattr(bladesense.pipeline, "_score_torsion", scoring)
         run_pipeline(config, plan="pipeline")
         path = config.evaluation[0]
         matrix = dataset.load_torsion(path, load_case(path)[1].D.shape).nbytes
         assert matrix == 3 * 8 * 3200 * 8
-        assert peaks and peaks[0] <= 3.5 * matrix
+        assert len(peaks) == 1 and peaks[0] <= 3.5 * matrix
 
 
 class TestProjections:
     @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
     def test_each_case_projected_once(self, twin, tmp_path, monkeypatch,
                                       plan):
-        # fit-rom projects the training cases once and torsion reuses
-        # those coordinates
+        # fit-rom projects the training cases once and the torsion map
+        # reuses those coordinates
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         calls = []  # (basis, n_t); the deflection basis is projected on first
@@ -1566,6 +1586,12 @@ class TestConfigValidation:
         ("synth", _set.__func__("training", "name", "."), "'training[0].name'"),
         ("synth", _set.__func__("training", "name", ".."),
          "'training[0].name'"),
+        # a case file name longer than a file system takes, by its name or
+        # by its seed: the training cases before it are not written
+        ("synth", _set.__func__("evaluation", "name", "x" * 250),
+         "'evaluation[0].name'"),
+        ("synth", _set.__func__("evaluation", "seeds", [10**400]),
+         "'evaluation[0].seeds'"),
         # an evaluation case's outputs are named after its manifest's stem
         ("pipeline", lambda doc: {**doc, "evaluation": doc["evaluation"] * 2},
          "'evaluation' names a case twice: ['ev_s5', 'ev_s5']"),
@@ -1593,6 +1619,7 @@ class TestConfigValidation:
             "synth-case-twice-in-training", "synth-seed-listed-twice",
             "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
             "synth-name-empty", "synth-name-dot", "synth-name-dot-dot",
+            "synth-name-too-long", "synth-seed-too-long",
             "evaluation-case-twice", "noise-huge-integer",
             "synth-u_mean-huge-integer"])
     def test_malformed_config_exits_2_naming_the_key(

@@ -28,6 +28,11 @@ class TestGreedyPivots:
         cands = np.eye(3)  # all columns identical norm and orthogonal
         assert _greedy_pivots(cands, 3) == [0, 1, 2]
 
+    def test_spent_rank_takes_the_lowest_unselected_index(self):
+        # rank 1: once v2 is taken every residual is zero, and the
+        # remaining columns follow in index order
+        assert _greedy_pivots(np.array([[1.0, 2.0, 0.0]]), 3) == [1, 0, 2]
+
 
 class TestPlaceSensors:
     def test_canonical_rows_pick_distinct_stations(self):
