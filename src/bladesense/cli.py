@@ -17,7 +17,8 @@ import numpy as np
 
 from .dataset import read_json, write_json
 from .errors import NumericalError, SchemaError, StageError, ValidationError
-from .pipeline import CONFIG_SCHEMA, PipelineConfig, run_pipeline
+from .pipeline import (CASE_NAME_MAX, CONFIG_SCHEMA, PipelineConfig,
+                       run_pipeline)
 from .synthetic import demo_grid, demo_spec, generate_case
 
 
@@ -28,10 +29,6 @@ _SYNTH_CASE = ({"name": str, "u_mean": float, "ti": float, "seeds": [int],
 _SYNTH = {"grid": ({"n_z": int, "L_b": float}, ()), "training": [_SYNTH_CASE],
           "evaluation": [_SYNTH_CASE], "pipeline": (CONFIG_SCHEMA, ())}
 
-#: The longest file name synth writes, in bytes (NAME_MAX of the common
-#: file systems); a case's longest is ``<case>_displacement.npy``.
-_NAME_MAX = 255
-
 
 def cmd_synth(args) -> int:
     """Generate synthetic cases plus a ready-to-run pipeline config.
@@ -41,7 +38,8 @@ def cmd_synth(args) -> int:
     ``demo_spec``. The whole document, every case included, is checked
     before the first case is written; two entries that would write the same
     case file, a case ``name`` that is not a plain file name, and a case
-    file name longer than ``_NAME_MAX`` bytes are rejected.
+    name ``<name>_s<seed>`` longer than ``CASE_NAME_MAX`` bytes (the
+    longest any case, evaluated or not, may have) are rejected.
     """
     out = args.out or Path("quickstart")
     seed = 0 if args.seed is None else args.seed
@@ -61,18 +59,18 @@ def cmd_synth(args) -> int:
                     sep and sep in name for sep in ("/", os.sep, os.altsep)):
                 raise SchemaError(f"{path}: '{key}.name' must be a plain "
                                   f"file name, got {name!r}")
-            if len(os.fsencode(f"{name}_s0_displacement.npy")) > _NAME_MAX:
-                raise SchemaError(f"{path}: '{key}.name' makes a case file "
-                                  f"name longer than {_NAME_MAX} bytes")
+            if len(os.fsencode(f"{name}_s0")) > CASE_NAME_MAX:
+                raise SchemaError(f"{path}: '{key}.name' makes a case name "
+                                  f"longer than {CASE_NAME_MAX} bytes")
             # every case key but name and seeds is a demo_spec argument
             options = {k: v for k, v in entry.items() if k not in ("name", "seeds")}
             for s in entry.get("seeds", [0]):
                 if seed + s < 0:
                     raise SchemaError(f"{path}: '{key}.seeds': --seed "
                                       f"{seed} plus seed {s} is negative")
-                if len(os.fsencode(f"{name}_s{s}_displacement.npy")) > _NAME_MAX:
+                if len(os.fsencode(f"{name}_s{s}")) > CASE_NAME_MAX:
                     raise SchemaError(f"{path}: '{key}.seeds' makes a case "
-                                      f"file name longer than {_NAME_MAX} bytes")
+                                      f"name longer than {CASE_NAME_MAX} bytes")
                 try:
                     spec = demo_spec(name=f"{name}_s{s}", grid=grid,
                                      **options)

@@ -1,15 +1,16 @@
 """End-to-end orchestration: decompose, place, fit, estimate, report.
 
 The fit-rom stage fits the azimuthal prior and the torsion map from the
-training cases. Estimation runs once per evaluation case on whole arrays:
-the sensors are sampled (with noise) at every step in one call, one linear
-map gives the reduced coordinates of all steps, the prior is evaluated at
-each step's angle and filtered wind speed, and the two Gaussians are fused
-with one gain, as both share one covariance over all steps. Each row
-equals what the per-step library calls give for that step. Once the case's
-field is released, its torsion is inferred from the fused coordinates and
-scored. Batch reporting (spectra, histograms, azimuthal curves, coupling
-scatter) runs afterwards on the first case's traces.
+training cases, their last reader. Estimation runs once per evaluation
+case on whole arrays: the sensors are sampled (with noise) at every step
+in one call, one linear map gives the reduced coordinates of all steps,
+the prior is evaluated at each step's angle and filtered wind speed, and
+the two Gaussians are fused with one gain, as both share one covariance
+over all steps. Each row equals what the per-step library calls give for
+that step. Once the case's field is released, its torsion is inferred
+from the fused coordinates and scored. Batch reporting (spectra,
+histograms, azimuthal curves, coupling scatter) runs afterwards on the
+first evaluation case's traces.
 
 Every figure is an SVG whose plotted numbers a CSV holds: its twin of the
 same name, or for the reconstruction trace the case's ``recon_<case>.csv``.
@@ -19,6 +20,7 @@ leaves a ``FAILED`` marker naming the stage.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -46,6 +48,9 @@ _SOURCES = ("sparse", "rom", "fused")
 #: Config value type (see :func:`read_json`) of each PipelineConfig type.
 _FIELD_KINDS = {"list": [str], "Path": str, "int": int, "float": float}
 
+#: NAME_MAX (255) less the 19 bytes ``coupling_<case>_a1_a2.csv`` adds.
+CASE_NAME_MAX = 255 - 19
+
 
 @dataclass
 class PipelineConfig:
@@ -67,6 +72,9 @@ class PipelineConfig:
         names = [Path(p).stem for p in self.evaluation]  # output names
         if len(set(names)) < len(names):
             raise ValidationError(f"'evaluation' names a case twice: {names}")
+        if max(len(os.fsencode(name)) for name in names) > CASE_NAME_MAX:
+            raise ValidationError(f"'evaluation' names a case longer than "
+                                  f"{CASE_NAME_MAX} bytes")
         for name, low in (("n_modes", 1), ("n_sensors", 1), ("noise", 0),
                           ("seed", 0)):
             if not getattr(self, name) >= low:  # nan included
@@ -114,8 +122,7 @@ class _Context:
     config: PipelineConfig
     plan: str = "pipeline"
     train: list = field(default_factory=list)       # (case_id, ensemble);
-    # fit-rom empties it, keeping what the report reads of the first case
-    train_trace: dict = field(default_factory=dict)
+    # fit-rom, their last reader, empties it
     manifests: dict = field(default_factory=dict)   # config path -> manifest
     evaluation: list = field(default_factory=list)  # (case_id, ensemble);
     # estimate empties it, keeping what the report reads of the first case
@@ -198,11 +205,7 @@ def _stage_fit_rom(ctx: _Context) -> None:
         conditions=[{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
                     for _, e in ctx.train])
     save_rom(ctx.rom, ctx.emit("rom.json"))
-    # the last reader of the training cases: the torsion map reads only
-    # their coordinates, and the report the first case's theta and u_filt
-    ctx.train_trace = {"a": coords[0], "theta": ctx.train[0][1].theta,
-                       "u_filt": ctx.train[0][1].u_filt}
-    ctx.train = []
+    ctx.train = []  # the torsion map reads only their coordinates
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
     carriers = [(p, a) for p, a in zip(ctx.config.training, coords)
@@ -296,9 +299,9 @@ def _stage_estimate(ctx: _Context) -> None:
         # fused coordinates, t and theta, and the report the first's traces
         if not ctx.trace:
             ctx.trace = {"case_id": case_id, "a_proj": a_proj, "t": e.t,
-                         "true_obs": true_obs, "fields": fields,
-                         "tip": e.D[tip_rows, :], "omega": e.omega,
-                         "f_s": e.f_s}
+                         "theta": e.theta, "u_mean": float(np.mean(e.u_filt)),
+                         "true_obs": true_obs, "fields": fields, "f_s": e.f_s,
+                         "tip": e.D[tip_rows, :], "omega": e.omega}
         del e
         if ctx.torsion and "torsion_file" in ctx.manifests[path]:
             torsion[case_id] = _score_torsion(ctx, path, case_id, head,
@@ -384,23 +387,21 @@ def _stage_report(ctx: _Context) -> None:
             title=f"{comp} at station {station} ({case_id})",
             xlabel=f"{comp} (m)", ylabel="count")
 
-    # azimuthal mean +/- sigma of the first training case in 5-degree
-    # sectors, against the prior at the sector centres and the case's mean
-    # wind speed
-    a = ctx.train_trace["a"]
-    idx = azimuth_bin(ctx.train_trace["theta"], _N_SECTORS)
+    # azimuthal mean +/- sigma of the case in 5-degree sectors against the
+    # prior (its left-out band) at the sector centres and mean wind speed
+    a_proj = trace["a_proj"]
+    idx = azimuth_bin(trace["theta"], _N_SECTORS)
     counts = np.bincount(idx, minlength=_N_SECTORS)
     occ, n_b = counts > 0, np.maximum(counts, 1)
     data_mean = np.stack([np.bincount(idx, a_n, _N_SECTORS)
-                          for a_n in a]) / n_b
+                          for a_n in a_proj]) / n_b
     data_var = np.stack([np.bincount(idx, d * d, _N_SECTORS)
-                         for d in a - data_mean[:, idx]]) / n_b
+                         for d in a_proj - data_mean[:, idx]]) / n_b
     data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
     centers = ((np.arange(_N_SECTORS) + 0.5) * TWO_PI / _N_SECTORS)[occ]
-    prior = evaluate_rom(
-        ctx.rom, centers, float(np.mean(ctx.train_trace["u_filt"])), None)
+    prior = evaluate_rom(ctx.rom, centers, trace["u_mean"], None)
     rom_std = np.sqrt(np.diagonal(prior.covariance))
-    for n in range(ctx.config.n_modes):
+    for n in range(len(a_proj)):
         rom_mean = prior.mean[:, n]
         rom_sd = np.full(centers.size, rom_std[n])
         base = f"azimuthal_mode{n + 1}"
@@ -418,13 +419,11 @@ def _stage_report(ctx: _Context) -> None:
              ("model mean", centers, rom_mean),
              ("model +1s", centers, rom_mean + rom_sd),
              ("model -1s", centers, rom_mean - rom_sd)],
-            title=f"Azimuthal statistics, mode {n + 1}",
+            title=f"Azimuthal statistics, mode {n + 1} ({case_id})",
             xlabel="theta (rad)", ylabel=f"a_{n + 1}")
 
     # modal coupling scatter (out-of-phase pairs), subsampled for the SVG
-    a_proj = trace["a_proj"]
-    n_modes = ctx.config.n_modes
-    pairs = [(i, j) for i, j in ((0, 1), (0, 3), (1, 3)) if j < n_modes]
+    pairs = [(i, j) for i, j in ((0, 1), (0, 3), (1, 3)) if j < len(a_proj)]
     stride = max(1, a_proj.shape[1] // 2000)
     for i, j in pairs:
         xi, yj = a_proj[i, ::stride], a_proj[j, ::stride]

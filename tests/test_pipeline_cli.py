@@ -165,7 +165,7 @@ class TestPipelineRun:
             root = ET.parse(svg).getroot()
             title = root.find("{http://www.w3.org/2000/svg}text").text
             titled += title.endswith(f"({name})")
-        assert titled == 10  # all but the azimuthal figures
+        assert titled == 14  # every figure draws the case
 
     def test_trace_numbers_are_not_written_twice(self, twin):
         # the trace's columns live in the recon table: no trace CSV
@@ -360,6 +360,35 @@ class TestPipelineRun:
         assert sorted(p.name for p in ref.iterdir()) == sorted(names)
         for name in names:
             assert (ref / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_azimuthal_tables_are_the_first_evaluation_case(self,
+                                                            dataset_run):
+        # each mode's table: the first evaluation case, projected on the
+        # training basis, in its occupied 5-degree sectors, beside the prior
+        # at the sector centres and the case's mean filtered wind speed
+        pipeline_cfg, out = dataset_run
+        config = PipelineConfig.from_json(pipeline_cfg)
+        basis = pod_fit([load_case(p)[1] for p in config.training],
+                        config.n_modes)
+        _, e = load_case(config.evaluation[0])
+        a = project(e.D, basis)
+        sector = dataset.azimuth_bin(e.theta, 72)
+        occupied = np.unique(sector)
+        centres = (occupied + 0.5) * 2.0 * np.pi / 72
+        prior = evaluate_rom(load_rom(out / "rom.json"), centres,
+                             float(np.mean(e.u_filt)), None)
+        rom_std = np.sqrt(np.diagonal(prior.covariance))
+        for n in range(config.n_modes):
+            rows = []
+            for i, k in enumerate(occupied):
+                x = a[n, sector == k]
+                rows.append([centres[i], np.mean(x), np.std(x),
+                             prior.mean[i, n], rom_std[n]])
+            table = np.loadtxt(out / f"azimuthal_mode{n + 1}.csv",
+                               delimiter=",", skiprows=1, ndmin=2)
+            assert table.shape == (occupied.size, 5)
+            np.testing.assert_allclose(table, rows, rtol=1e-9, atol=1e-12)
+        assert not (out / f"azimuthal_mode{config.n_modes + 1}.csv").exists()
 
     @pytest.mark.parametrize("name", DATASETS)
     def test_synth_writes_the_bytes_of_a_savetxt_writer(
@@ -931,11 +960,11 @@ class TestEvaluationRelease:
 
     def test_later_stages_hold_only_what_they_read(self, tmp_path,
                                                   monkeypatch):
-        # the report reads the first training case's coordinates, theta
-        # and u_filt, and the first evaluation case's t, projection, true
-        # station rows and the three estimates': when it starts, every
-        # other array of every case is gone, each case's fused coordinates
-        # and torsion rows included
+        # the report reads the first evaluation case's t, theta,
+        # projection, true station rows and the three estimates', and only
+        # the mean of its u_filt: when it starts, every other array of
+        # every case is gone, every training theta, u_filt and projection,
+        # each case's fused coordinates and torsion rows included
         cfg = json.loads(json.dumps(SYNTH_CONFIG))
         cfg["evaluation"][0]["seeds"] = [5, 6]
         (tmp_path / "synth.json").write_text(json.dumps(cfg))
@@ -946,17 +975,16 @@ class TestEvaluationRelease:
             out_dir=tmp_path / "o")
         pipeline = bladesense.pipeline
         training = [Path(p) for p in config.training]
-        first = (training[0], Path(config.evaluation[0]))
+        first = Path(config.evaluation[0])
         kept, dropped, projected = [], [], []
 
         def loading(path, *args, _load=pipeline.load_case):
             grid, e = _load(path, *args)
-            if Path(path) in training:
-                refs = [weakref.ref(e.theta), weakref.ref(e.u_filt)]
-            else:
-                refs = [weakref.ref(e.t)]
-                dropped.append(weakref.ref(e.theta))
-            (kept if Path(path) in first else dropped).extend(refs)
+            refs = [weakref.ref(e.theta)]
+            if Path(path) not in training:
+                refs.append(weakref.ref(e.t))
+            (kept if Path(path) == first else dropped).extend(refs)
+            dropped.append(weakref.ref(e.u_filt))  # the report keeps its mean
             return grid, e
 
         def projecting(fields, basis, _project=pipeline.project):
@@ -964,13 +992,13 @@ class TestEvaluationRelease:
             # the training cases are projected first, then the evaluation
             # cases, each in config order
             projected.append(None)
-            (kept if len(projected) in (1, 1 + len(training))
+            (kept if len(projected) == 1 + len(training)
              else dropped).append(weakref.ref(a))
             return a
 
         def table(path, head, stations, comps, true_obs, estimates,
                   _table=pipeline._station_table):
-            (kept if Path(path).name == f"recon_{first[1].stem}.csv"
+            (kept if Path(path).name == f"recon_{first.stem}.csv"
              else dropped).extend([weakref.ref(true_obs)]
                                   + [weakref.ref(v) for v in estimates.values()])
             return _table(path, head, stations, comps, true_obs, estimates)
@@ -992,11 +1020,12 @@ class TestEvaluationRelease:
         monkeypatch.setattr(pipeline, "fuse", fusing)
         monkeypatch.setitem(pipeline._STAGES, "report", report)
         run_pipeline(config, plan="pipeline")
-        # kept: theta and u_filt, t, two projections and four station rows;
-        # dropped: 2 x 2 training channels, three evaluation channels, three
-        # projections, four station rows, 2 x 2 torsion rows and two fused
-        assert len(kept) == 2 + 1 + 2 + 4
-        assert len(dropped) == 4 + 3 + 3 + 4 + 4 + 2
+        # kept: theta and t, one projection and four station rows; dropped:
+        # 3 x 2 training channels, four evaluation channels (each u_filt and
+        # the second case's theta and t), four projections, four station
+        # rows, 2 x 2 torsion rows and two fused
+        assert len(kept) == 2 + 1 + 4
+        assert len(dropped) == 6 + 4 + 4 + 4 + 4 + 2
         assert alive == [True] * len(kept) + [False] * len(dropped)
 
     def test_torsion_scoring_peak_in_evaluation_torsion_matrices(
@@ -1592,9 +1621,15 @@ class TestConfigValidation:
          "'evaluation[0].name'"),
         ("synth", _set.__func__("evaluation", "seeds", [10**400]),
          "'evaluation[0].seeds'"),
+        # a case name of 238 bytes fits its case files, but not the report
+        # files named after it (coupling_<case>_a1_a2.csv adds 19 bytes)
+        ("synth", _set.__func__("evaluation", "name", "x" * 235),
+         "'evaluation[0].name'"),
         # an evaluation case's outputs are named after its manifest's stem
         ("pipeline", lambda doc: {**doc, "evaluation": doc["evaluation"] * 2},
          "'evaluation' names a case twice: ['ev_s5', 'ev_s5']"),
+        ("pipeline", lambda doc: {**doc, "evaluation": ["x" * 237 + ".json"]},
+         "'evaluation' names a case longer than 236 bytes"),
         # an integer beyond float range is not a finite number
         ("pipeline", lambda doc: {**doc, "noise": 10**400},
          "'noise' must be a finite number"),
@@ -1620,7 +1655,9 @@ class TestConfigValidation:
             "synth-name-in-a-subdirectory", "synth-name-in-the-parent",
             "synth-name-empty", "synth-name-dot", "synth-name-dot-dot",
             "synth-name-too-long", "synth-seed-too-long",
-            "evaluation-case-twice", "noise-huge-integer",
+            "synth-evaluation-name-too-long-to-report",
+            "evaluation-case-twice", "evaluation-name-too-long-to-report",
+            "noise-huge-integer",
             "synth-u_mean-huge-integer"])
     def test_malformed_config_exits_2_naming_the_key(
             self, twin, tmp_path, capsys, command, edit, key):
@@ -1629,9 +1666,14 @@ class TestConfigValidation:
         synth = argv[0] == "synth"
         base = SYNTH_CONFIG if synth else json.loads(pipeline_cfg.read_text())
         doc = edit(json.loads(json.dumps(base)))
-        # a pipeline config names its cases relative to itself
+        # a pipeline config names its cases relative to itself; a case the
+        # edit names anew is a copy of the twin's evaluation case
         cfg = (tmp_path if synth else pipeline_cfg.parent) / \
             f"bad_{tmp_path.name}.json"
+        if not synth and isinstance(doc, dict):
+            case = cfg.parent / base["evaluation"][0]
+            for name in set(doc.get("evaluation", [])) - {case.name}:
+                shutil.copy(case, cfg.parent / name)
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
         capsys.readouterr()
