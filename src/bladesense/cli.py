@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``synth`` writes synthetic cases and a pipeline config,
-``fit-rom`` fits the set-up (basis, azimuthal ROM and torsion map) from the
-training cases, and ``pipeline`` runs every stage and writes every artifact.
+``fit-rom`` fits the model (basis, sensor placement, azimuthal ROM and
+torsion map) from the training cases, and ``pipeline`` fits the same model,
+then estimates and reports, writing every artifact.
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
 
@@ -103,7 +104,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    """Run the stages of the command's plan (see ``COMMAND_PLANS``)."""
+    """Run ``fit-rom`` (load, decompose, sensors, fit-rom) or ``pipeline``
+    (the same fit, then estimate and report); see ``run_pipeline``."""
     if not args.config:
         raise ValidationError(f"'{args.command}' requires --config")
     config = PipelineConfig.from_json(args.config, seed=args.seed,
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, text, func in (
             ("synth", "generate synthetic cases and a config", cmd_synth),
-            ("fit-rom", "fit the basis, the ROM and the torsion map", cmd_plan),
+            ("fit-rom", "fit the basis, sensors, ROM, torsion map", cmd_plan),
             ("pipeline", "run every stage, write every artifact", cmd_plan)):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, help="config JSON path")

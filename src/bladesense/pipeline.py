@@ -1,12 +1,15 @@
 """End-to-end orchestration: decompose, place, fit, estimate, report.
 
-The fit-rom stage fits the azimuthal prior and the torsion map from the
-training cases, their last reader. Estimation runs once per evaluation
-case on whole arrays: the sensors are sampled (with noise) at every step
-in one call, one linear map gives the reduced coordinates of all steps,
-the prior is evaluated at each step's angle and filtered wind speed, and
-the two Gaussians are fused with one gain, as both share one covariance
-over all steps. Each row equals what the per-step library calls give for
+:func:`fit_model` fits one frozen :class:`Model` (the POD basis, the
+sensors placed on it, the azimuthal prior and the torsion map) from the
+training cases, their last reader. The ``fit-rom`` command stops there;
+``pipeline`` goes on to estimate and report, which read only the model and
+the evaluation cases. Estimation runs once per evaluation case on whole
+arrays: the sensors are sampled (with noise) at every step in one call,
+one linear map gives the reduced coordinates of all steps, the prior is
+evaluated at each step's angle and filtered wind speed, and the two
+Gaussians are fused with one gain, as both share one covariance over all
+steps. Each row equals what the per-step library calls give for
 that step. Once the case's field is released, its torsion is inferred
 from the fused coordinates and scored. Batch reporting (spectra,
 histograms, azimuthal curves, coupling scatter) runs afterwards on the
@@ -21,7 +24,7 @@ leaves a ``FAILED`` marker naming the stage.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +38,8 @@ from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
 from .fusion import fuse, innovation_covariance
-from .sensing import (NoiseModel, place_sensors, observe, sensor_dof_rows,
-                      sparse_estimate, write_sensors_csv)
+from .sensing import (NoiseModel, SensorSet, place_sensors, observe,
+                      sensor_dof_rows, sparse_estimate, write_sensors_csv)
 from .spectral import psd
 from .torsion import (TorsionModel, _r_squared, fit_torsion_model,
                       infer_torsion, save_torsion_model)
@@ -117,43 +120,33 @@ class PipelineConfig:
 CONFIG_SCHEMA = {f.name: _FIELD_KINDS[f.type] for f in fields(PipelineConfig)}
 
 
-@dataclass
-class _Context:
-    config: PipelineConfig
-    plan: str = "pipeline"
-    train: list = field(default_factory=list)       # (case_id, ensemble);
-    # fit-rom, their last reader, empties it
-    manifests: dict = field(default_factory=dict)   # config path -> manifest
-    evaluation: list = field(default_factory=list)  # (case_id, ensemble);
-    # estimate empties it, keeping what the report reads of the first case
-    trace: dict = field(default_factory=dict)
-    basis: ModalBasis | None = None
-    sensors: object = None
-    noise_model: NoiseModel | None = None
-    obs_stations: np.ndarray | None = None  # set by load, with
-    obs_rows: np.ndarray | None = None      # their rows in a field
-    rom: AzimuthalRomModel | None = None
-    torsion: tuple | None = None  # (map at obs_rows, fit R^2), set by fit-rom
-    summary: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
+@dataclass(frozen=True)
+class Model:
+    """What fit-rom fits, and all that estimate and report read of it."""
 
-    def emit(self, name: str) -> Path:
-        self.artifacts.append(name)
-        return self.config.out_dir / name
+    basis: ModalBasis
+    sensors: SensorSet
+    noise: NoiseModel
+    rom: AzimuthalRomModel
+    stations: np.ndarray  # the observation stations,
+    rows: np.ndarray      # their rows in a field
+    torsion: tuple | None  # (map at rows, fit R^2), or None
 
 
-def _stage_load(ctx: _Context) -> None:
-    cfg = ctx.config
+def _load(config: PipelineConfig, estimating: bool):
+    """Training and evaluation (path, manifest, ensemble) lists, stations."""
     # each manifest is read here, once, and kept for the torsion reads
-    for p in cfg.training:
-        m = ctx.manifests[p] = read_manifest(p)
-        ctx.train.append((Path(p).stem, load_case(p, m)[1]))
-    grids = [e.grid for _, e in ctx.train]
-    for p in cfg.evaluation:
-        m = ctx.manifests[p] = read_manifest(p)
+    training = []
+    for p in config.training:
+        m = read_manifest(p)
+        training.append((p, m, load_case(p, m)[1]))
+    grids = [e.grid for _, _, e in training]
+    evaluation = []
+    for p in config.evaluation:
+        m = read_manifest(p)
         # a plan that estimates nothing uses an evaluation case only for
         # its grid, and reads no more of it
-        if "estimate" in COMMAND_PLANS[ctx.plan]:
+        if estimating:
             e = load_case(p, m)[1]
             # the report's spectra are normalized by the mean rotor speed
             # and need at least two samples
@@ -165,7 +158,7 @@ def _stage_load(ctx: _Context) -> None:
             if e.n_t < 2:
                 raise ValidationError(f"evaluation case {Path(p).stem!r} has "
                                       f"{e.n_t} time step, fewer than 2")
-            ctx.evaluation.append((Path(p).stem, e))
+            evaluation.append((p, m, e))
             grids.append(e.grid)
         else:
             grids.append(_load_grid(Path(p), m))
@@ -182,44 +175,54 @@ def _stage_load(ctx: _Context) -> None:
             raise ValidationError(
                 f"observation fractions {first!r} and {fractions[i]!r} "
                 f"both snap to station {station}")
-    ctx.obs_stations = np.array(stations, dtype=int)
-    ctx.obs_rows = sensor_dof_rows(ctx.obs_stations, z0.size)
+    return training, evaluation, np.array(stations, dtype=int)
 
 
-def _stage_decompose(ctx: _Context) -> None:
-    ctx.basis = pod_fit([e for _, e in ctx.train], ctx.config.n_modes)
-    write_modes_csv(ctx.basis, ctx.emit("modes.csv"))
-    write_energies_csv(ctx.basis, ctx.emit("energies.csv"))
+def _decompose(training: list, n_modes: int, emit) -> ModalBasis:
+    basis = pod_fit([e for _, _, e in training], n_modes)
+    write_modes_csv(basis, emit("modes.csv"))
+    write_energies_csv(basis, emit("energies.csv"))
+    return basis
 
 
-def _stage_sensors(ctx: _Context) -> None:
-    ctx.sensors = place_sensors(ctx.basis, ctx.config.n_sensors)
-    ctx.noise_model = NoiseModel(ctx.config.noise, ctx.config.n_sensors)
-    write_sensors_csv(ctx.sensors, ctx.emit("sensors.csv"))
+def _sensors(basis: ModalBasis, n_sensors: int, sigma: float, emit):
+    sensors = place_sensors(basis, n_sensors)
+    write_sensors_csv(sensors, emit("sensors.csv"))
+    return sensors, NoiseModel(sigma, n_sensors)
 
 
-def _stage_fit_rom(ctx: _Context) -> None:
-    coords = [project(e.D, ctx.basis) for _, e in ctx.train]
-    ctx.rom = fit_rom(
-        [(a, e.theta, e.u_filt) for (_, e), a in zip(ctx.train, coords)],
+def _fit_rom(training: list, basis: ModalBasis, rows, emit):
+    coords = [project(e.D, basis) for _, _, e in training]
+    rom = fit_rom(
+        [(a, e.theta, e.u_filt) for (_, _, e), a in zip(training, coords)],
         conditions=[{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
-                    for _, e in ctx.train])
-    save_rom(ctx.rom, ctx.emit("rom.json"))
-    ctx.train = []  # the torsion map reads only their coordinates
+                    for _, _, e in training])
+    save_rom(rom, emit("rom.json"))
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
-    carriers = [(p, a) for p, a in zip(ctx.config.training, coords)
-                if "torsion_file" in ctx.manifests[p]]
+    carriers = [(p, m, a) for (p, m, _), a in zip(training, coords)
+                if "torsion_file" in m]
+    training.clear()  # its last reader: the map reads only coordinates
     if not carriers:
-        return
+        return rom, None
     model, r2 = fit_torsion_model(
-        [a for _, a in carriers],
-        (load_torsion(p, (ctx.basis.grid.n_dof, a.shape[1]), ctx.manifests[p])
-         for p, a in carriers), ctx.basis.grid)
-    save_torsion_model(model, ctx.emit("torsion_map.csv"))
+        [a for _, _, a in carriers],
+        (load_torsion(p, (basis.grid.n_dof, a.shape[1]), m)
+         for p, m, a in carriers), basis.grid)
+    save_torsion_model(model, emit("torsion_map.csv"))
     # estimate reads torsion at the observation stations only
-    ctx.torsion = (TorsionModel(model.mean_field[ctx.obs_rows],
-                                model.field_map[ctx.obs_rows]), r2)
+    return rom, (TorsionModel(model.mean_field[rows], model.field_map[rows]),
+                 r2)
+
+
+def fit_model(training: list, config: PipelineConfig, stations, emit) -> Model:
+    """Fit the model on ``training`` (see :func:`_load`), emptying it."""
+    basis = _stage("decompose", training, config.n_modes, emit)
+    sensors, noise = _stage("sensors", basis, config.n_sensors, config.noise,
+                            emit)
+    rows = sensor_dof_rows(stations, basis.grid.n_z)
+    rom, torsion = _stage("fit-rom", training, basis, rows, emit)
+    return Model(basis, sensors, noise, rom, stations, rows, torsion)
 
 
 def _station_table(path, head: dict, stations, comps, true_obs,
@@ -241,22 +244,23 @@ def _station_table(path, head: dict, stations, comps, true_obs,
             for src, est in estimates.items()}
 
 
-def _stage_estimate(ctx: _Context) -> None:
-    cfg = ctx.config
-    z = ctx.basis.grid.z_norm
-    mean_obs = ctx.basis.mean_field[ctx.obs_rows][:, None]
-    phi_obs = ctx.basis.modes[ctx.obs_rows, :]
-    cases_summary, torsion = {}, {}
+def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
+    """Score and empty ``evaluation``; return what the report reads."""
+    z = model.basis.grid.z_norm
+    mean_obs = model.basis.mean_field[model.rows][:, None]
+    phi_obs = model.basis.modes[model.rows, :]
+    cases_summary, torsion, trace = {}, {}, {}
     fusion = {"steps": 0, "regularized": 0}
     rom = {"steps": 0, "extrapolated_low": 0, "extrapolated_high": 0}
-    lo, hi = ctx.rom.u_range
+    lo, hi = model.rom.u_range
     tip_rows = sensor_dof_rows([z.size - 1], z.size)  # the tip's ux, uy, uz
-    for idx, path in enumerate(cfg.evaluation):
-        case_id, e = ctx.evaluation.pop(0)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
-        y = observe(e.D.T, ctx.sensors, ctx.noise_model, rng)
-        meas = sparse_estimate(y, ctx.sensors, ctx.noise_model)
-        prior = evaluate_rom(ctx.rom, e.theta, e.u_filt, e.condition.ti)
+    for idx in range(len(evaluation)):
+        path, manifest, e = evaluation.pop(0)
+        case_id = Path(path).stem
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        y = observe(e.D.T, model.sensors, model.noise, rng)
+        meas = sparse_estimate(y, model.sensors, model.noise)
+        prior = evaluate_rom(model.rom, e.theta, e.u_filt, e.condition.ti)
         fused, _ = fuse(prior, meas)
         # normalized innovation squared per step, nu^T S^-1 nu with nu =
         # sparse - prior and S the innovation covariance fuse inverted, one
@@ -273,19 +277,19 @@ def _stage_estimate(ctx: _Context) -> None:
         rom["extrapolated_high"] += int(np.count_nonzero(e.u_filt > hi))
         nis = np.einsum("ti,it->t", nu, np.linalg.solve(s_cov, nu.T))
         A = {"sparse": meas.mean.T, "rom": prior.mean.T, "fused": fused.mean.T}
-        a_proj = project(e.D, ctx.basis)
+        a_proj = project(e.D, model.basis)
         fields = {src: mean_obs + phi_obs @ A[src] for src in _SOURCES}
-        true_obs = e.D[ctx.obs_rows, :]
+        true_obs = e.D[model.rows, :]
         head = {"t": e.t, "theta": e.theta}  # both tables' first columns
         cov = np.full(e.n_t, np.trace(fused.covariance))
         rmse = _station_table(
-            ctx.emit(f"recon_{case_id}.csv"), {**head, "trace_fused_cov": cov},
-            ctx.obs_stations, _COMPONENTS, true_obs, fields)
+            emit(f"recon_{case_id}.csv"), {**head, "trace_fused_cov": cov},
+            model.stations, _COMPONENTS, true_obs, fields)
         stations_out = [
             {"station_index": int(station), "z_norm": float(z[station]),
              "rmse": {comp: {src: rmse[src][3 * s_i + c_i] for src in _SOURCES}
                       for c_i, comp in enumerate(_COMPONENTS)}}
-            for s_i, station in enumerate(ctx.obs_stations)]
+            for s_i, station in enumerate(model.stations)]
         reduced, reduced_total = {}, {}
         for src in _SOURCES:  # one squared error at a time
             sq = (A[src] - a_proj) ** 2
@@ -297,37 +301,36 @@ def _stage_estimate(ctx: _Context) -> None:
             "nis_mean": float(nis.mean())}
         # the last reader of each evaluation field: torsion scoring reads its
         # fused coordinates, t and theta, and the report the first's traces
-        if not ctx.trace:
-            ctx.trace = {"case_id": case_id, "a_proj": a_proj, "t": e.t,
-                         "theta": e.theta, "u_mean": float(np.mean(e.u_filt)),
-                         "true_obs": true_obs, "fields": fields, "f_s": e.f_s,
-                         "tip": e.D[tip_rows, :], "omega": e.omega}
+        if not trace:
+            trace = {"case_id": case_id, "a_proj": a_proj, "t": e.t,
+                     "theta": e.theta, "u_mean": float(np.mean(e.u_filt)),
+                     "true_obs": true_obs, "fields": fields, "f_s": e.f_s,
+                     "tip": e.D[tip_rows, :], "omega": e.omega}
         del e
-        if ctx.torsion and "torsion_file" in ctx.manifests[path]:
-            torsion[case_id] = _score_torsion(ctx, path, case_id, head,
-                                              A["fused"])
+        if model.torsion and "torsion_file" in manifest:
+            torsion[case_id] = _score_torsion(model, path, manifest, case_id,
+                                              head, A["fused"], emit)
 
-    ctx.summary = {
-        "cases": cases_summary,
-        "fusion": fusion,
-        "rom": rom,
-        "settings": {key: getattr(cfg, key) for key in
-                     ("n_modes", "n_sensors", "seed")},
-    }
-    write_json(ctx.emit("error_summary.json"), ctx.summary)
-    if ctx.torsion:
-        write_json(ctx.emit("torsion_summary.json"),
-                   {"fit_r_squared": ctx.torsion[1], "evaluation": torsion})
+    write_json(emit("error_summary.json"), {
+        "cases": cases_summary, "fusion": fusion, "rom": rom,
+        "settings": {"n_modes": model.basis.n_modes,
+                     "n_sensors": model.sensors.n_sensors, "seed": seed},
+    })
+    if model.torsion:
+        write_json(emit("torsion_summary.json"),
+                   {"fit_r_squared": model.torsion[1], "evaluation": torsion})
+    return trace
 
 
-def _score_torsion(ctx: _Context, path, case_id, head: dict, fused) -> list:
+def _score_torsion(model: Model, path, manifest, case_id, head: dict, fused,
+                   emit) -> list:
     """Write a case's torsion, inferred from its fused coordinates, beside
     the truth at the observation rows; return the case's summary rows."""
-    true_obs = load_torsion(path, (ctx.basis.grid.n_dof, head["t"].size),
-                            ctx.manifests[path])[ctx.obs_rows, :]
-    est_obs = infer_torsion(fused, ctx.torsion[0])
+    true_obs = load_torsion(path, (model.basis.grid.n_dof, head["t"].size),
+                            manifest)[model.rows, :]
+    est_obs = infer_torsion(fused, model.torsion[0])
     rmse = _station_table(
-        ctx.emit(f"torsion_recon_{case_id}.csv"), head, ctx.obs_stations,
+        emit(f"torsion_recon_{case_id}.csv"), head, model.stations,
         _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
     row_r2 = _r_squared(
         np.sum((est_obs - true_obs) ** 2, axis=1),
@@ -338,7 +341,7 @@ def _score_torsion(ctx: _Context, path, case_id, head: dict, fused) -> list:
          "components": {comp: {"rmse": rmse[3 * s_i + c_i],
                                "r_squared": float(row_r2[3 * s_i + c_i])}
                         for c_i, comp in enumerate(_TORSION_COMPONENTS)}}
-        for s_i, station in enumerate(ctx.obs_stations)]
+        for s_i, station in enumerate(model.stations)]
 
 
 #: z/L_b of the scored stations; load snaps each to its nearest grid station.
@@ -348,20 +351,20 @@ _OBSERVATION_FRACTIONS = (0.44, 0.68, 0.88)
 _N_SECTORS = 72
 
 
-def _stage_report(ctx: _Context) -> None:
-    case_id, trace = ctx.trace["case_id"], ctx.trace
-    station = int(ctx.obs_stations[0])
+def _report(model: Model, trace: dict, emit) -> None:
+    case_id = trace["case_id"]
+    station = int(model.stations[0])
     f_1p = float(np.mean(trace["omega"])) / (2.0 * np.pi)
 
     # spectra of the tip signals, raw and smoothed
     for c_i, comp in enumerate(_COMPONENTS):
         f_hat, raw, smoothed = psd(trace["tip"][c_i], trace["f_s"], f_1p)
         base = f"psd_{case_id}_{comp}"
-        _write_csv(ctx.emit(base + ".csv"),
+        _write_csv(emit(base + ".csv"),
                    ["f_hat", "power_raw", "power_smoothed"],
                    np.column_stack([f_hat, raw, smoothed]), _REPORT_FMT)
         svgplot.line_plot(
-            ctx.emit(base + ".svg"),
+            emit(base + ".svg"),
             [("raw", f_hat, raw), ("smoothed", f_hat, smoothed)],
             title=f"PSD of tip {comp} ({case_id})",
             xlabel="f / f1P", ylabel="power", log_y=True)
@@ -375,13 +378,13 @@ def _stage_report(ctx: _Context) -> None:
         h_true, _ = np.histogram(true_sig, bins=edges)
         h_fused, _ = np.histogram(fused_sig, bins=edges)
         base = f"hist_{case_id}_{comp}"
-        _write_csv(ctx.emit(base + ".csv"),
+        _write_csv(emit(base + ".csv"),
                    ["bin_left", "bin_right", "count_true", "count_fused"],
                    np.column_stack([edges[:-1], edges[1:], h_true, h_fused]),
                    _REPORT_FMT)
         steps = np.repeat(edges, 2)  # each bin's count drawn as a step
         svgplot.line_plot(
-            ctx.emit(base + ".svg"),
+            emit(base + ".svg"),
             [(label, steps, [0, *np.repeat(h, 2), 0])
              for label, h in (("true", h_true), ("fused", h_fused))],
             title=f"{comp} at station {station} ({case_id})",
@@ -399,20 +402,20 @@ def _stage_report(ctx: _Context) -> None:
                          for d in a_proj - data_mean[:, idx]]) / n_b
     data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
     centers = ((np.arange(_N_SECTORS) + 0.5) * TWO_PI / _N_SECTORS)[occ]
-    prior = evaluate_rom(ctx.rom, centers, trace["u_mean"], None)
+    prior = evaluate_rom(model.rom, centers, trace["u_mean"], None)
     rom_std = np.sqrt(np.diagonal(prior.covariance))
     for n in range(len(a_proj)):
         rom_mean = prior.mean[:, n]
         rom_sd = np.full(centers.size, rom_std[n])
         base = f"azimuthal_mode{n + 1}"
-        _write_csv(ctx.emit(base + ".csv"),
+        _write_csv(emit(base + ".csv"),
                    ["theta_center", "data_mean", "data_std",
                     "rom_mean", "rom_std"],
                    np.column_stack([centers, data_mean[n], data_std[n],
                                     rom_mean, rom_sd]),
                    _REPORT_FMT)
         svgplot.line_plot(
-            ctx.emit(base + ".svg"),
+            emit(base + ".svg"),
             [("data mean", centers, data_mean[n]),
              ("data +1s", centers, data_mean[n] + data_std[n]),
              ("data -1s", centers, data_mean[n] - data_std[n]),
@@ -428,10 +431,10 @@ def _stage_report(ctx: _Context) -> None:
     for i, j in pairs:
         xi, yj = a_proj[i, ::stride], a_proj[j, ::stride]
         base = f"coupling_{case_id}_a{i + 1}_a{j + 1}"
-        _write_csv(ctx.emit(base + ".csv"),
+        _write_csv(emit(base + ".csv"),
                    [f"a{i + 1}", f"a{j + 1}"], np.column_stack([xi, yj]),
                    _REPORT_FMT)
-        svgplot.scatter_plot(ctx.emit(base + ".svg"), xi, yj,
+        svgplot.scatter_plot(emit(base + ".svg"), xi, yj,
                              title=f"a{i + 1} vs a{j + 1} ({case_id})",
                              xlabel=f"a{i + 1}", ylabel=f"a{j + 1}")
 
@@ -440,59 +443,63 @@ def _stage_report(ctx: _Context) -> None:
     t = trace["t"]
     series = [("true", t, trace["true_obs"][0])]
     series += [(src, t, trace["fields"][src][0]) for src in _SOURCES]
-    svgplot.line_plot(ctx.emit(f"trace_{case_id}_ux.svg"), series,
+    svgplot.line_plot(emit(f"trace_{case_id}_ux.svg"), series,
                       title=f"ux at station {station} ({case_id})",
                       xlabel="t (s)", ylabel="ux (m)")
 
 
-def _stage_index(ctx: _Context) -> None:
-    write_json(ctx.config.out_dir / "artifacts.json",
-               {"files": sorted(set(ctx.artifacts))})
+def _index(out_dir: Path, artifacts: list) -> None:
+    write_json(out_dir / "artifacts.json", {"files": sorted(set(artifacts))})
 
 
+#: Each stage by the name its ``FAILED`` marker gives; :func:`_stage` calls it.
 _STAGES = {
-    "load": _stage_load,
-    "decompose": _stage_decompose,
-    "sensors": _stage_sensors,
-    "fit-rom": _stage_fit_rom,
-    "estimate": _stage_estimate,
-    "report": _stage_report,
-    "index": _stage_index,
+    "load": _load,
+    "decompose": _decompose,
+    "sensors": _sensors,
+    "fit-rom": _fit_rom,
+    "estimate": _estimate,
+    "report": _report,
+    "index": _index,
 }
 
-#: The stages each command runs: ``fit-rom`` is the set-up (basis, ROM
-#: and torsion map from the training cases), ``pipeline`` every stage.
-COMMAND_PLANS = {
-    "fit-rom": ("load", "decompose", "fit-rom", "index"),
-    "pipeline": ("load", "decompose", "sensors", "fit-rom", "estimate",
-                 "report", "index"),
-}
+
+def _stage(name: str, *args):
+    """Run stage ``name`` on ``args``; a failure becomes a StageError."""
+    try:
+        return _STAGES[name](*args)
+    except Exception as err:
+        raise StageError(name, err) from err
 
 
 def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
-    """Run the stages of ``plan`` and return a result summary.
-
-    On any stage failure a ``FAILED`` marker naming the stage is written to
-    the output directory and a :class:`StageError` wrapping the original
-    exception is raised.
+    """Run ``plan``: ``fit-rom`` loads and fits the model, ``pipeline`` also
+    estimates and reports. A stage failure writes a ``FAILED`` marker naming
+    the stage and raises a :class:`StageError` wrapping the original error.
     """
     config.validate()
-    if plan not in COMMAND_PLANS:
+    if plan not in ("fit-rom", "pipeline"):
         raise ValidationError(f"unknown plan {plan!r}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "FAILED"
     marker.unlink(missing_ok=True)
-    ctx = _Context(config=config, plan=plan)
-    for name in COMMAND_PLANS[plan]:
-        try:
-            _STAGES[name](ctx)
-        except Exception as err:
-            with open(marker, "w", encoding="utf-8") as fh:
-                fh.write(f"stage: {name}\nerror: {err}\n")
-            raise StageError(name, err) from err
-    return {
-        "out_dir": str(out),
-        "artifacts": sorted(set(ctx.artifacts)),
-        "summary": ctx.summary,
-    }
+    artifacts = []
+
+    def emit(name: str) -> Path:
+        artifacts.append(name)
+        return out / name
+
+    try:
+        training, evaluation, stations = _stage("load", config,
+                                                plan == "pipeline")
+        model = fit_model(training, config, stations, emit)
+        if plan == "pipeline":
+            trace = _stage("estimate", model, evaluation, config.seed, emit)
+            _stage("report", model, trace, emit)
+        _stage("index", out, artifacts)
+    except StageError as err:
+        with open(marker, "w", encoding="utf-8") as fh:
+            fh.write(f"stage: {err.stage}\nerror: {err.cause}\n")
+        raise
+    return {"out_dir": str(out), "artifacts": sorted(set(artifacts))}

@@ -465,11 +465,30 @@ class TestPipelineRun:
                      "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "artifacts.json", "energies.csv", "modes.csv", "rom.json",
-            "torsion_map.csv"]
+            "sensors.csv", "torsion_map.csv"]
         for path in out.iterdir():
             if path.name != "artifacts.json":
                 assert path.read_bytes() == (full / path.name).read_bytes(), \
                     path.name
+
+    @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
+    def test_each_stage_runs_once_through_the_table(self, twin, tmp_path,
+                                                    monkeypatch, plan):
+        # every stage is looked up in _STAGES when it runs, which is where
+        # the benchmark's tracer times it; fit-rom runs the pipeline's fit
+        pipeline_cfg, _ = twin
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        ran = []
+        for name, stage in list(bladesense.pipeline._STAGES.items()):
+            def recording(*args, _name=name, _stage=stage):
+                ran.append(_name)
+                return _stage(*args)
+
+            monkeypatch.setitem(bladesense.pipeline._STAGES, name, recording)
+        run_pipeline(config, plan=plan)
+        fit = ["load", "decompose", "sensors", "fit-rom"]
+        assert ran == fit + {"pipeline": ["estimate", "report"],
+                             "fit-rom": []}[plan] + ["index"]
 
     @pytest.mark.parametrize("command", ["decompose", "sensors", "estimate",
                                          "torsion", "report"])
@@ -512,6 +531,56 @@ class TestPipelineRun:
                            skiprows=1)
         assert table.shape == (21, 3)
         assert np.array_equal(table[:, 1], table[:, 2])
+
+
+class TestUnitScale:
+    @staticmethod
+    def _pairs(base, scaled, scaling=False, where=""):
+        """(where, base value, scaled value, whether an RMSE) of every
+        number in two JSON documents of one layout."""
+        assert type(base) is type(scaled), where
+        if isinstance(base, dict):
+            assert base.keys() == scaled.keys(), where
+            items = [(k, base[k], scaled[k]) for k in base]
+        elif isinstance(base, list):
+            assert len(base) == len(scaled), where
+            items = [(i, b, v) for i, (b, v) in enumerate(zip(base, scaled))]
+        else:
+            return [(where, base, scaled, scaling)]
+        return [pair for k, b, v in items for pair in TestUnitScale._pairs(
+            b, v, scaling or "rmse" in str(k), f"{where}/{k}")]
+
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    @pytest.mark.parametrize("name", ["twin", "quickstart"])
+    def test_errors_scale_with_the_unit(self, pipeline_runs, tmp_path, name,
+                                        c):
+        # every case matrix and the sensor noise in units c times smaller:
+        # each RMSE scales by c, and every other number (the stations,
+        # NIS, R^2, the counters) stays as it was
+        pipeline_cfg, out = pipeline_runs(name)
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        for npy in cases.glob("*.npy"):
+            np.save(npy, c * np.load(npy))
+        doc = json.loads(pipeline_cfg.read_text())
+        doc["noise"] *= c
+        (cases / pipeline_cfg.name).write_text(json.dumps(doc))
+        scaled = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(scaled)]) == 0
+        n_rmse = 0
+        for summary in ("error_summary.json", "torsion_summary.json"):
+            pairs = self._pairs(json.loads((out / summary).read_text()),
+                                json.loads((scaled / summary).read_text()))
+            for where, base, value, is_rmse in pairs:
+                if isinstance(base, int):
+                    assert value == base, (summary, where)
+                else:
+                    want = c * base if is_rmse else base
+                    assert np.isclose(value, want, rtol=1e-12, atol=0), \
+                        (summary, where, value, want)
+                    n_rmse += is_rmse
+        assert n_rmse > 0
 
 
 class TestFailureModes:
@@ -864,9 +933,10 @@ class TestTrainingRelease:
                 refs.append(weakref.ref(e.D))
             return grid, e
 
-        def fit_rom(ctx, _stage=bladesense.pipeline._STAGES["fit-rom"]):
-            _stage(ctx)
+        def fit_rom(*args, _stage=bladesense.pipeline._STAGES["fit-rom"]):
+            result = _stage(*args)
             alive.extend(r for r in refs if r() is not None)
+            return result
 
         monkeypatch.setattr(bladesense.pipeline, "load_case", recording)
         monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
@@ -897,9 +967,10 @@ class TestTrainingRelease:
                 refs.append(weakref.ref(tau))
             return tau
 
-        def fit_rom(ctx, _stage=bladesense.pipeline._STAGES["fit-rom"]):
-            _stage(ctx)
+        def fit_rom(*args, _stage=bladesense.pipeline._STAGES["fit-rom"]):
+            result = _stage(*args)
             alive.extend(r for r in refs if r() is not None)
+            return result
 
         monkeypatch.setattr(bladesense.pipeline, "load_case", loading)
         monkeypatch.setattr(bladesense.pipeline, "load_torsion", recording)
@@ -1010,9 +1081,9 @@ class TestEvaluationRelease:
 
         alive = []
 
-        def report(ctx, _stage=pipeline._STAGES["report"]):
+        def report(*args, _stage=pipeline._STAGES["report"]):
             alive.extend(r() is not None for r in kept + dropped)
-            _stage(ctx)
+            return _stage(*args)
 
         monkeypatch.setattr(pipeline, "load_case", loading)
         monkeypatch.setattr(pipeline, "project", projecting)
