@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import read_json, wrap_angle, write_json
 from .errors import ValidationError
-from .fusion import GaussianReduced, _all_finite
+from .fusion import GaussianReduced, _all_finite, checked_covariance
 
 #: Fourier truncation order n_F of the mean tables; fixed.
 N_FOURIER = 6
@@ -79,8 +79,7 @@ class AzimuthalRomModel:
             raise ValidationError("ROM u_ref and u_range must be finite, "
                                   f"with u_range ascending, got {self.u_range}")
         try:
-            self.covariance = GaussianReduced(np.zeros(n_modes),
-                                              self.covariance).covariance
+            self.covariance = checked_covariance(self.covariance, (n_modes,))
         except ValidationError as err:
             raise ValidationError(f"ROM covariance: {err}") from err
         self.covariance.setflags(write=False)
@@ -155,7 +154,7 @@ def fit_rom(cases, *, conditions=()) -> AzimuthalRomModel:
 
 
 def evaluate_rom(model: AzimuthalRomModel, theta, u_filt,
-                 ti) -> GaussianReduced:
+                 ti=None) -> GaussianReduced:
     """Evaluate the prior Gaussian at azimuths and filtered wind speeds.
 
     ``theta`` and ``u_filt`` are scalars or 1-D arrays, one entry per time

@@ -2,8 +2,9 @@
 
 Subcommands: ``synth`` writes synthetic cases and a pipeline config,
 ``fit-rom`` fits the model (basis, sensor placement, azimuthal ROM and
-torsion map) from the training cases, and ``pipeline`` fits the same model,
-then estimates and reports, writing every artifact.
+torsion map) from the training cases alone, and ``pipeline`` fits the same
+model, then estimates and reports, writing every artifact. Both need
+``--config``; ``fit-rom`` draws nothing, so only the others take ``--seed``.
 Exit codes: 0 success, 2 validation error, 3 numerical error.
 """
 
@@ -104,11 +105,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    """Run ``fit-rom`` (load, decompose, sensors, fit-rom) or ``pipeline``
-    (the same fit, then estimate and report); see ``run_pipeline``."""
-    if not args.config:
-        raise ValidationError(f"'{args.command}' requires --config")
-    config = PipelineConfig.from_json(args.config, seed=args.seed,
+    """Run ``fit-rom`` (load the training cases, decompose, sensors,
+    fit-rom) or ``pipeline`` (load every case, the same fit, then estimate
+    and report); see ``run_pipeline``."""
+    config = PipelineConfig.from_json(args.config, seed=vars(args).get("seed"),
                                       out_dir=args.out)
     result = run_pipeline(config, plan=args.command)
     print(f"{args.command}: wrote {len(result['artifacts'])} artifacts "
@@ -129,9 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
             ("fit-rom", "fit the basis, sensors, ROM, torsion map", cmd_plan),
             ("pipeline", "run every stage, write every artifact", cmd_plan)):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--config", type=Path, help="config JSON path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="rng seed override")
+        p.add_argument("--config", type=Path, required=name != "synth",
+                       help="config JSON path")
+        if name != "fit-rom":  # the fit draws no random number
+            p.add_argument("--seed", type=int, default=None,
+                           help="rng seed override")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory")
         p.set_defaults(func=func)

@@ -36,16 +36,47 @@ def _all_finite(x: np.ndarray) -> None:
         raise ValidationError("Gaussian mean and covariance must be finite")
 
 
+def checked_covariance(cov, mean_shape: tuple) -> np.ndarray:
+    """``cov``, symmetrized, as the (N, N) covariance of a mean of shape
+    ``mean_shape`` (N last). A non-finite value, also after symmetrizing
+    (LAPACK reports NaN matrices as PSD), or an eigenvalue below -1e-10 *
+    trace is rejected; a smaller negative one is lifted by a diagonal shift
+    until eigvalsh reports none."""
+    cov = np.asarray(cov, dtype=float)
+    n = mean_shape[-1]
+    if cov.shape != (n, n):
+        raise ValidationError(
+            f"covariance must be ({n}, {n}), one shared by every row of "
+            f"the mean, got {cov.shape} for a mean of shape {mean_shape}"
+        )
+    cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise ValidationError("Gaussian mean and covariance must be finite")
+    least = np.linalg.eigvalsh(cov)[0]
+    if least < 0.0:
+        # the trace is taken only here: at 1e308 scale it overflows
+        if least < -1e-10 * max(cov.trace(), 1e-300):
+            raise ValidationError(
+                f"covariance not PSD: min eigenvalue {least:.3e}")
+        # the shift is at least one ulp of the diagonal, or adding it
+        # would not change the matrix; eigvalsh is the arbiter, as
+        # LAPACK drivers can disagree by a few ulp around zero
+        eye = np.eye(n)
+        while least < 0.0:
+            scale = np.abs(cov.diagonal()).max()
+            cov = cov + max(-2.0 * least, np.spacing(scale)) * eye
+            least = np.linalg.eigvalsh(cov)[0]
+    return cov
+
+
 @dataclass
 class GaussianReduced:
     """Mean/covariance pair in reduced modal coordinates.
 
     The mean is one step (N,) or a stack of steps (n_t, N); the covariance
-    is one (N, N) matrix shared by every row. Non-finite values, also after
-    symmetrizing, are rejected (LAPACK reports NaN matrices as PSD). The
-    covariance is symmetrized on construction; an eigenvalue below -1e-10 *
-    trace is rejected, and a smaller negative one is lifted by a diagonal
-    shift until eigvalsh reports none.
+    is one (N, N) matrix shared by every row, checked and symmetrized on
+    construction by :func:`checked_covariance`; a non-finite mean is
+    rejected.
     """
 
     mean: np.ndarray
@@ -55,31 +86,9 @@ class GaussianReduced:
         mean = np.asarray(self.mean, dtype=float)
         if mean.ndim == 0:
             mean = mean.reshape(1)
-        cov = np.asarray(self.covariance, dtype=float)
-        n = mean.shape[-1]
-        if cov.shape != (n, n):
-            raise ValidationError(
-                f"covariance must be ({n}, {n}), one shared by every row of "
-                f"the mean, got {cov.shape} for a mean of shape {mean.shape}"
-            )
-        cov = 0.5 * (cov + cov.T)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValidationError("Gaussian mean and covariance must be finite")
-        least = np.linalg.eigvalsh(cov)[0]
-        if least < 0.0:
-            # the trace is taken only here: at 1e308 scale it overflows
-            if least < -1e-10 * max(cov.trace(), 1e-300):
-                raise ValidationError(
-                    f"covariance not PSD: min eigenvalue {least:.3e}")
-            # the shift is at least one ulp of the diagonal, or adding it
-            # would not change the matrix; eigvalsh is the arbiter, as
-            # LAPACK drivers can disagree by a few ulp around zero
-            eye = np.eye(n)
-            while least < 0.0:
-                scale = np.abs(cov.diagonal()).max()
-                cov = cov + max(-2.0 * least, np.spacing(scale)) * eye
-                least = np.linalg.eigvalsh(cov)[0]
-        self.mean, self.covariance = mean, cov
+        self.covariance = checked_covariance(self.covariance, mean.shape)
+        _all_finite(mean)
+        self.mean = mean
 
     @classmethod
     def from_checked(cls, mean: np.ndarray,
@@ -161,7 +170,7 @@ def fuse(prior: GaussianReduced,
     last = _LAST
     if last is None or last[0] != p_key or last[1] != r_key:
         gain, cov = _gain(p_cov, r_cov)
-        cov = GaussianReduced(np.zeros(prior.n), cov).covariance
+        cov = checked_covariance(cov, (prior.n,))
         gain.setflags(write=False)
         cov.setflags(write=False)
         last = _LAST = (p_key, r_key, gain, cov)

@@ -2,16 +2,16 @@
 
 :func:`fit_model` fits one frozen :class:`Model` (the POD basis, the
 sensors placed on it, the azimuthal prior and the torsion map) from the
-training cases, their last reader. The ``fit-rom`` command stops there;
-``pipeline`` goes on to estimate and report, which read only the model and
-the evaluation cases. Estimation runs once per evaluation case on whole
-arrays: the sensors are sampled (with noise) at every step in one call,
-one linear map gives the reduced coordinates of all steps, the prior is
-evaluated at each step's angle and filtered wind speed, and the two
-Gaussians are fused with one gain, as both share one covariance over all
-steps. Each row equals what the per-step library calls give for
-that step. Once the case's field is released, its torsion is inferred
-from the fused coordinates and scored. Batch reporting (spectra,
+training cases, their last reader. The ``fit-rom`` command stops there,
+reading no evaluation file; ``pipeline`` goes on to estimate and report,
+which read only the model and the evaluation cases. Estimation runs once
+per evaluation case on whole arrays: the sensors are sampled (with noise)
+at every step in one call, one linear map gives the reduced coordinates of
+all steps, the prior is evaluated at each step's angle and filtered wind
+speed, and the two Gaussians are fused with one gain, as both share one
+covariance over all steps. Each row equals what the per-step library calls
+give for that step. Once the case's field is released, its torsion is
+inferred from the fused coordinates and scored. Batch reporting (spectra,
 histograms, azimuthal curves, coupling scatter) runs afterwards on the
 first evaluation case's traces.
 
@@ -31,9 +31,8 @@ import numpy as np
 
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
-from .dataset import (_REPORT_FMT, TWO_PI, _load_grid, _write_csv, azimuth_bin,
-                      load_case, load_torsion, read_json, read_manifest,
-                      write_json)
+from .dataset import (_REPORT_FMT, TWO_PI, _write_csv, azimuth_bin, load_case,
+                      load_torsion, read_json, read_manifest, write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -72,6 +71,12 @@ class PipelineConfig:
         for group in ("training", "evaluation"):
             if not getattr(self, group):
                 raise ValidationError(f"'{group}' lists no cases")
+        # a manifest named twice would be pooled twice into the fit
+        resolved = [Path(p).resolve() for p in self.training]
+        for i, p in enumerate(resolved):
+            if p in resolved[:i]:
+                raise ValidationError(
+                    f"'training' names a manifest twice: {self.training[i]}")
         names = [Path(p).stem for p in self.evaluation]  # output names
         if len(set(names)) < len(names):
             raise ValidationError(f"'evaluation' names a case twice: {names}")
@@ -133,38 +138,31 @@ class Model:
     torsion: tuple | None  # (map at rows, fit R^2), or None
 
 
-def _load(config: PipelineConfig, estimating: bool):
+def _load(training_paths: list, evaluation_paths: list):
     """Training and evaluation (path, manifest, ensemble) lists, stations."""
     # each manifest is read here, once, and kept for the torsion reads
     training = []
-    for p in config.training:
+    for p in training_paths:
         m = read_manifest(p)
         training.append((p, m, load_case(p, m)[1]))
-    grids = [e.grid for _, _, e in training]
     evaluation = []
-    for p in config.evaluation:
+    for p in evaluation_paths:
         m = read_manifest(p)
-        # a plan that estimates nothing uses an evaluation case only for
-        # its grid, and reads no more of it
-        if estimating:
-            e = load_case(p, m)[1]
-            # the report's spectra are normalized by the mean rotor speed
-            # and need at least two samples
-            omega = float(np.mean(e.omega))
-            if not omega > 0:
-                raise ValidationError(
-                    f"evaluation case {Path(p).stem!r}: mean rotor speed "
-                    f"'omega' must be positive, got {omega!r}")
-            if e.n_t < 2:
-                raise ValidationError(f"evaluation case {Path(p).stem!r} has "
-                                      f"{e.n_t} time step, fewer than 2")
-            evaluation.append((p, m, e))
-            grids.append(e.grid)
-        else:
-            grids.append(_load_grid(Path(p), m))
-    z0 = grids[0].z_norm
-    for grid in grids:
-        if grid.z_norm.shape != z0.shape or np.any(grid.z_norm != z0):
+        e = load_case(p, m)[1]
+        # the report's spectra are normalized by the mean rotor speed and
+        # need at least two samples
+        omega = float(np.mean(e.omega))
+        if not omega > 0:
+            raise ValidationError(
+                f"evaluation case {Path(p).stem!r}: mean rotor speed "
+                f"'omega' must be positive, got {omega!r}")
+        if e.n_t < 2:
+            raise ValidationError(f"evaluation case {Path(p).stem!r} has "
+                                  f"{e.n_t} time step, fewer than 2")
+        evaluation.append((p, m, e))
+    z0 = training[0][2].grid.z_norm
+    for _, _, e in training + evaluation:
+        if e.grid.z_norm.shape != z0.shape or np.any(e.grid.z_norm != z0):
             raise ValidationError("all cases must share the same grid")
     # on a coarse grid two fractions can snap to one station
     fractions = _OBSERVATION_FRACTIONS
@@ -260,7 +258,7 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         y = observe(e.D.T, model.sensors, model.noise, rng)
         meas = sparse_estimate(y, model.sensors, model.noise)
-        prior = evaluate_rom(model.rom, e.theta, e.u_filt, e.condition.ti)
+        prior = evaluate_rom(model.rom, e.theta, e.u_filt)
         fused, _ = fuse(prior, meas)
         # normalized innovation squared per step, nu^T S^-1 nu with nu =
         # sparse - prior and S the innovation covariance fuse inverted, one
@@ -402,7 +400,7 @@ def _report(model: Model, trace: dict, emit) -> None:
                          for d in a_proj - data_mean[:, idx]]) / n_b
     data_mean, data_std = data_mean[:, occ], np.sqrt(data_var[:, occ])
     centers = ((np.arange(_N_SECTORS) + 0.5) * TWO_PI / _N_SECTORS)[occ]
-    prior = evaluate_rom(model.rom, centers, trace["u_mean"], None)
+    prior = evaluate_rom(model.rom, centers, trace["u_mean"])
     rom_std = np.sqrt(np.diagonal(prior.covariance))
     for n in range(len(a_proj)):
         rom_mean = prior.mean[:, n]
@@ -473,9 +471,10 @@ def _stage(name: str, *args):
 
 
 def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
-    """Run ``plan``: ``fit-rom`` loads and fits the model, ``pipeline`` also
-    estimates and reports. A stage failure writes a ``FAILED`` marker naming
-    the stage and raises a :class:`StageError` wrapping the original error.
+    """Run ``plan``: ``fit-rom`` loads the training cases and fits the
+    model, ``pipeline`` also loads the evaluation cases, estimates and
+    reports. A stage failure writes a ``FAILED`` marker naming the stage
+    and raises a :class:`StageError` wrapping the original error.
     """
     config.validate()
     if plan not in ("fit-rom", "pipeline"):
@@ -491,8 +490,9 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
         return out / name
 
     try:
-        training, evaluation, stations = _stage("load", config,
-                                                plan == "pipeline")
+        training, evaluation, stations = _stage(
+            "load", config.training,
+            config.evaluation if plan == "pipeline" else [])
         model = fit_model(training, config, stations, emit)
         if plan == "pipeline":
             trace = _stage("estimate", model, evaluation, config.seed, emit)

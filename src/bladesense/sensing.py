@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import _write_csv
 from .decomposition import ModalBasis
 from .errors import NumericalError, ValidationError
-from .fusion import GaussianReduced, _all_finite
+from .fusion import GaussianReduced, _all_finite, checked_covariance
 
 _COND_LIMIT = 1e12
 
@@ -80,7 +80,7 @@ class SensorSet:
         """G G^T of :attr:`gram_gain` G (which must not be None),
         symmetrized and checked PSD, built once per sensor set (read-only)."""
         G = self.gram_gain
-        gram = GaussianReduced(np.zeros(G.shape[0]), G @ G.T).covariance
+        gram = checked_covariance(G @ G.T, G.shape[:1])
         gram.setflags(write=False)
         return gram
 

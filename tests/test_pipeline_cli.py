@@ -515,6 +515,24 @@ class TestPipelineRun:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit-rom", "--config", "CONFIG", "--seed", "1"], "--seed"),
+        (["fit-rom"], "--config"),
+    ], ids=["seed", "no-config"])
+    def test_fit_rom_usage_errors_exit_2(self, twin, tmp_path, capsys, argv,
+                                         flag):
+        # the fit draws nothing, so fit-rom takes no --seed; it needs a
+        # config, as pipeline does (test_missing_config_flag)
+        pipeline_cfg, _ = twin
+        out = tmp_path / "out"
+        argv = [str(pipeline_cfg) if a == "CONFIG" else a for a in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_record_too_short_to_smooth_its_spectrum(self, tmp_path):
         # 40 samples give a 21-bin spectrum, fewer than the smoothing
         # window: the report keeps the raw spectrum instead of failing
@@ -595,8 +613,12 @@ class TestFailureModes:
         # validation precedes stage execution: no failure marker, no artifacts
         assert not (tmp_path / "out" / "FAILED").exists()
 
-    def test_missing_config_flag(self):
-        assert main(["pipeline"]) == 2
+    def test_missing_config_flag(self, capsys):
+        # the parser requires --config: a usage error, exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_nonexistent_config_path(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "none.json")]) == 2
@@ -859,12 +881,14 @@ class TestLayouts:
 
 class TestCaseReads:
     @staticmethod
-    def _reads(monkeypatch, config, plan):
+    def _reads(monkeypatch, config, plan,
+               readers=("_read_csv", "_read_npy")):
         seen = Counter()
-        for reader in ("_read_csv", "_read_npy"):
-            def counting(path, *args, _read=getattr(dataset, reader)):
+        for reader in readers:
+            def counting(path, *args, _read=getattr(dataset, reader),
+                         **kwargs):
                 seen[Path(path).name] += 1
-                return _read(path, *args)
+                return _read(path, *args, **kwargs)
 
             monkeypatch.setattr(dataset, reader, counting)
         run_pipeline(config, plan=plan)
@@ -885,16 +909,15 @@ class TestCaseReads:
                                                     monkeypatch):
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
-        seen = self._reads(monkeypatch, config, "fit-rom")
-        # the torsion map reads every training torsion file; of an
-        # evaluation case, fit-rom uses only the grid
+        seen = self._reads(monkeypatch, config, "fit-rom",
+                           ("_read_csv", "_read_npy", "read_json"))
+        # the torsion map reads every training torsion file; the fit reads
+        # no file of an evaluation case, its manifest included
         train = [Path(p).stem for p in config.training]
-        evaluation = [Path(p).stem for p in config.evaluation]
         assert seen == dict.fromkeys(
-            [f"{n}_{kind}" for n in train
-             for kind in ("grid.csv", "channels.csv", "displacement.npy",
-                          "torsion.npy")]
-            + [f"{n}_grid.csv" for n in evaluation], 1)
+            [f"{n}{kind}" for n in train
+             for kind in (".json", "_grid.csv", "_channels.csv",
+                          "_displacement.npy", "_torsion.npy")], 1)
 
     @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
     def test_each_manifest_read_once(self, twin, tmp_path, monkeypatch,
@@ -911,10 +934,34 @@ class TestCaseReads:
 
         monkeypatch.setattr(dataset, "read_json", counting)
         run_pipeline(config, plan=plan)
-        manifests = [Path(p).resolve()
-                     for p in config.training + config.evaluation]
+        # fit-rom reads no evaluation manifest, and neither reads any
+        # other JSON document
+        manifests = [Path(p).resolve() for p in config.training + (
+            config.evaluation if plan == "pipeline" else [])]
         assert len(set(manifests)) == len(manifests)
-        assert {p: seen[p] for p in manifests} == dict.fromkeys(manifests, 1)
+        assert seen == dict.fromkeys(manifests, 1)
+
+    def test_fit_rom_reads_no_evaluation_data(self, twin, tmp_path):
+        # with every evaluation data file gone (only the manifests, which
+        # the config check requires, stay) fit-rom writes the same bytes
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        config = cases / pipeline_cfg.name
+        assert main(["fit-rom", "--config", str(config),
+                     "--out", str(tmp_path / "intact")]) == 0
+        for name in json.loads(config.read_text())["evaluation"]:
+            manifest = json.loads((cases / name).read_text())
+            for key in ("grid_file", "snapshot_file", "displacement_file",
+                        "torsion_file"):
+                (cases / manifest[key]).unlink()
+        assert main(["fit-rom", "--config", str(config),
+                     "--out", str(tmp_path / "bare")]) == 0
+        names = sorted(p.name for p in (tmp_path / "intact").iterdir())
+        assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "bare" / name).read_bytes()
+                    == (tmp_path / "intact" / name).read_bytes()), name
 
 
 class TestTrainingRelease:
@@ -1770,6 +1817,26 @@ class TestConfigValidation:
         assert main(["synth", "--config", str(cfg), "--seed", "-3",
                      "--out", str(out)]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["{}", "./{}"],
+                             ids=["same-text", "same-file"])
+    @pytest.mark.parametrize("command", ["pipeline", "fit-rom"])
+    def test_training_manifest_named_twice_exits_2(
+            self, twin, tmp_path, capsys, command, spelling):
+        # a case named twice would be pooled twice into the fit and leak
+        # into its own left-out fold; nothing runs, so no FAILED marker
+        pipeline_cfg, _ = twin
+        doc = json.loads(pipeline_cfg.read_text())
+        doc["training"].append(spelling.format(doc["training"][0]))
+        cfg = pipeline_cfg.parent / f"twice_{tmp_path.name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'training' names a manifest twice" in err
+        assert doc["training"][0] in err and cfg.name in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
