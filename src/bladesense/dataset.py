@@ -23,12 +23,10 @@ matrix is stored in it, so loading needs no transpose or stacking. Azimuth
 is stored already wrapped to [0, 2*pi) and the time axis must be uniform at
 the declared sampling frequency.
 
-Every table a program reads back (case grids and channels, POD modes and
-torsion maps) is written as decimal text with 18 significant digits
-(``%.17e``), so a save/load round trip is bit-exact.
-Tables that only people and plots read (reconstructions, figure twins)
-carry 10 significant digits (``%.9e``). Both are formatted in numpy
-blocks by one exact digit kernel, byte-equal to ``%`` (see
+Every numeric table (case grids and channels, POD modes, sensors, torsion
+maps, figure twins) is written as decimal text with 18 significant digits
+(``%.17e``), so a save/load round trip is bit-exact. It is formatted in
+numpy blocks by one exact digit kernel, byte-equal to ``%`` (see
 :func:`_write_csv`).
 
 Every JSON document (manifests, configs, models, summaries) is read with
@@ -61,21 +59,16 @@ TWO_PI = 2.0 * np.pi
 SMOOTHING_ALPHA = 0.2
 
 #: Lossless: 18 significant digits round-trip every float64 bit-exactly.
-#: Use it for any table the program, or a later run, reads back.
 _FLOAT_FMT = "%.17e"
-
-#: Report precision, for tables nothing reads back: 10 significant digits
-#: (relative rounding <= 5e-10), in files two thirds the size.
-_REPORT_FMT = "%.9e"
 
 #: Values formatted, and written, per block of a table.
 _WRITE_BLOCK = 4096
 
-#: Decimal exponents the word tables cover: ``n`` significant digits of a
-#: value at exponent ``e`` are ``|x| * 10**(n - 1 - e)`` rounded, and that
-#: power is exact in float64 for ``n - 1 - e`` in 0 .. 22. So ``e`` runs
-#: over -13 .. 9 at ``_REPORT_FMT`` and -5 .. 17 at ``_FLOAT_FMT``.
-_EXP = np.arange(-13, 18)
+#: Decimal exponents the word tables cover: the 18 significant digits of
+#: a value at exponent ``e`` are ``|x| * 10**(17 - e)`` rounded, and that
+#: power is exact in float64 for ``17 - e`` in 0 .. 22, so ``e`` runs over
+#: -5 .. 17.
+_EXP = np.arange(-5, 18)
 
 #: Veltkamp's splitter: ``c = _SPLITTER * a; hi = c - (c - a)`` cuts a
 #: float64 into two halves of at most 26 significant bits each.
@@ -96,8 +89,8 @@ def _split(a):
 
 
 # The formatter's tables, built once. A formatted value is a lead word,
-# two (report) or four (lossless) words of four digits, an exponent word
-# and a separator word: [sign, d0, '.', d1] [d2..d5] ... [e, sign, x, x] [,].
+# four words of four digits, an exponent word and a separator word:
+# [sign, d0, '.', d1] [d2..d5] ... [e, sign, x, x] [,].
 #: ASCII codes of the two digits of 00 .. 99, one row each.
 _TWO_DIGITS = np.column_stack(np.divmod(np.arange(100), 10)) + ord("0")
 #: ``[sign, d0, '.', d1]`` at ``100 * negative + d0d1``.
@@ -107,7 +100,7 @@ _LEAD_WORDS = _ascii_words(np.column_stack([
 #: Four digits ``0000`` .. ``9999``.
 _DIGIT_WORDS = _ascii_words(np.column_stack([
     np.repeat(_TWO_DIGITS, 100, axis=0), np.tile(_TWO_DIGITS, (100, 1))]))
-#: ``e-13`` .. ``e+17`` at ``e + 13``.
+#: ``e-05`` .. ``e+17`` at ``e + 5``.
 _EXP_WORDS = _ascii_words(np.column_stack([
     np.full(_EXP.size, ord("e")), np.where(_EXP < 0, ord("-"), ord("+")),
     _TWO_DIGITS[np.abs(_EXP)]]))
@@ -390,24 +383,20 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def _digits(a: np.ndarray, e: np.ndarray, n: int):
-    """``(ok, m)``: ``m`` the ``n`` significant digits of ``a = |x|`` at
-    decimal exponent ``e``, where ``ok``; ``e`` is set to ``n - 1``
-    elsewhere.
+def _digits(a: np.ndarray, e: np.ndarray):
+    """``(ok, m)``: ``m`` the 18 significant digits of ``a = |x|`` at
+    decimal exponent ``e``, where ``ok``; ``e`` is set to 17 elsewhere.
 
-    Dekker's product splits ``a * 10**k``, ``k = n - 1 - e``, exactly into
-    its float64 ``p`` and the residual ``err``, and ``m`` is the exact
-    product rounded half to even, as ``%`` rounds. Ten digits: ``p`` is
-    below 2**34, so ``|err|`` is at most 2**-20 and every half-integer is a
-    float; ``rint(p)`` is right unless ``p`` is a half-integer, where the
-    sign of ``err`` decides (a zero ``err`` is a true tie). Eighteen
-    digits: ``p`` is an even integer from 2**53 up, so ``rint(err)``'s
-    choice at a tie is ``m``'s. ``floor(log10)`` can be off by one, but
-    wherever ``m`` has ``n`` digits ``%`` writes exactly those at ``e``.
+    Dekker's product splits ``a * 10**k``, ``k = 17 - e``, exactly into its
+    float64 ``p`` and the residual ``err``, and ``m`` is the exact product
+    rounded half to even, as ``%`` rounds: ``p`` is an even integer from
+    2**53 up, so ``p + rint(err)`` is that rounding, ``rint``'s choice at a
+    tie included. ``floor(log10)`` can be off by one, but wherever ``m``
+    has 18 digits ``%`` writes exactly those at ``e``.
     """
-    k = (n - 1) - e
+    k = 17 - e
     ok = (k >= 0) & (k < _POW.size)
-    e[~ok] = n - 1
+    e[~ok] = 17
     k[~ok] = 0
     k = k.astype(np.intp)
     p = a * _POW[k]
@@ -420,41 +409,34 @@ def _digits(a: np.ndarray, e: np.ndarray, n: int):
     err += np.multiply(a_hi, p_lo, out=a_hi)
     err += np.multiply(a_lo, p_hi, out=p_hi)
     err += np.multiply(a_lo, p_lo, out=a_lo)
-    r = np.rint(p)
-    half = np.flatnonzero(np.abs(p - r) == 0.5)
-    half = half[err[half] != 0.0]  # a zero err is a tie rint breaks to even
-    r[half] = np.floor(p[half]) + (err[half] > 0.0)
     ok &= p < 2.0 ** 62
     bad = ~ok
-    r[bad] = 0.0
+    p[bad] = 0.0
     err[bad] = 0.0
-    m = r.astype(np.int64)
+    m = p.astype(np.int64)
     m += np.rint(err, out=err).astype(np.int64)
-    ok &= (m >= 10 ** (n - 1)) & (m < 10 ** n)
-    m[~ok] = 10 ** (n - 1)  # in range of the tables; the words are zeroed later
+    ok &= (m >= 10 ** 17) & (m < 10 ** 18)
+    m[~ok] = 10 ** 17  # in range of the tables; the words are zeroed later
     return ok, m
 
 
-def _format_values(x: np.ndarray, seps: np.ndarray, fmt: str) -> str:
-    """``x`` in ``fmt`` (``_FLOAT_FMT`` or ``_REPORT_FMT``), each value
-    followed by its separator word in ``seps``: byte for byte what ``%``
-    writes.
+def _format_values(x: np.ndarray, seps: np.ndarray) -> str:
+    """``x`` in ``_FLOAT_FMT``, each value followed by its separator word
+    in ``seps``: byte for byte what ``%`` writes.
 
-    A value ``x = +-m * 10**(e - n + 1)`` with ``n`` integer digits ``m``
-    (18 lossless, ten in a report; see :func:`_digits`) is emitted from the
-    word tables above. Values the tables cannot format exactly (zero,
-    non-finite, subnormal, an exponent outside the format's range and a
-    rounding carry) are formatted by ``%`` and spliced in.
+    A value ``x = +-m * 10**(e - 17)`` with 18 integer digits ``m`` (see
+    :func:`_digits`) is emitted from the word tables above. Values the
+    tables cannot format exactly (zero, non-finite, subnormal, an exponent
+    outside -5 .. 17 and a rounding carry) are formatted by ``%`` and
+    spliced in.
     """
-    n = 18 if fmt == _FLOAT_FMT else 10
     a = np.abs(x)
     with np.errstate(all="ignore"):
         e = np.floor(np.log10(a))
-        ok, m = _digits(a, e, n)
-    n_groups = (n - 2) // 4
+        ok, m = _digits(a, e)
     negative = np.signbit(x)
-    words = np.empty((x.size, n_groups + 3), "<u4")
-    for j in range(n_groups, 0, -1):
+    words = np.empty((x.size, 7), "<u4")
+    for j in range(4, 0, -1):  # the four digit words, last first
         high = m // 10000  # faster than np.divmod
         words[:, j] = _DIGIT_WORDS[m - high * 10000]
         m = high
@@ -467,40 +449,28 @@ def _format_values(x: np.ndarray, seps: np.ndarray, fmt: str) -> str:
     text = codes[codes != 0].tobytes().decode("ascii")
     if not slow.size:
         return text
-    # where each slow value goes: after the digits, '.', exponent, sign
+    # where each slow value goes: after the 18 digits, '.', exponent, sign
     # and separator of each value formatted before it
-    ends = np.cumsum(np.where(ok, n + 6 + negative, 0))[slow].tolist()
+    ends = np.cumsum(np.where(ok, 24 + negative, 0))[slow].tolist()
     pieces, done = [], 0
     for i, end in zip(slow.tolist(), ends):
-        pieces += [text[done:end], fmt % float(x[i]), chr(seps[i])]
+        pieces += [text[done:end], _FLOAT_FMT % float(x[i]), chr(seps[i])]
         done = end
     pieces.append(text[done:])
     return "".join(pieces)
 
 
-def _write_csv(path: Path, names: list[str], data: np.ndarray,
-               fmt: str = _FLOAT_FMT) -> None:
-    """The one writer of numeric tables: a header row, then each value in
-    ``fmt`` (lossless ``_FLOAT_FMT`` or ``_REPORT_FMT``; any other is a
-    ValueError), byte for byte what ``np.savetxt(path, data, fmt=fmt,
-    delimiter=",", header=",".join(names), comments="")`` writes.
+def _write_csv(path: Path, names: list[str], data: np.ndarray) -> None:
+    """The one writer of numeric tables: a header row, then the rows of the
+    2-D ``data`` (at least one column), each value in ``_FLOAT_FMT``, byte
+    for byte what ``np.savetxt(path, data, fmt=_FLOAT_FMT, delimiter=",",
+    header=",".join(names), comments="")`` writes.
 
-    Both formats go through numpy blocks of ``_WRITE_BLOCK`` values (see
-    :func:`_format_values`), each written as soon as it is formatted; one
-    digit kernel, :func:`_digits`, rounds both.
+    The values go through numpy blocks of ``_WRITE_BLOCK`` (see
+    :func:`_format_values`), each written as soon as it is formatted.
     """
-    if fmt not in (_FLOAT_FMT, _REPORT_FMT):
-        raise ValueError(f"unsupported table format {fmt!r}")
-    data = np.asarray(data)
-    if data.ndim == 1:
-        data = data[:, None]
-    header = ",".join(names)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        if not data.size:
-            fh.write("\n" * data.shape[0])  # savetxt's rows of no columns
-            return
+        fh.write(",".join(names) + "\n")
         values = np.ascontiguousarray(data, dtype=np.float64).ravel()
         n_cols = data.shape[1]
         # the separator after each value of a block that starts in
@@ -510,7 +480,7 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray,
         for start in range(0, values.size, _WRITE_BLOCK):
             block = values[start:start + _WRITE_BLOCK]
             col = start % n_cols
-            fh.write(_format_values(block, seps[col:col + block.size], fmt))
+            fh.write(_format_values(block, seps[col:col + block.size]))
 
 
 def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:

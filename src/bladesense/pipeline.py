@@ -15,10 +15,13 @@ inferred from the fused coordinates and scored. Batch reporting (spectra,
 histograms, azimuthal curves, coupling scatter) runs afterwards on the
 first evaluation case's traces.
 
-Every figure is an SVG whose plotted numbers a CSV holds: its twin of the
-same name, or for the reconstruction trace the case's ``recon_<case>.csv``.
-An ``artifacts.json`` index lists everything written. A stage failure
-leaves a ``FAILED`` marker naming the stage.
+Each case's per-step reconstructions, ``recon_<case>.npy`` and
+``torsion_recon_<case>.npy``, are structured float64 arrays with one named
+field per column (``t``, ``theta``, ...). Every figure is an SVG whose
+plotted numbers a file holds: its CSV twin of the same name, or for the
+reconstruction trace the case's ``recon_<case>.npy``. Every table is
+lossless ``%.17e`` text. An ``artifacts.json`` index lists everything
+written. A stage failure leaves a ``FAILED`` marker naming the stage.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
-from .dataset import (_REPORT_FMT, TWO_PI, _write_csv, azimuth_bin, load_case,
-                      load_torsion, read_json, read_manifest, write_json)
+from .dataset import (TWO_PI, _write_csv, azimuth_bin, load_case, load_torsion,
+                      read_json, read_manifest, write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -225,8 +228,9 @@ def fit_model(training: list, config: PipelineConfig, stations, emit) -> Model:
 
 def _station_table(path, head: dict, stations, comps, true_obs,
                    estimates: dict) -> dict:
-    """Write the ``head`` columns, then per station and component the true
-    series and each estimate's; return each estimate's RMSE per row."""
+    """Save, as one structured float64 ``.npy`` array with a named field
+    per column, the ``head`` columns, then per station and component the
+    true series and each estimate's; return each estimate's RMSE per row."""
     names, cols = list(head), list(head.values())
     for s_i, station in enumerate(stations):
         for c_i, comp in enumerate(comps):
@@ -236,7 +240,8 @@ def _station_table(path, head: dict, stations, comps, true_obs,
             for src, est in estimates.items():
                 names.append(f"{comp}_s{station:03d}_{src}")
                 cols.append(est[row])
-    _write_csv(path, names, np.column_stack(cols), _REPORT_FMT)
+    table = np.column_stack(cols).view([(name, np.float64) for name in names])
+    np.save(path, table[:, 0])
     return {src: [float(np.sqrt(np.mean((est[row] - true_obs[row]) ** 2)))
                   for row in range(len(true_obs))]
             for src, est in estimates.items()}
@@ -281,7 +286,7 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
         head = {"t": e.t, "theta": e.theta}  # both tables' first columns
         cov = np.full(e.n_t, np.trace(fused.covariance))
         rmse = _station_table(
-            emit(f"recon_{case_id}.csv"), {**head, "trace_fused_cov": cov},
+            emit(f"recon_{case_id}.npy"), {**head, "trace_fused_cov": cov},
             model.stations, _COMPONENTS, true_obs, fields)
         stations_out = [
             {"station_index": int(station), "z_norm": float(z[station]),
@@ -328,7 +333,7 @@ def _score_torsion(model: Model, path, manifest, case_id, head: dict, fused,
                             manifest)[model.rows, :]
     est_obs = infer_torsion(fused, model.torsion[0])
     rmse = _station_table(
-        emit(f"torsion_recon_{case_id}.csv"), head, model.stations,
+        emit(f"torsion_recon_{case_id}.npy"), head, model.stations,
         _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
     row_r2 = _r_squared(
         np.sum((est_obs - true_obs) ** 2, axis=1),
@@ -360,7 +365,7 @@ def _report(model: Model, trace: dict, emit) -> None:
         base = f"psd_{case_id}_{comp}"
         _write_csv(emit(base + ".csv"),
                    ["f_hat", "power_raw", "power_smoothed"],
-                   np.column_stack([f_hat, raw, smoothed]), _REPORT_FMT)
+                   np.column_stack([f_hat, raw, smoothed]))
         svgplot.line_plot(
             emit(base + ".svg"),
             [("raw", f_hat, raw), ("smoothed", f_hat, smoothed)],
@@ -378,8 +383,7 @@ def _report(model: Model, trace: dict, emit) -> None:
         base = f"hist_{case_id}_{comp}"
         _write_csv(emit(base + ".csv"),
                    ["bin_left", "bin_right", "count_true", "count_fused"],
-                   np.column_stack([edges[:-1], edges[1:], h_true, h_fused]),
-                   _REPORT_FMT)
+                   np.column_stack([edges[:-1], edges[1:], h_true, h_fused]))
         steps = np.repeat(edges, 2)  # each bin's count drawn as a step
         svgplot.line_plot(
             emit(base + ".svg"),
@@ -410,8 +414,7 @@ def _report(model: Model, trace: dict, emit) -> None:
                    ["theta_center", "data_mean", "data_std",
                     "rom_mean", "rom_std"],
                    np.column_stack([centers, data_mean[n], data_std[n],
-                                    rom_mean, rom_sd]),
-                   _REPORT_FMT)
+                                    rom_mean, rom_sd]))
         svgplot.line_plot(
             emit(base + ".svg"),
             [("data mean", centers, data_mean[n]),
@@ -430,14 +433,13 @@ def _report(model: Model, trace: dict, emit) -> None:
         xi, yj = a_proj[i, ::stride], a_proj[j, ::stride]
         base = f"coupling_{case_id}_a{i + 1}_a{j + 1}"
         _write_csv(emit(base + ".csv"),
-                   [f"a{i + 1}", f"a{j + 1}"], np.column_stack([xi, yj]),
-                   _REPORT_FMT)
+                   [f"a{i + 1}", f"a{j + 1}"], np.column_stack([xi, yj]))
         svgplot.scatter_plot(emit(base + ".svg"), xi, yj,
                              title=f"a{i + 1} vs a{j + 1} ({case_id})",
                              xlabel=f"a{i + 1}", ylabel=f"a{j + 1}")
 
     # reconstruction trace at the first observation station, flapwise; its
-    # numbers are the station's ux columns of recon_<case>.csv
+    # numbers are the station's ux fields of recon_<case>.npy
     t = trace["t"]
     series = [("true", t, trace["true_obs"][0])]
     series += [(src, t, trace["fields"][src][0]) for src in _SOURCES]

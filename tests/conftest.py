@@ -59,10 +59,10 @@ def torsion_cases(psi, M0, a_series):
     return [psi @ (M0 @ a) for a in a_series]
 
 
-def savetxt_writer(path, names, data, fmt=dataset._FLOAT_FMT):
+def savetxt_writer(path, names, data):
     """Reference for ``dataset._write_csv``: ``np.savetxt``, which applies
-    ``%`` to each row."""
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(names),
+    ``%.17e`` to each row."""
+    np.savetxt(path, data, fmt="%.17e", delimiter=",", header=",".join(names),
                comments="")
 
 

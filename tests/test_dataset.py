@@ -202,15 +202,14 @@ def _table(kind, shape, rng):
                                  np.nextafter(powers, np.inf), -powers])
         flat[:values.size] = values
     elif kind == "exponent-edges":
-        # the last exponents the numpy blocks format and the first ones
-        # they leave to %, with 3-digit exponents beyond: at ten digits
-        # e = -13 .. 9, so 1e10 .. 1e32 go to %, and so does a carry
+        # values next to 1e-13 and 1e10, and with 3-digit exponents; then
+        # the edges of the range the numpy blocks format, e = -5 .. 17,
+        # and the first exponents beyond it, which go to %
         edges = np.array([1e-13, 9.87654321e-13, 1e-14, 9.87654321e-14,
                           1e9, np.nextafter(1e10, 0.0), 9.9999999995e9, 1e10,
                           1e31, 9.87654321e31, 9.9999999999e31, 1e32,
                           9.87654321e32, 1.5e-99, 1e-100, 1.5e100, 1e300,
                           2.5e-308,
-                          # and those of the lossless range, e = -5 .. 17
                           1e-5, 9.87654321e-6, np.nextafter(1e-5, 0.0), 1e17,
                           9.87654321e17, np.nextafter(1e18, 0.0), 1e18,
                           1.23456789e18])
@@ -219,12 +218,9 @@ def _table(kind, shape, rng):
 
 
 class TestWriteCsv:
-    """``_write_csv``'s bytes are np.savetxt's, at the lossless and at the
-    report precision; both go through numpy blocks of ``_WRITE_BLOCK``
-    values, with the values they cannot format exactly spliced in from
-    ``%``."""
-
-    FORMATS = (dataset._FLOAT_FMT, dataset._REPORT_FMT)
+    """``_write_csv``'s bytes are np.savetxt's at ``%.17e``; the values go
+    through numpy blocks of ``_WRITE_BLOCK``, with the values they cannot
+    format exactly spliced in from ``%``."""
 
     @pytest.mark.parametrize("shape, kind", [
         ((40, 1), "random"),           # one column
@@ -245,33 +241,11 @@ class TestWriteCsv:
     def test_bytes_equal_savetxt(self, tmp_path, shape, kind):
         data = _table(kind, shape, np.random.default_rng(sum(shape)))
         names = [f"c{k}" for k in range(shape[1])]
-        for fmt in self.FORMATS:
-            dataset._write_csv(tmp_path / "got.csv", names, data, fmt)
-            savetxt_writer(tmp_path / "ref.csv", names, data, fmt)
-            got = (tmp_path / "got.csv").read_bytes()
-            assert got == (tmp_path / "ref.csv").read_bytes(), fmt
-            assert got.count(b"\n") == shape[0] + 1
-
-    def test_a_million_report_values_equal_savetxt(self, tmp_path):
-        # random bit patterns (every class of float, with 3-digit exponents),
-        # values across the exponents the blocks handle, and near-halves
-        # moved by up to 4 ulps
-        rng = np.random.default_rng(19)
-        n = 400_000
-        bits = np.frombuffer(rng.bytes(8 * n // 2), np.float64)
-        spread = rng.standard_normal(n) * 10.0 ** rng.uniform(-16, 35, n)
-        halves = (rng.integers(1e9, 1e10, n) + 0.5) * \
-            10.0 ** rng.integers(-22, 23, n)
-        halves = halves.view(np.int64) + rng.integers(-4, 5, n)
-        data = np.concatenate([bits, spread, halves.view(np.float64)])
-        data = rng.permutation(data).reshape(-1, 40)
-        assert data.size == 1_000_000
-        names = [f"c{k}" for k in range(40)]
-        dataset._write_csv(tmp_path / "got.csv", names, data,
-                           dataset._REPORT_FMT)
-        savetxt_writer(tmp_path / "ref.csv", names, data, dataset._REPORT_FMT)
-        assert (tmp_path / "got.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        dataset._write_csv(tmp_path / "got.csv", names, data)
+        savetxt_writer(tmp_path / "ref.csv", names, data)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\n") == shape[0] + 1
 
     def test_a_million_lossless_values_equal_savetxt(self, tmp_path):
         # random bit patterns, values across exponents -16..35 and at both
@@ -307,60 +281,29 @@ class TestWriteCsv:
         e = np.floor(np.log10(ties)).astype(int)
         for x, k in zip(ties.tolist(), (17 - e).tolist()):
             assert Fraction(x) * 10**k % 1 == Fraction(1, 2), x
-        dataset._write_csv(tmp_path / "got.csv", ["x"], ties)
-        savetxt_writer(tmp_path / "ref.csv", ["x"], ties)
+        dataset._write_csv(tmp_path / "got.csv", ["x"], ties[:, None])
+        savetxt_writer(tmp_path / "ref.csv", ["x"], ties[:, None])
         got = (tmp_path / "got.csv").read_text()
         assert got == (tmp_path / "ref.csv").read_text()
         last = [int(text.split("e")[0][-1]) for text in got.split()[1:]]
         assert len(last) == ties.size and all(d % 2 == 0 for d in last)
 
-    def test_ten_digit_ties_and_near_halves_stay_on_the_fast_path(self):
-        # exact ties n + 0.5 round half to even; a near-half, within 4 ulps
-        # of (n + 0.5) * 10**(e - 9) at every exponent e = -13 .. 9, rounds
-        # by the sign of its residual, also where its product is a
-        # half-integer. n < 1e10 - 1, so no value carries into 11 digits
-        rng = np.random.default_rng(29)
-        ties = rng.integers(1e9, 1e10 - 1, 4_000) + 0.5
-        exps = np.repeat(np.arange(-13, 10), 400)
-        near = (rng.integers(1e9, 1e10 - 1, exps.size) + 0.5) * \
-            10.0 ** (exps - 9)
-        near = (near.view(np.int64) + rng.integers(-4, 5, exps.size)
-                ).view(np.float64)
-        half_products = []
-        for x in (ties, near):
-            x = x * rng.choice([-1.0, 1.0], x.size)
-            a = np.abs(x)
-            e = np.floor(np.log10(a))
-            p = a * 10.0 ** (9 - e)
-            half_products.append(np.count_nonzero(p - np.floor(p) == 0.5))
-            ok, _ = dataset._digits(a, e, 10)
-            assert ok.all()
-            seps = np.full(x.size, ord(","), "<u4")
-            assert dataset._format_values(x, seps, dataset._REPORT_FMT) == \
-                "".join(dataset._REPORT_FMT % v + "," for v in x.tolist())
-        assert half_products[0] == ties.size and half_products[1] > 0
-        last = [int(text.split("e")[0][-1]) for text in
-                (dataset._REPORT_FMT % v for v in ties.tolist())]
-        assert all(d % 2 == 0 for d in last)
-
-    @pytest.mark.parametrize("n, low", [(18, -5), (10, -13)])
-    def test_a_wrong_exponent_is_left_to_percent(self, n, low):
+    def test_a_wrong_exponent_is_left_to_percent(self):
         # floor(log10) can be off by one next to a power of ten. The double
-        # just below 10**e taken at e scales below 1e17 at 18 digits, but
-        # rounds up to 1e9 at ten, which is what % writes; the one at or
-        # above 10**e taken at e - 1 scales out of range, and so does, at
-        # ten digits, the one below it (it rounds up to 1e10)
-        fmt = f"%.{n - 1}e"
-        for e in range(low, low + 23):
+        # just below 10**e taken at e scales below 1e17, and the one at or
+        # above 10**e taken at e - 1 to 1e18 or more: both are left to %.
+        # The one below taken at e - 1 is formatted, but at e = -5, where
+        # e - 1 is outside the tables
+        fmt = "%.17e"
+        for e in range(-5, 18):
             above = 10.0 ** e
             if Fraction(above) < Fraction(10) ** e:
                 above = np.nextafter(above, np.inf)
             below = np.nextafter(above, 0.0)
             x = np.array([below, above, below, above])
             at = np.array([e, e, e - 1, e - 1], float)
-            ok, m = dataset._digits(x, at, n)
-            assert ok.tolist() == [n == 10, True, n == 18 and e > low,
-                                   False], e
+            ok, m = dataset._digits(x, at)
+            assert ok.tolist() == [False, True, e > -5, False], e
             # whichever way ok falls, the text is %'s
             for v, good, digits, where in zip(x.tolist(), ok.tolist(),
                                               m.tolist(), at.tolist()):
@@ -369,27 +312,8 @@ class TestWriteCsv:
                     assert f"{text[0]}.{text[1:]}e{int(where):+03d}" == \
                         fmt % v, (e, v)
             seps = np.full(4, ord(","), "<u4")
-            assert dataset._format_values(x, seps, fmt) == \
+            assert dataset._format_values(x, seps) == \
                 "".join(fmt % v + "," for v in x.tolist())
-
-    def test_other_formats_are_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="'%.6e'"):
-            dataset._write_csv(tmp_path / "got.csv", ["x"], np.ones(3), "%.6e")
-
-    def test_rows_of_no_columns_are_empty_lines(self, tmp_path):
-        for fmt in self.FORMATS:
-            dataset._write_csv(tmp_path / "got.csv", [], np.zeros((3, 0)), fmt)
-            savetxt_writer(tmp_path / "ref.csv", [], np.zeros((3, 0)), fmt)
-            assert (tmp_path / "got.csv").read_bytes() == \
-                (tmp_path / "ref.csv").read_bytes() == b"\n\n\n", fmt
-
-    def test_one_dimensional_data_is_one_column(self, tmp_path):
-        data = np.linspace(0.0, 1.0, 300)
-        for fmt in self.FORMATS:
-            dataset._write_csv(tmp_path / "got.csv", ["z_norm"], data, fmt)
-            savetxt_writer(tmp_path / "ref.csv", ["z_norm"], data, fmt)
-            assert (tmp_path / "got.csv").read_bytes() == \
-                (tmp_path / "ref.csv").read_bytes(), fmt
 
 
 def _random_case(tmp_path, seed=4, n_z=4, n_t=9):

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import bladesense
-from bladesense import (NoiseModel, dataset, evaluate_rom, fuse, load_case,
-                        load_rom, load_torsion_model, observe, place_sensors,
-                        pod_fit, project, sparse_estimate)
+from bladesense import (NoiseModel, TorsionModel, dataset, evaluate_rom, fuse,
+                        infer_torsion, load_case, load_rom, load_torsion,
+                        load_torsion_model, observe, place_sensors, pod_fit,
+                        project, sparse_estimate)
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, run_pipeline
+from bladesense.sensing import sensor_dof_rows
 from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
 
@@ -128,7 +130,7 @@ class TestPipelineRun:
 
     def test_every_svg_has_csv_twin(self, twin):
         # the reconstruction trace's numbers are the first observation
-        # station's ux columns of its case's recon table
+        # station's ux fields of its case's recon array
         _, out = twin
         cases = json.loads((out / "error_summary.json").read_text())["cases"]
         svgs = list(out.glob("*.svg"))
@@ -139,8 +141,8 @@ class TestPipelineRun:
                 continue
             case = svg.name[len("trace_"):-len("_ux.svg")]
             station = cases[case]["stations"][0]["station_index"]
-            header = (out / f"recon_{case}.csv").read_text().split("\n", 1)[0]
-            assert set(header.split(",")) >= {"t"} | {
+            recon = np.load(out / f"recon_{case}.npy", allow_pickle=False)
+            assert set(recon.dtype.names) >= {"t"} | {
                 f"ux_s{station:03d}_{src}"
                 for src in ("true", "sparse", "rom", "fused")}, svg.name
 
@@ -168,7 +170,7 @@ class TestPipelineRun:
         assert titled == 14  # every figure draws the case
 
     def test_trace_numbers_are_not_written_twice(self, twin):
-        # the trace's columns live in the recon table: no trace CSV
+        # the trace's columns live in the recon array: no trace CSV
         _, out = twin
         listing = json.loads((out / "artifacts.json").read_text())["files"]
         traces = sorted(p.name for p in out.glob("trace_*"))
@@ -190,22 +192,17 @@ class TestPipelineRun:
 
     def test_trace_of_fused_covariance_logged(self, twin):
         _, out = twin
-        recon = next(out.glob("recon_*.csv"))
-        header = recon.read_text().splitlines()[0].split(",")
-        assert "trace_fused_cov" in header
-        col = header.index("trace_fused_cov")
-        data = np.loadtxt(recon, delimiter=",", skiprows=1)
-        assert np.all(data[:, col] >= 0.0)
+        recon = np.load(next(out.glob("recon_*.npy")), allow_pickle=False)
+        assert "trace_fused_cov" in recon.dtype.names
+        assert np.all(recon["trace_fused_cov"] >= 0.0)
 
     def test_station_rmse_recomputed_from_the_report_tables(self, twin):
-        # the reconstruction tables hold 10 significant digits; every RMSE
-        # the summaries give must still follow from them
+        # the reconstruction arrays hold the estimates exactly: every RMSE
+        # the summaries give follows from them, bit for bit
         _, out = twin
 
         def columns(name):
-            names = (out / name).read_text().splitlines()[0].split(",")
-            data = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
-            return dict(zip(names, data.T))
+            return np.load(out / name, allow_pickle=False)
 
         def rmse(cols, comp, station, src):
             true = cols[f"{comp}_s{station:03d}_true"]
@@ -215,14 +212,14 @@ class TestPipelineRun:
         pairs = []  # (summary, recomputed)
         errors = json.loads((out / "error_summary.json").read_text())
         for case_id, case in errors["cases"].items():
-            cols = columns(f"recon_{case_id}.csv")
+            cols = columns(f"recon_{case_id}.npy")
             for st in case["stations"]:
                 for comp, by_src in st["rmse"].items():
                     pairs += [(v, rmse(cols, comp, st["station_index"], src))
                               for src, v in by_src.items()]
         torsion = json.loads((out / "torsion_summary.json").read_text())
         for case_id, stations in torsion["evaluation"].items():
-            cols = columns(f"torsion_recon_{case_id}.csv")
+            cols = columns(f"torsion_recon_{case_id}.npy")
             for st in stations:
                 pairs += [(v["rmse"],
                            rmse(cols, comp, st["station_index"], "fused"))
@@ -230,7 +227,7 @@ class TestPipelineRun:
         # one case: 3 stations x 3 components x 3 sources, plus 3 x 3 torsion
         assert len(pairs) == 36
         for want, got in pairs:
-            assert got == pytest.approx(want, rel=1e-8)
+            assert got == want
 
     def test_extrapolated_steps_counted(self, dataset_run, request):
         pipeline_cfg, out = dataset_run
@@ -338,24 +335,27 @@ class TestPipelineRun:
 
     def test_artifacts_equal_those_of_a_savetxt_writer(self, dataset_run,
                                                        tmp_path, monkeypatch):
-        # every table of a run, report tables from numpy blocks included,
-        # holds np.savetxt's bytes; each module that binds the writer is
-        # patched, and both precisions must have gone through the patch
+        # every table of a run, figure twins included, holds np.savetxt's
+        # bytes at %.17e; each module that binds the writer is patched, and
+        # every CSV goes through the patch. The reconstruction arrays are
+        # the first run's bytes
         pipeline_cfg, out = dataset_run
-        formats = Counter()
+        written = []
 
-        def reference(path, names, data, fmt=dataset._FLOAT_FMT):
-            formats[fmt] += 1
-            savetxt_writer(path, names, data, fmt)
+        def reference(path, names, data):
+            written.append(Path(path).name)
+            savetxt_writer(path, names, data)
 
         for module in (bladesense.pipeline, bladesense.decomposition,
-                       bladesense.sensing, dataset):
+                       bladesense.sensing, bladesense.torsion, dataset):
             monkeypatch.setattr(module, "_write_csv", reference)
         ref = tmp_path / "reference"
         assert main(["pipeline", "--config", str(pipeline_cfg),
                      "--out", str(ref)]) == 0
-        assert set(formats) == {dataset._FLOAT_FMT, dataset._REPORT_FMT}
         names = json.loads((out / "artifacts.json").read_text())["files"]
+        assert sorted(written) == [n for n in names if n.endswith(".csv")]
+        assert any(n.startswith("recon_") and n.endswith(".npy")
+                   for n in names)
         names.append("artifacts.json")
         assert sorted(p.name for p in ref.iterdir()) == sorted(names)
         for name in names:
@@ -396,18 +396,18 @@ class TestPipelineRun:
         # every case file of synth --seed 0, whose grid and channel tables
         # are lossless, is what a run with np.savetxt as its writer writes
         cases = pipeline_runs(name)[0].parent
-        formats = Counter()
+        tables = []
 
-        def reference(path, names, data, fmt=dataset._FLOAT_FMT):
-            formats[fmt] += 1
-            savetxt_writer(path, names, data, fmt)
+        def reference(path, names, data):
+            tables.append(Path(path).name)
+            savetxt_writer(path, names, data)
 
         monkeypatch.setattr(dataset, "_write_csv", reference)
         ref = tmp_path / "reference"
         assert main(["synth", *synth_config(name, tmp_path), "--seed", "0",
                      "--out", str(ref)]) == 0
-        assert set(formats) == {dataset._FLOAT_FMT}
         written = sorted(p.name for p in ref.iterdir())
+        assert sorted(tables) == [n for n in written if n.endswith(".csv")]
         assert any(n.endswith("_channels.csv") for n in written)
         for n in written:
             assert (ref / n).read_bytes() == (cases / n).read_bytes(), n
@@ -450,7 +450,7 @@ class TestPipelineRun:
         assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
                      "--out", str(relabelled)]) == 0
         names = sorted(p.name for p in out.glob("torsion_*"))
-        assert "torsion_recon_ev_s5.csv" in names
+        assert "torsion_recon_ev_s5.npy" in names
         assert "torsion_summary.json" in names
         for name in names:
             assert ((relabelled / name).read_bytes()
@@ -1071,8 +1071,7 @@ class TestEvaluationRelease:
                                        f_1p)
             dataset._write_csv(tmp_path / name,
                                ["f_hat", "power_raw", "power_smoothed"],
-                               np.column_stack([f_hat, raw, smoothed]),
-                               dataset._REPORT_FMT)
+                               np.column_stack([f_hat, raw, smoothed]))
             assert ((tmp_path / "o" / name).read_bytes()
                     == (tmp_path / name).read_bytes()), name
 
@@ -1116,7 +1115,7 @@ class TestEvaluationRelease:
 
         def table(path, head, stations, comps, true_obs, estimates,
                   _table=pipeline._station_table):
-            (kept if Path(path).name == f"recon_{first.stem}.csv"
+            (kept if Path(path).name == f"recon_{first.stem}.npy"
              else dropped).extend([weakref.ref(true_obs)]
                                   + [weakref.ref(v) for v in estimates.values()])
             return _table(path, head, stations, comps, true_obs, estimates)
@@ -1151,10 +1150,10 @@ class TestEvaluationRelease:
         # scoring holds no evaluation D, infers torsion at the observation
         # rows only and drops each truth matrix once its rows are taken:
         # its traced peak is the truth matrix while it loads, or the
-        # station table while it is written (2.3 matrices here). Inferring
+        # station table while it is saved (1.7 matrices here). Inferring
         # the whole field beside the whole truth matrix peaked at 4.6. The
-        # twin's 200-step record is smaller than the table writer's fixed
-        # blocks, so this record is 3 200 steps
+        # record is 3 200 steps, so the matrices, not fixed costs, set the
+        # peak
         cfg = json.loads(json.dumps(SYNTH_CONFIG))
         cfg["evaluation"][0]["duration_s"] = 80.0
         (tmp_path / "synth.json").write_text(json.dumps(cfg))
@@ -1223,7 +1222,7 @@ class TestReportSpectra:
 class TestHistogramEdges:
     def test_edges_are_scotts_rule(self, dataset_run):
         # each histogram bins the first observation station's true and
-        # fused series of recon_<case>.csv, which hold ten digits
+        # fused series of recon_<case>.npy, its edges exactly
         _, out = dataset_run
         cases = json.loads((out / "error_summary.json").read_text())["cases"]
         hists = sorted(out.glob("hist_*.csv"))
@@ -1231,17 +1230,14 @@ class TestHistogramEdges:
         for path in hists:
             case, comp = path.stem[len("hist_"):].rsplit("_", 1)
             station = cases[case]["stations"][0]["station_index"]
-            recon = np.genfromtxt(out / f"recon_{case}.csv", delimiter=",",
-                                  names=True)
+            recon = np.load(out / f"recon_{case}.npy", allow_pickle=False)
             true = recon[f"{comp}_s{station:03d}_true"]
             fused = recon[f"{comp}_s{station:03d}_fused"]
             want = np.histogram_bin_edges(np.concatenate([true, fused]),
                                           "scott")
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             edges = np.append(table[:, 0], table[-1, 1])
-            assert edges.size == want.size, path.name
-            assert np.allclose(edges, want, rtol=0,
-                               atol=1e-8 * np.ptp(want)), path.name
+            assert np.array_equal(edges, want), path.name
             assert np.array_equal(table[:-1, 1], table[1:, 0]), path.name
             assert table[:, 2].sum() == table[:, 3].sum() == true.size
 
@@ -1535,6 +1531,56 @@ class TestLibraryOnDatasets:
                 assert np.isfinite(fused.mean).all(), k
                 assert (np.abs(fused.mean - ref).max()
                         <= 1e-10 * np.abs(ref).max()), k
+
+    def test_reconstruction_arrays_are_the_library_estimate(self,
+                                                            dataset_run):
+        # each recon_<case>.npy and torsion_recon_<case>.npy loads without
+        # pickle as one float64 field per column, in the pipeline's column
+        # order, and each field is the library's estimate bit for bit: the
+        # batched estimate at the summary's stations, and the torsion the
+        # run's map infers from its fused coordinates
+        basis, sensors, noise, rom, cases = self._calibrate(dataset_run)
+        pipeline_cfg, out = dataset_run
+        summary = json.loads((out / "error_summary.json").read_text())
+        torsion_map = load_torsion_model(out / "torsion_map.csv", basis.grid)
+        config = PipelineConfig.from_json(pipeline_cfg)
+        for (e, seed, _), path in zip(cases, config.evaluation):
+            case = Path(path).stem
+            stations = [st["station_index"]
+                        for st in summary["cases"][case]["stations"]]
+            rows = sensor_dof_rows(stations, basis.grid.n_z)
+            y = observe(e.D.T, sensors, noise, np.random.default_rng(seed))
+            meas = sparse_estimate(y, sensors, noise)
+            prior = evaluate_rom(rom, e.theta, e.u_filt)
+            fused, _ = fuse(prior, meas)
+            A = {"sparse": meas.mean.T, "rom": prior.mean.T,
+                 "fused": fused.mean.T}
+            mean_obs = basis.mean_field[rows][:, None]
+            phi_obs = basis.modes[rows, :]
+            estimates = {src: mean_obs + phi_obs @ a for src, a in A.items()}
+            tau = load_torsion(path, e.D.shape)[rows, :]
+            tau_hat = infer_torsion(A["fused"], TorsionModel(
+                torsion_map.mean_field[rows], torsion_map.field_map[rows]))
+            head = {"t": e.t, "theta": e.theta}
+            for name, first, comps, truth, est in (
+                    ("recon", {**head, "trace_fused_cov": np.full(
+                        e.n_t, np.trace(fused.covariance))},
+                     ("ux", "uy", "uz"), e.D[rows, :], estimates),
+                    ("torsion_recon", head, ("taux", "tauy", "tauz"), tau,
+                     {"fused": tau_hat})):
+                want = dict(first)
+                for s_i, station in enumerate(stations):
+                    for c_i, comp in enumerate(comps):
+                        row, key = 3 * s_i + c_i, f"{comp}_s{station:03d}"
+                        want[f"{key}_true"] = truth[row]
+                        want.update({f"{key}_{src}": series[row]
+                                     for src, series in est.items()})
+                got = np.load(out / f"{name}_{case}.npy", allow_pickle=False)
+                assert got.shape == (e.n_t,)
+                assert got.dtype.names == tuple(want)
+                for field, series in want.items():
+                    assert got.dtype.fields[field][0] == np.dtype("<f8")
+                    assert np.array_equal(got[field], series), (name, field)
 
 
 class TestReadmeLibrary:
