@@ -178,6 +178,45 @@ class TestPipelineRun:
         assert not [name for name in listing
                     if name.startswith("trace_") and name.endswith(".csv")]
 
+    def test_reconstructions_are_listed_as_arrays_only(self, twin):
+        # each evaluation case has its recon and torsion_recon .npy, and
+        # the index lists no per-step reconstruction as a CSV
+        _, out = twin
+        listing = json.loads((out / "artifacts.json").read_text())["files"]
+        cases = json.loads((out / "error_summary.json").read_text())["cases"]
+        recon = sorted(name for name in listing if "recon_" in name)
+        assert recon == sorted(f"{kind}_{case}.npy" for case in cases
+                               for kind in ("recon", "torsion_recon"))
+        assert not list(out.glob("*recon_*.csv"))
+
+    def test_station_table_fields_follow_the_column_order(self, tmp_path):
+        # head columns, then per station and component the true series and
+        # each estimate's, one float64 field each, row i at step i; the
+        # RMSE returned is each estimate's against the truth, per row
+        rng = np.random.default_rng(3)
+        n_t, stations = 7, [2, 11]
+        truth = rng.standard_normal((6, n_t))
+        est = {"a": rng.standard_normal((6, n_t)),
+               "b": rng.standard_normal((6, n_t))}
+        head = {"t": np.arange(n_t) * 0.5, "theta": rng.uniform(0, 6, n_t)}
+        path = tmp_path / "recon_x.npy"
+        rmse = bladesense.pipeline._station_table(
+            path, head, stations, ("ux", "uy", "uz"), truth, est)
+        got = np.load(path, allow_pickle=False)
+        want = dict(head)
+        for s_i, station in enumerate(stations):
+            for c_i, comp in enumerate(("ux", "uy", "uz")):
+                row = 3 * s_i + c_i
+                want[f"{comp}_s{station:03d}_true"] = truth[row]
+                for src, series in est.items():
+                    want[f"{comp}_s{station:03d}_{src}"] = series[row]
+        assert got.shape == (n_t,) and got.dtype.names == tuple(want)
+        for name, series in want.items():
+            assert got.dtype.fields[name][0] == np.dtype("<f8")
+            assert np.array_equal(got[name], series), name
+        assert rmse == {src: [float(np.sqrt(np.mean((e[r] - truth[r]) ** 2)))
+                              for r in range(6)] for src, e in est.items()}
+
     def test_error_summary_three_way_comparison(self, twin):
         _, out = twin
         summary = json.loads((out / "error_summary.json").read_text())
@@ -1608,6 +1647,24 @@ class TestReadmeLibrary:
         # one noise stream: the last row is the loop's last step
         ref = batch.mean[-1]
         assert np.abs(step.mean - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+    def test_read_example_is_the_first_stations_fused_ux(self,
+                                                         pipeline_runs):
+        # README's artifact table reads a recon array as written: on the
+        # Quickstart its field is the first observation station's fused ux
+        text = (ROOT / "README.md").read_text()
+        field = text.split('np.load(p, allow_pickle=False)["')[1].split('"')[0]
+        _, out = pipeline_runs("quickstart")
+        cases = json.loads((out / "error_summary.json").read_text())["cases"]
+        assert cases
+        for case_id, case in cases.items():
+            station = case["stations"][0]["station_index"]
+            assert field == f"ux_s{station:03d}_fused"
+            p = out / f"recon_{case_id}.npy"
+            series = np.load(p, allow_pickle=False)[field]
+            assert series.shape == (case["n_steps"],)
+            assert np.isfinite(series).all()
 
 
 class TestPriorGates:
