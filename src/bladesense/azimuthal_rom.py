@@ -105,7 +105,7 @@ def fit_rom(cases, *, conditions=()) -> AzimuthalRomModel:
 
     Case i gives G_i = X_i^T X_i and B_i = X_i^T a_i^T, X_i its regressors.
     The tables solve (sum G) c = sum B; the fold without case i solves
-    (sum G - G_i) c = sum B - B_i and is scored on case i's samples. Each
+    (sum G - G_i) c = sum B - B_i and is scored on X_i, built once. Each
     is a minimum-norm solve whose rank counts the singular values of the
     regressors above sqrt(2 (1 + 2 n_F) eps), about 1e-7, times the largest.
     Azimuths that cannot determine all 1 + 2 n_F Fourier terms are rejected,
@@ -126,8 +126,7 @@ def fit_rom(cases, *, conditions=()) -> AzimuthalRomModel:
                 f"with n_t of each")
     u_all = np.concatenate([u for _, _, u in cases])
     u_ref = float(u_all.mean())
-    designs = ((_design(theta, u, u_ref), a.T)
-               for a, theta, u in cases)
+    designs = [(_design(theta, u, u_ref), a.T) for a, theta, u in cases]
     sums = [(X.T @ X, X.T @ Y) for X, Y in designs]
     G, B = map(sum, zip(*sums))
     n_coeff = 1 + 2 * N_FOURIER
@@ -140,10 +139,10 @@ def fit_rom(cases, *, conditions=()) -> AzimuthalRomModel:
             f"regressors of n_F={N_FOURIER}; need more azimuths")
     coeffs = np.linalg.lstsq(G, B, rcond=None)[0]
     second = np.zeros((n_modes, n_modes))
-    for (a, theta, u), (G_i, B_i) in zip(cases, sums):
+    for (X, Y), (G_i, B_i) in zip(designs, sums):
         fold = (coeffs if len(cases) == 1
                 else np.linalg.lstsq(G - G_i, B - B_i, rcond=None)[0])
-        error = a.T - _design(theta, u, u_ref) @ fold
+        error = Y - X @ fold
         second += error.T @ error
     cov = second / u_all.size
     return AzimuthalRomModel(

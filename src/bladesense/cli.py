@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import read_json, write_json
 from .errors import NumericalError, SchemaError, StageError, ValidationError
 from .pipeline import (CASE_NAME_MAX, CONFIG_SCHEMA, PipelineConfig,
-                       run_pipeline)
+                       plain_name, run_pipeline)
 from .synthetic import demo_grid, demo_spec, generate_case
 
 
@@ -29,7 +29,9 @@ _SYNTH_CASE = ({"name": str, "u_mean": float, "ti": float, "seeds": [int],
                 "duration_s": float, "f_s": float, "noise_sigma": float},
                ("name", "u_mean", "ti"))
 _SYNTH = {"grid": ({"n_z": int, "L_b": float}, ()), "training": [_SYNTH_CASE],
-          "evaluation": [_SYNTH_CASE], "pipeline": (CONFIG_SCHEMA, ())}
+          "evaluation": [_SYNTH_CASE],
+          "pipeline": ({k: v for k, v in CONFIG_SCHEMA.items()  # settings
+                        if k not in ("training", "evaluation")}, ())}
 
 
 def cmd_synth(args) -> int:
@@ -57,8 +59,7 @@ def cmd_synth(args) -> int:
         for i, entry in enumerate(doc.get(group, [])):
             key = f"{group}[{i}]"
             name = entry["name"]  # each case file is named after it
-            if name in ("", ".", "..") or any(
-                    sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            if not plain_name(name):
                 raise SchemaError(f"{path}: '{key}.name' must be a plain "
                                   f"file name, got {name!r}")
             if len(os.fsencode(f"{name}_s0")) > CASE_NAME_MAX:

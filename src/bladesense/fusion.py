@@ -12,15 +12,17 @@ S_meas K^T, as with a near-exact measurement (K close to I) the form
 the mean of one step (N,) or of a stack of steps (n_t, N), always with one
 (N, N) covariance shared by every row.
 
-A fixed pair of covariances has one gain and one fused covariance
-(steady-state fixed-gain fusion, Simon, *Optimal State Estimation*, 2006,
-7.3). ``fuse`` keeps them for the last pair it met, so a step that meets
-the same pair again is one matrix-vector product, and a stack of means is
-one matrix product with the same gain.
+A fixed pair of covariances has one innovation covariance, gain and fused
+covariance (steady-state fixed-gain fusion, Simon, *Optimal State
+Estimation*, 2006, 7.3), computed once: a one-entry ``functools.lru_cache``,
+thread-safe through ``functools``, keeps them keyed by the pair's bytes. A
+step that meets the same pair again is one matrix-vector product, a stack
+of means one matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,42 +107,38 @@ class GaussianReduced:
         return self.mean.shape[-1]
 
 
-#: (prior covariance bytes, measurement covariance bytes, gain, fused
-#: covariance) of the last pair fused, or None. Keyed by content, so a
-#: covariance changed in place is a miss, whatever its flags and id; one
-#: tuple assignment replaces it, so a reader that takes it once sees one
-#: whole entry.
-_LAST = None
-
-
-def innovation_covariance(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
-    """(S, regularized flag): the innovation covariance S = P_prior + P_meas
-    that :func:`fuse` inverts. A nearly singular sum (min eigenvalue at most
-    1e-14 * trace) gets 1e-12 * trace on the diagonal; a sum of trace <= 0
-    is returned as it is."""
+@functools.lru_cache(maxsize=1)
+def _fusion_terms(p_key: bytes, r_key: bytes, n: int) -> tuple:
+    """(S, regularized flag, gain, fused covariance), arrays read-only, of
+    the (n, n) prior and measurement covariances of C-order bytes ``p_key``
+    and ``r_key``: a covariance changed in place is a miss."""
+    p_cov, r_cov = (np.frombuffer(key).reshape(n, n) for key in (p_key, r_key))
     s_sum = p_cov + r_cov
     tr = s_sum.trace()
     # eigvalsh returns the eigenvalues in ascending order
     regularized = bool(tr > 0.0 and np.linalg.eigvalsh(s_sum)[0] <= 1e-14 * tr)
     if regularized:
-        s_sum += 1e-12 * tr * np.eye(len(s_sum))
-    return s_sum, regularized
+        s_sum += 1e-12 * tr * np.eye(n)
+    if tr > 0.0:  # K = S_prior (S_prior + S_meas)^-1, by a solve on the sum
+        gain = np.linalg.solve(s_sum, p_cov).T
+        # symmetrized in place, so the result keeps the product's allocation
+        cov = r_cov @ gain.T
+        cov += cov.T
+        cov *= 0.5
+    else:  # both sources fully certain: zero gain keeps the prior mean
+        gain = cov = np.zeros((n, n))
+    cov = checked_covariance(cov, (n,))
+    for array in (s_sum, gain, cov):
+        array.setflags(write=False)
+    return s_sum, regularized, gain, cov
 
 
-def _gain(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
-    """(gain, fused covariance) of a covariance pair; the fused covariance
-    is exactly symmetric but unchecked."""
-    s_sum, _ = innovation_covariance(p_cov, r_cov)
-    if s_sum.trace() <= 0.0:
-        # both sources fully certain: zero gain keeps the prior mean
-        return np.zeros_like(s_sum), np.zeros_like(s_sum)
-    # K = S_prior (S_prior + S_meas)^-1, via a solve on the symmetric sum
-    gain = np.linalg.solve(s_sum, p_cov).T
-    # symmetrized in place, so the result keeps the product's allocation
-    cov = r_cov @ gain.T
-    cov += cov.T
-    cov *= 0.5
-    return gain, cov
+def innovation_covariance(p_cov: np.ndarray, r_cov: np.ndarray) -> tuple:
+    """(S, regularized flag): the innovation covariance S = P_prior + P_meas
+    that :func:`fuse` inverts, read-only and shared with it. A nearly
+    singular sum (min eigenvalue at most 1e-14 * trace) gets 1e-12 * trace
+    on the diagonal; a sum of trace <= 0 is returned as it is."""
+    return _fusion_terms(p_cov.tobytes(), r_cov.tobytes(), len(p_cov))[:2]
 
 
 def fuse(prior: GaussianReduced,
@@ -155,26 +153,16 @@ def fuse(prior: GaussianReduced,
     trace <= 0 (both sources fully certain) keeps the prior mean with zero
     covariance and zero gain.
 
-    The gain and the checked fused covariance are kept for the last
-    covariance pair, keyed by the two arrays' bytes, and returned shared
-    and read-only. A later call with a pair of the same bytes only applies
-    the gain, so a covariance changed in place is fused afresh.
+    The gain and the checked fused covariance, shared and read-only, come
+    from the one-entry cache keyed by the pair's C-order bytes, so a
+    covariance changed in place is fused afresh.
     """
     if prior.n != measurement.n:
         raise ValidationError(
             f"dimension mismatch: prior has {prior.n}, measurement {measurement.n}"
         )
-    global _LAST
     p_cov, r_cov = prior.covariance, measurement.covariance
-    p_key, r_key = p_cov.tobytes(), r_cov.tobytes()
-    last = _LAST
-    if last is None or last[0] != p_key or last[1] != r_key:
-        gain, cov = _gain(p_cov, r_cov)
-        cov = checked_covariance(cov, (prior.n,))
-        gain.setflags(write=False)
-        cov.setflags(write=False)
-        last = _LAST = (p_key, r_key, gain, cov)
-    gain, cov = last[2:]
+    _, _, gain, cov = _fusion_terms(p_cov.tobytes(), r_cov.tobytes(), prior.n)
     mean = prior.mean + (gain @ (measurement.mean - prior.mean)[..., None])[..., 0]
     _all_finite(mean)
     return GaussianReduced.from_checked(mean, cov), gain

@@ -57,6 +57,12 @@ _FIELD_KINDS = {"list": [str], "Path": str, "int": int, "float": float}
 CASE_NAME_MAX = 255 - 19
 
 
+def plain_name(name: str) -> bool:
+    """Whether ``name`` names a file in its directory, not ``.`` or ``..``."""
+    return name not in ("", ".", "..") and not any(
+        sep and sep in name for sep in ("/", os.sep, os.altsep))
+
+
 @dataclass
 class PipelineConfig:
     """Validated run settings; defaults follow the working configuration."""
@@ -266,8 +272,8 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
         prior = evaluate_rom(model.rom, e.theta, e.u_filt)
         fused, _ = fuse(prior, meas)
         # normalized innovation squared per step, nu^T S^-1 nu with nu =
-        # sparse - prior and S the innovation covariance fuse inverted, one
-        # for every step: N on average for calibrated covariances
+        # sparse - prior and S the innovation covariance fuse inverted (a
+        # cache hit), one for every step: N on average when calibrated
         nu = meas.mean - prior.mean
         s_cov, regularized = innovation_covariance(prior.covariance,
                                                    meas.covariance)
@@ -475,9 +481,9 @@ def _stage(name: str, *args):
 def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     """Run ``plan``: ``fit-rom`` loads the training cases and fits the
     model, ``pipeline`` also loads the evaluation cases, estimates and
-    reports. A stage failure writes a ``FAILED`` marker naming the stage
-    and raises a :class:`StageError` wrapping the original error.
-    """
+    reports. The files a previous ``artifacts.json`` in ``out_dir`` lists go
+    first, then that index. A stage failure writes a ``FAILED`` marker naming
+    the stage and raises a :class:`StageError` wrapping the original error."""
     config.validate()
     if plan not in ("fit-rom", "pipeline"):
         raise ValidationError(f"unknown plan {plan!r}")
@@ -485,6 +491,12 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     out.mkdir(parents=True, exist_ok=True)
     marker = out / "FAILED"
     marker.unlink(missing_ok=True)
+    index = out / "artifacts.json"
+    if index.exists():  # what the last run wrote goes; other files stay
+        for name in filter(plain_name, read_json(
+                index, {"files": [str]}, ("files",), "artifact index")["files"]):
+            (out / name).unlink(missing_ok=True)
+        index.unlink()
     artifacts = []
 
     def emit(name: str) -> Path:

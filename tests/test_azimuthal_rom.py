@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bladesense import (AzimuthalRomModel, evaluate_rom, fit_rom, load_rom,
-                        pipeline, save_rom, wrap_angle)
+from bladesense import (AzimuthalRomModel, azimuthal_rom, evaluate_rom,
+                        fit_rom, load_rom, pipeline, save_rom, wrap_angle)
 from bladesense.azimuthal_rom import N_FOURIER, fourier_design
 from bladesense.cli import main
 from bladesense.dataset import TWO_PI
@@ -155,6 +155,20 @@ class TestPerCaseSums:
         fit_rom(_many_cases(20, 2000))
         fit_rom(_many_cases(3, 500))
         assert rows == [26] * (21 + 4)
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_each_case_regressors_built_once(self, k, monkeypatch):
+        # a case's regressors serve its sums and its fold's error alike
+        built, design = [], azimuthal_rom._design
+
+        def recording(theta, u, u_ref):
+            built.append(theta.size)
+            return design(theta, u, u_ref)
+
+        monkeypatch.setattr(azimuthal_rom, "_design", recording)
+        cases = _many_cases(k, 300)
+        fit_rom(cases)
+        assert built == [theta.size for _, theta, _ in cases]
 
 
 class TestFitFourier:

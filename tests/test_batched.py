@@ -293,7 +293,7 @@ class TestDecompositionCalls:
         assert calls == {"eigh": 0, "eigvalsh": 0}
 
     def test_fixed_pair_checked_once(self, monkeypatch):
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         model, rng = _model(), np.random.default_rng(2)
         meas_cov = _read_only(random_spd(rng, N_MODES, 0.01))
         means = rng.standard_normal((_U.size, N_MODES))
@@ -309,6 +309,22 @@ class TestDecompositionCalls:
         fuse(evaluate_rom(model, _THETA, _U, 0.1),
              GaussianReduced.from_checked(means, meas_cov))
         assert calls == {"eigh": 0, "eigvalsh": 2, "solve": 1}
+
+
+    def test_innovation_covariance_after_fuse_is_a_hit(self, monkeypatch):
+        # the estimate stage takes NIS's S and its regularized flag after
+        # fusing the pair: both come from the pair's cached terms
+        model, rng = _model(), np.random.default_rng(3)
+        prior = evaluate_rom(model, _THETA, _U, 0.1)
+        meas = GaussianReduced(rng.standard_normal((_U.size, N_MODES)),
+                               random_spd(rng, N_MODES, 0.01))
+        fuse(prior, meas)
+        calls = self._count(monkeypatch, ("eigh", "eigvalsh", "solve"))
+        s_cov, regularized = fusion.innovation_covariance(prior.covariance,
+                                                          meas.covariance)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "solve": 0}
+        assert not s_cov.flags.writeable and not regularized
+        assert np.array_equal(s_cov, prior.covariance + meas.covariance)
 
 
 class TestPerStepInvariants:
@@ -565,7 +581,7 @@ class TestRegularizeThreshold:
         least = 0.5e-14 * scale * float(np.trace(prior.covariance
                                                  + meas.covariance))
         pair = self._pair(least)
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         if stacked:
             pair = [GaussianReduced(g.mean[None], g.covariance) for g in pair]
         assert fusion.innovation_covariance(
@@ -575,8 +591,9 @@ class TestRegularizeThreshold:
 
 
 class TestGainMemo:
-    """``fuse`` keeps the gain of the last covariance pair, keyed by their
-    bytes; a pair changed in place is fused afresh."""
+    """``fuse`` keeps the terms of the last covariance pair in a one-entry
+    ``lru_cache`` keyed by their bytes; a pair changed in place is fused
+    afresh."""
 
     @staticmethod
     def _pair(rng, n_t=None):
@@ -588,11 +605,11 @@ class TestGainMemo:
         rng = np.random.default_rng(1)
         p_mean, p_cov, m_mean, m_cov = self._pair(rng, n_t=20)
         p_cov, m_cov = _read_only(p_cov), _read_only(m_cov)
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         runs = []
         for clear in (False, False, True):
             if clear:
-                fusion._LAST = None
+                fusion._fusion_terms.cache_clear()
             runs.append([fuse(GaussianReduced.from_checked(p_mean[k], p_cov),
                               GaussianReduced.from_checked(m_mean[k], m_cov))
                          for k in range(20)])
@@ -624,7 +641,7 @@ class TestGainMemo:
         elif kind == "made writeable and back":
             cov = p_cov = _read_only(p_cov)
         meas = GaussianReduced.from_checked(m_mean, _read_only(m_cov))
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         for scale in (1.0, 3.0):
             prior = GaussianReduced.from_checked(p_mean, cov)
             got, gain = fuse(prior, meas)
@@ -646,7 +663,7 @@ class TestGainMemo:
         # freed array's id, but every call must give the fresh result of
         # its own pair
         rng = np.random.default_rng(3)
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         for _ in range(60):
             p_mean, p_cov, m_mean, m_cov = self._pair(rng)
             prior = GaussianReduced.from_checked(p_mean, _read_only(p_cov))
@@ -657,23 +674,28 @@ class TestGainMemo:
 
     def test_memo_holds_the_last_pair_only(self):
         rng = np.random.default_rng(4)
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         pairs = []
         for _ in range(3):
             p_mean, p_cov, m_mean, m_cov = self._pair(rng)
             pairs.append((GaussianReduced(p_mean, p_cov),
                           GaussianReduced(m_mean, m_cov)))
             fuse(*pairs[-1])
+            # the one entry is the newest pair's: a call with its bytes
+            # is a hit
             newest = tuple(g.covariance.tobytes() for g in pairs[-1])
-            assert fusion._LAST[:2] == newest
+            hits = fusion._fusion_terms.cache_info().hits
+            fusion._fusion_terms(*newest, N_MODES)
+            info = fusion._fusion_terms.cache_info()
+            assert (info.hits, info.currsize, info.maxsize) == (hits + 1, 1, 1)
         # switching between pairs refits each time, with the same bytes
         for pair in (pairs[0], pairs[-1], pairs[0]):
             TestFastPathsMatchFormer._assert_fuse_identical(*pair)
 
     def test_threads_sharing_the_memo(self):
         # more threads than cores, switching often, each fusing its own
-        # stream of pairs: every result is its pair's fresh one, as each
-        # call reads the one entry once
+        # stream of pairs: every result is its pair's fresh one, as the
+        # cache gives each call the terms of its own key
         rng = np.random.default_rng(5)
         pairs = [tuple(GaussianReduced.from_checked(mean, _read_only(cov))
                        for mean, cov in ((p_mean, p_cov), (m_mean, m_cov)))
@@ -692,7 +714,7 @@ class TestGainMemo:
             except Exception as err:  # reported below, not lost in a thread
                 errors.append(err)
 
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -705,10 +727,10 @@ class TestGainMemo:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
 
     def test_non_finite_mean_rejected_on_a_hit(self):
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         cov = _read_only(np.eye(N_MODES))
         fuse(GaussianReduced.from_checked(np.zeros(N_MODES), cov),
              GaussianReduced.from_checked(np.ones(N_MODES), cov))
@@ -812,7 +834,7 @@ class TestNonFiniteGaussians:
         # means wrapped unchecked: fuse finds the bad entry in one step and
         # in one row of a stack, on the miss and the hit of a kept pair
         cov = _read_only(np.eye(2))
-        fusion._LAST = None
+        fusion._fusion_terms.cache_clear()
         means = np.zeros((4, 2))
         means[2, 1] = bad
         with np.errstate(invalid="ignore"):

@@ -590,6 +590,76 @@ class TestPipelineRun:
         assert np.array_equal(table[:, 1], table[:, 2])
 
 
+class TestUsedOutputDirectory:
+    """A run into a used ``--out`` first deletes what that directory's
+    ``artifacts.json`` lists, then the index; other files stay."""
+
+    @staticmethod
+    def _on_disk(out):
+        return {p.name for p in out.iterdir()}
+
+    def test_rerun_with_a_case_fewer_leaves_only_its_listed_files(
+            self, twin, tmp_path):
+        pipeline_cfg, _ = twin
+        doc = json.loads(pipeline_cfg.read_text())
+        cfgs = []
+        for evaluation in (doc["evaluation"] + doc["training"][-1:],
+                           doc["evaluation"]):
+            cfg = pipeline_cfg.parent / f"rerun{len(cfgs)}_{tmp_path.name}.json"
+            cfg.write_text(json.dumps({**doc, "evaluation": evaluation}))
+            cfgs.append(cfg)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfgs[0]),
+                     "--out", str(out)]) == 0
+        dropped = Path(doc["training"][-1]).stem
+        for name in (f"recon_{dropped}.npy", f"torsion_recon_{dropped}.npy"):
+            assert (out / name).exists(), name
+        (out / "notes.txt").write_text("not the pipeline's")
+        assert main(["pipeline", "--config", str(cfgs[1]),
+                     "--out", str(out)]) == 0
+        listed = set(json.loads((out / "artifacts.json").read_text())["files"])
+        assert not any(dropped in name for name in listed)
+        assert self._on_disk(out) == listed | {"artifacts.json", "notes.txt"}
+        # and the re-run's files are those of a run into a fresh directory
+        fresh = tmp_path / "fresh"
+        assert main(["pipeline", "--config", str(cfgs[1]),
+                     "--out", str(fresh)]) == 0
+        for name in listed | {"artifacts.json"}:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_an_index_naming_paths_deletes_nothing_outside_out(self, twin,
+                                                               tmp_path):
+        pipeline_cfg, _ = twin
+        out = tmp_path / "a" / "out"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "a" / "x", tmp_path / "x", out / "sub" / "y"]
+        for path in kept:
+            path.write_text("kept")
+        (out / "listed.csv").write_text("a previous run's")
+        (out / "artifacts.json").write_text(json.dumps({"files": [
+            "../x", "../../x", str(tmp_path / "x"), "sub/y", ".", "..", "",
+            "listed.csv", "never_written.csv"]}))
+        assert main(["fit-rom", "--config", str(pipeline_cfg),
+                     "--out", str(out)]) == 0
+        assert all(path.read_text() == "kept" for path in kept)
+        assert not (out / "listed.csv").exists()
+        listed = set(json.loads((out / "artifacts.json").read_text())["files"])
+        assert self._on_disk(out) == listed | {"artifacts.json", "sub"}
+
+    def test_a_malformed_index_exits_2_naming_it(self, twin, tmp_path,
+                                                 capsys):
+        pipeline_cfg, _ = twin
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "artifacts.json").write_text(json.dumps({"files": "modes.csv"}))
+        (out / "modes.csv").write_text("kept")
+        capsys.readouterr()
+        assert main(["fit-rom", "--config", str(pipeline_cfg),
+                     "--out", str(out)]) == 2
+        assert "artifacts.json" in capsys.readouterr().err
+        assert (out / "modes.csv").read_text() == "kept"
+
+
 class TestUnitScale:
     @staticmethod
     def _pairs(base, scaled, scaling=False, where=""):
@@ -1743,6 +1813,21 @@ class TestConfigValidation:
         cases = tmp_path / "cases"
         assert main(["synth", "--config", str(cfg), "--out", str(cases)]) == 2
         assert not cases.exists()
+
+    @pytest.mark.parametrize("key", ["training", "evaluation"])
+    def test_synth_pipeline_object_holds_settings_only(self, tmp_path, capsys,
+                                                       key):
+        # synth writes the case lists itself; a list there would replace
+        # the generated one with a file synth never wrote
+        doc = json.loads(json.dumps(SYNTH_CONFIG))
+        doc["pipeline"][key] = ["elsewhere.json"]
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "cases"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _drop(group, key):
