@@ -96,9 +96,8 @@ def cmd_synth(args) -> int:
     manifests = {group: [generate_case(spec, case_seed, out).name
                          for case_seed, spec in pairs]
                  for group, pairs in specs.items()}
-    pipe_cfg = {**manifests, **settings}
     cfg_path = Path(out) / "pipeline_config.json"
-    write_json(cfg_path, pipe_cfg)
+    write_json(cfg_path, {**manifests, **settings})
     print(f"wrote {len(manifests['training'])} training and "
           f"{len(manifests['evaluation'])} evaluation cases under {out}")
     print(f"pipeline config: {cfg_path}")

@@ -495,7 +495,8 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     if index.exists():  # what the last run wrote goes; other files stay
         for name in filter(plain_name, read_json(
                 index, {"files": [str]}, ("files",), "artifact index")["files"]):
-            (out / name).unlink(missing_ok=True)
+            if (out / name).is_file():  # a directory there is not ours
+                (out / name).unlink()
         index.unlink()
     artifacts = []
 

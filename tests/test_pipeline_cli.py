@@ -637,8 +637,8 @@ class TestUsedOutputDirectory:
             path.write_text("kept")
         (out / "listed.csv").write_text("a previous run's")
         (out / "artifacts.json").write_text(json.dumps({"files": [
-            "../x", "../../x", str(tmp_path / "x"), "sub/y", ".", "..", "",
-            "listed.csv", "never_written.csv"]}))
+            "../x", "../../x", str(tmp_path / "x"), "sub/y", "sub", ".", "..",
+            "", "listed.csv", "never_written.csv"]}))
         assert main(["fit-rom", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 0
         assert all(path.read_text() == "kept" for path in kept)
