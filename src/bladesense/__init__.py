@@ -2,9 +2,8 @@
 
 from .azimuthal_rom import (AzimuthalRomModel, evaluate_rom, fit_rom,
                             load_rom, save_rom)
-from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
-                      load_case, load_torsion, save_case, smooth_wind,
-                      wrap_angle)
+from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, load_case,
+                      load_torsion, save_case, smooth_wind, wrap_angle)
 from .decomposition import ModalBasis, inner, pod_fit, project
 from .errors import NumericalError, SchemaError, StageError, ValidationError
 from .fusion import GaussianReduced, fuse

@@ -144,12 +144,11 @@ def fit_rom(cases, *, conditions=()) -> AzimuthalRomModel:
                 else np.linalg.lstsq(G - G_i, B - B_i, rcond=None)[0])
         error = Y - X @ fold
         second += error.T @ error
-    cov = second / u_all.size
     return AzimuthalRomModel(
         u_ref=u_ref, u_range=(float(u_all.min()), float(u_all.max())),
         mean_coeffs=np.ascontiguousarray(coeffs[:n_coeff].T),
         slope_coeffs=np.ascontiguousarray(coeffs[n_coeff:].T),
-        covariance=0.5 * (cov + cov.T), conditions=list(conditions))
+        covariance=second / u_all.size, conditions=list(conditions))
 
 
 def evaluate_rom(model: AzimuthalRomModel, theta, u_filt,

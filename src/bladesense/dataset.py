@@ -1,4 +1,4 @@
-"""Case files on disk: loading, validation, wind filtering, azimuth binning.
+"""Case files on disk: loading, validation, wind filtering.
 
 A *case* is a JSON manifest pointing at a grid file, a table of per-step
 channels and the field matrices (paths relative to the manifest):
@@ -343,23 +343,6 @@ def smooth_wind(raw) -> np.ndarray:
     return _first_order(1.0 - SMOOTHING_ALPHA, SMOOTHING_ALPHA * raw, raw[0])
 
 
-def azimuth_bin(theta, n_theta: int):
-    """Uniform-sector bin index in [0, n_theta) for wrapped azimuth.
-
-    Accepts a scalar or an array; the caller must wrap theta to [0, 2*pi)
-    first (see :func:`wrap_angle`).
-    """
-    if n_theta < 1:
-        raise ValidationError("n_theta must be >= 1")
-    th = np.asarray(theta, dtype=float)
-    if np.any((th < 0.0) | (th >= TWO_PI)):
-        raise ValidationError("theta outside [0, 2*pi); wrap it first")
-    # dividing by 2*pi before scaling keeps exact midpoints on their bin edge
-    idx = np.floor(th / TWO_PI * n_theta).astype(int)
-    idx = np.minimum(idx, n_theta - 1)
-    return int(idx) if np.isscalar(theta) else idx
-
-
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
@@ -402,13 +385,7 @@ def _digits(a: np.ndarray, e: np.ndarray):
     p = a * _POW[k]
     a_hi, a_lo = _split(a)
     p_hi, p_lo = _POW_HI[k], _POW_LO[k]
-    # err = ((a_hi*p_hi - p) + a_hi*p_lo + a_lo*p_hi) + a_lo*p_lo, with the
-    # products in place: fewer temporaries keep the heap small
-    err = a_hi * p_hi
-    err -= p
-    err += np.multiply(a_hi, p_lo, out=a_hi)
-    err += np.multiply(a_lo, p_hi, out=p_hi)
-    err += np.multiply(a_lo, p_lo, out=a_lo)
+    err = ((a_hi * p_hi - p) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     ok &= p < 2.0 ** 62
     bad = ~ok
     p[bad] = 0.0

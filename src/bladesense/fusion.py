@@ -121,10 +121,7 @@ def _fusion_terms(p_key: bytes, r_key: bytes, n: int) -> tuple:
         s_sum += 1e-12 * tr * np.eye(n)
     if tr > 0.0:  # K = S_prior (S_prior + S_meas)^-1, by a solve on the sum
         gain = np.linalg.solve(s_sum, p_cov).T
-        # symmetrized in place, so the result keeps the product's allocation
         cov = r_cov @ gain.T
-        cov += cov.T
-        cov *= 0.5
     else:  # both sources fully certain: zero gain keeps the prior mean
         gain = cov = np.zeros((n, n))
     cov = checked_covariance(cov, (n,))

@@ -21,7 +21,7 @@ field per column (``t``, ``theta``, ...). Every figure is an SVG whose
 plotted numbers a file holds: its CSV twin of the same name, or for the
 reconstruction trace the case's ``recon_<case>.npy``. Every table is
 lossless ``%.17e`` text. An ``artifacts.json`` index lists everything
-written. A stage failure leaves a ``FAILED`` marker naming the stage.
+written, also when a stage fails and leaves a ``FAILED`` marker naming it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
-from .dataset import (TWO_PI, _write_csv, azimuth_bin, load_case, load_torsion,
-                      read_json, read_manifest, write_json)
+from .dataset import (TWO_PI, _write_csv, load_case, load_torsion, read_json,
+                      read_manifest, write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -360,6 +360,13 @@ _OBSERVATION_FRACTIONS = (0.44, 0.68, 0.88)
 _N_SECTORS = 72
 
 
+def _sector(theta: np.ndarray) -> np.ndarray:
+    """The sector of each azimuth in [0, 2*pi), the last at most; dividing
+    by 2*pi before scaling keeps exact midpoints on their sector's edge."""
+    return np.minimum(np.floor(theta / TWO_PI * _N_SECTORS).astype(int),
+                      _N_SECTORS - 1)
+
+
 def _report(model: Model, trace: dict, emit) -> None:
     case_id = trace["case_id"]
     station = int(model.stations[0])
@@ -401,7 +408,7 @@ def _report(model: Model, trace: dict, emit) -> None:
     # azimuthal mean +/- sigma of the case in 5-degree sectors against the
     # prior (its left-out band) at the sector centres and mean wind speed
     a_proj = trace["a_proj"]
-    idx = azimuth_bin(trace["theta"], _N_SECTORS)
+    idx = _sector(trace["theta"])
     counts = np.bincount(idx, minlength=_N_SECTORS)
     occ, n_b = counts > 0, np.maximum(counts, 1)
     data_mean = np.stack([np.bincount(idx, a_n, _N_SECTORS)
@@ -483,7 +490,8 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     model, ``pipeline`` also loads the evaluation cases, estimates and
     reports. The files a previous ``artifacts.json`` in ``out_dir`` lists go
     first, then that index. A stage failure writes a ``FAILED`` marker naming
-    the stage and raises a :class:`StageError` wrapping the original error."""
+    the stage and the index of any files written before it, and raises a
+    :class:`StageError` wrapping the original error."""
     config.validate()
     if plan not in ("fit-rom", "pipeline"):
         raise ValidationError(f"unknown plan {plan!r}")
@@ -497,7 +505,7 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
                 index, {"files": [str]}, ("files",), "artifact index")["files"]):
             if (out / name).is_file():  # a directory there is not ours
                 (out / name).unlink()
-        index.unlink()
+        index.unlink(missing_ok=True)  # gone if it listed itself
     artifacts = []
 
     def emit(name: str) -> Path:
@@ -516,5 +524,7 @@ def run_pipeline(config: PipelineConfig, plan: str = "pipeline") -> dict:
     except StageError as err:
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(f"stage: {err.stage}\nerror: {err.cause}\n")
+        if artifacts and err.stage != "index":  # for the next run to delete
+            _index(out, artifacts)
         raise
     return {"out_dir": str(out), "artifacts": sorted(set(artifacts))}

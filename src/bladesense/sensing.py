@@ -163,10 +163,7 @@ def place_sensors(basis: ModalBasis, n_sensors: int,
         raise ValidationError(f"n_sensors must be in [1, {n_z}]")
     phi = basis.modes
     # candidate column i = modal rows of station i, all three components
-    cands = np.concatenate(
-        [phi[0 * n_z:1 * n_z].T, phi[1 * n_z:2 * n_z].T, phi[2 * n_z:3 * n_z].T],
-        axis=0,
-    )
+    cands = phi[sensor_dof_rows(np.arange(n_z), n_z)].reshape(n_z, -1).T
     stations = np.asarray(_greedy_pivots(cands, n_sensors), dtype=int)
     rows = sensor_dof_rows(stations, n_z)
     return SensorSet(

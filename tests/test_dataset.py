@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, azimuth_bin,
-                        load_case, load_torsion, save_case, smooth_wind,
-                        wrap_angle)
+from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, load_case,
+                        load_torsion, save_case, smooth_wind, wrap_angle)
 from bladesense import dataset
 from bladesense.dataset import SMOOTHING_ALPHA, TWO_PI, read_manifest
 from bladesense.errors import SchemaError, ValidationError
@@ -479,39 +478,6 @@ class TestSmoothWind:
             x = rng.normal(10.0, 3.0, n) * 10.0 ** rng.uniform(-3, 3)
             assert (smooth_wind(x).tobytes()
                     == self._former_smooth_wind(x, SMOOTHING_ALPHA).tobytes())
-
-
-class TestAzimuthBin:
-    def test_lower_edge(self):
-        assert azimuth_bin(0.0, 72) == 0
-
-    def test_midpoint(self):
-        assert azimuth_bin(np.pi, 72) == 36
-
-    def test_upper_edge_clamps(self):
-        assert azimuth_bin(TWO_PI - 1e-9, 72) == 71
-
-    def test_out_of_range_rejected(self):
-        for theta in (-1e-12, TWO_PI, 7.0):
-            with pytest.raises(ValidationError):
-                azimuth_bin(theta, 72)
-
-    def test_partition_is_exhaustive_and_unique(self):
-        rng = np.random.default_rng(9)
-        theta = rng.uniform(0.0, TWO_PI, 5000)
-        theta = theta[theta < TWO_PI]
-        idx = azimuth_bin(theta, 72)
-        assert idx.min() >= 0 and idx.max() <= 71
-        # each sample lies inside its sector, to one ulp of the edges
-        width = TWO_PI / 72
-        lo = idx * width
-        hi = (idx + 1) * width
-        eps = np.spacing(TWO_PI)
-        assert np.all(theta >= lo - eps)
-        assert np.all(theta <= hi + eps)
-
-    def test_single_sector(self):
-        assert azimuth_bin(3.14, 1) == 0
 
 
 class TestInvariants:

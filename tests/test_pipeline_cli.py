@@ -17,7 +17,7 @@ from bladesense import (NoiseModel, TorsionModel, dataset, evaluate_rom, fuse,
                         load_torsion_model, observe, place_sensors, pod_fit,
                         project, sparse_estimate)
 from bladesense.cli import main
-from bladesense.pipeline import PipelineConfig, run_pipeline
+from bladesense.pipeline import PipelineConfig, _sector, run_pipeline
 from bladesense.sensing import sensor_dof_rows
 from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
@@ -411,7 +411,7 @@ class TestPipelineRun:
                         config.n_modes)
         _, e = load_case(config.evaluation[0])
         a = project(e.D, basis)
-        sector = dataset.azimuth_bin(e.theta, 72)
+        sector = np.minimum(np.floor(e.theta / (2.0 * np.pi) * 72), 71)
         occupied = np.unique(sector)
         centres = (occupied + 0.5) * 2.0 * np.pi / 72
         prior = evaluate_rom(load_rom(out / "rom.json"), centres,
@@ -638,13 +638,61 @@ class TestUsedOutputDirectory:
         (out / "listed.csv").write_text("a previous run's")
         (out / "artifacts.json").write_text(json.dumps({"files": [
             "../x", "../../x", str(tmp_path / "x"), "sub/y", "sub", ".", "..",
-            "", "listed.csv", "never_written.csv"]}))
+            "", "listed.csv", "never_written.csv", "artifacts.json"]}))
         assert main(["fit-rom", "--config", str(pipeline_cfg),
                      "--out", str(out)]) == 0
         assert all(path.read_text() == "kept" for path in kept)
         assert not (out / "listed.csv").exists()
         listed = set(json.loads((out / "artifacts.json").read_text())["files"])
         assert self._on_disk(out) == listed | {"artifacts.json", "sub"}
+
+    @staticmethod
+    def _with_broken_case(twin, tmp_path, broken):
+        """Copy the twin's cases, add a second evaluation case ``ev2`` (the
+        first's data under a torsion file of its own) and make
+        ``<broken>_torsion.npy`` not a ``.npy`` file; return the configs with
+        both evaluation cases and with the first only."""
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        manifest = json.loads((cases / "ev_s5.json").read_text())
+        shutil.copy(cases / manifest["torsion_file"], cases / "ev2_torsion.npy")
+        manifest.update(name="ev2", torsion_file="ev2_torsion.npy")
+        (cases / "ev2.json").write_text(json.dumps(manifest))
+        (cases / f"{broken}_torsion.npy").write_text("not npy")
+        doc = json.loads(pipeline_cfg.read_text())
+        configs = []
+        for evaluation in (["ev_s5.json", "ev2.json"], ["ev_s5.json"]):
+            configs.append(cases / f"eval{len(evaluation)}.json")
+            configs[-1].write_text(json.dumps({**doc, "evaluation": evaluation}))
+        return configs
+
+    @pytest.mark.parametrize("broken, stage", [("tr_a_s0", "fit-rom"),
+                                               ("ev2", "estimate")])
+    def test_a_failed_run_lists_what_it_wrote(self, twin, tmp_path, broken,
+                                              stage):
+        both, _ = self._with_broken_case(twin, tmp_path, broken)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(both),
+                     "--out", str(out)]) == 2
+        assert (out / "FAILED").read_text().startswith(f"stage: {stage}\n")
+        listed = set(json.loads((out / "artifacts.json").read_text())["files"])
+        assert {"modes.csv", "rom.json"} <= listed
+        assert self._on_disk(out) == listed | {"artifacts.json", "FAILED"}
+
+    def test_rerun_after_a_failed_run_leaves_only_its_listed_files(
+            self, twin, tmp_path):
+        both, first = self._with_broken_case(twin, tmp_path, "ev2")
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(both),
+                     "--out", str(out)]) == 2
+        assert (out / "recon_ev2.npy").exists()
+        (out / "notes.txt").write_text("not the pipeline's")
+        assert main(["pipeline", "--config", str(first),
+                     "--out", str(out)]) == 0
+        listed = set(json.loads((out / "artifacts.json").read_text())["files"])
+        assert not any("ev2" in name for name in listed)
+        assert self._on_disk(out) == listed | {"artifacts.json", "notes.txt"}
 
     def test_a_malformed_index_exits_2_naming_it(self, twin, tmp_path,
                                                  capsys):
@@ -1309,6 +1357,35 @@ class TestProjections:
             Counter(n_t[p] for p in cases)
         # and no torsion case: the torsion map comes from the one-pass fold
         assert all(b is deflection for b, _ in calls)
+
+
+class TestAzimuthBin:
+    """The 5-degree sectors of the report's azimuthal tables."""
+
+    def test_lower_edge(self):
+        assert _sector(np.array([0.0])).tolist() == [0]
+
+    def test_midpoint(self):
+        assert _sector(np.array([np.pi])).tolist() == [36]
+
+    def test_upper_edge_clamps(self):
+        # the largest azimuth below 2*pi included
+        theta = np.array([2.0 * np.pi - 1e-9, np.nextafter(2.0 * np.pi, 0.0)])
+        assert _sector(theta).tolist() == [71, 71]
+
+    def test_partition_is_exhaustive_and_unique(self):
+        rng = np.random.default_rng(9)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 5000)
+        theta = theta[theta < 2.0 * np.pi]
+        idx = _sector(theta)
+        assert idx.min() >= 0 and idx.max() <= 71
+        # each sample lies inside its sector, to one ulp of the edges
+        width = 2.0 * np.pi / 72
+        lo = idx * width
+        hi = (idx + 1) * width
+        eps = np.spacing(2.0 * np.pi)
+        assert np.all(theta >= lo - eps)
+        assert np.all(theta <= hi + eps)
 
 
 class TestReportSpectra:
