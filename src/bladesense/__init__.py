@@ -1,5 +1,19 @@
 """Sparse-sensor reconstruction of rotating-blade deflection fields."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules and not (
+        {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
+    # one BLAS thread unless the user chose a count: OpenBLAS reads it once,
+    # as numpy loads it. A thread pool costs more to start than it saves at
+    # these sizes, and the POD folds' bits change with the thread count
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .azimuthal_rom import (AzimuthalRomModel, evaluate_rom, fit_rom,
                             load_rom, save_rom)
 from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, load_case,

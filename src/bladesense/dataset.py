@@ -13,9 +13,12 @@ channels and the field matrices (paths relative to the manifest):
 
 This is the one layout: :func:`save_case` writes it and the loaders read
 only it. Outside solver output becomes a case by building a
-:class:`SnapshotEnsemble` and calling :func:`save_case`. :func:`load_torsion`
-reads a torsion matrix as a plain array of its deflection's shape. A matrix
-read is checked for dtype, shape and finite values, naming its file.
+:class:`SnapshotEnsemble` and calling :func:`save_case`. :func:`open_case`
+checks a case without reading its field's values, and its
+:meth:`Case.read` reads the field; :func:`load_case` does both.
+:func:`load_torsion` reads a torsion matrix as a plain array of its
+deflection's shape. A matrix read is checked for dtype, shape, file length
+and finite values, naming its file.
 
 Field rows have a fixed order (all x stations, all y stations, all z
 stations); every module downstream assumes that order, and a ``.npy``
@@ -44,6 +47,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,13 +259,50 @@ def _check_finite(D: np.ndarray, where) -> None:
             f"{station:03d}) at row {k}: {float(D[dof, k])!r}")
 
 
+def _checked_channels(channels: dict, n_t: int, f_s: float) -> dict:
+    """The channels (name -> values) as float arrays, checked: each of
+    length ``n_t`` and finite, theta in [0, 2*pi), no wind speed below
+    zero, and t uniform at 1/``f_s`` within 1e-9 s."""
+    out = {}
+    for name in _CHANNELS:
+        arr = out[name] = np.asarray(channels[name], dtype=float)
+        if arr.shape != (n_t,):
+            raise ValidationError(f"{name} must have length n_t={n_t}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValidationError(
+                f"non-finite value in column {name} at row {bad[0]}: "
+                f"{float(arr[bad[0]])!r}"
+            )
+    theta = out["theta"]
+    bad = np.flatnonzero((theta < 0.0) | (theta >= TWO_PI))
+    if bad.size:
+        raise ValidationError(f"theta out of [0, 2*pi) at row {bad[0]}: "
+                              f"{float(theta[bad[0]])!r}")
+    for name in ("u_raw", "u_filt"):
+        bad = np.flatnonzero(out[name] < 0.0)
+        if bad.size:
+            raise ValidationError(
+                f"negative wind speed in column {name} at row {bad[0]}: "
+                f"{float(out[name][bad[0]])!r}")
+    if not f_s > 0:
+        raise ValidationError("f_s must be positive")
+    dt = np.diff(out["t"])
+    if np.any(dt <= 0):
+        raise ValidationError("t must be strictly increasing")
+    if np.any(np.abs(dt - 1.0 / f_s) > 1e-9):
+        raise ValidationError("t spacing must equal 1/f_s within 1e-9 s")
+    return out
+
+
 @dataclass
 class SnapshotEnsemble:
     """Time-indexed stack of 3-component fields with per-snapshot metadata.
 
     ``D`` has shape (3*n_z, n_t) with the fixed (x-block, y-block, z-block)
     row order. ``theta`` is wrapped azimuth in [0, 2*pi); ``t`` is uniform at
-    1/f_s within 1e-9 s.
+    1/f_s within 1e-9 s; the wind speeds ``u_raw`` and ``u_filt`` are not
+    negative.
     """
 
     grid: BladeGrid
@@ -279,30 +321,11 @@ class SnapshotEnsemble:
             raise ValidationError(
                 f"D must have {self.grid.n_dof} rows, got shape {self.D.shape}"
             )
-        n_t = self.D.shape[1]
         _check_finite(self.D, "D")
-        for name in _CHANNELS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+        channels = {name: getattr(self, name) for name in _CHANNELS}
+        for name, arr in _checked_channels(channels, self.D.shape[1],
+                                           self.f_s).items():
             setattr(self, name, arr)
-            if arr.shape != (n_t,):
-                raise ValidationError(f"{name} must have length n_t={n_t}")
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValidationError(
-                    f"non-finite value in column {name} at row {bad[0]}: "
-                    f"{float(arr[bad[0]])!r}"
-                )
-        bad = np.flatnonzero((self.theta < 0.0) | (self.theta >= TWO_PI))
-        if bad.size:
-            raise ValidationError(f"theta out of [0, 2*pi) at row {bad[0]}: "
-                                  f"{float(self.theta[bad[0]])!r}")
-        if not self.f_s > 0:
-            raise ValidationError("f_s must be positive")
-        dt = np.diff(self.t)
-        if np.any(dt <= 0):
-            raise ValidationError("t must be strictly increasing")
-        if np.any(np.abs(dt - 1.0 / self.f_s) > 1e-9):
-            raise ValidationError("t spacing must equal 1/f_s within 1e-9 s")
 
     @property
     def n_t(self) -> int:
@@ -460,9 +483,11 @@ def _write_csv(path: Path, names: list[str], data: np.ndarray) -> None:
             fh.write(_format_values(block, seps[col:col + block.size]))
 
 
-def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """The finite float64 field matrix of ``shape`` in a ``.npy`` file; its
-    header is checked before the data is read."""
+@contextmanager
+def _npy_file(path: Path, shape: tuple[int, int]):
+    """The ``.npy`` file ``path``, open at its start once its header is
+    checked: a float64 matrix of ``shape`` whose data fill the rest of the
+    file."""
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
     with open(path, "rb") as fh:
@@ -474,19 +499,36 @@ def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
             header = (npformat.read_array_header_1_0 if version == (1, 0)
                       else npformat.read_array_header_2_0)
             declared, _, dtype = header(fh)
-            if dtype == np.float64 and declared == shape:
-                fh.seek(0)
-                data = np.load(fh, allow_pickle=False)
         except ValueError as err:
-            raise SchemaError(f"{path}: unreadable .npy data ({err})") from err
-    if dtype != np.float64:
-        raise SchemaError(f"{path}: dtype {dtype}, expected float64")
-    if declared != shape:
-        raise SchemaError(
-            f"{path}: shape {declared}, expected {shape} (3*n_z, n_t)"
-        )
+            raise SchemaError(f"{path}: unreadable .npy header ({err})") from err
+        if dtype != np.float64:
+            raise SchemaError(f"{path}: dtype {dtype}, expected float64")
+        if declared != shape:
+            raise SchemaError(
+                f"{path}: shape {declared}, expected {shape} (3*n_z, n_t)"
+            )
+        size = os.fstat(fh.fileno()).st_size
+        expected = fh.tell() + 8 * shape[0] * shape[1]
+        if size != expected:
+            raise SchemaError(f"{path}: {size} bytes, expected {expected} "
+                              f"for its header and shape")
+        fh.seek(0)
+        yield fh
+
+
+def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """The finite float64 field matrix of ``shape`` in a ``.npy`` file; its
+    header and length are checked before the data is read."""
+    with _npy_file(path, shape) as fh:
+        data = np.load(fh, allow_pickle=False)
     _check_finite(data, path)
     return data
+
+
+def _stamp(path: Path) -> tuple[int, int]:
+    """The size and modification time (ns) of the file at ``path``."""
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
 
 
 def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
@@ -498,9 +540,11 @@ def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
     return BladeGrid(z_norm=data[:, 0], length_m=manifest["L_b"])
 
 
-def _read_channels(path: Path) -> dict:
+def _read_channels(path: Path, f_s: float) -> dict:
     """The channels ``t, theta, omega, u_raw, u_filt`` of a channel table,
-    which must have exactly that header."""
+    which must have exactly that header, checked (see
+    :func:`_checked_channels`) at sampling frequency ``f_s``; a fault is a
+    :class:`SchemaError` naming the table."""
     names, data = _read_csv(path)
     if names != list(_CHANNELS):
         missing = [c for c in _CHANNELS if c not in names]
@@ -508,7 +552,12 @@ def _read_channels(path: Path) -> dict:
         offender = (missing or extra or ["<column order>"])[0]
         raise SchemaError(f"{path}: column mismatch at '{offender}' "
                           f"(expected {','.join(_CHANNELS)})")
-    return {name: data[:, j] for j, name in enumerate(_CHANNELS)}
+    try:
+        return _checked_channels(
+            {name: data[:, j] for j, name in enumerate(_CHANNELS)},
+            data.shape[0], f_s)
+    except ValidationError as err:
+        raise SchemaError(f"{path}: {err}") from None
 
 
 def read_manifest(manifest_path) -> dict:
@@ -517,20 +566,59 @@ def read_manifest(manifest_path) -> dict:
     return read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
 
 
-def load_case(manifest_path, manifest: dict | None = None
-              ) -> tuple[BladeGrid, SnapshotEnsemble]:
-    """Load and validate one case from its manifest; returns the grid and
-    the snapshot ensemble; ``manifest``, its :func:`read_manifest` result
-    if the caller has it, is not read again."""
+@dataclass(frozen=True)
+class Case:
+    """A case checked on disk but for its field's values (see
+    :func:`open_case`): its manifest's path and content, grid, condition
+    and checked channels, and the :func:`_stamp` its displacement file had
+    when checked. :meth:`read` reads the field."""
+
+    path: Path
+    manifest: dict
+    grid: BladeGrid
+    condition: ConditionKey
+    channels: dict
+    stamp: tuple[int, int]
+
+    def read(self) -> SnapshotEnsemble:
+        """The case's ensemble, its field read and its values checked. A
+        displacement file whose size or modification time is no longer
+        the checked one is a ValidationError naming it."""
+        path = self.path.parent / self.manifest["displacement_file"]
+        if _stamp(path) != self.stamp:
+            raise ValidationError(
+                f"{path}: changed since it was first read (size or "
+                f"modification time)")
+        D = _read_npy(path, (self.grid.n_dof, self.channels["t"].size))
+        return SnapshotEnsemble(grid=self.grid, D=D, condition=self.condition,
+                                f_s=self.manifest["f_s"], **self.channels)
+
+
+def open_case(manifest_path, manifest: dict | None = None) -> Case:
+    """Check one case without reading its field's values: its manifest,
+    grid and channels, and its displacement file's header and length;
+    ``manifest``, its :func:`read_manifest` result if the caller has it,
+    is not read again."""
     manifest_path = Path(manifest_path)
     m = read_manifest(manifest_path) if manifest is None else manifest
     condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
     grid = _load_grid(manifest_path, m)
-    channels = _read_channels(manifest_path.parent / m["snapshot_file"])
-    D = _read_npy(manifest_path.parent / m["displacement_file"],
-                  (grid.n_dof, channels["t"].size))
-    return grid, SnapshotEnsemble(grid=grid, D=D, condition=condition,
-                                  f_s=m["f_s"], **channels)
+    channels = _read_channels(manifest_path.parent / m["snapshot_file"],
+                              m["f_s"])
+    path = manifest_path.parent / m["displacement_file"]
+    with _npy_file(path, (grid.n_dof, channels["t"].size)):
+        stamp = _stamp(path)
+    return Case(manifest_path, m, grid, condition, channels, stamp)
+
+
+def load_case(manifest_path, manifest: dict | None = None
+              ) -> tuple[BladeGrid, SnapshotEnsemble]:
+    """Load and validate one case from its manifest (see :func:`open_case`
+    and :meth:`Case.read`); returns the grid and the snapshot ensemble;
+    ``manifest``, its :func:`read_manifest` result if the caller has it,
+    is not read again."""
+    case = open_case(manifest_path, manifest)
+    return case.grid, case.read()
 
 
 def load_torsion(manifest_path, shape: tuple[int, int],

@@ -206,6 +206,7 @@ def pod_fit(ensembles, n_modes: int) -> ModalBasis:
             np.subtract(cols.T, mean_i, out=rows)
             rows *= sqrt_w
             r = _fold(buf, r + cols.shape[1])
+        del e, cols  # released before the next case is drawn
     if grid is None:
         raise ValidationError("pod_fit needs at least one ensemble")
     n_t = sum(counts)
@@ -264,7 +265,10 @@ def project(fields, basis: ModalBasis) -> np.ndarray:
     n_blocks = max(1, -(-cols.shape[1] // (4 * basis.grid.n_dof)))
     for out, part in zip(np.array_split(a, n_blocks, axis=1),
                          np.array_split(cols, n_blocks, axis=1)):
-        out[...] = basis.modes.T @ ((part - mean) * w)
+        centered = part - mean
+        centered *= w
+        out[...] = basis.modes.T @ centered
+        del centered  # one block alive at a time
     return a[:, 0] if single else a
 
 

@@ -2,9 +2,12 @@
 
 :func:`fit_model` fits one frozen :class:`Model` (the POD basis, the
 sensors placed on it, the azimuthal prior and the torsion map) from the
-training cases, their last reader. The ``fit-rom`` command stops there,
-reading no evaluation file; ``pipeline`` goes on to estimate and report,
-which read only the model and the evaluation cases. Estimation runs once
+training cases, their last reader. It holds one training field at a time:
+the load stage checks each training case without its field's values, and
+decompose and fit-rom each read every field once more and drop it before
+the next. The ``fit-rom`` command stops there, reading no evaluation
+file; ``pipeline`` goes on to estimate and report, which read only the
+model and the evaluation cases. Estimation runs once
 per evaluation case on whole arrays: the sensors are sampled (with noise)
 at every step in one call, one linear map gives the reduced coordinates of
 all steps, the prior is evaluated at each step's angle and filtered wind
@@ -34,8 +37,8 @@ import numpy as np
 
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
-from .dataset import (TWO_PI, _write_csv, load_case, load_torsion, read_json,
-                      read_manifest, write_json)
+from .dataset import (TWO_PI, _write_csv, load_case, load_torsion, open_case,
+                      read_json, read_manifest, write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -147,31 +150,38 @@ class Model:
     torsion: tuple | None  # (map at rows, fit R^2), or None
 
 
+def _check_rotating(role: str, path, omega) -> None:
+    """Reject a case whose mean rotor speed is not positive."""
+    mean = float(np.mean(omega))
+    if not mean > 0:
+        raise ValidationError(
+            f"{role} case {Path(path).stem!r}: mean rotor speed 'omega' must "
+            f"be positive, got {mean!r}")
+
+
 def _load(training_paths: list, evaluation_paths: list):
-    """Training and evaluation (path, manifest, ensemble) lists, stations."""
+    """The training cases checked without their fields (see
+    :func:`open_case`), evaluation (path, manifest, ensemble) triples and
+    the observation stations."""
     # each manifest is read here, once, and kept for the torsion reads
-    training = []
-    for p in training_paths:
-        m = read_manifest(p)
-        training.append((p, m, load_case(p, m)[1]))
+    training = [open_case(p) for p in training_paths]
+    for case in training:
+        _check_rotating("training", case.path, case.channels["omega"])
     evaluation = []
     for p in evaluation_paths:
         m = read_manifest(p)
         e = load_case(p, m)[1]
         # the report's spectra are normalized by the mean rotor speed and
         # need at least two samples
-        omega = float(np.mean(e.omega))
-        if not omega > 0:
-            raise ValidationError(
-                f"evaluation case {Path(p).stem!r}: mean rotor speed "
-                f"'omega' must be positive, got {omega!r}")
+        _check_rotating("evaluation", p, e.omega)
         if e.n_t < 2:
             raise ValidationError(f"evaluation case {Path(p).stem!r} has "
                                   f"{e.n_t} time step, fewer than 2")
         evaluation.append((p, m, e))
-    z0 = training[0][2].grid.z_norm
-    for _, _, e in training + evaluation:
-        if e.grid.z_norm.shape != z0.shape or np.any(e.grid.z_norm != z0):
+    z0 = training[0].grid.z_norm
+    grids = [c.grid for c in training] + [e.grid for _, _, e in evaluation]
+    for grid in grids:
+        if grid.z_norm.shape != z0.shape or np.any(grid.z_norm != z0):
             raise ValidationError("all cases must share the same grid")
     # on a coarse grid two fractions can snap to one station
     fractions = _OBSERVATION_FRACTIONS
@@ -186,7 +196,9 @@ def _load(training_paths: list, evaluation_paths: list):
 
 
 def _decompose(training: list, n_modes: int, emit) -> ModalBasis:
-    basis = pod_fit([e for _, _, e in training], n_modes)
+    # the first read of each training field: read, folded and dropped
+    # before the next is read
+    basis = pod_fit((case.read() for case in training), n_modes)
     write_modes_csv(basis, emit("modes.csv"))
     write_energies_csv(basis, emit("energies.csv"))
     return basis
@@ -199,16 +211,20 @@ def _sensors(basis: ModalBasis, n_sensors: int, sigma: float, emit):
 
 
 def _fit_rom(training: list, basis: ModalBasis, rows, emit):
-    coords = [project(e.D, basis) for _, _, e in training]
+    # the second read of each training field: read, projected and dropped
+    # before the next is read
+    coords = [project(case.read().D, basis) for case in training]
     rom = fit_rom(
-        [(a, e.theta, e.u_filt) for (_, _, e), a in zip(training, coords)],
-        conditions=[{"u_mean": e.condition.u_mean, "ti": e.condition.ti}
-                    for _, _, e in training])
+        [(a, case.channels["theta"], case.channels["u_filt"])
+         for case, a in zip(training, coords)],
+        conditions=[{"u_mean": case.condition.u_mean,
+                     "ti": case.condition.ti} for case in training])
     save_rom(rom, emit("rom.json"))
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
-    carriers = [(p, m, a) for (p, m, _), a in zip(training, coords)
-                if "torsion_file" in m]
+    carriers = [(case.path, case.manifest, a)
+                for case, a in zip(training, coords)
+                if "torsion_file" in case.manifest]
     training.clear()  # its last reader: the map reads only coordinates
     if not carriers:
         return rom, None

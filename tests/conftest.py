@@ -92,9 +92,9 @@ CHANNELS = ["t", "theta", "omega", "u_raw", "u_filt"]
 
 #: Ways a case can be damaged on disk; each must be rejected
 #: when the case is loaded (see :func:`damage_case`).
-DAMAGE = ("missing", "not_npy", "truncated", "truncated_header", "object",
-          "pickled", "float32", "short_rows", "short_steps", "transposed",
-          "fields_in_snapshots", "no_fields", "huge_steps")
+DAMAGE = ("missing", "not_npy", "truncated", "padded", "truncated_header",
+          "object", "pickled", "float32", "short_rows", "short_steps",
+          "transposed", "fields_in_snapshots", "no_fields", "huge_steps")
 
 
 def damage_case(manifest_path, kind):
@@ -126,6 +126,8 @@ def damage_case(manifest_path, kind):
         npy.write_text("ux_000,ux_001\n0.0,1.0\n")
     elif kind == "truncated":
         npy.write_bytes(npy.read_bytes()[:-8])
+    elif kind == "padded":  # bytes past the declared data
+        npy.write_bytes(npy.read_bytes() + bytes(8))
     elif kind == "truncated_header":
         npy.write_bytes(npy.read_bytes()[:20])
     elif kind == "object":

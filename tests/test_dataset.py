@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,47 @@ class TestLoadCase:
         path = _write_minimal_case(tmp_path, drop="u_filt")
         with pytest.raises(SchemaError, match="snap.csv: .*'u_filt'"):
             load_case(path)
+
+    @pytest.mark.parametrize("column", ["u_raw", "u_filt"])
+    def test_negative_wind_speed_names_the_table(self, tmp_path, column):
+        path = _write_minimal_case(tmp_path)
+        table = tmp_path / "snap.csv"
+        lines = table.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CHANNELS.index(column)] = "-0.5"
+        lines[2] = ",".join(cells)
+        table.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=(
+                rf"snap.csv: negative wind speed in column {column} at row 1: "
+                r"-0.5$")):
+            load_case(path)
+
+
+class TestOpenCase:
+    def test_checks_all_but_the_field_values(self, tmp_path):
+        # a non-finite field value passes open_case; the read rejects it
+        manifest, ens, _ = _random_case(tmp_path)
+        D = ens.D.copy()
+        D[2, 4] = np.nan  # ux_002 at the fifth time step
+        np.save(tmp_path / "tc_displacement.npy", D)
+        case = dataset.open_case(manifest)
+        assert np.array_equal(case.channels["theta"], ens.theta)
+        with pytest.raises(ValidationError, match=(
+                r"tc_displacement.npy: non-finite value \(component x, "
+                r"station 002\) at row 4: nan$")):
+            case.read()
+
+    def test_read_rejects_a_field_changed_since_it_was_opened(self,
+                                                              tmp_path):
+        manifest, ens, _ = _random_case(tmp_path)
+        case = dataset.open_case(manifest)
+        assert np.array_equal(case.read().D, ens.D)
+        path = tmp_path / "tc_displacement.npy"
+        np.save(path, 2.0 * ens.D)  # the same size, a second later
+        os.utime(path, ns=(case.stamp[1], case.stamp[1] + 10**9))
+        with pytest.raises(ValidationError,
+                           match="tc_displacement.npy: changed since"):
+            case.read()
 
 
 class TestRoundTrip:
@@ -515,4 +557,18 @@ class TestInvariants:
                 theta=np.zeros(2), omega=np.zeros(3), u_raw=np.ones(3),
                 u_filt=np.ones(3), condition=ConditionKey(10.0, 0.1, 0),
                 f_s=2.0,
+            )
+
+    @pytest.mark.parametrize("column", ["u_raw", "u_filt"])
+    def test_negative_wind_speed_rejected(self, column):
+        # a wind speed is a magnitude; zero is allowed
+        grid = BladeGrid(z_norm=np.array([0.0, 1.0]), length_m=10.0)
+        wind = {"u_raw": np.zeros(3), "u_filt": np.zeros(3)}
+        wind[column] = np.array([0.0, -1e-3, 1.0])
+        with pytest.raises(ValidationError, match=(
+                rf"negative wind speed in column {column} at row 1")):
+            SnapshotEnsemble(
+                grid=grid, D=np.zeros((6, 3)), t=np.arange(3) / 2.0,
+                theta=np.zeros(3), omega=np.ones(3), **wind,
+                condition=ConditionKey(10.0, 0.1, 0), f_s=2.0,
             )

@@ -22,7 +22,8 @@ from bladesense.sensing import sensor_dof_rows
 from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
 
-from conftest import DAMAGE, damage_case, savetxt_writer, traced_peak
+from conftest import (CHANNELS, DAMAGE, damage_case, savetxt_writer,
+                      traced_peak)
 
 SYNTH_CONFIG = {
     "grid": {"n_z": 8, "L_b": 100.0},
@@ -1004,16 +1005,115 @@ class TestFailureModes:
         assert code == 2
         assert "stage: load" in marker and "column omega at row 10" in marker
 
-    @pytest.mark.parametrize("kind", DAMAGE)
-    def test_bad_binary_input_fails_at_load(self, twin, tmp_path, kind):
+    @pytest.mark.parametrize(
+        "case, kind", [("ev_s5", k) for k in DAMAGE]
+        + [("tr_a_s0", k) for k in DAMAGE],
+        ids=[*DAMAGE, *(f"training-{k}" for k in DAMAGE)])
+    def test_bad_binary_input_fails_at_load(self, twin, tmp_path, case,
+                                            kind):
+        # load checks a training field's header and length, not its
+        # values: in either role every damage fails there
         names = []
 
         def damage(cases):
-            names.append(damage_case(cases / "ev_s5.json", kind)[1])
+            names.append(damage_case(cases / f"{case}.json", kind)[1])
 
         code, marker = self._failed_load(twin, tmp_path, damage)
         assert code == 2
         assert "stage: load" in marker and names[0] in marker
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+
+    def test_non_finite_training_field_fails_at_decompose(self, twin,
+                                                          tmp_path):
+        # decompose's read is the first to check a training field's
+        # values, before any file is written
+        def damage(cases):
+            path = cases / "tr_a_s1_displacement.npy"
+            D = np.load(path)
+            D[5, 10] = np.nan  # ux_005 at row 10 of the 8-station grid
+            np.save(path, D)
+
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        path = tmp_path / "cases" / "tr_a_s1_displacement.npy"
+        assert code == 2
+        assert marker == (f"stage: decompose\nerror: {path}: non-finite value "
+                          "(component x, station 005) at row 10: nan\n")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+
+    def test_training_field_changed_before_fit_rom_fails_naming_it(
+            self, twin, tmp_path, monkeypatch, capsys):
+        # fit-rom reads each training field again to project it; a file
+        # rewritten since load checked it (here after decompose, with the
+        # same size) is rejected, not projected on a basis fitted to other
+        # data
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        path = cases / "tr_b_s0_displacement.npy"
+
+        def rewrite(*args, _stage=bladesense.pipeline._STAGES["sensors"]):
+            np.save(path, 2.0 * np.load(path))
+            return _stage(*args)
+
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "sensors", rewrite)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith(
+            f"stage: fit-rom\nerror: {path}: changed since it was first read")
+        assert f"{path}: changed" in capsys.readouterr().err
+        assert not (out / "rom.json").exists()
+
+    @pytest.mark.parametrize("omega", [np.zeros_like, np.negative])
+    def test_training_case_at_rest_fails_at_load(self, twin, tmp_path,
+                                                 capsys, omega):
+        # the evaluation cases' rule: a non-positive mean rotor speed
+        # exits 2 naming the case
+        def damage(cases):
+            _edit_channel(cases / "tr_a_s1_channels.csv", "omega", omega)
+
+        capsys.readouterr()
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        assert code == 2
+        message = "training case 'tr_a_s1': mean rotor speed 'omega' must"
+        assert "stage: load" in marker and message in marker
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+
+    @pytest.mark.parametrize("column", ["u_raw", "u_filt"])
+    @pytest.mark.parametrize("case", ["tr_a_s0", "ev_s5"])
+    def test_negative_wind_speed_fails_at_load(self, twin, tmp_path, case,
+                                               column):
+        # in either role, naming the channel table, the column and the row
+        def negative_row_10(u):
+            return np.where(np.arange(u.size) == 10, -u, u)
+
+        def damage(cases):
+            _edit_channel(cases / f"{case}_channels.csv", column,
+                          negative_row_10)
+
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        path = tmp_path / "cases" / f"{case}_channels.csv"
+        assert code == 2
+        assert "stage: load" in marker
+        assert (f"{path}: negative wind speed in column {column} at row 10: "
+                "-") in marker
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+
+
+def _edit_channel(path, column, edit):
+    """Replace a column of a case's channel table by ``edit`` of it,
+    rewriting the table losslessly."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    j = CHANNELS.index(column)
+    data[:, j] = edit(data[:, j])
+    dataset._write_csv(path, CHANNELS, data)
 
 
 class TestLayouts:
@@ -1051,30 +1151,34 @@ class TestCaseReads:
         run_pipeline(config, plan=plan)
         return seen
 
-    def test_pipeline_parses_each_case_file_once(self, twin, tmp_path,
-                                                 monkeypatch):
+    def test_pipeline_read_budget(self, twin, tmp_path, monkeypatch):
+        # each training field is read twice, by decompose's fold and by
+        # fit-rom's projection, so that no two are held at once; every
+        # other case file is parsed once
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = self._reads(monkeypatch, config, "pipeline")
-        names = [Path(p).stem for p in config.training + config.evaluation]
-        files = [f"{n}_{kind}" for n in names
-                 for kind in ("grid.csv", "channels.csv", "displacement.npy",
-                              "torsion.npy")]
-        assert seen == dict.fromkeys(files, 1)
+        train = [Path(p).stem for p in config.training]
+        names = train + [Path(p).stem for p in config.evaluation]
+        budget = {f"{n}_{kind}": 1 for n in names
+                  for kind in ("grid.csv", "channels.csv", "displacement.npy",
+                               "torsion.npy")}
+        budget.update({f"{n}_displacement.npy": 2 for n in train})
+        assert seen == budget
 
-    def test_fit_rom_parses_each_training_file_once(self, twin, tmp_path,
-                                                    monkeypatch):
+    def test_fit_rom_read_budget(self, twin, tmp_path, monkeypatch):
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         seen = self._reads(monkeypatch, config, "fit-rom",
                            ("_read_csv", "_read_npy", "read_json"))
-        # the torsion map reads every training torsion file; the fit reads
-        # no file of an evaluation case, its manifest included
+        # the torsion map reads every training torsion file, and the fit
+        # each training field twice; the fit reads no file of an
+        # evaluation case, its manifest included
         train = [Path(p).stem for p in config.training]
-        assert seen == dict.fromkeys(
-            [f"{n}{kind}" for n in train
-             for kind in (".json", "_grid.csv", "_channels.csv",
-                          "_displacement.npy", "_torsion.npy")], 1)
+        assert seen == {f"{n}{kind}": 2 if kind == "_displacement.npy" else 1
+                        for n in train
+                        for kind in (".json", "_grid.csv", "_channels.csv",
+                                     "_displacement.npy", "_torsion.npy")}
 
     @pytest.mark.parametrize("plan", ["pipeline", "fit-rom"])
     def test_each_manifest_read_once(self, twin, tmp_path, monkeypatch,
@@ -1122,30 +1226,45 @@ class TestCaseReads:
 
 
 class TestTrainingRelease:
+    @staticmethod
+    def _field_reads(monkeypatch, config):
+        """Record each training field read through ``dataset._read_npy``:
+        returns the weakrefs of the fields read, in order, and a list that
+        gets every field still alive when another is read."""
+        fields = {Path(p).stem + "_displacement.npy" for p in config.training}
+        refs, overlaps = [], []
+
+        def reading(path, *args, _read=dataset._read_npy):
+            if Path(path).name not in fields:
+                return _read(path, *args)
+            overlaps.extend(r for r in refs if r() is not None)
+            D = _read(path, *args)
+            refs.append(weakref.ref(D))
+            return D
+
+        monkeypatch.setattr(dataset, "_read_npy", reading)
+        return refs, overlaps
+
     def test_training_deflections_released_after_fit_rom(self, twin,
                                                          tmp_path, monkeypatch):
-        # fit-rom is the last reader of each training D: the torsion map
+        # decompose reads, folds and drops each training D, and fit-rom
+        # reads, projects and drops it again: when a training D is read no
+        # other is alive, and none outlives fit-rom, since the torsion map
         # and the report read only the cases' coordinates and channels
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
-        training = {Path(p) for p in config.training}
-        refs, alive = [], []
-
-        def recording(path, *args, _load=bladesense.pipeline.load_case):
-            grid, e = _load(path, *args)
-            if Path(path) in training:
-                refs.append(weakref.ref(e.D))
-            return grid, e
+        refs, overlaps = self._field_reads(monkeypatch, config)
+        alive = []
 
         def fit_rom(*args, _stage=bladesense.pipeline._STAGES["fit-rom"]):
             result = _stage(*args)
             alive.extend(r for r in refs if r() is not None)
             return result
 
-        monkeypatch.setattr(bladesense.pipeline, "load_case", recording)
         monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
         run_pipeline(config, plan="pipeline")
-        assert len(refs) == len(config.training)
+        assert len(refs) == 2 * len(config.training) >= 6
+        assert not overlaps
         assert not alive
 
     def test_fit_rom_holds_one_training_torsion_matrix(
@@ -1156,13 +1275,8 @@ class TestTrainingRelease:
         pipeline_cfg, _ = twin
         config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
         training = {Path(p) for p in config.training}
-        fields, refs, alive = [], [], []
-
-        def loading(path, *args, _load=bladesense.pipeline.load_case):
-            grid, e = _load(path, *args)
-            if Path(path) in training:
-                fields.append(weakref.ref(e.D))
-            return grid, e
+        fields, overlaps = self._field_reads(monkeypatch, config)
+        refs, alive = [], []
 
         def recording(path, *args, _load=bladesense.pipeline.load_torsion):
             alive.extend(r for r in fields + refs if r() is not None)
@@ -1176,12 +1290,32 @@ class TestTrainingRelease:
             alive.extend(r for r in refs if r() is not None)
             return result
 
-        monkeypatch.setattr(bladesense.pipeline, "load_case", loading)
         monkeypatch.setattr(bladesense.pipeline, "load_torsion", recording)
         monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
         run_pipeline(config, plan="pipeline")
-        assert len(refs) == len(fields) == len(config.training) >= 3
+        assert len(refs) == len(fields) // 2 == len(config.training) >= 3
+        assert not overlaps
         assert not alive
+
+    def test_fit_rom_peak_is_one_training_field(self, pipeline_runs,
+                                                tmp_path):
+        # the tripwire of holding two training fields: fine_grid's four
+        # 2 080-step cases on 96 stations. fit-rom's traced peak is one
+        # field (4.8 MB) plus the POD fold buffer of 5 * n_dof**2 doubles
+        # (3.3 MB) and a slack of 2 MB (the channels, the field's
+        # finiteness mask, the model; 1.0 MB measured), less than a field;
+        # holding every field, as the load stage once did, traced 25 MB
+        pipeline_cfg, _ = pipeline_runs("fine_grid")
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        shapes = [dataset.open_case(p).channels["t"].size
+                  for p in config.training]
+        n_dof = 3 * 96
+        assert len(shapes) >= 4 and min(shapes) >= 2000
+        field = 8 * n_dof * max(shapes)
+        fold, slack = 8 * 5 * n_dof**2, 2_000_000
+        assert slack < field
+        _, peak = traced_peak(run_pipeline, config, "fit-rom")
+        assert peak < field + fold + slack, (peak, field)
 
 
 class TestEvaluationRelease:
@@ -1252,14 +1386,16 @@ class TestEvaluationRelease:
         first = Path(config.evaluation[0])
         kept, dropped, projected = [], [], []
 
-        def loading(path, *args, _load=pipeline.load_case):
-            grid, e = _load(path, *args)
+        def reading(case, _read=dataset.Case.read):
+            # every field read: each training case's twice (decompose and
+            # fit-rom), each evaluation case's once, through load_case
+            e = _read(case)
             refs = [weakref.ref(e.theta)]
-            if Path(path) not in training:
+            if Path(case.path) not in training:
                 refs.append(weakref.ref(e.t))
-            (kept if Path(path) == first else dropped).extend(refs)
+            (kept if Path(case.path) == first else dropped).extend(refs)
             dropped.append(weakref.ref(e.u_filt))  # the report keeps its mean
-            return grid, e
+            return e
 
         def projecting(fields, basis, _project=pipeline.project):
             a = _project(fields, basis)
@@ -1288,18 +1424,18 @@ class TestEvaluationRelease:
             alive.extend(r() is not None for r in kept + dropped)
             return _stage(*args)
 
-        monkeypatch.setattr(pipeline, "load_case", loading)
+        monkeypatch.setattr(dataset.Case, "read", reading)
         monkeypatch.setattr(pipeline, "project", projecting)
         monkeypatch.setattr(pipeline, "_station_table", table)
         monkeypatch.setattr(pipeline, "fuse", fusing)
         monkeypatch.setitem(pipeline._STAGES, "report", report)
         run_pipeline(config, plan="pipeline")
         # kept: theta and t, one projection and four station rows; dropped:
-        # 3 x 2 training channels, four evaluation channels (each u_filt and
-        # the second case's theta and t), four projections, four station
-        # rows, 2 x 2 torsion rows and two fused
+        # 3 x 2 training channels, each read twice, four evaluation
+        # channels (each u_filt and the second case's theta and t), four
+        # projections, four station rows, 2 x 2 torsion rows and two fused
         assert len(kept) == 2 + 1 + 4
-        assert len(dropped) == 6 + 4 + 4 + 4 + 4 + 2
+        assert len(dropped) == 2 * 6 + 4 + 4 + 4 + 4 + 2
         assert alive == [True] * len(kept) + [False] * len(dropped)
 
     def test_torsion_scoring_peak_in_evaluation_torsion_matrices(
@@ -1617,6 +1753,63 @@ class TestImportCost:
         if res.returncode == 3:
             pytest.skip("numpy imports numpy.ma with numpy itself")
         assert res.returncode == 0, res.stderr
+
+
+class TestBlasThreads:
+    """Importing the package first loads numpy at one BLAS thread unless
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, and leaves
+    the environment as it found it."""
+
+    @staticmethod
+    def _env(**threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(bladesense.__file__).resolve().parents[1])
+        return {**env, **threads}
+
+    @pytest.mark.parametrize("threads", [
+        {}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}])
+    def test_import_leaves_the_environment_as_it_was(self, tmp_path,
+                                                     threads):
+        code = ("import os\n"
+                "before = dict(os.environ)\n"
+                "import bladesense\n"
+                "assert dict(os.environ) == before\n")
+        res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120,
+                             env=self._env(**threads))
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("name", ["twin", "fine_grid"])
+    def test_no_thread_variable_writes_the_one_thread_bytes(self, tmp_path,
+                                                            name):
+        # the POD folds' bits change with the BLAS thread count; on a
+        # one-core host both runs use one thread and this passes trivially
+        roots = {}
+        for label, threads in (("default", {}),
+                               ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            root = roots[label] = tmp_path / label
+            root.mkdir()
+            config = synth_config(name, root)
+            for args in (["synth", *config, "--seed", "0",
+                          "--out", str(root / "cases")],
+                         ["pipeline", "--config",
+                          str(root / "cases" / "pipeline_config.json"),
+                          "--out", str(root / "results")]):
+                res = subprocess.run(
+                    [sys.executable, "-m", "bladesense", *args], cwd=root,
+                    capture_output=True, text=True, timeout=300,
+                    env=self._env(**threads))
+                assert res.returncode == 0, res.stderr
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        default, one = tree(roots["default"]), tree(roots["one"])
+        assert len(one) > 30
+        assert sorted(default) == sorted(one)
+        assert [p for p in one if default[p] != one[p]] == []
 
 
 class TestLibraryOnDatasets:
