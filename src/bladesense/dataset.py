@@ -15,10 +15,12 @@ This is the one layout: :func:`save_case` writes it and the loaders read
 only it. Outside solver output becomes a case by building a
 :class:`SnapshotEnsemble` and calling :func:`save_case`. :func:`open_case`
 checks a case without reading its field's values, and its
-:meth:`Case.read` reads the field; :func:`load_case` does both.
-:func:`load_torsion` reads a torsion matrix as a plain array of its
-deflection's shape. A matrix read is checked for dtype, shape, file length
-and finite values, naming its file.
+:meth:`Case.read` reads the field, unless the file has changed since;
+:func:`load_case` does both. :func:`load_torsion` reads a torsion matrix
+as a plain array of its deflection's shape. A matrix read is checked for
+dtype, shape and file length, and its values once as they are read, naming
+its file: each must be finite and at most ``MAX_ABS`` (1e100) in
+magnitude, as must each channel value when a case is opened.
 
 Field rows have a fixed order (all x stations, all y stations, all z
 stations); every module downstream assumes that order, and a ``.npy``
@@ -62,6 +64,10 @@ TWO_PI = 2.0 * np.pi
 #: Exponential smoothing factor of :func:`smooth_wind`, which gives the
 #: synthetic twin its filtered hub wind speed ``u_filt``; fixed.
 SMOOTHING_ALPHA = 0.2
+
+#: Largest magnitude a case value may have: a product of two such values
+#: (1e200) and the sums the fit takes of them stay inside float64's range.
+MAX_ABS = 1e100
 
 #: Lossless: 18 significant digits round-trip every float64 bit-exactly.
 _FLOAT_FMT = "%.17e"
@@ -247,33 +253,40 @@ class ConditionKey:
             raise ValidationError(f"ti must lie in (0, 1), got {self.ti!r}")
 
 
-def _check_finite(D: np.ndarray, where) -> None:
-    """Reject the first non-finite value of a field matrix ``D``, naming
-    ``where`` (the matrix, or its file), component, station and row."""
-    finite = np.isfinite(D)
-    if not finite.all():
-        k, dof = np.argwhere(~finite.T)[0]
-        comp, station = divmod(int(dof), D.shape[0] // 3)
-        raise ValidationError(
-            f"{where}: non-finite value (component {'xyz'[comp]}, station "
-            f"{station:03d}) at row {k}: {float(D[dof, k])!r}")
+def _check_values(x: np.ndarray, where) -> None:
+    """Reject the first value of ``x`` that is non-finite or beyond
+    ``MAX_ABS`` in magnitude. ``x`` is a channel (``where`` its column) or
+    a field matrix (``where`` the matrix or its file), whose values are
+    taken one time row after another and named by component, station and
+    row. A sound ``x`` costs two reductions, each of which propagates NaN;
+    only a fault builds a mask."""
+    if not x.size or (-MAX_ABS <= x.min() and x.max() <= MAX_ABS):
+        return
+    bad = ~(np.abs(x) <= MAX_ABS)  # NaN included
+    if x.ndim == 1:
+        k = int(np.flatnonzero(bad)[0])
+        value, head, place = float(x[k]), "", f" in column {where}"
+    else:
+        k, dof = np.argwhere(bad.T)[0]
+        comp, station = divmod(int(dof), x.shape[0] // 3)
+        value, head = float(x[dof, k]), f"{where}: "
+        place = f" (component {'xyz'[comp]}, station {station:03d})"
+    what = ("non-finite value" if not math.isfinite(value)
+            else f"magnitude above {MAX_ABS:g}")
+    raise ValidationError(f"{head}{what}{place} at row {k}: {value!r}")
 
 
 def _checked_channels(channels: dict, n_t: int, f_s: float) -> dict:
     """The channels (name -> values) as float arrays, checked: each of
-    length ``n_t`` and finite, theta in [0, 2*pi), no wind speed below
-    zero, and t uniform at 1/``f_s`` within 1e-9 s."""
+    length ``n_t`` with sound values (see :func:`_check_values`), theta in
+    [0, 2*pi), no wind speed below zero, and t uniform at 1/``f_s`` within
+    1e-9 s."""
     out = {}
     for name in _CHANNELS:
         arr = out[name] = np.asarray(channels[name], dtype=float)
         if arr.shape != (n_t,):
             raise ValidationError(f"{name} must have length n_t={n_t}")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise ValidationError(
-                f"non-finite value in column {name} at row {bad[0]}: "
-                f"{float(arr[bad[0]])!r}"
-            )
+        _check_values(arr, name)
     theta = out["theta"]
     bad = np.flatnonzero((theta < 0.0) | (theta >= TWO_PI))
     if bad.size:
@@ -302,7 +315,7 @@ class SnapshotEnsemble:
     ``D`` has shape (3*n_z, n_t) with the fixed (x-block, y-block, z-block)
     row order. ``theta`` is wrapped azimuth in [0, 2*pi); ``t`` is uniform at
     1/f_s within 1e-9 s; the wind speeds ``u_raw`` and ``u_filt`` are not
-    negative.
+    negative; every value is finite and at most ``MAX_ABS`` in magnitude.
     """
 
     grid: BladeGrid
@@ -321,7 +334,7 @@ class SnapshotEnsemble:
             raise ValidationError(
                 f"D must have {self.grid.n_dof} rows, got shape {self.D.shape}"
             )
-        _check_finite(self.D, "D")
+        _check_values(self.D, "D")
         channels = {name: getattr(self, name) for name in _CHANNELS}
         for name, arr in _checked_channels(channels, self.D.shape[1],
                                            self.f_s).items():
@@ -517,11 +530,12 @@ def _npy_file(path: Path, shape: tuple[int, int]):
 
 
 def _read_npy(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """The finite float64 field matrix of ``shape`` in a ``.npy`` file; its
-    header and length are checked before the data is read."""
+    """The float64 field matrix of ``shape`` in a ``.npy`` file; its header
+    and length are checked before the data is read, its values (see
+    :func:`_check_values`) after."""
     with _npy_file(path, shape) as fh:
         data = np.load(fh, allow_pickle=False)
-    _check_finite(data, path)
+    _check_values(data, path)
     return data
 
 
@@ -581,8 +595,8 @@ class Case:
     stamp: tuple[int, int]
 
     def read(self) -> SnapshotEnsemble:
-        """The case's ensemble, its field read and its values checked. A
-        displacement file whose size or modification time is no longer
+        """The case's ensemble, its field read and its values checked once.
+        A displacement file whose size or modification time is no longer
         the checked one is a ValidationError naming it."""
         path = self.path.parent / self.manifest["displacement_file"]
         if _stamp(path) != self.stamp:
@@ -590,8 +604,12 @@ class Case:
                 f"{path}: changed since it was first read (size or "
                 f"modification time)")
         D = _read_npy(path, (self.grid.n_dof, self.channels["t"].size))
-        return SnapshotEnsemble(grid=self.grid, D=D, condition=self.condition,
-                                f_s=self.manifest["f_s"], **self.channels)
+        # the read checked the field and open_case the channels: the
+        # ensemble is filled in without __post_init__'s second check
+        ensemble = object.__new__(SnapshotEnsemble)
+        vars(ensemble).update(grid=self.grid, D=D, condition=self.condition,
+                              f_s=self.manifest["f_s"], **self.channels)
+        return ensemble
 
 
 def open_case(manifest_path, manifest: dict | None = None) -> Case:

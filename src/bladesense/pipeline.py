@@ -2,21 +2,21 @@
 
 :func:`fit_model` fits one frozen :class:`Model` (the POD basis, the
 sensors placed on it, the azimuthal prior and the torsion map) from the
-training cases, their last reader. It holds one training field at a time:
-the load stage checks each training case without its field's values, and
-decompose and fit-rom each read every field once more and drop it before
-the next. The ``fit-rom`` command stops there, reading no evaluation
-file; ``pipeline`` goes on to estimate and report, which read only the
-model and the evaluation cases. Estimation runs once
-per evaluation case on whole arrays: the sensors are sampled (with noise)
-at every step in one call, one linear map gives the reduced coordinates of
-all steps, the prior is evaluated at each step's angle and filtered wind
-speed, and the two Gaussians are fused with one gain, as both share one
-covariance over all steps. Each row equals what the per-step library calls
-give for that step. Once the case's field is released, its torsion is
-inferred from the fused coordinates and scored. Batch reporting (spectra,
-histograms, azimuthal curves, coupling scatter) runs afterwards on the
-first evaluation case's traces.
+training cases, their last reader. The load stage checks every case
+without its field's values; each field is read by the stage that uses it
+and dropped before the next is read: decompose and fit-rom each read
+every training field, estimate each evaluation field just before it
+scores the case. The ``fit-rom`` command stops after the fit, reading no
+evaluation file. Estimation runs once per evaluation case on whole
+arrays: the sensors are sampled (with noise) at every step in one call,
+one linear map gives the reduced coordinates of all steps, the prior is
+evaluated at each step's angle and filtered wind speed, and the two
+Gaussians are fused with one gain, as both share one covariance over all
+steps. Each row equals what the per-step library calls give for that
+step. Once the case's field is released, its torsion is inferred from the
+fused coordinates and scored. Batch reporting (spectra, histograms,
+azimuthal curves, coupling scatter) runs afterwards on the first
+evaluation case's traces.
 
 Each case's per-step reconstructions, ``recon_<case>.npy`` and
 ``torsion_recon_<case>.npy``, are structured float64 arrays with one named
@@ -37,8 +37,8 @@ import numpy as np
 
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
-from .dataset import (TWO_PI, _write_csv, load_case, load_torsion, open_case,
-                      read_json, read_manifest, write_json)
+from .dataset import (TWO_PI, _write_csv, load_torsion, open_case, read_json,
+                      write_json)
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -150,39 +150,30 @@ class Model:
     torsion: tuple | None  # (map at rows, fit R^2), or None
 
 
-def _check_rotating(role: str, path, omega) -> None:
-    """Reject a case whose mean rotor speed is not positive."""
-    mean = float(np.mean(omega))
-    if not mean > 0:
-        raise ValidationError(
-            f"{role} case {Path(path).stem!r}: mean rotor speed 'omega' must "
-            f"be positive, got {mean!r}")
-
-
 def _load(training_paths: list, evaluation_paths: list):
-    """The training cases checked without their fields (see
-    :func:`open_case`), evaluation (path, manifest, ensemble) triples and
-    the observation stations."""
-    # each manifest is read here, once, and kept for the torsion reads
+    """The training and the evaluation cases, each checked without its
+    field's values (see :func:`open_case`), and the observation stations."""
+    # each manifest is read here, once, and kept for the field and torsion
+    # reads
     training = [open_case(p) for p in training_paths]
-    for case in training:
-        _check_rotating("training", case.path, case.channels["omega"])
-    evaluation = []
-    for p in evaluation_paths:
-        m = read_manifest(p)
-        e = load_case(p, m)[1]
-        # the report's spectra are normalized by the mean rotor speed and
-        # need at least two samples
-        _check_rotating("evaluation", p, e.omega)
-        if e.n_t < 2:
-            raise ValidationError(f"evaluation case {Path(p).stem!r} has "
-                                  f"{e.n_t} time step, fewer than 2")
-        evaluation.append((p, m, e))
+    evaluation = [open_case(p) for p in evaluation_paths]
     z0 = training[0].grid.z_norm
-    grids = [c.grid for c in training] + [e.grid for _, _, e in evaluation]
-    for grid in grids:
-        if grid.z_norm.shape != z0.shape or np.any(grid.z_norm != z0):
-            raise ValidationError("all cases must share the same grid")
+    for role, cases in (("training", training), ("evaluation", evaluation)):
+        for case in cases:
+            # the report's spectra are normalized by the mean rotor speed
+            # and need at least two samples
+            mean = float(np.mean(case.channels["omega"]))
+            if not mean > 0:
+                raise ValidationError(
+                    f"{role} case {case.path.stem!r}: mean rotor speed "
+                    f"'omega' must be positive, got {mean!r}")
+            n_t = case.channels["t"].size
+            if role == "evaluation" and n_t < 2:
+                raise ValidationError(f"evaluation case {case.path.stem!r} "
+                                      f"has {n_t} time step, fewer than 2")
+            z = case.grid.z_norm
+            if z.shape != z0.shape or np.any(z != z0):
+                raise ValidationError("all cases must share the same grid")
     # on a coarse grid two fractions can snap to one station
     fractions = _OBSERVATION_FRACTIONS
     stations = [int(np.argmin(np.abs(z0 - f))) for f in fractions]
@@ -222,16 +213,15 @@ def _fit_rom(training: list, basis: ModalBasis, rows, emit):
     save_rom(rom, emit("rom.json"))
     # one map over every training case that carries torsion; each torsion
     # matrix is loaded, folded and dropped in turn
-    carriers = [(case.path, case.manifest, a)
-                for case, a in zip(training, coords)
+    carriers = [(case, a) for case, a in zip(training, coords)
                 if "torsion_file" in case.manifest]
-    training.clear()  # its last reader: the map reads only coordinates
+    training.clear()  # its last reader: the map reads only the carriers
     if not carriers:
         return rom, None
     model, r2 = fit_torsion_model(
-        [a for _, _, a in carriers],
-        (load_torsion(p, (basis.grid.n_dof, a.shape[1]), m)
-         for p, m, a in carriers), basis.grid)
+        [a for _, a in carriers],
+        (load_torsion(case.path, (basis.grid.n_dof, a.shape[1]), case.manifest)
+         for case, a in carriers), basis.grid)
     save_torsion_model(model, emit("torsion_map.csv"))
     # estimate reads torsion at the observation stations only
     return rom, (TorsionModel(model.mean_field[rows], model.field_map[rows]),
@@ -280,8 +270,10 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
     lo, hi = model.rom.u_range
     tip_rows = sensor_dof_rows([z.size - 1], z.size)  # the tip's ux, uy, uz
     for idx in range(len(evaluation)):
-        path, manifest, e = evaluation.pop(0)
-        case_id = Path(path).stem
+        # each field is read just before it is scored, and dropped before
+        # the next is read
+        case = evaluation.pop(0)
+        e, case_id = case.read(), case.path.stem
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         y = observe(e.D.T, model.sensors, model.noise, rng)
         meas = sparse_estimate(y, model.sensors, model.noise)
@@ -332,9 +324,9 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
                      "true_obs": true_obs, "fields": fields, "f_s": e.f_s,
                      "tip": e.D[tip_rows, :], "omega": e.omega}
         del e
-        if model.torsion and "torsion_file" in manifest:
-            torsion[case_id] = _score_torsion(model, path, manifest, case_id,
-                                              head, A["fused"], emit)
+        if model.torsion and "torsion_file" in case.manifest:
+            torsion[case_id] = _score_torsion(model, case, head, A["fused"],
+                                              emit)
 
     write_json(emit("error_summary.json"), {
         "cases": cases_summary, "fusion": fusion, "rom": rom,
@@ -347,15 +339,14 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
     return trace
 
 
-def _score_torsion(model: Model, path, manifest, case_id, head: dict, fused,
-                   emit) -> list:
+def _score_torsion(model: Model, case, head: dict, fused, emit) -> list:
     """Write a case's torsion, inferred from its fused coordinates, beside
     the truth at the observation rows; return the case's summary rows."""
-    true_obs = load_torsion(path, (model.basis.grid.n_dof, head["t"].size),
-                            manifest)[model.rows, :]
+    shape = (model.basis.grid.n_dof, head["t"].size)
+    true_obs = load_torsion(case.path, shape, case.manifest)[model.rows, :]
     est_obs = infer_torsion(fused, model.torsion[0])
     rmse = _station_table(
-        emit(f"torsion_recon_{case_id}.npy"), head, model.stations,
+        emit(f"torsion_recon_{case.path.stem}.npy"), head, model.stations,
         _TORSION_COMPONENTS, true_obs, {"fused": est_obs})["fused"]
     row_r2 = _r_squared(
         np.sum((est_obs - true_obs) ** 2, axis=1),

@@ -32,7 +32,9 @@ def _pairs(template: str, sep: str, px, py) -> str:
 
 def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
-        lo, hi = lo - 0.5, lo + 0.5
+        # widened in proportion to |lo|, lest rounding absorb the widening
+        half = 0.5 * max(1.0, abs(lo))
+        lo, hi = lo - half, lo + half
     span = hi - lo
     step = 10.0 ** np.floor(np.log10(span / n))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -53,10 +55,12 @@ class _Canvas:
         y0, y1 = float(ylim[0]), float(ylim[1])
         if log_y:
             y0, y1 = np.log10(y0), np.log10(max(y1, y0 * 10))
+        # a degenerate range is widened in proportion to its magnitude,
+        # lest rounding absorb the widening
         if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
+            self.x1 = self.x0 + max(1.0, abs(self.x0))
         if y1 <= y0:
-            y1 = y0 + 1.0
+            y1 = y0 + max(1.0, abs(y0))
         self.y0, self.y1 = y0, y1
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

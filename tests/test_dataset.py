@@ -457,6 +457,34 @@ class TestBadBinaryInput:
             f"{float(value)!r}")
 
 
+    @pytest.mark.parametrize("kind", ["displacement", "torsion"])
+    @pytest.mark.parametrize("value", [1.5e100, -1e300])
+    def test_matrix_value_beyond_the_bound_names_the_file(
+            self, tmp_path, kind, value):
+        # a finite value too large for the fit's products is rejected with
+        # the same location as a non-finite one
+        manifest, ens, tau = _random_case(tmp_path)
+        path = tmp_path / f"tc_{kind}.npy"
+        M = (ens.D if kind == "displacement" else tau).copy()
+        M[10, 7] = value  # uz_002 at the eighth time step
+        M[0, 8] = np.nan  # a later row: the first offender is named
+        np.save(path, M)
+        load = {"displacement": lambda: load_case(manifest),
+                "torsion": lambda: load_torsion(manifest, tau.shape)}[kind]
+        with pytest.raises(ValidationError) as err:
+            load()
+        assert str(err.value) == (
+            f"{path}: magnitude above 1e+100 (component z, station 002) at "
+            f"row 7: {value!r}")
+
+    def test_values_at_the_bound_pass(self, tmp_path):
+        manifest, ens, tau = _random_case(tmp_path)
+        D = ens.D.copy()
+        D[0, 0], D[1, 1] = dataset.MAX_ABS, -dataset.MAX_ABS
+        np.save(tmp_path / "tc_displacement.npy", D)
+        assert np.array_equal(load_case(manifest)[1].D, D)
+
+
 class TestSmoothWind:
     def test_constant_is_fixed_point(self):
         out = smooth_wind(np.full(50, 10.0))
@@ -557,6 +585,22 @@ class TestInvariants:
                 theta=np.zeros(2), omega=np.zeros(3), u_raw=np.ones(3),
                 u_filt=np.ones(3), condition=ConditionKey(10.0, 0.1, 0),
                 f_s=2.0,
+            )
+
+    @pytest.mark.parametrize("where", ["D", "u_filt"])
+    def test_value_beyond_the_bound_rejected(self, where):
+        grid = BladeGrid(z_norm=np.array([0.0, 1.0]), length_m=10.0)
+        arrays = {"D": np.zeros((6, 3)), "u_filt": np.ones(3)}
+        arrays[where][..., 1] = 1e101
+        message = {"D": r"D: magnitude above 1e\+100 \(component x, station "
+                        r"000\) at row 1: 1e\+101$",
+                   "u_filt": r"^magnitude above 1e\+100 in column u_filt at "
+                             r"row 1: 1e\+101$"}[where]
+        with pytest.raises(ValidationError, match=message):
+            SnapshotEnsemble(
+                grid=grid, t=np.arange(3) / 2.0, theta=np.zeros(3),
+                omega=np.ones(3), u_raw=np.ones(3), **arrays,
+                condition=ConditionKey(10.0, 0.1, 0), f_s=2.0,
             )
 
     @pytest.mark.parametrize("column", ["u_raw", "u_filt"])

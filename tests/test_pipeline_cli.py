@@ -877,19 +877,83 @@ class TestFailureModes:
         assert "stage: estimate" in (out / "FAILED").read_text()
         assert not (out / "torsion_summary.json").exists()
 
-    def test_non_finite_input_fails_at_load(self, twin, tmp_path):
+    def test_non_finite_evaluation_field_fails_at_estimate(self, twin,
+                                                           tmp_path):
+        # estimate's read is the first to check an evaluation field's
+        # values; the fit's files are written by then, and listed
         def damage(cases):
             path = cases / "ev_s5_displacement.npy"
             D = np.load(path)
-            D[5, 10] = np.nan
+            D[5, 10] = np.nan  # ux_005 at row 10 of the 8-station grid
             np.save(path, D)
 
         code, marker = self._failed_load(twin, tmp_path, damage)
+        path = tmp_path / "cases" / "ev_s5_displacement.npy"
+        out = tmp_path / "out"
         assert code == 2
-        assert "stage: load" in marker and "at row 10" in marker
         # the message names the file, and the value as a plain float
-        assert "ev_s5_displacement.npy: non-finite value" in marker
-        assert marker.endswith("at row 10: nan\n")
+        assert marker == (f"stage: estimate\nerror: {path}: non-finite value "
+                          "(component x, station 005) at row 10: nan\n")
+        listed = json.loads((out / "artifacts.json").read_text())["files"]
+        assert "rom.json" in listed
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            listed + ["artifacts.json", "FAILED"])
+
+    @pytest.mark.parametrize("case, stage", [("tr_a_s1", "decompose"),
+                                             ("ev_s5", "estimate")])
+    def test_field_value_beyond_the_bound_fails_where_read(
+            self, twin, tmp_path, case, stage):
+        # a field scaled by 1e200 is finite but overflows the fit's
+        # products: it is rejected when its values are first read
+        def damage(cases):
+            path = cases / f"{case}_displacement.npy"
+            np.save(path, 1e200 * np.load(path))
+
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        path = tmp_path / "cases" / f"{case}_displacement.npy"
+        assert code == 2
+        assert marker.startswith(f"stage: {stage}\nerror: {path}: magnitude "
+                                 "above 1e+100 (component ")
+        assert " at row 0: " in marker
+
+    @pytest.mark.parametrize("case", ["tr_a_s0", "ev_s5"])
+    def test_channel_value_beyond_the_bound_fails_at_load(
+            self, twin, tmp_path, case):
+        def damage(cases):
+            _edit_channel(cases / f"{case}_channels.csv", "u_filt",
+                          lambda u: np.where(np.arange(u.size) == 10, 1e300,
+                                             u))
+
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        path = tmp_path / "cases" / f"{case}_channels.csv"
+        assert code == 2
+        assert marker == (f"stage: load\nerror: {path}: magnitude above "
+                          "1e+100 in column u_filt at row 10: 1e+300\n")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+
+    @pytest.mark.parametrize("case, file", [("tr_a_s0", "displacement"),
+                                            ("tr_a_s0", "u_filt"),
+                                            ("ev_s5", "u_filt")])
+    def test_values_under_the_bound_run_clean(self, twin, tmp_path, case,
+                                              file):
+        # the bound leaves room: a training field scaled by 1e99 and a wind
+        # speed sample of 1e100 run through every stage to finite summaries
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        if file == "displacement":
+            path = cases / f"{case}_displacement.npy"
+            np.save(path, 1e99 * np.load(path))
+        else:
+            _edit_channel(cases / f"{case}_channels.csv", file,
+                          lambda u: np.where(np.arange(u.size) == 10, 1e100,
+                                             u))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "error_summary.json").read_text())
+        assert np.isfinite(summary["cases"]["ev_s5"]["nis_mean"])
 
     @pytest.mark.parametrize("case, stage, unwritten", [
         ("tr_a_s0", "fit-rom", "torsion_map.csv"),
@@ -1068,6 +1132,32 @@ class TestFailureModes:
         assert f"{path}: changed" in capsys.readouterr().err
         assert not (out / "rom.json").exists()
 
+    def test_evaluation_field_changed_before_estimate_fails_naming_it(
+            self, twin, tmp_path, monkeypatch, capsys):
+        # estimate reads each evaluation field under the same guard: a
+        # file rewritten since load checked it (here after fit-rom, with
+        # the same size) is rejected, not scored
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        path = cases / "ev_s5_displacement.npy"
+
+        def rewrite(*args, _stage=bladesense.pipeline._STAGES["fit-rom"]):
+            result = _stage(*args)
+            np.save(path, 2.0 * np.load(path))
+            return result
+
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", rewrite)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith(
+            f"stage: estimate\nerror: {path}: changed since it was first read")
+        assert f"{path}: changed" in capsys.readouterr().err
+        assert not (out / "error_summary.json").exists()
+
     @pytest.mark.parametrize("omega", [np.zeros_like, np.negative])
     def test_training_case_at_rest_fails_at_load(self, twin, tmp_path,
                                                  capsys, omega):
@@ -1165,6 +1255,32 @@ class TestCaseReads:
                                "torsion.npy")}
         budget.update({f"{n}_displacement.npy": 2 for n in train})
         assert seen == budget
+
+    def test_each_field_read_checks_its_values_once(self, twin, tmp_path,
+                                                     monkeypatch):
+        # the read checks the field as it loads it, naming the file; the
+        # ensemble it builds checks neither the field nor the channels again
+        pipeline_cfg, _ = twin
+        config = PipelineConfig.from_json(pipeline_cfg, out_dir=tmp_path / "o")
+        checks, reads = [], []
+
+        def checking(x, where, _check=dataset._check_values):
+            checks.append(Path(where).name)
+            return _check(x, where)
+
+        def reading(case, _read=dataset.Case.read):
+            checks.clear()
+            e = _read(case)
+            reads.append((case.manifest["displacement_file"], list(checks)))
+            return e
+
+        monkeypatch.setattr(dataset, "_check_values", checking)
+        monkeypatch.setattr(dataset.Case, "read", reading)
+        run_pipeline(config, plan="pipeline")
+        train = [f"{Path(p).stem}_displacement.npy" for p in config.training]
+        names = train + train + [f"{Path(p).stem}_displacement.npy"
+                                 for p in config.evaluation]
+        assert reads == [(name, [name]) for name in names]
 
     def test_fit_rom_read_budget(self, twin, tmp_path, monkeypatch):
         pipeline_cfg, _ = twin
@@ -1319,6 +1435,48 @@ class TestTrainingRelease:
 
 
 class TestEvaluationRelease:
+    @staticmethod
+    def _two_evaluation_cases(tmp_path):
+        """The config of a twin with two evaluation cases, ``ev_s5`` and
+        ``ev_s6``, its run writing to ``tmp_path / "o"``."""
+        cfg = json.loads(json.dumps(SYNTH_CONFIG))
+        cfg["evaluation"][0]["seeds"] = [5, 6]
+        (tmp_path / "synth.json").write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(tmp_path / "synth.json"),
+                     "--out", str(tmp_path / "cases")]) == 0
+        return PipelineConfig.from_json(
+            tmp_path / "cases" / "pipeline_config.json",
+            out_dir=tmp_path / "o")
+
+    def test_evaluation_fields_read_at_estimate_one_at_a_time(
+            self, tmp_path, monkeypatch):
+        # the load stage checks each evaluation case without its field's
+        # values: no evaluation field is read before estimate, and each is
+        # dropped before the next is read
+        config = self._two_evaluation_cases(tmp_path)
+        evaluation = {Path(p) for p in config.evaluation}
+        refs, overlaps, early = [], [], []
+
+        def reading(case, _read=dataset.Case.read):
+            if Path(case.path) not in evaluation:
+                return _read(case)
+            overlaps.extend(r for r in refs if r() is not None)
+            e = _read(case)
+            refs.append(weakref.ref(e.D))
+            return e
+
+        def fit_rom(*args, _stage=bladesense.pipeline._STAGES["fit-rom"]):
+            result = _stage(*args)
+            early.extend(refs)  # the evaluation fields read by now
+            return result
+
+        monkeypatch.setattr(dataset.Case, "read", reading)
+        monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
+        run_pipeline(config, plan="pipeline")
+        assert len(refs) == len(evaluation) == 2
+        assert not early
+        assert not overlaps
+
     def test_evaluation_deflections_released_before_torsion(
             self, twin, tmp_path, monkeypatch):
         # estimate reads each evaluation D last before it scores the case's
@@ -1330,11 +1488,11 @@ class TestEvaluationRelease:
         evaluation = [Path(p) for p in config.evaluation]
         refs, alive, scored = {}, [], []
 
-        def recording(path, *args, _load=bladesense.pipeline.load_case):
-            grid, e = _load(path, *args)
-            if Path(path) in evaluation:
-                refs[Path(path)] = weakref.ref(e.D)
-            return grid, e
+        def recording(case, _read=dataset.Case.read):
+            e = _read(case)
+            if Path(case.path) in evaluation:
+                refs[Path(case.path)] = weakref.ref(e.D)
+            return e
 
         def truth(path, *args, _load=bladesense.pipeline.load_torsion):
             if Path(path) in evaluation:
@@ -1343,7 +1501,7 @@ class TestEvaluationRelease:
                 alive.extend(p for p in done if refs[p]() is not None)
             return _load(path, *args)
 
-        monkeypatch.setattr(bladesense.pipeline, "load_case", recording)
+        monkeypatch.setattr(dataset.Case, "read", recording)
         monkeypatch.setattr(bladesense.pipeline, "load_torsion", truth)
         run_pipeline(config, plan="pipeline")
         assert len(refs) == len(config.evaluation)
@@ -1373,14 +1531,7 @@ class TestEvaluationRelease:
         # the mean of its u_filt: when it starts, every other array of
         # every case is gone, every training theta, u_filt and projection,
         # each case's fused coordinates and torsion rows included
-        cfg = json.loads(json.dumps(SYNTH_CONFIG))
-        cfg["evaluation"][0]["seeds"] = [5, 6]
-        (tmp_path / "synth.json").write_text(json.dumps(cfg))
-        assert main(["synth", "--config", str(tmp_path / "synth.json"),
-                     "--out", str(tmp_path / "cases")]) == 0
-        config = PipelineConfig.from_json(
-            tmp_path / "cases" / "pipeline_config.json",
-            out_dir=tmp_path / "o")
+        config = self._two_evaluation_cases(tmp_path)
         pipeline = bladesense.pipeline
         training = [Path(p) for p in config.training]
         first = Path(config.evaluation[0])
@@ -1388,7 +1539,7 @@ class TestEvaluationRelease:
 
         def reading(case, _read=dataset.Case.read):
             # every field read: each training case's twice (decompose and
-            # fit-rom), each evaluation case's once, through load_case
+            # fit-rom), each evaluation case's once (estimate)
             e = _read(case)
             refs = [weakref.ref(e.theta)]
             if Path(case.path) not in training:

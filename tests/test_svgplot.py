@@ -3,6 +3,7 @@ formatting: ``_former_*`` are the plot bodies as they were, one ``_fmt``
 call per coordinate, kept as the byte-for-byte oracle. A point with a
 non-finite coordinate is left out of both, and breaks a line."""
 
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -183,3 +184,24 @@ def test_plots_of_special_values_write_finite_numbers(tmp_path, log_y):
     assert runs == [4 if log_y else 3, 5, 3, 5]
     assert len(list(dots.iter(f"{_SVG}circle"))) == np.count_nonzero(
         np.isfinite(v) & np.isfinite(v[::-1]))
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -1e17, 1e17])
+def test_flat_series_at_any_magnitude(tmp_path, level):
+    # a flat series has a degenerate range, widened before it is drawn:
+    # by a unit up to |level| = 1, and in proportion to |level| beyond,
+    # where rounding would absorb a unit (from about 9e15 up)
+    flat = np.full(20, level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svgplot.line_plot(tmp_path / "l.svg", [("flat", flat, flat)])
+        svgplot.scatter_plot(tmp_path / "s.svg", flat, flat)
+    for name in ("l.svg", "s.svg"):
+        root = ET.parse(tmp_path / name).getroot()
+        numbers = [n for el in root.iter()
+                   for key in ("points", "cx", "cy", "x1", "y1", "x2", "y2")
+                   for n in el.get(key, "").replace(",", " ").split()]
+        assert numbers and np.all(np.isfinite(np.array(numbers, dtype=float)))
+        ticks = [t for t in root.iter(f"{_SVG}text")
+                 if t.get("text-anchor") in ("middle", "end") and t.text]
+        assert len(ticks) > 2, name
