@@ -17,7 +17,7 @@ if "numpy" not in sys.modules and not (
 from .azimuthal_rom import (AzimuthalRomModel, evaluate_rom, fit_rom,
                             load_rom, save_rom)
 from .dataset import (BladeGrid, ConditionKey, SnapshotEnsemble, load_case,
-                      load_torsion, save_case, smooth_wind, wrap_angle)
+                      open_case, save_case, smooth_wind, wrap_angle)
 from .decomposition import ModalBasis, inner, pod_fit, project
 from .errors import NumericalError, SchemaError, StageError, ValidationError
 from .fusion import GaussianReduced, fuse

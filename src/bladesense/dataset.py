@@ -14,13 +14,14 @@ channels and the field matrices (paths relative to the manifest):
 This is the one layout: :func:`save_case` writes it and the loaders read
 only it. Outside solver output becomes a case by building a
 :class:`SnapshotEnsemble` and calling :func:`save_case`. :func:`open_case`
-checks a case without reading its field's values, and its
-:meth:`Case.read` reads the field, unless the file has changed since;
-:func:`load_case` does both. :func:`load_torsion` reads a torsion matrix
-as a plain array of its deflection's shape. A matrix read is checked for
-dtype, shape and file length, and its values once as they are read, naming
-its file: each must be finite and at most ``MAX_ABS`` (1e100) in
-magnitude, as must each channel value when a case is opened.
+checks a case without reading its matrices' values: its manifest, grid and
+channels, and each matrix file's dtype, shape and length. Its
+:meth:`Case.read` reads the field and :meth:`Case.torsion` the torsion as a
+plain array, each unless its file has changed since; :func:`load_case`
+opens a case and reads its field. A matrix's values are checked once as
+they are read, naming its file: each must be finite and at most
+``MAX_ABS`` (1e100) in magnitude, as must each channel value when a case
+is opened.
 
 Field rows have a fixed order (all x stations, all y stations, all z
 stations); every module downstream assumes that order, and a ``.npy``
@@ -545,15 +546,6 @@ def _stamp(path: Path) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
-def _load_grid(manifest_path: Path, manifest: dict) -> BladeGrid:
-    """The grid of a case from its manifest; reads the grid file only."""
-    path = manifest_path.parent / manifest["grid_file"]
-    names, data = _read_csv(path)
-    if names != ["z_norm"]:
-        raise SchemaError(f"{path}: expected single column 'z_norm', got {names}")
-    return BladeGrid(z_norm=data[:, 0], length_m=manifest["L_b"])
-
-
 def _read_channels(path: Path, f_s: float) -> dict:
     """The channels ``t, theta, omega, u_raw, u_filt`` of a channel table,
     which must have exactly that header, checked (see
@@ -574,36 +566,35 @@ def _read_channels(path: Path, f_s: float) -> dict:
         raise SchemaError(f"{path}: {err}") from None
 
 
-def read_manifest(manifest_path) -> dict:
-    """A case's manifest, checked against the manifest schema; every
-    manifest read goes through here."""
-    return read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
-
-
 @dataclass(frozen=True)
 class Case:
-    """A case checked on disk but for its field's values (see
+    """A case checked on disk but for its matrices' values (see
     :func:`open_case`): its manifest's path and content, grid, condition
-    and checked channels, and the :func:`_stamp` its displacement file had
-    when checked. :meth:`read` reads the field."""
+    and checked channels, and the :func:`_stamp` each matrix file had when
+    checked, by manifest key. :meth:`read` reads the field, :meth:`torsion`
+    the torsion."""
 
     path: Path
     manifest: dict
     grid: BladeGrid
     condition: ConditionKey
     channels: dict
-    stamp: tuple[int, int]
+    stamps: dict
 
-    def read(self) -> SnapshotEnsemble:
-        """The case's ensemble, its field read and its values checked once.
-        A displacement file whose size or modification time is no longer
-        the checked one is a ValidationError naming it."""
-        path = self.path.parent / self.manifest["displacement_file"]
-        if _stamp(path) != self.stamp:
+    def _read(self, key: str) -> np.ndarray:
+        """The matrix the manifest names at ``key``, of the case's shape,
+        its values checked once. A file whose size or modification time is
+        no longer the checked one is a ValidationError naming it."""
+        path = self.path.parent / self.manifest[key]
+        if _stamp(path) != self.stamps[key]:
             raise ValidationError(
                 f"{path}: changed since it was first read (size or "
                 f"modification time)")
-        D = _read_npy(path, (self.grid.n_dof, self.channels["t"].size))
+        return _read_npy(path, (self.grid.n_dof, self.channels["t"].size))
+
+    def read(self) -> SnapshotEnsemble:
+        """The case's ensemble, its field read (see :meth:`_read`)."""
+        D = self._read("displacement_file")
         # the read checked the field and open_case the channels: the
         # ensemble is filled in without __post_init__'s second check
         ensemble = object.__new__(SnapshotEnsemble)
@@ -611,47 +602,45 @@ class Case:
                               f_s=self.manifest["f_s"], **self.channels)
         return ensemble
 
+    def torsion(self) -> np.ndarray | None:
+        """The case's torsion matrix (see :meth:`_read`), of its field's
+        shape; ``None`` when the manifest names no ``torsion_file``."""
+        return (self._read("torsion_file") if "torsion_file" in self.stamps
+                else None)
 
-def open_case(manifest_path, manifest: dict | None = None) -> Case:
-    """Check one case without reading its field's values: its manifest,
-    grid and channels, and its displacement file's header and length;
-    ``manifest``, its :func:`read_manifest` result if the caller has it,
-    is not read again."""
+
+def open_case(manifest_path) -> Case:
+    """Check one case without reading its matrices' values: its manifest,
+    grid and channels, and the header and length of each matrix file it
+    names. A fault is an error naming its file, or the manifest for a
+    bad condition, blade length or station list."""
     manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path) if manifest is None else manifest
-    condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
-    grid = _load_grid(manifest_path, m)
+    m = read_json(manifest_path, _MANIFEST, _MANIFEST_REQUIRED, "manifest")
+    path = manifest_path.parent / m["grid_file"]
+    names, data = _read_csv(path)
+    if names != ["z_norm"]:
+        raise SchemaError(f"{path}: expected single column 'z_norm', got {names}")
+    try:  # the manifest's condition and blade length, and the stations
+        condition = ConditionKey(m["u_mean"], m["ti"], m["seed"])
+        grid = BladeGrid(data[:, 0], m["L_b"])
+    except ValidationError as err:
+        raise SchemaError(f"{manifest_path}: {err}") from None
     channels = _read_channels(manifest_path.parent / m["snapshot_file"],
                               m["f_s"])
-    path = manifest_path.parent / m["displacement_file"]
-    with _npy_file(path, (grid.n_dof, channels["t"].size)):
-        stamp = _stamp(path)
-    return Case(manifest_path, m, grid, condition, channels, stamp)
+    stamps = {}
+    for key in ("displacement_file", "torsion_file"):
+        if key in m:  # the torsion is optional
+            path = manifest_path.parent / m[key]
+            with _npy_file(path, (grid.n_dof, channels["t"].size)):
+                stamps[key] = _stamp(path)
+    return Case(manifest_path, m, grid, condition, channels, stamps)
 
 
-def load_case(manifest_path, manifest: dict | None = None
-              ) -> tuple[BladeGrid, SnapshotEnsemble]:
+def load_case(manifest_path) -> tuple[BladeGrid, SnapshotEnsemble]:
     """Load and validate one case from its manifest (see :func:`open_case`
-    and :meth:`Case.read`); returns the grid and the snapshot ensemble;
-    ``manifest``, its :func:`read_manifest` result if the caller has it,
-    is not read again."""
-    case = open_case(manifest_path, manifest)
+    and :meth:`Case.read`); returns the grid and the snapshot ensemble."""
+    case = open_case(manifest_path)
     return case.grid, case.read()
-
-
-def load_torsion(manifest_path, shape: tuple[int, int],
-                 manifest: dict | None = None) -> np.ndarray | None:
-    """The torsion matrix of a case, of ``shape`` (3*n_z, n_t), its
-    deflection's; ``None`` when the manifest names no ``torsion_file``.
-
-    Only the torsion file is read, and the manifest when ``manifest``, its
-    :func:`read_manifest` result, is not given.
-    """
-    manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path) if manifest is None else manifest
-    if "torsion_file" not in m:
-        return None
-    return _read_npy(manifest_path.parent / m["torsion_file"], shape)
 
 
 def save_case(ensemble: SnapshotEnsemble, out_dir, name: str,

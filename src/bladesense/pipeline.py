@@ -37,8 +37,7 @@ import numpy as np
 
 from . import svgplot
 from .azimuthal_rom import AzimuthalRomModel, evaluate_rom, fit_rom, save_rom
-from .dataset import (TWO_PI, _write_csv, load_torsion, open_case, read_json,
-                      write_json)
+from .dataset import TWO_PI, _write_csv, open_case, read_json, write_json
 from .decomposition import (ModalBasis, pod_fit, project, write_energies_csv,
                             write_modes_csv)
 from .errors import StageError, ValidationError
@@ -152,7 +151,7 @@ class Model:
 
 def _load(training_paths: list, evaluation_paths: list):
     """The training and the evaluation cases, each checked without its
-    field's values (see :func:`open_case`), and the observation stations."""
+    matrices' values (see :func:`open_case`), and the observation stations."""
     # each manifest is read here, once, and kept for the field and torsion
     # reads
     training = [open_case(p) for p in training_paths]
@@ -219,9 +218,8 @@ def _fit_rom(training: list, basis: ModalBasis, rows, emit):
     if not carriers:
         return rom, None
     model, r2 = fit_torsion_model(
-        [a for _, a in carriers],
-        (load_torsion(case.path, (basis.grid.n_dof, a.shape[1]), case.manifest)
-         for case, a in carriers), basis.grid)
+        [a for _, a in carriers], (case.torsion() for case, _ in carriers),
+        basis.grid)
     save_torsion_model(model, emit("torsion_map.csv"))
     # estimate reads torsion at the observation stations only
     return rom, (TorsionModel(model.mean_field[rows], model.field_map[rows]),
@@ -342,8 +340,7 @@ def _estimate(model: Model, evaluation: list, seed: int, emit) -> dict:
 def _score_torsion(model: Model, case, head: dict, fused, emit) -> list:
     """Write a case's torsion, inferred from its fused coordinates, beside
     the truth at the observation rows; return the case's summary rows."""
-    shape = (model.basis.grid.n_dof, head["t"].size)
-    true_obs = load_torsion(case.path, shape, case.manifest)[model.rows, :]
+    true_obs = case.torsion()[model.rows, :]
     est_obs = infer_torsion(fused, model.torsion[0])
     rmse = _station_table(
         emit(f"torsion_recon_{case.path.stem}.npy"), head, model.stations,

@@ -96,17 +96,23 @@ DAMAGE = ("missing", "not_npy", "truncated", "padded", "truncated_header",
           "object", "pickled", "float32", "short_rows", "short_steps",
           "transposed", "fields_in_snapshots", "no_fields", "huge_steps")
 
+#: The kinds of :data:`DAMAGE` that damage the ``.npy`` file itself, which
+#: apply to either matrix of a case.
+NPY_DAMAGE = tuple(k for k in DAMAGE
+                   if k not in ("fields_in_snapshots", "no_fields"))
 
-def damage_case(manifest_path, kind):
-    """Damage the displacement matrix (or the snapshot table, or the
-    manifest) of a case in the way ``kind`` names.
+
+def damage_case(manifest_path, kind, matrix="displacement_file"):
+    """Damage the ``matrix`` file of a case, its displacement or torsion
+    matrix (or the snapshot table, or the manifest), in the way ``kind``
+    names.
 
     Returns the expected exception type and the file name its message must
     contain.
     """
     manifest_path = Path(manifest_path)
     doc = json.loads(manifest_path.read_text())
-    npy = manifest_path.parent / doc["displacement_file"]
+    npy = manifest_path.parent / doc[matrix]
     snap = manifest_path.parent / doc["snapshot_file"]
     D = np.load(npy)
     if kind == "missing":

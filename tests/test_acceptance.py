@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from bladesense import (GaussianReduced, NoiseModel, fit_torsion_model, fuse,
-                        infer_torsion, load_case, load_torsion, observe,
+                        infer_torsion, load_case, observe, open_case,
                         place_sensors, pod_fit, project, psd, sparse_estimate)
 from bladesense.azimuthal_rom import evaluate_rom, fit_rom
 from bladesense.cli import main
@@ -274,8 +274,8 @@ def test_criterion_08_torsion_inference(tmp_path):
                      ar_rho=0.9, ar_sigma=0.15, duration_s=50.0, f_s=80.0,
                      torsion=torsion)
         manifest = generate_case(spec, seed, tmp_path)
-        _, defl = load_case(manifest)
-        return defl, load_torsion(manifest, defl.D.shape)
+        case = open_case(manifest)
+        return case.read(), case.torsion()
 
     # exact recovery of the field map psi M0 on synthetic coordinates
     rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from scipy.signal import lfilter
 
 from bladesense import (BladeGrid, ConditionKey, SnapshotEnsemble, load_case,
-                        load_torsion, save_case, smooth_wind, wrap_angle)
+                        open_case, save_case, smooth_wind, wrap_angle)
 from bladesense import dataset
-from bladesense.dataset import SMOOTHING_ALPHA, TWO_PI, read_manifest
+from bladesense.dataset import SMOOTHING_ALPHA, TWO_PI
 from bladesense.errors import SchemaError, ValidationError
 
-from conftest import CHANNELS, DAMAGE, damage_case, savetxt_writer
+from conftest import (CHANNELS, DAMAGE, NPY_DAMAGE, damage_case,
+                      savetxt_writer)
 
 
 def _write_minimal_case(tmp_path, *, drop=None, f_s=160.0, bad_theta=None):
@@ -140,10 +142,50 @@ class TestOpenCase:
         assert np.array_equal(case.read().D, ens.D)
         path = tmp_path / "tc_displacement.npy"
         np.save(path, 2.0 * ens.D)  # the same size, a second later
-        os.utime(path, ns=(case.stamp[1], case.stamp[1] + 10**9))
+        mtime = case.stamps["displacement_file"][1]
+        os.utime(path, ns=(mtime, mtime + 10**9))
         with pytest.raises(ValidationError,
                            match="tc_displacement.npy: changed since"):
             case.read()
+
+    @pytest.mark.parametrize("change", ["size", "mtime"])
+    def test_torsion_rejects_a_file_changed_since_it_was_opened(
+            self, tmp_path, change):
+        # the torsion is read under the field's guard: its own stamp
+        manifest, ens, tau = _random_case(tmp_path)
+        case = dataset.open_case(manifest)
+        path = tmp_path / "tc_torsion.npy"
+        mtime = case.stamps["torsion_file"][1]
+        if change == "size":
+            with open(path, "ab") as fh:
+                fh.write(bytes(8))
+            os.utime(path, ns=(mtime, mtime))
+        else:
+            np.save(path, 2.0 * tau)
+            os.utime(path, ns=(mtime, mtime + 10**9))
+        assert np.array_equal(case.read().D, ens.D)
+        with pytest.raises(ValidationError,
+                           match="tc_torsion.npy: changed since"):
+            case.torsion()
+
+    @pytest.mark.parametrize("key, value", [("ti", 1.5), ("u_mean", 0.0),
+                                            ("L_b", -60.0)])
+    def test_a_manifest_value_out_of_range_names_the_manifest(
+            self, tmp_path, key, value):
+        manifest, _, _ = _random_case(tmp_path)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(SchemaError,
+                           match=f"^{re.escape(str(manifest))}: "):
+            dataset.open_case(manifest)
+
+    def test_a_grid_fault_names_the_manifest(self, tmp_path):
+        manifest, _, _ = _random_case(tmp_path)
+        (tmp_path / "tc_grid.csv").write_text("z_norm\n0.0\n0.8\n0.7\n1.0\n")
+        with pytest.raises(SchemaError, match=(
+                f"^{re.escape(str(manifest))}: z_norm must be strictly "
+                "increasing$")):
+            dataset.open_case(manifest)
 
 
 class TestRoundTrip:
@@ -183,7 +225,7 @@ class TestRoundTrip:
         m1 = save_case(ens, tmp_path / "a", "case", tau=tau)
         _, loaded = load_case(m1)
         save_case(loaded, tmp_path / "b", "case",
-                  tau=load_torsion(m1, loaded.D.shape))
+                  tau=open_case(m1).torsion())
         written = sorted(f.name for f in (tmp_path / "a").iterdir())
         assert written == ["case.json", "case_channels.csv",
                            "case_displacement.npy", "case_grid.csv",
@@ -373,33 +415,31 @@ def _random_case(tmp_path, seed=4, n_z=4, n_t=9):
     return save_case(ens, tmp_path, "tc", tau=tau), ens, tau
 
 
-class TestLoadTorsion:
+class TestCaseTorsion:
     def test_none_without_torsion_file(self, tmp_path):
-        assert load_torsion(_write_minimal_case(tmp_path), (6, 3)) is None
+        assert open_case(_write_minimal_case(tmp_path)).torsion() is None
 
     def test_reads_torsion_bit_exact_without_snapshot_file(self, tmp_path):
+        # once the case is open, only the torsion file is read: not the
+        # manifest, the grid, the channels or the field
         manifest, _, tau = _random_case(tmp_path)
-        for f in ("tc_grid.csv", "tc_channels.csv", "tc_displacement.npy"):
+        case = open_case(manifest)
+        for f in ("tc.json", "tc_grid.csv", "tc_channels.csv",
+                  "tc_displacement.npy"):
             (tmp_path / f).unlink()  # must not be needed
-        back = load_torsion(manifest, tau.shape)
+        back = case.torsion()
         assert type(back) is np.ndarray and np.array_equal(back, tau)
 
-    def test_reads_only_the_torsion_file_given_the_deflection(self, tmp_path):
-        manifest, _, tau = _random_case(tmp_path)
-        _, ens = load_case(manifest)
-        for f in ("tc_grid.csv", "tc_channels.csv", "tc_displacement.npy"):
-            (tmp_path / f).unlink()
-        # given its manifest too, the case's JSON is not read again
-        m = read_manifest(manifest)
-        manifest.unlink()
-        again = load_torsion(manifest, ens.D.shape, m)
-        assert np.array_equal(again, tau)
-
-    def test_rejects_a_torsion_matrix_of_the_wrong_shape(self, tmp_path):
-        manifest, _, tau = _random_case(tmp_path)
-        np.save(tmp_path / "tc_torsion.npy", tau[:, :-1])
-        with pytest.raises(SchemaError, match="tc_torsion.npy"):
-            load_torsion(manifest, tau.shape)
+    @pytest.mark.parametrize("kind", NPY_DAMAGE)
+    def test_a_damaged_torsion_file_is_rejected_when_opened(self, tmp_path,
+                                                            kind):
+        # its header and length are checked as the field's are, before
+        # any matrix is read
+        manifest, _, _ = _random_case(tmp_path)
+        error, name = damage_case(manifest, kind, "torsion_file")
+        assert name == "tc_torsion.npy"
+        with pytest.raises(error, match=name):
+            open_case(manifest)
 
 
 class TestLayouts:
@@ -449,7 +489,7 @@ class TestBadBinaryInput:
         M[10, 7] = value  # uz_002 at the eighth time step
         np.save(path, M)
         load = {"displacement": lambda: load_case(manifest),
-                "torsion": lambda: load_torsion(manifest, tau.shape)}[kind]
+                "torsion": lambda: open_case(manifest).torsion()}[kind]
         with pytest.raises(ValidationError) as err:
             load()
         assert str(err.value) == (
@@ -470,7 +510,7 @@ class TestBadBinaryInput:
         M[0, 8] = np.nan  # a later row: the first offender is named
         np.save(path, M)
         load = {"displacement": lambda: load_case(manifest),
-                "torsion": lambda: load_torsion(manifest, tau.shape)}[kind]
+                "torsion": lambda: open_case(manifest).torsion()}[kind]
         with pytest.raises(ValidationError) as err:
             load()
         assert str(err.value) == (

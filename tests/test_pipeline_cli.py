@@ -13,17 +13,17 @@ import pytest
 
 import bladesense
 from bladesense import (NoiseModel, TorsionModel, dataset, evaluate_rom, fuse,
-                        infer_torsion, load_case, load_rom, load_torsion,
-                        load_torsion_model, observe, place_sensors, pod_fit,
-                        project, sparse_estimate)
+                        infer_torsion, load_case, load_rom,
+                        load_torsion_model, observe, open_case, place_sensors,
+                        pod_fit, project, sparse_estimate)
 from bladesense.cli import main
 from bladesense.pipeline import PipelineConfig, _sector, run_pipeline
 from bladesense.sensing import sensor_dof_rows
 from bladesense.spectral import psd
 from bladesense.errors import NumericalError, StageError, ValidationError
 
-from conftest import (CHANNELS, DAMAGE, damage_case, savetxt_writer,
-                      traced_peak)
+from conftest import (CHANNELS, DAMAGE, NPY_DAMAGE, damage_case,
+                      savetxt_writer, traced_peak)
 
 SYNTH_CONFIG = {
     "grid": {"n_z": 8, "L_b": 100.0},
@@ -650,9 +650,10 @@ class TestUsedOutputDirectory:
     @staticmethod
     def _with_broken_case(twin, tmp_path, broken):
         """Copy the twin's cases, add a second evaluation case ``ev2`` (the
-        first's data under a torsion file of its own) and make
-        ``<broken>_torsion.npy`` not a ``.npy`` file; return the configs with
-        both evaluation cases and with the first only."""
+        first's data under a torsion file of its own) and put an ``inf`` in
+        ``<broken>_torsion.npy``, a fault found only where the matrix is
+        read; return the configs with both evaluation cases and with the
+        first only."""
         pipeline_cfg, _ = twin
         cases = tmp_path / "cases"
         shutil.copytree(pipeline_cfg.parent, cases)
@@ -660,7 +661,9 @@ class TestUsedOutputDirectory:
         shutil.copy(cases / manifest["torsion_file"], cases / "ev2_torsion.npy")
         manifest.update(name="ev2", torsion_file="ev2_torsion.npy")
         (cases / "ev2.json").write_text(json.dumps(manifest))
-        (cases / f"{broken}_torsion.npy").write_text("not npy")
+        tau = np.load(cases / f"{broken}_torsion.npy")
+        tau[0, 0] = np.inf
+        np.save(cases / f"{broken}_torsion.npy", tau)
         doc = json.loads(pipeline_cfg.read_text())
         configs = []
         for evaluation in (["ev_s5.json", "ev2.json"], ["ev_s5.json"]):
@@ -1158,6 +1161,65 @@ class TestFailureModes:
         assert f"{path}: changed" in capsys.readouterr().err
         assert not (out / "error_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "case, kind", [("ev_s5", k) for k in NPY_DAMAGE]
+        + [("tr_a_s0", k) for k in NPY_DAMAGE],
+        ids=[*NPY_DAMAGE, *(f"training-{k}" for k in NPY_DAMAGE)])
+    def test_bad_torsion_file_fails_at_load(self, twin, tmp_path, case,
+                                            kind):
+        # load checks each torsion file's header and length as it checks
+        # the field's, though the matrix is read only at fit-rom or estimate
+        names = []
+
+        def damage(cases):
+            names.append(damage_case(cases / f"{case}.json", kind,
+                                     "torsion_file")[1])
+
+        code, marker = self._failed_load(twin, tmp_path, damage)
+        assert code == 2
+        assert names == [f"{case}_torsion.npy"]
+        assert marker.startswith("stage: load\n") and names[0] in marker
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "FAILED"]
+
+    @pytest.mark.parametrize("change", ["size", "mtime"])
+    @pytest.mark.parametrize("case, after, stage, unwritten", [
+        ("tr_a_s0", "sensors", "fit-rom", "torsion_map.csv"),
+        ("ev_s5", "fit-rom", "estimate", "error_summary.json")])
+    def test_torsion_file_changed_after_load_fails_naming_it(
+            self, twin, tmp_path, monkeypatch, capsys, case, after, stage,
+            unwritten, change):
+        # each torsion matrix is read under the stamp load took, as each
+        # field is: a file rewritten since (here after the stage ``after``)
+        # is rejected where it is read, not fitted or scored
+        pipeline_cfg, _ = twin
+        cases = tmp_path / "cases"
+        shutil.copytree(pipeline_cfg.parent, cases)
+        path = cases / f"{case}_torsion.npy"
+
+        def rewrite(*args, _stage=bladesense.pipeline._STAGES[after]):
+            result = _stage(*args)
+            st = os.stat(path)
+            if change == "size":  # the same modification time
+                with open(path, "ab") as fh:
+                    fh.write(bytes(8))
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+            else:  # the same size, a second later
+                np.save(path, 2.0 * np.load(path))
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            return result
+
+        monkeypatch.setitem(bladesense.pipeline._STAGES, after, rewrite)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cases / pipeline_cfg.name),
+                     "--out", str(out)]) == 2
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith(
+            f"stage: {stage}\nerror: {path}: changed since it was first read")
+        assert f"{path}: changed" in capsys.readouterr().err
+        assert not (out / unwritten).exists()
+
     @pytest.mark.parametrize("omega", [np.zeros_like, np.negative])
     def test_training_case_at_rest_fails_at_load(self, twin, tmp_path,
                                                  capsys, omega):
@@ -1204,6 +1266,117 @@ def _edit_channel(path, column, edit):
     j = CHANNELS.index(column)
     data[:, j] = edit(data[:, j])
     dataset._write_csv(path, CHANNELS, data)
+
+
+def _at_row_10(value):
+    """The edit of a channel that sets its row 10 to ``value``."""
+    return lambda x: np.where(np.arange(x.size) == 10, value, x)
+
+
+def _set(i, j, value):
+    """The edit of a matrix that sets its entry ``[i, j]`` to ``value``."""
+    def edit(M):
+        M[i, j] = value
+        return M
+    return edit
+
+
+#: The corruptions of the sweep, each ``(file, edit)``: a ``.npy`` matrix
+#: (``displacement`` or ``torsion``), a channel column or a manifest key,
+#: and the edit of its values (or a :data:`DAMAGE` kind).
+CORRUPTIONS = {
+    "displacement-nan": ("displacement", _set(5, 10, np.nan)),
+    "displacement-x1e200": ("displacement", lambda D: 1e200 * D),
+    "displacement-x1e300": ("displacement", lambda D: 1e300 * D),
+    "displacement-zeros": ("displacement", np.zeros_like),
+    "displacement-float32": ("displacement", lambda D: D.astype(np.float32)),
+    "displacement-fortran": ("displacement", np.asfortranarray),
+    "displacement-two-columns": ("displacement", lambda D: D[:, :2]),
+    "torsion-nan": ("torsion", _set(13, 10, np.nan)),
+    "torsion-zeros": ("torsion", np.zeros_like),
+    "torsion-not_npy": ("torsion", "not_npy"),
+    "torsion-truncated": ("torsion", "truncated"),
+    "theta-nan": ("theta", _at_row_10(np.nan)),
+    "theta-negative": ("theta", _at_row_10(-0.1)),
+    "theta-7": ("theta", _at_row_10(7.0)),
+    "theta-2pi": ("theta", _at_row_10(2.0 * np.pi)),
+    "omega-zero": ("omega", np.zeros_like),
+    "omega-negated": ("omega", np.negative),
+    "u_raw-zero": ("u_raw", np.zeros_like),
+    "u_raw-negated": ("u_raw", np.negative),
+    "u_filt-negated": ("u_filt", np.negative),
+    "u_filt-constant": ("u_filt", lambda u: np.full_like(u, u.mean())),
+    "u_filt-1e300": ("u_filt", _at_row_10(1e300)),
+    "u_raw-inf": ("u_raw", _at_row_10(np.inf)),
+    "t-reversed": ("t", lambda t: t[::-1].copy()),
+    "t-repeated-step": ("t", lambda t: np.where(np.arange(t.size) == 10,
+                                                t[9], t)),
+    "t-constant": ("t", lambda t: np.full_like(t, t[0])),
+    "f_s-zero": ("f_s", lambda f_s: 0.0),
+    "f_s-negative": ("f_s", lambda f_s: -f_s),
+    "f_s-wrong": ("f_s", lambda f_s: 2.0 * f_s),
+    "ti-out-of-range": ("ti", lambda ti: 1.5),
+    "u_mean-out-of-range": ("u_mean", lambda u: -u),
+    "L_b-out-of-range": ("L_b", lambda L_b: 0.0),
+}
+
+
+def _corrupt(cases, stem, file, edit):
+    """Apply one corruption of :data:`CORRUPTIONS` to case ``stem``."""
+    manifest = cases / f"{stem}.json"
+    doc = json.loads(manifest.read_text())
+    if isinstance(edit, str):
+        damage_case(manifest, edit, f"{file}_file")
+    elif file in ("displacement", "torsion"):
+        path = cases / doc[f"{file}_file"]
+        np.save(path, edit(np.load(path)))
+    elif file in CHANNELS:
+        _edit_channel(cases / doc["snapshot_file"], file, edit)
+    else:
+        manifest.write_text(json.dumps({**doc, file: edit(doc[file])}))
+
+
+def _finite_numbers(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(_finite_numbers(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_finite_numbers(v) for v in doc)
+    return not isinstance(doc, float) or np.isfinite(doc)
+
+
+class TestCorruptionSweep:
+    def test_every_corruption_exits_0_finite_or_2_naming_it(self, twin,
+                                                            tmp_path):
+        # the input contract, one corruption at a time in one training
+        # case and then in one evaluation case: a run either ends with
+        # finite summaries or exits 2 with a FAILED marker naming the case
+        # (each of its files' names starts with the case's); it never
+        # crashes (exit 1) or fails as a numerical error (exit 3)
+        pipeline_cfg, _ = twin
+        broken = []
+        for stem in ("tr_a_s0", "ev_s5"):
+            for name, (file, edit) in CORRUPTIONS.items():
+                run = tmp_path / f"{stem}-{name}"
+                cases = run / "cases"
+                shutil.copytree(pipeline_cfg.parent, cases)
+                _corrupt(cases, stem, file, edit)
+                out = run / "out"
+                try:
+                    code = main(["pipeline", "--config",
+                                 str(cases / pipeline_cfg.name),
+                                 "--out", str(out)])
+                except Exception as err:  # a crash
+                    broken.append((stem, name, repr(err)))
+                    continue
+                if code == 0:
+                    docs = [json.loads((out / f).read_text()) for f in
+                            ("error_summary.json", "torsion_summary.json")]
+                    if not _finite_numbers(docs):
+                        broken.append((stem, name, "non-finite summary"))
+                elif code != 2 or stem not in (out / "FAILED").read_text():
+                    broken.append((stem, name, code,
+                                   (out / "FAILED").read_text()))
+        assert not broken
 
 
 class TestLayouts:
@@ -1394,10 +1567,10 @@ class TestTrainingRelease:
         fields, overlaps = self._field_reads(monkeypatch, config)
         refs, alive = [], []
 
-        def recording(path, *args, _load=bladesense.pipeline.load_torsion):
+        def recording(case, _torsion=dataset.Case.torsion):
             alive.extend(r for r in fields + refs if r() is not None)
-            tau = _load(path, *args)
-            if Path(path) in training:
+            tau = _torsion(case)
+            if Path(case.path) in training:
                 refs.append(weakref.ref(tau))
             return tau
 
@@ -1406,7 +1579,7 @@ class TestTrainingRelease:
             alive.extend(r for r in refs if r() is not None)
             return result
 
-        monkeypatch.setattr(bladesense.pipeline, "load_torsion", recording)
+        monkeypatch.setattr(dataset.Case, "torsion", recording)
         monkeypatch.setitem(bladesense.pipeline._STAGES, "fit-rom", fit_rom)
         run_pipeline(config, plan="pipeline")
         assert len(refs) == len(fields) // 2 == len(config.training) >= 3
@@ -1494,15 +1667,16 @@ class TestEvaluationRelease:
                 refs[Path(case.path)] = weakref.ref(e.D)
             return e
 
-        def truth(path, *args, _load=bladesense.pipeline.load_torsion):
-            if Path(path) in evaluation:
-                scored.append(Path(path))
-                done = evaluation[:evaluation.index(Path(path)) + 1]
+        def truth(case, _torsion=dataset.Case.torsion):
+            path = Path(case.path)
+            if path in evaluation:
+                scored.append(path)
+                done = evaluation[:evaluation.index(path) + 1]
                 alive.extend(p for p in done if refs[p]() is not None)
-            return _load(path, *args)
+            return _torsion(case)
 
         monkeypatch.setattr(dataset.Case, "read", recording)
-        monkeypatch.setattr(bladesense.pipeline, "load_torsion", truth)
+        monkeypatch.setattr(dataset.Case, "torsion", truth)
         run_pipeline(config, plan="pipeline")
         assert len(refs) == len(config.evaluation)
         assert scored == evaluation
@@ -1616,7 +1790,7 @@ class TestEvaluationRelease:
         monkeypatch.setattr(bladesense.pipeline, "_score_torsion", scoring)
         run_pipeline(config, plan="pipeline")
         path = config.evaluation[0]
-        matrix = dataset.load_torsion(path, load_case(path)[1].D.shape).nbytes
+        matrix = open_case(path).torsion().nbytes
         assert matrix == 3 * 8 * 3200 * 8
         assert len(peaks) == 1 and peaks[0] <= 3.5 * matrix
 
@@ -2088,7 +2262,7 @@ class TestLibraryOnDatasets:
             mean_obs = basis.mean_field[rows][:, None]
             phi_obs = basis.modes[rows, :]
             estimates = {src: mean_obs + phi_obs @ a for src, a in A.items()}
-            tau = load_torsion(path, e.D.shape)[rows, :]
+            tau = open_case(path).torsion()[rows, :]
             tau_hat = infer_torsion(A["fused"], TorsionModel(
                 torsion_map.mean_field[rows], torsion_map.field_map[rows]))
             head = {"t": e.t, "theta": e.theta}
